@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable
 
 from .errors import (
     NotBooleanError,
@@ -24,14 +22,10 @@ from .errors import (
     UnknownHypothesisError,
 )
 from .evaluator import _all_matches_with_bodies, evaluate_fixpoint, fresh_predicate
-from .hitting import minimal_hitting_sets
-from .model import Atom, GroundAtom, Instance, Program, Rule
+from .hitting import minimal_hitting_sets, minimal_sets
+from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
 Diagnosis = frozenset[GroundAtom]
-
-
-def _canonical_family(family: Iterable[Diagnosis]) -> tuple[Diagnosis, ...]:
-    return tuple(sorted(set(family), key=lambda s: (len(s), tuple(sorted(a.sort_key() for a in s)))))
 
 
 def _conjunction_program(program: Program, observation: tuple[GroundAtom, ...]) -> tuple[Program, GroundAtom]:
@@ -116,18 +110,11 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     observation."""
     support = sorted(problem._support(), key=GroundAtom.sort_key)
     memo: dict[Diagnosis, bool] = {}
-    found: list[Diagnosis] = []
-    for size in range(0, len(support) + 1):
-        for combo in combinations(support, size):
-            delta = frozenset(combo)
-            if any(prev <= delta for prev in found):
-                continue
-            if problem._entails(delta, memo):
-                found.append(delta)
+    found = minimal_sets(support, lambda delta: problem._entails(delta, memo))
     for delta in found:
         # membership-proof check: dropping any element must break entailment
         assert all(not problem._entails(delta - {d}, memo) for d in delta)
-    return _canonical_family(found)
+    return canonical_family(found)
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:
@@ -153,7 +140,7 @@ def necessary_hypothesis_sets(problem: AbductionProblem) -> tuple[Diagnosis, ...
     when N hits every diagnosis, so these are the minimal hitting sets of
     the diagnosis family."""
     solutions = solve_diagnoses(problem)
-    return _canonical_family(minimal_hitting_sets(solutions))
+    return canonical_family(minimal_hitting_sets(solutions))
 
 
 def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fraction:

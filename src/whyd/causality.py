@@ -32,7 +32,7 @@ from .errors import (
 from .evaluator import holds as model_holds
 from .evaluator import specialize_to_answer
 from .hitting import minimal_hitting_sets
-from .model import GroundAtom, Instance, Program
+from .model import GroundAtom, Instance, Program, canonical_family
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ class CauseReport:
 
     def is_counterfactual(self) -> bool:
         return self.responsibility == 1
-
-
-def _canonical_family(family: Iterable[frozenset[GroundAtom]]) -> tuple[frozenset[GroundAtom], ...]:
-    return tuple(sorted(set(family), key=lambda s: (len(s), tuple(sorted(a.sort_key() for a in s)))))
 
 
 class CauseAnalysis:
@@ -90,7 +86,7 @@ class CauseAnalysis:
         family: set[frozenset[GroundAtom]] = set()
         for anchor in through:
             family.update(minimal_hitting_sets(avoiding, pool - anchor))
-        return _canonical_family(family)
+        return canonical_family(family)
 
     def responsibility(self, tau: GroundAtom) -> Fraction:
         if tau not in self.instance.endogenous:

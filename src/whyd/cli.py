@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -49,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Causal explanations for Datalog query answers: causes, "
         "responsibility, abduction, delete propagation, and constraints.",
     )
-    parser.add_argument("--jobs", type=int, default=None, help="upper bound on parallel candidate tests (WHYD_JOBS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, *, program=True, data=True, target=False, tuple_=False, ics=False, help=""):
@@ -86,11 +84,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> bytes:
+def _read(sources: dict[str, bytes], name: str, path: str) -> str:
+    """The text of an input file; its raw bytes go into ``sources`` for
+    the provenance digests."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    sources[name] = data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
 
 
 class _UsageError(Exception):
@@ -123,9 +128,11 @@ def _cause_payload(reports, cap: int | None, responsibility_key: str) -> list[di
 
 
 def _load_common(args) -> tuple[Program, Instance, dict[str, bytes]]:
-    sources = {"program": _read(args.program), "data": _read(args.data)}
-    program = parse_program(sources["program"].decode("utf-8"), args.program)
-    document = parse_instance_document(sources["data"].decode("utf-8"), args.data)
+    sources: dict[str, bytes] = {}
+    program_text = _read(sources, "program", args.program)
+    data_text = _read(sources, "data", args.data)
+    program = parse_program(program_text, args.program)
+    document = parse_instance_document(data_text, args.data)
     return program, document.instance, sources
 
 
@@ -140,8 +147,7 @@ def _run(args) -> Report:
         target = parse_ground_atom(args.target)
         cap = args.max_contingency_sets
         if getattr(args, "constraints", None):
-            sources["constraints"] = _read(args.constraints)
-            sigma = parse_constraints(sources["constraints"].decode("utf-8"), args.constraints)
+            sigma = parse_constraints(_read(sources, "constraints", args.constraints), args.constraints)
             reports = constraints.causes_under_ics(instance, program, target, sigma)
             payload = {
                 "target": str(target),
@@ -157,8 +163,7 @@ def _run(args) -> Report:
         target = parse_ground_atom(args.target)
         tau = parse_ground_atom(args.tuple)
         if getattr(args, "constraints", None):
-            sources["constraints"] = _read(args.constraints)
-            sigma = parse_constraints(sources["constraints"].decode("utf-8"), args.constraints)
+            sigma = parse_constraints(_read(sources, "constraints", args.constraints), args.constraints)
             rho = constraints.responsibility_under_ics(instance, program, target, tau, sigma)
         else:
             rho = causality.responsibility(instance, program, target, tau)
@@ -197,9 +202,11 @@ def _run(args) -> Report:
         return Report("vc-causes", payload, provenance_for(sources))
 
     if args.command == "abduce":
-        sources = {"program": _read(args.program), "data": _read(args.data)}
-        program = parse_program(sources["program"].decode("utf-8"), args.program)
-        document = parse_instance_document(sources["data"].decode("utf-8"), args.data)
+        sources = {}
+        program_text = _read(sources, "program", args.program)
+        data_text = _read(sources, "data", args.data)
+        program = parse_program(program_text, args.program)
+        document = parse_instance_document(data_text, args.data)
         if not document.observations:
             raise _UsageError("the instance file has no #observe section")
         if args.obs_bound is not None and len(document.observations) > args.obs_bound:
@@ -260,9 +267,11 @@ def _run(args) -> Report:
     if args.command == "check-ics":
         if not args.constraints:
             raise _UsageError("check-ics needs -c/--constraints")
-        sources = {"data": _read(args.data), "constraints": _read(args.constraints)}
-        document = parse_instance_document(sources["data"].decode("utf-8"), args.data)
-        sigma = parse_constraints(sources["constraints"].decode("utf-8"), args.constraints)
+        sources = {}
+        data_text = _read(sources, "data", args.data)
+        constraints_text = _read(sources, "constraints", args.constraints)
+        document = parse_instance_document(data_text, args.data)
+        sigma = parse_constraints(constraints_text, args.constraints)
         result = constraints.satisfies(document.instance, sigma)
         payload = {
             "satisfied": result.ok,
@@ -274,8 +283,8 @@ def _run(args) -> Report:
         return Report("check-ics", payload, provenance_for(sources))
 
     if args.command == "encode-phca":
-        sources = {"input": _read(args.input)}
-        problem = phca.parse_phca(sources["input"].decode("utf-8"), args.input)
+        sources = {}
+        problem = phca.parse_phca(_read(sources, "input", args.input), args.input)
         encoded = phca.encode_phca(problem)
         solutions = abduction.solve_diagnoses(encoded)
         payload = {
@@ -330,13 +339,7 @@ def _summary(report: Report) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    jobs = args.jobs if args.jobs is not None else os.environ.get("WHYD_JOBS")
-    if jobs is not None and int(jobs) < 1:
-        parser.error("--jobs must be at least 1")
-    # The engine is sequential; --jobs is an upper bound and the output is
-    # identical for every value of it.
+    args = _build_parser().parse_args(argv)
     try:
         report = _run(args)
     except _UsageError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -22,7 +21,8 @@ from .errors import (
     SchemaMismatchError,
     WhydError,
 )
-from .model import Atom, Constant, GroundAtom, Instance, Program, Term, Variable
+from .hitting import minimal_sets
+from .model import Atom, Constant, GroundAtom, Instance, Program, Term, Variable, canonical_family
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,6 @@ class ConstrainedCauseReport:
         return self.responsibility_under_ics
 
 
-def _canonical_family(family: Iterable[frozenset[GroundAtom]]) -> tuple[frozenset[GroundAtom], ...]:
-    return tuple(
-        sorted(set(family), key=lambda s: (len(s), tuple(sorted(a.sort_key() for a in s))))
-    )
-
-
 class _SigmaAnalysis:
     """Shared search state for one (instance, query, answer, sigma)."""
 
@@ -324,22 +318,18 @@ class _SigmaAnalysis:
         universe = sorted(
             (a for a in self.instance.endogenous if a != tau), key=GroundAtom.sort_key
         )
-        found: list[frozenset[GroundAtom]] = []
-        for size in range(0, len(universe) + 1):
-            for combo in combinations(universe, size):
-                gamma = frozenset(combo)
-                if any(prev <= gamma for prev in found):
-                    continue
-                if any(not (delta & gamma) for delta in hit_targets):
-                    continue  # (c) fails: some diagnosis survives tau's removal
-                if not any(not (delta & gamma) for delta in solutions):
-                    continue  # (a) fails: answer already gone without tau
-                if not self._satisfied_without(gamma):
-                    continue  # (b)
-                if not self._satisfied_without(gamma | {tau}):
-                    continue  # (d)
-                found.append(gamma)
-        return _canonical_family(found)
+
+        def accepts(gamma: frozenset[GroundAtom]) -> bool:
+            if any(not (delta & gamma) for delta in hit_targets):
+                return False  # (c) fails: some diagnosis survives tau's removal
+            if not any(not (delta & gamma) for delta in solutions):
+                return False  # (a) fails: answer already gone without tau
+            # (c) is upward-closed in gamma and (a) downward-closed, but (b)
+            # and (d) are neither (deleting a tgd-body tuple can restore
+            # Sigma), so minimal sets are searched, not hitting sets filtered
+            return self._satisfied_without(gamma) and self._satisfied_without(gamma | {tau})
+
+        return canonical_family(minimal_sets(universe, accepts))
 
     @property
     def reports(self) -> tuple[ConstrainedCauseReport, ...]:

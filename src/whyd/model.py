@@ -124,6 +124,17 @@ def ground(predicate: str, *symbols: str, label: str | None = None) -> GroundAto
     return GroundAtom(predicate, tuple(Constant(s) for s in symbols), label)
 
 
+def family_key(atoms: frozenset[GroundAtom]) -> tuple:
+    """The canonical order of atom sets: smaller first, then by the sorted
+    atom keys."""
+    return (len(atoms), tuple(sorted(a.sort_key() for a in atoms)))
+
+
+def canonical_family(family: Iterable[frozenset[GroundAtom]]) -> tuple[frozenset[GroundAtom], ...]:
+    """The distinct sets of a family in canonical order."""
+    return tuple(sorted(set(family), key=family_key))
+
+
 @dataclass(frozen=True)
 class Comparison:
     """Built-in equality or disequality between two terms."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
 from .errors import WhydError
-from .model import GroundAtom
+from .model import GroundAtom, family_key
 
 SCHEMA = "whyd/1"
 
@@ -55,8 +55,7 @@ def sorted_atoms(atoms: Iterable[GroundAtom]) -> list[str]:
 
 
 def sorted_families(families: Iterable[frozenset[GroundAtom]]) -> list[list[str]]:
-    keyed = sorted(families, key=lambda s: (len(s), tuple(sorted(a.sort_key() for a in s))))
-    return [sorted_atoms(s) for s in keyed]
+    return [sorted_atoms(s) for s in sorted(families, key=family_key)]
 
 
 def file_digest(data: bytes) -> str:

@@ -3,8 +3,10 @@ other answer of the query exactly.
 
 A contingency set here must (i) keep the target answer before the cause
 is removed, (ii) lose it afterwards, and (iii) leave the rest of the
-view untouched afterwards.  Candidates are checked against per-answer
-support families, level by level, keeping subset-minimal survivors.
+view untouched afterwards.  (ii) says the set hits every support set of
+the answer that avoids the cause, so the minimal contingency sets are the
+minimal hitting sets of those support sets that pass (i) and (iii); the
+support sets come from per-answer support families.
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable
 
 from .causality import answer_support_families
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from .evaluator import answers as evaluate_answers
 from .evaluator import fresh_predicate
-from .model import Atom, GroundAtom, Instance, Program
+from .hitting import minimal_hitting_sets
+from .model import Atom, GroundAtom, Instance, Program, canonical_family
 
 VcContingencyFamily = tuple[frozenset[GroundAtom], ...]
 
@@ -35,10 +36,6 @@ class VcCauseReport:
         """A view-conditioned counterfactual cause has the empty set among
         its contingency sets."""
         return frozenset() in self.minimal_contingency_sets
-
-
-def _canonical_family(family: Iterable[frozenset[GroundAtom]]) -> VcContingencyFamily:
-    return tuple(sorted(set(family), key=lambda s: (len(s), tuple(sorted(a.sort_key() for a in s)))))
 
 
 class _VcAnalysis:
@@ -65,28 +62,20 @@ class _VcAnalysis:
         self.protected_families = [families[a] for a in sorted(self.protected, key=GroundAtom.sort_key)]
 
     def _valid(self, tau: GroundAtom, gamma: frozenset[GroundAtom]) -> bool:
+        """Conditions (i) and (iii); (ii) holds for every hitting set."""
         removed = gamma | {tau}
         if not any(not (delta & gamma) for delta in self.target_family):
             return False  # (i): the answer must survive the contingency alone
-        if any(not (delta & removed) for delta in self.target_family):
-            return False  # (ii): removing the cause as well must lose it
         for family in self.protected_families:
             if all(delta & removed for delta in family):
                 return False  # (iii): a protected answer would be lost
         return True
 
     def contingency_family(self, tau: GroundAtom) -> VcContingencyFamily:
-        pool = frozenset().union(*self.target_family) if self.target_family else frozenset()
-        universe = sorted(pool - {tau}, key=GroundAtom.sort_key)
-        found: list[frozenset[GroundAtom]] = []
-        for size in range(0, len(universe) + 1):
-            for combo in combinations(universe, size):
-                gamma = frozenset(combo)
-                if any(prev <= gamma for prev in found):
-                    continue
-                if self._valid(tau, gamma):
-                    found.append(gamma)
-        return _canonical_family(found)
+        # (ii) is upward-closed in gamma, (i) and (iii) downward-closed:
+        # filtering the minimal sets that satisfy (ii) is exact
+        hitting = minimal_hitting_sets(delta for delta in self.target_family if tau not in delta)
+        return canonical_family(gamma for gamma in hitting if self._valid(tau, gamma))
 
     def reports(self) -> tuple[VcCauseReport, ...]:
         candidates = sorted(

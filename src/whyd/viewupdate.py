@@ -4,21 +4,22 @@ By default every tuple is deletable, matching the classical view-update
 reading; ``endogenous_only=True`` restricts deletions to the endogenous
 partition.  Minimal and minimum source-side-effect solutions come
 straight from the causality machinery (a solution is a cause together
-with one of its subset-minimal contingency sets).  View-side-effect-free
-solutions need the exact residual view, so candidates are filtered
-against per-answer support families.
+with one of its subset-minimal contingency sets).  A view-side-effect-free
+solution must hit every support set of the target answer and must not hit
+every support set of any other answer, so the solutions are the minimal
+hitting sets of the target's support family that pass the second test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Literal
 
 from .causality import CauseAnalysis, answer_support_families
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
 from .evaluator import answers as evaluate_answers
-from .model import GroundAtom, Instance, Program
+from .hitting import minimal_hitting_sets
+from .model import GroundAtom, Instance, Program, canonical_family
 
 SolutionKind = Literal["minimal_source", "minimum_source", "view_safe"]
 
@@ -32,10 +33,6 @@ class DeletionSolution:
 
 def _working_instance(instance: Instance, endogenous_only: bool) -> Instance:
     return instance if endogenous_only else instance.all_endogenous()
-
-
-def _canonical_solutions(solutions: set[frozenset[GroundAtom]]) -> list[frozenset[GroundAtom]]:
-    return sorted(solutions, key=lambda s: (len(s), tuple(sorted(a.sort_key() for a in s))))
 
 
 def minimal_source_solutions(
@@ -54,7 +51,7 @@ def minimal_source_solutions(
         for gamma in analysis.contingency_family(tau):
             removals.add(gamma | {tau})
     out = []
-    for removed in _canonical_solutions(removals):
+    for removed in canonical_family(removals):
         residual = evaluate_answers(program, instance.without(removed))
         out.append(DeletionSolution(removed, "minimal_source", residual))
     return tuple(out)
@@ -130,26 +127,17 @@ def vsef_solutions(
     fixed = working.exogenous
     deletable = working.endogenous
     families = answer_support_families(program, fixed, deletable, sorted(view, key=GroundAtom.sort_key))
-    target_family = families[answer]
     protected_families = [families[a] for a in protected]
 
-    # a minimal solution only removes tuples that support the target answer
-    universe = sorted(frozenset().union(*target_family) if target_family else (), key=GroundAtom.sort_key)
-    found: list[frozenset[GroundAtom]] = []
-    for size in range(1, len(universe) + 1):
-        for combo in combinations(universe, size):
-            removed = frozenset(combo)
-            if any(prev <= removed for prev in found):
-                continue
-            if any(not (delta & removed) for delta in target_family):
-                continue  # the target answer would survive
-            if any(
-                all(delta & removed for delta in family) for family in protected_families
-            ):
-                continue  # some protected answer would be lost
-            found.append(removed)
+    # losing the target is upward-closed in the removed set and keeping the
+    # protected answers downward-closed: filtering minimal hitting sets is exact
+    found = [
+        removed
+        for removed in minimal_hitting_sets(families[answer])
+        if not any(all(delta & removed for delta in family) for family in protected_families)
+    ]
     out = []
-    for removed in _canonical_solutions(set(found)):
+    for removed in canonical_family(found):
         residual = evaluate_answers(program, instance.without(removed))
         out.append(DeletionSolution(removed, "view_safe", residual))
     return tuple(out)

@@ -128,6 +128,25 @@ def test_exit_code_2_on_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "-p", "BAD", "-d", _fx("aj.facts")],
+        ["eval", "-p", _fx("aj.dl"), "-d", "BAD"],
+        ["causes", "-p", _fx("dept_q.dl"), "-d", _fx("dept.facts"), "-c", "BAD", "-t", "ans(john)"],
+        ["encode-phca", "-i", "BAD"],
+    ],
+    ids=["program", "data", "constraints", "phca-input"],
+)
+def test_exit_code_2_on_non_utf8_input(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ans :- e(\xff).\n")
+    code = cli.main([str(bad) if arg == "BAD" else arg for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("whyd: ") and str(bad) in err
+
+
 def test_exit_code_2_on_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["delprop", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"])
@@ -163,12 +182,6 @@ def test_max_contingency_sets_truncates():
 def test_obs_bound_enforced(capsys):
     code = cli.main(GOLDEN_CASES["abduce_circuit"] + ["--obs-bound", "0"])
     assert code == 2
-
-
-def test_jobs_flag_does_not_change_output():
-    base = _run(GOLDEN_CASES["causes_graph"])
-    for jobs in ("1", "4"):
-        assert _run(["--jobs", jobs] + GOLDEN_CASES["causes_graph"]) == base
 
 
 def test_pretty_summary():

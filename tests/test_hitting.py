@@ -2,7 +2,7 @@ from itertools import chain, combinations
 
 from hypothesis import given, settings, strategies as st
 
-from whyd.hitting import minimal_hitting_sets
+from whyd.hitting import minimal_hitting_sets, minimal_sets
 
 
 def _brute_minimal_hitting_sets(families, universe):
@@ -66,3 +66,12 @@ def test_restricted_matches_brute_force(families, universe):
         assert got == set()
     else:
         assert got == expected
+
+
+@given(_family)
+@settings(max_examples=200, deadline=None)
+def test_minimal_sets_of_hitting_matches_brute_force(families):
+    universe = sorted(set(chain.from_iterable(families)))
+    got = minimal_sets(universe, lambda candidate: all(candidate & f for f in families))
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_minimal_hitting_sets(families, universe)
