@@ -35,7 +35,7 @@ from .constraints import (
     satisfies,
 )
 from .errors import WhydError
-from .evaluator import answers, evaluate_fixpoint, holds, naive_fixpoint
+from .evaluator import answers, evaluate_fixpoint, holds
 from .model import (
     Atom,
     Comparison,

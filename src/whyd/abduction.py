@@ -21,7 +21,7 @@ from .errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from .evaluator import _all_matches_with_bodies, evaluate_fixpoint, fresh_predicate
+from .evaluator import _instantiate, _join, evaluate_fixpoint, fresh_predicate
 from .hitting import minimal_hitting_sets, minimal_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
@@ -80,14 +80,13 @@ class AbductionProblem:
         """Hypotheses occurring in some derivation of the observation from
         the full theory, via backward reachability over every ground rule
         instance that fires in the full model."""
-        model = self._full_model  # type: ignore[attr-defined]
-        relations = {p: list(rel) for p, rel in model.relations.items()}
+        relations = self._full_model.relations  # type: ignore[attr-defined]
         edges: dict[GroundAtom, list[tuple[GroundAtom, ...]]] = {}
         for rule in self._goal_program.rules:  # type: ignore[attr-defined]
-            if rule.is_fact():
-                continue
-            for head, body in _all_matches_with_bodies(rule, relations):
-                edges.setdefault(head, []).append(body)
+            atoms = tuple(rule.body_atoms())
+            sources = [relations.get(a.predicate, ()) for a in atoms]
+            for binding, body in _join(atoms, sources, tuple(rule.comparisons())):
+                edges.setdefault(_instantiate(rule.head, binding), []).append(body)
 
         reached: set[GroundAtom] = set()
         frontier = [GroundAtom(o.predicate, o.args) for o in self.observation]

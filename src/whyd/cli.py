@@ -42,6 +42,17 @@ _DELPROP_MODES = {
 }
 
 
+def _count(text: str) -> int:
+    """The argparse type of the count options: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whyd",
@@ -67,13 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("eval", help="answers of the query on the instance")
     p = add("causes", target=True, ics=True, help="actual causes with contingency sets and responsibilities")
-    p.add_argument("--max-contingency-sets", type=int, default=None, help="cap reported families (sets a truncation flag)")
+    p.add_argument("--max-contingency-sets", type=_count, default=None, help="cap reported families (sets a truncation flag)")
     p = add("responsibility", target=True, tuple_=True, ics=True, help="exact responsibility of one tuple")
     p = add("mrc", target=True, help="most responsible causes")
     p = add("vc-causes", target=True, help="view-conditioned causes")
-    p.add_argument("--max-contingency-sets", type=int, default=None, help="cap reported families (sets a truncation flag)")
+    p.add_argument("--max-contingency-sets", type=_count, default=None, help="cap reported families (sets a truncation flag)")
     p = add("abduce", help="abductive diagnoses for the #observe section of the instance file")
-    p.add_argument("--obs-bound", type=int, default=None, help="reject observations with more atoms than this")
+    p.add_argument("--obs-bound", type=_count, default=None, help="reject observations with more atoms than this")
     p = add("delprop", target=True, help="delete-propagation solutions")
     p.add_argument("--mode", choices=sorted(_DELPROP_MODES), required=True)
     p.add_argument("--endogenous-only", action="store_true", help="only delete endogenous tuples")

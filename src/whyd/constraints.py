@@ -22,7 +22,8 @@ from .errors import (
     WhydError,
 )
 from .hitting import minimal_sets
-from .model import Atom, Constant, GroundAtom, Instance, Program, Term, Variable, canonical_family
+from .evaluator import _join
+from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, canonical_family
 
 
 @dataclass(frozen=True)
@@ -199,65 +200,21 @@ def _index(atoms: Iterable[GroundAtom]) -> dict[str, list[GroundAtom]]:
     return index
 
 
-def _extend(pattern: Atom, fact: GroundAtom, binding: dict[Variable, Constant]) -> dict[Variable, Constant] | None:
-    if len(pattern.args) != len(fact.args):
-        return None
-    new = None
-    for term, value in zip(pattern.args, fact.args):
-        if isinstance(term, Constant):
-            if term != value:
-                return None
-        else:
-            current = binding.get(term) if new is None else new.get(term)
-            if current is None:
-                if new is None:
-                    new = dict(binding)
-                new[term] = value
-            elif current != value:
-                return None
-    return binding if new is None else new
-
-
-def _homomorphisms(
-    atoms: Sequence[Atom],
-    index: Mapping[str, list[GroundAtom]],
-    binding: dict[Variable, Constant] | None = None,
-) -> Iterator[tuple[dict[Variable, Constant], tuple[GroundAtom, ...]]]:
-    """All ways of matching the conjunction into the indexed facts."""
-    binding = binding or {}
-
-    def walk(pos: int, bound: dict[Variable, Constant], used: tuple[GroundAtom, ...]):
-        if pos == len(atoms):
-            yield bound, used
-            return
-        for fact in index.get(atoms[pos].predicate, ()):  # deterministic enough: checked, not emitted
-            extended = _extend(atoms[pos], fact, bound)
-            if extended is not None:
-                yield from walk(pos + 1, extended, used + (fact,))
-
-    yield from walk(0, binding, ())
-
-
-def _term_value(term: Term, binding: Mapping[Variable, Constant]) -> Constant:
-    return term if isinstance(term, Constant) else binding[term]
-
-
 def _constraint_violations(constraint: Constraint, index: Mapping[str, list[GroundAtom]]) -> list[Violation]:
+    """A denial is violated by every body match, an egd by every body
+    match whose two sides differ, a tgd by every body match that no
+    match of the head extends."""
+    comparisons = ()
+    if constraint.kind == "egd":
+        comparisons = (Comparison("!=", *constraint.equality),)  # type: ignore[misc]
+    body_sources = [index.get(a.predicate, ()) for a in constraint.body]
+    head_sources = [index.get(a.predicate, ()) for a in constraint.head_atoms]
     found: list[Violation] = []
-    for binding, witness in _homomorphisms(constraint.body, index):
-        if constraint.kind == "denial":
-            found.append(Violation(constraint, witness))
-        elif constraint.kind == "egd":
-            left, right = constraint.equality  # type: ignore[misc]
-            if _term_value(left, binding) != _term_value(right, binding):
-                found.append(Violation(constraint, witness))
-        else:
-            witnessed = False
-            for _ in _homomorphisms(constraint.head_atoms, index, dict(binding)):
-                witnessed = True
-                break
-            if not witnessed:
-                found.append(Violation(constraint, witness))
+    for binding, witness in _join(constraint.body, body_sources, comparisons):
+        if constraint.kind == "tgd":
+            if next(_join(constraint.head_atoms, head_sources, binding=binding), None) is not None:
+                continue
+        found.append(Violation(constraint, witness))
     return found
 
 

@@ -1,9 +1,12 @@
 """Bottom-up evaluation of positive Datalog to the minimal model.
 
-The production path is semi-naive (per-predicate delta sets, joins in
-textual body order).  ``naive_fixpoint`` is an intentionally separate
-reference implementation used by agreement tests and the brute-force
-oracles; keep the two code paths independent.
+The evaluation is semi-naive (per-predicate delta sets, joins in
+textual body order).  ``_join`` is the one routine that matches a
+conjunction of atoms against facts: the semi-naive rounds, the
+derivation edges behind abduction's support set and every integrity
+constraint check go through it.  The naive reference evaluator that the
+agreement tests and brute-force oracles use lives in ``tests/oracle.py``
+and shares no code with this module.
 
 Termination is guaranteed: the active domain is finite and rules are
 positive, so the model can only grow and is bounded by the set of all
@@ -12,7 +15,7 @@ ground atoms over known predicates and constants.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotAnAnswerError, UnknownPredicateError
 from .model import (
@@ -79,10 +82,6 @@ def _match(pattern: Atom, fact: GroundAtom, binding: dict[Variable, Constant]) -
     return new
 
 
-def _comparison_ready(cmp_: Comparison, binding: dict[Variable, Constant]) -> bool:
-    return all(isinstance(t, Constant) or t in binding for t in (cmp_.left, cmp_.right))
-
-
 def _comparison_holds(cmp_: Comparison, binding: dict[Variable, Constant]) -> bool:
     left = cmp_.left if isinstance(cmp_.left, Constant) else binding[cmp_.left]
     right = cmp_.right if isinstance(cmp_.right, Constant) else binding[cmp_.right]
@@ -93,45 +92,69 @@ def _instantiate(head: Atom, binding: dict[Variable, Constant]) -> GroundAtom:
     return GroundAtom(head.predicate, tuple(t if isinstance(t, Constant) else binding[t] for t in head.args))
 
 
-def _join_rule(
-    rule: Rule,
-    relations: Mapping[str, set[GroundAtom]],
-    delta_position: int | None,
-    delta: Mapping[str, set[GroundAtom]] | None,
-) -> set[GroundAtom]:
-    """All head instantiations of ``rule``; when ``delta_position`` is
-    given, that body atom ranges over the delta relation instead of the
-    full one.  Comparisons are checked as soon as both sides are bound
-    (safety guarantees they are bound by the end of the body)."""
-    atoms: list[tuple[int, Atom]] = [(i, b) for i, b in enumerate(rule.body) if isinstance(b, Atom)]
-    comparisons: list[tuple[int, Comparison]] = [(i, b) for i, b in enumerate(rule.body) if isinstance(b, Comparison)]
-    derived: set[GroundAtom] = set()
+def _comparison_plan(
+    atoms: Sequence[Atom], comparisons: Sequence[Comparison], bound: Iterable[Variable]
+) -> list[list[Comparison]] | None:
+    """``plan[k]`` holds the comparisons whose variables are all bound
+    once the first ``k`` atoms are matched; None when some comparison
+    mentions a variable that nothing binds (an unsafe body)."""
+    ready_at = dict.fromkeys(bound, 0)
+    for k, atom in enumerate(atoms, 1):
+        for term in atom.args:
+            if isinstance(term, Variable):
+                ready_at.setdefault(term, k)
+    plan: list[list[Comparison]] = [[] for _ in range(len(atoms) + 1)]
+    for cmp_ in comparisons:
+        positions = [ready_at.get(v) for v in cmp_.variables()]
+        if None in positions:
+            return None
+        plan[max(positions, default=0)].append(cmp_)
+    return plan
 
-    def descend(pos: int, binding: dict[Variable, Constant], pending: list[tuple[int, Comparison]]) -> None:
-        still_pending = []
-        for idx, cmp_ in pending:
-            if _comparison_ready(cmp_, binding):
-                if not _comparison_holds(cmp_, binding):
-                    return
-            else:
-                still_pending.append((idx, cmp_))
-        if pos == len(atoms):
-            if still_pending:
-                return  # unreachable for safe rules
-            derived.add(_instantiate(rule.head, binding))
+
+def _join(
+    atoms: Sequence[Atom],
+    sources: Sequence[Iterable[GroundAtom]],
+    comparisons: Sequence[Comparison] = (),
+    binding: dict[Variable, Constant] | None = None,
+) -> Iterator[tuple[dict[Variable, Constant], tuple[GroundAtom, ...]]]:
+    """Every way of matching ``atoms[i]`` against a fact of ``sources[i]``
+    that extends ``binding``, as (binding, matched facts), in textual
+    atom order.  Each comparison is checked as soon as its variables are
+    bound."""
+    binding = binding or {}
+    plan = None
+    if comparisons:
+        plan = _comparison_plan(atoms, comparisons, binding)
+        if plan is None or not all(_comparison_holds(c, binding) for c in plan[0]):
             return
-        body_index, pattern = atoms[pos]
-        if delta_position is not None and body_index == delta_position:
-            source = delta.get(pattern.predicate, set()) if delta else set()
+    last = len(atoms) - 1
+    if last < 0:
+        yield binding, ()
+        return
+    # depth-first over the atoms with an explicit stack of partial scans;
+    # ``bindings[k]`` is the binding the first k atoms leave behind
+    bindings = [binding] * (last + 1)
+    matched: list = [None] * (last + 1)
+    scans = [iter(sources[0])] * (last + 1)
+    pos = 0
+    while pos >= 0:
+        pattern, current = atoms[pos], bindings[pos]
+        checks = plan[pos + 1] if plan is not None else ()
+        for fact in scans[pos]:
+            extended = _match(pattern, fact, current)
+            if extended is None or (checks and not all(_comparison_holds(c, extended) for c in checks)):
+                continue
+            matched[pos] = fact
+            if pos == last:
+                yield extended, tuple(matched)
+                continue
+            pos += 1
+            bindings[pos] = extended
+            scans[pos] = iter(sources[pos])
+            break
         else:
-            source = relations.get(pattern.predicate, set())
-        for fact in source:
-            extended = _match(pattern, fact, binding)
-            if extended is not None:
-                descend(pos + 1, extended, still_pending)
-
-    descend(0, {}, comparisons)
-    return derived
+            pos -= 1
 
 
 def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom]) -> MinimalModel:
@@ -146,24 +169,35 @@ def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom
     for atom in _strip_labels(base):
         relations.setdefault(atom.predicate, set()).add(atom)
         round_of[atom] = 0
+
+    rules = []
     for rule in program.rules:
-        if rule.is_fact():
-            fact = _instantiate(rule.head, {})
+        atoms, comparisons = tuple(rule.body_atoms()), tuple(rule.comparisons())
+        if atoms:
+            rules.append((rule.head, atoms, comparisons))
+            continue
+        # no atom to carry a delta: such a rule fires once, in round 0
+        for binding, _ in _join((), (), comparisons):
+            fact = _instantiate(rule.head, binding)
             if fact not in round_of:
                 relations.setdefault(fact.predicate, set()).add(fact)
                 round_of[fact] = 0
 
-    proper_rules = [r for r in program.rules if not r.is_fact()]
+    empty: frozenset[GroundAtom] = frozenset()
     delta: dict[str, set[GroundAtom]] = {p: set(rel) for p, rel in relations.items()}
     iteration = 0
     while delta:
         iteration += 1
         produced: set[GroundAtom] = set()
-        for rule in proper_rules:
-            for body_index, item in enumerate(rule.body):
-                if not isinstance(item, Atom) or item.predicate not in delta:
+        for head, atoms, comparisons in rules:
+            sources = [relations.get(a.predicate, empty) for a in atoms]
+            for i, atom in enumerate(atoms):
+                if atom.predicate not in delta:
                     continue
-                produced |= _join_rule(rule, relations, body_index, delta)
+                full, sources[i] = sources[i], delta[atom.predicate]
+                for binding, _ in _join(atoms, sources, comparisons):
+                    produced.add(_instantiate(head, binding))
+                sources[i] = full
         fresh = {a for a in produced if a not in round_of}
         delta = {}
         for atom in fresh:
@@ -173,76 +207,6 @@ def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom
 
     frozen = {p: frozenset(rel) for p, rel in relations.items()}
     return MinimalModel(frozen, round_of)
-
-
-def naive_fixpoint(program: Program, facts: Iterable[GroundAtom]) -> frozenset[GroundAtom]:
-    """Reference evaluation: apply every rule to the full model until
-    nothing new appears.  Kept deliberately independent of the
-    semi-naive path."""
-    model: set[GroundAtom] = set(_strip_labels(facts))
-    for rule in program.rules:
-        if rule.is_fact():
-            model.add(_instantiate(rule.head, {}))
-    by_pred: dict[str, set[GroundAtom]] = {}
-    for atom in model:
-        by_pred.setdefault(atom.predicate, set()).add(atom)
-
-    changed = True
-    while changed:
-        changed = False
-        for rule in program.rules:
-            if rule.is_fact():
-                continue
-            for derived in _all_matches(rule, by_pred):
-                if derived not in model:
-                    model.add(derived)
-                    by_pred.setdefault(derived.predicate, set()).add(derived)
-                    changed = True
-    return frozenset(model)
-
-
-def _all_matches(rule: Rule, by_pred: Mapping[str, set[GroundAtom]]) -> list[GroundAtom]:
-    # atoms first, comparisons once everything is bound (rule safety
-    # guarantees their variables occur in positive atoms)
-    atoms = [b for b in rule.body if isinstance(b, Atom)]
-    comparisons = [b for b in rule.body if isinstance(b, Comparison)]
-    results: list[GroundAtom] = []
-
-    def walk(index: int, binding: dict[Variable, Constant]) -> None:
-        if index == len(atoms):
-            if all(_comparison_holds(c, binding) for c in comparisons):
-                results.append(_instantiate(rule.head, binding))
-            return
-        for fact in by_pred.get(atoms[index].predicate, ()):
-            extended = _match(atoms[index], fact, binding)
-            if extended is not None:
-                walk(index + 1, extended)
-
-    walk(0, {})
-    return results
-
-
-def _all_matches_with_bodies(
-    rule: Rule, relations: Mapping[str, list[GroundAtom]]
-) -> list[tuple[GroundAtom, tuple[GroundAtom, ...]]]:
-    """Every firing of ``rule`` against the given relations, as
-    (head instance, matched body facts); used for derivation tracing."""
-    atoms = [b for b in rule.body if isinstance(b, Atom)]
-    comparisons = [b for b in rule.body if isinstance(b, Comparison)]
-    results: list[tuple[GroundAtom, tuple[GroundAtom, ...]]] = []
-
-    def walk(pos: int, binding: dict[Variable, Constant], used: tuple[GroundAtom, ...]) -> None:
-        if pos == len(atoms):
-            if all(_comparison_holds(c, binding) for c in comparisons):
-                results.append((_instantiate(rule.head, binding), used))
-            return
-        for fact in relations.get(atoms[pos].predicate, ()):  # full relation, not delta
-            extended = _match(atoms[pos], fact, binding)
-            if extended is not None:
-                walk(pos + 1, extended, used + (fact,))
-
-    walk(0, {}, ())
-    return results
 
 
 def holds(program: Program, instance: Instance | Iterable[GroundAtom], atom: GroundAtom) -> bool:

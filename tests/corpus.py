@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from whyd.constraints import Constraint
 from whyd.model import Atom, Constant, GroundAtom, Instance, Program, Rule, Variable
-from whyd.evaluator import naive_fixpoint
 
 import oracle
+from oracle import naive_fixpoint
 
 CONSTANTS = ["a", "b", "c", "d"]
 

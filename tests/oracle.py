@@ -1,9 +1,10 @@
 """Brute-force oracles: definition-level subset enumeration.
 
-Everything here is computed from scratch against the naive reference
-evaluator, with no use of the diagnosis or hitting-set machinery, so
-agreement with the engine is a genuine cross-check.  Exponential on
-purpose; only call it on small inputs.
+Everything here is computed from scratch against ``naive_fixpoint``, the
+naive reference evaluator defined below, with no use of whyd's join,
+diagnosis or hitting-set machinery, so agreement with the engine is a
+genuine cross-check.  Exponential on purpose; only call it on small
+inputs.
 """
 
 from __future__ import annotations
@@ -13,8 +14,63 @@ from itertools import combinations, product
 from typing import Iterable
 
 from whyd.constraints import Constraint
-from whyd.evaluator import naive_fixpoint
-from whyd.model import Atom, Constant, GroundAtom, Instance, Program, Variable
+from whyd.model import Atom, Comparison, Constant, GroundAtom, Instance, Program, Rule, Variable
+
+
+# -- naive reference evaluation ------------------------------------------------
+
+
+def _value(term, assignment: dict[Variable, Constant]) -> Constant:
+    return term if isinstance(term, Constant) else assignment[term]
+
+
+def _extend(pattern: Atom, fact: GroundAtom, assignment: dict[Variable, Constant]):
+    """A copy of ``assignment`` under which pattern matches fact, or None."""
+    if len(pattern.args) != len(fact.args):
+        return None
+    out = dict(assignment)
+    for term, value in zip(pattern.args, fact.args):
+        if isinstance(term, Constant):
+            if term != value:
+                return None
+        elif out.setdefault(term, value) != value:
+            return None
+    return out
+
+
+def _derive(rule: Rule, by_pred: dict[str, list[GroundAtom]]) -> Iterable[GroundAtom]:
+    """Every head instance of ``rule``: the body atoms are matched level
+    by level against the full relations, the comparisons checked last."""
+    assignments: list[dict[Variable, Constant]] = [{}]
+    for pattern in rule.body:
+        if isinstance(pattern, Atom):
+            assignments = [
+                extended
+                for assignment in assignments
+                for fact in by_pred.get(pattern.predicate, ())
+                if (extended := _extend(pattern, fact, assignment)) is not None
+            ]
+    comparisons = [c for c in rule.body if isinstance(c, Comparison)]
+    for assignment in assignments:
+        if all(c.holds(_value(c.left, assignment), _value(c.right, assignment)) for c in comparisons):
+            yield GroundAtom(rule.head.predicate, tuple(_value(t, assignment) for t in rule.head.args))
+
+
+def naive_fixpoint(program: Program, facts: Iterable[GroundAtom]) -> frozenset[GroundAtom]:
+    """Reference evaluation: apply every rule to the full model until
+    nothing new appears."""
+    model = {GroundAtom(a.predicate, a.args) for a in facts}
+    while True:
+        by_pred: dict[str, list[GroundAtom]] = {}
+        for atom in model:
+            by_pred.setdefault(atom.predicate, []).append(atom)
+        fresh = {head for rule in program.rules for head in _derive(rule, by_pred)} - model
+        if not fresh:
+            return frozenset(model)
+        model |= fresh
+
+
+# -- definition-level oracles ---------------------------------------------------
 
 
 def _subsets(items: list) -> Iterable[frozenset]:

@@ -25,7 +25,7 @@ from whyd.causality import (
     responsibility,
 )
 from whyd.constraints import causes_under_ics, maximal_admissible_subinstances, responsibility_under_ics
-from whyd.evaluator import evaluate_fixpoint, naive_fixpoint, specialize_to_answer
+from whyd.evaluator import evaluate_fixpoint, specialize_to_answer
 from whyd.model import GroundAtom, ground
 from whyd.parsing import (
     parse_constraints,
@@ -41,6 +41,7 @@ from whyd.viewupdate import minimal_source_solutions, minimum_source_solutions, 
 
 import corpus
 import oracle
+from oracle import naive_fixpoint
 from conftest import atom, fixture_text, load_constraints, load_document, load_instance, load_program
 
 

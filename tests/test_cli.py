@@ -184,6 +184,23 @@ def test_obs_bound_enforced(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GOLDEN_CASES["causes_aj"] + ["--max-contingency-sets", "-1"],
+        GOLDEN_CASES["vc_aj"] + ["--max-contingency-sets", "-1"],
+        GOLDEN_CASES["abduce_circuit"] + ["--obs-bound", "-1"],
+        GOLDEN_CASES["causes_aj"] + ["--max-contingency-sets", "one"],
+    ],
+    ids=["causes", "vc-causes", "abduce", "not-a-number"],
+)
+def test_exit_code_2_on_bad_count(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
 def test_pretty_summary():
     code, output = _run(GOLDEN_CASES["causes_aj"] + ["--pretty"])
     assert code == 0

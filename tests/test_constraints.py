@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from whyd.causality import cause_reports, causes, responsibility
 from whyd.constraints import (
+    Constraint,
     KeyConstraint,
     causes_under_ics,
     is_key_preserving,
@@ -18,7 +20,7 @@ from whyd.errors import (
     SchemaMismatchError,
 )
 from whyd.evaluator import holds
-from whyd.model import Instance, ground
+from whyd.model import Atom, Constant, Instance, Variable, ground
 from whyd.parsing import parse_constraints, parse_program
 
 import corpus
@@ -79,6 +81,52 @@ def test_tgd_existentials_are_witnessed_by_existing_facts_only():
     dangling = Instance([ground("dep", "d1", "ann"), ground("course", "c1", "bob", "d1")])
     assert satisfies(witnessed, sigma)
     assert not satisfies(dangling, sigma)
+
+
+_SCHEMA = (("r", 2), ("s", 1), ("t", 2))
+
+
+def _random_atom(rng: random.Random, variables: list[Variable]) -> Atom:
+    predicate, arity = rng.choice(_SCHEMA)
+    args = [Constant(rng.choice("ab")) if rng.random() < 0.2 else rng.choice(variables) for _ in range(arity)]
+    return Atom(predicate, tuple(args))
+
+
+def _random_constraint(rng: random.Random) -> Constraint:
+    """A tgd, egd or denial over ``_SCHEMA``: constants, repeated
+    variables, multi-atom bodies, tgd heads sharing body variables or
+    carrying existential ones."""
+    pool = [Variable(n) for n in "XYZ"]
+    body = [_random_atom(rng, pool) for _ in range(rng.randint(1, 3))]
+    body_vars = sorted({v for a in body for v in a.variables()}, key=str)
+    kind = rng.choice(("tgd", "egd", "denial"))
+    if kind == "denial":
+        return Constraint.denial(body)
+    if kind == "egd":
+        sides = body_vars + [Constant("a"), Constant("b")]
+        return Constraint.egd(body, rng.choice(sides), rng.choice(sides))
+    head_pool = body_vars + [Variable("U"), Variable("V")] if body_vars else [Variable("U")]
+    return Constraint.tgd(body, [_random_atom(rng, head_pool) for _ in range(rng.randint(1, 2))])
+
+
+def test_satisfies_matches_oracle_on_random_constraints():
+    outcomes = {(kind, ok): 0 for kind in ("tgd", "egd", "denial") for ok in (True, False)}
+    for seed in range(400):
+        rng = random.Random(seed)
+        facts = {
+            ground(p, *(rng.choice("abc") for _ in range(arity)))
+            for p, arity in (rng.choice(_SCHEMA) for _ in range(rng.randint(0, 6)))
+        }
+        instance = Instance(facts)
+        sigma = [_random_constraint(rng) for _ in range(rng.randint(1, 3))]
+        for constraint in sigma:
+            expected = oracle.sigma_holds([constraint], instance.atoms)
+            report = satisfies(instance, [constraint])
+            assert report.ok == expected, (seed, str(constraint))
+            assert all(v.constraint == constraint and set(v.witness) <= facts for v in report.violations)
+            outcomes[constraint.kind, expected] += 1
+        assert satisfies(instance, sigma).ok == oracle.sigma_holds(sigma, instance.atoms), seed
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_schema_mismatch_detected():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from whyd.errors import UnknownPredicateError
@@ -5,13 +7,13 @@ from whyd.evaluator import (
     answers,
     evaluate_fixpoint,
     holds,
-    naive_fixpoint,
     specialize_to_answer,
 )
-from whyd.model import Instance, Program, ground
+from whyd.model import Atom, Comparison, Constant, Instance, Program, Rule, Variable, ground
 from whyd.parsing import parse_program
 
 import corpus
+from oracle import naive_fixpoint
 from conftest import atom, load_document, load_instance, load_program
 
 
@@ -87,6 +89,55 @@ def test_equality_builtin():
     program = parse_program("ans(X, Y) :- e(X), f(Y), X = Y.")
     instance = Instance([ground("e", "a"), ground("e", "b"), ground("f", "b")])
     assert answers(program, instance) == {ground("ans", "b", "b")}
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("ans :- a = a.", {ground("ans")}),
+        ("ans :- a = b.", set()),
+        ("ans(X) :- p(X).\np(a) :- a != b.", {ground("ans", "a")}),
+        ("ans(X) :- p(X).\np(a) :- b != b.", set()),
+    ],
+)
+def test_rules_without_atoms_fire_once(text, expected):
+    program = parse_program(text)
+    assert answers(program, Instance()) == expected
+    assert evaluate_fixpoint(program, Instance()).atoms() == naive_fixpoint(program, ())
+
+
+def _random_comparison_program(rng: random.Random) -> Program:
+    """Safe rules over e/2, f/1 and the derived p/2, ans/1 with ``=`` and
+    ``!=`` at any body position, between variables and constants, plus
+    rules whose bodies hold comparisons only."""
+    constants = [Constant(c) for c in "abc"]
+    schema = [("e", 2), ("f", 1), ("p", 2)]
+    rules = []
+    for _ in range(rng.randint(2, 4)):
+        head_predicate, head_arity = rng.choice([("p", 2), ("ans", 1)])
+        atoms = []
+        for _ in range(rng.choice((0, 1, 2, 2, 3))):
+            predicate, arity = rng.choice(schema)
+            args = [rng.choice(constants) if rng.random() < 0.15 else Variable(rng.choice("XYZ")) for _ in range(arity)]
+            atoms.append(Atom(predicate, tuple(args)))
+        bound = sorted({v for a in atoms for v in a.variables()}, key=str)
+        terms = bound + constants
+        body = list(atoms)
+        for _ in range(rng.randint(0 if atoms else 1, 2)):
+            comparison = Comparison(rng.choice(("=", "!=")), rng.choice(terms), rng.choice(terms))
+            body.insert(rng.randint(0, len(body)), comparison)
+        head = Atom(head_predicate, tuple(rng.choice(terms) for _ in range(head_arity)))
+        rules.append(Rule(head, tuple(body)))
+    return Program(rules, "ans")
+
+
+def test_seminaive_matches_naive_with_comparisons():
+    for seed in range(300):
+        rng = random.Random(seed)
+        program = _random_comparison_program(rng)
+        facts = {ground("e", rng.choice("abc"), rng.choice("abc")) for _ in range(rng.randint(0, 5))}
+        facts |= {ground("f", rng.choice("abc")) for _ in range(rng.randint(0, 2))}
+        assert evaluate_fixpoint(program, facts).atoms() == naive_fixpoint(program, facts), seed
 
 
 def test_derivation_rounds_increase_along_paths():
