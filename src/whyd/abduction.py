@@ -3,10 +3,12 @@ reductions between abduction and query-answer causality.
 
 A diagnosis is a subset-minimal set of hypothesis atoms that, added to
 the background theory (program plus extensional facts), entails the
-observation.  Enumeration is an ascending-cardinality search over the
-support set: hypotheses that occur in at least one derivation of the
-observation from the full theory.  Anything outside the support can
-never be part of a minimal diagnosis.
+observation.  The diagnoses are the observation's minimal
+why-provenance: one pass annotates the ground derivation graph of the
+full model (every hypothesis added) with antichains of hypothesis sets
+in the absorptive PosBool semiring (Green, Karvounarakis & Tannen, PODS
+2007), and the goal's antichain is the diagnosis family.  Each diagnosis
+is then checked by direct evaluation before it is returned.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    InternalInvariantError,
     NotBooleanError,
     NotEntailedError,
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
 from .evaluator import _instantiate, _join, evaluate_fixpoint, fresh_predicate
-from .hitting import minimal_hitting_sets, minimal_sets
+from .hitting import _prune, minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
 Diagnosis = frozenset[GroundAtom]
@@ -53,7 +56,8 @@ class AbductionProblem:
     def __post_init__(self):
         # Hypotheses over rule-head predicates are tolerated: the marker
         # encoding of propositional Horn abduction needs them, and the
-        # search only relies on monotonicity, never on head-freeness.
+        # provenance pass only relies on monotonicity, never on
+        # head-freeness.
         if not self.observation:
             raise ObservationNotEntailableError("empty observation")
         goal_program, goal = _conjunction_program(self.program, self.observation)
@@ -66,53 +70,104 @@ class AbductionProblem:
             )
         object.__setattr__(self, "_full_model", model)
 
-    # -- entailment plumbing -------------------------------------------------
+    def _minimal_why(self) -> list[Diagnosis]:
+        """The observation's minimal why-provenance over the hypotheses:
+        the subset-minimal hypothesis sets that derive it.
 
-    def _entails(self, delta: Diagnosis, memo: dict[Diagnosis, bool]) -> bool:
-        cached = memo.get(delta)
-        if cached is None:
-            model = evaluate_fixpoint(self._goal_program, self.extensional | delta)  # type: ignore[attr-defined]
-            cached = self._goal in model  # type: ignore[attr-defined]
-            memo[delta] = cached
-        return cached
-
-    def _support(self) -> frozenset[GroundAtom]:
-        """Hypotheses occurring in some derivation of the observation from
-        the full theory, via backward reachability over every ground rule
-        instance that fires in the full model."""
+        Every derivation from the background plus some hypotheses only
+        uses ground rule instances that fire in the full model, so one
+        join per rule over that model gives the whole derivation graph;
+        only atoms reachable backward from the goal matter.  Each atom is
+        annotated with an antichain in the absorptive PosBool semiring:
+        background facts with {∅}, other hypotheses h with {{h}}, a
+        firing with the pairwise unions of its body antichains, an atom
+        with the minimal sets over its firings.  A worklist re-fires the
+        users of every atom whose antichain changed until nothing does;
+        antichains only move down a finite lattice, so it terminates."""
         relations = self._full_model.relations  # type: ignore[attr-defined]
-        edges: dict[GroundAtom, list[tuple[GroundAtom, ...]]] = {}
+        firings: dict[GroundAtom, list[tuple[GroundAtom, ...]]] = {}
         for rule in self._goal_program.rules:  # type: ignore[attr-defined]
             atoms = tuple(rule.body_atoms())
             sources = [relations.get(a.predicate, ()) for a in atoms]
             for binding, body in _join(atoms, sources, tuple(rule.comparisons())):
-                edges.setdefault(_instantiate(rule.head, binding), []).append(body)
+                firings.setdefault(_instantiate(rule.head, binding), []).append(body)
 
-        reached: set[GroundAtom] = set()
-        frontier = [GroundAtom(o.predicate, o.args) for o in self.observation]
+        goal: GroundAtom = self._goal  # type: ignore[attr-defined]
+        # users[b]: the firings (head, body) of reached heads with b in the body
+        users: dict[GroundAtom, list[tuple[GroundAtom, tuple[GroundAtom, ...]]]] = {}
+        reached = {goal}
+        frontier = [goal]
         while frontier:
-            atom = frontier.pop()
-            if atom in reached:
-                continue
-            reached.add(atom)
-            for body in edges.get(atom, ()):
-                frontier.extend(b for b in body if b not in reached)
-        # keep the hypothesis-side objects so tuple labels survive into
-        # diagnoses and everything derived from them
-        return frozenset(h for h in self.hypotheses if h in reached and h not in self.extensional)
+            head = frontier.pop()
+            for body in firings.get(head, ()):
+                for atom in set(body):
+                    users.setdefault(atom, []).append((head, body))
+                    if atom not in reached:
+                        reached.add(atom)
+                        frontier.append(atom)
+
+        # map model atoms back to the hypothesis objects so tuple labels
+        # survive into diagnoses and everything derived from them
+        labelled = {h: h for h in self.hypotheses if h not in self.extensional}
+        why: dict[GroundAtom, list[Diagnosis]] = {}
+        for atom in reached:
+            # background facts and heads of atom-less firings need nothing
+            if atom in self.extensional or () in firings.get(atom, ()):
+                why[atom] = [frozenset()]
+            elif atom in labelled:
+                why[atom] = [frozenset({labelled[atom]})]
+        pending = list(why)
+        queued = set(pending)
+        while pending:
+            atom = pending.pop()
+            queued.discard(atom)
+            for head, body in users.get(atom, ()):
+                known = why.get(head, [])
+                merged = _prune(known + _product([why.get(b, []) for b in body]))
+                if set(merged) != set(known):
+                    why[head] = merged
+                    if head not in queued:
+                        queued.add(head)
+                        pending.append(head)
+        return why.get(goal, [])
+
+
+def _product(families: list[list[Diagnosis]]) -> list[Diagnosis]:
+    """The minimal unions of one set from each antichain."""
+    out: list[Diagnosis] = [frozenset()]
+    for family in families:
+        out = _prune([left | right for left in out for right in family])
+    return out
+
+
+def _render(delta: Diagnosis) -> str:
+    return "{" + ", ".join(str(a) for a in sorted(delta, key=GroundAtom.sort_key)) + "}"
 
 
 @lru_cache(maxsize=None)
 def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     """All abductive diagnoses, in canonical order.  Never empty; equals
     ``(frozenset(),)`` when the background theory already entails the
-    observation."""
-    support = sorted(problem._support(), key=GroundAtom.sort_key)
-    memo: dict[Diagnosis, bool] = {}
-    found = minimal_sets(support, lambda delta: problem._entails(delta, memo))
+    observation.
+
+    The diagnoses come from one why-provenance pass; each is then checked
+    directly, by evaluation: it entails the observation and no set with
+    one element dropped does.  A failed check raises
+    ``InternalInvariantError``."""
+    found = problem._minimal_why()
+    goal_program, goal = problem._goal_program, problem._goal  # type: ignore[attr-defined]
+
+    def entails(delta: Diagnosis) -> bool:
+        return goal in evaluate_fixpoint(goal_program, problem.extensional | delta)
+
+    if not found:
+        raise InternalInvariantError("no diagnosis found for an entailable observation")
     for delta in found:
-        # membership-proof check: dropping any element must break entailment
-        assert all(not problem._entails(delta - {d}, memo) for d in delta)
+        if not entails(delta):
+            raise InternalInvariantError(f"diagnosis {_render(delta)} does not entail the observation")
+        for d in delta:
+            if entails(delta - {d}):
+                raise InternalInvariantError(f"diagnosis {_render(delta)} is not minimal: {d} is redundant")
     return canonical_family(found)
 
 

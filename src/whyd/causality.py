@@ -1,9 +1,12 @@
 """Actual causes, contingency sets and responsibility for monotone
 queries given as Datalog programs.
 
-Engine strategy: solve the causal abduction problem once (its diagnoses
-are the minimal endogenous support sets of the answer), then read
-everything off the diagnosis family:
+Engine strategy: build the causal abduction problem of the answer once
+and take its diagnoses, the minimal endogenous support sets of the
+answer.  ``abduction.solve_diagnoses`` computes them in one
+why-provenance pass over the answer's ground derivation graph, not by
+evaluating subsets of the instance.  Everything else is read off the
+diagnosis family:
 
   * the causes are the relevant hypotheses (union of the diagnoses);
   * a contingency set for a cause t must hit every diagnosis avoiding t

@@ -3,7 +3,9 @@
 One binary, subcommand style; outputs are deterministic JSON reports on
 stdout (human-readable summaries behind ``--pretty``), diagnostics on
 stderr.  Exit codes: 0 success, 2 usage or input-format errors, 3
-semantic errors (reported as a machine-readable error object).
+semantic errors.  Both failing codes also write a machine-readable error
+object to stdout, except for the command-line rejections of argparse
+itself, which exit 2 with its usage message only.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ def _read(sources: dict[str, bytes], name: str, path: str) -> str:
         raise _UsageError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(WhydError):
+    code = "UsageError"
 
 
 def _family_payload(
@@ -353,16 +355,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _run(args)
-    except _UsageError as exc:
-        print(f"whyd: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"whyd: {exc}", file=sys.stderr)
-        return 2
     except WhydError as exc:
         print(f"whyd: {exc}", file=sys.stderr)
         sys.stdout.write(emit_error(exc))
-        return 3
+        return 2 if isinstance(exc, (_UsageError, ParseError)) else 3
     if getattr(args, "pretty", False):
         sys.stdout.write(_summary(report))
     else:

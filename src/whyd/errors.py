@@ -120,3 +120,10 @@ class SchemaMismatchError(WhydError):
 
 class InstanceViolatesSigmaError(WhydError):
     code = "InstanceViolatesSigma"
+
+
+class InternalInvariantError(WhydError):
+    """A result failed the check the engine runs on it before returning;
+    this is a bug in whyd, not in the input."""
+
+    code = "InternalInvariant"

@@ -3,7 +3,7 @@
 The evaluation is semi-naive (per-predicate delta sets, joins in
 textual body order).  ``_join`` is the one routine that matches a
 conjunction of atoms against facts: the semi-naive rounds, the
-derivation edges behind abduction's support set and every integrity
+derivation graph behind abduction's diagnoses and every integrity
 constraint check go through it.  The naive reference evaluator that the
 agreement tests and brute-force oracles use lives in ``tests/oracle.py``
 and shares no code with this module.

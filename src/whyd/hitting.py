@@ -53,7 +53,9 @@ def minimal_sets(universe: Sequence[T], accepts: Callable[[frozenset[T]], bool])
     Supersets of sets already found are never passed to ``accepts``, so
     the result is exactly the subset-minimal accepted sets whatever the
     shape of ``accepts``.  Subsets of one size are tried in the order
-    ``combinations`` gives for the universe's order.
+    ``combinations`` gives for the universe's order.  The only caller is
+    ``constraints._SigmaAnalysis._family_for``, whose test is not
+    monotone.
     """
     found: list[frozenset[T]] = []
     for size in range(len(universe) + 1):

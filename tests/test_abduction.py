@@ -1,7 +1,13 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from whyd import abduction
 from whyd.abduction import (
     AbductionProblem,
     from_abduction_to_causality,
@@ -12,15 +18,17 @@ from whyd.abduction import (
     solve_diagnoses,
     to_causal_abduction,
 )
-from whyd.causality import causes, responsibility
+from whyd.causality import CauseAnalysis, cause_reports, causes, responsibility
 from whyd.errors import (
+    InternalInvariantError,
     NotBooleanError,
     NotEntailedError,
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
+from whyd.evaluator import specialize_to_answer
 from whyd.model import GroundAtom, Instance, Program, ground
-from whyd.parsing import parse_program
+from whyd.parsing import parse_ground_atom, parse_instance, parse_program
 
 import corpus
 import oracle
@@ -215,3 +223,215 @@ def test_diagnosis_minimality_membership_proof():
         for element in delta:
             weakened = instance.exogenous | (delta - {element})
             assert not holds(problem.program, weakened, ground("ans"))
+
+
+# -- program shapes the random corpus does not produce -------------------------
+
+# name -> (program, predicate of the observed atoms)
+_SHAPES = {
+    "nonlinear": ("path(X, Y) :- e(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y).\n", "path"),
+    "mutual": ("r(X) :- e(X, Y), s(Y).\ns(X) :- e(X, Y), r(Y).\ns(X) :- b(X).\n", "r"),
+    "cyclic": ("p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), e(Z, Y).\n", "p"),
+    "neq": ("p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), e(Z, Y), X != Y.\n", "p"),
+    "atomless": (
+        "g(X) :- ok, e(X, Y), b(Y).\nok :- a = a.\nno :- a != a.\ng(X) :- no, b(X).\ng(X) :- g(Y), e(Y, X).\n",
+        "g",
+    ),
+}
+
+
+def _shape_case(shape: str, rng: random.Random):
+    """A random abduction problem over the shape's program, with an
+    observation drawn from the full model, or None if it has none."""
+    text, observed = _SHAPES[shape]
+    program = parse_program(text)
+    nodes = [f"n{i}" for i in range(rng.randint(2, 4))]
+    pool = [ground("e", u, v) for u in nodes for v in nodes] + [ground("b", u) for u in nodes]
+    if shape == "cyclic":
+        ring = rng.sample(nodes, len(nodes))
+        cycle = [ground("e", u, v) for u, v in zip(ring, ring[1:] + ring[:1])]
+        pool = cycle + [f for f in pool if f not in cycle]
+        hypotheses = set(cycle) | set(rng.sample(pool[len(cycle):], rng.randint(1, 3)))
+    else:
+        hypotheses = set(rng.sample(pool, rng.randint(2, 6)))
+    rest = [f for f in pool if f not in hypotheses]
+    extensional = set(rng.sample(rest, min(len(rest), rng.randint(0, 2))))
+    heads = sorted({r.head.predicate for r in program.rules})
+    if rng.random() < 0.4:  # hypotheses over derived predicates
+        for _ in range(rng.randint(1, 2)):
+            predicate = rng.choice(heads)
+            arity = program.arity_of(predicate)
+            hypotheses.add(ground(predicate, *(rng.choice(nodes) for _ in range(arity))))
+    if rng.random() < 0.3:  # a hypothesis that is also extensional
+        extensional.add(rng.choice(sorted(hypotheses, key=GroundAtom.sort_key)))
+    extensional, hypotheses = frozenset(extensional), frozenset(hypotheses)
+    model = oracle.naive_fixpoint(program, extensional | hypotheses)
+    candidates = sorted((a for a in model if a.predicate == observed), key=GroundAtom.sort_key)
+    if not candidates:
+        return None
+    observation = tuple(rng.sample(candidates, min(len(candidates), rng.choice((1, 1, 2)))))
+    return program, extensional, hypotheses, observation
+
+
+def test_diagnoses_match_oracle_on_recursive_shapes():
+    checked = {shape: 0 for shape in _SHAPES}
+    for seed in range(240):
+        rng = random.Random(seed)
+        shape = sorted(_SHAPES)[seed % len(_SHAPES)]
+        case = _shape_case(shape, rng)
+        if case is None:
+            continue
+        program, extensional, hypotheses, observation = case
+        problem = AbductionProblem(program, extensional, hypotheses, observation)
+        engine = set(solve_diagnoses(problem))
+        brute = set(oracle.diagnoses(program, extensional, hypotheses, observation))
+        assert engine == brute, (shape, seed)
+        checked[shape] += 1
+    assert sum(checked.values()) >= 100, checked
+    assert all(count >= 15 for count in checked.values()), checked
+
+
+def test_diagnoses_keep_hypothesis_labels():
+    # equal problems share cache entries whatever their labels, so start
+    # from empty caches
+    solve_diagnoses.cache_clear()
+    CauseAnalysis.for_query.cache_clear()
+    program, plain = load_program("aj.dl"), load_instance("aj.facts")
+    ordered = sorted(plain.atoms, key=GroundAtom.sort_key)
+    instance = Instance([a.with_label(f"t{i}") for i, a in enumerate(ordered, 1)])
+    boolean, _ = specialize_to_answer(program, atom("ans(john, xml)"))
+    problem = to_causal_abduction(instance, boolean)
+    labels = {a: a.label for a in instance.atoms}
+    solutions = solve_diagnoses(problem)
+    assert solutions
+    for delta in solutions:
+        assert delta and all(a.label is not None and a.label == labels[a] for a in delta)
+    graph, graph_instance = load_program("graph.dl"), load_instance("graph.facts")
+    for report in cause_reports(graph_instance, graph, atom("ans(c, e)")):
+        assert report.cause.label == graph_instance.by_label(report.cause.label).label
+        for gamma in report.minimal_contingency_sets:
+            assert all(a.label is not None for a in gamma)
+
+
+# -- the check solve_diagnoses runs on its own result ---------------------------
+
+
+def _fresh_problem(tag: str) -> AbductionProblem:
+    """A problem no other test builds, so the diagnosis cache cannot answer
+    for it; its one diagnosis is {tag_e(a, b), tag_f(b)}."""
+    program = parse_program(f"{tag}(X) :- {tag}_e(X, Y), {tag}_f(Y).")
+    hypotheses = frozenset({ground(f"{tag}_e", "a", "b"), ground(f"{tag}_f", "b"), ground(f"{tag}_f", "c")})
+    return AbductionProblem(program, frozenset(), hypotheses, (ground(tag, "a"),))
+
+
+def test_invariant_check_rejects_non_minimal_family(monkeypatch):
+    problem = _fresh_problem("nonmin")
+    padded = [frozenset(problem.hypotheses)]
+    monkeypatch.setattr(AbductionProblem, "_minimal_why", lambda self: padded)
+    with pytest.raises(InternalInvariantError, match="not minimal") as err:
+        solve_diagnoses(problem)
+    assert err.value.code == "InternalInvariant"
+
+
+def test_invariant_check_rejects_non_entailing_family(monkeypatch):
+    problem = _fresh_problem("nonent")
+    short = [frozenset({ground("nonent_e", "a", "b")})]
+    monkeypatch.setattr(AbductionProblem, "_minimal_why", lambda self: short)
+    with pytest.raises(InternalInvariantError, match="does not entail"):
+        solve_diagnoses(problem)
+
+
+def test_invariant_check_passes_the_true_family():
+    problem = _fresh_problem("truefam")
+    assert _family(solve_diagnoses(problem)) == {frozenset({"truefam_e(a, b)", "truefam_f(b)"})}
+
+
+_OPTIMIZED_CHECK = """
+import sys
+from whyd.abduction import AbductionProblem, solve_diagnoses
+from whyd.errors import InternalInvariantError
+from whyd.model import ground
+from whyd.parsing import parse_program
+
+assert sys.flags.optimize >= 1
+try:
+    assert False
+except AssertionError:
+    sys.exit("asserts are not stripped")
+program = parse_program("q(X) :- e(X, Y), f(Y).")
+hypotheses = frozenset({ground("e", "a", "b"), ground("f", "b"), ground("f", "c")})
+for fake in ([frozenset(hypotheses)], [frozenset({ground("e", "a", "b")})]):
+    problem = AbductionProblem(program, frozenset(), hypotheses, (ground("q", "a"),))
+    solve_diagnoses.cache_clear()
+    AbductionProblem._minimal_why = lambda self, fake=fake: fake
+    try:
+        solve_diagnoses(problem)
+    except InternalInvariantError as exc:
+        print(exc.code)
+    else:
+        sys.exit("no InternalInvariantError")
+"""
+
+
+def test_invariant_check_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECK], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["InternalInvariant", "InternalInvariant"]
+
+
+# -- fixpoint counts and closed forms on transitive closure ---------------------
+
+_TC = parse_program("ans(X, Y) :- p(X, Y).\np(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), e(Z, Y).\n")
+
+
+def _counted_reports(monkeypatch, facts: list[str], target: str):
+    """cause_reports with every evaluate_fixpoint call of the abduction
+    layer counted, and the per-solve bound 1 + sum(|delta| + 1): one full
+    model, then one check of each diagnosis and of each one-smaller set."""
+    calls = []
+    real = abduction.evaluate_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(abduction, "evaluate_fixpoint", counted)
+    instance = parse_instance("".join(f + ".\n" for f in facts))
+    reports = cause_reports(instance, _TC, parse_ground_atom(target))
+    fixpoints = len(calls)
+    boolean, goal = specialize_to_answer(_TC, parse_ground_atom(target))
+    solutions = solve_diagnoses(AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,)))
+    return reports, fixpoints, 1 + sum(len(delta) + 1 for delta in solutions)
+
+
+def test_chain_fixpoint_count_and_closed_form(monkeypatch):
+    n = 16
+    edges = [f"e(gc{i}, gc{i + 1})" for i in range(n)]
+    reports, fixpoints, bound = _counted_reports(monkeypatch, edges, f"ans(gc0, gc{n})")
+    assert bound == 18 and fixpoints <= bound  # 2^16 + 1 = 65537 before the provenance pass
+    assert sorted(str(r.cause) for r in reports) == sorted(edges)
+    for report in reports:
+        assert report.responsibility == 1 and report.minimal_contingency_sets == (frozenset(),)
+
+
+def test_ladder_fixpoint_count_and_closed_form(monkeypatch):
+    k = 8
+    rungs = [(f"e(gl, gl{j})", f"e(gl{j}, glt)") for j in range(k)]
+    edges = [e for rung in rungs for e in rung]
+    reports, fixpoints, bound = _counted_reports(monkeypatch, edges, "ans(gl, glt)")
+    assert bound == 25 and fixpoints <= bound
+    assert sorted(str(r.cause) for r in reports) == sorted(edges)
+    for report in reports:
+        assert report.responsibility == Fraction(1, k)
+        family = report.minimal_contingency_sets
+        assert len(family) == 2 ** (k - 1)
+        own = next(rung for rung in rungs if str(report.cause) in rung)
+        for gamma in family:
+            picked = sorted(str(a) for a in gamma)
+            # one edge from every other rung, none from the cause's own
+            assert len(picked) == k - 1
+            assert all(sum(e in picked for e in rung) == (rung != own) for rung in rungs)

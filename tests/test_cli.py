@@ -115,10 +115,20 @@ def test_schema_field_present():
     assert set(document["provenance"]) == {"program", "data"}
 
 
+def _error_object(captured, code: str) -> dict:
+    """The JSON error object on stdout; the stderr line says the same."""
+    document = json.loads(captured.out)
+    assert document["schema"] == "whyd/1"
+    assert document["error"]["code"] == code
+    assert captured.err == f"whyd: {document['error']['message']}\n"
+    return document["error"]
+
+
 def test_exit_code_2_on_missing_file(capsys):
     code = cli.main(["eval", "-p", _fx("aj.dl"), "-d", _fx("missing.facts")])
     assert code == 2
-    assert "missing.facts" in capsys.readouterr().err
+    error = _error_object(capsys.readouterr(), "UsageError")
+    assert "missing.facts" in error["message"]
 
 
 def test_exit_code_2_on_parse_error(tmp_path, capsys):
@@ -126,6 +136,18 @@ def test_exit_code_2_on_parse_error(tmp_path, capsys):
     bad.write_text("ans :- .")
     code = cli.main(["eval", "-p", str(bad), "-d", _fx("aj.facts")])
     assert code == 2
+    error = _error_object(capsys.readouterr(), "SyntaxError")
+    assert error["message"].startswith(f"{bad}:1:")
+
+
+def test_exit_code_2_reports_the_parse_error_subclass_code(tmp_path, capsys):
+    bad = tmp_path / "bad.ics"
+    bad.write_text("dep(X, Y), X != Y => false.\n")
+    code = cli.main(
+        ["causes", "-p", _fx("dept_q.dl"), "-d", _fx("dept.facts"), "-c", str(bad), "-t", "ans(john)"]
+    )
+    assert code == 2
+    _error_object(capsys.readouterr(), "NonConjunctiveBody")
 
 
 @pytest.mark.parametrize(
@@ -143,14 +165,16 @@ def test_exit_code_2_on_non_utf8_input(argv, tmp_path, capsys):
     bad.write_bytes(b"ans :- e(\xff).\n")
     code = cli.main([str(bad) if arg == "BAD" else arg for arg in argv])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("whyd: ") and str(bad) in err
+    error = _error_object(capsys.readouterr(), "UsageError")
+    assert str(bad) in error["message"] and "not UTF-8" in error["message"]
 
 
-def test_exit_code_2_on_usage_error():
+def test_exit_code_2_on_usage_error(capsys):
+    # argparse's own rejections keep its usage message and print no JSON
     with pytest.raises(SystemExit) as err:
         cli.main(["delprop", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"])
     assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_code_3_with_error_object_on_non_answer(capsys):
@@ -182,6 +206,7 @@ def test_max_contingency_sets_truncates():
 def test_obs_bound_enforced(capsys):
     code = cli.main(GOLDEN_CASES["abduce_circuit"] + ["--obs-bound", "0"])
     assert code == 2
+    assert "bound is 0" in _error_object(capsys.readouterr(), "UsageError")["message"]
 
 
 @pytest.mark.parametrize(
@@ -198,7 +223,9 @@ def test_exit_code_2_on_bad_count(argv, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
-    assert "non-negative integer" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "non-negative integer" in captured.err
+    assert captured.out == ""
 
 
 def test_pretty_summary():
@@ -229,3 +256,15 @@ def regenerate():
 
 if __name__ == "__main__":
     regenerate()
+
+
+def test_exit_code_3_when_a_result_fails_its_check(tmp_path, monkeypatch, capsys):
+    from whyd.abduction import AbductionProblem
+
+    program, data = tmp_path / "inv.dl", tmp_path / "inv.facts"
+    program.write_text("inv_q :- inv_h(X).\n")
+    data.write_text("inv_h(a).\n#observe\ninv_q.\n")
+    monkeypatch.setattr(AbductionProblem, "_minimal_why", lambda self: [frozenset()])
+    code = cli.main(["abduce", "-p", str(program), "-d", str(data)])
+    assert code == 3
+    assert "does not entail" in _error_object(capsys.readouterr(), "InternalInvariant")["message"]
