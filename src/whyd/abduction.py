@@ -13,6 +13,7 @@ is then checked by direct evaluation before it is returned.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,7 @@ from .errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from .evaluator import _instantiate, _join, evaluate_fixpoint, fresh_predicate
+from .evaluator import Relation, _instantiate, _join, _rule_plan, evaluate_fixpoint, fresh_predicate
 from .hitting import _prune, minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
@@ -40,6 +41,11 @@ def _conjunction_program(program: Program, observation: tuple[GroundAtom, ...]) 
     goal = fresh_predicate("obs_goal", taken)
     rule = Rule(Atom(goal, ()), tuple(o.to_atom() for o in observation))
     return Program(program.rules + (rule,), goal), GroundAtom(goal, ())
+
+
+def _labelled(atoms: frozenset[GroundAtom]) -> dict[GroundAtom, GroundAtom] | None:
+    """Each labelled atom keyed by its label-free equal, or None if none is."""
+    return {a: a for a in atoms if a.label is not None} or None
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,16 @@ class AbductionProblem:
                 "the observation is not entailed even with every hypothesis added"
             )
         object.__setattr__(self, "_full_model", model)
+        # diagnoses are cached without tuple labels; these put them back
+        object.__setattr__(self, "_labelled", _labelled(self.hypotheses))
+
+    def relabelled(self, hypotheses: frozenset[GroundAtom]) -> "AbductionProblem":
+        """The same problem over ``hypotheses``, equal to its own but
+        labelled otherwise; its diagnoses hold those labelled atoms."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "hypotheses", hypotheses)
+        object.__setattr__(twin, "_labelled", _labelled(hypotheses))
+        return twin
 
     def _minimal_why(self) -> list[Diagnosis]:
         """The observation's minimal why-provenance over the hypotheses:
@@ -84,12 +100,14 @@ class AbductionProblem:
         with the minimal sets over its firings.  A worklist re-fires the
         users of every atom whose antichain changed until nothing does;
         antichains only move down a finite lattice, so it terminates."""
-        relations = self._full_model.relations  # type: ignore[attr-defined]
+        model = self._full_model.relations  # type: ignore[attr-defined]
+        relations = {p: Relation(facts) for p, facts in model.items()}
+        empty = Relation(frozenset())
         firings: dict[GroundAtom, list[tuple[GroundAtom, ...]]] = {}
         for rule in self._goal_program.rules:  # type: ignore[attr-defined]
-            atoms = tuple(rule.body_atoms())
-            sources = [relations.get(a.predicate, ()) for a in atoms]
-            for binding, body in _join(atoms, sources, tuple(rule.comparisons())):
+            plan = _rule_plan(rule)
+            sources = [relations.get(a.predicate, empty) for a in plan.atoms]
+            for binding, body in _join(plan, sources):
                 firings.setdefault(_instantiate(rule.head, binding), []).append(body)
 
         goal: GroundAtom = self._goal  # type: ignore[attr-defined]
@@ -106,16 +124,13 @@ class AbductionProblem:
                         reached.add(atom)
                         frontier.append(atom)
 
-        # map model atoms back to the hypothesis objects so tuple labels
-        # survive into diagnoses and everything derived from them
-        labelled = {h: h for h in self.hypotheses if h not in self.extensional}
         why: dict[GroundAtom, list[Diagnosis]] = {}
         for atom in reached:
             # background facts and heads of atom-less firings need nothing
             if atom in self.extensional or () in firings.get(atom, ()):
                 why[atom] = [frozenset()]
-            elif atom in labelled:
-                why[atom] = [frozenset({labelled[atom]})]
+            elif atom in self.hypotheses:
+                why[atom] = [frozenset({atom})]
         pending = list(why)
         queued = set(pending)
         while pending:
@@ -144,7 +159,6 @@ def _render(delta: Diagnosis) -> str:
     return "{" + ", ".join(str(a) for a in sorted(delta, key=GroundAtom.sort_key)) + "}"
 
 
-@lru_cache(maxsize=None)
 def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     """All abductive diagnoses, in canonical order.  Never empty; equals
     ``(frozenset(),)`` when the background theory already entails the
@@ -153,7 +167,18 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     The diagnoses come from one why-provenance pass; each is then checked
     directly, by evaluation: it entails the observation and no set with
     one element dropped does.  A failed check raises
-    ``InternalInvariantError``."""
+    ``InternalInvariantError``.  Results are cached by problem value
+    without tuple labels (``cache_info``, ``cache_clear``); the diagnoses
+    returned hold the caller's labelled hypotheses."""
+    found = _diagnoses(problem)
+    labelled = problem._labelled  # type: ignore[attr-defined]
+    if not labelled:
+        return found
+    return tuple(frozenset(labelled.get(h, h) for h in delta) for delta in found)
+
+
+@lru_cache(maxsize=None)
+def _diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     found = problem._minimal_why()
     goal_program, goal = problem._goal_program, problem._goal  # type: ignore[attr-defined]
 
@@ -169,6 +194,10 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
             if entails(delta - {d}):
                 raise InternalInvariantError(f"diagnosis {_render(delta)} is not minimal: {d} is redundant")
     return canonical_family(found)
+
+
+solve_diagnoses.cache_info = _diagnoses.cache_info  # type: ignore[attr-defined]
+solve_diagnoses.cache_clear = _diagnoses.cache_clear  # type: ignore[attr-defined]
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:

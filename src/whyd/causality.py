@@ -20,6 +20,7 @@ independent oracle; keep it out of this module.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,9 +66,18 @@ class CauseAnalysis:
             raise NotAnAnswerError(f"{answer} is not an answer on this instance") from None
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def for_query(instance: Instance, program: Program, answer: GroundAtom) -> "CauseAnalysis":
-        return CauseAnalysis(instance, program, answer)
+        """The analysis of a request, cached by value without tuple labels
+        (``cache_info``, ``cache_clear``).  A request equal to a cached one
+        but labelled otherwise gets a copy of it that holds the request's
+        own labelled tuples."""
+        analysis = _analysis(instance, program, answer)
+        if analysis.instance is instance or analysis.instance.same_labels(instance):
+            return analysis
+        relabelled = copy.copy(analysis)
+        relabelled.instance = instance
+        relabelled.problem = analysis.problem.relabelled(instance.endogenous)
+        return relabelled
 
     @property
     def solutions(self) -> tuple[Diagnosis, ...]:
@@ -105,6 +115,15 @@ class CauseAnalysis:
             family = self.contingency_family(tau)
             out.append(CauseReport(tau, family, Fraction(1, 1 + min(len(g) for g in family))))
         return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _analysis(instance: Instance, program: Program, answer: GroundAtom) -> CauseAnalysis:
+    return CauseAnalysis(instance, program, answer)
+
+
+CauseAnalysis.for_query.cache_info = _analysis.cache_info  # type: ignore[attr-defined]
+CauseAnalysis.for_query.cache_clear = _analysis.cache_clear  # type: ignore[attr-defined]
 
 
 def _require_answer(instance: Instance, program: Program, answer: GroundAtom) -> None:

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from . import abduction, causality, constraints, phca, vc, viewupdate
 from .errors import ParseError, WhydError
 from .evaluator import answers as evaluate_answers
-from .model import GroundAtom, Instance, Program
+from .model import GroundAtom, Instance, Program, check_instance_against
 from .parsing import (
     parse_constraints,
     parse_ground_atom,
@@ -146,6 +146,7 @@ def _load_common(args) -> tuple[Program, Instance, dict[str, bytes]]:
     data_text = _read(sources, "data", args.data)
     program = parse_program(program_text, args.program)
     document = parse_instance_document(data_text, args.data)
+    check_instance_against(program, document.instance)
     return program, document.instance, sources
 
 
@@ -220,6 +221,7 @@ def _run(args) -> Report:
         data_text = _read(sources, "data", args.data)
         program = parse_program(program_text, args.program)
         document = parse_instance_document(data_text, args.data)
+        check_instance_against(program, document.instance)
         if not document.observations:
             raise _UsageError("the instance file has no #observe section")
         if args.obs_bound is not None and len(document.observations) > args.obs_bound:

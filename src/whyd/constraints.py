@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     WhydError,
 )
 from .hitting import minimal_sets
-from .evaluator import _join
+from .evaluator import Relation, _join, _plan, _Plan
 from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, canonical_family
 
 
@@ -73,6 +73,14 @@ class Constraint:
         for pos in dependents:
             out.append(Constraint.egd((left, right), Variable(f"X{pos}"), Variable(f"Y{pos}")))
         return tuple(out)
+
+    @cached_property
+    def _plans(self) -> tuple[_Plan, _Plan]:
+        """The join plans of the body (an egd's ``left != right`` pushed
+        down) and of the head with the body's variables bound."""
+        comparisons = (Comparison("!=", *self.equality),) if self.kind == "egd" else ()  # type: ignore[misc]
+        body_vars = {v for a in self.body for v in a.variables()}
+        return _plan(self.body, comparisons), _plan(self.head_atoms, bound=body_vars)
 
     def is_deletion_closed(self) -> bool:
         """Egds and denials can never be broken by deleting tuples."""
@@ -193,29 +201,33 @@ def _check_arities(constraints: Sequence[Constraint], instance: Instance) -> Non
                 )
 
 
-def _index(atoms: Iterable[GroundAtom]) -> dict[str, list[GroundAtom]]:
-    index: dict[str, list[GroundAtom]] = {}
+def _relations(atoms: Iterable[GroundAtom]) -> dict[str, Relation]:
+    grouped: dict[str, list[GroundAtom]] = {}
     for atom in atoms:
-        index.setdefault(atom.predicate, []).append(atom)
-    return index
+        grouped.setdefault(atom.predicate, []).append(atom)
+    return {p: Relation(facts) for p, facts in grouped.items()}
 
 
-def _constraint_violations(constraint: Constraint, index: Mapping[str, list[GroundAtom]]) -> list[Violation]:
+def _constraint_violations(constraint: Constraint, relations: Mapping[str, Relation]) -> Iterator[Violation]:
     """A denial is violated by every body match, an egd by every body
     match whose two sides differ, a tgd by every body match that no
     match of the head extends."""
-    comparisons = ()
-    if constraint.kind == "egd":
-        comparisons = (Comparison("!=", *constraint.equality),)  # type: ignore[misc]
-    body_sources = [index.get(a.predicate, ()) for a in constraint.body]
-    head_sources = [index.get(a.predicate, ()) for a in constraint.head_atoms]
-    found: list[Violation] = []
-    for binding, witness in _join(constraint.body, body_sources, comparisons):
+    body_plan, head_plan = constraint._plans
+    empty = Relation(())
+    body_sources = [relations.get(a.predicate, empty) for a in constraint.body]
+    head_sources = [relations.get(a.predicate, empty) for a in constraint.head_atoms]
+    for binding, witness in _join(body_plan, body_sources):
         if constraint.kind == "tgd":
-            if next(_join(constraint.head_atoms, head_sources, binding=binding), None) is not None:
+            if next(_join(head_plan, head_sources, binding), None) is not None:
                 continue
-        found.append(Violation(constraint, witness))
-    return found
+        yield Violation(constraint, witness)
+
+
+def _holds(atoms: Iterable[GroundAtom], constraints: Sequence[Constraint]) -> bool:
+    """True iff the facts satisfy the constraints, which must already be
+    normalized and arity-checked against them."""
+    relations = _relations(atoms)
+    return all(next(_constraint_violations(c, relations), None) is None for c in constraints)
 
 
 def satisfies(instance: Instance, sigma: Sigma) -> SatisfactionReport:
@@ -223,10 +235,8 @@ def satisfies(instance: Instance, sigma: Sigma) -> SatisfactionReport:
     existentials range over existing facts only."""
     constraints = _normalize(sigma, instance)
     _check_arities(constraints, instance)
-    index = _index(instance.atoms)
-    violations: list[Violation] = []
-    for constraint in constraints:
-        violations.extend(_constraint_violations(constraint, index))
+    relations = _relations(instance.atoms)
+    violations = [v for c in constraints for v in _constraint_violations(c, relations)]
     violations.sort(key=lambda v: (str(v.constraint), tuple(a.sort_key() for a in v.witness)))
     return SatisfactionReport(not violations, tuple(violations))
 
@@ -263,9 +273,11 @@ class _SigmaAnalysis:
         self._reports: tuple[ConstrainedCauseReport, ...] | None = None
 
     def _satisfied_without(self, removed: frozenset[GroundAtom]) -> bool:
+        # the constraints were normalized and checked against the whole
+        # instance above; a subinstance cannot break an arity check
         cached = self._sat_memo.get(removed)
         if cached is None:
-            cached = bool(satisfies(self.instance.without(removed), self.constraints))
+            cached = _holds(self.instance.atoms - removed, self.constraints)
             self._sat_memo[removed] = cached
         return cached
 

@@ -1,12 +1,17 @@
 """Bottom-up evaluation of positive Datalog to the minimal model.
 
-The evaluation is semi-naive (per-predicate delta sets, joins in
-textual body order).  ``_join`` is the one routine that matches a
-conjunction of atoms against facts: the semi-naive rounds, the
-derivation graph behind abduction's diagnoses and every integrity
-constraint check go through it.  The naive reference evaluator that the
-agreement tests and brute-force oracles use lives in ``tests/oracle.py``
-and shares no code with this module.
+The evaluation is semi-naive (per-predicate delta sets; in the first
+round every fact is new, so each rule is joined once over the full
+relations).  ``_join`` is the one routine that matches a conjunction of
+atoms against facts: the semi-naive rounds, the derivation graph behind
+abduction's diagnoses and every integrity constraint check go through
+it.  It follows a plan compiled once per rule or constraint (``_plan``):
+the delta atom first, then greedily the atom with the most bound
+positions.  A step whose positions are partly bound probes a hash index
+of its relation on them (``Relation``); the first step of a plan with
+nothing bound scans.  The naive reference evaluator that the agreement
+tests and brute-force oracles use lives in ``tests/oracle.py`` and
+shares no code with this module.
 
 Termination is guaranteed: the active domain is finite and rules are
 positive, so the model can only grow and is bounded by the set of all
@@ -15,7 +20,7 @@ ground atoms over known predicates and constants.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotAnAnswerError, UnknownPredicateError
 from .model import (
@@ -56,6 +61,172 @@ class MinimalModel:
         return self.relations.get(predicate, frozenset())
 
 
+Key = tuple[str, ...]
+
+
+class Relation:
+    """The facts of one relation and the hash indexes built on them so far.
+
+    ``index(arity, positions)`` maps the symbols at ``positions`` to the
+    facts of that arity that carry them (symbols hash and compare faster
+    than constants); facts of another arity can never match an atom of
+    this arity and are left out.  An index is built on first use and kept
+    current by ``update``, so it is built at most once per relation.
+    Relations are scratch data of one join pass (a fixpoint, a provenance
+    pass, a constraint check): keep none longer.
+    """
+
+    __slots__ = ("facts", "_indexes")
+
+    def __init__(self, facts: Collection[GroundAtom]):
+        self.facts = facts
+        self._indexes: dict[tuple[int, tuple[int, ...]], dict[Key, list[GroundAtom]]] = {}
+
+    def index(self, arity: int, positions: tuple[int, ...]) -> dict[Key, list[GroundAtom]]:
+        index = self._indexes.get((arity, positions))
+        if index is None:
+            index = self._indexes[arity, positions] = {}
+            for fact in self.facts:
+                args = fact.args
+                if len(args) == arity:
+                    key = tuple([args[p].symbol for p in positions])
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = [fact]
+                    else:
+                        bucket.append(fact)
+        return index
+
+    def update(self, fresh: Collection[GroundAtom]) -> None:
+        """Add facts not yet held to the facts, which must be a set, and
+        to every index built so far."""
+        self.facts.update(fresh)  # type: ignore[attr-defined]
+        for (arity, positions), index in self._indexes.items():
+            for fact in fresh:
+                args = fact.args
+                if len(args) == arity:
+                    index.setdefault(tuple([args[p].symbol for p in positions]), []).append(fact)
+
+
+class _Step:
+    """One atom of a plan: its textual position, the argument positions a
+    probe looks it up on (none: the step scans its relation) with the
+    constant's symbol or the bound variable at each, and the comparisons
+    that become checkable once it is matched."""
+
+    __slots__ = ("atom", "key", "key_terms", "checks")
+
+    def __init__(self, atom: int, key: tuple[int, ...], key_terms: tuple[str | Variable, ...], checks=()):
+        self.atom = atom
+        self.key = key
+        self.key_terms = key_terms
+        self.checks: tuple[Comparison, ...] = checks
+
+
+class _Plan:
+    """A conjunction compiled for ``_join``: its atoms in textual order,
+    the steps in matching order, the comparisons checkable before any
+    atom is matched, and whether every comparison ever is."""
+
+    __slots__ = ("atoms", "steps", "pre_checks", "safe")
+
+    def __init__(self, atoms, steps, pre_checks, safe):
+        self.atoms: tuple[Atom, ...] = atoms
+        self.steps: tuple[_Step, ...] = steps
+        self.pre_checks: tuple[Comparison, ...] = pre_checks
+        self.safe: bool = safe
+
+
+def _plan(
+    atoms: Sequence[Atom],
+    comparisons: Sequence[Comparison] = (),
+    first: int | None = None,
+    bound: Iterable[Variable] = (),
+) -> _Plan:
+    """Compile the conjunction of ``atoms`` and ``comparisons`` for
+    matching with the variables ``bound`` already bound: ``atoms[first]``
+    (the delta of a semi-naive round) is matched first, then each time
+    the atom with the most bound positions, textual order breaking ties.
+    A step probes an index on its bound positions; it scans when it has
+    none, and when it is the first step and the initial binding binds
+    none of its variables."""
+    # variables by name: names are interned strings, which hash and
+    # compare much faster than Variable objects
+    known = {v.name for v in bound}
+    ready = dict.fromkeys(known, -1)
+    names = [[None if isinstance(t, Constant) else t.name for t in a.args] for a in atoms]
+    todo = list(range(len(atoms)))
+    steps: list[_Step] = []
+    while todo:
+        if first is not None and not steps:
+            i = first
+        else:
+            most = -1
+            for j in todo:  # ascending, so ties go to the textual first
+                count = sum(1 for n in names[j] if n is None or n in known)
+                if count > most:
+                    most, i = count, j
+        todo.remove(i)
+        args = atoms[i].args
+        key, key_terms, probe = [], [], bool(steps)
+        for p, n in enumerate(names[i]):
+            if n is None:
+                key.append(p)
+                key_terms.append(args[p].symbol)
+            elif n in known:
+                key.append(p)
+                key_terms.append(args[p])
+                probe = True
+        steps.append(_Step(i, tuple(key), tuple(key_terms)) if probe else _Step(i, (), ()))
+        for n in names[i]:
+            if n is not None and n not in known:
+                known.add(n)
+                ready[n] = len(steps) - 1
+
+    checks: list[list[Comparison]] = [[] for _ in range(len(steps) + 1)]
+    safe = True
+    for cmp_ in comparisons:
+        positions = [ready.get(t.name) for t in (cmp_.left, cmp_.right) if isinstance(t, Variable)]
+        if None in positions:
+            safe = False  # a variable nothing binds: an unsafe body
+            continue
+        checks[max(positions, default=-1) + 1].append(cmp_)
+    for step, ready_here in zip(steps, checks[1:]):
+        step.checks = tuple(ready_here)
+    return _Plan(tuple(atoms), tuple(steps), tuple(checks[0]), safe)
+
+
+# the plan of a lone atom with no comparison: one plain scan
+_SCAN = (_Step(0, (), ()),)
+
+
+def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
+    """The plan of the rule's body with its delta at position ``first``
+    (None: every atom reads the full relation).  A body of at most one
+    atom and no comparison is a plain scan, built afresh at no cost;
+    other plans are compiled on first use and kept on the rule, for as
+    long as it lives: ``rule._plans[i]`` with the delta at i, the last
+    one with none."""
+    plans = rule._plans
+    slot = -1 if first is None else first
+    if plans is not None and plans[slot] is not None:
+        return plans[slot]
+    atoms, comparisons = tuple(rule.body_atoms()), tuple(rule.comparisons())
+    if len(atoms) < 2 and not comparisons:
+        return _Plan(atoms, _SCAN if atoms else (), (), True)
+    if plans is None:
+        plans = [None] * (len(atoms) + 1)
+        object.__setattr__(rule, "_plans", plans)
+    if first is None and atoms:
+        # with nothing bound the first choice is the atom with the most
+        # constants, so this is the plan with that atom as the delta
+        constants = [sum(isinstance(t, Constant) for t in a.args) for a in atoms]
+        plans[slot] = _rule_plan(rule, max(range(len(atoms)), key=lambda i: (constants[i], -i)))
+    else:
+        plans[slot] = _plan(atoms, comparisons, first)
+    return plans[slot]  # type: ignore[return-value]
+
+
 def _strip_labels(atoms: Iterable[GroundAtom]) -> list[GroundAtom]:
     return [a if a.label is None else GroundAtom(a.predicate, a.args) for a in atoms]
 
@@ -92,66 +263,55 @@ def _instantiate(head: Atom, binding: dict[Variable, Constant]) -> GroundAtom:
     return GroundAtom(head.predicate, tuple(t if isinstance(t, Constant) else binding[t] for t in head.args))
 
 
-def _comparison_plan(
-    atoms: Sequence[Atom], comparisons: Sequence[Comparison], bound: Iterable[Variable]
-) -> list[list[Comparison]] | None:
-    """``plan[k]`` holds the comparisons whose variables are all bound
-    once the first ``k`` atoms are matched; None when some comparison
-    mentions a variable that nothing binds (an unsafe body)."""
-    ready_at = dict.fromkeys(bound, 0)
-    for k, atom in enumerate(atoms, 1):
-        for term in atom.args:
-            if isinstance(term, Variable):
-                ready_at.setdefault(term, k)
-    plan: list[list[Comparison]] = [[] for _ in range(len(atoms) + 1)]
-    for cmp_ in comparisons:
-        positions = [ready_at.get(v) for v in cmp_.variables()]
-        if None in positions:
-            return None
-        plan[max(positions, default=0)].append(cmp_)
-    return plan
+def _facts(step: _Step, pattern: Atom, source: Relation, binding: dict[Variable, Constant]) -> Iterable[GroundAtom]:
+    """The facts a step reads under ``binding``: those its source's index
+    holds under the step's key, or all of them when it has none."""
+    if not step.key:
+        return source.facts
+    key = tuple([t if t.__class__ is str else binding[t].symbol for t in step.key_terms])
+    return source.index(len(pattern.args), step.key).get(key, ())
 
 
 def _join(
-    atoms: Sequence[Atom],
-    sources: Sequence[Iterable[GroundAtom]],
-    comparisons: Sequence[Comparison] = (),
+    plan: _Plan,
+    sources: Sequence[Relation],
     binding: dict[Variable, Constant] | None = None,
 ) -> Iterator[tuple[dict[Variable, Constant], tuple[GroundAtom, ...]]]:
-    """Every way of matching ``atoms[i]`` against a fact of ``sources[i]``
-    that extends ``binding``, as (binding, matched facts), in textual
-    atom order.  Each comparison is checked as soon as its variables are
-    bound."""
+    """Every way of matching ``plan.atoms[i]`` against a fact of
+    ``sources[i]`` that extends ``binding``, as (binding, matched facts),
+    the facts in textual atom order.  ``binding`` binds the variables the
+    plan was compiled with as bound.  Each comparison is checked as soon
+    as its variables are bound."""
     binding = binding or {}
-    plan = None
-    if comparisons:
-        plan = _comparison_plan(atoms, comparisons, binding)
-        if plan is None or not all(_comparison_holds(c, binding) for c in plan[0]):
-            return
-    last = len(atoms) - 1
+    if not plan.safe or not all(_comparison_holds(c, binding) for c in plan.pre_checks):
+        return
+    atoms, steps = plan.atoms, plan.steps
+    last = len(steps) - 1
     if last < 0:
         yield binding, ()
         return
-    # depth-first over the atoms with an explicit stack of partial scans;
-    # ``bindings[k]`` is the binding the first k atoms leave behind
+    # depth-first over the steps with an explicit stack of partial scans;
+    # ``bindings[k]`` is the binding the first k steps leave behind
     bindings = [binding] * (last + 1)
     matched: list = [None] * (last + 1)
-    scans = [iter(sources[0])] * (last + 1)
+    i = steps[0].atom
+    scans = [iter(_facts(steps[0], atoms[i], sources[i], binding))] * (last + 1)
     pos = 0
     while pos >= 0:
-        pattern, current = atoms[pos], bindings[pos]
-        checks = plan[pos + 1] if plan is not None else ()
+        step, current = steps[pos], bindings[pos]
+        pattern, checks = atoms[step.atom], step.checks
         for fact in scans[pos]:
             extended = _match(pattern, fact, current)
             if extended is None or (checks and not all(_comparison_holds(c, extended) for c in checks)):
                 continue
-            matched[pos] = fact
+            matched[step.atom] = fact
             if pos == last:
                 yield extended, tuple(matched)
                 continue
             pos += 1
             bindings[pos] = extended
-            scans[pos] = iter(sources[pos])
+            i = steps[pos].atom
+            scans[pos] = iter(_facts(steps[pos], atoms[i], sources[i], extended))
             break
         else:
             pos -= 1
@@ -164,48 +324,63 @@ def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom
     which is what the abduction-to-causality constructions rely on.
     """
     base = instance.atoms if isinstance(instance, Instance) else frozenset(instance)
-    relations: dict[str, set[GroundAtom]] = {}
+    seeds: dict[str, set[GroundAtom]] = {}
     round_of: dict[GroundAtom, int] = {}
     for atom in _strip_labels(base):
-        relations.setdefault(atom.predicate, set()).add(atom)
+        seeds.setdefault(atom.predicate, set()).add(atom)
         round_of[atom] = 0
 
     rules = []
     for rule in program.rules:
-        atoms, comparisons = tuple(rule.body_atoms()), tuple(rule.comparisons())
+        atoms = tuple(rule.body_atoms())
         if atoms:
-            rules.append((rule.head, atoms, comparisons))
+            rules.append((rule, atoms, [None] * len(atoms)))
             continue
         # no atom to carry a delta: such a rule fires once, in round 0
-        for binding, _ in _join((), (), comparisons):
+        for binding, _ in _join(_rule_plan(rule), ()):
             fact = _instantiate(rule.head, binding)
             if fact not in round_of:
-                relations.setdefault(fact.predicate, set()).add(fact)
+                seeds.setdefault(fact.predicate, set()).add(fact)
                 round_of[fact] = 0
 
-    empty: frozenset[GroundAtom] = frozenset()
-    delta: dict[str, set[GroundAtom]] = {p: set(rel) for p, rel in relations.items()}
+    relations = {p: Relation(facts) for p, facts in seeds.items()}
+    empty = Relation(frozenset())
+    deltas: dict[str, Relation] = {}
     iteration = 0
-    while delta:
+    while iteration == 0 or deltas:
         iteration += 1
         produced: set[GroundAtom] = set()
-        for head, atoms, comparisons in rules:
+        for rule, atoms, plans in rules:
             sources = [relations.get(a.predicate, empty) for a in atoms]
+            if iteration == 1:
+                # every fact is new: one join over the full relations
+                for binding, _ in _join(_rule_plan(rule), sources):
+                    produced.add(_instantiate(rule.head, binding))
+                continue
             for i, atom in enumerate(atoms):
-                if atom.predicate not in delta:
+                source = deltas.get(atom.predicate)
+                if source is None:
                     continue
-                full, sources[i] = sources[i], delta[atom.predicate]
-                for binding, _ in _join(atoms, sources, comparisons):
-                    produced.add(_instantiate(head, binding))
+                plan = plans[i]
+                if plan is None:
+                    plan = plans[i] = _rule_plan(rule, i)
+                full, sources[i] = sources[i], source
+                for binding, _ in _join(plan, sources):
+                    produced.add(_instantiate(rule.head, binding))
                 sources[i] = full
-        fresh = {a for a in produced if a not in round_of}
-        delta = {}
-        for atom in fresh:
-            relations.setdefault(atom.predicate, set()).add(atom)
-            round_of[atom] = iteration
-            delta.setdefault(atom.predicate, set()).add(atom)
+        fresh: dict[str, set[GroundAtom]] = {}
+        for atom in produced:
+            if atom not in round_of:
+                round_of[atom] = iteration
+                fresh.setdefault(atom.predicate, set()).add(atom)
+        for p, facts in fresh.items():
+            if p in relations:
+                relations[p].update(facts)
+            else:
+                relations[p] = Relation(set(facts))
+        deltas = {p: Relation(facts) for p, facts in fresh.items()}
 
-    frozen = {p: frozenset(rel) for p, rel in relations.items()}
+    frozen = {p: frozenset(rel.facts) for p, rel in relations.items()}
     return MinimalModel(frozen, round_of)
 
 

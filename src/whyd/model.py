@@ -164,6 +164,9 @@ BodyItem = Union[Atom, Comparison]
 class Rule:
     head: Atom
     body: tuple[BodyItem, ...] = ()
+    # the join plans the evaluator compiles for this rule on first use;
+    # they live as long as the rule and take no part in equality
+    _plans: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def body_atoms(self) -> Iterator[Atom]:
         return (b for b in self.body if isinstance(b, Atom))
@@ -319,6 +322,10 @@ class Instance:
         except KeyError:
             raise WhydError(f"no tuple labelled {label}") from None
 
+    def same_labels(self, other: "Instance") -> bool:
+        """True iff both instances give the same labels to the same tuples."""
+        return self._labels == other._labels
+
     def without(self, removed: Iterable[GroundAtom]) -> "Instance":
         removed = frozenset(removed)
         return Instance(self.endogenous - removed, self.exogenous - removed)
@@ -349,9 +356,16 @@ def check_instance_against(program: Program, instance: Instance, *, strict: bool
     ``strict=True`` rejects them.
     """
     intensional = program.intensional_predicates() if strict else frozenset()
-    for atom in sorted(instance.atoms, key=GroundAtom.sort_key):
+
+    def wrong_arity(atom: GroundAtom) -> bool:
         known = program.arity_of(atom.predicate)
-        if known is not None and known != atom.arity:
-            raise ArityMismatchError(atom, known)
-        if atom.predicate in intensional:
-            raise HeadExtensionalError(atom.predicate, "stored facts must use extensional predicates")
+        return known is not None and known != atom.arity
+
+    bad = [a for a in instance.atoms if wrong_arity(a) or a.predicate in intensional]
+    if not bad:
+        return
+    # report the first offending tuple in canonical order
+    atom = min(bad, key=GroundAtom.sort_key)
+    if wrong_arity(atom):
+        raise ArityMismatchError(atom, program.arity_of(atom.predicate))  # type: ignore[arg-type]
+    raise HeadExtensionalError(atom.predicate, "stored facts must use extensional predicates")

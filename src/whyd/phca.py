@@ -115,21 +115,20 @@ def three_bounded(problem: PropositionalHornAbduction) -> tuple[tuple[HornRule, 
     return tuple(padded), true_marker
 
 
+# t(X0) <- t(X1), t(X2), t(X3), r(X0, X1, X2, X3): the one recursive rule
+# of every encoding, shared so that its join plans are compiled once
+_X0, _X1, _X2, _X3 = (Variable(n) for n in ("X0", "X1", "X2", "X3"))
+_T_RULE = Rule(
+    Atom("t", (_X0,)),
+    (Atom("t", (_X1,)), Atom("t", (_X2,)), Atom("t", (_X3,)), Atom("r", (_X0, _X1, _X2, _X3))),
+)
+
+
 def encode_phca(problem: PropositionalHornAbduction) -> AbductionProblem:
     """The Datalog abduction problem whose relevant marker atoms are
     exactly the relevant hypotheses of the propositional problem."""
     rules, true_marker = three_bounded(problem)
-    x0, x1, x2, x3 = (Variable(n) for n in ("X0", "X1", "X2", "X3"))
-    program = Program(
-        (
-            Rule(Atom("t", (Constant(true_marker),)), ()),
-            Rule(
-                Atom("t", (x0,)),
-                (Atom("t", (x1,)), Atom("t", (x2,)), Atom("t", (x3,)), Atom("r", (x0, x1, x2, x3))),
-            ),
-        ),
-        "t",
-    )
+    program = Program((Rule(Atom("t", (Constant(true_marker),)), ()), _T_RULE), "t")
     extensional = frozenset(
         GroundAtom("r", (Constant(head), Constant(b1), Constant(b2), Constant(b3)))
         for head, (b1, b2, b3) in rules

@@ -70,6 +70,24 @@ def naive_fixpoint(program: Program, facts: Iterable[GroundAtom]) -> frozenset[G
         model |= fresh
 
 
+def join_matches(atoms, sources, comparisons=(), binding=None) -> list[tuple[dict, tuple[GroundAtom, ...]]]:
+    """Every (binding, matched facts) of the conjunction: each choice of
+    one fact from ``sources[i]`` for every ``atoms[i]``, kept when the
+    atoms match their facts under one binding extending ``binding`` and
+    every comparison holds under it."""
+    out = []
+    for facts in product(*sources):
+        assignment = dict(binding or {})
+        for pattern, fact in zip(atoms, facts):
+            assignment = _extend(pattern, fact, assignment)
+            if assignment is None:
+                break
+        else:
+            if all(c.holds(_value(c.left, assignment), _value(c.right, assignment)) for c in comparisons):
+                out.append((assignment, tuple(facts)))
+    return out
+
+
 # -- definition-level oracles ---------------------------------------------------
 
 

@@ -291,14 +291,14 @@ def test_diagnoses_match_oracle_on_recursive_shapes():
     assert all(count >= 15 for count in checked.values()), checked
 
 
+def _labelled(instance: Instance, prefix: str = "t") -> Instance:
+    ordered = sorted(instance.atoms, key=GroundAtom.sort_key)
+    return Instance([a.with_label(f"{prefix}{i}") for i, a in enumerate(ordered, 1)])
+
+
 def test_diagnoses_keep_hypothesis_labels():
-    # equal problems share cache entries whatever their labels, so start
-    # from empty caches
-    solve_diagnoses.cache_clear()
-    CauseAnalysis.for_query.cache_clear()
     program, plain = load_program("aj.dl"), load_instance("aj.facts")
-    ordered = sorted(plain.atoms, key=GroundAtom.sort_key)
-    instance = Instance([a.with_label(f"t{i}") for i, a in enumerate(ordered, 1)])
+    instance = _labelled(plain)
     boolean, _ = specialize_to_answer(program, atom("ans(john, xml)"))
     problem = to_causal_abduction(instance, boolean)
     labels = {a: a.label for a in instance.atoms}
@@ -311,6 +311,34 @@ def test_diagnoses_keep_hypothesis_labels():
         assert report.cause.label == graph_instance.by_label(report.cause.label).label
         for gamma in report.minimal_contingency_sets:
             assert all(a.label is not None for a in gamma)
+
+
+def test_equal_requests_with_other_labels_get_their_own_labels_back():
+    # the caches compare problems and instances without labels: each
+    # request must still get its own labelled tuples, and an identical
+    # request must still be a cache hit
+    program, plain = load_program("aj.dl"), load_instance("aj.facts")
+    boolean, _ = specialize_to_answer(program, atom("ans(john, xml)"))
+    target = atom("ans(john, xml)")
+    first, second = _labelled(plain, "first"), _labelled(plain, "second")
+    for instance in (plain, first, second, plain):
+        labels = {a: a.label for a in instance.atoms}
+        for delta in solve_diagnoses(to_causal_abduction(instance, boolean)):
+            assert delta and all(a.label == labels[a] for a in delta)
+        for report in cause_reports(instance, program, target):
+            assert report.cause.label == labels[report.cause]
+            for gamma in report.minimal_contingency_sets:
+                assert all(a.label == labels[a] for a in gamma)
+        assert all(a.label == labels[a] for a in causes(instance, program, target))
+    analyses, diagnoses = CauseAnalysis.for_query.cache_info(), solve_diagnoses.cache_info()
+    for instance in (first, second, _labelled(plain, "first")):
+        problem = CauseAnalysis.for_query(instance, program, target).problem
+        assert problem.hypotheses is instance.endogenous
+        solve_diagnoses(problem)
+    assert CauseAnalysis.for_query.cache_info().hits == analyses.hits + 3
+    assert solve_diagnoses.cache_info().hits == diagnoses.hits + 3
+    assert CauseAnalysis.for_query.cache_info().misses == analyses.misses
+    assert solve_diagnoses.cache_info().misses == diagnoses.misses
 
 
 # -- the check solve_diagnoses runs on its own result ---------------------------

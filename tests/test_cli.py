@@ -186,6 +186,16 @@ def test_exit_code_3_with_error_object_on_non_answer(capsys):
     assert "nobody" in captured.err
 
 
+@pytest.mark.parametrize("command", ["eval", "abduce"])
+def test_exit_code_3_on_fact_arity_mismatch(command, tmp_path, capsys):
+    program, data = tmp_path / "q.dl", tmp_path / "q.facts"
+    program.write_text("ans(X) :- e(X).\n")
+    data.write_text("e(c).\ne(a, b).\nf(a, b, c).\n#observe\nans(c).\n")
+    code = cli.main([command, "-p", str(program), "-d", str(data)])
+    assert code == 3
+    assert _error_object(capsys.readouterr(), "ArityMismatch")["message"] == "e(a, b) has arity 2, expected 1"
+
+
 def test_exit_code_3_on_violated_constraints(capsys):
     code = cli.main([
         "causes", "-p", _fx("repair.dl"), "-d", _fx("repair.facts"), "-c", _fx("repair.ics"), "-t", "v(a1)",

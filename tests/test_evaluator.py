@@ -1,9 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
+from whyd import evaluator
+from whyd.abduction import relevant_hypotheses, solve_diagnoses
 from whyd.errors import UnknownPredicateError
 from whyd.evaluator import (
+    Relation,
+    _join,
+    _plan,
     answers,
     evaluate_fixpoint,
     holds,
@@ -11,8 +17,10 @@ from whyd.evaluator import (
 )
 from whyd.model import Atom, Comparison, Constant, Instance, Program, Rule, Variable, ground
 from whyd.parsing import parse_program
+from whyd.phca import encode_phca
 
 import corpus
+import oracle
 from oracle import naive_fixpoint
 from conftest import atom, load_document, load_instance, load_program
 
@@ -138,6 +146,83 @@ def test_seminaive_matches_naive_with_comparisons():
         facts = {ground("e", rng.choice("abc"), rng.choice("abc")) for _ in range(rng.randint(0, 5))}
         facts |= {ground("f", rng.choice("abc")) for _ in range(rng.randint(0, 2))}
         assert evaluate_fixpoint(program, facts).atoms() == naive_fixpoint(program, facts), seed
+
+
+def _random_conjunction(rng: random.Random):
+    """Atoms over e/2, f/1 and g/3 with constants and repeated variables,
+    comparisons between any of their terms and extra constants, and an
+    initial binding of some of the variables (and of one the atoms do
+    not mention)."""
+    constants = [Constant(c) for c in "abc"]
+    schema = [("e", 2), ("f", 1), ("g", 3)]
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        predicate, arity = rng.choice(schema)
+        args = [rng.choice(constants) if rng.random() < 0.2 else Variable(rng.choice("XYZW")) for _ in range(arity)]
+        atoms.append(Atom(predicate, tuple(args)))
+    variables = sorted({v for a in atoms for v in a.variables()}, key=str)
+    bound = [v for v in variables if rng.random() < 0.3]
+    if rng.random() < 0.2:
+        bound.append(Variable("V"))
+    binding = {v: rng.choice(constants) for v in bound}
+    terms = sorted(set(variables) | set(binding), key=str) + constants
+    comparisons = [
+        Comparison(rng.choice(("=", "!=")), rng.choice(terms), rng.choice(terms)) for _ in range(rng.randint(0, 2))
+    ]
+    return atoms, comparisons, binding
+
+
+def test_planned_join_matches_brute_force():
+    """``_join`` against every combination of one fact per atom, on the
+    same sources: relations shared by the atoms of one predicate, each
+    holding facts of other arities too, with a delta source at each
+    position in turn."""
+    def matches(pairs):
+        return Counter((frozenset(b.items()), facts) for b, facts in pairs)
+
+    shapes = Counter()
+    for seed in range(400):
+        rng = random.Random(seed)
+        atoms, comparisons, binding = _random_conjunction(rng)
+        facts: dict[str, list] = {}
+        for predicate, arity in (("e", 2), ("f", 1), ("g", 3)):
+            for _ in range(rng.randint(0, 12)):
+                width = rng.choice((1, 2, 3)) if rng.random() < 0.2 else arity  # sometimes the wrong arity
+                facts.setdefault(predicate, []).append(ground(predicate, *(rng.choice("abc") for _ in range(width))))
+        relations = {p: Relation(set(f)) for p, f in facts.items()}
+        empty = Relation(frozenset())
+        for first in (None, *range(len(atoms))):
+            sources = [relations.get(a.predicate, empty) for a in atoms]
+            if first is not None:
+                pool = facts.get(atoms[first].predicate, [])
+                sources[first] = Relation(set(rng.sample(pool, min(len(pool), rng.randint(1, 5)))))
+            plan = _plan(atoms, comparisons, first, binding)
+            engine = matches(_join(plan, sources, dict(binding)))
+            brute = matches(oracle.join_matches(atoms, [s.facts for s in sources], comparisons, binding))
+            assert engine == brute, (seed, first, atoms, comparisons, binding)
+            shapes["matched" if brute else "empty"] += 1
+            shapes["probed"] += any(step.key for step in plan.steps)
+    assert shapes["matched"] >= 200 and shapes["empty"] >= 200 and shapes["probed"] >= 500, shapes
+
+
+def test_phca_relevance_binding_extensions_stay_bounded(monkeypatch):
+    """``_match`` is the one place a binding is extended.  Relevance on
+    corpus.random_phca seeds 0-99 may call it at most 178,000 times, a
+    tenth of the 1,780,545 calls of a join that matched the encoded rule
+    in textual order, scanning whole relations."""
+    calls = 0
+    real = evaluator._match
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(evaluator, "_match", counted)
+    solve_diagnoses.cache_clear()  # count the work, not cache hits
+    for seed in range(100):
+        relevant_hypotheses(encode_phca(corpus.random_phca(seed)))
+    assert 0 < calls <= 178_000, calls
 
 
 def test_derivation_rounds_increase_along_paths():
