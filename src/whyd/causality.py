@@ -21,7 +21,7 @@ independent oracle; keep it out of this module.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -124,6 +124,23 @@ def _analysis(instance: Instance, program: Program, answer: GroundAtom) -> Cause
 
 CauseAnalysis.for_query.cache_info = _analysis.cache_info  # type: ignore[attr-defined]
 CauseAnalysis.for_query.cache_clear = _analysis.cache_clear  # type: ignore[attr-defined]
+
+
+def own_labels(reports: tuple, cached: Instance, instance: Instance) -> tuple:
+    """Cause reports computed on ``cached`` with the tuples of
+    ``instance`` in their place: the two instances are equal, but they
+    may label their tuples otherwise."""
+    if cached is instance or cached.same_labels(instance):
+        return reports
+    own = {a: a for a in instance.atoms}
+    return tuple(
+        replace(
+            r,
+            cause=own[r.cause],
+            minimal_contingency_sets=tuple(frozenset(own[a] for a in g) for g in r.minimal_contingency_sets),
+        )
+        for r in reports
+    )
 
 
 def _require_answer(instance: Instance, program: Program, answer: GroundAtom) -> None:

@@ -11,6 +11,7 @@ itself, which exit 2 with its usage message only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -55,6 +56,7 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache  # parsing keeps no state on it; rejections write to the sys.stderr of their call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whyd",

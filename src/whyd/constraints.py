@@ -21,7 +21,7 @@ from .errors import (
     SchemaMismatchError,
     WhydError,
 )
-from .hitting import minimal_sets
+from .causality import CauseAnalysis, own_labels
 from .evaluator import Relation, _join, _plan, _Plan
 from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, canonical_family
 
@@ -81,10 +81,6 @@ class Constraint:
         comparisons = (Comparison("!=", *self.equality),) if self.kind == "egd" else ()  # type: ignore[misc]
         body_vars = {v for a in self.body for v in a.variables()}
         return _plan(self.body, comparisons), _plan(self.head_atoms, bound=body_vars)
-
-    def is_deletion_closed(self) -> bool:
-        """Egds and denials can never be broken by deleting tuples."""
-        return self.kind in ("egd", "denial")
 
     def existential_variables(self) -> frozenset[Variable]:
         if self.kind != "tgd":
@@ -208,26 +204,26 @@ def _relations(atoms: Iterable[GroundAtom]) -> dict[str, Relation]:
     return {p: Relation(facts) for p, facts in grouped.items()}
 
 
-def _constraint_violations(constraint: Constraint, relations: Mapping[str, Relation]) -> Iterator[Violation]:
-    """A denial is violated by every body match, an egd by every body
-    match whose two sides differ, a tgd by every body match that no
-    match of the head extends."""
+def _body_matches(
+    constraint: Constraint, relations: Mapping[str, Relation]
+) -> Iterator[tuple[tuple[GroundAtom, ...], Iterator[tuple[GroundAtom, ...]]]]:
+    """Each match of the body (for an egd, one whose two sides differ),
+    with a lazy iterator over the matches of the head that extend it."""
     body_plan, head_plan = constraint._plans
     empty = Relation(())
     body_sources = [relations.get(a.predicate, empty) for a in constraint.body]
     head_sources = [relations.get(a.predicate, empty) for a in constraint.head_atoms]
-    for binding, witness in _join(body_plan, body_sources):
-        if constraint.kind == "tgd":
-            if next(_join(head_plan, head_sources, binding), None) is not None:
-                continue
-        yield Violation(constraint, witness)
+    for binding, match in _join(body_plan, body_sources):
+        yield match, (head for _, head in _join(head_plan, head_sources, binding))
 
 
-def _holds(atoms: Iterable[GroundAtom], constraints: Sequence[Constraint]) -> bool:
-    """True iff the facts satisfy the constraints, which must already be
-    normalized and arity-checked against them."""
-    relations = _relations(atoms)
-    return all(next(_constraint_violations(c, relations), None) is None for c in constraints)
+def _constraint_violations(constraint: Constraint, relations: Mapping[str, Relation]) -> Iterator[Violation]:
+    """A denial is violated by every body match, an egd by every body
+    match whose two sides differ, a tgd by every body match that no
+    match of the head extends."""
+    for match, heads in _body_matches(constraint, relations):
+        if constraint.kind != "tgd" or next(heads, None) is None:
+            yield Violation(constraint, match)
 
 
 def satisfies(instance: Instance, sigma: Sigma) -> SatisfactionReport:
@@ -257,69 +253,74 @@ class ConstrainedCauseReport:
 
 
 class _SigmaAnalysis:
-    """Shared search state for one (instance, query, answer, sigma)."""
+    """Shared search state for one (instance, query, answer, sigma).
+
+    Deletions break only tgds, so each tgd body match M over D is kept
+    with the fact sets W_1..W_k that witness its head: D minus R violates
+    Sigma iff some M misses R while every W_i meets R, and only deleting
+    a tuple of M cures that."""
 
     def __init__(self, instance: Instance, program: Program, answer: GroundAtom, constraints: tuple[Constraint, ...]):
-        from .causality import CauseAnalysis  # local import to avoid a cycle
-
         self.instance = instance
-        self.constraints = constraints
         check = satisfies(instance, constraints)
         if not check:
             raise InstanceViolatesSigmaError(str(check.violations[0]))
         self.plain = CauseAnalysis.for_query(instance, program, answer)
-        self._sat_memo: dict[frozenset[GroundAtom], bool] = {}
-        self.deletion_closed = all(c.is_deletion_closed() for c in constraints)
-        self._reports: tuple[ConstrainedCauseReport, ...] | None = None
+        endogenous, relations = instance.endogenous, _relations(instance.atoms)
+        self._matches = [
+            (endogenous.intersection(match), tuple({frozenset(w) for w in heads}))
+            for c in constraints
+            if c.kind == "tgd"
+            for match, heads in _body_matches(c, relations)
+        ]
 
-    def _satisfied_without(self, removed: frozenset[GroundAtom]) -> bool:
-        # the constraints were normalized and checked against the whole
-        # instance above; a subinstance cannot break an arity check
-        cached = self._sat_memo.get(removed)
-        if cached is None:
-            cached = _holds(self.instance.atoms - removed, self.constraints)
-            self._sat_memo[removed] = cached
-        return cached
+    def _violated(self, removed: frozenset[GroundAtom]) -> frozenset[GroundAtom] | None:
+        """The endogenous tuples of the first body match that deleting
+        ``removed`` leaves without a head witness, or None when D minus
+        ``removed`` satisfies Sigma."""
+        for match, witnesses in self._matches:
+            if not match & removed and all(w & removed for w in witnesses):
+                return match
+        return None
 
     def _family_for(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
+        """The minimal Gamma such that (a) some diagnosis misses Gamma,
+        (c) every tau-free one meets it, and (b) D - Gamma and (d) D -
+        Gamma - {tau} satisfy Sigma, by a breadth-first hitting-set tree
+        with lazily found conflicts (Reiter, AIJ 1987).  (a) is
+        downward-closed and prunes; else the first unmet requirement
+        names tuples of which every valid superset of Gamma holds one.
+        So each minimal valid set is reached at the level of its size,
+        through its own tuples, and no set found contains another."""
         solutions = self.plain.solutions
-        hit_targets = [delta for delta in solutions if tau not in delta]
-        universe = sorted(
-            (a for a in self.instance.endogenous if a != tau), key=GroundAtom.sort_key
-        )
+        avoiding = [delta for delta in solutions if tau not in delta]
+        found: list[frozenset[GroundAtom]] = []
+        level = {frozenset()}
+        while level:
+            grown: set[frozenset[GroundAtom]] = set()
+            for gamma in level:
+                if all(delta & gamma for delta in solutions) or any(f <= gamma for f in found):
+                    continue
+                unmet = next((delta for delta in avoiding if not delta & gamma), None)
+                if unmet is None:
+                    unmet = self._violated(gamma)
+                if unmet is None:
+                    unmet = self._violated(gamma | {tau})
+                if unmet is None:
+                    found.append(gamma)
+                else:
+                    grown.update(gamma | {t} for t in unmet if t != tau)
+            level = grown
+        return canonical_family(found)
 
-        def accepts(gamma: frozenset[GroundAtom]) -> bool:
-            if any(not (delta & gamma) for delta in hit_targets):
-                return False  # (c) fails: some diagnosis survives tau's removal
-            if not any(not (delta & gamma) for delta in solutions):
-                return False  # (a) fails: answer already gone without tau
-            # (c) is upward-closed in gamma and (a) downward-closed, but (b)
-            # and (d) are neither (deleting a tgd-body tuple can restore
-            # Sigma), so minimal sets are searched, not hitting sets filtered
-            return self._satisfied_without(gamma) and self._satisfied_without(gamma | {tau})
-
-        return canonical_family(minimal_sets(universe, accepts))
-
-    @property
+    @cached_property
     def reports(self) -> tuple[ConstrainedCauseReport, ...]:
-        if self._reports is None:
-            if self.deletion_closed:
-                # deletions cannot break Sigma: causes and responsibilities
-                # coincide with the unconstrained ones
-                reports = tuple(
-                    ConstrainedCauseReport(r.cause, r.minimal_contingency_sets, r.responsibility)
-                    for r in self.plain.reports()
-                )
-            else:
-                out = []
-                for tau in sorted(self.plain.causes(), key=GroundAtom.sort_key):
-                    family = self._family_for(tau)
-                    if family:
-                        rho = Fraction(1, 1 + min(len(g) for g in family))
-                        out.append(ConstrainedCauseReport(tau, family, rho))
-                reports = tuple(out)
-            self._reports = reports
-        return self._reports
+        out = []
+        for tau in sorted(self.plain.causes(), key=GroundAtom.sort_key):
+            family = self._family_for(tau)
+            if family:
+                out.append(ConstrainedCauseReport(tau, family, Fraction(1, 1 + min(len(g) for g in family))))
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +336,7 @@ def causes_under_ics(
     """Actual causes whose contingency sets keep the constraints satisfied
     both before and after the cause itself is removed."""
     analysis = _sigma_analysis(instance, program, answer, _normalize(sigma, instance))
-    return analysis.reports
+    return own_labels(analysis.reports, analysis.instance, instance)
 
 
 def responsibility_under_ics(
@@ -343,8 +344,7 @@ def responsibility_under_ics(
 ) -> Fraction:
     if tau not in instance.endogenous:
         raise NotEndogenousError(f"{tau} is not an endogenous tuple")
-    analysis = _sigma_analysis(instance, program, answer, _normalize(sigma, instance))
-    for report in analysis.reports:
+    for report in causes_under_ics(instance, program, answer, sigma):
         if report.cause == tau:
             return report.responsibility_under_ics
     return Fraction(0)

@@ -1,15 +1,12 @@
-"""Minimal-set searches: minimal hitting sets (Berge expansion with subset
-pruning) and an ascending search for the minimal accepted subsets of a
-universe.
+"""Minimal hitting sets by Berge expansion with subset pruning.
 
-Both are exact and exponential in the worst case; the callers only feed
-them the small families and universes that arise at explanation scale.
+Exact and exponential in the worst case; the callers only feed it the
+small families that arise at explanation scale.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Hashable, Iterable, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
@@ -44,25 +41,3 @@ def _prune(candidates: list[frozenset[T]]) -> list[frozenset[T]]:
         if not any(prev < cand for prev in out):
             out.append(cand)
     return out
-
-
-def minimal_sets(universe: Sequence[T], accepts: Callable[[frozenset[T]], bool]) -> list[frozenset[T]]:
-    """The accepted subsets of ``universe`` that contain no smaller
-    accepted subset, found in ascending size.
-
-    Supersets of sets already found are never passed to ``accepts``, so
-    the result is exactly the subset-minimal accepted sets whatever the
-    shape of ``accepts``.  Subsets of one size are tried in the order
-    ``combinations`` gives for the universe's order.  The only caller is
-    ``constraints._SigmaAnalysis._family_for``, whose test is not
-    monotone.
-    """
-    found: list[frozenset[T]] = []
-    for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            candidate = frozenset(combo)
-            if any(prev <= candidate for prev in found):
-                continue
-            if accepts(candidate):
-                found.append(candidate)
-    return found

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .causality import answer_support_families
+from .causality import answer_support_families, own_labels
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from .evaluator import answers as evaluate_answers
@@ -110,7 +110,8 @@ def vc_causes(
     """All view-conditioned causes with their minimal contingency families
     and responsibilities.  ``protected`` defaults to every other answer;
     passing a smaller set relaxes the condition accordingly."""
-    return _analysis(instance, program, answer, protected).reports()
+    analysis = _analysis(instance, program, answer, protected)
+    return own_labels(analysis.reports(), analysis.instance, instance)
 
 
 def vc_cause_exists(instance: Instance, program: Program, answer: GroundAtom) -> bool:

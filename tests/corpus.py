@@ -147,6 +147,39 @@ def random_satisfied_tgds(rng: random.Random, instance: Instance, limit: int = 2
     return found
 
 
+def _tgd_side(rng: random.Random, predicates: list[tuple[str, int]], variables: list[Variable]) -> tuple[Atom, ...]:
+    atoms = []
+    for _ in range(rng.randint(1, 2)):
+        name, arity = rng.choice(predicates)
+        atoms.append(Atom(name, tuple(rng.choice(variables) for _ in range(arity))))
+    return tuple(atoms)
+
+
+def generate_sigma_case(seed: int, *, max_endogenous: int = 6) -> tuple[Case, list[Constraint]]:
+    """A case of ``generate_case`` with 1-3 random tgds that its instance
+    satisfies, each with a body that matches somewhere.  Bodies and heads
+    have one or two atoms; head variables are shared with the body or
+    existential.  Some instances have exogenous tuples."""
+    case = generate_case(seed, max_endogenous=max_endogenous)
+    rng = random.Random(seed + 81)
+    facts = case.instance.atoms
+    predicates = sorted({(a.predicate, a.arity) for a in facts})
+    body_pool = [Variable(n) for n in ("X", "Y", "Z")]
+    wanted = rng.randint(1, 3)
+    sigma: list[Constraint] = []
+    for _ in range(60):
+        if len(sigma) >= wanted:
+            break
+        body = _tgd_side(rng, predicates, body_pool)
+        body_vars = sorted({v for a in body for v in a.variables()}, key=str)
+        head = _tgd_side(rng, predicates, body_vars + [Variable("U"), Variable("V")])
+        tgd = Constraint.tgd(body, head)
+        # a body without a match makes the tgd vacuous
+        if not oracle.sigma_holds([Constraint.denial(body)], facts) and oracle.sigma_holds([tgd], facts):
+            sigma.append(tgd)
+    return case, sigma
+
+
 def random_satisfied_dcs(rng: random.Random, instance: Instance, limit: int = 2) -> list[Constraint]:
     """Random denial constraints the instance satisfies (typically built
     from value combinations that do not occur)."""

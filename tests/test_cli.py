@@ -177,6 +177,19 @@ def test_exit_code_2_on_usage_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_repeated_calls_keep_no_parser_state():
+    import io
+    from contextlib import redirect_stderr
+
+    assert _run(GOLDEN_CASES["causes_aj"] + ["--pretty"])[0] == 0
+    assert _run(GOLDEN_CASES["causes_aj"]) == (0, (GOLDEN / "causes_aj.json").read_text())
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), pytest.raises(SystemExit) as err:
+        cli.main(["delprop", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"])
+    assert err.value.code == 2
+    assert stderr.getvalue().startswith("usage: whyd delprop") and "--mode" in stderr.getvalue()
+
+
 def test_exit_code_3_with_error_object_on_non_answer(capsys):
     code = cli.main(["causes", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(nobody, xml)"])
     assert code == 3

@@ -281,6 +281,52 @@ def test_under_sigma_matches_oracle_on_random_corpus():
             assert set(report.minimal_contingency_sets) == set(expected[report.cause]), case
 
 
+def test_under_sigma_matches_oracle_on_multi_atom_tgds():
+    # one- and two-atom bodies and heads with existentials: a minimal
+    # contingency set may then hold tuples outside the answer's support,
+    # deleted only to take a tgd body match away
+    outside = 0
+    for seed in range(300):
+        case, sigma = corpus.generate_sigma_case(seed, max_endogenous=6)
+        sweep = oracle.instance_sweep(case.program, case.instance)
+        expected = oracle.causes_under_sigma(sweep, case.answer, sigma)
+        reports = causes_under_ics(case.instance, case.program, case.answer, sigma)
+        assert {r.cause: set(r.minimal_contingency_sets) for r in reports} == {
+            tau: set(family) for tau, family in expected.items()
+        }, case
+        support = causes(case.instance, case.program, case.answer)
+        outside += any(not gamma <= support for r in reports for gamma in r.minimal_contingency_sets)
+    assert outside >= 20, outside
+
+
+@pytest.mark.parametrize("query", ["dept_q.dl", "dept_q1.dl"])
+def test_constraint_joins_per_call_are_linear_in_tgd_body_matches(query, monkeypatch):
+    import whyd.constraints as module
+
+    program, instance = load_program(query), load_instance("dept.facts")
+    sigma = load_constraints("dept.ics")
+    # a denial of a tgd's body is violated once per body match
+    matches = [len(satisfies(instance, [Constraint.denial(c.body)]).violations) for c in sigma if c.kind == "tgd"]
+    calls = []
+    join = module._join
+    monkeypatch.setattr(module, "_join", lambda *args: calls.append(args) or join(*args))
+    module._sigma_analysis.cache_clear()
+    causes_under_ics(instance, program, atom("ans(john)"), sigma)
+    assert 0 < len(calls) <= 2 * sum(1 + m for m in matches), len(calls)
+
+
+def test_equal_instances_labelled_otherwise_get_their_own_labels():
+    program, instance = load_program("dept_q1.dl"), load_instance("dept.facts")
+    sigma = load_constraints("dept.ics")
+    renamed = Instance((a.with_label("z" + a.label[1:]) for a in instance.endogenous), instance.exogenous)
+    for inst, mark in ((instance, "t"), (renamed, "z")):
+        reports = causes_under_ics(inst, program, atom("ans(john)"), sigma)
+        assert [(r.cause.label, [sorted(a.label for a in g) for g in r.minimal_contingency_sets]) for r in reports] == [
+            (f"{mark}8", [[f"{mark}1", f"{mark}4"]]),
+            (f"{mark}4", [[f"{mark}1", f"{mark}8"]]),
+        ]
+
+
 # -- admissible subinstances ---------------------------------------------------------
 
 

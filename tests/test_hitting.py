@@ -1,8 +1,11 @@
+import ast
 from itertools import chain, combinations
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from whyd.hitting import minimal_hitting_sets, minimal_sets
+import whyd
+from whyd.hitting import minimal_hitting_sets
 
 
 def _brute_minimal_hitting_sets(families, universe):
@@ -68,10 +71,12 @@ def test_restricted_matches_brute_force(families, universe):
         assert got == expected
 
 
-@given(_family)
-@settings(max_examples=200, deadline=None)
-def test_minimal_sets_of_hitting_matches_brute_force(families):
-    universe = sorted(set(chain.from_iterable(families)))
-    got = minimal_sets(universe, lambda candidate: all(candidate & f for f in families))
-    assert len(got) == len(set(got))
-    assert set(got) == _brute_minimal_hitting_sets(families, universe)
+def test_no_package_module_enumerates_subsets():
+    # brute-force subset enumeration lives only in the tests
+    banned = {"combinations", "product"}
+    for path in Path(whyd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                assert not banned & {a.name for a in node.names}, path.name
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "itertools":
+                assert node.attr not in banned, path.name

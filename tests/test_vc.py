@@ -5,7 +5,7 @@ import pytest
 from whyd.causality import causes, responsibility
 from whyd.constraints import causes_under_ics
 from whyd.errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
-from whyd.model import ground
+from whyd.model import GroundAtom, Instance, ground
 from whyd.vc import (
     encode_vc_as_tgd,
     vc_cause_exists,
@@ -185,3 +185,17 @@ def test_encoding_agrees_with_vc_on_random_cq_corpus():
             r.cause: set(r.minimal_contingency_sets) for r in direct
         }, case
     assert checked == 30
+
+
+def test_equal_instances_labelled_otherwise_get_their_own_labels():
+    program, plain = load_program("access.dl"), load_instance("access_g0.facts")
+    ordered = sorted(plain.endogenous, key=GroundAtom.sort_key)
+    labelled = Instance((a.with_label(f"z{i}") for i, a in enumerate(ordered)), plain.exogenous)
+    for instance in (plain, labelled):
+        labels = {a: a.label for a in instance.atoms}
+        reports = vc_causes(instance, program, atom("access(joe, f1)"))
+        assert reports
+        for report in reports:
+            assert report.cause.label == labels[report.cause]
+            for gamma in report.minimal_contingency_sets:
+                assert all(a.label == labels[a] for a in gamma)
