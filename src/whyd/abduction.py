@@ -7,8 +7,11 @@ observation.  The diagnoses are the observation's minimal
 why-provenance: one pass annotates the ground derivation graph of the
 full model (every hypothesis added) with antichains of hypothesis sets
 in the absorptive PosBool semiring (Green, Karvounarakis & Tannen, PODS
-2007), and the goal's antichain is the diagnosis family.  Each diagnosis
-is then checked by direct evaluation before it is returned.
+2007), and the goal's antichain is the diagnosis family.  The same pass
+over every answer of a program at once gives each answer's minimal
+support sets (``support_families``), behind view-conditioned causes and
+side-effect-free deletions.  Each family is checked by direct
+evaluation before it is returned.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -25,7 +29,7 @@ from .errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from .evaluator import Relation, _instantiate, _join, _rule_plan, evaluate_fixpoint, fresh_predicate
+from .evaluator import MinimalModel, Relation, _instantiate, _join, _rule_plan, evaluate_fixpoint, fresh_predicate
 from .hitting import _prune, minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
@@ -86,65 +90,71 @@ class AbductionProblem:
         object.__setattr__(twin, "_labelled", _labelled(hypotheses))
         return twin
 
-    def _minimal_why(self) -> list[Diagnosis]:
-        """The observation's minimal why-provenance over the hypotheses:
-        the subset-minimal hypothesis sets that derive it.
 
-        Every derivation from the background plus some hypotheses only
-        uses ground rule instances that fire in the full model, so one
-        join per rule over that model gives the whole derivation graph;
-        only atoms reachable backward from the goal matter.  Each atom is
-        annotated with an antichain in the absorptive PosBool semiring:
-        background facts with {∅}, other hypotheses h with {{h}}, a
-        firing with the pairwise unions of its body antichains, an atom
-        with the minimal sets over its firings.  A worklist re-fires the
-        users of every atom whose antichain changed until nothing does;
-        antichains only move down a finite lattice, so it terminates."""
-        model = self._full_model.relations  # type: ignore[attr-defined]
-        relations = {p: Relation(facts) for p, facts in model.items()}
-        empty = Relation(frozenset())
-        firings: dict[GroundAtom, list[tuple[GroundAtom, ...]]] = {}
-        for rule in self._goal_program.rules:  # type: ignore[attr-defined]
-            plan = _rule_plan(rule)
-            sources = [relations.get(a.predicate, empty) for a in plan.atoms]
-            for binding, body in _join(plan, sources):
-                firings.setdefault(_instantiate(rule.head, binding), []).append(body)
+def _minimal_why(
+    rules: tuple[Rule, ...],
+    model: MinimalModel,
+    extensional: frozenset[GroundAtom],
+    hypotheses: frozenset[GroundAtom],
+    goals: tuple[GroundAtom, ...],
+) -> dict[GroundAtom, list[Diagnosis]]:
+    """Each goal's minimal why-provenance over the hypotheses: the
+    subset-minimal hypothesis sets that derive it, given the model of the
+    rules over the extensional facts and every hypothesis.
 
-        goal: GroundAtom = self._goal  # type: ignore[attr-defined]
-        # users[b]: the firings (head, body) of reached heads with b in the body
-        users: dict[GroundAtom, list[tuple[GroundAtom, tuple[GroundAtom, ...]]]] = {}
-        reached = {goal}
-        frontier = [goal]
-        while frontier:
-            head = frontier.pop()
-            for body in firings.get(head, ()):
-                for atom in set(body):
-                    users.setdefault(atom, []).append((head, body))
-                    if atom not in reached:
-                        reached.add(atom)
-                        frontier.append(atom)
+    Every derivation from the background plus some hypotheses only uses
+    ground rule instances that fire in that model, so one join per rule
+    over it gives the whole derivation graph; only atoms reachable
+    backward from a goal matter.  Each atom is annotated with an
+    antichain in the absorptive PosBool semiring: background facts with
+    {∅}, other hypotheses h with {{h}}, a firing with the pairwise unions
+    of its body antichains, an atom with the minimal sets over its
+    firings.  A worklist re-fires the users of every atom whose antichain
+    changed until nothing does; antichains only move down a finite
+    lattice, so it terminates."""
+    relations = {p: Relation(facts) for p, facts in model.relations.items()}
+    empty = Relation(frozenset())
+    firings: dict[GroundAtom, list[tuple[GroundAtom, ...]]] = {}
+    for rule in rules:
+        plan = _rule_plan(rule)
+        sources = [relations.get(a.predicate, empty) for a in plan.atoms]
+        for binding, body in _join(plan, sources):
+            firings.setdefault(_instantiate(rule.head, binding), []).append(body)
 
-        why: dict[GroundAtom, list[Diagnosis]] = {}
-        for atom in reached:
-            # background facts and heads of atom-less firings need nothing
-            if atom in self.extensional or () in firings.get(atom, ()):
-                why[atom] = [frozenset()]
-            elif atom in self.hypotheses:
-                why[atom] = [frozenset({atom})]
-        pending = list(why)
-        queued = set(pending)
-        while pending:
-            atom = pending.pop()
-            queued.discard(atom)
-            for head, body in users.get(atom, ()):
-                known = why.get(head, [])
-                merged = _prune(known + _product([why.get(b, []) for b in body]))
-                if set(merged) != set(known):
-                    why[head] = merged
-                    if head not in queued:
-                        queued.add(head)
-                        pending.append(head)
-        return why.get(goal, [])
+    # users[b]: the firings (head, body) of reached heads with b in the body
+    users: dict[GroundAtom, list[tuple[GroundAtom, tuple[GroundAtom, ...]]]] = {}
+    reached = set(goals)
+    frontier = list(reached)
+    while frontier:
+        head = frontier.pop()
+        for body in firings.get(head, ()):
+            for atom in set(body):
+                users.setdefault(atom, []).append((head, body))
+                if atom not in reached:
+                    reached.add(atom)
+                    frontier.append(atom)
+
+    why: dict[GroundAtom, list[Diagnosis]] = {}
+    for atom in reached:
+        # background facts and heads of atom-less firings need nothing
+        if atom in extensional or () in firings.get(atom, ()):
+            why[atom] = [frozenset()]
+        elif atom in hypotheses:
+            why[atom] = [frozenset({atom})]
+    pending = list(why)
+    queued = set(pending)
+    while pending:
+        atom = pending.pop()
+        queued.discard(atom)
+        for head, body in users.get(atom, ()):
+            known = why.get(head, [])
+            merged = _prune(known + _product([why.get(b, []) for b in body]))
+            if set(merged) != set(known):
+                why[head] = merged
+                if head not in queued:
+                    queued.add(head)
+                    pending.append(head)
+    return {goal: why.get(goal, []) for goal in goals}
 
 
 def _product(families: list[list[Diagnosis]]) -> list[Diagnosis]:
@@ -159,41 +169,77 @@ def _render(delta: Diagnosis) -> str:
     return "{" + ", ".join(str(a) for a in sorted(delta, key=GroundAtom.sort_key)) + "}"
 
 
+def _check(
+    program: Program, extensional: frozenset[GroundAtom], families: Mapping[GroundAtom, Sequence[Diagnosis]]
+) -> None:
+    """Check each goal's family directly, by evaluation: the family is
+    not empty, each set entails the goal together with the extensional
+    facts, and no set with one element dropped does.  Raises
+    ``InternalInvariantError``; one fixpoint per distinct set."""
+    models: dict[Diagnosis, MinimalModel] = {}
+
+    def entails(delta: Diagnosis, goal: GroundAtom) -> bool:
+        model = models.get(delta)
+        if model is None:
+            model = models[delta] = evaluate_fixpoint(program, extensional | delta)
+        return goal in model
+
+    for goal, family in families.items():
+        if not family:
+            raise InternalInvariantError(f"no diagnosis found for {goal}, which is entailable")
+        for delta in family:
+            if not entails(delta, goal):
+                raise InternalInvariantError(f"diagnosis {_render(delta)} does not entail {goal}")
+            for d in delta:
+                if entails(delta - {d}, goal):
+                    raise InternalInvariantError(
+                        f"diagnosis {_render(delta)} of {goal} is not minimal: {d} is redundant"
+                    )
+
+
+def _relabel(family: tuple[Diagnosis, ...], labelled: dict[GroundAtom, GroundAtom] | None) -> tuple[Diagnosis, ...]:
+    if not labelled:
+        return family
+    return tuple(frozenset(labelled.get(h, h) for h in delta) for delta in family)
+
+
 def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     """All abductive diagnoses, in canonical order.  Never empty; equals
     ``(frozenset(),)`` when the background theory already entails the
     observation.
 
-    The diagnoses come from one why-provenance pass; each is then checked
-    directly, by evaluation: it entails the observation and no set with
-    one element dropped does.  A failed check raises
+    The diagnoses come from one why-provenance pass and pass ``_check``
+    before they are returned; a failed check raises
     ``InternalInvariantError``.  Results are cached by problem value
     without tuple labels (``cache_info``, ``cache_clear``); the diagnoses
     returned hold the caller's labelled hypotheses."""
-    found = _diagnoses(problem)
-    labelled = problem._labelled  # type: ignore[attr-defined]
-    if not labelled:
-        return found
-    return tuple(frozenset(labelled.get(h, h) for h in delta) for delta in found)
+    return _relabel(_diagnoses(problem), problem._labelled)  # type: ignore[attr-defined]
 
 
 @lru_cache(maxsize=None)
 def _diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
-    found = problem._minimal_why()
     goal_program, goal = problem._goal_program, problem._goal  # type: ignore[attr-defined]
+    model = problem._full_model  # type: ignore[attr-defined]
+    found = _minimal_why(goal_program.rules, model, problem.extensional, problem.hypotheses, (goal,))
+    _check(goal_program, problem.extensional, found)
+    return canonical_family(found[goal])
 
-    def entails(delta: Diagnosis) -> bool:
-        return goal in evaluate_fixpoint(goal_program, problem.extensional | delta)
 
-    if not found:
-        raise InternalInvariantError("no diagnosis found for an entailable observation")
-    for delta in found:
-        if not entails(delta):
-            raise InternalInvariantError(f"diagnosis {_render(delta)} does not entail the observation")
-        for d in delta:
-            if entails(delta - {d}):
-                raise InternalInvariantError(f"diagnosis {_render(delta)} is not minimal: {d} is redundant")
-    return canonical_family(found)
+def support_families(
+    program: Program, fixed: frozenset[GroundAtom], deletable: frozenset[GroundAtom]
+) -> dict[GroundAtom, tuple[Diagnosis, ...]]:
+    """Every answer of the program over the fixed and deletable facts,
+    mapped to its minimal support sets in canonical order: the
+    subset-minimal sets of deletable facts that derive the answer
+    together with the fixed ones.  The sets hold the caller's labelled
+    atoms.  One fixpoint, one join per rule and one provenance pass
+    serve every answer, and ``_check`` verifies every family."""
+    model = evaluate_fixpoint(program, fixed | deletable)
+    answers = tuple(sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key))
+    found = _minimal_why(program.rules, model, fixed, deletable, answers)
+    _check(program, fixed, found)
+    labelled = _labelled(deletable)
+    return {answer: _relabel(canonical_family(family), labelled) for answer, family in found.items()}
 
 
 solve_diagnoses.cache_info = _diagnoses.cache_info  # type: ignore[attr-defined]

@@ -14,6 +14,11 @@ diagnosis family:
     ones are minimal hitting sets of the t-free diagnoses computed away
     from one t-containing diagnosis at a time.
 
+The analysis of one request is cached by value
+(``CauseAnalysis.for_query``).  Notions that need the support sets of
+every answer of the view, not of one, read them from
+``abduction.support_families`` instead.
+
 The brute-force subset enumeration lives in the test suite as an
 independent oracle; keep it out of this module.
 """
@@ -21,10 +26,9 @@ independent oracle; keep it out of this module.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 from .abduction import AbductionProblem, Diagnosis, solve_diagnoses
 from .errors import (
@@ -126,23 +130,6 @@ CauseAnalysis.for_query.cache_info = _analysis.cache_info  # type: ignore[attr-d
 CauseAnalysis.for_query.cache_clear = _analysis.cache_clear  # type: ignore[attr-defined]
 
 
-def own_labels(reports: tuple, cached: Instance, instance: Instance) -> tuple:
-    """Cause reports computed on ``cached`` with the tuples of
-    ``instance`` in their place: the two instances are equal, but they
-    may label their tuples otherwise."""
-    if cached is instance or cached.same_labels(instance):
-        return reports
-    own = {a: a for a in instance.atoms}
-    return tuple(
-        replace(
-            r,
-            cause=own[r.cause],
-            minimal_contingency_sets=tuple(frozenset(own[a] for a in g) for g in r.minimal_contingency_sets),
-        )
-        for r in reports
-    )
-
-
 def _require_answer(instance: Instance, program: Program, answer: GroundAtom) -> None:
     if answer.predicate != program.answer_predicate or not model_holds(program, instance, answer):
         raise NotAnAnswerError(f"{answer} is not an answer on this instance")
@@ -195,20 +182,3 @@ def most_responsible_causes(instance: Instance, program: Program, answer: Ground
 def cause_reports(instance: Instance, program: Program, answer: GroundAtom) -> tuple[CauseReport, ...]:
     return CauseAnalysis.for_query(instance, program, answer).reports()
 
-
-def answer_support_families(
-    program: Program,
-    fixed: frozenset[GroundAtom],
-    deletable: frozenset[GroundAtom],
-    answer_atoms: Iterable[GroundAtom],
-) -> Mapping[GroundAtom, tuple[Diagnosis, ...]]:
-    """For each answer atom, the family of minimal deletable support sets:
-    minimal subsets of ``deletable`` that entail the answer together with
-    the fixed facts.  This is the workhorse behind the view-update and
-    view-conditioned searches."""
-    families: dict[GroundAtom, tuple[Diagnosis, ...]] = {}
-    for answer in answer_atoms:
-        boolean, goal = specialize_to_answer(program, answer)
-        problem = AbductionProblem(boolean, fixed, deletable, (goal,))
-        families[answer] = solve_diagnoses(problem)
-    return families

@@ -21,8 +21,9 @@ from typing import Any, Sequence
 from . import abduction, causality, constraints, phca, vc, viewupdate
 from .errors import ParseError, WhydError
 from .evaluator import answers as evaluate_answers
-from .model import GroundAtom, Instance, Program, check_instance_against
+from .model import GroundAtom, Program, check_instance_against
 from .parsing import (
+    InstanceDocument,
     parse_constraints,
     parse_ground_atom,
     parse_instance_document,
@@ -142,24 +143,26 @@ def _cause_payload(reports, cap: int | None, responsibility_key: str) -> list[di
     return out
 
 
-def _load_common(args) -> tuple[Program, Instance, dict[str, bytes]]:
+def _load_common(args) -> tuple[Program, InstanceDocument, dict[str, bytes]]:
     sources: dict[str, bytes] = {}
     program_text = _read(sources, "program", args.program)
     data_text = _read(sources, "data", args.data)
     program = parse_program(program_text, args.program)
     document = parse_instance_document(data_text, args.data)
     check_instance_against(program, document.instance)
-    return program, document.instance, sources
+    return program, document, sources
 
 
 def _run(args) -> Report:
     if args.command == "eval":
-        program, instance, sources = _load_common(args)
+        program, document, sources = _load_common(args)
+        instance = document.instance
         view = evaluate_answers(program, instance)
         return Report("eval", {"answers": sorted_atoms(view)}, provenance_for(sources))
 
     if args.command == "causes":
-        program, instance, sources = _load_common(args)
+        program, document, sources = _load_common(args)
+        instance = document.instance
         target = parse_ground_atom(args.target)
         cap = args.max_contingency_sets
         if getattr(args, "constraints", None):
@@ -175,7 +178,8 @@ def _run(args) -> Report:
         return Report("causes", payload, provenance_for(sources))
 
     if args.command == "responsibility":
-        program, instance, sources = _load_common(args)
+        program, document, sources = _load_common(args)
+        instance = document.instance
         target = parse_ground_atom(args.target)
         tau = parse_ground_atom(args.tuple)
         if getattr(args, "constraints", None):
@@ -187,7 +191,8 @@ def _run(args) -> Report:
         return Report("responsibility", payload, provenance_for(sources))
 
     if args.command == "mrc":
-        program, instance, sources = _load_common(args)
+        program, document, sources = _load_common(args)
+        instance = document.instance
         target = parse_ground_atom(args.target)
         winners = causality.most_responsible_causes(instance, program, target)
         rho = (
@@ -203,7 +208,8 @@ def _run(args) -> Report:
         return Report("mrc", payload, provenance_for(sources))
 
     if args.command == "vc-causes":
-        program, instance, sources = _load_common(args)
+        program, document, sources = _load_common(args)
+        instance = document.instance
         target = parse_ground_atom(args.target)
         reports = vc.vc_causes(instance, program, target)
         payload = {
@@ -218,12 +224,7 @@ def _run(args) -> Report:
         return Report("vc-causes", payload, provenance_for(sources))
 
     if args.command == "abduce":
-        sources = {}
-        program_text = _read(sources, "program", args.program)
-        data_text = _read(sources, "data", args.data)
-        program = parse_program(program_text, args.program)
-        document = parse_instance_document(data_text, args.data)
-        check_instance_against(program, document.instance)
+        program, document, sources = _load_common(args)
         if not document.observations:
             raise _UsageError("the instance file has no #observe section")
         if args.obs_bound is not None and len(document.observations) > args.obs_bound:
@@ -252,7 +253,8 @@ def _run(args) -> Report:
         return Report("abduce", payload, provenance_for(sources))
 
     if args.command == "delprop":
-        program, instance, sources = _load_common(args)
+        program, document, sources = _load_common(args)
+        instance = document.instance
         target = parse_ground_atom(args.target)
         kind = _DELPROP_MODES[args.mode]
         if kind == "minimal_source":

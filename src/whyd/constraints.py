@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     SchemaMismatchError,
     WhydError,
 )
-from .causality import CauseAnalysis, own_labels
+from .causality import CauseAnalysis
 from .evaluator import Relation, _join, _plan, _Plan
 from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, canonical_family
 
@@ -261,7 +261,6 @@ class _SigmaAnalysis:
     a tuple of M cures that."""
 
     def __init__(self, instance: Instance, program: Program, answer: GroundAtom, constraints: tuple[Constraint, ...]):
-        self.instance = instance
         check = satisfies(instance, constraints)
         if not check:
             raise InstanceViolatesSigmaError(str(check.violations[0]))
@@ -313,7 +312,6 @@ class _SigmaAnalysis:
             level = grown
         return canonical_family(found)
 
-    @cached_property
     def reports(self) -> tuple[ConstrainedCauseReport, ...]:
         out = []
         for tau in sorted(self.plain.causes(), key=GroundAtom.sort_key):
@@ -323,20 +321,12 @@ class _SigmaAnalysis:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _sigma_analysis(
-    instance: Instance, program: Program, answer: GroundAtom, constraints: tuple[Constraint, ...]
-) -> _SigmaAnalysis:
-    return _SigmaAnalysis(instance, program, answer, constraints)
-
-
 def causes_under_ics(
     instance: Instance, program: Program, answer: GroundAtom, sigma: Sigma
 ) -> tuple[ConstrainedCauseReport, ...]:
     """Actual causes whose contingency sets keep the constraints satisfied
     both before and after the cause itself is removed."""
-    analysis = _sigma_analysis(instance, program, answer, _normalize(sigma, instance))
-    return own_labels(analysis.reports, analysis.instance, instance)
+    return _SigmaAnalysis(instance, program, answer, _normalize(sigma, instance)).reports()
 
 
 def responsibility_under_ics(

@@ -401,10 +401,6 @@ def answers(program: Program, instance: Instance | Iterable[GroundAtom]) -> froz
     return model.extension(program.answer_predicate)
 
 
-def answer_atom(program: Program, *symbols: str) -> GroundAtom:
-    return GroundAtom(program.answer_predicate, tuple(Constant(s) for s in symbols))
-
-
 _FRESH_GOAL = "goal"
 
 

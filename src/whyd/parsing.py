@@ -389,18 +389,6 @@ def parse_constraints(text: str, filename: str = "<constraints>") -> ConstraintS
 # Serialization (canonical text; parse(serialize(x)) == x)
 
 
-def term_text(term: Term) -> str:
-    return str(term)
-
-
-def atom_text(atom: Atom | GroundAtom) -> str:
-    return str(atom)
-
-
-def ground_sort_key(atom: GroundAtom) -> tuple:
-    return atom.sort_key()
-
-
 def serialize_program(program: Program) -> str:
     """Rules in stored order, except that rules defining the answer
     predicate come first so reparsing recovers the same answer predicate."""
@@ -419,11 +407,11 @@ def serialize_instance(instance: Instance) -> str:
         return f"{prefix}{atom}."
 
     lines: list[str] = []
-    for atom in sorted(instance.endogenous, key=ground_sort_key):
+    for atom in sorted(instance.endogenous, key=GroundAtom.sort_key):
         lines.append(fact_line(atom))
     if instance.exogenous:
         lines.append("#exogenous")
-        for atom in sorted(instance.exogenous, key=ground_sort_key):
+        for atom in sorted(instance.exogenous, key=GroundAtom.sort_key):
             lines.append(fact_line(atom))
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -46,12 +46,8 @@ def fraction_text(value: Fraction) -> str:
     return str(value)
 
 
-def atom_entry(atom: GroundAtom) -> str:
-    return str(atom)
-
-
 def sorted_atoms(atoms: Iterable[GroundAtom]) -> list[str]:
-    return [atom_entry(a) for a in sorted(atoms, key=GroundAtom.sort_key)]
+    return [str(a) for a in sorted(atoms, key=GroundAtom.sort_key)]
 
 
 def sorted_families(families: Iterable[frozenset[GroundAtom]]) -> list[list[str]]:

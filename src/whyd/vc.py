@@ -5,17 +5,17 @@ A contingency set here must (i) keep the target answer before the cause
 is removed, (ii) lose it afterwards, and (iii) leave the rest of the
 view untouched afterwards.  (ii) says the set hits every support set of
 the answer that avoids the cause, so the minimal contingency sets are the
-minimal hitting sets of those support sets that pass (i) and (iii); the
-support sets come from per-answer support families.
+minimal hitting sets of those support sets that pass (i) and (iii).  The
+support sets of every answer of the view come from one provenance pass
+(``abduction.support_families``); the view is the set of its answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .causality import answer_support_families, own_labels
+from .abduction import support_families
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from .evaluator import answers as evaluate_answers
@@ -46,18 +46,14 @@ class _VcAnalysis:
         answer: GroundAtom,
         protected: frozenset[GroundAtom] | None,
     ):
-        self.instance = instance
-        view = evaluate_answers(program, instance)
+        families = support_families(program, instance.exogenous, instance.endogenous)
+        view = families.keys()
         if answer not in view:
             raise NotAnAnswerError(f"{answer} is not an answer on this instance")
         if protected is not None and not protected <= view:
             stray = sorted(protected - view, key=GroundAtom.sort_key)[0]
             raise NotAnAnswerError(f"protected atom {stray} is not an answer on this instance")
         self.protected = (view - {answer}) if protected is None else protected
-        relevant_answers = sorted({answer} | self.protected, key=GroundAtom.sort_key)
-        families = answer_support_families(
-            program, instance.exogenous, instance.endogenous, relevant_answers
-        )
         self.target_family = families[answer]
         self.protected_families = [families[a] for a in sorted(self.protected, key=GroundAtom.sort_key)]
 
@@ -91,16 +87,6 @@ class _VcAnalysis:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _analysis(
-    instance: Instance,
-    program: Program,
-    answer: GroundAtom,
-    protected: frozenset[GroundAtom] | None,
-) -> _VcAnalysis:
-    return _VcAnalysis(instance, program, answer, protected)
-
-
 def vc_causes(
     instance: Instance,
     program: Program,
@@ -110,8 +96,7 @@ def vc_causes(
     """All view-conditioned causes with their minimal contingency families
     and responsibilities.  ``protected`` defaults to every other answer;
     passing a smaller set relaxes the condition accordingly."""
-    analysis = _analysis(instance, program, answer, protected)
-    return own_labels(analysis.reports(), analysis.instance, instance)
+    return _VcAnalysis(instance, program, answer, protected).reports()
 
 
 def vc_cause_exists(instance: Instance, program: Program, answer: GroundAtom) -> bool:

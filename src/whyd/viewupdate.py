@@ -8,6 +8,10 @@ with one of its subset-minimal contingency sets).  A view-side-effect-free
 solution must hit every support set of the target answer and must not hit
 every support set of any other answer, so the solutions are the minimal
 hitting sets of the target's support family that pass the second test.
+The support sets of every answer come from one provenance pass
+(``abduction.support_families``), and the view is the set of its
+answers; the residual view of such a solution is the view without the
+target, by definition.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .causality import CauseAnalysis, answer_support_families
+from .abduction import support_families
+from .causality import CauseAnalysis
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
 from .evaluator import answers as evaluate_answers
 from .hitting import minimal_hitting_sets
@@ -120,14 +125,10 @@ def vsef_solutions(
     answer from the view; empty iff the side-effect-free problem has no
     solution."""
     working = _working_instance(instance, endogenous_only)
-    view = evaluate_answers(program, instance)
-    if answer not in view:
+    families = support_families(program, working.exogenous, working.endogenous)
+    if answer not in families:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance")
-    protected = view - {answer}
-    fixed = working.exogenous
-    deletable = working.endogenous
-    families = answer_support_families(program, fixed, deletable, sorted(view, key=GroundAtom.sort_key))
-    protected_families = [families[a] for a in protected]
+    protected_families = [family for a, family in families.items() if a != answer]
 
     # losing the target is upward-closed in the removed set and keeping the
     # protected answers downward-closed: filtering minimal hitting sets is exact
@@ -136,8 +137,5 @@ def vsef_solutions(
         for removed in minimal_hitting_sets(families[answer])
         if not any(all(delta & removed for delta in family) for family in protected_families)
     ]
-    out = []
-    for removed in canonical_family(found):
-        residual = evaluate_answers(program, instance.without(removed))
-        out.append(DeletionSolution(removed, "view_safe", residual))
-    return tuple(out)
+    residual = frozenset(families.keys() - {answer})
+    return tuple(DeletionSolution(removed, "view_safe", residual) for removed in canonical_family(found))

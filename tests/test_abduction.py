@@ -291,6 +291,35 @@ def test_diagnoses_match_oracle_on_recursive_shapes():
     assert all(count >= 15 for count in checked.values()), checked
 
 
+def _corpus_shape(program: Program) -> str:
+    heads = {r.head.predicate for r in program.rules}
+    if "path" in heads:
+        return "recursive"
+    if "mid" in heads:
+        return "mid-level"
+    return "union" if len(program.rules) > 1 else "cq"
+
+
+def test_support_families_match_per_answer_oracle():
+    # one pass over every answer of the view gives each answer the
+    # diagnoses of its own abduction problem, with the caller's labels
+    checked = {"cq": 0, "union": 0, "mid-level": 0, "recursive": 0}
+    for seed in range(120):
+        case = corpus.generate_case(seed, max_endogenous=6)
+        exo, endo = case.instance.exogenous, case.instance.endogenous
+        view = {a for a in oracle.naive_fixpoint(case.program, case.instance.atoms) if a.predicate == "ans"}
+        expected = {a: set(oracle.diagnoses(case.program, exo, endo, (a,))) for a in view}
+        families = abduction.support_families(case.program, exo, endo)
+        assert {a: set(family) for a, family in families.items()} == expected, case
+        labelled = frozenset(a.with_label(f"t{i}") for i, a in enumerate(sorted(endo, key=GroundAtom.sort_key)))
+        labels = {a: a.label for a in labelled}
+        relabelled = abduction.support_families(case.program, exo, labelled)
+        assert relabelled == families, case
+        assert all(a.label == labels[a] for family in relabelled.values() for delta in family for a in delta)
+        checked[_corpus_shape(case.program)] += 1
+    assert all(count >= 10 for count in checked.values()), checked
+
+
 def _labelled(instance: Instance, prefix: str = "t") -> Instance:
     ordered = sorted(instance.atoms, key=GroundAtom.sort_key)
     return Instance([a.with_label(f"{prefix}{i}") for i, a in enumerate(ordered, 1)])
@@ -352,10 +381,15 @@ def _fresh_problem(tag: str) -> AbductionProblem:
     return AbductionProblem(program, frozenset(), hypotheses, (ground(tag, "a"),))
 
 
+def _fake_why(family):
+    """A provenance pass that gives every goal ``family``."""
+    return lambda rules, model, extensional, hypotheses, goals: {goal: list(family) for goal in goals}
+
+
 def test_invariant_check_rejects_non_minimal_family(monkeypatch):
     problem = _fresh_problem("nonmin")
     padded = [frozenset(problem.hypotheses)]
-    monkeypatch.setattr(AbductionProblem, "_minimal_why", lambda self: padded)
+    monkeypatch.setattr(abduction, "_minimal_why", _fake_why(padded))
     with pytest.raises(InternalInvariantError, match="not minimal") as err:
         solve_diagnoses(problem)
     assert err.value.code == "InternalInvariant"
@@ -364,7 +398,7 @@ def test_invariant_check_rejects_non_minimal_family(monkeypatch):
 def test_invariant_check_rejects_non_entailing_family(monkeypatch):
     problem = _fresh_problem("nonent")
     short = [frozenset({ground("nonent_e", "a", "b")})]
-    monkeypatch.setattr(AbductionProblem, "_minimal_why", lambda self: short)
+    monkeypatch.setattr(abduction, "_minimal_why", _fake_why(short))
     with pytest.raises(InternalInvariantError, match="does not entail"):
         solve_diagnoses(problem)
 
@@ -376,6 +410,7 @@ def test_invariant_check_passes_the_true_family():
 
 _OPTIMIZED_CHECK = """
 import sys
+from whyd import abduction
 from whyd.abduction import AbductionProblem, solve_diagnoses
 from whyd.errors import InternalInvariantError
 from whyd.model import ground
@@ -391,7 +426,7 @@ hypotheses = frozenset({ground("e", "a", "b"), ground("f", "b"), ground("f", "c"
 for fake in ([frozenset(hypotheses)], [frozenset({ground("e", "a", "b")})]):
     problem = AbductionProblem(program, frozenset(), hypotheses, (ground("q", "a"),))
     solve_diagnoses.cache_clear()
-    AbductionProblem._minimal_why = lambda self, fake=fake: fake
+    abduction._minimal_why = lambda rules, model, ext, hyps, goals, fake=fake: {g: fake for g in goals}
     try:
         solve_diagnoses(problem)
     except InternalInvariantError as exc:

@@ -282,12 +282,12 @@ if __name__ == "__main__":
 
 
 def test_exit_code_3_when_a_result_fails_its_check(tmp_path, monkeypatch, capsys):
-    from whyd.abduction import AbductionProblem
+    from whyd import abduction
 
     program, data = tmp_path / "inv.dl", tmp_path / "inv.facts"
     program.write_text("inv_q :- inv_h(X).\n")
     data.write_text("inv_h(a).\n#observe\ninv_q.\n")
-    monkeypatch.setattr(AbductionProblem, "_minimal_why", lambda self: [frozenset()])
+    monkeypatch.setattr(abduction, "_minimal_why", lambda *args: {goal: [frozenset()] for goal in args[-1]})
     code = cli.main(["abduce", "-p", str(program), "-d", str(data)])
     assert code == 3
     assert "does not entail" in _error_object(capsys.readouterr(), "InternalInvariant")["message"]

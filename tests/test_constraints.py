@@ -310,7 +310,6 @@ def test_constraint_joins_per_call_are_linear_in_tgd_body_matches(query, monkeyp
     calls = []
     join = module._join
     monkeypatch.setattr(module, "_join", lambda *args: calls.append(args) or join(*args))
-    module._sigma_analysis.cache_clear()
     causes_under_ics(instance, program, atom("ans(john)"), sigma)
     assert 0 < len(calls) <= 2 * sum(1 + m for m in matches), len(calls)
 

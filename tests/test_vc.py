@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from whyd import abduction, cli, evaluator
 from whyd.causality import causes, responsibility
 from whyd.constraints import causes_under_ics
-from whyd.errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
+from whyd.errors import InternalInvariantError, NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from whyd.model import GroundAtom, Instance, ground
 from whyd.vc import (
     encode_vc_as_tgd,
@@ -12,10 +14,11 @@ from whyd.vc import (
     vc_causes,
     vc_responsibility,
 )
+from whyd.viewupdate import vsef_solutions
 
 import corpus
 import oracle
-from conftest import atom, load_instance, load_program
+from conftest import FIXTURES, atom, load_instance, load_program
 
 
 def _report_map(reports):
@@ -199,3 +202,51 @@ def test_equal_instances_labelled_otherwise_get_their_own_labels():
             assert report.cause.label == labels[report.cause]
             for gamma in report.minimal_contingency_sets:
                 assert all(a.label == labels[a] for a in gamma)
+
+
+# -- one provenance pass for the whole view ------------------------------------
+
+
+def test_vc_causes_costs_one_pass_for_the_whole_view(monkeypatch):
+    # one fixpoint for the view, then the check's one per distinct support
+    # set and one-smaller set: 8 on access.facts, where a provenance pass
+    # of its own for each answer took 24
+    program, instance = load_program("access.dl"), load_instance("access.facts")
+    view = sorted(evaluator.answers(program, instance), key=GroundAtom.sort_key)
+    calls = []
+    real = evaluator.evaluate_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "evaluate_fixpoint", counted)
+    monkeypatch.setattr(abduction, "evaluate_fixpoint", counted)
+    for answer in view:
+        calls.clear()
+        vc_causes(instance, program, answer)
+        assert 0 < len(calls) <= 12, (answer, len(calls))
+
+
+def test_view_support_families_are_checked(monkeypatch, capsys):
+    # pad the first answer's family with every deletable tuple: each
+    # caller of the one view pass must reject it, the CLI with exit 3
+    real = abduction._minimal_why
+
+    def padded(rules, model, extensional, hypotheses, goals):
+        found = real(rules, model, extensional, hypotheses, goals)
+        found[goals[0]] = [delta | hypotheses for delta in found[goals[0]]]
+        return found
+
+    monkeypatch.setattr(abduction, "_minimal_why", padded)
+    program, instance = load_program("access.dl"), load_instance("access.facts")
+    answer = atom("access(tom, f3)")
+    with pytest.raises(InternalInvariantError, match="not minimal"):
+        vc_causes(instance, program, answer)
+    for endogenous_only in (True, False):
+        with pytest.raises(InternalInvariantError, match="not minimal"):
+            vsef_solutions(instance, program, answer, endogenous_only=endogenous_only)
+    argv = ["vc-causes", "-p", str(FIXTURES / "access.dl"), "-d", str(FIXTURES / "access.facts"), "-t", str(answer)]
+    assert cli.main(argv) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "InternalInvariant" and "not minimal" in error["message"]

@@ -226,12 +226,23 @@ def test_solutions_verify_their_kind_contract():
         assert solution.residual_view == view - {answer}
 
 
+def _vsef_against_oracle(endogenous_only: bool, max_endogenous: int, seeds: int) -> int:
+    """Check ``seeds`` corpus cases; the number of them with a solution
+    that deletes an exogenous tuple."""
+    exogenous = 0
+    for seed in range(seeds):
+        case = corpus.generate_case(seed, max_endogenous=max_endogenous)
+        sweep = oracle.instance_sweep(case.program, case.instance, everything_deletable=not endogenous_only)
+        solutions = vsef_solutions(case.instance, case.program, case.answer, endogenous_only=endogenous_only)
+        assert {s.removed for s in solutions} == set(oracle.vsef(sweep, case.answer)), case
+        assert all(s.residual_view == sweep.answers(s.removed) for s in solutions), case
+        exogenous += any(s.removed & case.instance.exogenous for s in solutions)
+    return exogenous
+
+
 def test_endogenous_only_vsef_matches_partitioned_oracle():
-    for seed in range(30):
-        case = corpus.generate_case(seed, max_endogenous=6)
-        sweep = oracle.instance_sweep(case.program, case.instance)
-        engine = {
-            s.removed
-            for s in vsef_solutions(case.instance, case.program, case.answer, endogenous_only=True)
-        }
-        assert engine == set(oracle.vsef(sweep, case.answer)), case
+    assert _vsef_against_oracle(endogenous_only=True, max_endogenous=6, seeds=30) == 0
+
+
+def test_vsef_matches_everything_deletable_oracle():
+    assert _vsef_against_oracle(endogenous_only=False, max_endogenous=5, seeds=100) >= 5
