@@ -11,7 +11,8 @@ in the absorptive PosBool semiring (Green, Karvounarakis & Tannen, PODS
 over every answer of a program at once gives each answer's minimal
 support sets (``support_families``), behind view-conditioned causes and
 side-effect-free deletions.  Each family is checked by direct
-evaluation before it is returned.
+evaluation before it is returned: every set, and every set with one
+element dropped, is a world of one world-parallel fixpoint.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -30,18 +31,24 @@ from .errors import (
     UnknownHypothesisError,
 )
 from .evaluator import MinimalModel, Relation, _instantiate, _join, _rule_plan, evaluate_fixpoint, fresh_predicate
+from .evaluator import evaluate_worlds
 from .hitting import _prune, minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
 Diagnosis = frozenset[GroundAtom]
 
 
-def _conjunction_program(program: Program, observation: tuple[GroundAtom, ...]) -> tuple[Program, GroundAtom]:
+def _conjunction_program(
+    program: Program, observation: tuple[GroundAtom, ...], avoid: Iterable[str] = ()
+) -> tuple[Program, GroundAtom]:
     """Extend the program with ``obs_goal <- o1, ..., ok`` so entailment of
-    the whole observation is one membership test."""
+    the whole observation is one membership test.  The goal predicate is
+    fresh for the program, the observation and the predicates ``avoid``
+    (those of the facts the program runs on)."""
     taken = {r.head.predicate for r in program.rules}
     taken.update(a.predicate for r in program.rules for a in r.body_atoms())
     taken.update(a.predicate for a in observation)
+    taken.update(avoid)
     goal = fresh_predicate("obs_goal", taken)
     rule = Rule(Atom(goal, ()), tuple(o.to_atom() for o in observation))
     return Program(program.rules + (rule,), goal), GroundAtom(goal, ())
@@ -70,10 +77,11 @@ class AbductionProblem:
         # head-freeness.
         if not self.observation:
             raise ObservationNotEntailableError("empty observation")
-        goal_program, goal = _conjunction_program(self.program, self.observation)
+        facts = self.extensional | self.hypotheses
+        goal_program, goal = _conjunction_program(self.program, self.observation, {a.predicate for a in facts})
         object.__setattr__(self, "_goal_program", goal_program)
         object.__setattr__(self, "_goal", goal)
-        model = evaluate_fixpoint(goal_program, self.extensional | self.hypotheses)
+        model = evaluate_fixpoint(goal_program, facts)
         if goal not in model:
             raise ObservationNotEntailableError(
                 "the observation is not entailed even with every hypothesis added"
@@ -175,23 +183,26 @@ def _check(
     """Check each goal's family directly, by evaluation: the family is
     not empty, each set entails the goal together with the extensional
     facts, and no set with one element dropped does.  Raises
-    ``InternalInvariantError``; one fixpoint per distinct set."""
-    models: dict[Diagnosis, MinimalModel] = {}
-
-    def entails(delta: Diagnosis, goal: GroundAtom) -> bool:
-        model = models.get(delta)
-        if model is None:
-            model = models[delta] = evaluate_fixpoint(program, extensional | delta)
-        return goal in model
+    ``InternalInvariantError``.  Every distinct set, of every goal, is a
+    world of one world-parallel pass (``evaluate_worlds``) over the
+    extensional facts, and a set entails a goal when the goal's mask
+    holds the set's bit."""
+    worlds: dict[Diagnosis, int] = {}
+    for family in families.values():
+        for delta in family:
+            worlds.setdefault(delta, len(worlds))
+            for d in delta:
+                worlds.setdefault(delta - {d}, len(worlds))
+    models = evaluate_worlds(program, list(worlds), extensional)
 
     for goal, family in families.items():
         if not family:
             raise InternalInvariantError(f"no diagnosis found for {goal}, which is entailable")
         for delta in family:
-            if not entails(delta, goal):
+            if not models.holds(goal, worlds[delta]):
                 raise InternalInvariantError(f"diagnosis {_render(delta)} does not entail {goal}")
             for d in delta:
-                if entails(delta - {d}, goal):
+                if models.holds(goal, worlds[delta - {d}]):
                     raise InternalInvariantError(
                         f"diagnosis {_render(delta)} of {goal} is not minimal: {d} is redundant"
                     )
@@ -290,10 +301,10 @@ def to_causal_abduction(instance: Instance, program: Program) -> AbductionProble
     if not program.is_boolean():
         raise NotBooleanError(f"answer predicate {program.answer_predicate} is not nullary")
     ans = GroundAtom(program.answer_predicate, ())
-    model = evaluate_fixpoint(program, instance)
-    if ans not in model:
-        raise NotEntailedError("the query is not true in the instance")
-    return AbductionProblem(program, instance.exogenous, instance.endogenous, (ans,))
+    try:
+        return AbductionProblem(program, instance.exogenous, instance.endogenous, (ans,))
+    except ObservationNotEntailableError:
+        raise NotEntailedError("the query is not true in the instance") from None
 
 
 def from_abduction_to_causality(problem: AbductionProblem) -> tuple[Instance, Program]:

@@ -63,7 +63,7 @@ class CauseAnalysis:
         self.instance = instance
         self.program = program
         self.answer = answer
-        boolean, goal = specialize_to_answer(program, answer)
+        boolean, goal = specialize_to_answer(program, answer, {a.predicate for a in instance.atoms})
         try:
             self.problem = AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,))
         except ObservationNotEntailableError:

@@ -1,21 +1,26 @@
 """Bottom-up evaluation of positive Datalog to the minimal model.
 
-The evaluation is semi-naive (per-predicate delta sets; in the first
-round every fact is new, so each rule is joined once over the full
-relations).  ``_join`` is the one routine that matches a conjunction of
-atoms against facts: the semi-naive rounds, the derivation graph behind
-abduction's diagnoses and every integrity constraint check go through
-it.  It follows a plan compiled once per rule or constraint (``_plan``):
-the delta atom first, then greedily the atom with the most bound
-positions.  A step whose positions are partly bound probes a hash index
-of its relation on them (``Relation``); the first step of a plan with
-nothing bound scans.  The naive reference evaluator that the agreement
-tests and brute-force oracles use lives in ``tests/oracle.py`` and
-shares no code with this module.
+The evaluation is semi-naive, and it runs over a list of worlds (fact
+sets) at once: each atom carries the bitmask of the worlds whose model
+holds it, and a round's delta is the atoms whose mask grew (per
+predicate; in the first round every fact is new, so each rule is joined
+once over the full relations).  ``evaluate_fixpoint`` is the one-world
+case; ``evaluate_worlds`` serves callers that need many related models,
+such as abduction's check of every candidate set.  ``_join`` is the one
+routine that matches a conjunction of atoms against facts: the
+semi-naive rounds, the derivation graph behind abduction's diagnoses
+and every integrity constraint check go through it.  It follows a plan
+compiled once per rule or constraint (``_plan``): the delta atom first,
+then greedily the atom with the most bound positions.  A step whose
+positions are partly bound probes a hash index of its relation on them
+(``Relation``); the first step of a plan with nothing bound scans.  The
+naive reference evaluator that the agreement tests and brute-force
+oracles use lives in ``tests/oracle.py`` and shares no code with this
+module.
 
 Termination is guaranteed: the active domain is finite and rules are
-positive, so the model can only grow and is bounded by the set of all
-ground atoms over known predicates and constants.
+positive, so the masks can only grow and the model is bounded by the
+set of all ground atoms over known predicates and constants.
 """
 
 from __future__ import annotations
@@ -317,31 +322,38 @@ def _join(
             pos -= 1
 
 
-def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom]) -> MinimalModel:
-    """Least fixpoint of ``program`` over the given facts (semi-naive).
+def _semi_naive(
+    program: Program, masks: dict[GroundAtom, int], full: int
+) -> tuple[dict[str, Relation], dict[GroundAtom, int]]:
+    """The one semi-naive loop, over worlds (fact sets) at once.
 
-    Facts may mention intensional predicates; they simply seed the model,
-    which is what the abduction-to-causality constructions rely on.
-    """
-    base = instance.atoms if isinstance(instance, Instance) else frozenset(instance)
-    seeds: dict[str, set[GroundAtom]] = {}
-    round_of: dict[GroundAtom, int] = {}
-    for atom in _strip_labels(base):
-        seeds.setdefault(atom.predicate, set()).add(atom)
-        round_of[atom] = 0
-
+    ``masks`` maps each label-free seed fact to the bitmask of the worlds
+    that hold it (bit i: world i); ``full`` has a bit for every world.
+    The loop grows ``masks`` in place to those of the worlds' minimal
+    models (the Boolean semiring raised to the worlds): a firing's mask
+    is the AND of its body atoms' masks and is ORed into the head's.  A
+    round's delta is the atoms whose mask grew, and masks are read as the
+    previous round left them, so a firing whose body last grew in round r
+    is joined in round r + 1 with final masks.  The relations hold the
+    union of the worlds' models, so joins, plans and indexes are those of
+    one model.  Returns the relations and each atom's first round."""
+    single = full == 1
+    round_of = dict.fromkeys(masks, 0)
     rules = []
     for rule in program.rules:
         atoms = tuple(rule.body_atoms())
         if atoms:
             rules.append((rule, atoms, [None] * len(atoms)))
             continue
-        # no atom to carry a delta: such a rule fires once, in round 0
+        # no atom to carry a delta: such a rule fires once, in round 0,
+        # in every world
         for binding, _ in _join(_rule_plan(rule), ()):
             fact = _instantiate(rule.head, binding)
-            if fact not in round_of:
-                seeds.setdefault(fact.predicate, set()).add(fact)
-                round_of[fact] = 0
+            masks[fact] = full
+            round_of.setdefault(fact, 0)
+    seeds: dict[str, set[GroundAtom]] = {}
+    for fact in masks:
+        seeds.setdefault(fact.predicate, set()).add(fact)
 
     relations = {p: Relation(facts) for p, facts in seeds.items()}
     empty = Relation(frozenset())
@@ -349,39 +361,108 @@ def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom
     iteration = 0
     while iteration == 0 or deltas:
         iteration += 1
-        produced: set[GroundAtom] = set()
+        produced: dict[GroundAtom, int] = {}
         for rule, atoms, plans in rules:
             sources = [relations.get(a.predicate, empty) for a in atoms]
             if iteration == 1:
                 # every fact is new: one join over the full relations
-                for binding, _ in _join(_rule_plan(rule), sources):
-                    produced.add(_instantiate(rule.head, binding))
-                continue
-            for i, atom in enumerate(atoms):
-                source = deltas.get(atom.predicate)
-                if source is None:
-                    continue
-                plan = plans[i]
-                if plan is None:
-                    plan = plans[i] = _rule_plan(rule, i)
-                full, sources[i] = sources[i], source
-                for binding, _ in _join(plan, sources):
-                    produced.add(_instantiate(rule.head, binding))
-                sources[i] = full
+                joins = [(_rule_plan(rule), -1)]
+            else:
+                joins = []
+                for i, atom in enumerate(atoms):
+                    if atom.predicate in deltas:
+                        if plans[i] is None:
+                            plans[i] = _rule_plan(rule, i)
+                        joins.append((plans[i], i))
+            head = rule.head
+            for plan, i in joins:
+                if i >= 0:
+                    full_source, sources[i] = sources[i], deltas[atoms[i].predicate]
+                if single:
+                    # every mask is 1, and so is every firing's
+                    for binding, _ in _join(plan, sources):
+                        produced[_instantiate(head, binding)] = 1
+                else:
+                    for binding, body in _join(plan, sources):
+                        mask = full
+                        for fact in body:
+                            mask &= masks[fact]
+                        if mask:
+                            fact = _instantiate(head, binding)
+                            produced[fact] = produced.get(fact, 0) | mask
+                if i >= 0:
+                    sources[i] = full_source
+        # fresh: new to every world; grown: held before, in fewer worlds
         fresh: dict[str, set[GroundAtom]] = {}
-        for atom in produced:
-            if atom not in round_of:
-                round_of[atom] = iteration
-                fresh.setdefault(atom.predicate, set()).add(atom)
+        grown: dict[str, set[GroundAtom]] = {}
+        for fact, mask in produced.items():
+            old = masks.get(fact, 0)
+            if not old:
+                masks[fact] = mask
+                round_of[fact] = iteration
+                fresh.setdefault(fact.predicate, set()).add(fact)
+            elif old | mask != old:
+                masks[fact] = old | mask
+                grown.setdefault(fact.predicate, set()).add(fact)
         for p, facts in fresh.items():
             if p in relations:
                 relations[p].update(facts)
             else:
                 relations[p] = Relation(set(facts))
+        for p, facts in grown.items():
+            fresh.setdefault(p, set()).update(facts)
         deltas = {p: Relation(facts) for p, facts in fresh.items()}
+    return relations, round_of
 
-    frozen = {p: frozenset(rel.facts) for p, rel in relations.items()}
-    return MinimalModel(frozen, round_of)
+
+def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom]) -> MinimalModel:
+    """Least fixpoint of ``program`` over the given facts: the one-world
+    case of the semi-naive loop.
+
+    Facts may mention intensional predicates; they simply seed the model,
+    which is what the abduction-to-causality constructions rely on.
+    """
+    base = instance.atoms if isinstance(instance, Instance) else instance
+    relations, round_of = _semi_naive(program, dict.fromkeys(_strip_labels(base), 1), 1)
+    return MinimalModel({p: frozenset(rel.facts) for p, rel in relations.items()}, round_of)
+
+
+class WorldModels:
+    """The minimal models of one program over several worlds, from one
+    pass: ``relations`` holds their union by predicate, and ``masks``
+    maps each atom of the union to the bitmask of the worlds whose model
+    holds it (bit i: world i)."""
+
+    __slots__ = ("relations", "masks")
+
+    def __init__(self, relations: dict[str, frozenset[GroundAtom]], masks: dict[GroundAtom, int]):
+        self.relations = relations
+        self.masks = masks
+
+    def holds(self, atom: GroundAtom, world: int) -> bool:
+        return bool(self.masks.get(atom, 0) >> world & 1)
+
+    def extension(self, predicate: str, world: int) -> frozenset[GroundAtom]:
+        masks = self.masks
+        return frozenset(a for a in self.relations.get(predicate, ()) if masks[a] >> world & 1)
+
+
+def evaluate_worlds(
+    program: Program, worlds: Sequence[Iterable[GroundAtom]], shared: Iterable[GroundAtom] = ()
+) -> WorldModels:
+    """The minimal model of ``program`` over each world, a fact set that
+    also holds the ``shared`` facts, from one semi-naive pass (world i is
+    bit i of every mask).  Worlds may repeat and may be empty."""
+    if not worlds:
+        return WorldModels({}, {})
+    full = (1 << len(worlds)) - 1
+    masks = dict.fromkeys(_strip_labels(shared), full)
+    for i, world in enumerate(worlds):
+        bit = 1 << i
+        for fact in _strip_labels(world):
+            masks[fact] = masks.get(fact, 0) | bit
+    relations, _ = _semi_naive(program, masks, full)
+    return WorldModels({p: frozenset(rel.facts) for p, rel in relations.items()}, masks)
 
 
 def holds(program: Program, instance: Instance | Iterable[GroundAtom], atom: GroundAtom) -> bool:
@@ -414,12 +495,16 @@ def fresh_predicate(base: str, taken: Iterable[str]) -> str:
     return f"{base}_{i}"
 
 
-def specialize_to_answer(program: Program, answer: GroundAtom) -> tuple[Program, GroundAtom]:
+def specialize_to_answer(
+    program: Program, answer: GroundAtom, avoid: Iterable[str] = ()
+) -> tuple[Program, GroundAtom]:
     """Turn (program, ground answer atom) into an equivalent Boolean query.
 
-    Adds ``goal :- ans(c1, ..., cn)`` with a fresh nullary goal predicate;
-    for an already-Boolean program queried on its own answer atom the
-    program is returned unchanged.
+    Adds ``goal :- ans(c1, ..., cn)`` with a nullary goal predicate fresh
+    for the program and the predicates ``avoid`` (those of the instance
+    it runs on, where a ``goal`` fact would otherwise answer it); for an
+    already-Boolean program queried on its own answer atom the program
+    is returned unchanged.
     """
     if answer.predicate != program.answer_predicate:
         raise NotAnAnswerError(f"{answer} is not over the answer predicate {program.answer_predicate}")
@@ -427,6 +512,7 @@ def specialize_to_answer(program: Program, answer: GroundAtom) -> tuple[Program,
         return program, answer
     taken = {r.head.predicate for r in program.rules}
     taken.update(a.predicate for r in program.rules for a in r.body_atoms())
+    taken.update(avoid)
     goal = fresh_predicate(_FRESH_GOAL, taken)
     goal_rule = Rule(Atom(goal, ()), (answer.to_atom(),))
     boolean = Program(program.rules + (goal_rule,), goal)

@@ -11,7 +11,9 @@ hitting sets of the target's support family that pass the second test.
 The support sets of every answer come from one provenance pass
 (``abduction.support_families``), and the view is the set of its
 answers; the residual view of such a solution is the view without the
-target, by definition.
+target, by definition.  The residual views of the source-side-effect
+solutions come from one world-parallel pass, with the instance without
+each solution as a world.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .abduction import support_families
 from .causality import CauseAnalysis
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
 from .evaluator import answers as evaluate_answers
+from .evaluator import evaluate_worlds
 from .hitting import minimal_hitting_sets
 from .model import GroundAtom, Instance, Program, canonical_family
 
@@ -55,11 +58,14 @@ def minimal_source_solutions(
     for tau in analysis.causes():
         for gamma in analysis.contingency_family(tau):
             removals.add(gamma | {tau})
-    out = []
-    for removed in canonical_family(removals):
-        residual = evaluate_answers(program, instance.without(removed))
-        out.append(DeletionSolution(removed, "minimal_source", residual))
-    return tuple(out)
+    # one world per solution: the instance without its removed tuples
+    solutions = canonical_family(removals)
+    touched = frozenset().union(*solutions)
+    models = evaluate_worlds(program, [touched - removed for removed in solutions], instance.atoms - touched)
+    return tuple(
+        DeletionSolution(removed, "minimal_source", models.extension(program.answer_predicate, i))
+        for i, removed in enumerate(solutions)
+    )
 
 
 def minimum_source_solutions(
@@ -104,12 +110,10 @@ def check_source_solution(
     removed = instance.atoms - subinstance.atoms
     if mode == "s":
         # maximality: putting any single deleted tuple back must restore
-        # the answer (monotonicity lifts this to all supersets)
-        for atom in removed:
-            restored = subinstance.atoms | {atom}
-            if answer not in evaluate_answers(program, restored):
-                return False
-        return True
+        # the answer (monotonicity lifts this to all supersets); each
+        # restored subinstance is one world of one pass
+        restored = evaluate_worlds(program, [{atom} for atom in removed], subinstance.atoms)
+        return all(restored.holds(answer, i) for i in range(len(removed)))
     minimum = minimum_source_solutions(instance, program, answer)
     return bool(minimum) and len(removed) == len(minimum[0].removed)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from whyd import abduction
+from whyd import abduction, evaluator
 from whyd.abduction import (
     AbductionProblem,
     from_abduction_to_causality,
@@ -410,7 +410,7 @@ def test_invariant_check_passes_the_true_family():
 
 _OPTIMIZED_CHECK = """
 import sys
-from whyd import abduction
+from whyd import abduction, evaluator
 from whyd.abduction import AbductionProblem, solve_diagnoses
 from whyd.errors import InternalInvariantError
 from whyd.model import ground
@@ -498,3 +498,76 @@ def test_ladder_fixpoint_count_and_closed_form(monkeypatch):
             # one edge from every other rung, none from the cause's own
             assert len(picked) == k - 1
             assert all(sum(e in picked for e in rung) == (rung != own) for rung in rungs)
+
+
+def test_obs_goal_fact_is_not_mistaken_for_the_observation():
+    program = parse_program("q(X) :- e(X, Y), f(Y).")
+    support = frozenset({ground("e", "a", "b"), ground("f", "b")})
+    as_hypothesis = AbductionProblem(program, frozenset(), support | {ground("obs_goal")}, (ground("q", "a"),))
+    assert solve_diagnoses(as_hypothesis) == (support,)
+    as_background = AbductionProblem(program, frozenset({ground("obs_goal")}), support, (ground("q", "a"),))
+    assert solve_diagnoses(as_background) == (support,)
+
+
+# -- the check is one world-parallel pass ---------------------------------------
+
+
+def _counted_passes(monkeypatch, facts: list[str], target: str):
+    """The diagnoses of one fresh solve and the number of entries into
+    the evaluator's semi-naive loop it took, the full model included."""
+    calls = []
+    real = evaluator._semi_naive
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(evaluator, "_semi_naive", counted)
+    instance = parse_instance("".join(f + ".\n" for f in facts))
+    boolean, goal = specialize_to_answer(_TC, parse_ground_atom(target))
+    solve_diagnoses.cache_clear()
+    solutions = solve_diagnoses(AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,)))
+    return solutions, len(calls)
+
+
+def test_chain_and_ladder_solves_take_two_passes(monkeypatch):
+    # the full model, then one pass for every candidate set of the check:
+    # 18 and 25 fixpoints when each set had a fixpoint of its own
+    n, k = 16, 8
+    chain = [f"e(wc{i}, wc{i + 1})" for i in range(n)]
+    solutions, passes = _counted_passes(monkeypatch, chain, f"ans(wc0, wc{n})")
+    assert len(solutions) == 1 and len(solutions[0]) == n and passes <= 2
+    ladder = [e for j in range(k) for e in (f"e(wl, wl{j})", f"e(wl{j}, wlt)")]
+    solutions, passes = _counted_passes(monkeypatch, ladder, "ans(wl, wlt)")
+    assert len(solutions) == k and passes <= 2
+
+
+def _wide_problem(tag: str, width: int) -> AbductionProblem:
+    """``width`` two-atom diagnoses: 3 * width candidate sets to check."""
+    program = parse_program(f"{tag}(X) :- {tag}_e(X, Y), {tag}_f(Y).")
+    hypotheses = set()
+    for i in range(width):
+        hypotheses |= {ground(f"{tag}_e", "a", f"y{i}"), ground(f"{tag}_f", f"y{i}")}
+    return AbductionProblem(program, frozenset(), frozenset(hypotheses), (ground(tag, "a"),))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda tag, last: last | {ground(f"{tag}_e", "a", "y0")}, "not minimal"),
+        (lambda tag, last: frozenset({ground(f"{tag}_e", "a", "y29"), ground(f"{tag}_f", "y28")}), "does not entail"),
+    ],
+)
+def test_invariant_check_reads_worlds_past_the_64th(monkeypatch, bad, message):
+    # the bad set comes last in the family, so its worlds are numbered
+    # from 87 on: the check must read bits beyond one machine word
+    tag = "wide_" + message.split()[-1]
+    problem = _wide_problem(tag, 30)
+    true_family = list(solve_diagnoses(problem))
+    assert len(true_family) == 30
+    family = true_family[:-1] + [bad(tag, true_family[-1])]
+    monkeypatch.setattr(abduction, "_minimal_why", _fake_why(family))
+    solve_diagnoses.cache_clear()
+    with pytest.raises(InternalInvariantError, match=message) as err:
+        solve_diagnoses(problem)
+    assert str(err.value).startswith(f"diagnosis {abduction._render(family[-1])} ")

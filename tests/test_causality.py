@@ -13,6 +13,7 @@ from whyd.causality import (
 from whyd.errors import NotACauseError, NotAnAnswerError, NotEndogenousError
 from whyd.evaluator import holds
 from whyd.model import Instance, ground
+from whyd.parsing import parse_instance, parse_program
 
 import corpus
 import oracle
@@ -241,3 +242,12 @@ def test_oracle_equivalence_on_random_corpus():
         assert most_responsible_causes(case.instance, case.program, case.answer) == oracle.most_responsible_causes(
             sweep, case.answer
         ), case
+
+
+def test_goal_fact_in_the_instance_is_not_a_cause():
+    # the Boolean goal added for a non-Boolean answer is fresh for the
+    # instance's predicates as well as the program's
+    program = parse_program("ans(X) :- r(X, Y).")
+    instance = parse_instance("r(a, b).\nr(a, c).\ngoal.\ngoal_1.\n")
+    reports = cause_reports(instance, program, atom("ans(a)"))
+    assert [(str(r.cause), r.responsibility) for r in reports] == [("r(a, b)", Fraction(1, 2)), ("r(a, c)", Fraction(1, 2))]

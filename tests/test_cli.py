@@ -291,3 +291,24 @@ def test_exit_code_3_when_a_result_fails_its_check(tmp_path, monkeypatch, capsys
     code = cli.main(["abduce", "-p", str(program), "-d", str(data)])
     assert code == 3
     assert "does not entail" in _error_object(capsys.readouterr(), "InternalInvariant")["message"]
+
+
+def test_goal_fact_is_not_mistaken_for_the_answer(tmp_path):
+    # the fresh Boolean goal must avoid the instance's predicates too
+    program, data = tmp_path / "g.dl", tmp_path / "g.facts"
+    program.write_text("ans(X) :- r(X, Y).\n")
+    data.write_text("r(a, b).\nr(a, c).\ngoal.\n")
+    code, output = _run(["causes", "-p", str(program), "-d", str(data), "-t", "ans(a)"])
+    assert code == 0
+    causes = json.loads(output)["payload"]["causes"]
+    assert [(c["tuple"], c["responsibility"]) for c in causes] == [("r(a, b)", "1/2"), ("r(a, c)", "1/2")]
+
+
+@pytest.mark.parametrize("section", ["#exogenous", "#endogenous"])
+def test_obs_goal_fact_is_not_mistaken_for_the_observation(section, tmp_path):
+    program, data = tmp_path / "o.dl", tmp_path / "o.facts"
+    program.write_text("q(X) :- e(X, Y), f(Y).\n")
+    data.write_text(f"{section}\nobs_goal.\n#endogenous\ne(a, b).\nf(b).\n#observe\nq(a).\n")
+    code, output = _run(["abduce", "-p", str(program), "-d", str(data)])
+    assert code == 0
+    assert json.loads(output)["payload"]["diagnoses"] == [["e(a, b)", "f(b)"]]

@@ -12,10 +12,11 @@ from whyd.evaluator import (
     _plan,
     answers,
     evaluate_fixpoint,
+    evaluate_worlds,
     holds,
     specialize_to_answer,
 )
-from whyd.model import Atom, Comparison, Constant, Instance, Program, Rule, Variable, ground
+from whyd.model import Atom, Comparison, Constant, GroundAtom, Instance, Program, Rule, Variable, ground
 from whyd.parsing import parse_program
 from whyd.phca import encode_phca
 
@@ -302,3 +303,77 @@ def test_concurrent_evaluations_are_safe():
         for _ in range(5):
             results = list(pool.map(lambda s: evaluate_fixpoint(program, s).atoms(), subsets))
             assert results == expected
+
+
+# -- the world-parallel pass ---------------------------------------------------
+
+
+def _random_worlds(rng: random.Random, pool: list[GroundAtom], count: int) -> list[frozenset[GroundAtom]]:
+    """``count`` random subsets of ``pool``, some of them relabelled, with
+    an empty world and a repeat of the first among them."""
+    worlds = []
+    for i in range(count):
+        picked = [a for a in pool if rng.random() < 0.5]
+        if rng.random() < 0.3:
+            picked = [a.with_label(f"w{i}_{j}") for j, a in enumerate(picked)]
+        worlds.append(frozenset(picked))
+    worlds[rng.randrange(count)] = frozenset()
+    worlds.insert(rng.randrange(count + 1), worlds[0])
+    return worlds
+
+
+def _assert_worlds_match_naive(program: Program, worlds, shared, context) -> None:
+    models = evaluate_worlds(program, worlds, shared)
+    for i, world in enumerate(worlds):
+        expected = naive_fixpoint(program, set(shared) | set(world))
+        assert {a for a, mask in models.masks.items() if mask >> i & 1} == expected, (context, i)
+        answer = program.answer_predicate
+        assert models.extension(answer, i) == {a for a in expected if a.predicate == answer}
+        assert all(models.holds(a, i) for a in expected)
+
+
+def test_world_pass_matches_naive_per_world():
+    # every world's model equals the naive fixpoint over that world, for
+    # corpus programs (one fact of their instance forced by a bodiless
+    # rule, some derived atoms seeded as facts), programs with = and !=,
+    # and PHCA encodings; some cases have more than 64 worlds
+    shapes = Counter()
+    for seed in range(240):
+        rng = random.Random(seed + 30_000)
+        case = corpus.generate_case(seed)
+        facts = sorted(case.instance.atoms, key=GroundAtom.sort_key)
+        forced = rng.choice(facts)
+        program = Program(case.program.rules + (Rule(forced.to_atom(), ()),), "ans")
+        derived = sorted(naive_fixpoint(case.program, facts) - set(facts), key=GroundAtom.sort_key)
+        pool = facts + rng.sample(derived, min(2, len(derived)))
+        count = 70 if seed % 8 == 0 else rng.randint(1, 9)
+        shared = [a for a in facts if rng.random() < 0.2]
+        _assert_worlds_match_naive(program, _random_worlds(rng, pool, count), shared, case)
+        heads = [r.head.predicate for r in case.program.rules]
+        shapes["recursive" if "path" in heads else "union" if heads.count("ans") > 1 else "other"] += 1
+        shapes["wide"] += count > 64
+    for seed in range(100):
+        rng = random.Random(seed)
+        program = _random_comparison_program(rng)
+        pool = sorted({ground("e", rng.choice("abc"), rng.choice("abc")) for _ in range(6)}, key=GroundAtom.sort_key)
+        pool += [ground("f", c) for c in "ab"] + [ground("p", "a", "b")]
+        count = 66 if seed % 10 == 0 else rng.randint(1, 6)
+        _assert_worlds_match_naive(program, _random_worlds(rng, pool, count), (), seed)
+        shapes["comparisons"] += 1
+    for seed in range(40):
+        rng = random.Random(seed + 40_000)
+        problem = encode_phca(corpus.random_phca(seed))
+        hypotheses = sorted(problem.hypotheses, key=GroundAtom.sort_key)
+        worlds = _random_worlds(rng, hypotheses, rng.randint(1, 8))
+        _assert_worlds_match_naive(problem.program, worlds, problem.extensional, seed)
+        shapes["phca"] += 1
+    assert shapes["recursive"] >= 20 and shapes["union"] >= 20 and shapes["wide"] >= 30, shapes
+
+
+def test_world_pass_of_one_world_is_the_fixpoint():
+    program, instance = load_program("graph.dl"), load_instance("graph.facts")
+    models = evaluate_worlds(program, [instance.atoms])
+    model = evaluate_fixpoint(program, instance)
+    assert set(models.masks) == model.atoms() and set(models.masks.values()) == {1}
+    assert models.relations == model.relations
+    assert evaluate_worlds(program, []).masks == {}
