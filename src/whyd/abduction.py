@@ -5,11 +5,12 @@ A diagnosis is a subset-minimal set of hypothesis atoms that, added to
 the background theory (program plus extensional facts), entails the
 observation.  The diagnoses are the observation's minimal
 why-provenance: one pass annotates the ground derivation graph of the
-full model (every hypothesis added) with antichains of hypothesis sets
-in the absorptive PosBool semiring (Green, Karvounarakis & Tannen, PODS
-2007), and the goal's antichain is the diagnosis family.  The same pass
-over every answer of a program at once gives each answer's minimal
-support sets (``support_families``), behind view-conditioned causes and
+full model (every hypothesis added), which the fixpoint records as it
+runs, with antichains of hypothesis sets in the absorptive PosBool
+semiring (Green, Karvounarakis & Tannen, PODS 2007), and the goal's
+antichain is the diagnosis family.  The same pass over every answer of
+a program at once gives each answer's minimal support sets
+(``support_families``), behind view-conditioned causes and
 side-effect-free deletions.  Each family is checked by direct
 evaluation before it is returned: every set, and every set with one
 element dropped, is a world of one world-parallel fixpoint.
@@ -30,8 +31,7 @@ from .errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from .evaluator import MinimalModel, Relation, _instantiate, _join, _rule_plan, evaluate_fixpoint, fresh_predicate
-from .evaluator import evaluate_worlds
+from .evaluator import Firings, evaluate_fixpoint, evaluate_worlds, fresh_predicate
 from .hitting import _prune, minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
@@ -81,12 +81,13 @@ class AbductionProblem:
         goal_program, goal = _conjunction_program(self.program, self.observation, {a.predicate for a in facts})
         object.__setattr__(self, "_goal_program", goal_program)
         object.__setattr__(self, "_goal", goal)
-        model = evaluate_fixpoint(goal_program, facts)
-        if goal not in model:
+        # the goal is fresh, so only its rule derives it
+        firings = evaluate_fixpoint(goal_program, facts).firings
+        if goal not in firings:
             raise ObservationNotEntailableError(
                 "the observation is not entailed even with every hypothesis added"
             )
-        object.__setattr__(self, "_full_model", model)
+        object.__setattr__(self, "_firings", firings)
         # diagnoses are cached without tuple labels; these put them back
         object.__setattr__(self, "_labelled", _labelled(self.hypotheses))
 
@@ -100,42 +101,33 @@ class AbductionProblem:
 
 
 def _minimal_why(
-    rules: tuple[Rule, ...],
-    model: MinimalModel,
+    firings: Firings,
     extensional: frozenset[GroundAtom],
     hypotheses: frozenset[GroundAtom],
     goals: tuple[GroundAtom, ...],
 ) -> dict[GroundAtom, list[Diagnosis]]:
     """Each goal's minimal why-provenance over the hypotheses: the
-    subset-minimal hypothesis sets that derive it, given the model of the
-    rules over the extensional facts and every hypothesis.
+    subset-minimal hypothesis sets that derive it, given the derivation
+    graph (``MinimalModel.firings``) of the model over the extensional
+    facts and every hypothesis.
 
     Every derivation from the background plus some hypotheses only uses
-    ground rule instances that fire in that model, so one join per rule
-    over it gives the whole derivation graph; only atoms reachable
-    backward from a goal matter.  Each atom is annotated with an
+    ground rule instances that fire in that model, so the graph holds
+    them all; only atoms reachable backward from a goal matter, and a
+    head's bodies count as a set.  Each atom is annotated with an
     antichain in the absorptive PosBool semiring: background facts with
     {∅}, other hypotheses h with {{h}}, a firing with the pairwise unions
     of its body antichains, an atom with the minimal sets over its
     firings.  A worklist re-fires the users of every atom whose antichain
     changed until nothing does; antichains only move down a finite
     lattice, so it terminates."""
-    relations = {p: Relation(facts) for p, facts in model.relations.items()}
-    empty = Relation(frozenset())
-    firings: dict[GroundAtom, list[tuple[GroundAtom, ...]]] = {}
-    for rule in rules:
-        plan = _rule_plan(rule)
-        sources = [relations.get(a.predicate, empty) for a in plan.atoms]
-        for binding, body in _join(plan, sources):
-            firings.setdefault(_instantiate(rule.head, binding), []).append(body)
-
     # users[b]: the firings (head, body) of reached heads with b in the body
     users: dict[GroundAtom, list[tuple[GroundAtom, tuple[GroundAtom, ...]]]] = {}
     reached = set(goals)
     frontier = list(reached)
     while frontier:
         head = frontier.pop()
-        for body in firings.get(head, ()):
+        for body in set(firings.get(head, ())):
             for atom in set(body):
                 users.setdefault(atom, []).append((head, body))
                 if atom not in reached:
@@ -230,8 +222,8 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
 @lru_cache(maxsize=None)
 def _diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     goal_program, goal = problem._goal_program, problem._goal  # type: ignore[attr-defined]
-    model = problem._full_model  # type: ignore[attr-defined]
-    found = _minimal_why(goal_program.rules, model, problem.extensional, problem.hypotheses, (goal,))
+    firings = problem._firings  # type: ignore[attr-defined]
+    found = _minimal_why(firings, problem.extensional, problem.hypotheses, (goal,))
     _check(goal_program, problem.extensional, found)
     return canonical_family(found[goal])
 
@@ -243,11 +235,12 @@ def support_families(
     mapped to its minimal support sets in canonical order: the
     subset-minimal sets of deletable facts that derive the answer
     together with the fixed ones.  The sets hold the caller's labelled
-    atoms.  One fixpoint, one join per rule and one provenance pass
-    serve every answer, and ``_check`` verifies every family."""
+    atoms.  One fixpoint, which records the derivation graph, and one
+    provenance pass over it serve every answer, and ``_check`` verifies
+    every family."""
     model = evaluate_fixpoint(program, fixed | deletable)
     answers = tuple(sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key))
-    found = _minimal_why(program.rules, model, fixed, deletable, answers)
+    found = _minimal_why(model.firings, fixed, deletable, answers)
     _check(program, fixed, found)
     labelled = _labelled(deletable)
     return {answer: _relabel(canonical_family(family), labelled) for answer, family in found.items()}

@@ -6,10 +6,11 @@ holds it, and a round's delta is the atoms whose mask grew (per
 predicate; in the first round every fact is new, so each rule is joined
 once over the full relations).  ``evaluate_fixpoint`` is the one-world
 case; ``evaluate_worlds`` serves callers that need many related models,
-such as abduction's check of every candidate set.  ``_join`` is the one
-routine that matches a conjunction of atoms against facts: the
-semi-naive rounds, the derivation graph behind abduction's diagnoses
-and every integrity constraint check go through it.  It follows a plan
+such as abduction's check of every candidate set; the one-world pass
+also records the model's derivation graph (``MinimalModel.firings``),
+behind abduction's diagnoses.  ``_join`` is the one routine that
+matches a conjunction of atoms against facts: the semi-naive rounds and
+every integrity constraint check go through it.  It follows a plan
 compiled once per rule or constraint (``_plan``): the delta atom first,
 then greedily the atom with the most bound positions.  A step whose
 positions are partly bound probes a hash index of its relation on them
@@ -25,6 +26,7 @@ set of all ground atoms over known predicates and constants.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotAnAnswerError, UnknownPredicateError
@@ -40,18 +42,23 @@ from .model import (
 )
 
 
+Firings = dict[GroundAtom, list[tuple[GroundAtom, ...]]]
+
+
 class MinimalModel:
     """The least set of ground atoms closed under the program's rules.
 
-    ``round_of`` maps each atom to the first iteration in which it was
-    derived; input facts (and unconditional program facts) are round 0.
+    ``firings`` is its ground derivation graph: each head, seeded or not,
+    maps to the bodies (facts in textual atom order, ``()`` for a rule
+    without atoms) of the rule instances that fire in the model; a body
+    may be listed twice.
     """
 
-    __slots__ = ("relations", "round_of")
+    __slots__ = ("relations", "firings")
 
-    def __init__(self, relations: Mapping[str, frozenset[GroundAtom]], round_of: Mapping[GroundAtom, int]):
+    def __init__(self, relations: Mapping[str, frozenset[GroundAtom]], firings: Firings):
         self.relations = dict(relations)
-        self.round_of = dict(round_of)
+        self.firings = firings
 
     def atoms(self) -> frozenset[GroundAtom]:
         out: set[GroundAtom] = set()
@@ -77,8 +84,8 @@ class Relation:
     than constants); facts of another arity can never match an atom of
     this arity and are left out.  An index is built on first use and kept
     current by ``update``, so it is built at most once per relation.
-    Relations are scratch data of one join pass (a fixpoint, a provenance
-    pass, a constraint check): keep none longer.
+    Relations are scratch data of one join pass (a fixpoint or a
+    constraint check): keep none longer.
     """
 
     __slots__ = ("facts", "_indexes")
@@ -284,9 +291,9 @@ def _join(
 ) -> Iterator[tuple[dict[Variable, Constant], tuple[GroundAtom, ...]]]:
     """Every way of matching ``plan.atoms[i]`` against a fact of
     ``sources[i]`` that extends ``binding``, as (binding, matched facts),
-    the facts in textual atom order.  ``binding`` binds the variables the
-    plan was compiled with as bound.  Each comparison is checked as soon
-    as its variables are bound."""
+    the facts in textual atom order (for a rule, a firing's body).
+    ``binding`` binds the variables the plan was compiled with as bound.
+    Each comparison is checked as soon as its variables are bound."""
     binding = binding or {}
     if not plan.safe or not all(_comparison_holds(c, binding) for c in plan.pre_checks):
         return
@@ -322,9 +329,7 @@ def _join(
             pos -= 1
 
 
-def _semi_naive(
-    program: Program, masks: dict[GroundAtom, int], full: int
-) -> tuple[dict[str, Relation], dict[GroundAtom, int]]:
+def _semi_naive(program: Program, masks: dict[GroundAtom, int], full: int) -> tuple[dict[str, Relation], Firings]:
     """The one semi-naive loop, over worlds (fact sets) at once.
 
     ``masks`` maps each label-free seed fact to the bitmask of the worlds
@@ -336,9 +341,11 @@ def _semi_naive(
     previous round left them, so a firing whose body last grew in round r
     is joined in round r + 1 with final masks.  The relations hold the
     union of the worlds' models, so joins, plans and indexes are those of
-    one model.  Returns the relations and each atom's first round."""
+    one model.  Returns the relations and, for one world, the derivation
+    graph (``MinimalModel.firings``): each firing is recorded when it is
+    joined, in the round after its last body atom appeared."""
     single = full == 1
-    round_of = dict.fromkeys(masks, 0)
+    firings: Firings = defaultdict(list)
     rules = []
     for rule in program.rules:
         atoms = tuple(rule.body_atoms())
@@ -347,10 +354,11 @@ def _semi_naive(
             continue
         # no atom to carry a delta: such a rule fires once, in round 0,
         # in every world
-        for binding, _ in _join(_rule_plan(rule), ()):
+        for binding, body in _join(_rule_plan(rule), ()):
             fact = _instantiate(rule.head, binding)
             masks[fact] = full
-            round_of.setdefault(fact, 0)
+            if single:
+                firings[fact].append(body)
     seeds: dict[str, set[GroundAtom]] = {}
     for fact in masks:
         seeds.setdefault(fact.predicate, set()).add(fact)
@@ -358,13 +366,12 @@ def _semi_naive(
     relations = {p: Relation(facts) for p, facts in seeds.items()}
     empty = Relation(frozenset())
     deltas: dict[str, Relation] = {}
-    iteration = 0
-    while iteration == 0 or deltas:
-        iteration += 1
+    first = True
+    while first or deltas:
         produced: dict[GroundAtom, int] = {}
         for rule, atoms, plans in rules:
             sources = [relations.get(a.predicate, empty) for a in atoms]
-            if iteration == 1:
+            if first:
                 # every fact is new: one join over the full relations
                 joins = [(_rule_plan(rule), -1)]
             else:
@@ -380,8 +387,10 @@ def _semi_naive(
                     full_source, sources[i] = sources[i], deltas[atoms[i].predicate]
                 if single:
                     # every mask is 1, and so is every firing's
-                    for binding, _ in _join(plan, sources):
-                        produced[_instantiate(head, binding)] = 1
+                    for binding, body in _join(plan, sources):
+                        fact = _instantiate(head, binding)
+                        produced[fact] = 1
+                        firings[fact].append(body)
                 else:
                     for binding, body in _join(plan, sources):
                         mask = full
@@ -392,6 +401,7 @@ def _semi_naive(
                             produced[fact] = produced.get(fact, 0) | mask
                 if i >= 0:
                     sources[i] = full_source
+        first = False
         # fresh: new to every world; grown: held before, in fewer worlds
         fresh: dict[str, set[GroundAtom]] = {}
         grown: dict[str, set[GroundAtom]] = {}
@@ -399,7 +409,6 @@ def _semi_naive(
             old = masks.get(fact, 0)
             if not old:
                 masks[fact] = mask
-                round_of[fact] = iteration
                 fresh.setdefault(fact.predicate, set()).add(fact)
             elif old | mask != old:
                 masks[fact] = old | mask
@@ -412,19 +421,19 @@ def _semi_naive(
         for p, facts in grown.items():
             fresh.setdefault(p, set()).update(facts)
         deltas = {p: Relation(facts) for p, facts in fresh.items()}
-    return relations, round_of
+    return relations, firings
 
 
 def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom]) -> MinimalModel:
-    """Least fixpoint of ``program`` over the given facts: the one-world
-    case of the semi-naive loop.
+    """Least fixpoint of ``program`` over the given facts, with its
+    derivation graph: the one-world case of the semi-naive loop.
 
     Facts may mention intensional predicates; they simply seed the model,
     which is what the abduction-to-causality constructions rely on.
     """
     base = instance.atoms if isinstance(instance, Instance) else instance
-    relations, round_of = _semi_naive(program, dict.fromkeys(_strip_labels(base), 1), 1)
-    return MinimalModel({p: frozenset(rel.facts) for p, rel in relations.items()}, round_of)
+    relations, firings = _semi_naive(program, dict.fromkeys(_strip_labels(base), 1), 1)
+    return MinimalModel({p: frozenset(rel.facts) for p, rel in relations.items()}, firings)
 
 
 class WorldModels:
@@ -504,10 +513,14 @@ def specialize_to_answer(
     for the program and the predicates ``avoid`` (those of the instance
     it runs on, where a ``goal`` fact would otherwise answer it); for an
     already-Boolean program queried on its own answer atom the program
-    is returned unchanged.
+    is returned unchanged.  An atom of another predicate or arity raises
+    ``NotAnAnswerError``.
     """
     if answer.predicate != program.answer_predicate:
         raise NotAnAnswerError(f"{answer} is not over the answer predicate {program.answer_predicate}")
+    arity = program.arity_of(answer.predicate)
+    if arity is not None and arity != answer.arity:
+        raise NotAnAnswerError(f"{answer} has arity {answer.arity}, but the answer predicate has arity {arity}")
     if program.is_boolean() and answer.arity == 0:
         return program, answer
     taken = {r.head.predicate for r in program.rules}

@@ -136,17 +136,3 @@ def encode_phca(problem: PropositionalHornAbduction) -> AbductionProblem:
     hypotheses = frozenset(GroundAtom("t", (Constant(h),)) for h in sorted(problem.hypotheses))
     observation = tuple(GroundAtom("t", (Constant(o),)) for o in problem.observations)
     return AbductionProblem(program, extensional, hypotheses, observation)
-
-
-def horn_closure(rules: tuple[HornRule, ...], facts: frozenset[str]) -> frozenset[str]:
-    """Forward closure of a definite Horn rule set over the given facts."""
-    known = set(facts)
-    known.update(head for head, body in rules if not body)
-    changed = True
-    while changed:
-        changed = False
-        for head, body in rules:
-            if head not in known and all(b in known for b in body):
-                known.add(head)
-                changed = True
-    return frozenset(known)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from whyd.abduction import (
     necessity_degree,
     relevant_hypotheses,
     solve_diagnoses,
+    support_families,
     to_causal_abduction,
 )
 from whyd.causality import CauseAnalysis, cause_reports, causes, responsibility
@@ -383,7 +385,7 @@ def _fresh_problem(tag: str) -> AbductionProblem:
 
 def _fake_why(family):
     """A provenance pass that gives every goal ``family``."""
-    return lambda rules, model, extensional, hypotheses, goals: {goal: list(family) for goal in goals}
+    return lambda firings, extensional, hypotheses, goals: {goal: list(family) for goal in goals}
 
 
 def test_invariant_check_rejects_non_minimal_family(monkeypatch):
@@ -426,7 +428,7 @@ hypotheses = frozenset({ground("e", "a", "b"), ground("f", "b"), ground("f", "c"
 for fake in ([frozenset(hypotheses)], [frozenset({ground("e", "a", "b")})]):
     problem = AbductionProblem(program, frozenset(), hypotheses, (ground("q", "a"),))
     solve_diagnoses.cache_clear()
-    abduction._minimal_why = lambda rules, model, ext, hyps, goals, fake=fake: {g: fake for g in goals}
+    abduction._minimal_why = lambda firings, ext, hyps, goals, fake=fake: {g: fake for g in goals}
     try:
         solve_diagnoses(problem)
     except InternalInvariantError as exc:
@@ -512,34 +514,68 @@ def test_obs_goal_fact_is_not_mistaken_for_the_observation():
 # -- the check is one world-parallel pass ---------------------------------------
 
 
-def _counted_passes(monkeypatch, facts: list[str], target: str):
-    """The diagnoses of one fresh solve and the number of entries into
-    the evaluator's semi-naive loop it took, the full model included."""
-    calls = []
-    real = evaluator._semi_naive
+def _count_loop_work(monkeypatch) -> Counter:
+    """Counts from now on the entries into the evaluator's semi-naive
+    loop ("passes") and the ``_match`` calls, the one place a binding is
+    extended, made inside that loop ("inside") and outside it
+    ("outside")."""
+    counts: Counter = Counter()
+    real_loop, real_match = evaluator._semi_naive, evaluator._match
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def loop(*args):
+        counts["passes"] += 1
+        counts["depth"] += 1
+        try:
+            return real_loop(*args)
+        finally:
+            counts["depth"] -= 1
 
-    monkeypatch.setattr(evaluator, "_semi_naive", counted)
+    def match(*args):
+        counts["inside" if counts["depth"] else "outside"] += 1
+        return real_match(*args)
+
+    monkeypatch.setattr(evaluator, "_semi_naive", loop)
+    monkeypatch.setattr(evaluator, "_match", match)
+    return counts
+
+
+def _fresh_solve(facts: list[str], target: str):
+    """The diagnoses of a solve on the transitive closure that no cache
+    answers."""
     instance = parse_instance("".join(f + ".\n" for f in facts))
     boolean, goal = specialize_to_answer(_TC, parse_ground_atom(target))
     solve_diagnoses.cache_clear()
-    solutions = solve_diagnoses(AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,)))
-    return solutions, len(calls)
+    return solve_diagnoses(AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,)))
+
+
+_CHAIN = [f"e(wc{i}, wc{i + 1})" for i in range(16)]
+_LADDER = [e for j in range(8) for e in (f"e(wl, wl{j})", f"e(wl{j}, wlt)")]
 
 
 def test_chain_and_ladder_solves_take_two_passes(monkeypatch):
     # the full model, then one pass for every candidate set of the check:
     # 18 and 25 fixpoints when each set had a fixpoint of its own
-    n, k = 16, 8
-    chain = [f"e(wc{i}, wc{i + 1})" for i in range(n)]
-    solutions, passes = _counted_passes(monkeypatch, chain, f"ans(wc0, wc{n})")
-    assert len(solutions) == 1 and len(solutions[0]) == n and passes <= 2
-    ladder = [e for j in range(k) for e in (f"e(wl, wl{j})", f"e(wl{j}, wlt)")]
-    solutions, passes = _counted_passes(monkeypatch, ladder, "ans(wl, wlt)")
-    assert len(solutions) == k and passes <= 2
+    counts = _count_loop_work(monkeypatch)
+    solutions = _fresh_solve(_CHAIN, "ans(wc0, wc16)")
+    assert len(solutions) == 1 and len(solutions[0]) == 16 and counts["passes"] <= 2
+    counts.clear()
+    solutions = _fresh_solve(_LADDER, "ans(wl, wlt)")
+    assert len(solutions) == 8 and counts["passes"] <= 2
+
+
+def test_solves_and_view_supports_join_only_inside_the_fixpoint_loop(monkeypatch):
+    # the provenance pass reads the derivation graph the full model's
+    # fixpoint recorded; joining every rule over that model again cost a
+    # chain-16 solve 545 of its 1,635 binding extensions
+    counts = _count_loop_work(monkeypatch)
+    for facts, target in ((_CHAIN, "ans(wc0, wc16)"), (_LADDER, "ans(wl, wlt)")):
+        counts.clear()
+        _fresh_solve(facts, target)
+        assert counts["inside"] > 0 and counts["outside"] == 0, (target, counts)
+    counts.clear()
+    program, instance = load_program("access.dl"), load_instance("access.facts")
+    assert len(support_families(program, instance.exogenous, instance.endogenous)) == 7
+    assert counts["inside"] > 0 and counts["outside"] == 0, counts
 
 
 def _wide_problem(tag: str, width: int) -> AbductionProblem:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whyd import cli
 
@@ -287,7 +289,10 @@ def test_exit_code_3_when_a_result_fails_its_check(tmp_path, monkeypatch, capsys
     program, data = tmp_path / "inv.dl", tmp_path / "inv.facts"
     program.write_text("inv_q :- inv_h(X).\n")
     data.write_text("inv_h(a).\n#observe\ninv_q.\n")
-    monkeypatch.setattr(abduction, "_minimal_why", lambda *args: {goal: [frozenset()] for goal in args[-1]})
+    def fake(firings, extensional, hypotheses, goals):
+        return {goal: [frozenset()] for goal in goals}
+
+    monkeypatch.setattr(abduction, "_minimal_why", fake)
     code = cli.main(["abduce", "-p", str(program), "-d", str(data)])
     assert code == 3
     assert "does not entail" in _error_object(capsys.readouterr(), "InternalInvariant")["message"]
@@ -312,3 +317,96 @@ def test_obs_goal_fact_is_not_mistaken_for_the_observation(section, tmp_path):
     code, output = _run(["abduce", "-p", str(program), "-d", str(data)])
     assert code == 0
     assert json.loads(output)["payload"]["diagnoses"] == [["e(a, b)", "f(b)"]]
+
+
+_TARGETED = {
+    "causes": ["causes"],
+    "causes-ics": ["causes", "-c", "ICS"],
+    "responsibility": ["responsibility", "--tuple", "e(a, b)"],
+    "responsibility-ics": ["responsibility", "--tuple", "e(a, b)", "-c", "ICS"],
+    "mrc": ["mrc"],
+    "vc-causes": ["vc-causes"],
+    **{f"delprop-{mode}": ["delprop", "--mode", mode] for mode in sorted(cli._DELPROP_MODES)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TARGETED))
+def test_target_of_the_wrong_arity_is_not_an_answer(name, tmp_path, capsys):
+    program, data, ics = tmp_path / "a.dl", tmp_path / "a.facts", tmp_path / "a.ics"
+    program.write_text("ans(X) :- e(X, Y).\n")
+    data.write_text("e(a, b).\nf(a).\n")
+    ics.write_text("e(X, Y) => f(X).\n")
+    argv = [str(ics) if arg == "ICS" else arg for arg in _TARGETED[name]]
+    code = cli.main(argv + ["-p", str(program), "-d", str(data), "-t", "ans(a, b)"])
+    assert code == 3
+    assert _error_object(capsys.readouterr(), "NotAnAnswer")["message"].startswith("ans(a, b) ")
+
+
+# -- the exit-code contract on arbitrary input ---------------------------------
+
+_CONTRACT_CASES = [
+    ("aj.dl", "aj.facts", "ans(john, xml)"),
+    ("access.dl", "access.facts", "access(joe, f1)"),
+    ("graph.dl", "graph.facts", "ans(c, e)"),
+    ("rs.dl", "rs_abduce.facts", "ans"),
+    ("circuit.dl", "circuit.facts", "zero(d)"),
+]
+
+
+def _mangled(draw, data: bytes) -> bytes:
+    """``data`` itself (half the time), cut short, or arbitrary text or
+    bytes."""
+    how = draw(st.sampled_from(["keep", "keep", "keep", "cut", "text", "bytes"]))
+    if how == "keep":
+        return data
+    if how == "cut":
+        return data[: draw(st.integers(0, len(data)))]
+    if how == "text":
+        return draw(st.text(max_size=60)).encode("utf-8", "surrogatepass")
+    return draw(st.binary(max_size=60))
+
+
+@st.composite
+def _contract_inputs(draw):
+    """A subcommand with a fixture's program and facts, each kept, cut
+    short or replaced by arbitrary text or bytes, and a target of any
+    fixture or arbitrary text."""
+    program, data, _ = draw(st.sampled_from(_CONTRACT_CASES))
+    command = draw(st.sampled_from(["eval", "causes", "vc-causes", "abduce", "delprop"]))
+    program_bytes = _mangled(draw, (FIXTURES / program).read_bytes())
+    data_bytes = _mangled(draw, (FIXTURES / data).read_bytes())
+    target = draw(st.one_of(st.sampled_from([target for _, _, target in _CONTRACT_CASES]), st.text(max_size=40)))
+    return command, program_bytes, data_bytes, target, draw(st.sampled_from(sorted(cli._DELPROP_MODES)))
+
+
+def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
+    # any call exits 0, 2 or 3 without raising, and a failing one writes
+    # the JSON error object
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    folder = tmp_path_factory.mktemp("contract")
+    program, data = folder / "input.dl", folder / "input.facts"
+
+    @settings(max_examples=150, deadline=None)
+    @given(_contract_inputs())
+    def run(case):
+        command, program_bytes, data_bytes, target, mode = case
+        program.write_bytes(program_bytes)
+        data.write_bytes(data_bytes)
+        argv = [command, "-p", str(program), "-d", str(data)]
+        if command in ("causes", "vc-causes", "delprop"):
+            argv.append(f"--target={target}")  # one argument, even when it starts with "-"
+        if command == "delprop":
+            argv += ["--mode", mode]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        if code:
+            document = json.loads(out.getvalue())
+            assert document["schema"] == "whyd/1"
+            assert set(document["error"]) == {"code", "message"}
+            assert err.getvalue() == f"whyd: {document['error']['message']}\n"
+
+    run()

@@ -226,14 +226,6 @@ def test_phca_relevance_binding_extensions_stay_bounded(monkeypatch):
     assert 0 < calls <= 178_000, calls
 
 
-def test_derivation_rounds_increase_along_paths():
-    program, instance = load_program("graph.dl"), load_instance("graph.facts")
-    model = evaluate_fixpoint(program, instance)
-    assert model.round_of[ground("e", "c", "a")] == 0
-    assert model.round_of[ground("p", "c", "a")] == 1
-    assert model.round_of[ground("p", "c", "b")] <= model.round_of[ground("p", "c", "e")]
-
-
 def test_extensional_relations_match_input():
     program, instance = load_program("aj.dl"), load_instance("aj.facts")
     model = evaluate_fixpoint(program, instance)
@@ -332,6 +324,29 @@ def _assert_worlds_match_naive(program: Program, worlds, shared, context) -> Non
         assert all(models.holds(a, i) for a in expected)
 
 
+def _seeded_corpus_case(seed: int):
+    """A corpus case; its program with one fact of the instance forced by
+    a bodiless rule; the instance's facts; a pool of them plus up to two
+    derived atoms seeded as facts; and the random generator, for the
+    caller to draw worlds with."""
+    rng = random.Random(seed + 30_000)
+    case = corpus.generate_case(seed)
+    facts = sorted(case.instance.atoms, key=GroundAtom.sort_key)
+    forced = rng.choice(facts)
+    program = Program(case.program.rules + (Rule(forced.to_atom(), ()),), "ans")
+    derived = sorted(naive_fixpoint(case.program, facts) - set(facts), key=GroundAtom.sort_key)
+    return case, program, facts, facts + rng.sample(derived, min(2, len(derived))), rng
+
+
+def _comparison_case(seed: int):
+    """A program with = and !=, a pool of facts over it holding the
+    derived p(a, b), and the random generator."""
+    rng = random.Random(seed)
+    program = _random_comparison_program(rng)
+    pool = sorted({ground("e", rng.choice("abc"), rng.choice("abc")) for _ in range(6)}, key=GroundAtom.sort_key)
+    return program, pool + [ground("f", c) for c in "ab"] + [ground("p", "a", "b")], rng
+
+
 def test_world_pass_matches_naive_per_world():
     # every world's model equals the naive fixpoint over that world, for
     # corpus programs (one fact of their instance forced by a bodiless
@@ -339,13 +354,7 @@ def test_world_pass_matches_naive_per_world():
     # and PHCA encodings; some cases have more than 64 worlds
     shapes = Counter()
     for seed in range(240):
-        rng = random.Random(seed + 30_000)
-        case = corpus.generate_case(seed)
-        facts = sorted(case.instance.atoms, key=GroundAtom.sort_key)
-        forced = rng.choice(facts)
-        program = Program(case.program.rules + (Rule(forced.to_atom(), ()),), "ans")
-        derived = sorted(naive_fixpoint(case.program, facts) - set(facts), key=GroundAtom.sort_key)
-        pool = facts + rng.sample(derived, min(2, len(derived)))
+        case, program, facts, pool, rng = _seeded_corpus_case(seed)
         count = 70 if seed % 8 == 0 else rng.randint(1, 9)
         shared = [a for a in facts if rng.random() < 0.2]
         _assert_worlds_match_naive(program, _random_worlds(rng, pool, count), shared, case)
@@ -353,10 +362,7 @@ def test_world_pass_matches_naive_per_world():
         shapes["recursive" if "path" in heads else "union" if heads.count("ans") > 1 else "other"] += 1
         shapes["wide"] += count > 64
     for seed in range(100):
-        rng = random.Random(seed)
-        program = _random_comparison_program(rng)
-        pool = sorted({ground("e", rng.choice("abc"), rng.choice("abc")) for _ in range(6)}, key=GroundAtom.sort_key)
-        pool += [ground("f", c) for c in "ab"] + [ground("p", "a", "b")]
+        program, pool, rng = _comparison_case(seed)
         count = 66 if seed % 10 == 0 else rng.randint(1, 6)
         _assert_worlds_match_naive(program, _random_worlds(rng, pool, count), (), seed)
         shapes["comparisons"] += 1
@@ -368,6 +374,45 @@ def test_world_pass_matches_naive_per_world():
         _assert_worlds_match_naive(problem.program, worlds, problem.extensional, seed)
         shapes["phca"] += 1
     assert shapes["recursive"] >= 20 and shapes["union"] >= 20 and shapes["wide"] >= 30, shapes
+
+
+def _assert_firings_match_oracle(program: Program, facts, context) -> Counter:
+    """The fixpoint's derivation graph holds exactly the rule instances
+    whose bodies the naive model satisfies; returns what kinds of firing
+    it held."""
+    model = naive_fixpoint(program, facts)
+    by_predicate: dict[str, list[GroundAtom]] = {}
+    for fact in model:
+        by_predicate.setdefault(fact.predicate, []).append(fact)
+    expected = set()
+    for rule in program.rules:
+        atoms = list(rule.body_atoms())
+        sources = [by_predicate.get(a.predicate, []) for a in atoms]
+        for binding, body in oracle.join_matches(atoms, sources, list(rule.comparisons())):
+            head = GroundAtom(rule.head.predicate, tuple(binding.get(t, t) for t in rule.head.args))
+            expected.add((head, body))
+    firings = evaluate_fixpoint(program, facts).firings
+    assert {(head, body) for head, bodies in firings.items() for body in bodies} == expected, context
+    seeded = {GroundAtom(a.predicate, a.args) for a in facts}
+    return Counter(
+        "bodiless" if not body else "seeded head" if head in seeded else "derived" for head, body in expected
+    )
+
+
+def test_fixpoint_records_every_ground_firing():
+    # on the cases of the world-pass test: bodiless and comparison-only
+    # rules, and heads that are also seeded facts, included
+    kinds = Counter()
+    for seed in range(240):
+        _, program, _, pool, _ = _seeded_corpus_case(seed)
+        kinds += _assert_firings_match_oracle(program, pool, seed)
+    for seed in range(100):
+        program, pool, _ = _comparison_case(seed)
+        kinds += _assert_firings_match_oracle(program, pool, seed)
+    for seed in range(40):
+        problem = encode_phca(corpus.random_phca(seed))
+        kinds += _assert_firings_match_oracle(problem.program, problem.extensional | problem.hypotheses, seed)
+    assert kinds["bodiless"] >= 300 and kinds["seeded head"] >= 500 and kinds["derived"] >= 1000, kinds
 
 
 def test_world_pass_of_one_world_is_the_fixpoint():

@@ -6,7 +6,6 @@ from whyd.model import ground
 from whyd.phca import (
     PropositionalHornAbduction,
     encode_phca,
-    horn_closure,
     parse_phca,
     three_bounded,
 )
@@ -64,8 +63,8 @@ def test_three_bounded_splits_long_bodies():
     heads = [head for head, _ in rules]
     assert heads.count("a") == 1 and len(rules) == 3  # two splits for a 5-atom body
     # splitting preserves the closure semantics
-    assert "a" in horn_closure(rules, frozenset({"b1", "b2", "b3", "b4", "b5", marker}))
-    assert "a" not in horn_closure(rules, frozenset({"b1", "b2", "b3", "b4", marker}))
+    assert "a" in oracle.horn_closure(rules, frozenset({"b1", "b2", "b3", "b4", "b5", marker}))
+    assert "a" not in oracle.horn_closure(rules, frozenset({"b1", "b2", "b3", "b4", marker}))
 
 
 def test_true_marker_avoids_collisions():

@@ -233,8 +233,8 @@ def test_view_support_families_are_checked(monkeypatch, capsys):
     # caller of the one view pass must reject it, the CLI with exit 3
     real = abduction._minimal_why
 
-    def padded(rules, model, extensional, hypotheses, goals):
-        found = real(rules, model, extensional, hypotheses, goals)
+    def padded(firings, extensional, hypotheses, goals):
+        found = real(firings, extensional, hypotheses, goals)
         found[goals[0]] = [delta | hypotheses for delta in found[goals[0]]]
         return found
 
