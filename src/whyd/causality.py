@@ -95,15 +95,10 @@ class CauseAnalysis:
 
     def contingency_family(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
         solutions = self.solutions
-        through = [delta for delta in solutions if tau in delta]
+        through = tuple(i for i, delta in enumerate(solutions) if tau in delta)
         if not through:
             raise NotACauseError(f"{tau} is not an actual cause for {self.answer}")
-        avoiding = [delta for delta in solutions if tau not in delta]
-        pool = frozenset().union(*avoiding) if avoiding else frozenset()
-        family: set[frozenset[GroundAtom]] = set()
-        for anchor in through:
-            family.update(minimal_hitting_sets(avoiding, pool - anchor))
-        return canonical_family(family)
+        return _family(solutions, through)
 
     def responsibility(self, tau: GroundAtom) -> Fraction:
         if tau not in self.instance.endogenous:
@@ -114,11 +109,36 @@ class CauseAnalysis:
         return Fraction(1, 1 + min(len(g) for g in family))
 
     def reports(self) -> tuple[CauseReport, ...]:
+        """Every cause with its family and responsibility, in canonical
+        order.  A cause's family depends only on which diagnoses hold it,
+        so each distinct set of diagnoses has its family computed once
+        and shared by every cause in exactly those diagnoses."""
+        solutions = self.solutions
+        through: dict[GroundAtom, list[int]] = {}
+        for i, delta in enumerate(solutions):
+            for tau in delta:
+                through.setdefault(tau, []).append(i)
+        shared: dict[tuple[int, ...], tuple[tuple[frozenset[GroundAtom], ...], Fraction]] = {}
         out = []
-        for tau in sorted(self.causes(), key=GroundAtom.sort_key):
-            family = self.contingency_family(tau)
-            out.append(CauseReport(tau, family, Fraction(1, 1 + min(len(g) for g in family))))
+        for tau in sorted(through, key=GroundAtom.sort_key):
+            pattern = tuple(through[tau])
+            if pattern not in shared:
+                family = _family(solutions, pattern)
+                shared[pattern] = family, Fraction(1, 1 + min(len(g) for g in family))
+            out.append(CauseReport(tau, *shared[pattern]))
         return tuple(out)
+
+
+def _family(solutions: tuple[Diagnosis, ...], through: tuple[int, ...]) -> tuple[frozenset[GroundAtom], ...]:
+    """The minimal contingency sets of a cause that lies in exactly the
+    diagnoses at the indices ``through``: the minimal hitting sets of the
+    other diagnoses that avoid one of those, in canonical order."""
+    avoiding = [delta for i, delta in enumerate(solutions) if i not in through]
+    pool = frozenset().union(*avoiding)
+    family: set[frozenset[GroundAtom]] = set()
+    for i in through:
+        family.update(minimal_hitting_sets(avoiding, pool - solutions[i]))
+    return canonical_family(family)
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,12 @@ every integrity constraint check go through it.  It follows a plan
 compiled once per rule or constraint (``_plan``): the delta atom first,
 then greedily the atom with the most bound positions.  A step whose
 positions are partly bound probes a hash index of its relation on them
-(``Relation``); the first step of a plan with nothing bound scans.  The
-naive reference evaluator that the agreement tests and brute-force
+(``Relation``); the first step of a plan with nothing bound scans.
+Each step is compiled once with what ``_match`` must still check of a
+fact it reads (arity, constants a scan has not filtered, positions a
+repeated variable must agree on) and the positions that bind, and each
+rule head with a template for ``_instantiate``.  The naive reference
+evaluator that the agreement tests and brute-force
 oracles use lives in ``tests/oracle.py`` and shares no code with this
 module.
 
@@ -27,6 +31,7 @@ set of all ground atoms over known predicates and constants.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotAnAnswerError, UnknownPredicateError
@@ -121,29 +126,53 @@ class Relation:
 
 
 class _Step:
-    """One atom of a plan: its textual position, the argument positions a
-    probe looks it up on (none: the step scans its relation) with the
-    constant's symbol or the bound variable at each, and the comparisons
-    that become checkable once it is matched."""
+    """One atom of a plan, compiled for ``_match``: its textual position
+    and arity; the argument positions a probe looks it up on (none: the
+    step scans its relation) with the constant's symbol or the bound
+    variable at each; the constants a scan must still check, as
+    (position, symbol); the later positions where a variable the step
+    binds repeats, as (first position, later position); the
+    (position, variable) pairs that bind; and the comparisons that
+    become checkable once it is matched.
 
-    __slots__ = ("atom", "key", "key_terms", "checks")
+    A probe's facts have the step's arity and agree with its key, so a
+    probe checks only repeated variables.  A scan step binds every
+    variable it mentions: the planner probes any step after the first,
+    and the first whenever the initial binding binds one of its
+    variables."""
 
-    def __init__(self, atom: int, key: tuple[int, ...], key_terms: tuple[str | Variable, ...], checks=()):
+    __slots__ = ("atom", "arity", "key", "key_terms", "constants", "repeats", "binds", "checks")
+
+    def __init__(self, atom: int, args: Sequence[Constant | Variable], key: tuple[int, ...], key_terms: tuple):
         self.atom = atom
+        self.arity = len(args)
         self.key = key
-        self.key_terms = key_terms
-        self.checks: tuple[Comparison, ...] = checks
+        self.key_terms: tuple[str | Variable, ...] = key_terms
+        self.constants: tuple[tuple[int, str], ...] = ()
+        if not key:
+            self.constants = tuple((p, t.symbol) for p, t in enumerate(args) if t.__class__ is Constant)
+        bound = {v for v in key_terms if v.__class__ is Variable}
+        first: dict[Variable, int] = {}
+        repeats = []
+        for p, t in enumerate(args):
+            if t.__class__ is Variable and t not in bound:
+                if t in first:
+                    repeats.append((first[t], p))
+                else:
+                    first[t] = p
+        self.repeats: tuple[tuple[int, int], ...] = tuple(repeats)
+        self.binds: tuple[tuple[int, Variable], ...] = tuple((p, v) for v, p in first.items())
+        self.checks: tuple[Comparison, ...] = ()
 
 
 class _Plan:
-    """A conjunction compiled for ``_join``: its atoms in textual order,
-    the steps in matching order, the comparisons checkable before any
-    atom is matched, and whether every comparison ever is."""
+    """A conjunction compiled for ``_join``: the steps in matching order,
+    the comparisons checkable before any atom is matched, and whether
+    every comparison ever is."""
 
-    __slots__ = ("atoms", "steps", "pre_checks", "safe")
+    __slots__ = ("steps", "pre_checks", "safe")
 
-    def __init__(self, atoms, steps, pre_checks, safe):
-        self.atoms: tuple[Atom, ...] = atoms
+    def __init__(self, steps, pre_checks, safe):
         self.steps: tuple[_Step, ...] = steps
         self.pre_checks: tuple[Comparison, ...] = pre_checks
         self.safe: bool = safe
@@ -189,7 +218,7 @@ def _plan(
                 key.append(p)
                 key_terms.append(args[p])
                 probe = True
-        steps.append(_Step(i, tuple(key), tuple(key_terms)) if probe else _Step(i, (), ()))
+        steps.append(_Step(i, args, tuple(key), tuple(key_terms)) if probe else _Step(i, args, (), ()))
         for n in names[i]:
             if n is not None and n not in known:
                 known.add(n)
@@ -205,27 +234,19 @@ def _plan(
         checks[max(positions, default=-1) + 1].append(cmp_)
     for step, ready_here in zip(steps, checks[1:]):
         step.checks = tuple(ready_here)
-    return _Plan(tuple(atoms), tuple(steps), tuple(checks[0]), safe)
-
-
-# the plan of a lone atom with no comparison: one plain scan
-_SCAN = (_Step(0, (), ()),)
+    return _Plan(tuple(steps), tuple(checks[0]), safe)
 
 
 def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
     """The plan of the rule's body with its delta at position ``first``
-    (None: every atom reads the full relation).  A body of at most one
-    atom and no comparison is a plain scan, built afresh at no cost;
-    other plans are compiled on first use and kept on the rule, for as
-    long as it lives: ``rule._plans[i]`` with the delta at i, the last
-    one with none."""
+    (None: every atom reads the full relation), compiled on first use and
+    kept on the rule for as long as it lives: ``rule._plans[i]`` with the
+    delta at i, the last one with none."""
     plans = rule._plans
     slot = -1 if first is None else first
     if plans is not None and plans[slot] is not None:
         return plans[slot]
     atoms, comparisons = tuple(rule.body_atoms()), tuple(rule.comparisons())
-    if len(atoms) < 2 and not comparisons:
-        return _Plan(atoms, _SCAN if atoms else (), (), True)
     if plans is None:
         plans = [None] * (len(atoms) + 1)
         object.__setattr__(rule, "_plans", plans)
@@ -243,25 +264,26 @@ def _strip_labels(atoms: Iterable[GroundAtom]) -> list[GroundAtom]:
     return [a if a.label is None else GroundAtom(a.predicate, a.args) for a in atoms]
 
 
-def _match(pattern: Atom, fact: GroundAtom, binding: dict[Variable, Constant]) -> dict[Variable, Constant] | None:
-    """Extend ``binding`` so that pattern matches fact, or None."""
-    if len(pattern.args) != len(fact.args):
+def _match(step: _Step, fact: GroundAtom, binding: dict[Variable, Constant]) -> dict[Variable, Constant] | None:
+    """``binding`` extended so that the step's atom matches ``fact``, or
+    None.  Runs only the checks the step was compiled with; returns
+    ``binding`` itself when the step binds nothing, and otherwise one
+    copy extended with its binds."""
+    args = fact.args
+    if len(args) != step.arity:
         return None
-    new = binding
-    copied = False
-    for term, value in zip(pattern.args, fact.args):
-        if isinstance(term, Constant):
-            if term != value:
-                return None
-        else:
-            bound = new.get(term)
-            if bound is None:
-                if not copied:
-                    new = dict(new)
-                    copied = True
-                new[term] = value
-            elif bound != value:
-                return None
+    for p, symbol in step.constants:
+        if args[p].symbol is not symbol:
+            return None
+    for p, q in step.repeats:
+        if args[p].symbol is not args[q].symbol:
+            return None
+    binds = step.binds
+    if not binds:
+        return binding
+    new = binding.copy()
+    for p, variable in binds:
+        new[variable] = args[p]
     return new
 
 
@@ -271,17 +293,35 @@ def _comparison_holds(cmp_: Comparison, binding: dict[Variable, Constant]) -> bo
     return cmp_.holds(left, right)
 
 
-def _instantiate(head: Atom, binding: dict[Variable, Constant]) -> GroundAtom:
-    return GroundAtom(head.predicate, tuple(t if isinstance(t, Constant) else binding[t] for t in head.args))
+class _Head:
+    """A rule head compiled for ``_instantiate``: its predicate, and a
+    function from a binding to its arguments (an ``itemgetter`` of the
+    variables when every term is one)."""
+
+    __slots__ = ("predicate", "args")
+
+    def __init__(self, head: Atom):
+        self.predicate = head.predicate
+        terms = head.args
+        if terms and all(t.__class__ is Variable for t in terms):
+            get = itemgetter(*terms)
+            # an itemgetter of one key returns the value, not a 1-tuple
+            self.args = get if len(terms) > 1 else lambda binding: (get(binding),)
+        else:
+            self.args = lambda binding: tuple([t if t.__class__ is Constant else binding[t] for t in terms])
 
 
-def _facts(step: _Step, pattern: Atom, source: Relation, binding: dict[Variable, Constant]) -> Iterable[GroundAtom]:
+def _instantiate(head: _Head, binding: dict[Variable, Constant]) -> GroundAtom:
+    return GroundAtom(head.predicate, head.args(binding))
+
+
+def _facts(step: _Step, source: Relation, binding: dict[Variable, Constant]) -> Iterable[GroundAtom]:
     """The facts a step reads under ``binding``: those its source's index
     holds under the step's key, or all of them when it has none."""
     if not step.key:
         return source.facts
     key = tuple([t if t.__class__ is str else binding[t].symbol for t in step.key_terms])
-    return source.index(len(pattern.args), step.key).get(key, ())
+    return source.index(step.arity, step.key).get(key, ())
 
 
 def _join(
@@ -289,15 +329,16 @@ def _join(
     sources: Sequence[Relation],
     binding: dict[Variable, Constant] | None = None,
 ) -> Iterator[tuple[dict[Variable, Constant], tuple[GroundAtom, ...]]]:
-    """Every way of matching ``plan.atoms[i]`` against a fact of
-    ``sources[i]`` that extends ``binding``, as (binding, matched facts),
-    the facts in textual atom order (for a rule, a firing's body).
+    """Every way of matching the plan's i-th atom (in textual order)
+    against a fact of ``sources[i]`` that extends ``binding``, as
+    (binding, matched facts), the facts in textual atom order (for a
+    rule, a firing's body).
     ``binding`` binds the variables the plan was compiled with as bound.
     Each comparison is checked as soon as its variables are bound."""
     binding = binding or {}
     if not plan.safe or not all(_comparison_holds(c, binding) for c in plan.pre_checks):
         return
-    atoms, steps = plan.atoms, plan.steps
+    steps = plan.steps
     last = len(steps) - 1
     if last < 0:
         yield binding, ()
@@ -306,14 +347,13 @@ def _join(
     # ``bindings[k]`` is the binding the first k steps leave behind
     bindings = [binding] * (last + 1)
     matched: list = [None] * (last + 1)
-    i = steps[0].atom
-    scans = [iter(_facts(steps[0], atoms[i], sources[i], binding))] * (last + 1)
+    scans = [iter(_facts(steps[0], sources[steps[0].atom], binding))] * (last + 1)
     pos = 0
     while pos >= 0:
         step, current = steps[pos], bindings[pos]
-        pattern, checks = atoms[step.atom], step.checks
+        checks = step.checks
         for fact in scans[pos]:
-            extended = _match(pattern, fact, current)
+            extended = _match(step, fact, current)
             if extended is None or (checks and not all(_comparison_holds(c, extended) for c in checks)):
                 continue
             matched[step.atom] = fact
@@ -322,8 +362,7 @@ def _join(
                 continue
             pos += 1
             bindings[pos] = extended
-            i = steps[pos].atom
-            scans[pos] = iter(_facts(steps[pos], atoms[i], sources[i], extended))
+            scans[pos] = iter(_facts(steps[pos], sources[steps[pos].atom], extended))
             break
         else:
             pos -= 1
@@ -350,12 +389,12 @@ def _semi_naive(program: Program, masks: dict[GroundAtom, int], full: int) -> tu
     for rule in program.rules:
         atoms = tuple(rule.body_atoms())
         if atoms:
-            rules.append((rule, atoms, [None] * len(atoms)))
+            rules.append((rule, atoms, [None] * len(atoms), _Head(rule.head)))
             continue
         # no atom to carry a delta: such a rule fires once, in round 0,
         # in every world
         for binding, body in _join(_rule_plan(rule), ()):
-            fact = _instantiate(rule.head, binding)
+            fact = _instantiate(_Head(rule.head), binding)
             masks[fact] = full
             if single:
                 firings[fact].append(body)
@@ -369,7 +408,7 @@ def _semi_naive(program: Program, masks: dict[GroundAtom, int], full: int) -> tu
     first = True
     while first or deltas:
         produced: dict[GroundAtom, int] = {}
-        for rule, atoms, plans in rules:
+        for rule, atoms, plans, head in rules:
             sources = [relations.get(a.predicate, empty) for a in atoms]
             if first:
                 # every fact is new: one join over the full relations
@@ -381,7 +420,6 @@ def _semi_naive(program: Program, masks: dict[GroundAtom, int], full: int) -> tu
                         if plans[i] is None:
                             plans[i] = _rule_plan(rule, i)
                         joins.append((plans[i], i))
-            head = rule.head
             for plan, i in joins:
                 if i >= 0:
                     full_source, sources[i] = sources[i], deltas[atoms[i].predicate]

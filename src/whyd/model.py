@@ -17,17 +17,47 @@ from .errors import ArityMismatchError, HeadExtensionalError, UnsafeRuleError, W
 _BARE_SYMBOL = re.compile(r"[a-z][A-Za-z0-9_]*$|[0-9][0-9]*$")
 
 
-@dataclass(frozen=True)
-class Constant:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Assignment raises once a value is built; copies and pickles go
+    through the constructor (``__reduce__``)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Constant(_Frozen):
     """A domain element under the unique-names reading: distinct symbols
-    denote distinct elements."""
+    denote distinct elements.  The symbol is interned, so two constants
+    are equal iff their symbols are the same object; the hash is computed
+    once."""
 
-    symbol: str
+    __slots__ = ("symbol", "_hash")
 
-    def __post_init__(self):
-        if not self.symbol:
+    def __init__(self, symbol: str):
+        if not symbol:
             raise WhydError("empty constant symbol")
-        object.__setattr__(self, "symbol", sys.intern(self.symbol))
+        symbol = sys.intern(symbol)
+        _set(self, "symbol", symbol)
+        _set(self, "_hash", hash((symbol,)))
+
+    def __eq__(self, other):
+        if other.__class__ is Constant:
+            return self.symbol is other.symbol
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Constant, (self.symbol,)
 
     def __str__(self) -> str:
         if _BARE_SYMBOL.match(self.symbol):
@@ -38,14 +68,29 @@ class Constant:
         return f"Constant({self.symbol!r})"
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(_Frozen):
+    """A rule variable, equal to every variable of the same (interned)
+    name and to no constant; the hash is computed once."""
 
-    def __post_init__(self):
-        if not self.name:
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str):
+        if not name:
             raise WhydError("empty variable name")
-        object.__setattr__(self, "name", sys.intern(self.name))
+        name = sys.intern(name)
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
+
+    def __eq__(self, other):
+        if other.__class__ is Variable:
+            return self.name is other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Variable, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -83,29 +128,48 @@ class Atom:
         return f"{self.predicate}({', '.join(str(t) for t in self.args)})"
 
 
-@dataclass(frozen=True)
-class GroundAtom:
-    """An all-constant atom, i.e. a database tuple."""
+class GroundAtom(_Frozen):
+    """An all-constant atom, i.e. a database tuple.  The label takes no
+    part in equality or hash; the hash is computed once and the sort key
+    on first use."""
 
-    predicate: str
-    args: tuple[Constant, ...]
-    label: str | None = field(default=None, compare=False)
+    __slots__ = ("predicate", "args", "label", "_hash", "_sort_key")
 
-    def __post_init__(self):
-        object.__setattr__(self, "predicate", sys.intern(self.predicate))
-        if not all(isinstance(t, Constant) for t in self.args):
-            raise WhydError(f"non-constant argument in ground atom {self.predicate}")
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+    def __init__(self, predicate: str, args: tuple[Constant, ...], label: str | None = None):
+        for t in args:
+            if t.__class__ is not Constant:
+                raise WhydError(f"non-constant argument in ground atom {predicate}")
+        predicate = sys.intern(predicate)
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "label", label)
+        _set(self, "_hash", hash((predicate, args)))
+
+    def __eq__(self, other):
+        if other.__class__ is GroundAtom:
+            return self._hash == other._hash and self.predicate is other.predicate and self.args == other.args
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
+
+    def __reduce__(self):
+        return GroundAtom, (self.predicate, self.args, self.label)
+
+    def __repr__(self) -> str:
+        return f"GroundAtom(predicate={self.predicate!r}, args={self.args!r}, label={self.label!r})"
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
     def sort_key(self) -> tuple:
-        return (self.predicate, tuple(c.symbol for c in self.args))
+        try:
+            return self._sort_key
+        except AttributeError:
+            key = (self.predicate, tuple([c.symbol for c in self.args]))
+            _set(self, "_sort_key", key)
+            return key
 
     def to_atom(self) -> Atom:
         return Atom(self.predicate, self.args)

@@ -7,8 +7,9 @@ Program grammar (comments start with ``%``):
     lit   :=  atom  |  term "!=" term  |  term "=" term
     atom  :=  name [ "(" term ("," term)* ")" ]
 
-Variables start with an uppercase letter or ``_``; constants are
-lowercase identifiers, numbers, or single-quoted strings.  The answer
+Variables start with an uppercase letter or ``_``; each lone ``_`` is
+a variable of its own, named apart from its rule's other variables.
+Constants are lowercase identifiers, numbers, or single-quoted strings.  The answer
 predicate of a parsed program is the head predicate of its first rule.
 
 Instance files hold facts (optionally labelled ``t1: e(a, b).``) plus
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .constraints import Constraint, ConstraintSet, FunctionalDependency, KeyConstraint
 from .errors import (
@@ -62,54 +64,50 @@ _TOKEN = re.compile(
   | (?P<punct>[().,:=])
   | (?P<quoted>'(?:[^'\\]|\\.)*')
   | (?P<name>[A-Za-z_][A-Za-z0-9_-]*|[0-9]+)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+# a token: (kind, text, offset of its first character in the text)
+_Token = tuple[str, str, int]
 
 
 class _Tokenizer:
+    """The tokens of a text, from one pass; a token's line and column are
+    computed from its offset only when an error needs them."""
+
     def __init__(self, text: str, filename: str):
+        self.text, self.filename = text, filename
         self.tokens: list[_Token] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(filename, line, col))
-            kind = m.lastgroup or ""
-            chunk = m.group()
-            if kind not in ("ws", "comment"):
-                self.tokens.append(_Token(kind, chunk, SourceSpan(filename, line, col)))
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            pos = m.end()
-        self.tokens.append(_Token("eof", "", SourceSpan(filename, line, col)))
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "ws" or kind == "comment":
+                continue
+            tok = (kind, m.group(), m.start())
+            if kind == "bad":
+                raise ParseError(f"unexpected character {tok[1]!r}", self.span(tok))  # type: ignore[arg-type]
+            self.tokens.append(tok)  # type: ignore[arg-type]
+        self.tokens.append(("eof", "", len(text)))
         self.index = 0
+
+    def span(self, tok: _Token) -> SourceSpan:
+        text, offset = self.text, tok[2]
+        return SourceSpan(self.filename, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
 
     def next(self) -> _Token:
         tok = self.tokens[self.index]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.index += 1
         return tok
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.span)
+        if tok[1] != text:
+            raise ParseError(f"expected {text!r}, found {tok[1]!r}", self.span(tok))
         return tok
 
 
@@ -119,6 +117,8 @@ def _is_variable_name(name: str) -> bool:
 
 def _strip_comment(line: str) -> str:
     """Drop a % comment, ignoring % inside quoted constants."""
+    if "%" not in line:
+        return line
     quoted = False
     i = 0
     while i < len(line):
@@ -134,41 +134,68 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-_anon_counter = 0
+_ANONYMOUS = Variable("_")
 
 
 def _parse_term(tz: _Tokenizer) -> Term:
-    global _anon_counter
-    tok = tz.next()
-    if tok.kind == "quoted":
-        body = tok.text[1:-1]
+    """A term; each ``_`` is ``Variable("_")`` until ``_name_anonymous``
+    names it."""
+    kind, text, _ = tok = tz.next()
+    if kind == "quoted":
+        body = text[1:-1]
         return Constant(body.replace("\\'", "'").replace("\\\\", "\\"))
-    if tok.kind != "name":
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.span)
-    if _is_variable_name(tok.text):
-        if tok.text == "_":
-            _anon_counter += 1
-            return Variable(f"_Anon{_anon_counter}")
-        return Variable(tok.text)
-    return Constant(tok.text)
+    if kind != "name":
+        raise ParseError(f"expected a term, found {text!r}", tz.span(tok))
+    if _is_variable_name(text):
+        return Variable(text)
+    return Constant(text)
+
+
+def _name_anonymous(items: list) -> list:
+    """The atoms and comparisons of one rule or constraint with each
+    ``_`` replaced, in textual order, by its own variable: ``_Anon1``,
+    ``_Anon2``, ..., skipping the names the items already use.  The
+    names depend on nothing but the items, so equal texts parse equal."""
+    taken = {v.name for item in items for v in item.variables()}
+    if "_" not in taken:
+        return items
+    count = 0
+
+    def rename(term: Term) -> Term:
+        nonlocal count
+        if term != _ANONYMOUS:
+            return term
+        count += 1
+        while f"_Anon{count}" in taken:
+            count += 1
+        return Variable(f"_Anon{count}")
+
+    out = []
+    for item in items:
+        if isinstance(item, Comparison):
+            left = rename(item.left)
+            out.append(Comparison(item.op, left, rename(item.right)))
+        else:
+            out.append(Atom(item.predicate, tuple([rename(t) for t in item.args])))
+    return out
 
 
 def _parse_atom_or_comparison(tz: _Tokenizer) -> Atom | Comparison:
     start = tz.peek()
     term = _parse_term(tz)
-    nxt = tz.peek()
-    if nxt.text in ("=", "!="):
+    nxt = tz.peek()[1]
+    if nxt in ("=", "!="):
         tz.next()
         right = _parse_term(tz)
-        return Comparison(nxt.text, term, right)
+        return Comparison(nxt, term, right)
     if isinstance(term, Variable):
-        raise ParseError(f"expected a predicate name, found variable {term}", start.span)
+        raise ParseError(f"expected a predicate name, found variable {term}", tz.span(start))
     name = term.symbol
-    if tz.peek().text != "(":
+    if nxt != "(":
         return Atom(name, ())
     tz.next()
     args = [_parse_term(tz)]
-    while tz.peek().text == ",":
+    while tz.peek()[1] == ",":
         tz.next()
         args.append(_parse_term(tz))
     tz.expect(")")
@@ -178,7 +205,7 @@ def _parse_atom_or_comparison(tz: _Tokenizer) -> Atom | Comparison:
 def _parse_atom(tz: _Tokenizer) -> Atom:
     item = _parse_atom_or_comparison(tz)
     if isinstance(item, Comparison):
-        raise ParseError(f"expected an atom, found comparison {item}", tz.peek().span)
+        raise ParseError(f"expected an atom, found comparison {item}", tz.span(tz.peek()))
     return item
 
 
@@ -187,19 +214,20 @@ def parse_program(text: str, filename: str = "<program>") -> Program:
     predicate of the first rule."""
     tz = _Tokenizer(text, filename)
     rules: list[Rule] = []
-    while tz.peek().kind != "eof":
+    while tz.peek()[0] != "eof":
         head = _parse_atom(tz)
         tok = tz.next()
-        if tok.text == ".":
-            rules.append(Rule(head, ()))
+        if tok[1] == ".":
+            rules.append(Rule(*_name_anonymous([head])))
             continue
-        if tok.text != ":-":
-            raise ParseError(f"expected '.' or ':-', found {tok.text!r}", tok.span)
-        body: list[Atom | Comparison] = [_parse_atom_or_comparison(tz)]
-        while tz.peek().text == ",":
+        if tok[1] != ":-":
+            raise ParseError(f"expected '.' or ':-', found {tok[1]!r}", tz.span(tok))
+        items: list[Atom | Comparison] = [head, _parse_atom_or_comparison(tz)]
+        while tz.peek()[1] == ",":
             tz.next()
-            body.append(_parse_atom_or_comparison(tz))
+            items.append(_parse_atom_or_comparison(tz))
         tz.expect(".")
+        head, *body = _name_anonymous(items)
         rules.append(Rule(head, tuple(body)))
     if not rules:
         raise ParseError("empty program", SourceSpan(filename, 1, 1))
@@ -208,10 +236,12 @@ def parse_program(text: str, filename: str = "<program>") -> Program:
     return program
 
 
-def _require_ground(atom: Atom, span: SourceSpan) -> GroundAtom:
+def _require_ground(atom: Atom, span: Callable[[], SourceSpan], label: str | None = None) -> GroundAtom:
+    """The atom as a fact with the given label; ``span`` locates the
+    error when the atom has a variable."""
     if not atom.is_ground():
-        raise ParseError(f"fact {atom} contains variables", span)
-    return GroundAtom(atom.predicate, atom.args)  # type: ignore[arg-type]
+        raise ParseError(f"fact {atom} contains variables", span())
+    return GroundAtom(atom.predicate, atom.args, label)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -225,8 +255,9 @@ class InstanceDocument:
 
 
 def parse_instance_document(text: str, filename: str = "<instance>") -> InstanceDocument:
-    endogenous: dict[GroundAtom, str | None] = {}
-    exogenous: dict[GroundAtom, str | None] = {}
+    # each fact maps to itself as last given, so the last label wins
+    endogenous: dict[GroundAtom, GroundAtom] = {}
+    exogenous: dict[GroundAtom, GroundAtom] = {}
     observations: list[GroundAtom] = []
     exo_predicates: set[str] = set()
     section = "endogenous"
@@ -258,16 +289,16 @@ def parse_instance_document(text: str, filename: str = "<instance>") -> Instance
 
         tz = _Tokenizer(line, filename)
         label: str | None = None
-        if tz.peek().kind == "name" and tz.tokens[tz.index + 1].text == ":":
-            label_tok = tz.next()
+        if tz.peek()[0] == "name" and tz.tokens[tz.index + 1][1] == ":":
+            label = tz.next()[1]
             tz.next()
-            label = label_tok.text
-        span = tz.peek().span
-        span = SourceSpan(filename, lineno, span.column)
-        atom = _require_ground(_parse_atom(tz), span).with_label(label)
+        start = tz.peek()
+        atom = _require_ground(
+            _parse_atom(tz), lambda: SourceSpan(filename, lineno, tz.span(start).column), label
+        )
         tz.expect(".")
-        if tz.peek().kind != "eof":
-            raise ParseError(f"trailing input after fact: {tz.peek().text!r}", SourceSpan(filename, lineno, 1))
+        if tz.peek()[0] != "eof":
+            raise ParseError(f"trailing input after fact: {tz.peek()[1]!r}", SourceSpan(filename, lineno, 1))
 
         if section == "observe":
             observations.append(atom)
@@ -276,7 +307,7 @@ def parse_instance_document(text: str, filename: str = "<instance>") -> Instance
         other = endogenous if section == "exogenous" else exogenous
         if atom in other:
             raise DuplicateFactError(f"fact {atom} appears in both partitions", SourceSpan(filename, lineno, 1))
-        bucket[atom] = label
+        bucket[atom] = atom
 
     for atom in list(endogenous):
         if atom.predicate in exo_predicates:
@@ -284,10 +315,7 @@ def parse_instance_document(text: str, filename: str = "<instance>") -> Instance
                 raise DuplicateFactError(f"fact {atom} appears in both partitions", SourceSpan(filename, 1, 1))
             exogenous[atom] = endogenous.pop(atom)
 
-    instance = Instance(
-        (a.with_label(lbl) for a, lbl in endogenous.items()),
-        (a.with_label(lbl) for a, lbl in exogenous.items()),
-    )
+    instance = Instance(endogenous.values(), exogenous.values())
     return InstanceDocument(instance, tuple(observations), frozenset(exo_predicates))
 
 
@@ -298,11 +326,11 @@ def parse_instance(text: str, filename: str = "<instance>") -> Instance:
 def parse_ground_atom(text: str, filename: str = "<atom>") -> GroundAtom:
     """One ground atom, as accepted for CLI targets, e.g. 'ans(john, xml)'."""
     tz = _Tokenizer(text, filename)
-    atom = _require_ground(_parse_atom(tz), tz.peek().span)
-    if tz.peek().text == ".":
+    atom = _require_ground(_parse_atom(tz), lambda: tz.span(tz.peek()))
+    if tz.peek()[1] == ".":
         tz.next()
-    if tz.peek().kind != "eof":
-        raise ParseError(f"trailing input after atom: {tz.peek().text!r}", tz.peek().span)
+    if tz.peek()[0] != "eof":
+        raise ParseError(f"trailing input after atom: {tz.peek()[1]!r}", tz.span(tz.peek()))
     return atom
 
 
@@ -317,31 +345,33 @@ def _parse_constraint_line(line: str, filename: str, lineno: int) -> Constraint:
             )
         body.append(item)
         tok = tz.next()
-        if tok.text == ",":
+        if tok[1] == ",":
             continue
-        if tok.text == "=>":
+        if tok[1] == "=>":
             break
-        raise ParseError(f"expected ',' or '=>', found {tok.text!r}", tok.span)
+        raise ParseError(f"expected ',' or '=>', found {tok[1]!r}", tz.span(tok))
 
     head_start = tz.peek()
-    if head_start.text == "false":
+    if head_start[1] == "false":
         tz.next()
         tz.expect(".")
-        return Constraint.denial(tuple(body))
+        return Constraint.denial(tuple(_name_anonymous(body)))
 
     first = _parse_atom_or_comparison(tz)
     if isinstance(first, Comparison):
         if first.op != "=":
-            raise ParseError("an egd head must be an equality", head_start.span)
+            raise ParseError("an egd head must be an equality", tz.span(head_start))
         tz.expect(".")
+        *body, first = _name_anonymous([*body, first])
         return Constraint.egd(tuple(body), first.left, first.right)
 
     head_atoms = [first]
-    while tz.peek().text == ",":
+    while tz.peek()[1] == ",":
         tz.next()
         head_atoms.append(_parse_atom(tz))
     tz.expect(".")
-    return Constraint.tgd(tuple(body), tuple(head_atoms))
+    items = _name_anonymous([*body, *head_atoms])
+    return Constraint.tgd(tuple(items[: len(body)]), tuple(items[len(body) :]))
 
 
 _KEY_DIRECTIVE = re.compile(r"#key\s+(?P<pred>[a-z][A-Za-z0-9_-]*)\s+(?P<positions>\d+(\s+\d+)*)\s*$")

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from whyd import causality
+from whyd.abduction import solve_diagnoses
 from whyd.causality import (
+    CauseAnalysis,
     cause_reports,
     causes,
     is_counterfactual_cause,
@@ -251,3 +254,37 @@ def test_goal_fact_in_the_instance_is_not_a_cause():
     instance = parse_instance("r(a, b).\nr(a, c).\ngoal.\ngoal_1.\n")
     reports = cause_reports(instance, program, atom("ans(a)"))
     assert [(str(r.cause), r.responsibility) for r in reports] == [("r(a, b)", Fraction(1, 2)), ("r(a, c)", Fraction(1, 2))]
+
+
+_CHAIN_8 = "".join(f"e(c{i}, c{i + 1}).\n" for i in range(8))
+_LADDER_6 = "".join(f"e(l, l{j}).\ne(l{j}, lt).\n" for j in range(6))
+
+
+@pytest.mark.parametrize("facts, target, searches", [(_CHAIN_8, "ans(c0, c8)", 1), (_LADDER_6, "ans(l, lt)", 6)])
+def test_one_hitting_set_search_per_diagnosis_pattern(monkeypatch, facts, target, searches):
+    """A cause's family depends only on which diagnoses hold it, so
+    ``reports`` runs one hitting-set search per distinct set of diagnoses:
+    chain-8 has one such set (8 searches when each cause had its own),
+    ladder-6 has six (12 before).  The shared families are the ones each
+    cause gets on its own."""
+    program, instance, answer = load_program("graph.dl"), parse_instance(facts), atom(target)
+    calls = 0
+    real = causality.minimal_hitting_sets
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    CauseAnalysis.for_query.cache_clear()
+    solve_diagnoses.cache_clear()
+    monkeypatch.setattr(causality, "minimal_hitting_sets", counted)
+    reports = cause_reports(instance, program, answer)
+    assert calls == searches
+    assert most_responsible_causes(instance, program, answer) == {r.cause for r in reports}
+    assert calls == 2 * searches
+    monkeypatch.setattr(causality, "minimal_hitting_sets", real)
+    assert len(reports) == len(instance.endogenous)
+    for report in reports:
+        assert report.minimal_contingency_sets == minimal_contingency_sets(instance, program, answer, report.cause)
+        assert report.responsibility == responsibility(instance, program, answer, report.cause)

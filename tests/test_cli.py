@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -261,10 +263,14 @@ def test_pretty_summary():
 
 
 def test_console_script_entry_point():
+    # the child finds whyd under src/ whether or not PYTHONPATH names it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "whyd.cli", "eval", "-p", _fx("rs.dl"), "-d", _fx("rs.facts")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["payload"]["answers"] == ["ans"]

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from whyd.errors import (
@@ -47,6 +50,97 @@ def test_ground_atom_identity_ignores_label():
 def test_ground_atom_rejects_variables():
     with pytest.raises(WhydError):
         GroundAtom("p", (Variable("X"),))
+
+
+# -- value semantics of terms and atoms ------------------------------------------
+
+def _fresh(text: str) -> str:
+    """An equal string that is not the interned object."""
+    fresh = "".join(list(text))
+    assert fresh is not text
+    return fresh
+
+
+def test_equality_and_hash_agree_and_ignore_labels():
+    equal_pairs = [
+        (Constant("ab"), Constant(_fresh("ab"))),
+        (Variable("Xy"), Variable(_fresh("Xy"))),
+        (ground("edge", "ab", "b"), ground(_fresh("edge"), _fresh("ab"), "b", label="t1")),
+        (ground("e", "a", "b", label="t1"), ground("e", "a", "b", label="t2")),
+        (ground("goal"), GroundAtom("goal", ())),
+    ]
+    for left, right in equal_pairs:
+        assert left == right and not (left != right) and hash(left) == hash(right)
+        assert len({left, right}) == 1
+    unequal_pairs = [
+        (Constant("a"), Constant("b")),
+        (Variable("X"), Variable("Y")),
+        (ground("e", "a", "b"), ground("e", "b", "a")),
+        (ground("e", "a", "b"), ground("f", "a", "b")),
+        (ground("e", "a"), ground("e", "a", "a")),
+    ]
+    for left, right in unequal_pairs:
+        assert left != right and not (left == right)
+        assert len({left, right}) == 2
+
+
+def test_variable_and_constant_with_the_same_text_are_unequal():
+    for text in ("a", "X", "_"):
+        constant, variable = Constant(text), Variable(text)
+        assert constant != variable and variable != constant
+        assert not (constant == variable) and not (variable == constant)
+        assert len({constant, variable}) == 2
+    assert Constant("a") != "a" and Variable("X") != "X"
+    assert ground("e", "a") != Atom("e", (Constant("a"),))
+
+
+def test_sort_key_is_the_predicate_and_the_symbols():
+    fact = ground("e", "b", "a", label="t1")
+    assert fact.sort_key() == ("e", ("b", "a"))
+    assert fact.sort_key() is fact.sort_key()
+    assert ground("p").sort_key() == ("p", ())
+    facts = [ground("e", "b"), ground("e", "a", "c"), ground("d", "z")]
+    assert sorted(facts, key=GroundAtom.sort_key) == [ground("d", "z"), ground("e", "a", "c"), ground("e", "b")]
+
+
+@pytest.mark.parametrize(
+    "value, fields",
+    [
+        (Constant("a"), ("symbol", "extra")),
+        (Variable("X"), ("name", "extra")),
+        (ground("e", "a", "b", label="t1"), ("predicate", "args", "label", "extra")),
+    ],
+)
+def test_attribute_assignment_raises(value, fields):
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, "z")
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+@pytest.mark.parametrize(
+    "value", [Constant("a b"), Variable("X"), ground("e", "a", "b", label="t1"), ground("goal")]
+)
+def test_copies_and_pickles_round_trip(value):
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and hash(clone) == hash(value)
+        assert type(clone) is type(value) and repr(clone) == repr(value) and str(clone) == str(value)
+        if isinstance(value, GroundAtom):
+            assert clone.label == value.label and clone.predicate is value.predicate
+            assert all(c.symbol is v.symbol for c, v in zip(clone.args, value.args))
+        else:
+            assert str(clone) == str(value)
+            text = clone.symbol if isinstance(value, Constant) else clone.name
+            assert text is (value.symbol if isinstance(value, Constant) else value.name)
+
+
+def test_reprs_and_strings():
+    assert repr(Constant("a")) == "Constant('a')" and str(Constant("Mixed Case")) == "'Mixed Case'"
+    assert repr(Variable("X")) == "Variable('X')" and str(Variable("X")) == "X"
+    fact = ground("e", "a", "b", label="t1")
+    assert repr(fact) == "GroundAtom(predicate='e', args=(Constant('a'), Constant('b')), label='t1')"
+    assert str(fact) == "e(a, b)" and str(ground("goal")) == "goal"
 
 
 def test_transitive_closure_program_is_valid():

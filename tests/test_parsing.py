@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whyd.errors import DuplicateFactError, NonConjunctiveBodyError, ParseError
+from whyd.evaluator import answers
 from whyd.model import Atom, Comparison, Constant, Instance, Variable, ground
 from whyd.parsing import (
     parse_constraints,
@@ -218,3 +219,121 @@ def test_constraint_round_trip_handmade():
         "dep(X,Y) => course(U,Y,X).\np(X,Y), p(X,Z) => Y = Z.\nr(X, a1), s(a1) => false.\n#key s 1\n#fd course 2 -> 3"
     )
     assert parse_constraints(serialize_constraints(sigma)) == sigma
+
+
+# -- anonymous variables ---------------------------------------------------------
+
+
+def test_anonymous_variables_never_join():
+    # the second _ must not become the _Anon1 the rule already names
+    program = parse_program("ans(X) :- e(X, _Anon1), f(X, _).")
+    assert answers(program, parse_instance("e(a, b).\nf(a, c).\n")) == {ground("ans", "a")}
+    rule = program.rules[0]
+    assert [str(a) for a in rule.body_atoms()] == ["e(X, _Anon1)", "f(X, _Anon2)"]
+    both = parse_program("ans(X) :- e(X, _), e(_, X).")
+    assert answers(both, parse_instance("e(a, b).\ne(c, a).\n")) == {ground("ans", "a")}
+
+
+_ANONYMOUS_TEXTS = [
+    "ans(X) :- e(X, _), f(_, X), g(_).\nh(X) :- e(X, _).",
+    "ans(X) :- e(X, _), _Anon1 = _Anon2, e(_Anon1, _Anon2), X != _Anon3, f(_Anon3, _).",
+]
+
+
+@pytest.mark.parametrize("text", _ANONYMOUS_TEXTS)
+def test_equal_texts_parse_equal(text):
+    first, second = parse_program(text), parse_program(text)
+    assert first == second and hash(first) == hash(second)
+    assert parse_program(serialize_program(first)) == first
+
+
+def test_constraint_anonymous_variables_are_named_per_line():
+    text = "p(X, _), q(_) => r(X, _).\np(_, Y), p(_, Z) => Y = Z.\nr(_, _) => false."
+    sigma = parse_constraints(text)
+    assert sigma == parse_constraints(text)
+    assert [str(c) for c in sigma.constraints] == [
+        "p(X, _Anon1), q(_Anon2) => r(X, _Anon3).",
+        "p(_Anon1, Y), p(_Anon2, Z) => Y = Z.",
+        "r(_Anon1, _Anon2) => false.",
+    ]
+    assert parse_constraints(serialize_constraints(sigma)) == sigma
+
+
+# -- facts and error positions ----------------------------------------------------
+
+
+def test_repeated_fact_keeps_its_last_label():
+    instance = parse_instance("t1: e(a, b).\nt2: e(a, b).\n#exogenous\nt3: f(a).\nf(a).\n")
+    assert instance.by_label("t2") == ground("e", "a", "b")
+    assert {a.label for a in instance.atoms} == {"t2", None}
+    with pytest.raises(Exception):
+        instance.by_label("t1")
+
+
+# (kind, text, exception and message); each message is the one the
+# per-character tokenizer gave
+_MALFORMED = [
+    ("program", "ans(X) :- e(X, Y)", "ParseError: <program>:1:18: expected '.', found ''"),
+    ("program", "ans(X) :- e(X, Y).\nans(X) :- $e(X).", "ParseError: <program>:2:11: unexpected character '$'"),
+    ("program", "ans(X) :- .", "ParseError: <program>:1:11: expected a term, found '.'"),
+    ("program", "ans(X) e(X).", "ParseError: <program>:1:8: expected '.' or ':-', found 'e'"),
+    ("program", "% only a comment\n", "ParseError: <program>:1:1: empty program"),
+    ("program", "ans(X) :- X(a).", "ParseError: <program>:1:11: expected a predicate name, found variable X"),
+    ("program", "ans(X) :- e(X, 'abc.", "ParseError: <program>:1:16: unexpected character \"'\""),
+    ("program", "ans(X) :-\n  e(X,\n  Y) ; f(Y).", "ParseError: <program>:3:6: unexpected character ';'"),
+    ("program", "ans(X) :- e(X, Y), X = .", "ParseError: <program>:1:24: expected a term, found '.'"),
+    ("program", "X = Y :- e(X).", "ParseError: <program>:1:7: expected an atom, found comparison X = Y"),
+    ("program", "ans(X) :- e(X, Y)).", "ParseError: <program>:1:18: expected '.', found ')'"),
+    ("instance", "e(a, b).\ne(a, X).", "ParseError: <instance>:2:1: fact e(a, X) contains variables"),
+    ("instance", "t1: e(a, b).\nt2 e(b, c).", "ParseError: <instance>:1:4: expected '.', found 'e'"),
+    ("instance", "e(a, b) e(b, c).", "ParseError: <instance>:1:9: expected '.', found 'e'"),
+    ("instance", "e(a, b).\n#bogus", "ParseError: <instance>:2:1: unknown directive #bogus"),
+    ("instance", "#exogenous x", "ParseError: <instance>:1:1: unexpected input after #exogenous"),
+    ("instance", "e(a, b).\n  e(b, c). f(c).", "ParseError: <instance>:2:1: trailing input after fact: 'f'"),
+    (
+        "instance",
+        "e(a, b).\n#exogenous\ne(a, b).",
+        "DuplicateFactError: <instance>:3:1: fact e(a, b) appears in both partitions",
+    ),
+    ("instance", "e(a, b).\n   e(a, @).", "ParseError: <instance>:1:6: unexpected character '@'"),
+    (
+        "instance",
+        "#exogenous-predicates ,",
+        "ParseError: <instance>:1:1: #exogenous-predicates needs at least one name",
+    ),
+    ("instance", "e(a, b). % c\n#observe\nans(a %", "ParseError: <instance>:1:6: expected ')', found ''"),
+    ("target", "ans(john", "ParseError: <atom>:1:9: expected ')', found ''"),
+    ("target", "ans(X)", "ParseError: <atom>:1:7: fact ans(X) contains variables"),
+    ("target", "ans(a) b", "ParseError: <atom>:1:8: trailing input after atom: 'b'"),
+    ("target", "", "ParseError: <atom>:1:1: expected a term, found ''"),
+    (
+        "constraints",
+        "p(X), X != a => false.",
+        "NonConjunctiveBodyError: <constraints>:1:1: built-in X != a not allowed in a constraint body",
+    ),
+    ("constraints", "p(X) => X != Y.", "ParseError: <constraints>:1:9: an egd head must be an equality"),
+    (
+        "constraints",
+        "p(X) => false.\nq(X) r(X) => false.",
+        "ParseError: <constraints>:1:6: expected ',' or '=>', found 'r'",
+    ),
+    ("constraints", "p(X) => false.\n  q(X, Y) => X = .", "ParseError: <constraints>:1:16: expected a term, found '.'"),
+    ("constraints", "p(X) q(X) => false.", "ParseError: <constraints>:1:6: expected ',' or '=>', found 'q'"),
+    ("constraints", "#key s", "ParseError: <constraints>:1:1: malformed #key directive"),
+    ("constraints", "#fd p 0 -> 1", "ParseError: <constraints>:1:1: dependency positions are 1-based"),
+    ("constraints", "#foo", "ParseError: <constraints>:1:1: unknown directive #foo"),
+    ("constraints", "p(X) => false", "ParseError: <constraints>:1:14: expected '.', found ''"),
+]
+_PARSERS = {
+    "program": parse_program,
+    "instance": parse_instance,
+    "target": parse_ground_atom,
+    "constraints": parse_constraints,
+}
+
+
+@pytest.mark.parametrize("kind, text, message", _MALFORMED)
+def test_malformed_input_reports_file_line_column_and_message(kind, text, message):
+    with pytest.raises(ParseError) as err:
+        _PARSERS[kind](text)
+    assert f"{type(err.value).__name__}: {err.value}" == message
