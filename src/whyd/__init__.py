@@ -10,6 +10,7 @@ from .abduction import (
     necessary_hypotheses,
     necessary_hypothesis_sets,
     necessity_degree,
+    necessity_degrees,
     relevant_hypotheses,
     solve_diagnoses,
     to_causal_abduction,

@@ -32,7 +32,7 @@ from .errors import (
     UnknownHypothesisError,
 )
 from .evaluator import Firings, evaluate_fixpoint, evaluate_worlds, fresh_predicate
-from .hitting import _prune, minimal_hitting_sets
+from .hitting import minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
 Diagnosis = frozenset[GroundAtom]
@@ -155,6 +155,15 @@ def _minimal_why(
                     queued.add(head)
                     pending.append(head)
     return {goal: why.get(goal, []) for goal in goals}
+
+
+def _prune(candidates: list[Diagnosis]) -> list[Diagnosis]:
+    """The subset-minimal sets among the candidates, smallest first."""
+    out: list[Diagnosis] = []
+    for cand in sorted(set(candidates), key=len):
+        if not any(prev < cand for prev in out):
+            out.append(cand)
+    return out
 
 
 def _product(families: list[list[Diagnosis]]) -> list[Diagnosis]:
@@ -281,10 +290,15 @@ def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fract
     hypothesis, 0 when it is in none."""
     if hypothesis not in problem.hypotheses:
         raise UnknownHypothesisError(f"{hypothesis} is not a hypothesis of this problem")
-    sizes = [len(n) for n in necessary_hypothesis_sets(problem) if hypothesis in n]
-    if not sizes:
-        return Fraction(0)
-    return Fraction(1, min(sizes))
+    return necessity_degrees(problem.hypotheses, necessary_hypothesis_sets(problem))[hypothesis]
+
+
+def necessity_degrees(hypotheses: Iterable[GroundAtom], necessary_sets: Iterable[Diagnosis]) -> dict[GroundAtom, Fraction]:
+    """Every hypothesis's necessity degree, read off one search's necessary-hypothesis sets."""
+    degrees = dict.fromkeys(hypotheses, Fraction(0))
+    for n in sorted(necessary_sets, key=len, reverse=True):
+        degrees.update(dict.fromkeys(n, Fraction(1, len(n))))
+    return degrees
 
 
 def to_causal_abduction(instance: Instance, program: Program) -> AbductionProblem:

@@ -10,9 +10,11 @@ diagnosis family:
 
   * the causes are the relevant hypotheses (union of the diagnoses);
   * a contingency set for a cause t must hit every diagnosis avoiding t
-    while leaving some diagnosis through t intact, so the subset-minimal
-    ones are minimal hitting sets of the t-free diagnoses computed away
-    from one t-containing diagnosis at a time.
+    while leaving some diagnosis through t intact.  These conditions are
+    stated once, as the conflict of a search for minimal sets
+    (``contingency_conflict`` for ``hitting.minimal_sets``).  Causes
+    under constraints and view-conditioned causes search with the same
+    conflict and only add their own checks.
 
 The analysis of one request is cached by value
 (``CauseAnalysis.for_query``).  Notions that need the support sets of
@@ -29,6 +31,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .abduction import AbductionProblem, Diagnosis, solve_diagnoses
 from .errors import (
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .evaluator import holds as model_holds
 from .evaluator import specialize_to_answer
-from .hitting import minimal_hitting_sets
+from .hitting import Conflict, minimal_sets
 from .model import GroundAtom, Instance, Program, canonical_family
 
 
@@ -94,11 +97,9 @@ class CauseAnalysis:
         return frozenset(out)
 
     def contingency_family(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
-        solutions = self.solutions
-        through = tuple(i for i, delta in enumerate(solutions) if tau in delta)
-        if not through:
+        if not any(tau in delta for delta in self.solutions):
             raise NotACauseError(f"{tau} is not an actual cause for {self.answer}")
-        return _family(solutions, through)
+        return canonical_family(minimal_sets(contingency_conflict(self.solutions, tau)))
 
     def responsibility(self, tau: GroundAtom) -> Fraction:
         if tau not in self.instance.endogenous:
@@ -123,22 +124,32 @@ class CauseAnalysis:
         for tau in sorted(through, key=GroundAtom.sort_key):
             pattern = tuple(through[tau])
             if pattern not in shared:
-                family = _family(solutions, pattern)
+                family = self.contingency_family(tau)
                 shared[pattern] = family, Fraction(1, 1 + min(len(g) for g in family))
             out.append(CauseReport(tau, *shared[pattern]))
         return tuple(out)
 
 
-def _family(solutions: tuple[Diagnosis, ...], through: tuple[int, ...]) -> tuple[frozenset[GroundAtom], ...]:
-    """The minimal contingency sets of a cause that lies in exactly the
-    diagnoses at the indices ``through``: the minimal hitting sets of the
-    other diagnoses that avoid one of those, in canonical order."""
-    avoiding = [delta for i, delta in enumerate(solutions) if i not in through]
-    pool = frozenset().union(*avoiding)
-    family: set[frozenset[GroundAtom]] = set()
-    for i in through:
-        family.update(minimal_hitting_sets(avoiding, pool - solutions[i]))
-    return canonical_family(family)
+def contingency_conflict(diagnoses: Sequence[Diagnosis], tau: GroundAtom) -> Conflict:
+    """The conflict (``hitting.minimal_sets``) of the contingency sets of
+    tau for an answer with these diagnoses.  Gamma is one when some
+    diagnosis through tau misses it (the answer survives deleting Gamma)
+    and every diagnosis avoiding tau meets it (deleting tau drops it)."""
+    through = [delta for delta in diagnoses if tau in delta]
+    avoiding = sorted((delta for delta in diagnoses if tau not in delta), key=len)
+
+    def conflict(gamma: frozenset[GroundAtom]) -> Diagnosis | tuple[()] | None:
+        for delta in through:
+            if delta.isdisjoint(gamma):
+                break
+        else:
+            return ()  # every diagnosis through tau is hit
+        for delta in avoiding:
+            if delta.isdisjoint(gamma):
+                return delta
+        return None
+
+    return conflict
 
 
 @lru_cache(maxsize=None)

@@ -164,17 +164,12 @@ def _run(args) -> Report:
         program, document, sources = _load_common(args)
         instance = document.instance
         target = parse_ground_atom(args.target)
-        cap = args.max_contingency_sets
-        if getattr(args, "constraints", None):
+        if args.constraints:
             sigma = parse_constraints(_read(sources, "constraints", args.constraints), args.constraints)
-            reports = constraints.causes_under_ics(instance, program, target, sigma)
-            payload = {
-                "target": str(target),
-                "causes": _cause_payload(reports, cap, "responsibility_under_ics"),
-            }
+            reports, key = constraints.causes_under_ics(instance, program, target, sigma), "responsibility_under_ics"
         else:
-            reports = causality.cause_reports(instance, program, target)
-            payload = {"target": str(target), "causes": _cause_payload(reports, cap, "responsibility")}
+            reports, key = causality.cause_reports(instance, program, target), "responsibility"
+        payload = {"target": str(target), "causes": _cause_payload(reports, args.max_contingency_sets, key)}
         return Report("causes", payload, provenance_for(sources))
 
     if args.command == "responsibility":
@@ -182,7 +177,7 @@ def _run(args) -> Report:
         instance = document.instance
         target = parse_ground_atom(args.target)
         tau = parse_ground_atom(args.tuple)
-        if getattr(args, "constraints", None):
+        if args.constraints:
             sigma = parse_constraints(_read(sources, "constraints", args.constraints), args.constraints)
             rho = constraints.responsibility_under_ics(instance, program, target, tau, sigma)
         else:
@@ -238,17 +233,15 @@ def _run(args) -> Report:
             document.observations,
         )
         solutions = abduction.solve_diagnoses(problem)
-        degrees = {
-            str(h): fraction_text(abduction.necessity_degree(problem, h))
-            for h in sorted(problem.hypotheses, key=GroundAtom.sort_key)
-        }
+        necessary_sets = abduction.necessary_hypothesis_sets(problem)
+        degrees = abduction.necessity_degrees(problem.hypotheses, necessary_sets)
         payload = {
             "observation": sorted_atoms(document.observations),
             "diagnoses": sorted_families(solutions),
             "relevant": sorted_atoms(abduction.relevant_hypotheses(problem)),
             "necessary": sorted_atoms(abduction.necessary_hypotheses(problem)),
-            "necessary_sets": sorted_families(abduction.necessary_hypothesis_sets(problem)),
-            "necessity_degrees": degrees,
+            "necessary_sets": sorted_families(necessary_sets),
+            "necessity_degrees": {str(h): fraction_text(degrees[h]) for h in sorted(degrees, key=GroundAtom.sort_key)},
         }
         return Report("abduce", payload, provenance_for(sources))
 

@@ -4,7 +4,10 @@ Constraints are tgds, egds (FDs/keys expand to these) and denial
 constraints.  Satisfaction is first-order evaluation over the finite
 instance: a tgd's existential head variables must be witnessed by facts
 that are already there.  No chase, no invented values; every
-intervention in this package is a deletion.
+intervention in this package is a deletion.  Causes under constraints
+search for minimal sets with the plain contingency conflict
+(``causality.contingency_conflict``) and one more: a tgd body match
+that the deletion leaves without a head witness.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from .errors import (
     SchemaMismatchError,
     WhydError,
 )
-from .causality import CauseAnalysis
+from .causality import CauseAnalysis, contingency_conflict
 from .evaluator import Relation, _join, _plan, _Plan
+from .hitting import minimal_sets
 from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, canonical_family
 
 
@@ -273,44 +277,22 @@ class _SigmaAnalysis:
             for match, heads in _body_matches(c, relations)
         ]
 
-    def _violated(self, removed: frozenset[GroundAtom]) -> frozenset[GroundAtom] | None:
-        """The endogenous tuples of the first body match that deleting
-        ``removed`` leaves without a head witness, or None when D minus
-        ``removed`` satisfies Sigma."""
-        for match, witnesses in self._matches:
-            if not match & removed and all(w & removed for w in witnesses):
-                return match
-        return None
-
     def _family_for(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
-        """The minimal Gamma such that (a) some diagnosis misses Gamma,
-        (c) every tau-free one meets it, and (b) D - Gamma and (d) D -
-        Gamma - {tau} satisfy Sigma, by a breadth-first hitting-set tree
-        with lazily found conflicts (Reiter, AIJ 1987).  (a) is
-        downward-closed and prunes; else the first unmet requirement
-        names tuples of which every valid superset of Gamma holds one.
-        So each minimal valid set is reached at the level of its size,
-        through its own tuples, and no set found contains another."""
-        solutions = self.plain.solutions
-        avoiding = [delta for delta in solutions if tau not in delta]
-        found: list[frozenset[GroundAtom]] = []
-        level = {frozenset()}
-        while level:
-            grown: set[frozenset[GroundAtom]] = set()
-            for gamma in level:
-                if all(delta & gamma for delta in solutions) or any(f <= gamma for f in found):
-                    continue
-                unmet = next((delta for delta in avoiding if not delta & gamma), None)
-                if unmet is None:
-                    unmet = self._violated(gamma)
-                if unmet is None:
-                    unmet = self._violated(gamma | {tau})
-                if unmet is None:
-                    found.append(gamma)
-                else:
-                    grown.update(gamma | {t} for t in unmet if t != tau)
-            level = grown
-        return canonical_family(found)
+        """The minimal contingency sets Gamma of tau such that D - Gamma and
+        D - Gamma - {tau} satisfy Sigma; a match either leaves unwitnessed is a conflict."""
+        plain = contingency_conflict(self.plain.solutions, tau)
+
+        def conflict(gamma: frozenset[GroundAtom]) -> Iterable[GroundAtom] | None:
+            unmet = plain(gamma)
+            if unmet is not None:
+                return unmet
+            for removed in (gamma, gamma | {tau}):
+                for match, witnesses in self._matches:
+                    if match.isdisjoint(removed) and all(not w.isdisjoint(removed) for w in witnesses):
+                        return match - {tau}
+            return None
+
+        return canonical_family(minimal_sets(conflict))
 
     def reports(self) -> tuple[ConstrainedCauseReport, ...]:
         out = []

@@ -58,8 +58,10 @@ from .model import (
 
 _TOKEN = re.compile(
     r"""
-    (?P<ws>\s+)
+    (?P<eol>\n)
+  | (?P<ws>[^\S\n]+)
   | (?P<comment>%[^\n]*)
+  | (?P<directive>\#[^\n%]*)
   | (?P<implies>:-|=>|!=|->)
   | (?P<punct>[().,:=])
   | (?P<quoted>'(?:[^'\\]|\\.)*')
@@ -75,18 +77,27 @@ _Token = tuple[str, str, int]
 
 class _Tokenizer:
     """The tokens of a text, from one pass; a token's line and column are
-    computed from its offset only when an error needs them."""
+    computed from its offset only when an error needs them.  In a
+    line-based document (``lines``) each line end is an ``eol`` token
+    with empty text, and a ``#`` that starts a line starts a directive."""
 
-    def __init__(self, text: str, filename: str):
+    def __init__(self, text: str, filename: str, lines: bool = False):
         self.text, self.filename = text, filename
         self.tokens: list[_Token] = []
+        line_start = True
         for m in _TOKEN.finditer(text):
             kind = m.lastgroup
             if kind == "ws" or kind == "comment":
                 continue
+            if kind == "eol":
+                line_start = True
+                if lines:
+                    self.tokens.append(("eol", "", m.start()))
+                continue
             tok = (kind, m.group(), m.start())
-            if kind == "bad":
-                raise ParseError(f"unexpected character {tok[1]!r}", self.span(tok))  # type: ignore[arg-type]
+            if kind == "bad" or (kind == "directive" and not (lines and line_start)):
+                raise ParseError(f"unexpected character {tok[1][0]!r}", self.span(tok))  # type: ignore[arg-type]
+            line_start = False
             self.tokens.append(tok)  # type: ignore[arg-type]
         self.tokens.append(("eof", "", len(text)))
         self.index = 0
@@ -113,25 +124,6 @@ class _Tokenizer:
 
 def _is_variable_name(name: str) -> bool:
     return name[0].isupper() or name[0] == "_"
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a % comment, ignoring % inside quoted constants."""
-    if "%" not in line:
-        return line
-    quoted = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "\\" and quoted:
-            i += 2
-            continue
-        if ch == "'":
-            quoted = not quoted
-        elif ch == "%" and not quoted:
-            return line[:i]
-        i += 1
-    return line
 
 
 _ANONYMOUS = Variable("_")
@@ -262,16 +254,17 @@ def parse_instance_document(text: str, filename: str = "<instance>") -> Instance
     exo_predicates: set[str] = set()
     section = "endogenous"
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+    tz = _Tokenizer(text, filename, lines=True)
+    while tz.peek()[0] != "eof":
+        first = tz.peek()
+        if first[0] == "eol":
+            tz.next()
             continue
-        if line.startswith("#"):
-            directive, _, rest = line.partition(" ")
+        if first[0] == "directive":
+            tz.next()
+            directive, _, rest = first[1].strip().partition(" ")
             if directive in ("#endogenous", "#exogenous", "#observe") and rest.strip():
-                raise ParseError(
-                    f"unexpected input after {directive}", SourceSpan(filename, lineno, 1)
-                )
+                raise ParseError(f"unexpected input after {directive}", tz.span(first))
             if directive == "#endogenous":
                 section = "endogenous"
             elif directive == "#exogenous":
@@ -281,24 +274,21 @@ def parse_instance_document(text: str, filename: str = "<instance>") -> Instance
             elif directive == "#exogenous-predicates":
                 names = [n.strip() for n in rest.split(",") if n.strip()]
                 if not names:
-                    raise ParseError("#exogenous-predicates needs at least one name", SourceSpan(filename, lineno, 1))
+                    raise ParseError("#exogenous-predicates needs at least one name", tz.span(first))
                 exo_predicates.update(names)
             else:
-                raise ParseError(f"unknown directive {directive}", SourceSpan(filename, lineno, 1))
+                raise ParseError(f"unknown directive {directive}", tz.span(first))
             continue
 
-        tz = _Tokenizer(line, filename)
         label: str | None = None
-        if tz.peek()[0] == "name" and tz.tokens[tz.index + 1][1] == ":":
+        if first[0] == "name" and tz.tokens[tz.index + 1][1] == ":":
             label = tz.next()[1]
             tz.next()
         start = tz.peek()
-        atom = _require_ground(
-            _parse_atom(tz), lambda: SourceSpan(filename, lineno, tz.span(start).column), label
-        )
+        atom = _require_ground(_parse_atom(tz), lambda: tz.span(start), label)
         tz.expect(".")
-        if tz.peek()[0] != "eof":
-            raise ParseError(f"trailing input after fact: {tz.peek()[1]!r}", SourceSpan(filename, lineno, 1))
+        if tz.peek()[0] not in ("eol", "eof"):
+            raise ParseError(f"trailing input after fact: {tz.peek()[1]!r}", tz.span(first))
 
         if section == "observe":
             observations.append(atom)
@@ -306,7 +296,7 @@ def parse_instance_document(text: str, filename: str = "<instance>") -> Instance
         bucket = exogenous if section == "exogenous" else endogenous
         other = endogenous if section == "exogenous" else exogenous
         if atom in other:
-            raise DuplicateFactError(f"fact {atom} appears in both partitions", SourceSpan(filename, lineno, 1))
+            raise DuplicateFactError(f"fact {atom} appears in both partitions", tz.span(first))
         bucket[atom] = atom
 
     for atom in list(endogenous):
@@ -334,15 +324,14 @@ def parse_ground_atom(text: str, filename: str = "<atom>") -> GroundAtom:
     return atom
 
 
-def _parse_constraint_line(line: str, filename: str, lineno: int) -> Constraint:
-    tz = _Tokenizer(line, filename)
+def _parse_constraint(tz: _Tokenizer) -> Constraint:
+    """The constraint at the tokenizer's position, through its ``.``."""
+    start = tz.peek()
     body: list[Atom] = []
     while True:
         item = _parse_atom_or_comparison(tz)
         if isinstance(item, Comparison):
-            raise NonConjunctiveBodyError(
-                f"built-in {item} not allowed in a constraint body", SourceSpan(filename, lineno, 1)
-            )
+            raise NonConjunctiveBodyError(f"built-in {item} not allowed in a constraint body", tz.span(start))
         body.append(item)
         tok = tz.next()
         if tok[1] == ",":
@@ -386,32 +375,38 @@ def parse_constraints(text: str, filename: str = "<constraints>") -> ConstraintS
     constraints: list[Constraint] = []
     keys: list[KeyConstraint] = []
     fds: list[FunctionalDependency] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+    tz = _Tokenizer(text, filename, lines=True)
+    while tz.peek()[0] != "eof":
+        first = tz.peek()
+        if first[0] == "eol":
+            tz.next()
             continue
+        if first[0] != "directive":
+            constraints.append(_parse_constraint(tz))
+            if tz.peek()[0] not in ("eol", "eof"):
+                raise ParseError(f"trailing input after constraint: {tz.peek()[1]!r}", tz.span(first))
+            continue
+        tz.next()
+        line = first[1].strip()
         if line.startswith("#key"):
             m = _KEY_DIRECTIVE.match(line)
             if not m:
-                raise ParseError("malformed #key directive", SourceSpan(filename, lineno, 1))
+                raise ParseError("malformed #key directive", tz.span(first))
             positions = tuple(int(p) for p in m.group("positions").split())
             if any(p < 1 for p in positions):
-                raise ParseError("key positions are 1-based", SourceSpan(filename, lineno, 1))
+                raise ParseError("key positions are 1-based", tz.span(first))
             keys.append(KeyConstraint(m.group("pred"), positions))
-            continue
-        if line.startswith("#fd"):
+        elif line.startswith("#fd"):
             m = _FD_DIRECTIVE.match(line)
             if not m:
-                raise ParseError("malformed #fd directive", SourceSpan(filename, lineno, 1))
+                raise ParseError("malformed #fd directive", tz.span(first))
             lhs = tuple(int(p) for p in m.group("lhs").split())
             rhs = tuple(int(p) for p in m.group("rhs").split())
             if any(p < 1 for p in (*lhs, *rhs)):
-                raise ParseError("dependency positions are 1-based", SourceSpan(filename, lineno, 1))
+                raise ParseError("dependency positions are 1-based", tz.span(first))
             fds.append(FunctionalDependency(m.group("pred"), lhs, rhs))
-            continue
-        if line.startswith("#"):
-            raise ParseError(f"unknown directive {line.split()[0]}", SourceSpan(filename, lineno, 1))
-        constraints.append(_parse_constraint_line(line, filename, lineno))
+        else:
+            raise ParseError(f"unknown directive {line.split()[0]}", tz.span(first))
     return ConstraintSet(tuple(constraints), tuple(keys), tuple(fds))
 
 

@@ -3,9 +3,10 @@ other answer of the query exactly.
 
 A contingency set here must (i) keep the target answer before the cause
 is removed, (ii) lose it afterwards, and (iii) leave the rest of the
-view untouched afterwards.  (ii) says the set hits every support set of
-the answer that avoids the cause, so the minimal contingency sets are the
-minimal hitting sets of those support sets that pass (i) and (iii).  The
+view untouched afterwards.  (i) and (ii) are the plain contingency
+conditions over the support sets of the answer, so the search runs the
+plain contingency conflict (``causality.contingency_conflict``) and adds
+(iii), which only gets harder to meet as the set grows, as a prune.  The
 support sets of every answer of the view come from one provenance pass
 (``abduction.support_families``); the view is the set of its answers.
 """
@@ -14,13 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .abduction import support_families
+from .causality import contingency_conflict
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from .evaluator import answers as evaluate_answers
 from .evaluator import fresh_predicate
-from .hitting import minimal_hitting_sets
+from .hitting import minimal_sets
 from .model import Atom, GroundAtom, Instance, Program, canonical_family
 
 VcContingencyFamily = tuple[frozenset[GroundAtom], ...]
@@ -39,13 +42,7 @@ class VcCauseReport:
 
 
 class _VcAnalysis:
-    def __init__(
-        self,
-        instance: Instance,
-        program: Program,
-        answer: GroundAtom,
-        protected: frozenset[GroundAtom] | None,
-    ):
+    def __init__(self, instance: Instance, program: Program, answer: GroundAtom, protected: frozenset[GroundAtom] | None):
         families = support_families(program, instance.exogenous, instance.endogenous)
         view = families.keys()
         if answer not in view:
@@ -57,29 +54,21 @@ class _VcAnalysis:
         self.target_family = families[answer]
         self.protected_families = [families[a] for a in sorted(self.protected, key=GroundAtom.sort_key)]
 
-    def _valid(self, tau: GroundAtom, gamma: frozenset[GroundAtom]) -> bool:
-        """Conditions (i) and (iii); (ii) holds for every hitting set."""
-        removed = gamma | {tau}
-        if not any(not (delta & gamma) for delta in self.target_family):
-            return False  # (i): the answer must survive the contingency alone
-        for family in self.protected_families:
-            if all(delta & removed for delta in family):
-                return False  # (iii): a protected answer would be lost
-        return True
-
     def contingency_family(self, tau: GroundAtom) -> VcContingencyFamily:
-        # (ii) is upward-closed in gamma, (i) and (iii) downward-closed:
-        # filtering the minimal sets that satisfy (ii) is exact
-        hitting = minimal_hitting_sets(delta for delta in self.target_family if tau not in delta)
-        return canonical_family(gamma for gamma in hitting if self._valid(tau, gamma))
+        plain = contingency_conflict(self.target_family, tau)
+
+        def conflict(gamma: frozenset[GroundAtom]) -> Iterable[GroundAtom] | None:
+            removed = gamma | {tau}
+            for family in self.protected_families:
+                if all(not delta.isdisjoint(removed) for delta in family):
+                    return ()  # (iii): a protected answer would be lost
+            return plain(gamma)
+
+        return canonical_family(minimal_sets(conflict))
 
     def reports(self) -> tuple[VcCauseReport, ...]:
-        candidates = sorted(
-            frozenset().union(*self.target_family) if self.target_family else frozenset(),
-            key=GroundAtom.sort_key,
-        )
         out = []
-        for tau in candidates:
+        for tau in sorted(frozenset().union(*self.target_family), key=GroundAtom.sort_key):
             family = self.contingency_family(tau)
             if family:
                 rho = Fraction(1, 1 + min(len(g) for g in family))

@@ -263,28 +263,58 @@ _LADDER_6 = "".join(f"e(l, l{j}).\ne(l{j}, lt).\n" for j in range(6))
 @pytest.mark.parametrize("facts, target, searches", [(_CHAIN_8, "ans(c0, c8)", 1), (_LADDER_6, "ans(l, lt)", 6)])
 def test_one_hitting_set_search_per_diagnosis_pattern(monkeypatch, facts, target, searches):
     """A cause's family depends only on which diagnoses hold it, so
-    ``reports`` runs one hitting-set search per distinct set of diagnoses:
-    chain-8 has one such set (8 searches when each cause had its own),
-    ladder-6 has six (12 before).  The shared families are the ones each
-    cause gets on its own."""
+    ``reports`` runs one minimal-set search per distinct set of
+    diagnoses: chain-8 has one such set (8 searches when each cause had
+    its own), ladder-6 has six (12 before).  The shared families are the
+    ones each cause gets on its own."""
     program, instance, answer = load_program("graph.dl"), parse_instance(facts), atom(target)
     calls = 0
-    real = causality.minimal_hitting_sets
+    real = causality.minimal_sets
 
-    def counted(*args):
+    def counted(conflict):
         nonlocal calls
         calls += 1
-        return real(*args)
+        return real(conflict)
 
     CauseAnalysis.for_query.cache_clear()
     solve_diagnoses.cache_clear()
-    monkeypatch.setattr(causality, "minimal_hitting_sets", counted)
+    monkeypatch.setattr(causality, "minimal_sets", counted)
     reports = cause_reports(instance, program, answer)
     assert calls == searches
     assert most_responsible_causes(instance, program, answer) == {r.cause for r in reports}
     assert calls == 2 * searches
-    monkeypatch.setattr(causality, "minimal_hitting_sets", real)
+    monkeypatch.setattr(causality, "minimal_sets", real)
     assert len(reports) == len(instance.endogenous)
     for report in reports:
         assert report.minimal_contingency_sets == minimal_contingency_sets(instance, program, answer, report.cause)
         assert report.responsibility == responsibility(instance, program, answer, report.cause)
+
+
+def test_ladder_searches_stay_within_their_tree(monkeypatch):
+    """On ladder-8 each of the 8 diagnosis patterns gets one search.  It
+    branches on the other 7 rungs in turn, so its level k holds the 2^k
+    sets of one tuple from each of the first k: 2^8 - 1 conflicts to
+    evaluate, not one per subset of the 14 other tuples."""
+    facts = "".join(f"e(l, l{j}).\ne(l{j}, lt).\n" for j in range(8))
+    program, instance, answer = load_program("graph.dl"), parse_instance(facts), atom("ans(l, lt)")
+    searches = evaluations = 0
+    real = causality.minimal_sets
+
+    def counted(conflict):
+        nonlocal searches
+        searches += 1
+
+        def tallied(gamma):
+            nonlocal evaluations
+            evaluations += 1
+            return conflict(gamma)
+
+        return real(tallied)
+
+    CauseAnalysis.for_query.cache_clear()
+    solve_diagnoses.cache_clear()
+    monkeypatch.setattr(causality, "minimal_sets", counted)
+    reports = cause_reports(instance, program, answer)
+    assert searches == 8
+    assert evaluations <= 8 * 2**8
+    assert {r.responsibility for r in reports} == {Fraction(1, 8)}

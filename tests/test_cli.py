@@ -351,11 +351,25 @@ def test_target_of_the_wrong_arity_is_not_an_answer(name, tmp_path, capsys):
 # -- the exit-code contract on arbitrary input ---------------------------------
 
 _CONTRACT_CASES = [
-    ("aj.dl", "aj.facts", "ans(john, xml)"),
-    ("access.dl", "access.facts", "access(joe, f1)"),
-    ("graph.dl", "graph.facts", "ans(c, e)"),
-    ("rs.dl", "rs_abduce.facts", "ans"),
-    ("circuit.dl", "circuit.facts", "zero(d)"),
+    ("aj.dl", "aj.facts", "ans(john, xml)", "author(john, tkde)"),
+    ("access.dl", "access.facts", "access(joe, f1)", "group_user(joe, g1)"),
+    ("graph.dl", "graph.facts", "ans(c, e)", "e(a, b)"),
+    ("rs.dl", "rs_abduce.facts", "ans", "r(a2, a1)"),
+    ("circuit.dl", "circuit.facts", "zero(d)", "one(a)"),
+    ("dept_q.dl", "dept.facts", "ans(john)", "dep(computing, john)"),
+    ("repair.dl", "repair.facts", "v(a1)", "r(a2, a1)"),
+]
+_CONTRACT_ICS = ["dept.ics", "keys.ics", "repair.ics"]
+_CONTRACT_COMMANDS = [
+    "eval",
+    "causes",
+    "causes -c",
+    "responsibility",
+    "responsibility -c",
+    "mrc",
+    "vc-causes",
+    "abduce",
+    "delprop",
 ]
 
 
@@ -374,15 +388,19 @@ def _mangled(draw, data: bytes) -> bytes:
 
 @st.composite
 def _contract_inputs(draw):
-    """A subcommand with a fixture's program and facts, each kept, cut
-    short or replaced by arbitrary text or bytes, and a target of any
-    fixture or arbitrary text."""
-    program, data, _ = draw(st.sampled_from(_CONTRACT_CASES))
-    command = draw(st.sampled_from(["eval", "causes", "vc-causes", "abduce", "delprop"]))
+    """A subcommand with a fixture's program, facts and constraints, each
+    kept, cut short or replaced by arbitrary text or bytes, and a target
+    and a tuple of the same fixture, any fixture or arbitrary text."""
+    program, data, own_target, own_tuple = draw(st.sampled_from(_CONTRACT_CASES))
+    command = draw(st.sampled_from(_CONTRACT_COMMANDS))
     program_bytes = _mangled(draw, (FIXTURES / program).read_bytes())
     data_bytes = _mangled(draw, (FIXTURES / data).read_bytes())
-    target = draw(st.one_of(st.sampled_from([target for _, _, target in _CONTRACT_CASES]), st.text(max_size=40)))
-    return command, program_bytes, data_bytes, target, draw(st.sampled_from(sorted(cli._DELPROP_MODES)))
+    ics_bytes = _mangled(draw, (FIXTURES / draw(st.sampled_from(_CONTRACT_ICS))).read_bytes())
+    targets, tuples = [case[2] for case in _CONTRACT_CASES], [case[3] for case in _CONTRACT_CASES]
+    target = draw(st.one_of(st.just(own_target), st.sampled_from(targets), st.text(max_size=40)))
+    tuple_ = draw(st.one_of(st.just(own_tuple), st.sampled_from(tuples), st.text(max_size=40)))
+    mode = draw(st.sampled_from(sorted(cli._DELPROP_MODES)))
+    return command, program_bytes, data_bytes, ics_bytes, target, tuple_, mode
 
 
 def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
@@ -392,18 +410,24 @@ def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
     from contextlib import redirect_stderr, redirect_stdout
 
     folder = tmp_path_factory.mktemp("contract")
-    program, data = folder / "input.dl", folder / "input.facts"
+    program, data, ics = folder / "input.dl", folder / "input.facts", folder / "input.ics"
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(_contract_inputs())
     def run(case):
-        command, program_bytes, data_bytes, target, mode = case
+        command, program_bytes, data_bytes, ics_bytes, target, tuple_, mode = case
         program.write_bytes(program_bytes)
         data.write_bytes(data_bytes)
-        argv = [command, "-p", str(program), "-d", str(data)]
-        if command in ("causes", "vc-causes", "delprop"):
+        name, _, constrained = command.partition(" ")
+        argv = [name, "-p", str(program), "-d", str(data)]
+        if name not in ("eval", "abduce"):
             argv.append(f"--target={target}")  # one argument, even when it starts with "-"
-        if command == "delprop":
+        if name == "responsibility":
+            argv.append(f"--tuple={tuple_}")
+        if constrained:
+            ics.write_bytes(ics_bytes)
+            argv += ["-c", str(ics)]
+        if name == "delprop":
             argv += ["--mode", mode]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

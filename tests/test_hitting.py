@@ -5,17 +5,20 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import whyd
-from whyd.hitting import minimal_hitting_sets
+from whyd.hitting import minimal_hitting_sets, minimal_sets
 
 
-def _brute_minimal_hitting_sets(families, universe):
-    families = [frozenset(f) for f in families]
-    hits = [
+def _all_hitting_sets(families, universe):
+    return [
         frozenset(combo)
         for size in range(len(universe) + 1)
         for combo in combinations(sorted(universe), size)
         if all(frozenset(combo) & f for f in families)
     ]
+
+
+def _brute_minimal_hitting_sets(families, universe):
+    hits = _all_hitting_sets(families, universe)
     return {h for h in hits if not any(other < h for other in hits)}
 
 
@@ -36,12 +39,6 @@ def test_textbook_example():
     }
 
 
-def test_restricted_universe():
-    families = [frozenset({1, 2}), frozenset({2, 3})]
-    assert set(minimal_hitting_sets(families, frozenset({1, 3}))) == {frozenset({1, 3})}
-    assert minimal_hitting_sets(families, frozenset({1})) == []
-
-
 _family = st.lists(
     st.frozensets(st.integers(0, 5), min_size=1, max_size=4), min_size=0, max_size=5
 )
@@ -54,21 +51,25 @@ def test_matches_brute_force_enumeration(families):
     assert set(minimal_hitting_sets(families)) == _brute_minimal_hitting_sets(families, universe)
 
 
-@given(_family, st.frozensets(st.integers(0, 5), max_size=4))
+@given(_family, st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=3), max_size=3))
 @settings(max_examples=200, deadline=None)
-def test_restricted_matches_brute_force(families, universe):
-    expected = {
-        h
-        for h in _brute_minimal_hitting_sets(
-            families, set(chain.from_iterable(families)) & universe
-        )
-        if h <= universe
-    }
-    got = set(minimal_hitting_sets(families, universe))
-    if any(not (f & universe) for f in families):
-        assert got == set()
-    else:
-        assert got == expected
+def test_search_with_a_prune_matches_brute_force(families, forbidden):
+    # valid: hits every set and holds no forbidden set; holding one is
+    # upward-closed, so it prunes
+    ordered = sorted(families, key=len)
+
+    def conflict(gamma):
+        if any(f <= gamma for f in forbidden):
+            return ()
+        return next((f for f in ordered if f.isdisjoint(gamma)), None)
+
+    universe = set(chain.from_iterable(families))
+    valid = [h for h in _all_hitting_sets(families, universe) if not any(f <= h for f in forbidden)]
+    expected = {h for h in valid if not any(other < h for other in valid)}
+    found = minimal_sets(conflict)
+    assert len(found) == len(set(found))
+    assert set(found) == expected
+    assert [len(h) for h in found] == sorted(len(h) for h in found)
 
 
 def test_no_package_module_enumerates_subsets():

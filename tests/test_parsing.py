@@ -285,23 +285,26 @@ _MALFORMED = [
     ("program", "X = Y :- e(X).", "ParseError: <program>:1:7: expected an atom, found comparison X = Y"),
     ("program", "ans(X) :- e(X, Y)).", "ParseError: <program>:1:18: expected '.', found ')'"),
     ("instance", "e(a, b).\ne(a, X).", "ParseError: <instance>:2:1: fact e(a, X) contains variables"),
-    ("instance", "t1: e(a, b).\nt2 e(b, c).", "ParseError: <instance>:1:4: expected '.', found 'e'"),
+    ("instance", "t1: e(a, b).\nt2 e(b, c).", "ParseError: <instance>:2:4: expected '.', found 'e'"),
     ("instance", "e(a, b) e(b, c).", "ParseError: <instance>:1:9: expected '.', found 'e'"),
     ("instance", "e(a, b).\n#bogus", "ParseError: <instance>:2:1: unknown directive #bogus"),
     ("instance", "#exogenous x", "ParseError: <instance>:1:1: unexpected input after #exogenous"),
-    ("instance", "e(a, b).\n  e(b, c). f(c).", "ParseError: <instance>:2:1: trailing input after fact: 'f'"),
+    ("instance", "e(a, b).\n  e(b, c). f(c).", "ParseError: <instance>:2:3: trailing input after fact: 'f'"),
     (
         "instance",
         "e(a, b).\n#exogenous\ne(a, b).",
         "DuplicateFactError: <instance>:3:1: fact e(a, b) appears in both partitions",
     ),
-    ("instance", "e(a, b).\n   e(a, @).", "ParseError: <instance>:1:6: unexpected character '@'"),
+    ("instance", "e(a, b).\n   e(a, @).", "ParseError: <instance>:2:9: unexpected character '@'"),
+    ("instance", "e(a, b). #observe", "ParseError: <instance>:1:10: unexpected character '#'"),
+    ("instance", "e(a,b).\ne(a b).", "ParseError: <instance>:2:5: expected ')', found 'b'"),
+    ("instance", "e(a, b).\n  t1: e(a, X).", "ParseError: <instance>:2:7: fact e(a, X) contains variables"),
     (
         "instance",
         "#exogenous-predicates ,",
         "ParseError: <instance>:1:1: #exogenous-predicates needs at least one name",
     ),
-    ("instance", "e(a, b). % c\n#observe\nans(a %", "ParseError: <instance>:1:6: expected ')', found ''"),
+    ("instance", "e(a, b). % c\n#observe\nans(a %", "ParseError: <instance>:3:8: expected ')', found ''"),
     ("target", "ans(john", "ParseError: <atom>:1:9: expected ')', found ''"),
     ("target", "ans(X)", "ParseError: <atom>:1:7: fact ans(X) contains variables"),
     ("target", "ans(a) b", "ParseError: <atom>:1:8: trailing input after atom: 'b'"),
@@ -315,14 +318,19 @@ _MALFORMED = [
     (
         "constraints",
         "p(X) => false.\nq(X) r(X) => false.",
-        "ParseError: <constraints>:1:6: expected ',' or '=>', found 'r'",
+        "ParseError: <constraints>:2:6: expected ',' or '=>', found 'r'",
     ),
-    ("constraints", "p(X) => false.\n  q(X, Y) => X = .", "ParseError: <constraints>:1:16: expected a term, found '.'"),
+    ("constraints", "p(X) => false.\n  q(X, Y) => X = .", "ParseError: <constraints>:2:18: expected a term, found '.'"),
     ("constraints", "p(X) q(X) => false.", "ParseError: <constraints>:1:6: expected ',' or '=>', found 'q'"),
     ("constraints", "#key s", "ParseError: <constraints>:1:1: malformed #key directive"),
     ("constraints", "#fd p 0 -> 1", "ParseError: <constraints>:1:1: dependency positions are 1-based"),
     ("constraints", "#foo", "ParseError: <constraints>:1:1: unknown directive #foo"),
     ("constraints", "p(X) => false", "ParseError: <constraints>:1:14: expected '.', found ''"),
+    (
+        "constraints",
+        "p(X) => false.\n q(X) => false. r(X) => false.",
+        "ParseError: <constraints>:2:2: trailing input after constraint: 'r'",
+    ),
 ]
 _PARSERS = {
     "program": parse_program,
