@@ -13,7 +13,8 @@ a program at once gives each answer's minimal support sets
 (``support_families``), behind view-conditioned causes and
 side-effect-free deletions.  Each family is checked by direct
 evaluation before it is returned: every set, and every set with one
-element dropped, is a world of one world-parallel fixpoint.
+element dropped, is a world, and all of them are propagated over a
+ground program that the check derives again by joins.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from .evaluator import Firings, evaluate_fixpoint, evaluate_worlds, fresh_predicate
+from .evaluator import Firings, evaluate_fixpoint, fresh_predicate, ground, propagate, reached
 from .hitting import minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
@@ -63,7 +64,9 @@ def _labelled(atoms: frozenset[GroundAtom]) -> dict[GroundAtom, GroundAtom] | No
 class AbductionProblem:
     """``(program, extensional facts, hypotheses, observation)`` with the
     standing assumption that program + facts + all hypotheses entail the
-    observation (checked at construction)."""
+    observation (checked at construction).  ``firings`` is the recorded
+    derivation graph (``MinimalModel.firings``) of that model, under the
+    program plus one rule deriving a fresh goal from the observation."""
 
     program: Program
     extensional: frozenset[GroundAtom]
@@ -87,7 +90,7 @@ class AbductionProblem:
             raise ObservationNotEntailableError(
                 "the observation is not entailed even with every hypothesis added"
             )
-        object.__setattr__(self, "_firings", firings)
+        object.__setattr__(self, "firings", firings)
         # diagnoses are cached without tuple labels; these put them back
         object.__setattr__(self, "_labelled", _labelled(self.hypotheses))
 
@@ -121,23 +124,18 @@ def _minimal_why(
     firings.  A worklist re-fires the users of every atom whose antichain
     changed until nothing does; antichains only move down a finite
     lattice, so it terminates."""
+    graph = reached(firings, goals)
     # users[b]: the firings (head, body) of reached heads with b in the body
     users: dict[GroundAtom, list[tuple[GroundAtom, tuple[GroundAtom, ...]]]] = {}
-    reached = set(goals)
-    frontier = list(reached)
-    while frontier:
-        head = frontier.pop()
-        for body in set(firings.get(head, ())):
+    for head, bodies in graph.items():
+        for body in set(bodies):
             for atom in set(body):
                 users.setdefault(atom, []).append((head, body))
-                if atom not in reached:
-                    reached.add(atom)
-                    frontier.append(atom)
 
     why: dict[GroundAtom, list[Diagnosis]] = {}
-    for atom in reached:
+    for atom in graph.keys() | users.keys():
         # background facts and heads of atom-less firings need nothing
-        if atom in extensional or () in firings.get(atom, ()):
+        if atom in extensional or () in graph.get(atom, ()):
             why[atom] = [frozenset()]
         elif atom in hypotheses:
             why[atom] = [frozenset({atom})]
@@ -179,31 +177,43 @@ def _render(delta: Diagnosis) -> str:
 
 
 def _check(
-    program: Program, extensional: frozenset[GroundAtom], families: Mapping[GroundAtom, Sequence[Diagnosis]]
+    program: Program, firings: Firings, extensional: frozenset[GroundAtom], families: Mapping[GroundAtom, Sequence[Diagnosis]]
 ) -> None:
-    """Check each goal's family directly, by evaluation: the family is
-    not empty, each set entails the goal together with the extensional
-    facts, and no set with one element dropped does.  Raises
-    ``InternalInvariantError``.  Every distinct set, of every goal, is a
-    world of one world-parallel pass (``evaluate_worlds``) over the
-    extensional facts, and a set entails a goal when the goal's mask
-    holds the set's bit."""
+    """Check each goal's family directly, by evaluation: the family is not
+    empty, each set entails the goal with the extensional facts, and no
+    set with one element dropped does; raises ``InternalInvariantError``.
+
+    Each set is a world, and the recorded graph ``firings`` is not
+    trusted: the worlds' facts and the recorded heads are grounded again
+    by joins, and no head derived there may lie outside them.  Then every
+    derivation inside a world is one of those firings (a first one that
+    is not would have its body, so its head, among them), and the worlds
+    are propagated over the ground program the goals reach."""
     worlds: dict[Diagnosis, int] = {}
     for family in families.values():
         for delta in family:
             worlds.setdefault(delta, len(worlds))
             for d in delta:
                 worlds.setdefault(delta - {d}, len(worlds))
-    models = evaluate_worlds(program, list(worlds), extensional)
-
+    atoms = extensional.union(*worlds, firings.keys())
+    grounded = ground(program, atoms)
+    for head in grounded:
+        if head not in atoms:
+            raise InternalInvariantError(f"the recorded graph is not closed: it misses {head}")
+    masks = dict.fromkeys(extensional, -1)
+    for delta, i in worlds.items():
+        for d in delta:
+            masks[d] = masks.get(d, 0) | 1 << i
+    propagate(reached(grounded, families), masks)
     for goal, family in families.items():
         if not family:
             raise InternalInvariantError(f"no diagnosis found for {goal}, which is entailable")
+        held = masks.get(goal, 0)
         for delta in family:
-            if not models.holds(goal, worlds[delta]):
+            if not held >> worlds[delta] & 1:
                 raise InternalInvariantError(f"diagnosis {_render(delta)} does not entail {goal}")
             for d in delta:
-                if models.holds(goal, worlds[delta - {d}]):
+                if held >> worlds[delta - {d}] & 1:
                     raise InternalInvariantError(
                         f"diagnosis {_render(delta)} of {goal} is not minimal: {d} is redundant"
                     )
@@ -231,9 +241,8 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
 @lru_cache(maxsize=None)
 def _diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     goal_program, goal = problem._goal_program, problem._goal  # type: ignore[attr-defined]
-    firings = problem._firings  # type: ignore[attr-defined]
-    found = _minimal_why(firings, problem.extensional, problem.hypotheses, (goal,))
-    _check(goal_program, problem.extensional, found)
+    found = _minimal_why(problem.firings, problem.extensional, problem.hypotheses, (goal,))
+    _check(goal_program, problem.firings, problem.extensional, found)
     return canonical_family(found[goal])
 
 
@@ -250,7 +259,7 @@ def support_families(
     model = evaluate_fixpoint(program, fixed | deletable)
     answers = tuple(sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key))
     found = _minimal_why(model.firings, fixed, deletable, answers)
-    _check(program, fixed, found)
+    _check(program, model.firings, fixed, found)
     labelled = _labelled(deletable)
     return {answer: _relabel(canonical_family(family), labelled) for answer, family in found.items()}
 

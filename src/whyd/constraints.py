@@ -25,7 +25,7 @@ from .errors import (
     WhydError,
 )
 from .causality import CauseAnalysis, contingency_conflict
-from .evaluator import Relation, _join, _plan, _Plan
+from .evaluator import Relation, _join, _plan, _Plan, _relations
 from .hitting import minimal_sets
 from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, canonical_family
 
@@ -199,13 +199,6 @@ def _check_arities(constraints: Sequence[Constraint], instance: Instance) -> Non
                 raise SchemaMismatchError(
                     f"{atom.predicate} used with arity {atom.arity} in {c} but {known} elsewhere"
                 )
-
-
-def _relations(atoms: Iterable[GroundAtom]) -> dict[str, Relation]:
-    grouped: dict[str, list[GroundAtom]] = {}
-    for atom in atoms:
-        grouped.setdefault(atom.predicate, []).append(atom)
-    return {p: Relation(facts) for p, facts in grouped.items()}
 
 
 def _body_matches(

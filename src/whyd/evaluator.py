@@ -1,14 +1,15 @@
 """Bottom-up evaluation of positive Datalog to the minimal model.
 
-The evaluation is semi-naive, and it runs over a list of worlds (fact
-sets) at once: each atom carries the bitmask of the worlds whose model
-holds it, and a round's delta is the atoms whose mask grew (per
-predicate; in the first round every fact is new, so each rule is joined
-once over the full relations).  ``evaluate_fixpoint`` is the one-world
-case; ``evaluate_worlds`` serves callers that need many related models,
-such as abduction's check of every candidate set; the one-world pass
-also records the model's derivation graph (``MinimalModel.firings``),
-behind abduction's diagnoses.  ``_join`` is the one routine that
+The evaluation is semi-naive, one model at a time: a round's delta is
+the atoms new to the model (per predicate; in the first round every fact
+is new, so each rule is joined once over the full relations).
+``evaluate_fixpoint`` also records the model's derivation graph
+(``MinimalModel.firings``), behind abduction's diagnoses.  The models of
+many worlds (fact sets) inside one model need no join of their own:
+``propagate`` reads them off that model's ground program, ``reached``
+keeps the part of it some goals need, and ``ground`` derives the ground
+program again by one join of each rule, for callers that must not trust
+a recorded graph.  ``_join`` is the one routine that
 matches a conjunction of atoms against facts: the semi-naive rounds and
 every integrity constraint check go through it.  It follows a plan
 compiled once per rule or constraint (``_plan``): the delta atom first,
@@ -24,13 +25,14 @@ oracles use lives in ``tests/oracle.py`` and shares no code with this
 module.
 
 Termination is guaranteed: the active domain is finite and rules are
-positive, so the masks can only grow and the model is bounded by the
-set of all ground atoms over known predicates and constants.
+positive, so the model only grows and is bounded by the set of all
+ground atoms over known predicates and constants.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -368,148 +370,133 @@ def _join(
             pos -= 1
 
 
-def _semi_naive(program: Program, masks: dict[GroundAtom, int], full: int) -> tuple[dict[str, Relation], Firings]:
-    """The one semi-naive loop, over worlds (fact sets) at once.
+def _relations(facts: Iterable[GroundAtom]) -> dict[str, Relation]:
+    by_predicate: dict[str, set[GroundAtom]] = {}
+    for fact in facts:
+        by_predicate.setdefault(fact.predicate, set()).add(fact)
+    return {p: Relation(facts) for p, facts in by_predicate.items()}
 
-    ``masks`` maps each label-free seed fact to the bitmask of the worlds
-    that hold it (bit i: world i); ``full`` has a bit for every world.
-    The loop grows ``masks`` in place to those of the worlds' minimal
-    models (the Boolean semiring raised to the worlds): a firing's mask
-    is the AND of its body atoms' masks and is ORed into the head's.  A
-    round's delta is the atoms whose mask grew, and masks are read as the
-    previous round left them, so a firing whose body last grew in round r
-    is joined in round r + 1 with final masks.  The relations hold the
-    union of the worlds' models, so joins, plans and indexes are those of
-    one model.  Returns the relations and, for one world, the derivation
-    graph (``MinimalModel.firings``): each firing is recorded when it is
-    joined, in the round after its last body atom appeared."""
-    single = full == 1
-    firings: Firings = defaultdict(list)
-    rules = []
-    for rule in program.rules:
-        atoms = tuple(rule.body_atoms())
-        if atoms:
-            rules.append((rule, atoms, [None] * len(atoms), _Head(rule.head)))
-            continue
-        # no atom to carry a delta: such a rule fires once, in round 0,
-        # in every world
-        for binding, body in _join(_rule_plan(rule), ()):
-            fact = _instantiate(_Head(rule.head), binding)
-            masks[fact] = full
-            if single:
-                firings[fact].append(body)
-    seeds: dict[str, set[GroundAtom]] = {}
-    for fact in masks:
-        seeds.setdefault(fact.predicate, set()).add(fact)
 
-    relations = {p: Relation(facts) for p, facts in seeds.items()}
+def _compile(program: Program) -> list[tuple[Rule, tuple[Atom, ...], _Head]]:
+    return [(rule, tuple(rule.body_atoms()), _Head(rule.head)) for rule in program.rules]
+
+
+def _round(
+    rules: list, relations: dict[str, Relation], deltas: dict[str, Relation] | None, firings: Firings
+) -> dict[str, set[GroundAtom]]:
+    """One round of joins of the ``_compile``d rules: with no ``deltas``
+    each rule once over the full relations, else once per body atom with
+    a delta, that atom reading it.  Appends each firing's body to
+    ``firings[head]``; returns the heads by predicate."""
+    heads: dict[str, set[GroundAtom]] = {}
     empty = Relation(frozenset())
-    deltas: dict[str, Relation] = {}
-    first = True
-    while first or deltas:
-        produced: dict[GroundAtom, int] = {}
-        for rule, atoms, plans, head in rules:
-            sources = [relations.get(a.predicate, empty) for a in atoms]
-            if first:
-                # every fact is new: one join over the full relations
-                joins = [(_rule_plan(rule), -1)]
-            else:
-                joins = []
-                for i, atom in enumerate(atoms):
-                    if atom.predicate in deltas:
-                        if plans[i] is None:
-                            plans[i] = _rule_plan(rule, i)
-                        joins.append((plans[i], i))
-            for plan, i in joins:
-                if i >= 0:
-                    full_source, sources[i] = sources[i], deltas[atoms[i].predicate]
-                if single:
-                    # every mask is 1, and so is every firing's
-                    for binding, body in _join(plan, sources):
-                        fact = _instantiate(head, binding)
-                        produced[fact] = 1
-                        firings[fact].append(body)
-                else:
-                    for binding, body in _join(plan, sources):
-                        mask = full
-                        for fact in body:
-                            mask &= masks[fact]
-                        if mask:
-                            fact = _instantiate(head, binding)
-                            produced[fact] = produced.get(fact, 0) | mask
-                if i >= 0:
-                    sources[i] = full_source
-        first = False
-        # fresh: new to every world; grown: held before, in fewer worlds
-        fresh: dict[str, set[GroundAtom]] = {}
-        grown: dict[str, set[GroundAtom]] = {}
-        for fact, mask in produced.items():
-            old = masks.get(fact, 0)
-            if not old:
-                masks[fact] = mask
-                fresh.setdefault(fact.predicate, set()).add(fact)
-            elif old | mask != old:
-                masks[fact] = old | mask
-                grown.setdefault(fact.predicate, set()).add(fact)
-        for p, facts in fresh.items():
-            if p in relations:
-                relations[p].update(facts)
-            else:
-                relations[p] = Relation(set(facts))
-        for p, facts in grown.items():
-            fresh.setdefault(p, set()).update(facts)
-        deltas = {p: Relation(facts) for p, facts in fresh.items()}
+    for rule, atoms, head in rules:
+        if deltas is None:
+            joins = [(_rule_plan(rule), -1)]
+        else:
+            joins = [(_rule_plan(rule, i), i) for i, a in enumerate(atoms) if a.predicate in deltas]
+            if not joins:
+                continue
+        full = [relations.get(a.predicate, empty) for a in atoms]
+        produced = heads.setdefault(head.predicate, set())
+        for plan, i in joins:
+            sources = full if i < 0 else [*full[:i], deltas[atoms[i].predicate], *full[i + 1 :]]  # type: ignore[index]
+            for binding, body in _join(plan, sources):
+                fact = _instantiate(head, binding)
+                produced.add(fact)
+                firings[fact].append(body)
+    return heads
+
+
+def _semi_naive(program: Program, facts: Iterable[GroundAtom]) -> tuple[dict[str, Relation], Firings]:
+    """The one semi-naive loop: the minimal model over label-free seed
+    facts, as relations, and its derivation graph (``MinimalModel.firings``),
+    each firing recorded when joined.  Round 0 joins every rule over the
+    seeds; a later round joins what reads the last one's new heads."""
+    rules = _compile(program)
+    firings: Firings = defaultdict(list)
+    # a rule without atoms has no atom to carry a delta: it fires once,
+    # before round 0, and its heads seed the model
+    seeded = _round([r for r in rules if not r[1]], {}, None, firings)
+    rules = [r for r in rules if r[1]]
+    relations = _relations(chain(facts, *seeded.values()))
+    for _, _, head in rules:
+        relations.setdefault(head.predicate, Relation(set()))
+    deltas: dict[str, Relation] | None = None
+    while deltas is None or deltas:
+        heads = _round(rules, relations, deltas, firings)
+        deltas = {}
+        for p, produced in heads.items():
+            held = relations[p]
+            fresh = produced - held.facts  # type: ignore[operator]
+            if fresh:
+                held.update(fresh)
+                deltas[p] = Relation(fresh)
     return relations, firings
 
 
 def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom]) -> MinimalModel:
     """Least fixpoint of ``program`` over the given facts, with its
-    derivation graph: the one-world case of the semi-naive loop.
+    derivation graph.
 
     Facts may mention intensional predicates; they simply seed the model,
     which is what the abduction-to-causality constructions rely on.
     """
     base = instance.atoms if isinstance(instance, Instance) else instance
-    relations, firings = _semi_naive(program, dict.fromkeys(_strip_labels(base), 1), 1)
-    return MinimalModel({p: frozenset(rel.facts) for p, rel in relations.items()}, firings)
+    relations, firings = _semi_naive(program, _strip_labels(base))
+    return MinimalModel({p: frozenset(rel.facts) for p, rel in relations.items() if rel.facts}, firings)
 
 
-class WorldModels:
-    """The minimal models of one program over several worlds, from one
-    pass: ``relations`` holds their union by predicate, and ``masks``
-    maps each atom of the union to the bitmask of the worlds whose model
-    holds it (bit i: world i)."""
-
-    __slots__ = ("relations", "masks")
-
-    def __init__(self, relations: dict[str, frozenset[GroundAtom]], masks: dict[GroundAtom, int]):
-        self.relations = relations
-        self.masks = masks
-
-    def holds(self, atom: GroundAtom, world: int) -> bool:
-        return bool(self.masks.get(atom, 0) >> world & 1)
-
-    def extension(self, predicate: str, world: int) -> frozenset[GroundAtom]:
-        masks = self.masks
-        return frozenset(a for a in self.relations.get(predicate, ()) if masks[a] >> world & 1)
+def ground(program: Program, atoms: Iterable[GroundAtom]) -> Firings:
+    """The ground program of ``program`` over ``atoms``, shaped as
+    ``MinimalModel.firings``: every rule joined once over them, one naive
+    round.  Over a closed model it is the model's derivation graph."""
+    firings: Firings = defaultdict(list)
+    _round(_compile(program), _relations(_strip_labels(atoms)), None, firings)
+    return firings
 
 
-def evaluate_worlds(
-    program: Program, worlds: Sequence[Iterable[GroundAtom]], shared: Iterable[GroundAtom] = ()
-) -> WorldModels:
-    """The minimal model of ``program`` over each world, a fact set that
-    also holds the ``shared`` facts, from one semi-naive pass (world i is
-    bit i of every mask).  Worlds may repeat and may be empty."""
-    if not worlds:
-        return WorldModels({}, {})
-    full = (1 << len(worlds)) - 1
-    masks = dict.fromkeys(_strip_labels(shared), full)
-    for i, world in enumerate(worlds):
-        bit = 1 << i
-        for fact in _strip_labels(world):
-            masks[fact] = masks.get(fact, 0) | bit
-    relations, _ = _semi_naive(program, masks, full)
-    return WorldModels({p: frozenset(rel.facts) for p, rel in relations.items()}, masks)
+def reached(firings: Firings, goals: Iterable[GroundAtom]) -> Firings:
+    """The part of a derivation graph the goals reach backward, which every
+    derivation of a goal uses: each head with its bodies, in depth-first
+    post-order (off cycles, after the heads in its bodies)."""
+    out: Firings = {}
+    seen: set[GroundAtom] = set()
+    stack = [goal for goal in goals if goal in firings]
+    while stack:
+        head = stack[-1]
+        if head not in seen:
+            # its unseen heads go above it and are done before it
+            seen.add(head)
+            stack += [a for body in firings[head] for a in body if a not in seen and a in firings]
+        else:
+            stack.pop()
+            out.setdefault(head, firings[head])
+    return out
+
+
+def propagate(firings: Firings, masks: dict[GroundAtom, int]) -> dict[GroundAtom, int]:
+    """The minimal models of worlds (fact sets) inside one model, read off
+    its ground program ``firings`` with no join (Dowling & Gallier, JLP
+    1984): ``masks`` maps each fact to the bitmask of the worlds holding
+    it (bit i: world i; -1: all), and grows in place to the worlds'
+    models.  A firing's mask, the AND of its body's, is ORed into its
+    head's, in sweeps until none grows (one, in ``reached``'s order)."""
+    grown = True
+    while grown:
+        grown = False
+        for head, bodies in firings.items():
+            old = masks.get(head, 0)
+            mask = old
+            for body in bodies:
+                both = -1
+                for atom in body:
+                    both &= masks.get(atom, 0)
+                mask |= both
+            if mask != old:
+                masks[head] = mask
+                grown = True
+    return masks
 
 
 def holds(program: Program, instance: Instance | Iterable[GroundAtom], atom: GroundAtom) -> bool:

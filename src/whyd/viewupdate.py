@@ -11,9 +11,10 @@ hitting sets of the target's support family that pass the second test.
 The support sets of every answer come from one provenance pass
 (``abduction.support_families``), and the view is the set of its
 answers; the residual view of such a solution is the view without the
-target, by definition.  The residual views of the source-side-effect
-solutions come from one world-parallel pass, with the instance without
-each solution as a world.
+target, by definition.  Every other world tested here (the instance
+without a solution, a candidate subinstance, that subinstance with one
+tuple put back) lies inside the model of the whole instance, so all of
+them come from one propagation over its derivation graph, with no join.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Literal
 from .abduction import support_families
 from .causality import CauseAnalysis
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
-from .evaluator import answers as evaluate_answers
-from .evaluator import evaluate_worlds
+from .evaluator import evaluate_fixpoint, propagate, reached
 from .hitting import minimal_hitting_sets
 from .model import GroundAtom, Instance, Program, canonical_family
 
@@ -58,12 +58,18 @@ def minimal_source_solutions(
     for tau in analysis.causes():
         for gamma in analysis.contingency_family(tau):
             removals.add(gamma | {tau})
-    # one world per solution: the instance without its removed tuples
+    # world i is the instance without the i-th solution, inside the model
+    # whose graph the analysis recorded
     solutions = canonical_family(removals)
-    touched = frozenset().union(*solutions)
-    models = evaluate_worlds(program, [touched - removed for removed in solutions], instance.atoms - touched)
+    masks = dict.fromkeys(instance.atoms, -1)
+    for i, removed in enumerate(solutions):
+        for atom in removed:
+            masks[atom] &= ~(1 << i)
+    firings = analysis.problem.firings
+    propagate(reached(firings, firings), masks)
+    views = [(GroundAtom(a.predicate, a.args), m) for a, m in masks.items() if a.predicate == program.answer_predicate]
     return tuple(
-        DeletionSolution(removed, "minimal_source", models.extension(program.answer_predicate, i))
+        DeletionSolution(removed, "minimal_source", frozenset(a for a, mask in views if mask >> i & 1))
         for i, removed in enumerate(solutions)
     )
 
@@ -102,18 +108,20 @@ def check_source_solution(
         raise NotSubinstanceError("the candidate is not a subinstance")
     if mode not in ("s", "c"):
         raise WhydError(f"unknown mode {mode!r}")
-    full_view = evaluate_answers(program, instance)
-    if answer not in full_view:
+    model = evaluate_fixpoint(program, instance)
+    if answer.predicate != program.answer_predicate or answer not in model:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance")
-    if answer in evaluate_answers(program, subinstance):
-        return False
+    # world 0 is the subinstance; world i + 1 puts the i-th deleted tuple
+    # back, for maximality: each must restore the answer (monotonicity
+    # lifts this to all supersets)
     removed = instance.atoms - subinstance.atoms
+    masks = dict.fromkeys(subinstance.atoms, -1)
+    masks.update((atom, 2 << i) for i, atom in enumerate(removed))
+    held = propagate(reached(model.firings, [answer]), masks).get(answer, 0)
+    if held & 1:
+        return False
     if mode == "s":
-        # maximality: putting any single deleted tuple back must restore
-        # the answer (monotonicity lifts this to all supersets); each
-        # restored subinstance is one world of one pass
-        restored = evaluate_worlds(program, [{atom} for atom in removed], subinstance.atoms)
-        return all(restored.holds(answer, i) for i in range(len(removed)))
+        return held >> 1 == (1 << len(removed)) - 1
     minimum = minimum_source_solutions(instance, program, answer)
     return bool(minimum) and len(removed) == len(minimum[0].removed)
 

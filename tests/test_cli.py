@@ -370,6 +370,8 @@ _CONTRACT_COMMANDS = [
     "vc-causes",
     "abduce",
     "delprop",
+    "check-ics -c",
+    "encode-phca",
 ]
 
 
@@ -388,9 +390,10 @@ def _mangled(draw, data: bytes) -> bytes:
 
 @st.composite
 def _contract_inputs(draw):
-    """A subcommand with a fixture's program, facts and constraints, each
-    kept, cut short or replaced by arbitrary text or bytes, and a target
-    and a tuple of the same fixture, any fixture or arbitrary text."""
+    """A subcommand with a fixture's program, facts and constraints and
+    the PHCA example, each kept, cut short or replaced by arbitrary text
+    or bytes, and a target and a tuple of the same fixture, any fixture
+    or arbitrary text."""
     program, data, own_target, own_tuple = draw(st.sampled_from(_CONTRACT_CASES))
     command = draw(st.sampled_from(_CONTRACT_COMMANDS))
     program_bytes = _mangled(draw, (FIXTURES / program).read_bytes())
@@ -400,7 +403,8 @@ def _contract_inputs(draw):
     target = draw(st.one_of(st.just(own_target), st.sampled_from(targets), st.text(max_size=40)))
     tuple_ = draw(st.one_of(st.just(own_tuple), st.sampled_from(tuples), st.text(max_size=40)))
     mode = draw(st.sampled_from(sorted(cli._DELPROP_MODES)))
-    return command, program_bytes, data_bytes, ics_bytes, target, tuple_, mode
+    phca_bytes = _mangled(draw, (FIXTURES / "phca_example.txt").read_bytes())
+    return command, program_bytes, data_bytes, ics_bytes, phca_bytes, target, tuple_, mode
 
 
 def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
@@ -411,16 +415,23 @@ def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
 
     folder = tmp_path_factory.mktemp("contract")
     program, data, ics = folder / "input.dl", folder / "input.facts", folder / "input.ics"
+    phca = folder / "input.txt"
 
     @settings(max_examples=500, deadline=None)
     @given(_contract_inputs())
     def run(case):
-        command, program_bytes, data_bytes, ics_bytes, target, tuple_, mode = case
+        command, program_bytes, data_bytes, ics_bytes, phca_bytes, target, tuple_, mode = case
         program.write_bytes(program_bytes)
         data.write_bytes(data_bytes)
+        phca.write_bytes(phca_bytes)
         name, _, constrained = command.partition(" ")
-        argv = [name, "-p", str(program), "-d", str(data)]
-        if name not in ("eval", "abduce"):
+        if name == "encode-phca":
+            argv = [name, "-i", str(phca)]
+        elif name == "check-ics":
+            argv = [name, "-d", str(data)]
+        else:
+            argv = [name, "-p", str(program), "-d", str(data)]
+        if name not in ("eval", "abduce", "check-ics", "encode-phca"):
             argv.append(f"--target={target}")  # one argument, even when it starts with "-"
         if name == "responsibility":
             argv.append(f"--tuple={tuple_}")

@@ -11,6 +11,7 @@ from whyd.causality import (
 from whyd.errors import NotAnAnswerError, NotSubinstanceError
 from whyd.evaluator import answers
 from whyd.model import Instance, ground
+from whyd.parsing import parse_program
 from whyd.vc import vc_cause_exists
 from whyd.viewupdate import (
     check_source_solution,
@@ -144,6 +145,41 @@ def test_check_source_solution_agrees_with_oracle():
             expect_c = expect_s and len(removed) == minimum_size
             assert check_source_solution(case.instance, candidate, case.program, case.answer, "s") == expect_s
             assert check_source_solution(case.instance, candidate, case.program, case.answer, "c") == expect_c
+
+
+def _residual_view_cases():
+    """Corpus cases, half of them with another answer seeded as an
+    endogenous fact over the answer predicate, and ``ans(X) :- e(X, Y).``
+    over ``e(a, b). ans(c).``, whose answer fact no rule derives."""
+    import random
+
+    cases = []
+    for seed in range(40):
+        case = corpus.generate_case(seed, max_endogenous=5)
+        instance = case.instance
+        others = sorted(answers(case.program, instance) - {case.answer}, key=lambda a: a.sort_key())
+        if seed % 2 and others:
+            instance = Instance(instance.endogenous | {random.Random(seed).choice(others)}, instance.exogenous)
+        cases.append((case.program, instance, case.answer))
+    program = parse_program("ans(X) :- e(X, Y).")
+    # the residual view of removing e(a, b) is {ans(c)}
+    cases.append((program, Instance([ground("e", "a", "b"), ground("ans", "c")]), atom("ans(a)")))
+    return cases
+
+
+def test_residual_views_match_the_oracle():
+    # each minimal source-side-effect solution's residual view is the
+    # view of the instance without it, evaluated naively
+    seeded = 0
+    for program, instance, answer in _residual_view_cases():
+        seeded += any(a.predicate == "ans" for a in instance.atoms)
+        for endogenous_only in (False, True):
+            sweep = oracle.instance_sweep(program, instance, everything_deletable=not endogenous_only)
+            solutions = minimal_source_solutions(instance, program, answer, endogenous_only=endogenous_only)
+            assert {s.removed for s in solutions} == set(oracle.minimal_deletions(sweep, answer))
+            for s in solutions:
+                assert s.residual_view == sweep.answers(s.removed), (program, instance, s.removed)
+    assert seeded >= 10, seeded
 
 
 def test_access_tom_f3_has_no_view_safe_solution():
