@@ -133,7 +133,7 @@ def _minimal_why(
                 users.setdefault(atom, []).append((head, body))
 
     why: dict[GroundAtom, list[Diagnosis]] = {}
-    for atom in graph.keys() | users.keys():
+    for atom in graph.keys() | users.keys() | set(goals):
         # background facts and heads of atom-less firings need nothing
         if atom in extensional or () in graph.get(atom, ()):
             why[atom] = [frozenset()]
@@ -200,11 +200,7 @@ def _check(
     for head in grounded:
         if head not in atoms:
             raise InternalInvariantError(f"the recorded graph is not closed: it misses {head}")
-    masks = dict.fromkeys(extensional, -1)
-    for delta, i in worlds.items():
-        for d in delta:
-            masks[d] = masks.get(d, 0) | 1 << i
-    propagate(reached(grounded, families), masks)
+    masks = propagate(reached(grounded, families), extensional, worlds)
     for goal, family in families.items():
         if not family:
             raise InternalInvariantError(f"no diagnosis found for {goal}, which is entailable")

@@ -475,13 +475,19 @@ def reached(firings: Firings, goals: Iterable[GroundAtom]) -> Firings:
     return out
 
 
-def propagate(firings: Firings, masks: dict[GroundAtom, int]) -> dict[GroundAtom, int]:
-    """The minimal models of worlds (fact sets) inside one model, read off
-    its ground program ``firings`` with no join (Dowling & Gallier, JLP
-    1984): ``masks`` maps each fact to the bitmask of the worlds holding
-    it (bit i: world i; -1: all), and grows in place to the worlds'
-    models.  A firing's mask, the AND of its body's, is ORed into its
+def propagate(
+    firings: Firings, shared: Iterable[GroundAtom], worlds: Iterable[Iterable[GroundAtom]]
+) -> dict[GroundAtom, int]:
+    """The minimal models of worlds (fact sets, each with the shared
+    facts) inside one model, read off its ground program ``firings`` with
+    no join (Dowling & Gallier, JLP 1984): each atom of some world's model
+    mapped to the bitmask of the worlds holding it (bit i: the i-th world;
+    -1: all).  A firing's mask, the AND of its body's, is ORed into its
     head's, in sweeps until none grows (one, in ``reached``'s order)."""
+    masks = dict.fromkeys(shared, -1)
+    for i, world in enumerate(worlds):
+        for fact in world:
+            masks[fact] = masks.get(fact, 0) | 1 << i
     grown = True
     while grown:
         grown = False

@@ -61,12 +61,9 @@ def minimal_source_solutions(
     # world i is the instance without the i-th solution, inside the model
     # whose graph the analysis recorded
     solutions = canonical_family(removals)
-    masks = dict.fromkeys(instance.atoms, -1)
-    for i, removed in enumerate(solutions):
-        for atom in removed:
-            masks[atom] &= ~(1 << i)
+    touched = frozenset().union(*solutions)
     firings = analysis.problem.firings
-    propagate(reached(firings, firings), masks)
+    masks = propagate(reached(firings, firings), instance.atoms - touched, [touched - r for r in solutions])
     views = [(GroundAtom(a.predicate, a.args), m) for a, m in masks.items() if a.predicate == program.answer_predicate]
     return tuple(
         DeletionSolution(removed, "minimal_source", frozenset(a for a, mask in views if mask >> i & 1))
@@ -115,9 +112,8 @@ def check_source_solution(
     # back, for maximality: each must restore the answer (monotonicity
     # lifts this to all supersets)
     removed = instance.atoms - subinstance.atoms
-    masks = dict.fromkeys(subinstance.atoms, -1)
-    masks.update((atom, 2 << i) for i, atom in enumerate(removed))
-    held = propagate(reached(model.firings, [answer]), masks).get(answer, 0)
+    worlds = [(), *([atom] for atom in removed)]
+    held = propagate(reached(model.firings, [answer]), subinstance.atoms, worlds).get(answer, 0)
     if held & 1:
         return False
     if mode == "s":

@@ -322,6 +322,25 @@ def test_support_families_match_per_answer_oracle():
     assert all(count >= 10 for count in checked.values()), checked
 
 
+def test_support_families_keep_answers_held_as_facts():
+    # ans(c) is a stored fact that no rule derives: fixed, it needs
+    # nothing; deletable, it supports itself
+    program = parse_program("ans(X) :- e(X, Y).")
+    e, a, c = ground("e", "a", "b"), ground("ans", "a"), ground("ans", "c")
+    assert abduction.support_families(program, frozenset({c}), frozenset({e})) == {
+        a: (frozenset({e}),),
+        c: (frozenset(),),
+    }
+    assert abduction.support_families(program, frozenset(), frozenset({e, c})) == {
+        a: (frozenset({e}),),
+        c: (frozenset({c}),),
+    }
+    assert abduction.support_families(program, frozenset({e, c}), frozenset()) == {
+        a: (frozenset(),),
+        c: (frozenset(),),
+    }
+
+
 def _labelled(instance: Instance, prefix: str = "t") -> Instance:
     ordered = sorted(instance.atoms, key=GroundAtom.sort_key)
     return Instance([a.with_label(f"{prefix}{i}") for i, a in enumerate(ordered, 1)])
@@ -608,12 +627,9 @@ _CHAIN = [f"e(wc{i}, wc{i + 1})" for i in range(16)]
 _LADDER = [e for j in range(8) for e in (f"e(wl, wl{j})", f"e(wl{j}, wlt)")]
 
 
-def test_chain_and_ladder_solves_take_two_passes(monkeypatch):
-    # one pass now, no longer two: the full model is the one semi-naive
-    # pass, and the check propagates its candidate sets over a ground
-    # program with no pass of its own (18 and 25 fixpoints when each set
-    # had a fixpoint, 2 passes when they were the worlds of a second,
-    # world-parallel pass)
+def test_chain_and_ladder_solves_take_one_pass(monkeypatch):
+    # the full model is the one semi-naive pass; the check propagates
+    # over a ground program and needs no pass of its own
     counts = _count_loop_work(monkeypatch)
     solutions = _fresh_solve(_CHAIN, "ans(wc0, wc16)")
     assert len(solutions) == 1 and len(solutions[0]) == 16 and counts["passes"] == 1

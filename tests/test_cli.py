@@ -213,6 +213,17 @@ def test_exit_code_3_on_fact_arity_mismatch(command, tmp_path, capsys):
     assert _error_object(capsys.readouterr(), "ArityMismatch")["message"] == "e(a, b) has arity 2, expected 1"
 
 
+@pytest.mark.parametrize("command", [["vc-causes"], ["delprop", "--mode", "view-safe"]])
+def test_answer_held_as_a_fact_is_answered(command, tmp_path):
+    # ans(c) is a stored fact that no rule derives; it stays in the view
+    program, data = tmp_path / "q.dl", tmp_path / "q.facts"
+    program.write_text("ans(X) :- e(X, Y).\n")
+    data.write_text("e(a, b).\nans(c).\n")
+    code, output = _run([*command, "-p", str(program), "-d", str(data), "-t", "ans(a)"])
+    assert code == 0, output
+    assert "e(a, b)" in output
+
+
 def test_exit_code_3_on_violated_constraints(capsys):
     code = cli.main([
         "causes", "-p", _fx("repair.dl"), "-d", _fx("repair.facts"), "-c", _fx("repair.ics"), "-t", "v(a1)",
@@ -409,7 +420,7 @@ def _contract_inputs(draw):
 
 def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
     # any call exits 0, 2 or 3 without raising, and a failing one writes
-    # the JSON error object
+    # the JSON error object; no result fails its own check
     import io
     from contextlib import redirect_stderr, redirect_stdout
 
@@ -448,6 +459,7 @@ def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
             document = json.loads(out.getvalue())
             assert document["schema"] == "whyd/1"
             assert set(document["error"]) == {"code", "message"}
+            assert document["error"]["code"] != "InternalInvariant", argv
             assert err.getvalue() == f"whyd: {document['error']['message']}\n"
 
     run()

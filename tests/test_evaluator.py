@@ -323,11 +323,7 @@ def _assert_worlds_match_naive(program: Program, worlds, shared, context) -> Non
     assert {(h, b) for h, bodies in firings.items() for b in bodies} == {
         (h, b) for h, bodies in model.firings.items() for b in bodies
     }, context
-    masks = dict.fromkeys(shared, -1)
-    for i, world in enumerate(worlds):
-        for fact in world:
-            masks[fact] = masks.get(fact, 0) | 1 << i
-    masks = propagate(firings, masks)
+    masks = propagate(firings, shared, worlds)
     for i, world in enumerate(worlds):
         expected = naive_fixpoint(program, set(shared) | set(world))
         assert {a for a, mask in masks.items() if mask >> i & 1} == expected, (context, i)

@@ -8,6 +8,7 @@ from whyd.causality import causes, responsibility
 from whyd.constraints import causes_under_ics
 from whyd.errors import InternalInvariantError, NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from whyd.model import GroundAtom, Instance, ground
+from whyd.parsing import parse_program
 from whyd.vc import (
     encode_vc_as_tgd,
     vc_cause_exists,
@@ -202,6 +203,21 @@ def test_equal_instances_labelled_otherwise_get_their_own_labels():
             assert report.cause.label == labels[report.cause]
             for gamma in report.minimal_contingency_sets:
                 assert all(a.label == labels[a] for a in gamma)
+
+
+def test_vc_causes_with_an_answer_held_as_a_fact():
+    # ans(c) is a stored fact that no rule derives; deleting e(a, b)
+    # drops ans(a) and keeps it
+    program = parse_program("ans(X) :- e(X, Y).")
+    e, c = ground("e", "a", "b"), ground("ans", "c")
+    for instance in (Instance([e], [c]), Instance([e, c])):
+        (report,) = vc_causes(instance, program, atom("ans(a)"))
+        assert report.cause == e
+        assert report.minimal_contingency_sets == (frozenset(),)
+        for endogenous_only in (False, True):
+            (solution,) = vsef_solutions(instance, program, atom("ans(a)"), endogenous_only=endogenous_only)
+            assert solution.removed == {e}
+            assert solution.residual_view == {c}
 
 
 # -- one provenance pass for the whole view ------------------------------------
