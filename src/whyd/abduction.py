@@ -8,10 +8,12 @@ why-provenance: one pass annotates the ground derivation graph of the
 full model (every hypothesis added), which the fixpoint records as it
 runs, with antichains of hypothesis sets in the absorptive PosBool
 semiring (Green, Karvounarakis & Tannen, PODS 2007), and the goal's
-antichain is the diagnosis family.  The same pass over every answer of
-a program at once gives each answer's minimal support sets
-(``support_families``), behind view-conditioned causes and
-side-effect-free deletions.  Each family is checked by direct
+antichain is the diagnosis family.  The pass sweeps the part of the
+graph the goals reach in derivation order, so that off cycles each
+head is annotated once, and holds the sets as bitmasks.  The same pass
+over every answer of a program at once gives each answer's minimal
+support sets (``support_families``), behind view-conditioned causes
+and side-effect-free deletions.  Each family is checked by direct
 evaluation before it is returned: every set, and every set with one
 element dropped, is a world, and all of them are propagated over a
 ground program that the check derives again by joins.
@@ -32,7 +34,7 @@ from .errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from .evaluator import Firings, evaluate_fixpoint, fresh_predicate, ground, propagate, reached
+from .evaluator import Firings, evaluate_fixpoint, fresh_predicate, ground, propagate, reached, reads_ahead
 from .hitting import minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
@@ -93,6 +95,8 @@ class AbductionProblem:
         object.__setattr__(self, "firings", firings)
         # diagnoses are cached without tuple labels; these put them back
         object.__setattr__(self, "_labelled", _labelled(self.hypotheses))
+        # the necessary-hypothesis sets, once searched for
+        object.__setattr__(self, "_necessary", None)
 
     def relabelled(self, hypotheses: frozenset[GroundAtom]) -> "AbductionProblem":
         """The same problem over ``hypotheses``, equal to its own but
@@ -100,6 +104,7 @@ class AbductionProblem:
         twin = copy.copy(self)
         object.__setattr__(twin, "hypotheses", hypotheses)
         object.__setattr__(twin, "_labelled", _labelled(hypotheses))
+        object.__setattr__(twin, "_necessary", None)
         return twin
 
 
@@ -116,60 +121,83 @@ def _minimal_why(
 
     Every derivation from the background plus some hypotheses only uses
     ground rule instances that fire in that model, so the graph holds
-    them all; only atoms reachable backward from a goal matter, and a
+    them all; only the part the goals reach (``reached``) matters, and a
     head's bodies count as a set.  Each atom is annotated with an
-    antichain in the absorptive PosBool semiring: background facts with
-    {∅}, other hypotheses h with {{h}}, a firing with the pairwise unions
-    of its body antichains, an atom with the minimal sets over its
-    firings.  A worklist re-fires the users of every atom whose antichain
-    changed until nothing does; antichains only move down a finite
-    lattice, so it terminates."""
+    antichain in the absorptive PosBool semiring, its sets held as
+    bitmasks over the reached hypotheses: background facts and heads of
+    atom-less firings with {∅}, other hypotheses h with {{h}}, a firing
+    with the pairwise unions of its body antichains, a head with the
+    minimal sets over its own and its firings'.  One sweep in
+    ``reached``'s order, which puts a head after the heads in its bodies,
+    annotates each head once from its final inputs.  Only if some body
+    reads a head at the same or a later position (a cycle) do further
+    sweeps run, each annotating again the heads whose inputs changed,
+    until no antichain changes; antichains only move down a finite lattice, so
+    the sweeps stop."""
     graph = reached(firings, goals)
-    # users[b]: the firings (head, body) of reached heads with b in the body
-    users: dict[GroundAtom, list[tuple[GroundAtom, tuple[GroundAtom, ...]]]] = {}
-    for head, bodies in graph.items():
-        for body in set(bodies):
-            for atom in set(body):
-                users.setdefault(atom, []).append((head, body))
-
-    why: dict[GroundAtom, list[Diagnosis]] = {}
-    for atom in graph.keys() | users.keys() | set(goals):
-        # background facts and heads of atom-less firings need nothing
+    atoms: list[GroundAtom] = []  # bit i: the i-th reached hypothesis
+    why: dict[GroundAtom, list[int]] = {}
+    for atom in {a for bodies in graph.values() for body in bodies for a in body}.union(graph, goals):
         if atom in extensional or () in graph.get(atom, ()):
-            why[atom] = [frozenset()]
+            why[atom] = [0]
         elif atom in hypotheses:
-            why[atom] = [frozenset({atom})]
-    pending = list(why)
-    queued = set(pending)
-    while pending:
-        atom = pending.pop()
-        queued.discard(atom)
-        for head, body in users.get(atom, ()):
-            known = why.get(head, [])
-            merged = _prune(known + _product([why.get(b, []) for b in body]))
-            if set(merged) != set(known):
-                why[head] = merged
-                if head not in queued:
-                    queued.add(head)
-                    pending.append(head)
-    return {goal: why.get(goal, []) for goal in goals}
+            why[atom] = [1 << len(atoms)]
+            atoms.append(atom)
+        else:
+            why[atom] = []
+    # {∅} absorbs every set: heads annotated with it are final
+    order = [(head, set(bodies)) for head, bodies in graph.items() if why[head] != [0]]
+    cyclic = reads_ahead(graph)
+    # a head is annotated again only if a body atom changed since it was
+    # last annotated: at a later clock than its own
+    changed_at = dict.fromkeys(why, 0)
+    read_at: dict[GroundAtom, int] = {}
+    clock = 0
+    sweep = True
+    while sweep:
+        sweep = False
+        for head, bodies in order:
+            last = read_at.get(head)
+            if last is not None and all(changed_at[a] <= last for body in bodies for a in body):
+                continue
+            known = why[head]
+            why[head] = _prune(known + [d for body in bodies for d in _product([why[a] for a in body])])
+            read_at[head] = clock
+            if cyclic and set(why[head]) != set(known):
+                clock += 1
+                changed_at[head] = clock
+                sweep = True
+    return {goal: [_decode(mask, atoms) for mask in why[goal]] for goal in goals}
 
 
-def _prune(candidates: list[Diagnosis]) -> list[Diagnosis]:
+def _prune(candidates: list[int]) -> list[int]:
     """The subset-minimal sets among the candidates, smallest first."""
-    out: list[Diagnosis] = []
-    for cand in sorted(set(candidates), key=len):
-        if not any(prev < cand for prev in out):
+    out: list[int] = []
+    for cand in sorted(set(candidates), key=int.bit_count):
+        if not any(prev & cand == prev for prev in out):
             out.append(cand)
     return out
 
 
-def _product(families: list[list[Diagnosis]]) -> list[Diagnosis]:
+def _product(families: list[list[int]]) -> list[int]:
     """The minimal unions of one set from each antichain."""
-    out: list[Diagnosis] = [frozenset()]
+    out = [0]
     for family in families:
-        out = _prune([left | right for left in out for right in family])
+        if out == [0]:
+            out = family
+        elif family != [0]:
+            out = _prune([left | right for left in out for right in family])
     return out
+
+
+def _decode(mask: int, atoms: list[GroundAtom]) -> Diagnosis:
+    """The atoms whose bits the mask sets (bit i: ``atoms[i]``)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(atoms[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def _render(delta: Diagnosis) -> str:
@@ -285,9 +313,12 @@ def necessary_hypothesis_sets(problem: AbductionProblem) -> tuple[Diagnosis, ...
     """Subset-minimal sets of hypotheses whose removal leaves the
     observation unexplainable.  Removing N kills every diagnosis exactly
     when N hits every diagnosis, so these are the minimal hitting sets of
-    the diagnosis family."""
-    solutions = solve_diagnoses(problem)
-    return canonical_family(minimal_hitting_sets(solutions))
+    the diagnosis family.  The search runs once per problem; the family
+    is kept on it."""
+    if problem._necessary is None:  # type: ignore[attr-defined]
+        family = canonical_family(minimal_hitting_sets(solve_diagnoses(problem)))
+        object.__setattr__(problem, "_necessary", family)
+    return problem._necessary  # type: ignore[attr-defined]
 
 
 def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fraction:

@@ -475,6 +475,18 @@ def reached(firings: Firings, goals: Iterable[GroundAtom]) -> Firings:
     return out
 
 
+def reads_ahead(firings: Firings) -> bool:
+    """True if some body holds a head at its own head's position or a
+    later one, so that one sweep in the map's order may read a head
+    before its last change; in ``reached``'s order, only on a cycle."""
+    later = set(firings)
+    for head, bodies in firings.items():
+        if not all(later.isdisjoint(body) for body in bodies):
+            return True
+        later.discard(head)
+    return False
+
+
 def propagate(
     firings: Firings, shared: Iterable[GroundAtom], worlds: Iterable[Iterable[GroundAtom]]
 ) -> dict[GroundAtom, int]:
@@ -483,11 +495,13 @@ def propagate(
     no join (Dowling & Gallier, JLP 1984): each atom of some world's model
     mapped to the bitmask of the worlds holding it (bit i: the i-th world;
     -1: all).  A firing's mask, the AND of its body's, is ORed into its
-    head's, in sweeps until none grows (one, in ``reached``'s order)."""
+    head's, in one sweep in the map's order, and in further sweeps until
+    none grows only if a body reads ahead (``reads_ahead``)."""
     masks = dict.fromkeys(shared, -1)
     for i, world in enumerate(worlds):
         for fact in world:
             masks[fact] = masks.get(fact, 0) | 1 << i
+    again = reads_ahead(firings)
     grown = True
     while grown:
         grown = False
@@ -501,7 +515,7 @@ def propagate(
                 mask |= both
             if mask != old:
                 masks[head] = mask
-                grown = True
+                grown = again
     return masks
 
 

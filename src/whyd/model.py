@@ -255,7 +255,7 @@ class Program:
     empty program is a legal Boolean query that is never true).
     """
 
-    __slots__ = ("rules", "answer_predicate", "_arities")
+    __slots__ = ("rules", "answer_predicate", "_arities", "_hash")
 
     def __init__(self, rules: Iterable[Rule], answer_predicate: str):
         self.rules: tuple[Rule, ...] = tuple(rules)
@@ -264,6 +264,9 @@ class Program:
         for rule in self.rules:
             for atom in (rule.head, *rule.body_atoms()):
                 self._register(atom)
+        # the rule order takes no part in equality; programs are cache
+        # keys, so the hash is computed once
+        self._hash = hash((frozenset(self.rules), self.answer_predicate))
 
     def _register(self, atom: Atom) -> None:
         known = self._arities.setdefault(atom.predicate, atom.arity)
@@ -273,12 +276,17 @@ class Program:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Program)
-            and frozenset(self.rules) == frozenset(other.rules)
+            and self._hash == other._hash
             and self.answer_predicate == other.answer_predicate
+            and (self.rules == other.rules or frozenset(self.rules) == frozenset(other.rules))
         )
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.rules), self.answer_predicate))
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: a copy hashes afresh
+        return Program, (self.rules, self.answer_predicate)
 
     def __repr__(self) -> str:
         return f"Program({len(self.rules)} rules, answer={self.answer_predicate})"

@@ -614,13 +614,20 @@ def _count_loop_work(monkeypatch) -> Counter:
     return counts
 
 
+def _tc_problem(facts: list[str], target: str) -> AbductionProblem:
+    """The causal abduction problem of ``target`` on the transitive
+    closure over the facts."""
+    instance = parse_instance("".join(f + ".\n" for f in facts))
+    boolean, goal = specialize_to_answer(_TC, parse_ground_atom(target))
+    return AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,))
+
+
 def _fresh_solve(facts: list[str], target: str):
     """The diagnoses of a solve on the transitive closure that no cache
     answers."""
-    instance = parse_instance("".join(f + ".\n" for f in facts))
-    boolean, goal = specialize_to_answer(_TC, parse_ground_atom(target))
+    problem = _tc_problem(facts, target)
     solve_diagnoses.cache_clear()
-    return solve_diagnoses(AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,)))
+    return solve_diagnoses(problem)
 
 
 _CHAIN = [f"e(wc{i}, wc{i + 1})" for i in range(16)]
@@ -653,6 +660,36 @@ def test_solves_and_view_supports_join_only_inside_the_fixpoint_loop(monkeypatch
     program, instance = load_program("access.dl"), load_instance("access.facts")
     assert len(support_families(program, instance.exogenous, instance.endogenous)) == 7
     assert 0 < counts["outside"] <= counts["inside"], counts
+
+
+def test_acyclic_provenance_forms_one_product_per_reached_firing(monkeypatch):
+    # on an acyclic reached graph one sweep annotates each head once, from
+    # the final antichains of its distinct bodies
+    products = []
+    real = abduction._product
+    monkeypatch.setattr(abduction, "_product", lambda families: products.append(families) or real(families))
+    for facts, target, count in ((_CHAIN, "ans(wc0, wc16)", 1), (_LADDER, "ans(wl, wlt)", 8)):
+        problem = _tc_problem(facts, target)
+        graph = evaluator.reached(problem.firings, (problem._goal,))
+        assert not evaluator.reads_ahead(graph)
+        products.clear()
+        solve_diagnoses.cache_clear()
+        assert len(solve_diagnoses(problem)) == count
+        assert len(products) == sum(len(set(bodies)) for bodies in graph.values()), target
+
+
+def test_necessity_degrees_of_a_ladder_take_one_search(monkeypatch):
+    searches = []
+    real = abduction.minimal_hitting_sets
+    monkeypatch.setattr(abduction, "minimal_hitting_sets", lambda family: searches.append(family) or real(family))
+    problem = _tc_problem(_LADDER, "ans(wl, wlt)")
+    degrees = {h: necessity_degree(problem, h) for h in problem.hypotheses}
+    assert len(degrees) == 16 and set(degrees.values()) == {Fraction(1, 8)} and len(searches) == 1
+    # a relabelled twin keeps no family with the other labels
+    twin = problem.relabelled(frozenset(h.with_label(f"t{i}") for i, h in enumerate(problem.hypotheses)))
+    assert {necessity_degree(twin, h) for h in twin.hypotheses} == {Fraction(1, 8)} and len(searches) == 2
+    assert all(h.label is not None for n in necessary_hypothesis_sets(twin) for h in n)
+    assert all(h.label is None for n in necessary_hypothesis_sets(problem) for h in n)
 
 
 def _wide_problem(tag: str, width: int) -> AbductionProblem:

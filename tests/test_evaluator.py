@@ -314,19 +314,23 @@ def _random_worlds(rng: random.Random, pool: list[GroundAtom], count: int) -> li
     return worlds
 
 
-def _assert_worlds_match_naive(program: Program, worlds, shared, context) -> None:
+def _assert_worlds_match_naive(program: Program, worlds, shared, context) -> bool:
     """Propagating the worlds' masks over the ground program of the model
-    that holds them all, re-derived by ``evaluator.ground``, gives each
-    world the naive fixpoint over it and the shared facts."""
+    that holds them all, re-derived by ``evaluator.ground``, in its own
+    order and in ``reached``'s, gives each world the naive fixpoint over
+    it and the shared facts.  True if that program is cyclic."""
     model = evaluate_fixpoint(program, set(shared).union(*worlds))
     firings = evaluator.ground(program, model.atoms())
     assert {(h, b) for h, bodies in firings.items() for b in bodies} == {
         (h, b) for h, bodies in model.firings.items() for b in bodies
     }, context
-    masks = propagate(firings, shared, worlds)
-    for i, world in enumerate(worlds):
-        expected = naive_fixpoint(program, set(shared) | set(world))
-        assert {a for a, mask in masks.items() if mask >> i & 1} == expected, (context, i)
+    ordered = evaluator.reached(firings, firings)
+    expected = [naive_fixpoint(program, set(shared) | set(world)) for world in worlds]
+    for graph in (firings, ordered):
+        masks = propagate(graph, shared, worlds)
+        for i in range(len(worlds)):
+            assert {a for a, mask in masks.items() if mask >> i & 1} == expected[i], (context, i)
+    return evaluator.reads_ahead(ordered)
 
 
 def _seeded_corpus_case(seed: int):
@@ -352,11 +356,18 @@ def _comparison_case(seed: int):
     return program, pool + [ground("f", c) for c in "ab"] + [ground("p", "a", "b")], rng
 
 
+_CYCLIC_PROGRAMS = (
+    "p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), e(Z, Y).\n",
+    "r(X) :- e(X, Y), s(Y).\ns(X) :- e(X, Y), r(Y).\ns(X) :- b(X).\n",
+)
+
+
 def test_world_pass_matches_naive_per_world():
     # every world's model equals the naive fixpoint over that world, for
     # corpus programs (one fact of their instance forced by a bodiless
     # rule, some derived atoms seeded as facts), programs with = and !=,
-    # and PHCA encodings; some cases have more than 64 worlds
+    # PHCA encodings and cyclic programs; some cases have more than 64
+    # worlds
     shapes = Counter()
     for seed in range(240):
         case, program, facts, pool, rng = _seeded_corpus_case(seed)
@@ -378,7 +389,18 @@ def test_world_pass_matches_naive_per_world():
         worlds = _random_worlds(rng, hypotheses, rng.randint(1, 8))
         _assert_worlds_match_naive(problem.program, worlds, problem.extensional, seed)
         shapes["phca"] += 1
+    for seed in range(60):
+        # transitive closure over a ring, and two mutually recursive
+        # predicates: their ground programs have cycles
+        rng = random.Random(seed + 50_000)
+        program = parse_program(_CYCLIC_PROGRAMS[seed % 2])
+        nodes = [f"n{i}" for i in range(rng.randint(2, 4))]
+        ring = rng.sample(nodes, len(nodes))
+        pool = [ground("e", u, v) for u, v in zip(ring, ring[1:] + ring[:1])]
+        pool += [ground("e", rng.choice(nodes), rng.choice(nodes)), ground("b", rng.choice(nodes))]
+        shapes["cyclic"] += _assert_worlds_match_naive(program, _random_worlds(rng, pool, rng.randint(1, 8)), (), seed)
     assert shapes["recursive"] >= 20 and shapes["union"] >= 20 and shapes["wide"] >= 30, shapes
+    assert shapes["cyclic"] >= 35, shapes
 
 
 def _assert_firings_match_oracle(program: Program, facts, context) -> Counter:

@@ -158,6 +158,15 @@ def test_empty_program_with_nullary_answer_is_valid():
     assert program.is_boolean()
 
 
+def test_programs_with_reordered_rules_are_equal_and_hash_equal():
+    rules = load_program("graph.dl").rules
+    forward, backward = Program(rules, "ans"), Program(rules[::-1], "ans")
+    assert forward == backward and hash(forward) == hash(backward)
+    assert forward != Program(rules, "p") and forward != Program(rules[:2], "ans")
+    for clone in (copy.copy(forward), pickle.loads(pickle.dumps(forward))):
+        assert clone == backward and hash(clone) == hash(backward)
+
+
 def test_unbound_head_variable_is_unsafe():
     rule = Rule(Atom("ans", (Variable("X"),)), (Atom("e", (Variable("Y"), Variable("Z"))),))
     with pytest.raises(UnsafeRuleError) as err:

@@ -2,6 +2,7 @@ import pytest
 
 from whyd.abduction import relevant_hypotheses, solve_diagnoses
 from whyd.errors import NonHornClauseError, WhydError
+from whyd.evaluator import reached, reads_ahead
 from whyd.model import ground
 from whyd.phca import (
     PropositionalHornAbduction,
@@ -102,3 +103,17 @@ def test_random_relevance_matches_propositional_brute_force():
         engine = {a.args[0].symbol for a in relevant_hypotheses(encoded)}
         brute = oracle.phca_relevant(problem.rules, problem.hypotheses, problem.observations)
         assert engine == brute, problem
+
+
+def test_random_diagnoses_match_propositional_brute_force():
+    # the whole family, not only its union; most of these reached graphs
+    # are cyclic, so the provenance pass sweeps them more than once
+    cyclic = 0
+    for seed in range(300):
+        problem = corpus.random_phca(seed)
+        encoded = encode_phca(problem)
+        engine = {frozenset(a.args[0].symbol for a in d) for d in solve_diagnoses(encoded)}
+        brute = oracle.phca_diagnoses(problem.rules, problem.hypotheses, problem.observations)
+        assert engine == set(brute), problem
+        cyclic += reads_ahead(reached(encoded.firings, (encoded._goal,)))
+    assert cyclic >= 150, cyclic
