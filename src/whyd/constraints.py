@@ -25,7 +25,7 @@ from .errors import (
     WhydError,
 )
 from .causality import CauseAnalysis, contingency_conflict
-from .evaluator import Relation, _join, _plan, _Plan, _relations
+from .evaluator import Relation, _matches, _plan, _Plan, _relations
 from .hitting import minimal_sets
 from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, canonical_family
 
@@ -81,10 +81,9 @@ class Constraint:
     @cached_property
     def _plans(self) -> tuple[_Plan, _Plan]:
         """The join plans of the body (an egd's ``left != right`` pushed
-        down) and of the head with the body's variables bound."""
+        down) and of the head with the body's match as its outer facts."""
         comparisons = (Comparison("!=", *self.equality),) if self.kind == "egd" else ()  # type: ignore[misc]
-        body_vars = {v for a in self.body for v in a.variables()}
-        return _plan(self.body, comparisons), _plan(self.head_atoms, bound=body_vars)
+        return _plan(self.body, comparisons), _plan(self.head_atoms, outer=self.body)
 
     def existential_variables(self) -> frozenset[Variable]:
         if self.kind != "tgd":
@@ -210,8 +209,8 @@ def _body_matches(
     empty = Relation(())
     body_sources = [relations.get(a.predicate, empty) for a in constraint.body]
     head_sources = [relations.get(a.predicate, empty) for a in constraint.head_atoms]
-    for binding, match in _join(body_plan, body_sources):
-        yield match, (head for _, head in _join(head_plan, head_sources, binding))
+    for match in _matches(body_plan, body_sources):
+        yield match, _matches(head_plan, head_sources, match)
 
 
 def _constraint_violations(constraint: Constraint, relations: Mapping[str, Relation]) -> Iterator[Violation]:
@@ -229,7 +228,10 @@ def satisfies(instance: Instance, sigma: Sigma) -> SatisfactionReport:
     constraints = _normalize(sigma, instance)
     _check_arities(constraints, instance)
     relations = _relations(instance.atoms)
-    violations = [v for c in constraints for v in _constraint_violations(c, relations)]
+    return _report([v for c in constraints for v in _constraint_violations(c, relations)])
+
+
+def _report(violations: list[Violation]) -> SatisfactionReport:
     violations.sort(key=lambda v: (str(v.constraint), tuple(a.sort_key() for a in v.witness)))
     return SatisfactionReport(not violations, tuple(violations))
 
@@ -258,17 +260,25 @@ class _SigmaAnalysis:
     a tuple of M cures that."""
 
     def __init__(self, instance: Instance, program: Program, answer: GroundAtom, constraints: tuple[Constraint, ...]):
-        check = satisfies(instance, constraints)
+        # one join pass both checks that the instance satisfies Sigma and
+        # keeps the tgd body matches: a match with no witness violates it
+        _check_arities(constraints, instance)
+        endogenous, relations = instance.endogenous, _relations(instance.atoms)
+        violations: list[Violation] = []
+        self._matches = []
+        for c in constraints:
+            if c.kind != "tgd":
+                violations += _constraint_violations(c, relations)
+                continue
+            for match, heads in _body_matches(c, relations):
+                witnesses = tuple({frozenset(w) for w in heads})
+                if not witnesses:
+                    violations.append(Violation(c, match))
+                self._matches.append((endogenous.intersection(match), witnesses))
+        check = _report(violations)
         if not check:
             raise InstanceViolatesSigmaError(str(check.violations[0]))
         self.plain = CauseAnalysis.for_query(instance, program, answer)
-        endogenous, relations = instance.endogenous, _relations(instance.atoms)
-        self._matches = [
-            (endogenous.intersection(match), tuple({frozenset(w) for w in heads}))
-            for c in constraints
-            if c.kind == "tgd"
-            for match, heads in _body_matches(c, relations)
-        ]
 
     def _family_for(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
         """The minimal contingency sets Gamma of tau such that D - Gamma and

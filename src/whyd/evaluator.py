@@ -9,20 +9,27 @@ many worlds (fact sets) inside one model need no join of their own:
 ``propagate`` reads them off that model's ground program, ``reached``
 keeps the part of it some goals need, and ``ground`` derives the ground
 program again by one join of each rule, for callers that must not trust
-a recorded graph.  ``_join`` is the one routine that
-matches a conjunction of atoms against facts: the semi-naive rounds and
-every integrity constraint check go through it.  It follows a plan
-compiled once per rule or constraint (``_plan``): the delta atom first,
-then greedily the atom with the most bound positions.  A step whose
-positions are partly bound probes a hash index of its relation on them
-(``Relation``); the first step of a plan with nothing bound scans.
-Each step is compiled once with what ``_match`` must still check of a
-fact it reads (arity, constants a scan has not filtered, positions a
-repeated variable must agree on) and the positions that bind, and each
-rule head with a template for ``_instantiate``.  The naive reference
-evaluator that the agreement tests and brute-force
-oracles use lives in ``tests/oracle.py`` and shares no code with this
-module.
+a recorded graph.
+
+One join engine matches a conjunction of atoms against facts: the
+semi-naive rounds and every integrity constraint check go through it.
+Each rule body (per delta position) and each constraint body and head is
+compiled once, on first use, into a plan (``_plan``): the conjunction's
+shape and its constants.  Each shape is compiled into a kernel
+(``_kernel``), Python source generated for it: the delta atom first,
+then greedily the atom with the most bound positions, one nested ``for``
+per atom.  A step whose positions are partly bound probes a hash index
+of its relation on them (``Relation``), fetched once before the loops;
+the first step of a plan with nothing bound scans.  What a fact must
+still satisfy is inlined: a scan's arity, and as ``is`` tests on
+interned symbols the constants a scan has not filtered, the positions a
+repeated variable must agree on and the comparisons.  Each variable is
+read where the fact that binds it holds it: no binding is ever built.  A rule kernel builds
+each head and records its firing inline; a constraint kernel yields
+each match.  No symbol enters the source: plans of one shape share one
+kernel and pass their constants as an argument.  The naive reference
+evaluator that the agreement tests and brute-force oracles use lives in
+``tests/oracle.py`` and shares no code with this module.
 
 Termination is guaranteed: the active domain is finite and rules are
 positive, so the model only grows and is bounded by the set of all
@@ -32,11 +39,12 @@ ground atoms over known predicates and constants.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import NotAnAnswerError, UnknownPredicateError
+from .errors import NotAnAnswerError, UnknownPredicateError, UnsafeRuleError
 from .model import (
     Atom,
     Comparison,
@@ -46,6 +54,7 @@ from .model import (
     Program,
     Rule,
     Variable,
+    derived_atom,
 )
 
 
@@ -80,19 +89,20 @@ class MinimalModel:
         return self.relations.get(predicate, frozenset())
 
 
-Key = tuple[str, ...]
+Key = str | tuple[str, ...]  # one position: its symbol; several: a tuple
 
 
 class Relation:
     """The facts of one relation and the hash indexes built on them so far.
 
-    ``index(arity, positions)`` maps the symbols at ``positions`` to the
-    facts of that arity that carry them (symbols hash and compare faster
-    than constants); facts of another arity can never match an atom of
-    this arity and are left out.  An index is built on first use and kept
-    current by ``update``, so it is built at most once per relation.
-    Relations are scratch data of one join pass (a fixpoint or a
-    constraint check): keep none longer.
+    Iterating a relation reads all its facts.  ``index(arity, positions)``
+    maps the symbols at ``positions`` (the symbol itself for one position,
+    a tuple of them otherwise) to the facts of that arity that carry them
+    (symbols hash and compare faster than constants); facts of another
+    arity can never match an atom of this arity and are left out.  An
+    index is built on first use and kept current by ``update``, so it is
+    built at most once per relation.  Relations are scratch data of one
+    join pass (a fixpoint or a constraint check): keep none longer.
     """
 
     __slots__ = ("facts", "_indexes")
@@ -101,19 +111,14 @@ class Relation:
         self.facts = facts
         self._indexes: dict[tuple[int, tuple[int, ...]], dict[Key, list[GroundAtom]]] = {}
 
+    def __iter__(self) -> Iterator[GroundAtom]:
+        return iter(self.facts)
+
     def index(self, arity: int, positions: tuple[int, ...]) -> dict[Key, list[GroundAtom]]:
         index = self._indexes.get((arity, positions))
         if index is None:
             index = self._indexes[arity, positions] = {}
-            for fact in self.facts:
-                args = fact.args
-                if len(args) == arity:
-                    key = tuple([args[p].symbol for p in positions])
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = [fact]
-                    else:
-                        bucket.append(fact)
+            _add(index, arity, positions, self.facts)
         return index
 
     def update(self, fresh: Collection[GroundAtom]) -> None:
@@ -121,128 +126,246 @@ class Relation:
         to every index built so far."""
         self.facts.update(fresh)  # type: ignore[attr-defined]
         for (arity, positions), index in self._indexes.items():
-            for fact in fresh:
-                args = fact.args
-                if len(args) == arity:
-                    index.setdefault(tuple([args[p].symbol for p in positions]), []).append(fact)
+            _add(index, arity, positions, fresh)
 
 
-class _Step:
-    """One atom of a plan, compiled for ``_match``: its textual position
-    and arity; the argument positions a probe looks it up on (none: the
-    step scans its relation) with the constant's symbol or the bound
-    variable at each; the constants a scan must still check, as
-    (position, symbol); the later positions where a variable the step
-    binds repeats, as (first position, later position); the
-    (position, variable) pairs that bind; and the comparisons that
-    become checkable once it is matched.
-
-    A probe's facts have the step's arity and agree with its key, so a
-    probe checks only repeated variables.  A scan step binds every
-    variable it mentions: the planner probes any step after the first,
-    and the first whenever the initial binding binds one of its
-    variables."""
-
-    __slots__ = ("atom", "arity", "key", "key_terms", "constants", "repeats", "binds", "checks")
-
-    def __init__(self, atom: int, args: Sequence[Constant | Variable], key: tuple[int, ...], key_terms: tuple):
-        self.atom = atom
-        self.arity = len(args)
-        self.key = key
-        self.key_terms: tuple[str | Variable, ...] = key_terms
-        self.constants: tuple[tuple[int, str], ...] = ()
-        if not key:
-            self.constants = tuple((p, t.symbol) for p, t in enumerate(args) if t.__class__ is Constant)
-        bound = {v for v in key_terms if v.__class__ is Variable}
-        first: dict[Variable, int] = {}
-        repeats = []
-        for p, t in enumerate(args):
-            if t.__class__ is Variable and t not in bound:
-                if t in first:
-                    repeats.append((first[t], p))
-                else:
-                    first[t] = p
-        self.repeats: tuple[tuple[int, int], ...] = tuple(repeats)
-        self.binds: tuple[tuple[int, Variable], ...] = tuple((p, v) for v, p in first.items())
-        self.checks: tuple[Comparison, ...] = ()
+def _add(index: dict[Key, list[GroundAtom]], arity: int, positions: tuple[int, ...], facts: Iterable[GroundAtom]):
+    one = positions[0] if len(positions) == 1 else None
+    for fact in facts:
+        args = fact.args
+        if len(args) == arity:
+            key = args[one].symbol if one is not None else tuple([args[p].symbol for p in positions])
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [fact]
+            else:
+                bucket.append(fact)
 
 
 class _Plan:
-    """A conjunction compiled for ``_join``: the steps in matching order,
-    the comparisons checkable before any atom is matched, and whether
-    every comparison ever is."""
+    """A conjunction compiled by ``_plan``: the kernel of its shape and
+    the constants the kernel reads (``c``)."""
 
-    __slots__ = ("steps", "pre_checks", "safe")
+    __slots__ = ("kernel", "consts")
 
-    def __init__(self, steps, pre_checks, safe):
-        self.steps: tuple[_Step, ...] = steps
-        self.pre_checks: tuple[Comparison, ...] = pre_checks
-        self.safe: bool = safe
+    def __init__(self, kernel, consts: tuple):
+        self.kernel = kernel
+        self.consts = consts
+
+
+def _never(*args) -> tuple:
+    """The kernel of a body with a comparison on a variable no atom binds
+    (an unsafe body): it matches nothing."""
+    return ()
 
 
 def _plan(
     atoms: Sequence[Atom],
     comparisons: Sequence[Comparison] = (),
     first: int | None = None,
-    bound: Iterable[Variable] = (),
+    outer: Sequence[Atom] = (),
+    rule: Rule | None = None,
 ) -> _Plan:
     """Compile the conjunction of ``atoms`` and ``comparisons`` for
-    matching with the variables ``bound`` already bound: ``atoms[first]``
-    (the delta of a semi-naive round) is matched first, then each time
-    the atom with the most bound positions, textual order breaking ties.
-    A step probes an index on its bound positions; it scans when it has
-    none, and when it is the first step and the initial binding binds
-    none of its variables."""
-    # variables by name: names are interned strings, which hash and
-    # compare much faster than Variable objects
-    known = {v.name for v in bound}
-    ready = dict.fromkeys(known, -1)
-    names = [[None if isinstance(t, Constant) else t.name for t in a.args] for a in atoms]
+    matching the i-th atom against the facts of ``sources[i]``.  The
+    ``outer`` atoms are matched already: the kernel receives their facts
+    and reads the variables they bind off them.  With a ``rule``, whose
+    body the atoms and comparisons are, the kernel fires it (``_round``);
+    without, it yields each match (``_matches``).
+
+    The plan's shape is the conjunction with its variables numbered in
+    order of first occurrence and each constant replaced by its place in
+    the tuple of the plan's constants; ``_kernel`` plans the shape and
+    compiles one function for it, which every plan of that shape shares."""
+    numbers: dict[str, int] = {}  # variable names, interned strings, hash faster than Variables
+    consts: list = []
+
+    def shape_of(terms, constant) -> tuple:
+        out = []
+        for t in terms:
+            if t.__class__ is Variable:
+                out.append(numbers.setdefault(t.name, len(numbers)))
+            elif constant is None:
+                out.append(None)  # an outer fact's constant is never read
+            else:
+                consts.append(constant(t))
+                out.append(-len(consts))
+        return tuple(out)
+
+    symbol = attrgetter("symbol")
+    outer_shape = tuple(shape_of(a.args, None) for a in outer)
+    atom_shape = tuple(shape_of(a.args, symbol) for a in atoms)
+    bound = len(numbers)
+    comparison_shape = tuple((c.op == "=", *shape_of((c.left, c.right), symbol)) for c in comparisons)
+    if any(n >= bound for _, *sides in comparison_shape for n in sides):
+        return _Plan(_never, ())
+    head = None
+    if rule is not None:
+        terms = shape_of(rule.head.args, lambda t: t)
+        for t, n in zip(rule.head.args, terms):
+            if n >= bound:
+                raise UnsafeRuleError(rule, t)
+        consts.append(rule.head.predicate)
+        head = (terms, len(consts) - 1)
+    return _Plan(_kernel((outer_shape, atom_shape, comparison_shape, first, head, len(consts))), tuple(consts))
+
+
+# the nested loops of one generated function: CPython compiles no
+# function with more than 20 statically nested blocks, so a longer plan
+# is split into functions that call one another
+_DEPTH = 16
+
+
+def _tuple(items: Iterable[str]) -> str:
+    items = list(items)
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+@lru_cache(maxsize=256)
+def _kernel(shape: tuple):
+    """The kernel of a plan shape (see ``_plan``), compiled once for every
+    plan of that shape; the cache keeps the 256 shapes used last, and each
+    plan keeps its own kernel.
+
+    The atom ``first`` (the delta of a semi-naive round) is matched first,
+    then each time the atom with the most bound positions, textual order
+    breaking ties.  A step probes an index on its bound positions; it
+    scans when it has none, and when it is the first step and the outer
+    atoms bind none of its variables.  The kernel is Python source: one
+    nested ``for`` per step, each index fetched before the loops, every
+    check inlined (a scan's arity by ``len``; constants, repeated
+    variables and comparisons, as soon as their variables are bound, as
+    ``is`` tests on symbols).  A
+    fact is named by its slot, the outer facts first and then the atoms'
+    in textual order, and each variable is read at the (slot, position)
+    of the fact that binds it.  The source holds only such indices and
+    generated names; the constants come in the tuple ``c``.  A rule
+    kernel ``k0(src, c, outer, produced, firings)`` adds each head to
+    ``produced`` and appends its body to ``firings[head]``; a match kernel
+    ``k0(src, c, outer)`` yields each match."""
+    outer, atoms, comparisons, first, head, consts = shape
+    where: dict[int, tuple[int, int]] = {}  # variable -> (slot, position) that binds it
+    for slot, terms in enumerate(outer):
+        for p, n in enumerate(terms):
+            if n is not None:
+                where.setdefault(n, (slot, p))
+    base = len(outer)
+    ready = dict.fromkeys(where, -1)  # variable -> the step that binds it
     todo = list(range(len(atoms)))
-    steps: list[_Step] = []
+    order: list[tuple[int, tuple[int, ...] | None]] = []  # (atom, probed positions; None: a scan)
     while todo:
-        if first is not None and not steps:
+        if first is not None and not order:
             i = first
         else:
             most = -1
             for j in todo:  # ascending, so ties go to the textual first
-                count = sum(1 for n in names[j] if n is None or n in known)
+                count = sum(1 for n in atoms[j] if n < 0 or n in where)
                 if count > most:
                     most, i = count, j
         todo.remove(i)
-        args = atoms[i].args
-        key, key_terms, probe = [], [], bool(steps)
-        for p, n in enumerate(names[i]):
-            if n is None:
-                key.append(p)
-                key_terms.append(args[p].symbol)
-            elif n in known:
-                key.append(p)
-                key_terms.append(args[p])
-                probe = True
-        steps.append(_Step(i, args, tuple(key), tuple(key_terms)) if probe else _Step(i, args, (), ()))
-        for n in names[i]:
-            if n is not None and n not in known:
-                known.add(n)
-                ready[n] = len(steps) - 1
-
-    checks: list[list[Comparison]] = [[] for _ in range(len(steps) + 1)]
-    safe = True
+        probe = bool(order) or any(n in where for n in atoms[i])
+        order.append((i, tuple(p for p, n in enumerate(atoms[i]) if n < 0 or n in where) if probe else None))
+        for p, n in enumerate(atoms[i]):
+            if n >= 0 and n not in where:
+                where[n] = (base + i, p)
+                ready[n] = len(order) - 1
+    checks: list[list[tuple]] = [[] for _ in range(len(order) + 1)]
     for cmp_ in comparisons:
-        positions = [ready.get(t.name) for t in (cmp_.left, cmp_.right) if isinstance(t, Variable)]
-        if None in positions:
-            safe = False  # a variable nothing binds: an unsafe body
-            continue
-        checks[max(positions, default=-1) + 1].append(cmp_)
-    for step, ready_here in zip(steps, checks[1:]):
-        step.checks = tuple(ready_here)
-    return _Plan(tuple(steps), tuple(checks[0]), safe)
+        checks[max((ready[n] for n in cmp_[1:] if n >= 0), default=-1) + 1].append(cmp_)
+
+    chunks = [order[s : s + _DEPTH] for s in range(0, len(order), _DEPTH)] or [[]]
+    tail = ", produced, firings" if head is not None else ""
+    unpack = [f"{''.join(f'c{k}, ' for k in range(consts))}= c"] if consts else []
+    lines = []
+    before = list(range(base))  # the slots bound before a function's loops
+    for j, chunk in enumerate(chunks):
+        used: set[int] = set()  # the slots whose arguments the function reads
+
+        def arg(n: int) -> str:
+            used.add(where[n][0])
+            return "a%d[%d]" % where[n]
+
+        def symbol(n: int) -> str:
+            return f"c{-n - 1}" if n < 0 else arg(n) + ".symbol"
+
+        def fails(cmp_: tuple) -> str:
+            equal, left, right = cmp_
+            return f"{symbol(left)} is {'not ' if equal else ''}{symbol(right)}"
+
+        prechecks = [fails(cmp_) for cmp_ in checks[0]] if j == 0 else []
+        fetches, loops = [], []
+        for n, (i, key) in enumerate(chunk, start=j * _DEPTH):
+            slot, terms = base + i, atoms[i]
+            if key is None:
+                used.add(slot)
+                loop = f"for f{slot} in src[{i}]:"
+                conds = [f"len(a{slot}) != {len(terms)}"]
+                conds += [f"a{slot}[{p}].symbol is not {symbol(t)}" for p, t in enumerate(terms) if t < 0]
+            else:
+                probed = [symbol(terms[p]) for p in key]
+                probe = probed[0] if len(probed) == 1 else _tuple(probed)
+                fetch = f"src[{i}].index({len(terms)}, {key!r})"
+                if all(terms[p] < 0 or where[terms[p]][0] in before for p in key):
+                    fetches.append(f"x{slot} = {fetch}.get({probe}, ())")
+                    loop = f"for f{slot} in x{slot}:"
+                else:
+                    fetches.append(f"x{slot} = {fetch}")
+                    loop = f"for f{slot} in x{slot}.get({probe}, ()):"
+                conds = []
+            for p, t in enumerate(terms):
+                if t >= 0 and where[t][0] == slot and where[t][1] != p:
+                    used.add(slot)
+                    conds.append(f"a{slot}[{p}].symbol is not {symbol(t)}")
+            conds += [fails(cmp_) for cmp_ in checks[n + 1]]
+            loops.append((loop, slot, conds))
+        after = sorted(before + [base + i for i, _ in chunk])
+        if j + 1 < len(chunks):
+            call = f"k{j + 1}(src, c, {_tuple(f'f{s}' for s in after)}{tail})"
+            innermost = [call if head is not None else "yield from " + call]
+        else:
+            matched = _tuple(f"f{base + i}" for i in range(len(atoms)))
+            if head is None:
+                innermost = [f"yield {matched}"]
+            else:
+                args = _tuple(f"c{-n - 1}" if n < 0 else arg(n) for n in head[0])
+                innermost = [f"h = _atom(c{head[1]}, {args})", "add(h)", f"firings[h].append({matched})"]
+
+        body = [f"{''.join(f'f{s}, ' for s in before)}= outer"] if before else []
+        body += [f"a{s} = f{s}.args" for s in before if s in used]
+        body += unpack
+        body += ["add = produced.add"] if head is not None and j + 1 == len(chunks) else []
+        body += [f"if {' or '.join(prechecks)}:", "    return"] if prechecks else []
+        body += fetches
+        indent = ""
+        for loop, slot, conds in loops:
+            body.append(indent + loop)
+            indent += "    "
+            if slot in used:
+                body.append(f"{indent}a{slot} = f{slot}.args")
+            if conds:
+                body += [f"{indent}if {' or '.join(conds)}:", f"{indent}    continue"]
+        body += [indent + line for line in innermost]
+        lines.append(f"def k{j}(src, c, outer{tail}):")
+        lines += ["    " + line for line in body]
+        before = after
+    namespace = {"_atom": derived_atom}
+    exec(compile("\n".join(lines) + "\n", "<whyd kernel>", "exec"), namespace)
+    return namespace["k0"]
+
+
+def _matches(
+    plan: _Plan, sources: Sequence[Relation], outer: Sequence[GroundAtom] = ()
+) -> Iterator[tuple[GroundAtom, ...]]:
+    """Each match of a plan compiled without a rule: the facts its atoms
+    matched (the i-th from ``sources[i]``) in textual order, agreeing with
+    the ``outer`` facts of its outer atoms."""
+    return plan.kernel(sources, plan.consts, outer)
 
 
 def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
-    """The plan of the rule's body with its delta at position ``first``
-    (None: every atom reads the full relation), compiled on first use and
-    kept on the rule for as long as it lives: ``rule._plans[i]`` with the
+    """The plan of the rule with its delta at body atom ``first`` (None:
+    every atom reads the full relation), compiled on first use and kept
+    on the rule for as long as it lives: ``rule._plans[i]`` with the
     delta at i, the last one with none."""
     plans = rule._plans
     slot = -1 if first is None else first
@@ -258,116 +381,12 @@ def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
         constants = [sum(isinstance(t, Constant) for t in a.args) for a in atoms]
         plans[slot] = _rule_plan(rule, max(range(len(atoms)), key=lambda i: (constants[i], -i)))
     else:
-        plans[slot] = _plan(atoms, comparisons, first)
+        plans[slot] = _plan(atoms, comparisons, first, rule=rule)
     return plans[slot]  # type: ignore[return-value]
 
 
 def _strip_labels(atoms: Iterable[GroundAtom]) -> list[GroundAtom]:
     return [a if a.label is None else GroundAtom(a.predicate, a.args) for a in atoms]
-
-
-def _match(step: _Step, fact: GroundAtom, binding: dict[Variable, Constant]) -> dict[Variable, Constant] | None:
-    """``binding`` extended so that the step's atom matches ``fact``, or
-    None.  Runs only the checks the step was compiled with; returns
-    ``binding`` itself when the step binds nothing, and otherwise one
-    copy extended with its binds."""
-    args = fact.args
-    if len(args) != step.arity:
-        return None
-    for p, symbol in step.constants:
-        if args[p].symbol is not symbol:
-            return None
-    for p, q in step.repeats:
-        if args[p].symbol is not args[q].symbol:
-            return None
-    binds = step.binds
-    if not binds:
-        return binding
-    new = binding.copy()
-    for p, variable in binds:
-        new[variable] = args[p]
-    return new
-
-
-def _comparison_holds(cmp_: Comparison, binding: dict[Variable, Constant]) -> bool:
-    left = cmp_.left if isinstance(cmp_.left, Constant) else binding[cmp_.left]
-    right = cmp_.right if isinstance(cmp_.right, Constant) else binding[cmp_.right]
-    return cmp_.holds(left, right)
-
-
-class _Head:
-    """A rule head compiled for ``_instantiate``: its predicate, and a
-    function from a binding to its arguments (an ``itemgetter`` of the
-    variables when every term is one)."""
-
-    __slots__ = ("predicate", "args")
-
-    def __init__(self, head: Atom):
-        self.predicate = head.predicate
-        terms = head.args
-        if terms and all(t.__class__ is Variable for t in terms):
-            get = itemgetter(*terms)
-            # an itemgetter of one key returns the value, not a 1-tuple
-            self.args = get if len(terms) > 1 else lambda binding: (get(binding),)
-        else:
-            self.args = lambda binding: tuple([t if t.__class__ is Constant else binding[t] for t in terms])
-
-
-def _instantiate(head: _Head, binding: dict[Variable, Constant]) -> GroundAtom:
-    return GroundAtom(head.predicate, head.args(binding))
-
-
-def _facts(step: _Step, source: Relation, binding: dict[Variable, Constant]) -> Iterable[GroundAtom]:
-    """The facts a step reads under ``binding``: those its source's index
-    holds under the step's key, or all of them when it has none."""
-    if not step.key:
-        return source.facts
-    key = tuple([t if t.__class__ is str else binding[t].symbol for t in step.key_terms])
-    return source.index(step.arity, step.key).get(key, ())
-
-
-def _join(
-    plan: _Plan,
-    sources: Sequence[Relation],
-    binding: dict[Variable, Constant] | None = None,
-) -> Iterator[tuple[dict[Variable, Constant], tuple[GroundAtom, ...]]]:
-    """Every way of matching the plan's i-th atom (in textual order)
-    against a fact of ``sources[i]`` that extends ``binding``, as
-    (binding, matched facts), the facts in textual atom order (for a
-    rule, a firing's body).
-    ``binding`` binds the variables the plan was compiled with as bound.
-    Each comparison is checked as soon as its variables are bound."""
-    binding = binding or {}
-    if not plan.safe or not all(_comparison_holds(c, binding) for c in plan.pre_checks):
-        return
-    steps = plan.steps
-    last = len(steps) - 1
-    if last < 0:
-        yield binding, ()
-        return
-    # depth-first over the steps with an explicit stack of partial scans;
-    # ``bindings[k]`` is the binding the first k steps leave behind
-    bindings = [binding] * (last + 1)
-    matched: list = [None] * (last + 1)
-    scans = [iter(_facts(steps[0], sources[steps[0].atom], binding))] * (last + 1)
-    pos = 0
-    while pos >= 0:
-        step, current = steps[pos], bindings[pos]
-        checks = step.checks
-        for fact in scans[pos]:
-            extended = _match(step, fact, current)
-            if extended is None or (checks and not all(_comparison_holds(c, extended) for c in checks)):
-                continue
-            matched[step.atom] = fact
-            if pos == last:
-                yield extended, tuple(matched)
-                continue
-            pos += 1
-            bindings[pos] = extended
-            scans[pos] = iter(_facts(steps[pos], sources[steps[pos].atom], extended))
-            break
-        else:
-            pos -= 1
 
 
 def _relations(facts: Iterable[GroundAtom]) -> dict[str, Relation]:
@@ -377,8 +396,8 @@ def _relations(facts: Iterable[GroundAtom]) -> dict[str, Relation]:
     return {p: Relation(facts) for p, facts in by_predicate.items()}
 
 
-def _compile(program: Program) -> list[tuple[Rule, tuple[Atom, ...], _Head]]:
-    return [(rule, tuple(rule.body_atoms()), _Head(rule.head)) for rule in program.rules]
+def _compile(program: Program) -> list[tuple[Rule, tuple[str, ...], str]]:
+    return [(rule, tuple(a.predicate for a in rule.body_atoms()), rule.head.predicate) for rule in program.rules]
 
 
 def _round(
@@ -390,21 +409,18 @@ def _round(
     ``firings[head]``; returns the heads by predicate."""
     heads: dict[str, set[GroundAtom]] = {}
     empty = Relation(frozenset())
-    for rule, atoms, head in rules:
+    for rule, predicates, head in rules:
         if deltas is None:
             joins = [(_rule_plan(rule), -1)]
         else:
-            joins = [(_rule_plan(rule, i), i) for i, a in enumerate(atoms) if a.predicate in deltas]
+            joins = [(_rule_plan(rule, i), i) for i, p in enumerate(predicates) if p in deltas]
             if not joins:
                 continue
-        full = [relations.get(a.predicate, empty) for a in atoms]
-        produced = heads.setdefault(head.predicate, set())
+        full = [relations.get(p, empty) for p in predicates]
+        produced = heads.setdefault(head, set())
         for plan, i in joins:
-            sources = full if i < 0 else [*full[:i], deltas[atoms[i].predicate], *full[i + 1 :]]  # type: ignore[index]
-            for binding, body in _join(plan, sources):
-                fact = _instantiate(head, binding)
-                produced.add(fact)
-                firings[fact].append(body)
+            sources = full if i < 0 else [*full[:i], deltas[predicates[i]], *full[i + 1 :]]  # type: ignore[index]
+            plan.kernel(sources, plan.consts, (), produced, firings)
     return heads
 
 
@@ -421,7 +437,7 @@ def _semi_naive(program: Program, facts: Iterable[GroundAtom]) -> tuple[dict[str
     rules = [r for r in rules if r[1]]
     relations = _relations(chain(facts, *seeded.values()))
     for _, _, head in rules:
-        relations.setdefault(head.predicate, Relation(set()))
+        relations.setdefault(head, Relation(set()))
     deltas: dict[str, Relation] | None = None
     while deltas is None or deltas:
         heads = _round(rules, relations, deltas, firings)

@@ -183,6 +183,26 @@ class GroundAtom(_Frozen):
         return f"{self.predicate}({', '.join(str(c) for c in self.args)})"
 
 
+_new = object.__new__
+# the slots' own setters, which skip _Frozen.__setattr__
+_set_predicate = GroundAtom.predicate.__set__  # type: ignore[attr-defined]
+_set_args = GroundAtom.args.__set__  # type: ignore[attr-defined]
+_set_label = GroundAtom.label.__set__  # type: ignore[attr-defined]
+_set_hash = GroundAtom._hash.__set__  # type: ignore[attr-defined]
+
+
+def derived_atom(predicate: str, args: tuple[Constant, ...]) -> GroundAtom:
+    """The label-free ``GroundAtom(predicate, args)`` without its checks,
+    for heads the engine derives: ``predicate`` must already be interned
+    and every argument a ``Constant``.  The hash is the constructor's."""
+    atom = _new(GroundAtom)
+    _set_predicate(atom, predicate)
+    _set_args(atom, args)
+    _set_label(atom, None)
+    _set_hash(atom, hash((predicate, args)))
+    return atom
+
+
 def ground(predicate: str, *symbols: str, label: str | None = None) -> GroundAtom:
     """Shorthand constructor: ``ground("e", "a", "b")`` is e(a, b)."""
     return GroundAtom(predicate, tuple(Constant(s) for s in symbols), label)

@@ -34,7 +34,7 @@ from whyd.parsing import parse_ground_atom, parse_instance, parse_program
 
 import corpus
 import oracle
-from conftest import atom, load_document, load_instance, load_program
+from conftest import atom, count_facts_read, load_document, load_instance, load_program
 
 
 def _family(diagnoses):
@@ -591,11 +591,11 @@ def test_obs_goal_fact_is_not_mistaken_for_the_observation():
 
 def _count_loop_work(monkeypatch) -> Counter:
     """Counts from now on the entries into the evaluator's semi-naive
-    loop ("passes") and the ``_match`` calls, the one place a binding is
-    extended, made inside that loop ("inside") and outside it
-    ("outside")."""
+    loop ("passes") and the facts the join kernels read through
+    ``Relation`` (``count_facts_read``) inside that loop ("inside") and
+    outside it ("outside")."""
     counts: Counter = Counter()
-    real_loop, real_match = evaluator._semi_naive, evaluator._match
+    real_loop = evaluator._semi_naive
 
     def loop(*args):
         counts["passes"] += 1
@@ -605,12 +605,11 @@ def _count_loop_work(monkeypatch) -> Counter:
         finally:
             counts["depth"] -= 1
 
-    def match(*args):
-        counts["inside" if counts["depth"] else "outside"] += 1
-        return real_match(*args)
+    def read(n):
+        counts["inside" if counts["depth"] else "outside"] += n
 
     monkeypatch.setattr(evaluator, "_semi_naive", loop)
-    monkeypatch.setattr(evaluator, "_match", match)
+    count_facts_read(monkeypatch, read)
     return counts
 
 
@@ -649,8 +648,8 @@ def test_solves_and_view_supports_join_only_inside_the_fixpoint_loop(monkeypatch
     # the provenance pass reads the derivation graph the full model's
     # fixpoint recorded; outside the loop only the check joins, once per
     # rule over the worlds' facts and the recorded heads
-    # (``evaluator.ground``), never more than the loop's own work: 545 and
-    # 545 on chain-16, 76 and 76 on ladder-8
+    # (``evaluator.ground``), never reading more facts than the loop's
+    # own joins: 545 and 545 on chain-16, 76 and 76 on ladder-8
     counts = _count_loop_work(monkeypatch)
     for facts, target in ((_CHAIN, "ans(wc0, wc16)"), (_LADDER, "ans(wl, wlt)")):
         counts.clear()

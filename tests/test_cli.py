@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from whyd import cli
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, run_cli as _run
 
 
 def _fx(name: str) -> str:
@@ -70,16 +70,6 @@ GOLDEN_CASES = {
     "check_ics_repair": ["check-ics", "-d", _fx("repair.facts"), "-c", _fx("repair.ics")],
     "encode_phca_example": ["encode-phca", "-i", _fx("phca_example.txt")],
 }
-
-
-def _run(argv):
-    import io
-    from contextlib import redirect_stdout
-
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = cli.main(argv)
-    return code, buffer.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

@@ -1,14 +1,19 @@
+import json
+import os
 import random
-from collections import Counter
+import subprocess
+import sys
+from collections import Counter, defaultdict
 
 import pytest
 
 from whyd import evaluator
-from whyd.abduction import relevant_hypotheses, solve_diagnoses
+from whyd.abduction import AbductionProblem, relevant_hypotheses, solve_diagnoses
+from whyd.constraints import satisfies
 from whyd.errors import UnknownPredicateError
 from whyd.evaluator import (
     Relation,
-    _join,
+    _matches,
     _plan,
     answers,
     evaluate_fixpoint,
@@ -17,13 +22,13 @@ from whyd.evaluator import (
     specialize_to_answer,
 )
 from whyd.model import Atom, Comparison, Constant, GroundAtom, Instance, Program, Rule, Variable, ground
-from whyd.parsing import parse_program
+from whyd.parsing import parse_constraints, parse_instance, parse_program
 from whyd.phca import encode_phca
 
 import corpus
 import oracle
 from oracle import naive_fixpoint
-from conftest import atom, load_document, load_instance, load_program
+from conftest import atom, count_facts_read, load_document, load_instance, load_program, run_cli
 
 
 def test_graph_fixpoint_contains_closure():
@@ -151,9 +156,10 @@ def test_seminaive_matches_naive_with_comparisons():
 
 def _random_conjunction(rng: random.Random):
     """Atoms over e/2, f/1 and g/3 with constants and repeated variables,
-    comparisons between any of their terms and extra constants, and an
-    initial binding of some of the variables (and of one the atoms do
-    not mention)."""
+    comparisons between any of their terms and extra constants, and
+    outer atoms with their facts, binding some of the variables (and one
+    the atoms do not mention), sometimes twice or beside a constant; and
+    the binding they make."""
     constants = [Constant(c) for c in "abc"]
     schema = [("e", 2), ("f", 1), ("g", 3)]
     atoms = []
@@ -166,64 +172,150 @@ def _random_conjunction(rng: random.Random):
     if rng.random() < 0.2:
         bound.append(Variable("V"))
     binding = {v: rng.choice(constants) for v in bound}
+    cut = rng.randint(0, len(bound))
+    outer = []
+    for k, group in enumerate(g for g in (bound[:cut], bound[cut:]) if g):
+        terms = group + group[:1] * (rng.random() < 0.3) + [rng.choice(constants)] * (rng.random() < 0.3)
+        outer.append(Atom(f"o{k}", tuple(terms)))
+    outer_facts = [GroundAtom(a.predicate, tuple(binding.get(t, t) for t in a.args)) for a in outer]
     terms = sorted(set(variables) | set(binding), key=str) + constants
     comparisons = [
         Comparison(rng.choice(("=", "!=")), rng.choice(terms), rng.choice(terms)) for _ in range(rng.randint(0, 2))
     ]
-    return atoms, comparisons, binding
+    return atoms, comparisons, outer, outer_facts, binding
 
 
 def test_planned_join_matches_brute_force():
-    """``_join`` against every combination of one fact per atom, on the
-    same sources: relations shared by the atoms of one predicate, each
-    holding facts of other arities too, with a delta source at each
-    position in turn."""
-    def matches(pairs):
-        return Counter((frozenset(b.items()), facts) for b, facts in pairs)
-
+    """A plan's matches against every combination of one fact per atom,
+    on the same sources: relations shared by the atoms of one predicate,
+    each holding facts of other arities too, with a delta source at each
+    position in turn; and, with nothing outer, the firings of the rule
+    whose body the conjunction is."""
     shapes = Counter()
     for seed in range(400):
         rng = random.Random(seed)
-        atoms, comparisons, binding = _random_conjunction(rng)
+        atoms, comparisons, outer, outer_facts, binding = _random_conjunction(rng)
         facts: dict[str, list] = {}
         for predicate, arity in (("e", 2), ("f", 1), ("g", 3)):
             for _ in range(rng.randint(0, 12)):
                 width = rng.choice((1, 2, 3)) if rng.random() < 0.2 else arity  # sometimes the wrong arity
                 facts.setdefault(predicate, []).append(ground(predicate, *(rng.choice("abc") for _ in range(width))))
-        relations = {p: Relation(set(f)) for p, f in facts.items()}
-        empty = Relation(frozenset())
+        variables = sorted({v for a in atoms for v in a.variables()}, key=str)
+        rule = Rule(Atom("h", (*variables, Constant("k"))), (*atoms, *comparisons))
         for first in (None, *range(len(atoms))):
-            sources = [relations.get(a.predicate, empty) for a in atoms]
+            sources = [Relation(set(facts.get(a.predicate, ()))) for a in atoms]
             if first is not None:
                 pool = facts.get(atoms[first].predicate, [])
                 sources[first] = Relation(set(rng.sample(pool, min(len(pool), rng.randint(1, 5)))))
-            plan = _plan(atoms, comparisons, first, binding)
-            engine = matches(_join(plan, sources, dict(binding)))
-            brute = matches(oracle.join_matches(atoms, [s.facts for s in sources], comparisons, binding))
-            assert engine == brute, (seed, first, atoms, comparisons, binding)
+            plan = _plan(atoms, comparisons, first, outer)
+            engine = Counter(_matches(plan, sources, outer_facts))
+            brute = oracle.join_matches(atoms, [s.facts for s in sources], comparisons, binding)
+            assert engine == Counter(facts for _, facts in brute), (seed, first, atoms, comparisons, outer)
             shapes["matched" if brute else "empty"] += 1
-            shapes["probed"] += any(step.key for step in plan.steps)
+            shapes["probed"] += any(s._indexes for s in sources)
+            if all(v in variables for c in comparisons for v in c.variables()):
+                firings, produced = defaultdict(list), set()
+                plan = _plan(atoms, comparisons, first, rule=rule)
+                plan.kernel(sources, plan.consts, (), produced, firings)
+                brute = oracle.join_matches(atoms, [s.facts for s in sources], comparisons)
+                fired = [(GroundAtom("h", (*(b[v] for v in variables), Constant("k"))), body) for b, body in brute]
+                assert produced == {head for head, _ in fired}, (seed, first, rule)
+                assert Counter((h, body) for h, bodies in firings.items() for body in bodies) == Counter(fired)
+                shapes["fired"] += bool(brute)
     assert shapes["matched"] >= 200 and shapes["empty"] >= 200 and shapes["probed"] >= 500, shapes
+    assert shapes["fired"] >= 200, shapes
 
 
-def test_phca_relevance_binding_extensions_stay_bounded(monkeypatch):
-    """``_match`` is the one place a binding is extended.  Relevance on
-    corpus.random_phca seeds 0-99 may call it at most 178,000 times, a
-    tenth of the 1,780,545 calls of a join that matched the encoded rule
-    in textual order, scanning whole relations."""
-    calls = 0
-    real = evaluator._match
+def test_plans_of_one_shape_share_one_kernel():
+    program = parse_program("p(X) :- e(X, a), f(X).\nq(Y) :- g(Y, b), h(Y).\n")
+    facts = {ground(p, "c", "a") for p in "eg"} | {ground(p, "d", "b") for p in "eg"}
+    facts |= {ground(p, x) for p in "fh" for x in "cd"}
+    model = evaluate_fixpoint(program, facts)
+    assert model.atoms() == naive_fixpoint(program, facts)
+    assert model.extension("p") == {ground("p", "c")} and model.extension("q") == {ground("q", "d")}
+    p_plan, q_plan = (evaluator._rule_plan(rule) for rule in program.rules)
+    assert p_plan.kernel is q_plan.kernel and p_plan.consts != q_plan.consts
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
 
-    monkeypatch.setattr(evaluator, "_match", counted)
+_ODD = ["'", '"', "\\", "\n", "a'b\nc", "x); import os #", "'" * 3, '"' * 3, "{0}", "\\'", "c0", "f0.args", "\x00"]
+
+
+def test_symbols_never_enter_a_kernel():
+    # constants and predicates holding quotes, newlines and Python syntax
+    # join as any other: only positions reach the generated source
+    symbols = [Constant(s) for s in _ODD]
+    X, Y = Variable("X"), Variable("Y")
+    rules, facts = [], set()
+    for i, (s, t) in enumerate(zip(symbols, symbols[1:])):
+        edge = "e" + _ODD[i]
+        rules.append(Rule(Atom("p" + _ODD[i], (X, t)), (Atom(edge, (X, s)), Atom(edge, (Y, X)), Comparison("!=", X, t))))
+        facts |= {GroundAtom(edge, (a, b)) for a in symbols[i : i + 3] for b in symbols[i : i + 3]}
+    program = Program(rules, "ans")
+    model = evaluate_fixpoint(program, facts)
+    assert model.atoms() == naive_fixpoint(program, facts)
+    assert len(model.atoms()) > len(facts)
+
+
+def test_forty_atom_bodies_run_as_chained_kernels(tmp_path):
+    # more nested loops than one Python function may hold
+    body = ", ".join(f"e(X{i}, X{i + 1})" for i in range(40))
+    program_text = f"ans(X0, X40) :- {body}.\n"
+    facts_text = "".join(f"e(n{i}, n{i + 1}).\n" for i in range(40)) + "e(n40, n0).\n"
+    program, facts = parse_program(program_text), parse_instance(facts_text).atoms
+    model = evaluate_fixpoint(program, facts)
+    assert model.atoms() == naive_fixpoint(program, facts) and len(model.extension("ans")) == 41
+    (tmp_path / "long.dl").write_text(program_text)
+    (tmp_path / "long.facts").write_text(facts_text)
+    code, output = run_cli(["eval", "-p", str(tmp_path / "long.dl"), "-d", str(tmp_path / "long.facts")])
+    assert code == 0 and len(json.loads(output)["payload"]["answers"]) == 41, output
+    # constraint kernels: one body match per start on the 41-cycle, and a
+    # tgd head joined with the 40 body facts as its outer facts
+    sigma = parse_constraints(f"{body} => false.\n{body} => e(X40, Y).\n{body} => e(X0, X40).\n")
+    violations = satisfies(Instance(facts), sigma).violations
+    assert Counter(str(v.constraint).split(" => ")[1] for v in violations) == {"false.": 41, "e(X0, X40).": 41}
+    # a 40-atom observation: the goal rule's body, every atom ground
+    observation = tuple(ground("q", f"c{i}") for i in range(40))
+    hypotheses = frozenset(ground("h", f"c{i}") for i in range(40)) | {ground("k", "c0")}
+    abduce_text = "q(X) :- h(X).\nq(X) :- k(X).\n"
+    problem = AbductionProblem(parse_program(abduce_text), frozenset(), hypotheses, observation)
+    assert len(solve_diagnoses(problem)) == 2
+    assert evaluate_fixpoint(problem.program, hypotheses).atoms() == naive_fixpoint(problem.program, hypotheses)
+    (tmp_path / "obs.dl").write_text(abduce_text)
+    observe = "".join(f"{a}.\n" for a in sorted(hypotheses, key=str)) + "#observe\n"
+    (tmp_path / "obs.facts").write_text(observe + "".join(f"{o}.\n" for o in observation))
+    code, output = run_cli(["abduce", "-p", str(tmp_path / "obs.dl"), "-d", str(tmp_path / "obs.facts")])
+    assert code == 0 and len(json.loads(output)["payload"]["diagnoses"]) == 2, output
+
+
+def test_kernel_cache_stays_at_its_bound():
+    # importing whyd compiles nothing; kernels are compiled at first join
+    check = "import whyd, whyd.evaluator as e; assert e._kernel.cache_info().currsize == 0"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+    bound = evaluator._kernel.cache_info().maxsize
+    for n in range(bound + 20):
+        # a chain of 1-24 atoms with 0-11 comparisons: a shape of its own
+        atoms = [Atom("e", (Variable(f"X{i}"), Variable(f"X{i + 1}"))) for i in range(n % 24 + 1)]
+        _plan(atoms, [Comparison("!=", Variable("X0"), Constant(str(k))) for k in range(n // 24)])
+    assert evaluator._kernel.cache_info().currsize == bound
+
+
+def test_phca_relevance_reads_a_tenth_of_a_textual_join(monkeypatch):
+    """Relevance on corpus.random_phca seeds 0-99 may have its join
+    kernels read at most 178,000 facts through ``Relation``, a tenth of
+    the 1,780,545 a join would read that matched the encoded rule in
+    textual order, scanning whole relations."""
+    read = 0
+
+    def count(n):
+        nonlocal read
+        read += n
+
+    count_facts_read(monkeypatch, count)
     solve_diagnoses.cache_clear()  # count the work, not cache hits
     for seed in range(100):
         relevant_hypotheses(encode_phca(corpus.random_phca(seed)))
-    assert 0 < calls <= 178_000, calls
+    assert 0 < read <= 178_000, read
 
 
 def test_extensional_relations_match_input():

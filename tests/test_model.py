@@ -19,6 +19,7 @@ from whyd.model import (
     Variable,
     active_domain,
     check_instance_against,
+    derived_atom,
     ground,
     validate_program,
 )
@@ -103,12 +104,22 @@ def test_sort_key_is_the_predicate_and_the_symbols():
     assert sorted(facts, key=GroundAtom.sort_key) == [ground("d", "z"), ground("e", "a", "c"), ground("e", "b")]
 
 
+@pytest.mark.parametrize("args", [(), ("a",), ("a", "b b", "a")])
+def test_derived_atoms_equal_constructed_ones(args):
+    atom = GroundAtom("e", tuple(Constant(s) for s in args))
+    derived = derived_atom("e", atom.args)
+    assert type(derived) is GroundAtom and derived == atom and hash(derived) == hash(atom)
+    assert derived.label is None and derived.sort_key() == atom.sort_key() and str(derived) == str(atom)
+    assert {derived, atom.with_label("t1")} == {atom}
+
+
 @pytest.mark.parametrize(
     "value, fields",
     [
         (Constant("a"), ("symbol", "extra")),
         (Variable("X"), ("name", "extra")),
         (ground("e", "a", "b", label="t1"), ("predicate", "args", "label", "extra")),
+        (derived_atom("e", (Constant("a"),)), ("predicate", "args", "label", "extra")),
     ],
 )
 def test_attribute_assignment_raises(value, fields):
@@ -120,7 +131,8 @@ def test_attribute_assignment_raises(value, fields):
 
 
 @pytest.mark.parametrize(
-    "value", [Constant("a b"), Variable("X"), ground("e", "a", "b", label="t1"), ground("goal")]
+    "value",
+    [Constant("a b"), Variable("X"), ground("e", "a", "b", label="t1"), ground("goal"), derived_atom("e", (Constant("a"),))],
 )
 def test_copies_and_pickles_round_trip(value):
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
@@ -171,6 +183,12 @@ def test_unbound_head_variable_is_unsafe():
     rule = Rule(Atom("ans", (Variable("X"),)), (Atom("e", (Variable("Y"), Variable("Z"))),))
     with pytest.raises(UnsafeRuleError) as err:
         validate_program(Program((rule,), "ans"))
+    assert err.value.variable == Variable("X")
+    # the engine refuses it too when handed the program unvalidated
+    from whyd.evaluator import evaluate_fixpoint
+
+    with pytest.raises(UnsafeRuleError) as err:
+        evaluate_fixpoint(Program((rule,), "ans"), [ground("e", "a", "b")])
     assert err.value.variable == Variable("X")
 
 
