@@ -14,7 +14,18 @@ from typing import Iterable, Iterator, Union
 
 from .errors import ArityMismatchError, HeadExtensionalError, UnsafeRuleError, WhydError
 
-_BARE_SYMBOL = re.compile(r"[a-z][A-Za-z0-9_]*$|[0-9][0-9]*$")
+# the texts that print bare: a constant, and a predicate that reads back
+# as the same name (a name token that is not a variable's)
+_BARE_SYMBOL = re.compile(r"[a-z][A-Za-z0-9_]*|[0-9]+")
+_BARE_PREDICATE = re.compile(r"[a-z][A-Za-z0-9_-]*|[0-9]+")
+
+
+def _quoted(text: str) -> str:
+    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def _printed_predicate(predicate: str) -> str:
+    return predicate if _BARE_PREDICATE.fullmatch(predicate) else _quoted(predicate)
 
 
 _set = object.__setattr__
@@ -60,9 +71,9 @@ class Constant(_Frozen):
         return Constant, (self.symbol,)
 
     def __str__(self) -> str:
-        if _BARE_SYMBOL.match(self.symbol):
+        if _BARE_SYMBOL.fullmatch(self.symbol):
             return self.symbol
-        return "'" + self.symbol.replace("\\", "\\\\").replace("'", "\\'") + "'"
+        return _quoted(self.symbol)
 
     def __repr__(self) -> str:
         return f"Constant({self.symbol!r})"
@@ -124,8 +135,8 @@ class Atom:
 
     def __str__(self) -> str:
         if not self.args:
-            return self.predicate
-        return f"{self.predicate}({', '.join(str(t) for t in self.args)})"
+            return _printed_predicate(self.predicate)
+        return f"{_printed_predicate(self.predicate)}({', '.join(str(t) for t in self.args)})"
 
 
 class GroundAtom(_Frozen):
@@ -179,8 +190,8 @@ class GroundAtom(_Frozen):
 
     def __str__(self) -> str:
         if not self.args:
-            return self.predicate
-        return f"{self.predicate}({', '.join(str(c) for c in self.args)})"
+            return _printed_predicate(self.predicate)
+        return f"{_printed_predicate(self.predicate)}({', '.join(str(c) for c in self.args)})"
 
 
 _new = object.__new__

@@ -27,13 +27,25 @@ Constraint files hold one constraint per line::
 
 Key/FD directives are sugar for egds; the parsed set keeps the key
 declarations so key-preservation checks can see them.
+
+Each text is read in one scan: ``_TOKEN.findall`` gives its tokens as
+plain strings, a token's kind is read off its first character, and the
+parser reads the list by index, building rules, constraints and ground
+facts directly; each distinct symbol of a text becomes one ``Constant``.
+Offsets are not kept: when an error is raised, the offending token's
+line and column come from scanning the text again up to it.  A
+character no token takes, or a ``#`` that does not start a line of an
+instance or constraint file, is the error of its text wherever it
+stands, before any other.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+import string
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .constraints import Constraint, ConstraintSet, FunctionalDependency, KeyConstraint
 from .errors import (
@@ -56,98 +68,111 @@ from .model import (
     validate_program,
 )
 
+_T = TypeVar("_T")
+
+# blanks and a comment, then one token: a line end, a directive, an
+# operator or punctuation, a quoted symbol, a name, a character no token
+# takes, or the empty token at the end of the text
 _TOKEN = re.compile(
-    r"""
-    (?P<eol>\n)
-  | (?P<ws>[^\S\n]+)
-  | (?P<comment>%[^\n]*)
-  | (?P<directive>\#[^\n%]*)
-  | (?P<implies>:-|=>|!=|->)
-  | (?P<punct>[().,:=])
-  | (?P<quoted>'(?:[^'\\]|\\.)*')
-  | (?P<name>[A-Za-z_][A-Za-z0-9_-]*|[0-9]+)
-  | (?P<bad>.)
-    """,
+    r"""[^\S\n]*(?:%[^\n]*)?
+    (\n|\#[^\n%]*|:-|=>|!=|->|[().,:=]|'(?:[^'\\]|\\.)*'|[A-Za-z_][A-Za-z0-9_-]*|[0-9]+|\S|\Z)""",
     re.VERBOSE | re.DOTALL,
 )
-
-# a token: (kind, text, offset of its first character in the text)
-_Token = tuple[str, str, int]
-
-
-class _Tokenizer:
-    """The tokens of a text, from one pass; a token's line and column are
-    computed from its offset only when an error needs them.  In a
-    line-based document (``lines``) each line end is an ``eol`` token
-    with empty text, and a ``#`` that starts a line starts a directive."""
-
-    def __init__(self, text: str, filename: str, lines: bool = False):
-        self.text, self.filename = text, filename
-        self.tokens: list[_Token] = []
-        line_start = True
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "ws" or kind == "comment":
-                continue
-            if kind == "eol":
-                line_start = True
-                if lines:
-                    self.tokens.append(("eol", "", m.start()))
-                continue
-            tok = (kind, m.group(), m.start())
-            if kind == "bad" or (kind == "directive" and not (lines and line_start)):
-                raise ParseError(f"unexpected character {tok[1][0]!r}", self.span(tok))  # type: ignore[arg-type]
-            line_start = False
-            self.tokens.append(tok)  # type: ignore[arg-type]
-        self.tokens.append(("eof", "", len(text)))
-        self.index = 0
-
-    def span(self, tok: _Token) -> SourceSpan:
-        text, offset = self.text, tok[2]
-        return SourceSpan(self.filename, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.index]
-        if tok[0] != "eof":
-            self.index += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok[1] != text:
-            raise ParseError(f"expected {text!r}, found {tok[1]!r}", self.span(tok))
-        return tok
-
-
-def _is_variable_name(name: str) -> bool:
-    return name[0].isupper() or name[0] == "_"
-
-
+_NAME_START = frozenset(string.ascii_letters + string.digits + "_")
+_VARIABLE_START = frozenset(string.ascii_uppercase + "_")
+_PUNCTUATION = frozenset([":-", "=>", "!=", "->", "(", ")", ".", ",", ":", "="])
 _ANONYMOUS = Variable("_")
 
 
-def _parse_term(tz: _Tokenizer) -> Term:
-    """A term; each ``_`` is ``Variable("_")`` until ``_name_anonymous``
-    names it."""
-    kind, text, _ = tok = tz.next()
-    if kind == "quoted":
-        body = text[1:-1]
-        return Constant(body.replace("\\'", "'").replace("\\\\", "\\"))
-    if kind != "name":
-        raise ParseError(f"expected a term, found {text!r}", tz.span(tok))
-    if _is_variable_name(text):
-        return Variable(text)
-    return Constant(text)
+def _shown(token: str) -> str:
+    """A token as error messages quote it; a line end shows as ``''``."""
+    return "" if token == "\n" else token
 
 
-def _name_anonymous(items: list) -> list:
+class _Source:
+    """The tokens of one text, from one scan, and the terms met so far:
+    each distinct symbol becomes one ``Constant``.  A line-based document
+    (``lines``) keeps its line-end tokens, and a ``#`` that starts one of
+    its lines starts a directive; other texts drop them."""
+
+    __slots__ = ("text", "filename", "lines", "tokens", "terms")
+
+    def __init__(self, text: str, filename: str, lines: bool):
+        self.text, self.filename, self.lines = text, filename, lines
+        tokens = _TOKEN.findall(text)
+        self.tokens = tokens if lines else [t for t in tokens if t != "\n"]
+        self.terms: dict[str, Term] = {}
+
+    def span(self, i: int) -> SourceSpan:
+        """The line and column of token ``i``, found by scanning again."""
+        matches = _TOKEN.finditer(self.text)
+        if not self.lines:
+            matches = (m for m in matches if m.group(1) != "\n")
+        text, offset = self.text, next(itertools.islice(matches, i, None)).start(1)
+        return SourceSpan(self.filename, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
+    def error(self, cls: type[ParseError], message: str, i: int) -> ParseError:
+        return cls(message, self.span(i))
+
+    def expect(self, i: int, text: str) -> None:
+        if self.tokens[i] != text:
+            raise self.error(ParseError, f"expected {text!r}, found {_shown(self.tokens[i])!r}", i)
+
+    def term(self, i: int) -> Term:
+        """The term of token ``i``, not met before; each ``_`` is
+        ``Variable("_")`` until ``_name_anonymous`` names it."""
+        token = self.tokens[i]
+        first = token[:1]
+        if first == "'" and len(token) > 1:
+            term: Term = Constant(token[1:-1].replace("\\'", "'").replace("\\\\", "\\"))
+        elif first in _VARIABLE_START:
+            term = Variable(token)
+        elif first in _NAME_START:
+            term = Constant(token)
+        else:
+            raise self.error(ParseError, f"expected a term, found {_shown(token)!r}", i)
+        self.terms[token] = term
+        return term
+
+    def misplaced(self) -> int | None:
+        """The first token no text may hold where it stands: a character
+        no token takes, or a ``#`` that does not start a line of a
+        line-based document."""
+        tokens = self.tokens
+        for i, token in enumerate(tokens):
+            first = token[:1]
+            if first == "#":
+                if self.lines and (i == 0 or tokens[i - 1] == "\n"):
+                    continue
+            elif first in _NAME_START or token in _PUNCTUATION or first in ("", "\n"):
+                continue
+            elif first == "'" and len(token) > 1:
+                continue
+            return i
+        return None
+
+
+def _parsed(parse: Callable[[_Source], _T], text: str, filename: str, lines: bool = False) -> _T:
+    """``parse`` over the tokens of ``text``.  A character no token takes,
+    or a misplaced ``#``, is the error wherever it stands, before any
+    error the parse met."""
+    source = _Source(text, filename, lines)
+    try:
+        return parse(source)
+    except WhydError:
+        i = source.misplaced()
+        if i is None:
+            raise
+        raise ParseError(f"unexpected character {source.tokens[i][0]!r}", source.span(i)) from None
+
+
+def _name_anonymous(source: _Source, items: list) -> list:
     """The atoms and comparisons of one rule or constraint with each
     ``_`` replaced, in textual order, by its own variable: ``_Anon1``,
     ``_Anon2``, ..., skipping the names the items already use.  The
     names depend on nothing but the items, so equal texts parse equal."""
+    if "_" not in source.terms:  # no ``_`` in the whole text
+        return items
     taken = {v.name for item in items for v in item.variables()}
     if "_" not in taken:
         return items
@@ -172,68 +197,87 @@ def _name_anonymous(items: list) -> list:
     return out
 
 
-def _parse_atom_or_comparison(tz: _Tokenizer) -> Atom | Comparison:
-    start = tz.peek()
-    term = _parse_term(tz)
-    nxt = tz.peek()[1]
-    if nxt in ("=", "!="):
-        tz.next()
-        right = _parse_term(tz)
-        return Comparison(nxt, term, right)
-    if isinstance(term, Variable):
-        raise ParseError(f"expected a predicate name, found variable {term}", tz.span(start))
-    name = term.symbol
-    if nxt != "(":
-        return Atom(name, ())
-    tz.next()
-    args = [_parse_term(tz)]
-    while tz.peek()[1] == ",":
-        tz.next()
-        args.append(_parse_term(tz))
-    tz.expect(")")
-    return Atom(name, tuple(args))
+# an atom as the parser reads it: its predicate and its terms
+_Parts = tuple[str, tuple[Term, ...]]
 
 
-def _parse_atom(tz: _Tokenizer) -> Atom:
-    item = _parse_atom_or_comparison(tz)
-    if isinstance(item, Comparison):
-        raise ParseError(f"expected an atom, found comparison {item}", tz.span(tz.peek()))
-    return item
+def _item(source: _Source, i: int) -> tuple[_Parts | Comparison, int]:
+    """The atom or comparison at token ``i`` and the index after it."""
+    tokens, terms = source.tokens, source.terms
+    term = terms.get(tokens[i]) or source.term(i)
+    op = tokens[i + 1]
+    if op == "=" or op == "!=":
+        right = terms.get(tokens[i + 2]) or source.term(i + 2)
+        return Comparison(op, term, right), i + 3
+    if term.__class__ is not Constant:
+        raise source.error(ParseError, f"expected a predicate name, found variable {term}", i)
+    if op != "(":
+        return (term.symbol, ()), i + 1  # type: ignore[union-attr]
+    args = []
+    i += 2
+    while True:
+        args.append(terms.get(tokens[i]) or source.term(i))
+        if tokens[i + 1] != ",":
+            break
+        i += 2
+    i += 1
+    if tokens[i] != ")":
+        raise source.error(ParseError, f"expected ')', found {_shown(tokens[i])!r}", i)
+    return (term.symbol, tuple(args)), i + 1  # type: ignore[union-attr]
+
+
+def _atom(source: _Source, i: int) -> tuple[_Parts, int]:
+    item, i = _item(source, i)
+    if item.__class__ is Comparison:
+        raise source.error(ParseError, f"expected an atom, found comparison {item}", i)
+    return item, i  # type: ignore[return-value]
+
+
+def _fact(source: _Source, i: int, label: str | None, error_after: bool = False) -> tuple[GroundAtom, int]:
+    """The atom at token ``i`` as a fact with the given label, and the
+    index after it.  A variable in it is an error at the atom's first
+    token, or at the token after it (``error_after``)."""
+    parts, end = _atom(source, i)
+    try:
+        return GroundAtom(*parts, label), end  # type: ignore[arg-type]
+    except WhydError:
+        at = end if error_after else i
+        raise source.error(ParseError, f"fact {Atom(*parts)} contains variables", at) from None
 
 
 def parse_program(text: str, filename: str = "<program>") -> Program:
     """Parse and validate a program; its answer predicate is the head
     predicate of the first rule."""
-    tz = _Tokenizer(text, filename)
+    return _parsed(_program, text, filename)
+
+
+def _program(source: _Source) -> Program:
+    tokens = source.tokens
     rules: list[Rule] = []
-    while tz.peek()[0] != "eof":
-        head = _parse_atom(tz)
-        tok = tz.next()
-        if tok[1] == ".":
-            rules.append(Rule(*_name_anonymous([head])))
+    i = 0
+    while tokens[i]:
+        head, i = _atom(source, i)
+        if tokens[i] == ".":
+            rules.append(Rule(*_name_anonymous(source, [Atom(*head)])))
+            i += 1
             continue
-        if tok[1] != ":-":
-            raise ParseError(f"expected '.' or ':-', found {tok[1]!r}", tz.span(tok))
-        items: list[Atom | Comparison] = [head, _parse_atom_or_comparison(tz)]
-        while tz.peek()[1] == ",":
-            tz.next()
-            items.append(_parse_atom_or_comparison(tz))
-        tz.expect(".")
-        head, *body = _name_anonymous(items)
-        rules.append(Rule(head, tuple(body)))
+        if tokens[i] != ":-":
+            raise source.error(ParseError, f"expected '.' or ':-', found {tokens[i]!r}", i)
+        items: list[Atom | Comparison] = [Atom(*head)]
+        while True:
+            item, i = _item(source, i + 1)
+            items.append(item if item.__class__ is Comparison else Atom(*item))  # type: ignore[arg-type,misc]
+            if tokens[i] != ",":
+                break
+        source.expect(i, ".")
+        i += 1
+        atom, *body = _name_anonymous(source, items)
+        rules.append(Rule(atom, tuple(body)))
     if not rules:
-        raise ParseError("empty program", SourceSpan(filename, 1, 1))
+        raise ParseError("empty program", SourceSpan(source.filename, 1, 1))
     program = Program(rules, rules[0].head.predicate)
     validate_program(program)
     return program
-
-
-def _require_ground(atom: Atom, span: Callable[[], SourceSpan], label: str | None = None) -> GroundAtom:
-    """The atom as a fact with the given label; ``span`` locates the
-    error when the atom has a variable."""
-    if not atom.is_ground():
-        raise ParseError(f"fact {atom} contains variables", span())
-    return GroundAtom(atom.predicate, atom.args, label)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -247,62 +291,72 @@ class InstanceDocument:
 
 
 def parse_instance_document(text: str, filename: str = "<instance>") -> InstanceDocument:
+    return _parsed(_instance_document, text, filename, lines=True)
+
+
+def _instance_document(source: _Source) -> InstanceDocument:
+    tokens = source.tokens
     # each fact maps to itself as last given, so the last label wins
     endogenous: dict[GroundAtom, GroundAtom] = {}
     exogenous: dict[GroundAtom, GroundAtom] = {}
     observations: list[GroundAtom] = []
     exo_predicates: set[str] = set()
-    section = "endogenous"
-
-    tz = _Tokenizer(text, filename, lines=True)
-    while tz.peek()[0] != "eof":
-        first = tz.peek()
-        if first[0] == "eol":
-            tz.next()
+    # the facts of the section being read go to ``bucket`` (observations
+    # when it is None) and must not be in ``other``
+    bucket: dict[GroundAtom, GroundAtom] | None = endogenous
+    other = exogenous
+    i = 0
+    while True:
+        token = tokens[i]
+        if token == "\n":
+            i += 1
             continue
-        if first[0] == "directive":
-            tz.next()
-            directive, _, rest = first[1].strip().partition(" ")
+        if not token:
+            break
+        first = i
+        if token[0] == "#":
+            i += 1
+            directive, _, rest = token.strip().partition(" ")
             if directive in ("#endogenous", "#exogenous", "#observe") and rest.strip():
-                raise ParseError(f"unexpected input after {directive}", tz.span(first))
+                raise source.error(ParseError, f"unexpected input after {directive}", first)
             if directive == "#endogenous":
-                section = "endogenous"
+                bucket, other = endogenous, exogenous
             elif directive == "#exogenous":
-                section = "exogenous"
+                bucket, other = exogenous, endogenous
             elif directive == "#observe":
-                section = "observe"
+                bucket = None
             elif directive == "#exogenous-predicates":
                 names = [n.strip() for n in rest.split(",") if n.strip()]
                 if not names:
-                    raise ParseError("#exogenous-predicates needs at least one name", tz.span(first))
+                    raise source.error(ParseError, "#exogenous-predicates needs at least one name", first)
                 exo_predicates.update(names)
             else:
-                raise ParseError(f"unknown directive {directive}", tz.span(first))
+                raise source.error(ParseError, f"unknown directive {directive}", first)
             continue
 
         label: str | None = None
-        if first[0] == "name" and tz.tokens[tz.index + 1][1] == ":":
-            label = tz.next()[1]
-            tz.next()
-        start = tz.peek()
-        atom = _require_ground(_parse_atom(tz), lambda: tz.span(start), label)
-        tz.expect(".")
-        if tz.peek()[0] not in ("eol", "eof"):
-            raise ParseError(f"trailing input after fact: {tz.peek()[1]!r}", tz.span(first))
+        if tokens[i + 1] == ":" and token[0] in _NAME_START:
+            label = token
+            i += 2
+        atom, i = _fact(source, i, label)
+        source.expect(i, ".")
+        i += 1
+        if tokens[i] != "\n" and tokens[i]:
+            raise source.error(ParseError, f"trailing input after fact: {tokens[i]!r}", first)
 
-        if section == "observe":
+        if bucket is None:
             observations.append(atom)
             continue
-        bucket = exogenous if section == "exogenous" else endogenous
-        other = endogenous if section == "exogenous" else exogenous
         if atom in other:
-            raise DuplicateFactError(f"fact {atom} appears in both partitions", tz.span(first))
+            raise source.error(DuplicateFactError, f"fact {atom} appears in both partitions", first)
         bucket[atom] = atom
 
     for atom in list(endogenous):
         if atom.predicate in exo_predicates:
             if atom in exogenous:
-                raise DuplicateFactError(f"fact {atom} appears in both partitions", SourceSpan(filename, 1, 1))
+                raise DuplicateFactError(
+                    f"fact {atom} appears in both partitions", SourceSpan(source.filename, 1, 1)
+                )
             exogenous[atom] = endogenous.pop(atom)
 
     instance = Instance(endogenous.values(), exogenous.values())
@@ -315,52 +369,57 @@ def parse_instance(text: str, filename: str = "<instance>") -> Instance:
 
 def parse_ground_atom(text: str, filename: str = "<atom>") -> GroundAtom:
     """One ground atom, as accepted for CLI targets, e.g. 'ans(john, xml)'."""
-    tz = _Tokenizer(text, filename)
-    atom = _require_ground(_parse_atom(tz), lambda: tz.span(tz.peek()))
-    if tz.peek()[1] == ".":
-        tz.next()
-    if tz.peek()[0] != "eof":
-        raise ParseError(f"trailing input after atom: {tz.peek()[1]!r}", tz.span(tz.peek()))
+    return _parsed(_ground_atom, text, filename)
+
+
+def _ground_atom(source: _Source) -> GroundAtom:
+    tokens = source.tokens
+    atom, i = _fact(source, 0, None, error_after=True)
+    if tokens[i] == ".":
+        i += 1
+    if tokens[i]:
+        raise source.error(ParseError, f"trailing input after atom: {tokens[i]!r}", i)
     return atom
 
 
-def _parse_constraint(tz: _Tokenizer) -> Constraint:
-    """The constraint at the tokenizer's position, through its ``.``."""
-    start = tz.peek()
+def _constraint(source: _Source, i: int) -> tuple[Constraint, int]:
+    """The constraint at token ``i``, through its ``.``, and the index
+    after it."""
+    tokens = source.tokens
+    start = i
     body: list[Atom] = []
     while True:
-        item = _parse_atom_or_comparison(tz)
-        if isinstance(item, Comparison):
-            raise NonConjunctiveBodyError(f"built-in {item} not allowed in a constraint body", tz.span(start))
-        body.append(item)
-        tok = tz.next()
-        if tok[1] == ",":
-            continue
-        if tok[1] == "=>":
+        item, i = _item(source, i)
+        if item.__class__ is Comparison:
+            raise source.error(NonConjunctiveBodyError, f"built-in {item} not allowed in a constraint body", start)
+        body.append(Atom(*item))  # type: ignore[misc]
+        if tokens[i] == "=>":
             break
-        raise ParseError(f"expected ',' or '=>', found {tok[1]!r}", tz.span(tok))
+        if tokens[i] != ",":
+            raise source.error(ParseError, f"expected ',' or '=>', found {_shown(tokens[i])!r}", i)
+        i += 1
 
-    head_start = tz.peek()
-    if head_start[1] == "false":
-        tz.next()
-        tz.expect(".")
-        return Constraint.denial(tuple(_name_anonymous(body)))
+    i += 1
+    if tokens[i] == "false":
+        source.expect(i + 1, ".")
+        return Constraint.denial(tuple(_name_anonymous(source, body))), i + 2
 
-    first = _parse_atom_or_comparison(tz)
-    if isinstance(first, Comparison):
-        if first.op != "=":
-            raise ParseError("an egd head must be an equality", tz.span(head_start))
-        tz.expect(".")
-        *body, first = _name_anonymous([*body, first])
-        return Constraint.egd(tuple(body), first.left, first.right)
+    head_start = i
+    first, i = _item(source, i)
+    if first.__class__ is Comparison:
+        if first.op != "=":  # type: ignore[union-attr]
+            raise source.error(ParseError, "an egd head must be an equality", head_start)
+        source.expect(i, ".")
+        *body, equality = _name_anonymous(source, [*body, first])
+        return Constraint.egd(tuple(body), equality.left, equality.right), i + 1
 
-    head_atoms = [first]
-    while tz.peek()[1] == ",":
-        tz.next()
-        head_atoms.append(_parse_atom(tz))
-    tz.expect(".")
-    items = _name_anonymous([*body, *head_atoms])
-    return Constraint.tgd(tuple(items[: len(body)]), tuple(items[len(body) :]))
+    head_atoms = [Atom(*first)]  # type: ignore[misc]
+    while tokens[i] == ",":
+        parts, i = _atom(source, i + 1)
+        head_atoms.append(Atom(*parts))
+    source.expect(i, ".")
+    items = _name_anonymous(source, [*body, *head_atoms])
+    return Constraint.tgd(tuple(items[: len(body)]), tuple(items[len(body) :])), i + 1
 
 
 _KEY_DIRECTIVE = re.compile(r"#key\s+(?P<pred>[a-z][A-Za-z0-9_-]*)\s+(?P<positions>\d+(\s+\d+)*)\s*$")
@@ -372,41 +431,47 @@ _FD_DIRECTIVE = re.compile(
 def parse_constraints(text: str, filename: str = "<constraints>") -> ConstraintSet:
     """Parse a constraint file.  Keys and FDs expand to egds; the key
     declarations themselves are kept for key-preservation checks."""
+    return _parsed(_constraints, text, filename, lines=True)
+
+
+def _constraints(source: _Source) -> ConstraintSet:
+    tokens = source.tokens
     constraints: list[Constraint] = []
     keys: list[KeyConstraint] = []
     fds: list[FunctionalDependency] = []
-    tz = _Tokenizer(text, filename, lines=True)
-    while tz.peek()[0] != "eof":
-        first = tz.peek()
-        if first[0] == "eol":
-            tz.next()
+    i = 0
+    while tokens[i]:
+        token, first = tokens[i], i
+        if token == "\n":
+            i += 1
             continue
-        if first[0] != "directive":
-            constraints.append(_parse_constraint(tz))
-            if tz.peek()[0] not in ("eol", "eof"):
-                raise ParseError(f"trailing input after constraint: {tz.peek()[1]!r}", tz.span(first))
+        if token[0] != "#":
+            constraint, i = _constraint(source, i)
+            constraints.append(constraint)
+            if tokens[i] != "\n" and tokens[i]:
+                raise source.error(ParseError, f"trailing input after constraint: {tokens[i]!r}", first)
             continue
-        tz.next()
-        line = first[1].strip()
+        i += 1
+        line = token.strip()
         if line.startswith("#key"):
             m = _KEY_DIRECTIVE.match(line)
             if not m:
-                raise ParseError("malformed #key directive", tz.span(first))
+                raise source.error(ParseError, "malformed #key directive", first)
             positions = tuple(int(p) for p in m.group("positions").split())
             if any(p < 1 for p in positions):
-                raise ParseError("key positions are 1-based", tz.span(first))
+                raise source.error(ParseError, "key positions are 1-based", first)
             keys.append(KeyConstraint(m.group("pred"), positions))
         elif line.startswith("#fd"):
             m = _FD_DIRECTIVE.match(line)
             if not m:
-                raise ParseError("malformed #fd directive", tz.span(first))
+                raise source.error(ParseError, "malformed #fd directive", first)
             lhs = tuple(int(p) for p in m.group("lhs").split())
             rhs = tuple(int(p) for p in m.group("rhs").split())
             if any(p < 1 for p in (*lhs, *rhs)):
-                raise ParseError("dependency positions are 1-based", tz.span(first))
+                raise source.error(ParseError, "dependency positions are 1-based", first)
             fds.append(FunctionalDependency(m.group("pred"), lhs, rhs))
         else:
-            raise ParseError(f"unknown directive {line.split()[0]}", tz.span(first))
+            raise source.error(ParseError, f"unknown directive {line.split()[0]}", first)
     return ConstraintSet(tuple(constraints), tuple(keys), tuple(fds))
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from whyd.errors import DuplicateFactError, NonConjunctiveBodyError, ParseError
 from whyd.evaluator import answers
-from whyd.model import Atom, Comparison, Constant, Instance, Variable, ground
+from whyd.model import Atom, Comparison, Constant, GroundAtom, Instance, Program, Rule, Variable, ground
 from whyd.parsing import (
     parse_constraints,
     parse_ground_atom,
@@ -168,26 +168,44 @@ def test_constraints_round_trip_fixture_files():
 
 _name = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
 _var = st.sampled_from(["X", "Y", "Z", "W"])
+# symbols with every character the printer must quote or escape
+_symbol = st.text(alphabet="ab'\\\n %#XZ09-_", min_size=1, max_size=5)
+_predicate = st.one_of(_name, _name.map(lambda n: n + "-1"), _symbol)
+_label = st.from_regex(r"[A-Za-z_][A-Za-z0-9_-]{0,3}|[0-9]{1,3}", fullmatch=True)
+_blank = st.sampled_from(["", "", " ", "\t ", "  "])
+_comment = st.text(alphabet="ab %#'\\.:", max_size=6).map(lambda text: "%" + text)
+
+
+def _pieces(predicate: str, args: tuple) -> list[str]:
+    """The tokens of an atom as the printer writes them."""
+    pieces = [str(Atom(predicate, ()))]
+    if args:
+        pieces.append("(")
+        for k, term in enumerate(args):
+            pieces += [",", str(term)] if k else [str(term)]
+        pieces.append(")")
+    return pieces
+
+
+def _spaced(draw, pieces: list[str], gap=_blank) -> str:
+    return "".join(draw(gap) + piece for piece in pieces)
 
 
 @st.composite
 def _programs(draw):
-    predicates = draw(st.lists(st.tuples(_name, st.integers(1, 3)), min_size=1, max_size=3, unique_by=lambda t: t[0]))
-    rules = []
+    predicates = draw(
+        st.lists(st.tuples(_predicate, st.integers(1, 3)), min_size=1, max_size=3, unique_by=lambda t: t[0])
+    )
     body = []
     for _ in range(draw(st.integers(1, 3))):
         name, arity = draw(st.sampled_from(predicates))
-        args = tuple(
-            Variable(draw(_var)) if draw(st.booleans()) else Constant(draw(_name)) for _ in range(arity)
-        )
+        args = tuple(Variable(draw(_var)) if draw(st.booleans()) else Constant(draw(_symbol)) for _ in range(arity))
         body.append(Atom(name + "_b", args))
     bound = sorted({v.name for a in body for v in a.variables()})
     width = draw(st.integers(0, min(2, len(bound))))
-    head_vars = bound[:width]
-    from whyd.model import Program, Rule
-
-    head = Atom("ans", tuple(Variable(v) for v in head_vars))
-    return Program((Rule(head, tuple(body)),), "ans")
+    answer = draw(st.sampled_from(["ans", "Ans", "an s", "e-1", "0"]))
+    head = Atom(answer, tuple(Variable(v) for v in bound[:width]))
+    return Program((Rule(head, tuple(body)),), answer)
 
 
 @given(_programs())
@@ -196,22 +214,85 @@ def test_program_round_trip_random(program):
     assert parse_program(serialize_program(program)) == program
 
 
-@given(
-    st.lists(
-        st.tuples(_name, st.lists(_name, min_size=0, max_size=3), st.booleans()),
-        min_size=0,
-        max_size=6,
-    )
-)
+@given(_programs(), st.data())
 @settings(max_examples=120, deadline=None)
+def test_program_parses_with_blanks_and_comments_between_tokens(program, data):
+    gap = st.one_of(_blank, st.just("\n"), _comment.map(lambda text: " " + text + "\n"))
+    (rule,) = program.rules
+    pieces = _pieces(rule.head.predicate, rule.head.args) + [":-"]
+    for k, atom in enumerate(rule.body_atoms()):
+        pieces += ([","] if k else []) + _pieces(atom.predicate, atom.args)
+    text = _spaced(data.draw, [*pieces, "."], gap) + data.draw(gap)
+    assert parse_program(text) == program
+
+
+_facts = st.lists(
+    st.tuples(_predicate, st.lists(_symbol, max_size=3), st.booleans(), st.one_of(st.none(), _label)),
+    max_size=6,
+)
+
+
+def _instance(rows) -> Instance:
+    """The instance of the rows, each label on one tuple only."""
+    endo, exo, labels = {}, {}, set()
+    for predicate, args, exogenous, label in rows:
+        if label in labels:
+            label = None
+        atom = GroundAtom(predicate, tuple(Constant(a) for a in args), label)
+        if atom in endo or atom in exo:
+            continue
+        labels.add(label)
+        (exo if exogenous else endo)[atom] = atom
+    return Instance(endo, exo)
+
+
+def _same_labelled(left: Instance, right: Instance) -> bool:
+    return left == right and left.same_labels(right)
+
+
+@given(_facts)
+@settings(max_examples=150, deadline=None)
 def test_instance_round_trip_random(rows):
-    endo, exo = [], []
-    for name, args, exogenous in rows:
-        atom = ground("p_" + name, *args) if args else ground("p_" + name)
-        (exo if exogenous else endo).append(atom)
-    exo = [a for a in exo if a not in set(endo)]
-    instance = Instance(endo, exo)
+    instance = _instance(rows)
+    assert _same_labelled(parse_instance(serialize_instance(instance)), instance)
+
+
+@given(_facts, st.data())
+@settings(max_examples=150, deadline=None)
+def test_instance_parses_with_blank_lines_comments_and_blanks(rows, data):
+    instance = _instance(rows)
+    between = st.sampled_from(["", "\n", "   \n", "% a note\n", "%\n"])
+    lines = []
+    for section, atoms in (("", instance.endogenous), ("#exogenous", instance.exogenous)):
+        if section:
+            lines.append(section + data.draw(st.sampled_from(["", " ", " % exogenous"])))
+        for atom in sorted(atoms, key=GroundAtom.sort_key):
+            pieces = ([atom.label, ":"] if atom.label else []) + _pieces(atom.predicate, atom.args) + ["."]
+            trailing = data.draw(st.one_of(_blank, _comment.map(lambda text: " " + text)))
+            lines.append(data.draw(between) + _spaced(data.draw, pieces) + trailing)
+    assert _same_labelled(parse_instance("\n".join(lines)), instance)
+
+
+def test_constants_ending_in_a_newline_print_quoted():
+    assert str(Constant("a\n")) == "'a\n'" and str(Constant("a\nb")) == "'a\nb'"
+    assert [str(Constant(s)) for s in ("a", "aB_1", "0", "42", "a-1", "A")] == ["a", "aB_1", "0", "42", "'a-1'", "'A'"]
+    instance = parse_instance("p('a\n').\n")
+    assert serialize_instance(instance) == "p('a\n').\n"
     assert parse_instance(serialize_instance(instance)) == instance
+
+
+def test_quoted_predicates_print_quoted_only_when_needed():
+    instance = parse_instance("'P x'(a).\n'p'(b).\n")
+    assert serialize_instance(instance) == "'P x'(a).\np(b).\n"
+    assert parse_instance(serialize_instance(instance)) == instance
+    program = parse_program("'Ans'(X) :- e(X).")
+    assert serialize_program(program) == "'Ans'(X) :- e(X).\n"
+    assert parse_program(serialize_program(program)) == program
+    # every predicate that reads back bare prints bare
+    for name in ("e-1", "0", "ans", "aB_c-2", "007"):
+        assert str(Atom(name, (Variable("X"),))) == f"{name}(X)" and str(ground(name)) == name
+    for name, printed in (("Ans", "'Ans'"), ("_p", "'_p'"), ("1a", "'1a'"), ("it's", "'it\\'s'"), ("a\n", "'a\n'")):
+        assert str(ground(name, "a")) == f"{printed}(a)" and str(Atom(name, ())) == printed
 
 
 def test_constraint_round_trip_handmade():
