@@ -99,6 +99,8 @@ class Constraint:
             left, right = self.equality  # type: ignore[misc]
             return f"{body} => {left} = {right}."
         head = ", ".join(str(a) for a in self.head_atoms)
+        if self.head_atoms[0].predicate == "false":  # bare, it would read as a denial's head
+            head = "'false'" + head[len("false") :]
         return f"{body} => {head}."
 
 

@@ -295,6 +295,13 @@ def test_quoted_predicates_print_quoted_only_when_needed():
         assert str(ground(name, "a")) == f"{printed}(a)" and str(Atom(name, ())) == printed
 
 
+@pytest.mark.parametrize("head", ["'false'", "'false'(X)", "q(X), 'false'"])
+def test_tgd_head_named_false_stays_a_tgd(head):
+    sigma = parse_constraints(f"p(X) => {head}.")
+    assert sigma.constraints[0].kind == "tgd"
+    assert parse_constraints(serialize_constraints(sigma)) == sigma
+
+
 def test_constraint_round_trip_handmade():
     sigma = parse_constraints(
         "dep(X,Y) => course(U,Y,X).\np(X,Y), p(X,Z) => Y = Z.\nr(X, a1), s(a1) => false.\n#key s 1\n#fd course 2 -> 3"
