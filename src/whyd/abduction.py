@@ -4,19 +4,21 @@ reductions between abduction and query-answer causality.
 A diagnosis is a subset-minimal set of hypothesis atoms that, added to
 the background theory (program plus extensional facts), entails the
 observation.  The diagnoses are the observation's minimal
-why-provenance: one pass annotates the ground derivation graph of the
-full model (every hypothesis added), which the fixpoint records as it
-runs, with antichains of hypothesis sets in the absorptive PosBool
-semiring (Green, Karvounarakis & Tannen, PODS 2007), and the goal's
-antichain is the diagnosis family.  The pass sweeps the part of the
-graph the goals reach in derivation order, so that off cycles each
-head is annotated once, and holds the sets as bitmasks.  The same pass
-over every answer of a program at once gives each answer's minimal
-support sets (``support_families``), behind view-conditioned causes
-and side-effect-free deletions.  Each family is checked by direct
-evaluation before it is returned: every set, and every set with one
-element dropped, is a world, and all of them are propagated over a
-ground program that the check derives again by joins.
+why-provenance: the fixpoint runs the caller's program over the facts
+and every hypothesis and records the ground derivation graph of that
+full model; one pass annotates the graph with antichains of hypothesis
+sets in the absorptive PosBool semiring (Green, Karvounarakis & Tannen,
+PODS 2007).  The observation atoms are the goals, and no goal rule is
+built: the diagnosis family of a conjunction is the product of its
+atoms' antichains, the minimal unions of one set from each.  The pass
+sweeps the part of the graph the goals reach in derivation order, so
+that off cycles each head is annotated once, and holds the sets as
+bitmasks.  The same pass over every answer of a program at once gives
+each answer's minimal support sets (``support_families``), behind
+view-conditioned causes and side-effect-free deletions.  Each family is
+checked by direct evaluation before it is returned: every set, and
+every set with one element dropped, is a world, and all of them are
+propagated over a ground program that the check derives again by joins.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -39,22 +42,8 @@ from .hitting import minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
 Diagnosis = frozenset[GroundAtom]
-
-
-def _conjunction_program(
-    program: Program, observation: tuple[GroundAtom, ...], avoid: Iterable[str] = ()
-) -> tuple[Program, GroundAtom]:
-    """Extend the program with ``obs_goal <- o1, ..., ok`` so entailment of
-    the whole observation is one membership test.  The goal predicate is
-    fresh for the program, the observation and the predicates ``avoid``
-    (those of the facts the program runs on)."""
-    taken = {r.head.predicate for r in program.rules}
-    taken.update(a.predicate for r in program.rules for a in r.body_atoms())
-    taken.update(a.predicate for a in observation)
-    taken.update(avoid)
-    goal = fresh_predicate("obs_goal", taken)
-    rule = Rule(Atom(goal, ()), tuple(o.to_atom() for o in observation))
-    return Program(program.rules + (rule,), goal), GroundAtom(goal, ())
+# a conjunction of atoms whose minimal why-provenance is asked for
+Goal = tuple[GroundAtom, ...]
 
 
 def _labelled(atoms: frozenset[GroundAtom]) -> dict[GroundAtom, GroundAtom] | None:
@@ -67,8 +56,8 @@ class AbductionProblem:
     """``(program, extensional facts, hypotheses, observation)`` with the
     standing assumption that program + facts + all hypotheses entail the
     observation (checked at construction).  ``firings`` is the recorded
-    derivation graph (``MinimalModel.firings``) of that model, under the
-    program plus one rule deriving a fresh goal from the observation."""
+    derivation graph (``MinimalModel.firings``) of that model under the
+    caller's program itself; the observation atoms are its goals."""
 
     program: Program
     extensional: frozenset[GroundAtom]
@@ -83,15 +72,13 @@ class AbductionProblem:
         if not self.observation:
             raise ObservationNotEntailableError("empty observation")
         facts = self.extensional | self.hypotheses
-        goal_program, goal = _conjunction_program(self.program, self.observation, {a.predicate for a in facts})
-        object.__setattr__(self, "_goal_program", goal_program)
-        object.__setattr__(self, "_goal", goal)
-        # the goal is fresh, so only its rule derives it
-        firings = evaluate_fixpoint(goal_program, facts).firings
-        if goal not in firings:
-            raise ObservationNotEntailableError(
-                "the observation is not entailed even with every hypothesis added"
-            )
+        # every model atom is a fact or a recorded head
+        firings = evaluate_fixpoint(self.program, facts).firings
+        for atom in self.observation:
+            if atom not in firings and atom not in facts:
+                raise ObservationNotEntailableError(
+                    "the observation is not entailed even with every hypothesis added"
+                )
         object.__setattr__(self, "firings", firings)
         # diagnoses are cached without tuple labels; these put them back
         object.__setattr__(self, "_labelled", _labelled(self.hypotheses))
@@ -112,12 +99,12 @@ def _minimal_why(
     firings: Firings,
     extensional: frozenset[GroundAtom],
     hypotheses: frozenset[GroundAtom],
-    goals: tuple[GroundAtom, ...],
-) -> dict[GroundAtom, list[Diagnosis]]:
+    goals: Sequence[Goal],
+) -> dict[Goal, list[Diagnosis]]:
     """Each goal's minimal why-provenance over the hypotheses: the
-    subset-minimal hypothesis sets that derive it, given the derivation
-    graph (``MinimalModel.firings``) of the model over the extensional
-    facts and every hypothesis.
+    subset-minimal hypothesis sets that derive all its atoms, given the
+    derivation graph (``MinimalModel.firings``) of the model over the
+    extensional facts and every hypothesis.
 
     Every derivation from the background plus some hypotheses only uses
     ground rule instances that fire in that model, so the graph holds
@@ -133,11 +120,13 @@ def _minimal_why(
     reads a head at the same or a later position (a cycle) do further
     sweeps run, each annotating again the heads whose inputs changed,
     until no antichain changes; antichains only move down a finite lattice, so
-    the sweeps stop."""
-    graph = reached(firings, goals)
+    the sweeps stop.  A goal's family is the product of its atoms'
+    antichains; a one-atom goal's is its atom's."""
+    targets = list(chain.from_iterable(goals))
+    graph = reached(firings, targets)
     atoms: list[GroundAtom] = []  # bit i: the i-th reached hypothesis
     why: dict[GroundAtom, list[int]] = {}
-    for atom in {a for bodies in graph.values() for body in bodies for a in body}.union(graph, goals):
+    for atom in {a for bodies in graph.values() for body in bodies for a in body}.union(graph, targets):
         if atom in extensional or () in graph.get(atom, ()):
             why[atom] = [0]
         elif atom in hypotheses:
@@ -167,7 +156,11 @@ def _minimal_why(
                 clock += 1
                 changed_at[head] = clock
                 sweep = True
-    return {goal: [_decode(mask, atoms) for mask in why[goal]] for goal in goals}
+    out: dict[Goal, list[Diagnosis]] = {}
+    for goal in goals:
+        masks = why[goal[0]] if len(goal) == 1 else _product([why[a] for a in goal])
+        out[goal] = [_decode(mask, atoms) for mask in masks]
+    return out
 
 
 def _prune(candidates: list[int]) -> list[int]:
@@ -204,12 +197,17 @@ def _render(delta: Diagnosis) -> str:
     return "{" + ", ".join(str(a) for a in sorted(delta, key=GroundAtom.sort_key)) + "}"
 
 
+def _render_goal(goal: Goal) -> str:
+    return ", ".join(str(a) for a in goal)
+
+
 def _check(
-    program: Program, firings: Firings, extensional: frozenset[GroundAtom], families: Mapping[GroundAtom, Sequence[Diagnosis]]
+    program: Program, firings: Firings, extensional: frozenset[GroundAtom], families: Mapping[Goal, Sequence[Diagnosis]]
 ) -> None:
     """Check each goal's family directly, by evaluation: the family is not
-    empty, each set entails the goal with the extensional facts, and no
-    set with one element dropped does; raises ``InternalInvariantError``.
+    empty, each set entails every atom of the goal with the extensional
+    facts, and no set with one element dropped does; raises
+    ``InternalInvariantError``.
 
     Each set is a world, and the recorded graph ``firings`` is not
     trusted: the worlds' facts and the recorded heads are grounded again
@@ -228,18 +226,20 @@ def _check(
     for head in grounded:
         if head not in atoms:
             raise InternalInvariantError(f"the recorded graph is not closed: it misses {head}")
-    masks = propagate(reached(grounded, families), extensional, worlds)
+    masks = propagate(reached(grounded, chain.from_iterable(families)), extensional, worlds)
     for goal, family in families.items():
         if not family:
-            raise InternalInvariantError(f"no diagnosis found for {goal}, which is entailable")
-        held = masks.get(goal, 0)
+            raise InternalInvariantError(f"no diagnosis found for {_render_goal(goal)}, which is entailable")
+        held = -1  # the worlds holding every atom of the goal
+        for atom in goal:
+            held &= masks.get(atom, 0)
         for delta in family:
             if not held >> worlds[delta] & 1:
-                raise InternalInvariantError(f"diagnosis {_render(delta)} does not entail {goal}")
+                raise InternalInvariantError(f"diagnosis {_render(delta)} does not entail {_render_goal(goal)}")
             for d in delta:
                 if held >> worlds[delta - {d}] & 1:
                     raise InternalInvariantError(
-                        f"diagnosis {_render(delta)} of {goal} is not minimal: {d} is redundant"
+                        f"diagnosis {_render(delta)} of {_render_goal(goal)} is not minimal: {d} is redundant"
                     )
 
 
@@ -264,9 +264,9 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
 
 @lru_cache(maxsize=None)
 def _diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
-    goal_program, goal = problem._goal_program, problem._goal  # type: ignore[attr-defined]
+    goal = problem.observation
     found = _minimal_why(problem.firings, problem.extensional, problem.hypotheses, (goal,))
-    _check(goal_program, problem.firings, problem.extensional, found)
+    _check(problem.program, problem.firings, problem.extensional, found)
     return canonical_family(found[goal])
 
 
@@ -281,11 +281,11 @@ def support_families(
     provenance pass over it serve every answer, and ``_check`` verifies
     every family."""
     model = evaluate_fixpoint(program, fixed | deletable)
-    answers = tuple(sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key))
-    found = _minimal_why(model.firings, fixed, deletable, answers)
+    goals = [(answer,) for answer in sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)]
+    found = _minimal_why(model.firings, fixed, deletable, goals)
     _check(program, model.firings, fixed, found)
     labelled = _labelled(deletable)
-    return {answer: _relabel(canonical_family(family), labelled) for answer, family in found.items()}
+    return {goal[0]: _relabel(canonical_family(family), labelled) for goal, family in found.items()}
 
 
 solve_diagnoses.cache_info = _diagnoses.cache_info  # type: ignore[attr-defined]

@@ -3,10 +3,12 @@ queries given as Datalog programs.
 
 Engine strategy: build the causal abduction problem of the answer once
 and take its diagnoses, the minimal endogenous support sets of the
-answer.  ``abduction.solve_diagnoses`` computes them in one
-why-provenance pass over the answer's ground derivation graph, not by
-evaluating subsets of the instance.  Everything else is read off the
-diagnosis family:
+answer.  The problem runs the caller's program as it is, with the
+answer atom itself as the observation: no goal rule and no Boolean
+program are built per request.  ``abduction.solve_diagnoses`` computes
+the diagnoses in one why-provenance pass over the answer's ground
+derivation graph, not by evaluating subsets of the instance.
+Everything else is read off the diagnosis family:
 
   * the causes are the relevant hypotheses (union of the diagnoses);
   * a contingency set for a cause t must hit every diagnosis avoiding t
@@ -41,7 +43,6 @@ from .errors import (
     ObservationNotEntailableError,
 )
 from .evaluator import holds as model_holds
-from .evaluator import specialize_to_answer
 from .hitting import Conflict, minimal_sets
 from .model import GroundAtom, Instance, Program, canonical_family
 
@@ -60,15 +61,22 @@ class CauseReport:
 
 
 class CauseAnalysis:
-    """Diagnosis-backed analysis for one (instance, program, answer)."""
+    """Diagnosis-backed analysis for one (instance, program, answer): the
+    causal abduction problem of the program over the instance, with the
+    answer atom as its observation.  An atom of another predicate or
+    arity than the answer predicate's raises ``NotAnAnswerError``."""
 
     def __init__(self, instance: Instance, program: Program, answer: GroundAtom):
         self.instance = instance
         self.program = program
         self.answer = answer
-        boolean, goal = specialize_to_answer(program, answer, {a.predicate for a in instance.atoms})
+        if answer.predicate != program.answer_predicate:
+            raise NotAnAnswerError(f"{answer} is not over the answer predicate {program.answer_predicate}")
+        arity = program.arity_of(answer.predicate)
+        if arity is not None and arity != answer.arity:
+            raise NotAnAnswerError(f"{answer} has arity {answer.arity}, but the answer predicate has arity {arity}")
         try:
-            self.problem = AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,))
+            self.problem = AbductionProblem(program, instance.exogenous, instance.endogenous, (answer,))
         except ObservationNotEntailableError:
             raise NotAnAnswerError(f"{answer} is not an answer on this instance") from None
 

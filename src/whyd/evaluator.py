@@ -44,7 +44,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import NotAnAnswerError, UnknownPredicateError, UnsafeRuleError
+from .errors import UnknownPredicateError, UnsafeRuleError
 from .model import (
     Atom,
     Comparison,
@@ -552,9 +552,6 @@ def answers(program: Program, instance: Instance | Iterable[GroundAtom]) -> froz
     return model.extension(program.answer_predicate)
 
 
-_FRESH_GOAL = "goal"
-
-
 def fresh_predicate(base: str, taken: Iterable[str]) -> str:
     taken = set(taken)
     if base not in taken:
@@ -563,31 +560,3 @@ def fresh_predicate(base: str, taken: Iterable[str]) -> str:
     while f"{base}_{i}" in taken:
         i += 1
     return f"{base}_{i}"
-
-
-def specialize_to_answer(
-    program: Program, answer: GroundAtom, avoid: Iterable[str] = ()
-) -> tuple[Program, GroundAtom]:
-    """Turn (program, ground answer atom) into an equivalent Boolean query.
-
-    Adds ``goal :- ans(c1, ..., cn)`` with a nullary goal predicate fresh
-    for the program and the predicates ``avoid`` (those of the instance
-    it runs on, where a ``goal`` fact would otherwise answer it); for an
-    already-Boolean program queried on its own answer atom the program
-    is returned unchanged.  An atom of another predicate or arity raises
-    ``NotAnAnswerError``.
-    """
-    if answer.predicate != program.answer_predicate:
-        raise NotAnAnswerError(f"{answer} is not over the answer predicate {program.answer_predicate}")
-    arity = program.arity_of(answer.predicate)
-    if arity is not None and arity != answer.arity:
-        raise NotAnAnswerError(f"{answer} has arity {answer.arity}, but the answer predicate has arity {arity}")
-    if program.is_boolean() and answer.arity == 0:
-        return program, answer
-    taken = {r.head.predicate for r in program.rules}
-    taken.update(a.predicate for r in program.rules for a in r.body_atoms())
-    taken.update(avoid)
-    goal = fresh_predicate(_FRESH_GOAL, taken)
-    goal_rule = Rule(Atom(goal, ()), (answer.to_atom(),))
-    boolean = Program(program.rules + (goal_rule,), goal)
-    return boolean, GroundAtom(goal, ())

@@ -70,14 +70,17 @@ from .model import (
 
 _T = TypeVar("_T")
 
-# blanks and a comment, then one token: a line end, a directive, an
-# operator or punctuation, a quoted symbol, a name, a character no token
-# takes, or the empty token at the end of the text
-_TOKEN = re.compile(
-    r"""[^\S\n]*(?:%[^\n]*)?
-    (\n|\#[^\n%]*|:-|=>|!=|->|[().,:=]|'(?:[^'\\]|\\.)*'|[A-Za-z_][A-Za-z0-9_-]*|[0-9]+|\S|\Z)""",
-    re.VERBOSE | re.DOTALL,
-)
+# one token: a line end, a directive, an operator or punctuation, a
+# quoted symbol, a name, a character no token takes, or the empty token
+# at the end of the text
+_TOKEN_BODY = r"""(\n|\#[^\n%]*|:-|=>|!=|->|[().,:=]|'(?:[^'\\]|\\.)*'|[A-Za-z_][A-Za-z0-9_-]*|[0-9]+|\S|\Z)"""
+# in a line-based document, blanks and a comment before each token, so
+# that line ends are tokens
+_LINE_TOKEN = re.compile(r"[^\S\n]*(?:%[^\n]*)?" + _TOKEN_BODY, re.DOTALL)
+# in other texts, every blank and comment before each token, line ends
+# included, so that no token is a line end; the text's end may give two
+# empty tokens, and no parser reads past the first
+_TOKEN = re.compile(r"(?:\s|%[^\n]*)*" + _TOKEN_BODY, re.DOTALL)
 _NAME_START = frozenset(string.ascii_letters + string.digits + "_")
 _VARIABLE_START = frozenset(string.ascii_uppercase + "_")
 _PUNCTUATION = frozenset([":-", "=>", "!=", "->", "(", ")", ".", ",", ":", "="])
@@ -92,22 +95,20 @@ def _shown(token: str) -> str:
 class _Source:
     """The tokens of one text, from one scan, and the terms met so far:
     each distinct symbol becomes one ``Constant``.  A line-based document
-    (``lines``) keeps its line-end tokens, and a ``#`` that starts one of
-    its lines starts a directive; other texts drop them."""
+    (``lines``) has line-end tokens, and a ``#`` that starts one of its
+    lines starts a directive; other texts skip line ends as blanks."""
 
-    __slots__ = ("text", "filename", "lines", "tokens", "terms")
+    __slots__ = ("text", "filename", "lines", "pattern", "tokens", "terms")
 
     def __init__(self, text: str, filename: str, lines: bool):
         self.text, self.filename, self.lines = text, filename, lines
-        tokens = _TOKEN.findall(text)
-        self.tokens = tokens if lines else [t for t in tokens if t != "\n"]
+        self.pattern = _LINE_TOKEN if lines else _TOKEN
+        self.tokens = self.pattern.findall(text)
         self.terms: dict[str, Term] = {}
 
     def span(self, i: int) -> SourceSpan:
         """The line and column of token ``i``, found by scanning again."""
-        matches = _TOKEN.finditer(self.text)
-        if not self.lines:
-            matches = (m for m in matches if m.group(1) != "\n")
+        matches = self.pattern.finditer(self.text)
         text, offset = self.text, next(itertools.islice(matches, i, None)).start(1)
         return SourceSpan(self.filename, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 

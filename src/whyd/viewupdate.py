@@ -2,9 +2,13 @@
 
 By default every tuple is deletable, matching the classical view-update
 reading; ``endogenous_only=True`` restricts deletions to the endogenous
-partition.  Minimal and minimum source-side-effect solutions come
-straight from the causality machinery (a solution is a cause together
-with one of its subset-minimal contingency sets).  A view-side-effect-free
+partition.  A deletion drops the answer exactly when it hits every
+diagnosis of the answer's causal abduction problem, so the minimal
+source-side-effect solutions are the minimal hitting sets of the
+diagnoses: the problem's necessary-hypothesis sets, from one search
+(``abduction.necessary_hypothesis_sets``).  Each is a cause together
+with one of its subset-minimal contingency sets, and each such union is
+one of them.  A view-side-effect-free
 solution must hit every support set of the target answer and must not hit
 every support set of any other answer, so the solutions are the minimal
 hitting sets of the target's support family that pass the second test.
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .abduction import support_families
+from .abduction import necessary_hypothesis_sets, support_families
 from .causality import CauseAnalysis
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
 from .evaluator import evaluate_fixpoint, propagate, reached
@@ -50,17 +54,13 @@ def minimal_source_solutions(
     *,
     endogenous_only: bool = False,
 ) -> tuple[DeletionSolution, ...]:
-    """All subset-minimal deletion sets that drop the answer: exactly the
-    {cause} + contingency-set combinations."""
+    """All subset-minimal deletion sets that drop the answer: the minimal
+    hitting sets of its diagnoses, in canonical order."""
     working = _working_instance(instance, endogenous_only)
     analysis = CauseAnalysis.for_query(working, program, answer)
-    removals: set[frozenset[GroundAtom]] = set()
-    for tau in analysis.causes():
-        for gamma in analysis.contingency_family(tau):
-            removals.add(gamma | {tau})
     # world i is the instance without the i-th solution, inside the model
     # whose graph the analysis recorded
-    solutions = canonical_family(removals)
+    solutions = necessary_hypothesis_sets(analysis.problem)
     touched = frozenset().union(*solutions)
     firings = analysis.problem.firings
     masks = propagate(reached(firings, firings), instance.atoms - touched, [touched - r for r in solutions])

@@ -5,6 +5,9 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from whyd.errors import NotAnAnswerError
+from whyd.evaluator import fresh_predicate
+from whyd.model import Atom, GroundAtom, Program, Rule
 from whyd.parsing import (
     parse_constraints,
     parse_ground_atom,
@@ -42,6 +45,31 @@ def load_constraints(name: str):
 
 def atom(text: str):
     return parse_ground_atom(text)
+
+
+def specialize_to_answer(program: Program, answer: GroundAtom, avoid=()) -> tuple[Program, GroundAtom]:
+    """Turn (program, ground answer atom) into an equivalent Boolean query,
+    for the oracles, which take Boolean observations.
+
+    Adds ``goal :- ans(c1, ..., cn)`` with a nullary goal predicate fresh
+    for the program and the predicates ``avoid``; for an already-Boolean
+    program queried on its own answer atom the program is returned
+    unchanged.  An atom of another predicate or arity raises
+    ``NotAnAnswerError``.
+    """
+    if answer.predicate != program.answer_predicate:
+        raise NotAnAnswerError(f"{answer} is not over the answer predicate {program.answer_predicate}")
+    arity = program.arity_of(answer.predicate)
+    if arity is not None and arity != answer.arity:
+        raise NotAnAnswerError(f"{answer} has arity {answer.arity}, but the answer predicate has arity {arity}")
+    if program.is_boolean() and answer.arity == 0:
+        return program, answer
+    taken = {r.head.predicate for r in program.rules}
+    taken.update(a.predicate for r in program.rules for a in r.body_atoms())
+    taken.update(avoid)
+    goal = fresh_predicate("goal", taken)
+    goal_rule = Rule(Atom(goal, ()), (answer.to_atom(),))
+    return Program(program.rules + (goal_rule,), goal), GroundAtom(goal, ())
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

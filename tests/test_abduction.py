@@ -28,13 +28,12 @@ from whyd.errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from whyd.evaluator import specialize_to_answer
-from whyd.model import GroundAtom, Instance, Program, ground
+from whyd.model import GroundAtom, Instance, Program, Rule, ground
 from whyd.parsing import parse_ground_atom, parse_instance, parse_program
 
 import corpus
 import oracle
-from conftest import atom, count_facts_read, load_document, load_instance, load_program
+from conftest import atom, count_facts_read, load_document, load_instance, load_program, specialize_to_answer
 
 
 def _family(diagnoses):
@@ -142,8 +141,6 @@ def test_to_causal_abduction_with_empty_endogenous_part():
 
 
 def test_booleanized_aj_relevance_is_the_cause_set():
-    from whyd.evaluator import specialize_to_answer
-
     program, instance = load_program("aj.dl"), load_instance("aj.facts")
     answer = atom("ans(john, xml)")
     boolean, _ = specialize_to_answer(program, answer)
@@ -187,8 +184,6 @@ def test_from_abduction_folds_conjunctive_observation():
 def test_diagnoses_match_oracle_on_random_problems():
     for seed in range(60):
         case = corpus.generate_case(seed, max_endogenous=6)
-        from whyd.evaluator import specialize_to_answer
-
         boolean, goal = specialize_to_answer(case.program, case.answer)
         problem = AbductionProblem(boolean, case.instance.exogenous, case.instance.endogenous, (goal,))
         engine = set(solve_diagnoses(problem))
@@ -201,8 +196,6 @@ def test_diagnoses_match_oracle_on_random_problems():
 def test_necessary_sets_match_oracle_on_random_problems():
     for seed in range(40):
         case = corpus.generate_case(seed, max_endogenous=6)
-        from whyd.evaluator import specialize_to_answer
-
         boolean, goal = specialize_to_answer(case.program, case.answer)
         problem = AbductionProblem(boolean, case.instance.exogenous, case.instance.endogenous, (goal,))
         engine = set(necessary_hypothesis_sets(problem))
@@ -543,8 +536,7 @@ def _counted_reports(monkeypatch, facts: list[str], target: str):
     instance = parse_instance("".join(f + ".\n" for f in facts))
     reports = cause_reports(instance, _TC, parse_ground_atom(target))
     fixpoints = len(calls)
-    boolean, goal = specialize_to_answer(_TC, parse_ground_atom(target))
-    solutions = solve_diagnoses(AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,)))
+    solutions = solve_diagnoses(_tc_problem(facts, target))
     return reports, fixpoints, 1 + sum(len(delta) + 1 for delta in solutions)
 
 
@@ -615,10 +607,9 @@ def _count_loop_work(monkeypatch) -> Counter:
 
 def _tc_problem(facts: list[str], target: str) -> AbductionProblem:
     """The causal abduction problem of ``target`` on the transitive
-    closure over the facts."""
+    closure over the facts: the program itself, observing the target."""
     instance = parse_instance("".join(f + ".\n" for f in facts))
-    boolean, goal = specialize_to_answer(_TC, parse_ground_atom(target))
-    return AbductionProblem(boolean, instance.exogenous, instance.endogenous, (goal,))
+    return AbductionProblem(_TC, instance.exogenous, instance.endogenous, (parse_ground_atom(target),))
 
 
 def _fresh_solve(facts: list[str], target: str):
@@ -649,7 +640,7 @@ def test_solves_and_view_supports_join_only_inside_the_fixpoint_loop(monkeypatch
     # fixpoint recorded; outside the loop only the check joins, once per
     # rule over the worlds' facts and the recorded heads
     # (``evaluator.ground``), never reading more facts than the loop's
-    # own joins: 545 and 545 on chain-16, 76 and 76 on ladder-8
+    # own joins: 408 and 408 on chain-16, 58 and 58 on ladder-8
     counts = _count_loop_work(monkeypatch)
     for facts, target in ((_CHAIN, "ans(wc0, wc16)"), (_LADDER, "ans(wl, wlt)")):
         counts.clear()
@@ -669,7 +660,7 @@ def test_acyclic_provenance_forms_one_product_per_reached_firing(monkeypatch):
     monkeypatch.setattr(abduction, "_product", lambda families: products.append(families) or real(families))
     for facts, target, count in ((_CHAIN, "ans(wc0, wc16)", 1), (_LADDER, "ans(wl, wlt)", 8)):
         problem = _tc_problem(facts, target)
-        graph = evaluator.reached(problem.firings, (problem._goal,))
+        graph = evaluator.reached(problem.firings, problem.observation)
         assert not evaluator.reads_ahead(graph)
         products.clear()
         solve_diagnoses.cache_clear()
@@ -720,3 +711,98 @@ def test_invariant_check_reads_worlds_past_the_64th(monkeypatch, bad, message):
     with pytest.raises(InternalInvariantError, match=message) as err:
         solve_diagnoses(problem)
     assert str(err.value).startswith(f"diagnosis {abduction._render(family[-1])} ")
+
+
+# -- conjunctive observations --------------------------------------------------
+
+
+def _conjunction_problem():
+    """``cq(X) :- ce(X, Y), cf(Y).`` with ce(a, y1), ce(b, y1), ce(b, y2)
+    and cf(y1), cf(y2) as hypotheses and cg(a) as an extensional fact:
+    cq(a) and cq(b) share the hypothesis cf(y1)."""
+    program = parse_program("cq(X) :- ce(X, Y), cf(Y).")
+    hypotheses = frozenset(
+        [ground("ce", "a", "y1"), ground("ce", "b", "y1"), ground("ce", "b", "y2")]
+        + [ground("cf", "y1"), ground("cf", "y2")]
+    )
+    return program, frozenset({ground("cg", "a")}), hypotheses
+
+
+@pytest.mark.parametrize(
+    "observation",
+    [
+        ("cq(a)", "cq(b)"),  # shared hypotheses across atoms
+        ("cq(a)", "cg(a)"),  # an extensional fact
+        ("cq(b)", "cf(y2)"),  # a hypothesis
+        ("cq(b)", "cq(b)"),  # a repeated atom
+        ("cg(a)", "cg(a)"),  # entailed by the background alone
+        ("cf(y1)", "ce(b, y2)", "cq(a)"),
+    ],
+)
+def test_conjunctive_observations_match_oracle(observation):
+    program, extensional, hypotheses = _conjunction_problem()
+    atoms = tuple(atom(text) for text in observation)
+    problem = AbductionProblem(program, extensional, hypotheses, atoms)
+    assert set(solve_diagnoses(problem)) == set(oracle.diagnoses(program, extensional, hypotheses, atoms))
+    brute = oracle.necessary_sets(program, extensional, hypotheses, atoms)
+    assert set(necessary_hypothesis_sets(problem)) == set(brute)
+
+
+@pytest.mark.parametrize("unknown", ["nowhere(a)", "cq(c)", "cf(y3)"])
+def test_conjunction_with_an_unentailable_atom_is_rejected(unknown):
+    # nowhere is a predicate neither the program nor the facts know
+    program, extensional, hypotheses = _conjunction_problem()
+    with pytest.raises(ObservationNotEntailableError):
+        AbductionProblem(program, extensional, hypotheses, (atom("cq(a)"), atom(unknown)))
+
+
+def test_random_conjunctive_observations_match_oracle():
+    # observations of two to four atoms of the full model, any predicate,
+    # drawn with repetition
+    kinds: Counter = Counter()
+    for seed in range(80):
+        case = corpus.generate_case(seed, max_endogenous=5)
+        rng = random.Random(seed)
+        exo, endo = case.instance.exogenous, case.instance.endogenous
+        model = sorted(oracle.naive_fixpoint(case.program, exo | endo), key=GroundAtom.sort_key)
+        observation = tuple(rng.choice(model) for _ in range(rng.randint(2, 4)))
+        problem = AbductionProblem(case.program, exo, endo, observation)
+        assert set(solve_diagnoses(problem)) == set(oracle.diagnoses(case.program, exo, endo, observation)), case
+        assert set(necessary_hypothesis_sets(problem)) == set(
+            oracle.necessary_sets(case.program, exo, endo, observation)
+        ), case
+        kinds["extensional"] += any(a in exo for a in observation)
+        kinds["hypothesis"] += any(a in endo for a in observation)
+        kinds["repeated"] += len(set(observation)) < len(observation)
+        relevant = [frozenset().union(*oracle.diagnoses(case.program, exo, endo, (a,))) for a in set(observation)]
+        kinds["shared"] += any(r & q for i, r in enumerate(relevant) for q in relevant[i + 1 :])
+    assert all(kinds[k] >= 5 for k in ("extensional", "hypothesis", "repeated", "shared")), kinds
+
+
+def test_a_conjunctive_observation_builds_no_rule(monkeypatch):
+    # the fixpoint runs the caller's program; the observation atoms are
+    # the goals, with no rule deriving their conjunction
+    program = parse_program("nr_q(X) :- nr_e(X, Y), nr_f(Y).\nnr_r(X) :- nr_q(X), nr_f(X).")
+    hypotheses = frozenset(
+        [ground("nr_e", "a", "b"), ground("nr_e", "b", "b"), ground("nr_e", "a", "c")]
+        + [ground("nr_f", "b"), ground("nr_f", "c")]
+    )
+    observation = (ground("nr_q", "a"), ground("nr_r", "b"), ground("nr_f", "b"))
+    rules, programs = [], []
+    real_rule, real_program = Rule.__init__, Program.__init__
+    monkeypatch.setattr(Rule, "__init__", lambda self, *args, **kw: rules.append(args) or real_rule(self, *args, **kw))
+    monkeypatch.setattr(Program, "__init__", lambda self, *args: programs.append(args) or real_program(self, *args))
+    problem = AbductionProblem(program, frozenset(), hypotheses, observation)
+    solve_diagnoses.cache_clear()
+    assert _family(solve_diagnoses(problem)) == {
+        frozenset({"nr_e(a, b)", "nr_e(b, b)", "nr_f(b)"}),
+        frozenset({"nr_e(a, c)", "nr_f(c)", "nr_e(b, b)", "nr_f(b)"}),
+    }
+    assert _family(necessary_hypothesis_sets(problem)) == {
+        frozenset({"nr_e(b, b)"}),
+        frozenset({"nr_f(b)"}),
+        frozenset({"nr_e(a, b)", "nr_e(a, c)"}),
+        frozenset({"nr_e(a, b)", "nr_f(c)"}),
+    }
+    assert relevant_hypotheses(problem) == hypotheses
+    assert rules == [] and programs == []

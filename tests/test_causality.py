@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from whyd import causality
+from whyd import causality, evaluator
 from whyd.abduction import solve_diagnoses
 from whyd.causality import (
     CauseAnalysis,
@@ -15,7 +15,7 @@ from whyd.causality import (
 )
 from whyd.errors import NotACauseError, NotAnAnswerError, NotEndogenousError
 from whyd.evaluator import holds
-from whyd.model import Instance, ground
+from whyd.model import Instance, Program, ground
 from whyd.parsing import parse_instance, parse_program
 
 import corpus
@@ -248,8 +248,8 @@ def test_oracle_equivalence_on_random_corpus():
 
 
 def test_goal_fact_in_the_instance_is_not_a_cause():
-    # the Boolean goal added for a non-Boolean answer is fresh for the
-    # instance's predicates as well as the program's
+    # the analysis observes the answer atom itself: facts over names a
+    # goal predicate might take are tuples like any other
     program = parse_program("ans(X) :- r(X, Y).")
     instance = parse_instance("r(a, b).\nr(a, c).\ngoal.\ngoal_1.\n")
     reports = cause_reports(instance, program, atom("ans(a)"))
@@ -318,3 +318,23 @@ def test_ladder_searches_stay_within_their_tree(monkeypatch):
     assert searches == 8
     assert evaluations <= 8 * 2**8
     assert {r.responsibility for r in reports} == {Fraction(1, 8)}
+
+
+def test_a_second_request_over_a_program_builds_no_program_and_compiles_no_plan(monkeypatch):
+    # the analysis runs the caller's program as it is: once its rules'
+    # plans are compiled, a request on another instance builds no
+    # program and compiles nothing
+    program = parse_program(
+        "gate_ans(X, Y) :- gate_p(X, Y).\ngate_p(X, Y) :- gate_e(X, Y).\ngate_p(X, Y) :- gate_p(X, Z), gate_e(Z, Y).\n"
+    )
+    diamond = "gate_e({0}a, {0}b).\ngate_e({0}b, {0}c).\ngate_e({0}a, {0}d).\ngate_e({0}d, {0}c).\n"
+    first, second = parse_instance(diamond.format("x")), parse_instance(diamond.format("y"))
+    assert len(cause_reports(first, program, atom("gate_ans(xa, xc)"))) == 4
+    programs, plans = [], []
+    real_init, real_plan = Program.__init__, evaluator._plan
+    monkeypatch.setattr(Program, "__init__", lambda self, *args: programs.append(args) or real_init(self, *args))
+    monkeypatch.setattr(evaluator, "_plan", lambda *args, **kwargs: plans.append(args) or real_plan(*args, **kwargs))
+    reports = cause_reports(second, program, atom("gate_ans(ya, yc)"))
+    assert [str(r.cause) for r in reports] == ["gate_e(ya, yb)", "gate_e(ya, yd)", "gate_e(yb, yc)", "gate_e(yd, yc)"]
+    assert all(r.responsibility == Fraction(1, 2) for r in reports)
+    assert programs == [] and plans == []

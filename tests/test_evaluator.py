@@ -19,7 +19,6 @@ from whyd.evaluator import (
     evaluate_fixpoint,
     holds,
     propagate,
-    specialize_to_answer,
 )
 from whyd.model import Atom, Comparison, Constant, GroundAtom, Instance, Program, Rule, Variable, ground
 from whyd.parsing import parse_constraints, parse_instance, parse_program
@@ -28,7 +27,7 @@ from whyd.phca import encode_phca
 import corpus
 import oracle
 from oracle import naive_fixpoint
-from conftest import atom, count_facts_read, load_document, load_instance, load_program, run_cli
+from conftest import atom, count_facts_read, load_document, load_instance, load_program, run_cli, specialize_to_answer
 
 
 def test_graph_fixpoint_contains_closure():

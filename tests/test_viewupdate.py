@@ -182,6 +182,32 @@ def test_residual_views_match_the_oracle():
     assert seeded >= 10, seeded
 
 
+def test_minimal_deletions_are_causes_with_their_contingency_sets():
+    # the two sides of the reduction between minimal source-side-effect
+    # deletions and causes: the minimal hitting sets of the diagnoses
+    # that ``minimal_source_solutions`` returns are exactly the unions of
+    # a cause with one of its minimal contingency sets, and both are the
+    # oracle's minimal deletions
+    checked = 0
+    for seed in range(60):
+        case = corpus.generate_case(seed, max_endogenous=6)
+        for endogenous_only in (False, True):
+            working = case.instance if endogenous_only else case.instance.all_endogenous()
+            via_causes = {
+                gamma | {tau}
+                for tau in causes(working, case.program, case.answer)
+                for gamma in minimal_contingency_sets(working, case.program, case.answer, tau)
+            }
+            solutions = minimal_source_solutions(
+                case.instance, case.program, case.answer, endogenous_only=endogenous_only
+            )
+            sweep = oracle.instance_sweep(case.program, case.instance, everything_deletable=not endogenous_only)
+            brute = set(oracle.minimal_deletions(sweep, case.answer))
+            assert {s.removed for s in solutions} == via_causes == brute, case
+            checked += bool(via_causes)
+    assert checked >= 80, checked
+
+
 def test_access_tom_f3_has_no_view_safe_solution():
     program = load_program("access.dl")
     for fixture in ("access.facts", "access_all_endogenous.facts"):
