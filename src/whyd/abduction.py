@@ -19,11 +19,13 @@ view-conditioned causes and side-effect-free deletions.  Each family is
 checked by direct evaluation before it is returned: every set, and
 every set with one element dropped, is a world, and all of them are
 propagated over a ground program that the check derives again by joins.
+Hypotheses are plain tuples, so a problem is a value: equal problems
+share one cached family and one necessary-set search, whatever labels
+their callers give the tuples.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,11 +46,6 @@ from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 Diagnosis = frozenset[GroundAtom]
 # a conjunction of atoms whose minimal why-provenance is asked for
 Goal = tuple[GroundAtom, ...]
-
-
-def _labelled(atoms: frozenset[GroundAtom]) -> dict[GroundAtom, GroundAtom] | None:
-    """Each labelled atom keyed by its label-free equal, or None if none is."""
-    return {a: a for a in atoms if a.label is not None} or None
 
 
 @dataclass(frozen=True)
@@ -80,19 +77,8 @@ class AbductionProblem:
                     "the observation is not entailed even with every hypothesis added"
                 )
         object.__setattr__(self, "firings", firings)
-        # diagnoses are cached without tuple labels; these put them back
-        object.__setattr__(self, "_labelled", _labelled(self.hypotheses))
         # the necessary-hypothesis sets, once searched for
         object.__setattr__(self, "_necessary", None)
-
-    def relabelled(self, hypotheses: frozenset[GroundAtom]) -> "AbductionProblem":
-        """The same problem over ``hypotheses``, equal to its own but
-        labelled otherwise; its diagnoses hold those labelled atoms."""
-        twin = copy.copy(self)
-        object.__setattr__(twin, "hypotheses", hypotheses)
-        object.__setattr__(twin, "_labelled", _labelled(hypotheses))
-        object.__setattr__(twin, "_necessary", None)
-        return twin
 
 
 def _minimal_why(
@@ -243,12 +229,7 @@ def _check(
                     )
 
 
-def _relabel(family: tuple[Diagnosis, ...], labelled: dict[GroundAtom, GroundAtom] | None) -> tuple[Diagnosis, ...]:
-    if not labelled:
-        return family
-    return tuple(frozenset(labelled.get(h, h) for h in delta) for delta in family)
-
-
+@lru_cache(maxsize=None)
 def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     """All abductive diagnoses, in canonical order.  Never empty; equals
     ``(frozenset(),)`` when the background theory already entails the
@@ -257,13 +238,7 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     The diagnoses come from one why-provenance pass and pass ``_check``
     before they are returned; a failed check raises
     ``InternalInvariantError``.  Results are cached by problem value
-    without tuple labels (``cache_info``, ``cache_clear``); the diagnoses
-    returned hold the caller's labelled hypotheses."""
-    return _relabel(_diagnoses(problem), problem._labelled)  # type: ignore[attr-defined]
-
-
-@lru_cache(maxsize=None)
-def _diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
+    (``cache_info``, ``cache_clear``), so equal problems share them."""
     goal = problem.observation
     found = _minimal_why(problem.firings, problem.extensional, problem.hypotheses, (goal,))
     _check(problem.program, problem.firings, problem.extensional, found)
@@ -276,20 +251,14 @@ def support_families(
     """Every answer of the program over the fixed and deletable facts,
     mapped to its minimal support sets in canonical order: the
     subset-minimal sets of deletable facts that derive the answer
-    together with the fixed ones.  The sets hold the caller's labelled
-    atoms.  One fixpoint, which records the derivation graph, and one
-    provenance pass over it serve every answer, and ``_check`` verifies
-    every family."""
+    together with the fixed ones.  One fixpoint, which records the
+    derivation graph, and one provenance pass over it serve every answer,
+    and ``_check`` verifies every family."""
     model = evaluate_fixpoint(program, fixed | deletable)
     goals = [(answer,) for answer in sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)]
     found = _minimal_why(model.firings, fixed, deletable, goals)
     _check(program, model.firings, fixed, found)
-    labelled = _labelled(deletable)
-    return {goal[0]: _relabel(canonical_family(family), labelled) for goal, family in found.items()}
-
-
-solve_diagnoses.cache_info = _diagnoses.cache_info  # type: ignore[attr-defined]
-solve_diagnoses.cache_clear = _diagnoses.cache_clear  # type: ignore[attr-defined]
+    return {goal[0]: canonical_family(family) for goal, family in found.items()}
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:

@@ -19,7 +19,10 @@ Everything else is read off the diagnosis family:
     conflict and only add their own checks.
 
 The analysis of one request is cached by value
-(``CauseAnalysis.for_query``).  Notions that need the support sets of
+(``CauseAnalysis.for_query``).  A cause is a tuple; tuple labels live in
+the caller's ``Instance`` only, so equal requests under other labels
+share one analysis and its result objects, and each caller reads the
+labels through its own instance.  Notions that need the support sets of
 every answer of the view, not of one, read them from
 ``abduction.support_families`` instead.
 
@@ -29,7 +32,6 @@ independent oracle; keep it out of this module.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,7 +69,6 @@ class CauseAnalysis:
     arity than the answer predicate's raises ``NotAnAnswerError``."""
 
     def __init__(self, instance: Instance, program: Program, answer: GroundAtom):
-        self.instance = instance
         self.program = program
         self.answer = answer
         if answer.predicate != program.answer_predicate:
@@ -82,17 +83,9 @@ class CauseAnalysis:
 
     @staticmethod
     def for_query(instance: Instance, program: Program, answer: GroundAtom) -> "CauseAnalysis":
-        """The analysis of a request, cached by value without tuple labels
-        (``cache_info``, ``cache_clear``).  A request equal to a cached one
-        but labelled otherwise gets a copy of it that holds the request's
-        own labelled tuples."""
-        analysis = _analysis(instance, program, answer)
-        if analysis.instance is instance or analysis.instance.same_labels(instance):
-            return analysis
-        relabelled = copy.copy(analysis)
-        relabelled.instance = instance
-        relabelled.problem = analysis.problem.relabelled(instance.endogenous)
-        return relabelled
+        """The analysis of a request, cached by value (``cache_info``,
+        ``cache_clear``)."""
+        return _analysis(instance, program, answer)
 
     @property
     def solutions(self) -> tuple[Diagnosis, ...]:
@@ -110,7 +103,7 @@ class CauseAnalysis:
         return canonical_family(minimal_sets(contingency_conflict(self.solutions, tau)))
 
     def responsibility(self, tau: GroundAtom) -> Fraction:
-        if tau not in self.instance.endogenous:
+        if tau not in self.problem.hypotheses:
             raise NotEndogenousError(f"{tau} is not an endogenous tuple")
         if tau not in self.causes():
             return Fraction(0)

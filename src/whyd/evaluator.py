@@ -385,10 +385,6 @@ def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
     return plans[slot]  # type: ignore[return-value]
 
 
-def _strip_labels(atoms: Iterable[GroundAtom]) -> list[GroundAtom]:
-    return [a if a.label is None else GroundAtom(a.predicate, a.args) for a in atoms]
-
-
 def _relations(facts: Iterable[GroundAtom]) -> dict[str, Relation]:
     by_predicate: dict[str, set[GroundAtom]] = {}
     for fact in facts:
@@ -425,8 +421,8 @@ def _round(
 
 
 def _semi_naive(program: Program, facts: Iterable[GroundAtom]) -> tuple[dict[str, Relation], Firings]:
-    """The one semi-naive loop: the minimal model over label-free seed
-    facts, as relations, and its derivation graph (``MinimalModel.firings``),
+    """The one semi-naive loop: the minimal model over the seed facts, as
+    relations, and its derivation graph (``MinimalModel.firings``),
     each firing recorded when joined.  Round 0 joins every rule over the
     seeds; a later round joins what reads the last one's new heads."""
     rules = _compile(program)
@@ -459,7 +455,7 @@ def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom
     which is what the abduction-to-causality constructions rely on.
     """
     base = instance.atoms if isinstance(instance, Instance) else instance
-    relations, firings = _semi_naive(program, _strip_labels(base))
+    relations, firings = _semi_naive(program, base)
     return MinimalModel({p: frozenset(rel.facts) for p, rel in relations.items() if rel.facts}, firings)
 
 
@@ -468,7 +464,7 @@ def ground(program: Program, atoms: Iterable[GroundAtom]) -> Firings:
     ``MinimalModel.firings``: every rule joined once over them, one naive
     round.  Over a closed model it is the model's derivation graph."""
     firings: Firings = defaultdict(list)
-    _round(_compile(program), _relations(_strip_labels(atoms)), None, firings)
+    _round(_compile(program), _relations(atoms), None, firings)
     return firings
 
 
@@ -542,7 +538,7 @@ def holds(program: Program, instance: Instance | Iterable[GroundAtom], atom: Gro
     if known is None and all(a.predicate != atom.predicate for a in base):
         raise UnknownPredicateError(f"predicate {atom.predicate} unknown to the program and instance")
     model = evaluate_fixpoint(program, base)
-    return GroundAtom(atom.predicate, atom.args) in model
+    return atom in model
 
 
 def answers(program: Program, instance: Instance | Iterable[GroundAtom]) -> frozenset[GroundAtom]:

@@ -1,8 +1,9 @@
 """Terms, atoms, rules, programs and partitioned instances.
 
 All values are immutable after construction and safe to share across
-threads.  Tuple identity is the ground atom itself; labels (t1, t2, ...)
-are metadata for fixtures and reports and never take part in equality.
+threads.  A tuple is the ground atom itself, a plain value of predicate
+and arguments.  Labels (t1, t2, ...) only name tuples: an ``Instance``
+keeps them, and they never take part in equality.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ArityMismatchError, HeadExtensionalError, UnsafeRuleError, WhydError
 
@@ -140,20 +141,18 @@ class Atom:
 
 
 class GroundAtom(_Frozen):
-    """An all-constant atom, i.e. a database tuple.  The label takes no
-    part in equality or hash; the hash is computed once and the sort key
-    on first use."""
+    """An all-constant atom, i.e. a database tuple.  The hash is computed
+    once and the sort key on first use."""
 
-    __slots__ = ("predicate", "args", "label", "_hash", "_sort_key")
+    __slots__ = ("predicate", "args", "_hash", "_sort_key")
 
-    def __init__(self, predicate: str, args: tuple[Constant, ...], label: str | None = None):
+    def __init__(self, predicate: str, args: tuple[Constant, ...]):
         for t in args:
             if t.__class__ is not Constant:
                 raise WhydError(f"non-constant argument in ground atom {predicate}")
         predicate = sys.intern(predicate)
         _set(self, "predicate", predicate)
         _set(self, "args", args)
-        _set(self, "label", label)
         _set(self, "_hash", hash((predicate, args)))
 
     def __eq__(self, other):
@@ -165,10 +164,10 @@ class GroundAtom(_Frozen):
         return self._hash
 
     def __reduce__(self):
-        return GroundAtom, (self.predicate, self.args, self.label)
+        return GroundAtom, (self.predicate, self.args)
 
     def __repr__(self) -> str:
-        return f"GroundAtom(predicate={self.predicate!r}, args={self.args!r}, label={self.label!r})"
+        return f"GroundAtom(predicate={self.predicate!r}, args={self.args!r})"
 
     @property
     def arity(self) -> int:
@@ -185,9 +184,6 @@ class GroundAtom(_Frozen):
     def to_atom(self) -> Atom:
         return Atom(self.predicate, self.args)
 
-    def with_label(self, label: str | None) -> "GroundAtom":
-        return GroundAtom(self.predicate, self.args, label)
-
     def __str__(self) -> str:
         if not self.args:
             return _printed_predicate(self.predicate)
@@ -198,25 +194,23 @@ _new = object.__new__
 # the slots' own setters, which skip _Frozen.__setattr__
 _set_predicate = GroundAtom.predicate.__set__  # type: ignore[attr-defined]
 _set_args = GroundAtom.args.__set__  # type: ignore[attr-defined]
-_set_label = GroundAtom.label.__set__  # type: ignore[attr-defined]
 _set_hash = GroundAtom._hash.__set__  # type: ignore[attr-defined]
 
 
 def derived_atom(predicate: str, args: tuple[Constant, ...]) -> GroundAtom:
-    """The label-free ``GroundAtom(predicate, args)`` without its checks,
+    """``GroundAtom(predicate, args)`` without its checks,
     for heads the engine derives: ``predicate`` must already be interned
     and every argument a ``Constant``.  The hash is the constructor's."""
     atom = _new(GroundAtom)
     _set_predicate(atom, predicate)
     _set_args(atom, args)
-    _set_label(atom, None)
     _set_hash(atom, hash((predicate, args)))
     return atom
 
 
-def ground(predicate: str, *symbols: str, label: str | None = None) -> GroundAtom:
+def ground(predicate: str, *symbols: str) -> GroundAtom:
     """Shorthand constructor: ``ground("e", "a", "b")`` is e(a, b)."""
-    return GroundAtom(predicate, tuple(Constant(s) for s in symbols), label)
+    return GroundAtom(predicate, tuple(Constant(s) for s in symbols))
 
 
 def family_key(atoms: frozenset[GroundAtom]) -> tuple:
@@ -372,15 +366,26 @@ def validate_program(program: Program) -> None:
     # a different arity than its body occurrences, which _register did.
 
 
-class Instance:
-    """A finite set of tuples split into endogenous and exogenous parts."""
+# the label maps of an instance that has none; never written to
+_NO_LABELS: dict = {}
 
-    __slots__ = ("endogenous", "exogenous", "_atoms", "_labels")
+
+class Instance:
+    """A finite set of tuples split into endogenous and exogenous parts,
+    with optional labels (t1, t2, ...) naming some of them: a label on a
+    tuple the instance does not hold, or on two distinct tuples, raises
+    ``WhydError``.  Labels take no part in equality or hash.  An instance
+    derived from another (``without``, ``with_endogenous``,
+    ``all_endogenous``) shares its label maps and answers for the tuples
+    it holds."""
+
+    __slots__ = ("endogenous", "exogenous", "_atoms", "_label_of", "_by_label")
 
     def __init__(
         self,
         endogenous: Iterable[GroundAtom] = (),
         exogenous: Iterable[GroundAtom] = (),
+        labels: Mapping[GroundAtom, str] = _NO_LABELS,
     ):
         self.endogenous: frozenset[GroundAtom] = frozenset(endogenous)
         self.exogenous: frozenset[GroundAtom] = frozenset(exogenous)
@@ -389,12 +394,13 @@ class Instance:
             atom = sorted(overlap, key=GroundAtom.sort_key)[0]
             raise WhydError(f"tuple {atom} is both endogenous and exogenous")
         self._atoms = self.endogenous | self.exogenous
-        self._labels: dict[str, GroundAtom] = {}
-        for atom in self._atoms:
-            if atom.label is not None:
-                if atom.label in self._labels and self._labels[atom.label] != atom:
-                    raise WhydError(f"label {atom.label} used for two distinct tuples")
-                self._labels[atom.label] = atom
+        self._label_of: Mapping[GroundAtom, str] = dict(labels) if labels else _NO_LABELS
+        self._by_label: dict[str, GroundAtom] = {} if labels else _NO_LABELS
+        for atom, label in self._label_of.items():
+            if atom not in self._atoms:
+                raise WhydError(f"label {label} names {atom}, which is not in the instance")
+            if self._by_label.setdefault(label, atom) != atom:
+                raise WhydError(f"label {label} used for two distinct tuples")
 
     @property
     def atoms(self) -> frozenset[GroundAtom]:
@@ -419,28 +425,33 @@ class Instance:
     def __repr__(self) -> str:
         return f"Instance({len(self.endogenous)} endogenous, {len(self.exogenous)} exogenous)"
 
-    def by_label(self, label: str) -> GroundAtom:
-        try:
-            return self._labels[label]
-        except KeyError:
-            raise WhydError(f"no tuple labelled {label}") from None
+    def label_of(self, atom: GroundAtom) -> str | None:
+        """The label of a tuple of this instance, or None."""
+        return self._label_of.get(atom) if atom in self._atoms else None
 
-    def same_labels(self, other: "Instance") -> bool:
-        """True iff both instances give the same labels to the same tuples."""
-        return self._labels == other._labels
+    def by_label(self, label: str) -> GroundAtom:
+        atom = self._by_label.get(label)
+        if atom is None or atom not in self._atoms:
+            raise WhydError(f"no tuple labelled {label}")
+        return atom
+
+    def _sharing_labels(self, endogenous: frozenset[GroundAtom], exogenous: frozenset[GroundAtom]) -> "Instance":
+        derived = Instance(endogenous, exogenous)
+        derived._label_of, derived._by_label = self._label_of, self._by_label
+        return derived
 
     def without(self, removed: Iterable[GroundAtom]) -> "Instance":
         removed = frozenset(removed)
-        return Instance(self.endogenous - removed, self.exogenous - removed)
+        return self._sharing_labels(self.endogenous - removed, self.exogenous - removed)
 
     def with_endogenous(self, added: Iterable[GroundAtom]) -> "Instance":
-        return Instance(self.endogenous | frozenset(added), self.exogenous)
+        return self._sharing_labels(self.endogenous | frozenset(added), self.exogenous)
 
     def all_endogenous(self) -> "Instance":
         """The same tuples with the partition erased (everything deletable)."""
         if not self.exogenous:
             return self
-        return Instance(self._atoms, ())
+        return self._sharing_labels(self._atoms, frozenset())
 
     def is_subinstance_of(self, other: "Instance") -> bool:
         return self._atoms <= other.atoms

@@ -15,7 +15,8 @@ predicate of a parsed program is the head predicate of its first rule.
 Instance files hold facts (optionally labelled ``t1: e(a, b).``) plus
 the directives ``#endogenous``, ``#exogenous``,
 ``#exogenous-predicates p, q`` and ``#observe``.  Facts before any
-directive are endogenous.
+directive are endogenous.  A repeated fact keeps the label it was last
+given, if any; a label may name one tuple only.
 
 Constraint files hold one constraint per line::
 
@@ -234,13 +235,13 @@ def _atom(source: _Source, i: int) -> tuple[_Parts, int]:
     return item, i  # type: ignore[return-value]
 
 
-def _fact(source: _Source, i: int, label: str | None, error_after: bool = False) -> tuple[GroundAtom, int]:
-    """The atom at token ``i`` as a fact with the given label, and the
-    index after it.  A variable in it is an error at the atom's first
-    token, or at the token after it (``error_after``)."""
+def _fact(source: _Source, i: int, error_after: bool = False) -> tuple[GroundAtom, int]:
+    """The atom at token ``i`` as a fact, and the index after it.  A
+    variable in it is an error at the atom's first token, or at the
+    token after it (``error_after``)."""
     parts, end = _atom(source, i)
     try:
-        return GroundAtom(*parts, label), end  # type: ignore[arg-type]
+        return GroundAtom(*parts), end  # type: ignore[arg-type]
     except WhydError:
         at = end if error_after else i
         raise source.error(ParseError, f"fact {Atom(*parts)} contains variables", at) from None
@@ -297,14 +298,16 @@ def parse_instance_document(text: str, filename: str = "<instance>") -> Instance
 
 def _instance_document(source: _Source) -> InstanceDocument:
     tokens = source.tokens
-    # each fact maps to itself as last given, so the last label wins
-    endogenous: dict[GroundAtom, GroundAtom] = {}
-    exogenous: dict[GroundAtom, GroundAtom] = {}
+    endogenous: set[GroundAtom] = set()
+    exogenous: set[GroundAtom] = set()
+    # each fact's last label; the fact each label was last given to
+    labels: dict[GroundAtom, str] = {}
+    labelled: dict[str, GroundAtom] = {}
     observations: list[GroundAtom] = []
     exo_predicates: set[str] = set()
     # the facts of the section being read go to ``bucket`` (observations
     # when it is None) and must not be in ``other``
-    bucket: dict[GroundAtom, GroundAtom] | None = endogenous
+    bucket: set[GroundAtom] | None = endogenous
     other = exogenous
     i = 0
     while True:
@@ -339,7 +342,7 @@ def _instance_document(source: _Source) -> InstanceDocument:
         if tokens[i + 1] == ":" and token[0] in _NAME_START:
             label = token
             i += 2
-        atom, i = _fact(source, i, label)
+        atom, i = _fact(source, i)
         source.expect(i, ".")
         i += 1
         if tokens[i] != "\n" and tokens[i]:
@@ -350,7 +353,15 @@ def _instance_document(source: _Source) -> InstanceDocument:
             continue
         if atom in other:
             raise source.error(DuplicateFactError, f"fact {atom} appears in both partitions", first)
-        bucket[atom] = atom
+        bucket.add(atom)
+        if label is None:
+            labels.pop(atom, None)
+            continue
+        holder = labelled.get(label)
+        if holder is not None and holder != atom and labels.get(holder) == label:
+            raise source.error(ParseError, f"label {label} is already on {holder}", first)
+        labels[atom] = label
+        labelled[label] = atom
 
     for atom in list(endogenous):
         if atom.predicate in exo_predicates:
@@ -358,9 +369,10 @@ def _instance_document(source: _Source) -> InstanceDocument:
                 raise DuplicateFactError(
                     f"fact {atom} appears in both partitions", SourceSpan(source.filename, 1, 1)
                 )
-            exogenous[atom] = endogenous.pop(atom)
+            endogenous.remove(atom)
+            exogenous.add(atom)
 
-    instance = Instance(endogenous.values(), exogenous.values())
+    instance = Instance(endogenous, exogenous, labels)
     return InstanceDocument(instance, tuple(observations), frozenset(exo_predicates))
 
 
@@ -375,7 +387,7 @@ def parse_ground_atom(text: str, filename: str = "<atom>") -> GroundAtom:
 
 def _ground_atom(source: _Source) -> GroundAtom:
     tokens = source.tokens
-    atom, i = _fact(source, 0, None, error_after=True)
+    atom, i = _fact(source, 0, error_after=True)
     if tokens[i] == ".":
         i += 1
     if tokens[i]:
@@ -494,7 +506,8 @@ def serialize_program(program: Program) -> str:
 
 def serialize_instance(instance: Instance) -> str:
     def fact_line(atom: GroundAtom) -> str:
-        prefix = f"{atom.label}: " if atom.label else ""
+        label = instance.label_of(atom)
+        prefix = f"{label}: " if label else ""
         return f"{prefix}{atom}."
 
     lines: list[str] = []

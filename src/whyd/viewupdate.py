@@ -64,7 +64,7 @@ def minimal_source_solutions(
     touched = frozenset().union(*solutions)
     firings = analysis.problem.firings
     masks = propagate(reached(firings, firings), instance.atoms - touched, [touched - r for r in solutions])
-    views = [(GroundAtom(a.predicate, a.args), m) for a, m in masks.items() if a.predicate == program.answer_predicate]
+    views = [(a, m) for a, m in masks.items() if a.predicate == program.answer_predicate]
     return tuple(
         DeletionSolution(removed, "minimal_source", frozenset(a for a, mask in views if mask >> i & 1))
         for i, removed in enumerate(solutions)

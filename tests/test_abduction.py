@@ -30,6 +30,7 @@ from whyd.errors import (
 )
 from whyd.model import GroundAtom, Instance, Program, Rule, ground
 from whyd.parsing import parse_ground_atom, parse_instance, parse_program
+from whyd.viewupdate import minimal_source_solutions
 
 import corpus
 import oracle
@@ -297,7 +298,7 @@ def _corpus_shape(program: Program) -> str:
 
 def test_support_families_match_per_answer_oracle():
     # one pass over every answer of the view gives each answer the
-    # diagnoses of its own abduction problem, with the caller's labels
+    # diagnoses of its own abduction problem
     checked = {"cq": 0, "union": 0, "mid-level": 0, "recursive": 0}
     for seed in range(120):
         case = corpus.generate_case(seed, max_endogenous=6)
@@ -306,11 +307,6 @@ def test_support_families_match_per_answer_oracle():
         expected = {a: set(oracle.diagnoses(case.program, exo, endo, (a,))) for a in view}
         families = abduction.support_families(case.program, exo, endo)
         assert {a: set(family) for a, family in families.items()} == expected, case
-        labelled = frozenset(a.with_label(f"t{i}") for i, a in enumerate(sorted(endo, key=GroundAtom.sort_key)))
-        labels = {a: a.label for a in labelled}
-        relabelled = abduction.support_families(case.program, exo, labelled)
-        assert relabelled == families, case
-        assert all(a.label == labels[a] for family in relabelled.values() for delta in family for a in delta)
         checked[_corpus_shape(case.program)] += 1
     assert all(count >= 10 for count in checked.values()), checked
 
@@ -335,53 +331,54 @@ def test_support_families_keep_answers_held_as_facts():
 
 
 def _labelled(instance: Instance, prefix: str = "t") -> Instance:
+    """Every tuple of the instance, endogenous and labelled prefix1, prefix2, ..."""
     ordered = sorted(instance.atoms, key=GroundAtom.sort_key)
-    return Instance([a.with_label(f"{prefix}{i}") for i, a in enumerate(ordered, 1)])
+    return Instance(ordered, labels={a: f"{prefix}{i}" for i, a in enumerate(ordered, 1)})
 
 
 def test_diagnoses_keep_hypothesis_labels():
+    # diagnoses and contingency sets hold the instance's own tuples, so
+    # the instance names each of them
     program, plain = load_program("aj.dl"), load_instance("aj.facts")
     instance = _labelled(plain)
     boolean, _ = specialize_to_answer(program, atom("ans(john, xml)"))
-    problem = to_causal_abduction(instance, boolean)
-    labels = {a: a.label for a in instance.atoms}
-    solutions = solve_diagnoses(problem)
+    solutions = solve_diagnoses(to_causal_abduction(instance, boolean))
     assert solutions
     for delta in solutions:
-        assert delta and all(a.label is not None and a.label == labels[a] for a in delta)
+        assert delta and all(instance.by_label(instance.label_of(a)) == a for a in delta)
     graph, graph_instance = load_program("graph.dl"), load_instance("graph.facts")
     for report in cause_reports(graph_instance, graph, atom("ans(c, e)")):
-        assert report.cause.label == graph_instance.by_label(report.cause.label).label
+        assert graph_instance.by_label(graph_instance.label_of(report.cause)) == report.cause
         for gamma in report.minimal_contingency_sets:
-            assert all(a.label is not None for a in gamma)
+            assert all(graph_instance.label_of(a) is not None for a in gamma)
 
 
 def test_equal_requests_with_other_labels_get_their_own_labels_back():
-    # the caches compare problems and instances without labels: each
-    # request must still get its own labelled tuples, and an identical
-    # request must still be a cache hit
+    # the caches compare problems and instances by value: an equal request
+    # under other labels is a cache hit that returns the same result
+    # objects, and each caller reads its own labels through its instance
     program, plain = load_program("aj.dl"), load_instance("aj.facts")
     boolean, _ = specialize_to_answer(program, atom("ans(john, xml)"))
     target = atom("ans(john, xml)")
     first, second = _labelled(plain, "first"), _labelled(plain, "second")
-    for instance in (plain, first, second, plain):
-        labels = {a: a.label for a in instance.atoms}
-        for delta in solve_diagnoses(to_causal_abduction(instance, boolean)):
-            assert delta and all(a.label == labels[a] for a in delta)
-        for report in cause_reports(instance, program, target):
-            assert report.cause.label == labels[report.cause]
-            for gamma in report.minimal_contingency_sets:
-                assert all(a.label == labels[a] for a in gamma)
-        assert all(a.label == labels[a] for a in causes(instance, program, target))
+    analysis = CauseAnalysis.for_query(first, program, target)
+    solutions = solve_diagnoses(to_causal_abduction(first, boolean))
     analyses, diagnoses = CauseAnalysis.for_query.cache_info(), solve_diagnoses.cache_info()
-    for instance in (first, second, _labelled(plain, "first")):
-        problem = CauseAnalysis.for_query(instance, program, target).problem
-        assert problem.hypotheses is instance.endogenous
-        solve_diagnoses(problem)
+    for instance in (second, _labelled(plain, "first"), first):
+        assert CauseAnalysis.for_query(instance, program, target) is analysis
+        assert solve_diagnoses(to_causal_abduction(instance, boolean)) is solutions
     assert CauseAnalysis.for_query.cache_info().hits == analyses.hits + 3
     assert solve_diagnoses.cache_info().hits == diagnoses.hits + 3
     assert CauseAnalysis.for_query.cache_info().misses == analyses.misses
     assert solve_diagnoses.cache_info().misses == diagnoses.misses
+    for instance, prefix in ((first, "first"), (second, "second")):
+        for delta in solutions:
+            assert delta and all(instance.label_of(a).startswith(prefix) for a in delta)
+        for report in cause_reports(instance, program, target):
+            assert instance.label_of(report.cause).startswith(prefix)
+            for gamma in report.minimal_contingency_sets:
+                assert all(instance.label_of(a).startswith(prefix) for a in gamma)
+        assert all(instance.label_of(a).startswith(prefix) for a in causes(instance, program, target))
 
 
 # -- the check solve_diagnoses runs on its own result ---------------------------
@@ -672,14 +669,24 @@ def test_necessity_degrees_of_a_ladder_take_one_search(monkeypatch):
     searches = []
     real = abduction.minimal_hitting_sets
     monkeypatch.setattr(abduction, "minimal_hitting_sets", lambda family: searches.append(family) or real(family))
-    problem = _tc_problem(_LADDER, "ans(wl, wlt)")
-    degrees = {h: necessity_degree(problem, h) for h in problem.hypotheses}
-    assert len(degrees) == 16 and set(degrees.values()) == {Fraction(1, 8)} and len(searches) == 1
-    # a relabelled twin keeps no family with the other labels
-    twin = problem.relabelled(frozenset(h.with_label(f"t{i}") for i, h in enumerate(problem.hypotheses)))
-    assert {necessity_degree(twin, h) for h in twin.hypotheses} == {Fraction(1, 8)} and len(searches) == 2
-    assert all(h.label is not None for n in necessary_hypothesis_sets(twin) for h in n)
-    assert all(h.label is None for n in necessary_hypothesis_sets(problem) for h in n)
+    # the same ladder-8 request through two equal instances labelled
+    # otherwise: the degrees and the minimal deletions of both come from
+    # the one search on the one cached problem
+    first = parse_instance("".join(f"a{i}: {e}.\n" for i, e in enumerate(_LADDER)))
+    second = parse_instance("".join(f"b{i}: {e}.\n" for i, e in enumerate(reversed(_LADDER))))
+    assert first == second
+    target = parse_ground_atom("ans(wl, wlt)")
+    CauseAnalysis.for_query.cache_clear()
+    deletions = []
+    for instance, prefix in ((first, "a"), (second, "b")):
+        problem = CauseAnalysis.for_query(instance, _TC, target).problem
+        degrees = {h: necessity_degree(problem, h) for h in instance.endogenous}
+        assert len(degrees) == 16 and set(degrees.values()) == {Fraction(1, 8)}
+        solutions = minimal_source_solutions(instance, _TC, target)
+        assert len(solutions) == 2**8
+        assert all(instance.label_of(a).startswith(prefix) for s in solutions for a in s.removed)
+        deletions.append(solutions)
+    assert deletions[0] == deletions[1] and len(searches) == 1
 
 
 def _wide_problem(tag: str, width: int) -> AbductionProblem:

@@ -144,6 +144,15 @@ def test_exit_code_2_reports_the_parse_error_subclass_code(tmp_path, capsys):
     _error_object(capsys.readouterr(), "NonConjunctiveBody")
 
 
+def test_exit_code_2_on_one_label_for_two_tuples(tmp_path, capsys):
+    bad = tmp_path / "bad.facts"
+    bad.write_text("t1: e(a, b).\nt1: e(b, c).\n")
+    code = cli.main(["eval", "-p", _fx("graph.dl"), "-d", str(bad)])
+    assert code == 2
+    error = _error_object(capsys.readouterr(), "SyntaxError")
+    assert error["message"] == f"{bad}:2:1: label t1 is already on e(a, b)"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

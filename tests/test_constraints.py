@@ -29,8 +29,7 @@ from conftest import atom, load_constraints, load_instance, load_program
 
 
 def _labels(atoms, instance):
-    by_atom = {a: a.label for a in instance.atoms}
-    return {by_atom.get(a) or str(a) for a in atoms}
+    return {instance.label_of(a) or str(a) for a in atoms}
 
 
 # -- satisfaction ---------------------------------------------------------------
@@ -142,13 +141,13 @@ def test_dept_q_causes_under_psi_only_t1():
     program, instance = load_program("dept_q.dl"), load_instance("dept.facts")
     sigma = load_constraints("dept.ics")
     reports = causes_under_ics(instance, program, atom("ans(john)"), sigma)
-    assert [(r.cause.label, r.responsibility_under_ics) for r in reports] == [("t1", Fraction(1))]
+    assert [(instance.label_of(r.cause), r.responsibility_under_ics) for r in reports] == [("t1", Fraction(1))]
 
 
 def test_dept_q1_causes_under_psi():
     program, instance = load_program("dept_q1.dl"), load_instance("dept.facts")
     sigma = load_constraints("dept.ics")
-    reports = {r.cause.label: r for r in causes_under_ics(instance, program, atom("ans(john)"), sigma)}
+    reports = {instance.label_of(r.cause): r for r in causes_under_ics(instance, program, atom("ans(john)"), sigma)}
     assert set(reports) == {"t4", "t8"}
     t1, t4, t8 = (load_instance("dept.facts").by_label(l) for l in ("t1", "t4", "t8"))
     assert reports["t4"].responsibility_under_ics == Fraction(1, 3)
@@ -335,10 +334,13 @@ def test_constraint_joins_per_call_are_linear_in_tgd_body_matches(query, monkeyp
 def test_equal_instances_labelled_otherwise_get_their_own_labels():
     program, instance = load_program("dept_q1.dl"), load_instance("dept.facts")
     sigma = load_constraints("dept.ics")
-    renamed = Instance((a.with_label("z" + a.label[1:]) for a in instance.endogenous), instance.exogenous)
+    renamed = Instance(
+        instance.endogenous, instance.exogenous, {a: "z" + instance.label_of(a)[1:] for a in instance.endogenous}
+    )
     for inst, mark in ((instance, "t"), (renamed, "z")):
         reports = causes_under_ics(inst, program, atom("ans(john)"), sigma)
-        assert [(r.cause.label, [sorted(a.label for a in g) for g in r.minimal_contingency_sets]) for r in reports] == [
+        named = [(inst.label_of(r.cause), [sorted(map(inst.label_of, g)) for g in r.minimal_contingency_sets]) for r in reports]
+        assert named == [
             (f"{mark}8", [[f"{mark}1", f"{mark}4"]]),
             (f"{mark}4", [[f"{mark}1", f"{mark}8"]]),
         ]
@@ -351,7 +353,7 @@ def test_dept_admissible_subinstances():
     program, instance = load_program("dept_q.dl"), load_instance("dept.facts")
     sigma = load_constraints("dept.ics")
     subinstances = maximal_admissible_subinstances(instance, program, atom("ans(john)"), sigma)
-    assert [sorted(a.label for a in instance.atoms - s.atoms) for s in subinstances] == [["t1"]]
+    assert [sorted(map(instance.label_of, instance.atoms - s.atoms)) for s in subinstances] == [["t1"]]
 
 
 def test_admissible_subinstances_with_empty_sigma_complement_minimal_deletions():

@@ -392,13 +392,14 @@ def test_concurrent_evaluations_are_safe():
 
 
 def _random_worlds(rng: random.Random, pool: list[GroundAtom], count: int) -> list[frozenset[GroundAtom]]:
-    """``count`` random subsets of ``pool``, some of them relabelled, with
-    an empty world and a repeat of the first among them."""
+    """``count`` random subsets of ``pool``, some of them rebuilt from
+    equal atoms that are other objects, with an empty world and a repeat
+    of the first among them."""
     worlds = []
     for i in range(count):
         picked = [a for a in pool if rng.random() < 0.5]
         if rng.random() < 0.3:
-            picked = [a.with_label(f"w{i}_{j}") for j, a in enumerate(picked)]
+            picked = [GroundAtom(a.predicate, a.args) for a in picked]
         worlds.append(frozenset(picked))
     worlds[rng.randrange(count)] = frozenset()
     worlds.insert(rng.randrange(count + 1), worlds[0])

@@ -41,11 +41,14 @@ def test_empty_symbol_rejected():
 
 
 def test_ground_atom_identity_ignores_label():
-    plain = ground("e", "a", "b")
-    labelled = ground("e", "a", "b", label="t1")
-    assert plain == labelled
-    assert hash(plain) == hash(labelled)
-    assert labelled.label == "t1"
+    # a tuple is its predicate and arguments; a label names it in one
+    # instance and leaves both the atom and the instance's value alone
+    atom = ground("e", "a", "b")
+    assert GroundAtom.__slots__ == ("predicate", "args", "_hash", "_sort_key")
+    first, second = Instance([atom], labels={atom: "t1"}), Instance([atom], labels={atom: "t2"})
+    assert first == second and hash(first) == hash(second) and first == Instance([atom])
+    assert first.label_of(atom) == "t1" and second.label_of(atom) == "t2" and Instance([atom]).label_of(atom) is None
+    assert first.by_label("t1") is atom and first.by_label("t1") == second.by_label("t2")
 
 
 def test_ground_atom_rejects_variables():
@@ -66,9 +69,12 @@ def test_equality_and_hash_agree_and_ignore_labels():
     equal_pairs = [
         (Constant("ab"), Constant(_fresh("ab"))),
         (Variable("Xy"), Variable(_fresh("Xy"))),
-        (ground("edge", "ab", "b"), ground(_fresh("edge"), _fresh("ab"), "b", label="t1")),
-        (ground("e", "a", "b", label="t1"), ground("e", "a", "b", label="t2")),
+        (ground("edge", "ab", "b"), ground(_fresh("edge"), _fresh("ab"), "b")),
         (ground("goal"), GroundAtom("goal", ())),
+        (
+            Instance([ground("e", "a", "b")], labels={ground("e", "a", "b"): "t1"}),
+            Instance([ground("e", "a", "b")], labels={ground("e", "a", "b"): "t2"}),
+        ),
     ]
     for left, right in equal_pairs:
         assert left == right and not (left != right) and hash(left) == hash(right)
@@ -96,7 +102,7 @@ def test_variable_and_constant_with_the_same_text_are_unequal():
 
 
 def test_sort_key_is_the_predicate_and_the_symbols():
-    fact = ground("e", "b", "a", label="t1")
+    fact = ground("e", "b", "a")
     assert fact.sort_key() == ("e", ("b", "a"))
     assert fact.sort_key() is fact.sort_key()
     assert ground("p").sort_key() == ("p", ())
@@ -109,8 +115,8 @@ def test_derived_atoms_equal_constructed_ones(args):
     atom = GroundAtom("e", tuple(Constant(s) for s in args))
     derived = derived_atom("e", atom.args)
     assert type(derived) is GroundAtom and derived == atom and hash(derived) == hash(atom)
-    assert derived.label is None and derived.sort_key() == atom.sort_key() and str(derived) == str(atom)
-    assert {derived, atom.with_label("t1")} == {atom}
+    assert derived.sort_key() == atom.sort_key() and str(derived) == str(atom) and repr(derived) == repr(atom)
+    assert {derived, GroundAtom("e", atom.args)} == {atom}
 
 
 @pytest.mark.parametrize(
@@ -118,7 +124,7 @@ def test_derived_atoms_equal_constructed_ones(args):
     [
         (Constant("a"), ("symbol", "extra")),
         (Variable("X"), ("name", "extra")),
-        (ground("e", "a", "b", label="t1"), ("predicate", "args", "label", "extra")),
+        (ground("e", "a", "b"), ("predicate", "args", "label", "extra")),
         (derived_atom("e", (Constant("a"),)), ("predicate", "args", "label", "extra")),
     ],
 )
@@ -132,14 +138,14 @@ def test_attribute_assignment_raises(value, fields):
 
 @pytest.mark.parametrize(
     "value",
-    [Constant("a b"), Variable("X"), ground("e", "a", "b", label="t1"), ground("goal"), derived_atom("e", (Constant("a"),))],
+    [Constant("a b"), Variable("X"), ground("e", "a", "b"), ground("goal"), derived_atom("e", (Constant("a"),))],
 )
 def test_copies_and_pickles_round_trip(value):
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert clone == value and hash(clone) == hash(value)
         assert type(clone) is type(value) and repr(clone) == repr(value) and str(clone) == str(value)
         if isinstance(value, GroundAtom):
-            assert clone.label == value.label and clone.predicate is value.predicate
+            assert clone.predicate is value.predicate
             assert all(c.symbol is v.symbol for c, v in zip(clone.args, value.args))
         else:
             assert str(clone) == str(value)
@@ -150,8 +156,8 @@ def test_copies_and_pickles_round_trip(value):
 def test_reprs_and_strings():
     assert repr(Constant("a")) == "Constant('a')" and str(Constant("Mixed Case")) == "'Mixed Case'"
     assert repr(Variable("X")) == "Variable('X')" and str(Variable("X")) == "X"
-    fact = ground("e", "a", "b", label="t1")
-    assert repr(fact) == "GroundAtom(predicate='e', args=(Constant('a'), Constant('b')), label='t1')"
+    fact = ground("e", "a", "b")
+    assert repr(fact) == "GroundAtom(predicate='e', args=(Constant('a'), Constant('b')))"
     assert str(fact) == "e(a, b)" and str(ground("goal")) == "goal"
 
 
@@ -258,13 +264,39 @@ def test_overlapping_partitions_rejected():
 def test_labels_resolve_tuples():
     instance = load_instance("graph.facts")
     assert instance.by_label("t2") == ground("e", "b", "e")
+    assert instance.label_of(ground("e", "b", "e")) == "t2"
+    assert instance.label_of(ground("e", "z", "z")) is None
     with pytest.raises(WhydError):
         instance.by_label("t99")
 
 
 def test_duplicate_label_for_distinct_tuples_rejected():
-    with pytest.raises(WhydError):
-        Instance([ground("p", "a", label="t1"), ground("p", "b", label="t1")])
+    a, b = ground("p", "a"), ground("p", "b")
+    with pytest.raises(WhydError, match="label t1 used for two distinct tuples"):
+        Instance([a, b], labels={a: "t1", b: "t1"})
+    # a label on a tuple the instance does not hold
+    with pytest.raises(WhydError, match="not in the instance"):
+        Instance([a], labels={a: "t1", b: "t2"})
+
+
+def test_derived_instances_answer_labels_only_for_their_tuples():
+    a, b, c = ground("p", "a"), ground("p", "b"), ground("q", "c")
+    source = Instance([a, b], [c], labels={a: "t1", b: "t2", c: "t3"})
+    for derived, held in (
+        (source.without({a}), {b: "t2", c: "t3"}),
+        (source.without({a, c}).with_endogenous({a}), {a: "t1", b: "t2"}),
+        (source.all_endogenous(), {a: "t1", b: "t2", c: "t3"}),
+        (source.without({a}).all_endogenous(), {b: "t2", c: "t3"}),
+    ):
+        assert derived.atoms == frozenset(held)
+        for atom, label in {a: "t1", b: "t2", c: "t3"}.items():
+            if atom in held:
+                assert derived.label_of(atom) == label and derived.by_label(label) is atom
+            else:
+                assert derived.label_of(atom) is None
+                with pytest.raises(WhydError):
+                    derived.by_label(label)
+    assert source.label_of(a) == "t1" and source.by_label("t1") is a
 
 
 def test_all_endogenous_erases_partition():

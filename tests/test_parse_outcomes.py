@@ -85,8 +85,14 @@ def edits() -> list[tuple[str, str, str, int, str, str]]:
     return out
 
 
-def _atoms(atoms) -> list[str]:
-    return [repr(a) for a in sorted(atoms, key=GroundAtom.sort_key)]
+def _repr(atom: GroundAtom, label: str | None = None) -> str:
+    """The atom as the table pins it: with the label its instance gives
+    it, or None."""
+    return f"GroundAtom(predicate={atom.predicate!r}, args={atom.args!r}, label={label!r})"
+
+
+def _atoms(atoms, instance) -> list[str]:
+    return [_repr(a, instance.label_of(a)) for a in sorted(atoms, key=GroundAtom.sort_key)]
 
 
 def _value(kind: str, text: str) -> object:
@@ -97,14 +103,14 @@ def _value(kind: str, text: str) -> object:
         document = parse_instance_document(text)
         instance = document.instance
         return [
-            _atoms(instance.endogenous),
-            _atoms(instance.exogenous),
-            [repr(a) for a in document.observations],
+            _atoms(instance.endogenous, instance),
+            _atoms(instance.exogenous, instance),
+            [_repr(a) for a in document.observations],
             sorted(document.exogenous_predicates),
         ]
     if kind == "constraints":
         return repr(parse_constraints(text))
-    return repr(parse_ground_atom(text))
+    return _repr(parse_ground_atom(text))
 
 
 def outcome(kind: str, text: str) -> str:

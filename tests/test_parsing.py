@@ -155,9 +155,7 @@ def test_instance_round_trip_fixture_files():
         again = parse_instance(serialize_instance(instance))
         assert again == instance
         # labels survive the round trip
-        for atom in instance.atoms:
-            if atom.label:
-                assert again.by_label(atom.label) == atom
+        assert _same_labelled(again, instance)
 
 
 def test_constraints_round_trip_fixture_files():
@@ -234,20 +232,19 @@ _facts = st.lists(
 
 def _instance(rows) -> Instance:
     """The instance of the rows, each label on one tuple only."""
-    endo, exo, labels = {}, {}, set()
+    endo, exo, labels = set(), set(), {}
     for predicate, args, exogenous, label in rows:
-        if label in labels:
-            label = None
-        atom = GroundAtom(predicate, tuple(Constant(a) for a in args), label)
+        atom = GroundAtom(predicate, tuple(Constant(a) for a in args))
         if atom in endo or atom in exo:
             continue
-        labels.add(label)
-        (exo if exogenous else endo)[atom] = atom
-    return Instance(endo, exo)
+        if label is not None and label not in labels.values():
+            labels[atom] = label
+        (exo if exogenous else endo).add(atom)
+    return Instance(endo, exo, labels)
 
 
 def _same_labelled(left: Instance, right: Instance) -> bool:
-    return left == right and left.same_labels(right)
+    return left == right and all(left.label_of(a) == right.label_of(a) for a in left.atoms)
 
 
 @given(_facts)
@@ -267,7 +264,8 @@ def test_instance_parses_with_blank_lines_comments_and_blanks(rows, data):
         if section:
             lines.append(section + data.draw(st.sampled_from(["", " ", " % exogenous"])))
         for atom in sorted(atoms, key=GroundAtom.sort_key):
-            pieces = ([atom.label, ":"] if atom.label else []) + _pieces(atom.predicate, atom.args) + ["."]
+            label = instance.label_of(atom)
+            pieces = ([label, ":"] if label else []) + _pieces(atom.predicate, atom.args) + ["."]
             trailing = data.draw(st.one_of(_blank, _comment.map(lambda text: " " + text)))
             lines.append(data.draw(between) + _spaced(data.draw, pieces) + trailing)
     assert _same_labelled(parse_instance("\n".join(lines)), instance)
@@ -353,9 +351,25 @@ def test_constraint_anonymous_variables_are_named_per_line():
 def test_repeated_fact_keeps_its_last_label():
     instance = parse_instance("t1: e(a, b).\nt2: e(a, b).\n#exogenous\nt3: f(a).\nf(a).\n")
     assert instance.by_label("t2") == ground("e", "a", "b")
-    assert {a.label for a in instance.atoms} == {"t2", None}
+    assert {instance.label_of(a) for a in instance.atoms} == {"t2", None}
     with pytest.raises(Exception):
         instance.by_label("t1")
+
+
+def test_one_label_on_two_tuples_is_an_error_at_the_later_label():
+    for text, message in (
+        ("t1: p(a).\n  t1: p(b).\n", "<instance>:2:3: label t1 is already on p(a)"),
+        ("t1: p(a).\n#exogenous\nt1: q(a).\n", "<instance>:3:1: label t1 is already on p(a)"),
+        ("t1: p(a).\nt2: p(a).\nt2: p(b).\n", "<instance>:3:1: label t2 is already on p(a)"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == message
+    # a label that a fact's later label or its unlabelled repeat took off
+    # it, and a fact given its own label again, are no clash
+    freed = parse_instance("t1: p(a).\nt2: p(a).\nt1: p(b).\nt3: q(a).\nq(a).\nt3: q(b).\nt2: p(a).\n")
+    assert [freed.by_label(t) for t in ("t1", "t2", "t3")] == [ground("p", "b"), ground("p", "a"), ground("q", "b")]
+    assert freed.label_of(ground("q", "a")) is None
 
 
 # (kind, text, exception and message); each message is the one the

@@ -194,15 +194,15 @@ def test_encoding_agrees_with_vc_on_random_cq_corpus():
 def test_equal_instances_labelled_otherwise_get_their_own_labels():
     program, plain = load_program("access.dl"), load_instance("access_g0.facts")
     ordered = sorted(plain.endogenous, key=GroundAtom.sort_key)
-    labelled = Instance((a.with_label(f"z{i}") for i, a in enumerate(ordered)), plain.exogenous)
-    for instance in (plain, labelled):
-        labels = {a: a.label for a in instance.atoms}
-        reports = vc_causes(instance, program, atom("access(joe, f1)"))
-        assert reports
-        for report in reports:
-            assert report.cause.label == labels[report.cause]
-            for gamma in report.minimal_contingency_sets:
-                assert all(a.label == labels[a] for a in gamma)
+    names = {a: f"z{i}" for i, a in enumerate(ordered)}
+    labelled = Instance(plain.endogenous, plain.exogenous, names)
+    reports = vc_causes(labelled, program, atom("access(joe, f1)"))
+    assert reports and vc_causes(plain, program, atom("access(joe, f1)")) == reports
+    # the labelled caller names every cause and contingency tuple; the
+    # unlabelled one names none
+    for report in reports:
+        for a in report.cause, *(a for gamma in report.minimal_contingency_sets for a in gamma):
+            assert labelled.label_of(a) == names[a] and plain.label_of(a) is None
 
 
 def test_vc_causes_with_an_answer_held_as_a_fact():
