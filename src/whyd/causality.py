@@ -13,18 +13,23 @@ Everything else is read off the diagnosis family:
   * the causes are the relevant hypotheses (union of the diagnoses);
   * a contingency set for a cause t must hit every diagnosis avoiding t
     while leaving some diagnosis through t intact.  These conditions are
-    stated once, as the conflict of a search for minimal sets
-    (``contingency_conflict`` for ``hitting.minimal_sets``).  Causes
-    under constraints and view-conditioned causes search with the same
-    conflict and only add their own checks.
+    stated once, in ``CauseAnalysis.contingency_family``, as the conflict
+    of a search for minimal sets (``hitting.minimal_sets``);
+  * the responsibility of a cause is 1/(1 + size of its smallest set).
 
-The analysis of one request is cached by value
-(``CauseAnalysis.for_query``).  A cause is a tuple; tuple labels live in
-the caller's ``Instance`` only, so equal requests under other labels
-share one analysis and its result objects, and each caller reads the
-labels through its own instance.  Notions that need the support sets of
-every answer of the view, not of one, read them from
-``abduction.support_families`` instead.
+View-conditioned causes (``vc``) and causes under constraints
+(``constraints``) are the same analysis with a side condition, one more
+check on each contingency set, and share its search, its report loop and
+its responsibility.
+
+The plain analysis of one request is cached by value
+(``CauseAnalysis.for_query``), keyed by the instance's endogenous and
+exogenous tuple sets, so the cache keeps no caller's ``Instance``.  A
+cause is a tuple; tuple labels live in the caller's ``Instance`` only,
+so equal requests under other labels share one analysis and its result
+objects, and each caller reads the labels through its own instance.
+Notions that need the support sets of every answer of the view, not of
+one, read them from ``abduction.support_families`` instead.
 
 The brute-force subset enumeration lives in the test suite as an
 independent oracle; keep it out of this module.
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .abduction import AbductionProblem, Diagnosis, solve_diagnoses
 from .errors import (
@@ -45,7 +50,7 @@ from .errors import (
     ObservationNotEntailableError,
 )
 from .evaluator import holds as model_holds
-from .hitting import Conflict, minimal_sets
+from .hitting import minimal_sets
 from .model import GroundAtom, Instance, Program, canonical_family
 
 
@@ -62,100 +67,119 @@ class CauseReport:
         return self.responsibility == 1
 
 
-class CauseAnalysis:
-    """Diagnosis-backed analysis for one (instance, program, answer): the
-    causal abduction problem of the program over the instance, with the
-    answer atom as its observation.  An atom of another predicate or
-    arity than the answer predicate's raises ``NotAnAnswerError``."""
+SideCondition = Callable[[frozenset[GroundAtom], GroundAtom], Optional[Iterable[GroundAtom]]]
 
-    def __init__(self, instance: Instance, program: Program, answer: GroundAtom):
-        self.program = program
+
+class CauseAnalysis:
+    """The causes of one answer, read off its diagnoses, with an optional
+    side condition ``side(gamma, tau)`` on the contingency sets: one more
+    conflict for the search (``hitting.minimal_sets``), checked after
+    the plain ones.  A candidate cause whose family comes out empty is no
+    cause under it.  ``for_query`` gives the plain analysis of a request,
+    with ``problem``, its causal abduction problem."""
+
+    problem: AbductionProblem
+
+    def __init__(
+        self,
+        answer: GroundAtom,
+        solutions: tuple[Diagnosis, ...],
+        hypotheses: frozenset[GroundAtom],
+        side: SideCondition | None = None,
+    ):
         self.answer = answer
-        if answer.predicate != program.answer_predicate:
-            raise NotAnAnswerError(f"{answer} is not over the answer predicate {program.answer_predicate}")
-        arity = program.arity_of(answer.predicate)
-        if arity is not None and arity != answer.arity:
-            raise NotAnAnswerError(f"{answer} has arity {answer.arity}, but the answer predicate has arity {arity}")
-        try:
-            self.problem = AbductionProblem(program, instance.exogenous, instance.endogenous, (answer,))
-        except ObservationNotEntailableError:
-            raise NotAnAnswerError(f"{answer} is not an answer on this instance") from None
+        self.solutions = solutions
+        self.hypotheses = hypotheses
+        self.side = side
 
     @staticmethod
     def for_query(instance: Instance, program: Program, answer: GroundAtom) -> "CauseAnalysis":
-        """The analysis of a request, cached by value (``cache_info``,
-        ``cache_clear``)."""
-        return _analysis(instance, program, answer)
-
-    @property
-    def solutions(self) -> tuple[Diagnosis, ...]:
-        return solve_diagnoses(self.problem)
+        """The plain analysis of a request, cached by value
+        (``cache_info``, ``cache_clear``).  An atom of another predicate or
+        arity than the answer predicate's raises ``NotAnAnswerError``."""
+        return _analysis(instance.endogenous, instance.exogenous, program, answer)
 
     def causes(self) -> frozenset[GroundAtom]:
-        out: set[GroundAtom] = set()
-        for delta in self.solutions:
-            out |= delta
-        return frozenset(out)
+        return frozenset().union(*self.solutions)
 
     def contingency_family(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
-        if not any(tau in delta for delta in self.solutions):
+        """The minimal sets Gamma such that some diagnosis through tau
+        misses Gamma (the answer survives deleting Gamma), every diagnosis
+        avoiding tau meets it (deleting tau as well drops the answer), and
+        the side condition holds."""
+        through = [delta for delta in self.solutions if tau in delta]
+        if not through:
             raise NotACauseError(f"{tau} is not an actual cause for {self.answer}")
-        return canonical_family(minimal_sets(contingency_conflict(self.solutions, tau)))
+        avoiding = sorted((delta for delta in self.solutions if tau not in delta), key=len)
+        side = self.side
+
+        def conflict(gamma: frozenset[GroundAtom]) -> Iterable[GroundAtom] | None:
+            for delta in through:
+                if delta.isdisjoint(gamma):
+                    break
+            else:
+                return ()  # every diagnosis through tau is hit
+            for delta in avoiding:
+                if delta.isdisjoint(gamma):
+                    return delta
+            return None if side is None else side(gamma, tau)
+
+        return canonical_family(minimal_sets(conflict))
 
     def responsibility(self, tau: GroundAtom) -> Fraction:
-        if tau not in self.problem.hypotheses:
+        """1/(1 + size of the smallest contingency set) for a cause, 0 for
+        any other endogenous tuple."""
+        if tau not in self.hypotheses:
             raise NotEndogenousError(f"{tau} is not an endogenous tuple")
         if tau not in self.causes():
             return Fraction(0)
-        family = self.contingency_family(tau)
-        return Fraction(1, 1 + min(len(g) for g in family))
+        return _rho(self.contingency_family(tau))
 
     def reports(self) -> tuple[CauseReport, ...]:
         """Every cause with its family and responsibility, in canonical
-        order.  A cause's family depends only on which diagnoses hold it,
-        so each distinct set of diagnoses has its family computed once
-        and shared by every cause in exactly those diagnoses."""
-        solutions = self.solutions
+        order.  Without a side condition a cause's family depends only on
+        which diagnoses hold it, so each distinct set of diagnoses has its
+        family computed once and shared by every cause in exactly those
+        diagnoses."""
         through: dict[GroundAtom, list[int]] = {}
-        for i, delta in enumerate(solutions):
+        for i, delta in enumerate(self.solutions):
             for tau in delta:
                 through.setdefault(tau, []).append(i)
-        shared: dict[tuple[int, ...], tuple[tuple[frozenset[GroundAtom], ...], Fraction]] = {}
+        shared: dict[object, tuple[tuple[frozenset[GroundAtom], ...], Fraction]] = {}
         out = []
         for tau in sorted(through, key=GroundAtom.sort_key):
-            pattern = tuple(through[tau])
-            if pattern not in shared:
+            key = tuple(through[tau]) if self.side is None else tau
+            if key not in shared:
                 family = self.contingency_family(tau)
-                shared[pattern] = family, Fraction(1, 1 + min(len(g) for g in family))
-            out.append(CauseReport(tau, *shared[pattern]))
+                shared[key] = family, _rho(family)
+            family, rho = shared[key]
+            if family:
+                out.append(CauseReport(tau, family, rho))
         return tuple(out)
 
 
-def contingency_conflict(diagnoses: Sequence[Diagnosis], tau: GroundAtom) -> Conflict:
-    """The conflict (``hitting.minimal_sets``) of the contingency sets of
-    tau for an answer with these diagnoses.  Gamma is one when some
-    diagnosis through tau misses it (the answer survives deleting Gamma)
-    and every diagnosis avoiding tau meets it (deleting tau drops it)."""
-    through = [delta for delta in diagnoses if tau in delta]
-    avoiding = sorted((delta for delta in diagnoses if tau not in delta), key=len)
-
-    def conflict(gamma: frozenset[GroundAtom]) -> Diagnosis | tuple[()] | None:
-        for delta in through:
-            if delta.isdisjoint(gamma):
-                break
-        else:
-            return ()  # every diagnosis through tau is hit
-        for delta in avoiding:
-            if delta.isdisjoint(gamma):
-                return delta
-        return None
-
-    return conflict
+def _rho(family: Sequence[frozenset[GroundAtom]]) -> Fraction:
+    return Fraction(1, 1 + min(len(g) for g in family)) if family else Fraction(0)
 
 
 @lru_cache(maxsize=None)
-def _analysis(instance: Instance, program: Program, answer: GroundAtom) -> CauseAnalysis:
-    return CauseAnalysis(instance, program, answer)
+def _analysis(
+    endogenous: frozenset[GroundAtom], exogenous: frozenset[GroundAtom], program: Program, answer: GroundAtom
+) -> CauseAnalysis:
+    # keyed by the tuple sets, not the caller's Instance, so the cache
+    # keeps no instance (its atom set and label maps) alive
+    if answer.predicate != program.answer_predicate:
+        raise NotAnAnswerError(f"{answer} is not over the answer predicate {program.answer_predicate}")
+    arity = program.arity_of(answer.predicate)
+    if arity is not None and arity != answer.arity:
+        raise NotAnAnswerError(f"{answer} has arity {answer.arity}, but the answer predicate has arity {arity}")
+    try:
+        problem = AbductionProblem(program, exogenous, endogenous, (answer,))
+    except ObservationNotEntailableError:
+        raise NotAnAnswerError(f"{answer} is not an answer on this instance") from None
+    analysis = CauseAnalysis(answer, solve_diagnoses(problem), problem.hypotheses)
+    analysis.problem = problem
+    return analysis
 
 
 CauseAnalysis.for_query.cache_info = _analysis.cache_info  # type: ignore[attr-defined]

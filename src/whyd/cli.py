@@ -131,11 +131,10 @@ def _cause_payload(reports, cap: int | None, responsibility_key: str) -> list[di
     out = []
     for report in reports:
         family, truncated = _family_payload(report.minimal_contingency_sets, cap)
-        rho = getattr(report, responsibility_key)
         out.append(
             {
                 "tuple": str(report.cause),
-                responsibility_key: fraction_text(rho),
+                responsibility_key: fraction_text(report.responsibility),
                 "contingency_sets": family,
                 "truncated": truncated,
             }

@@ -4,10 +4,12 @@ Constraints are tgds, egds (FDs/keys expand to these) and denial
 constraints.  Satisfaction is first-order evaluation over the finite
 instance: a tgd's existential head variables must be witnessed by facts
 that are already there.  No chase, no invented values; every
-intervention in this package is a deletion.  Causes under constraints
-search for minimal sets with the plain contingency conflict
-(``causality.contingency_conflict``) and one more: a tgd body match
-that the deletion leaves without a head witness.
+intervention in this package is a deletion, and a deletion breaks only
+tgds.  One scan of the instance both checks the constraints and keeps
+each tgd body match with the fact sets that witness its head.  Causes
+under constraints are a ``causality.CauseAnalysis`` whose side
+condition is that the deletion leaves no kept match without a witness;
+the admissible subinstances are filtered by the same test.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .errors import (
     SchemaMismatchError,
     WhydError,
 )
-from .causality import CauseAnalysis, contingency_conflict
+from .causality import CauseAnalysis, CauseReport
 from .evaluator import Relation, _matches, _plan, _Plan, _relations
-from .hitting import minimal_sets
-from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, canonical_family
+from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable
 
 
 @dataclass(frozen=True)
@@ -215,27 +216,54 @@ def _body_matches(
         yield match, _matches(head_plan, head_sources, match)
 
 
-def _constraint_violations(constraint: Constraint, relations: Mapping[str, Relation]) -> Iterator[Violation]:
-    """A denial is violated by every body match, an egd by every body
-    match whose two sides differ, a tgd by every body match that no
-    match of the head extends."""
-    for match, heads in _body_matches(constraint, relations):
-        if constraint.kind != "tgd" or next(heads, None) is None:
-            yield Violation(constraint, match)
+_TgdMatch = tuple[frozenset[GroundAtom], tuple[frozenset[GroundAtom], ...]]
+
+
+def _scan(instance: Instance, constraints: Sequence[Constraint]) -> tuple[SatisfactionReport, list[_TgdMatch]]:
+    """One join pass over the instance: check the arities, find the
+    violations and keep each tgd body match with the fact sets that
+    witness its head.  A denial is violated by every body match, an egd
+    by every body match whose two sides differ, a tgd by every body
+    match with no witness."""
+    _check_arities(constraints, instance)
+    relations = _relations(instance.atoms)
+    violations: list[Violation] = []
+    matches: list[_TgdMatch] = []
+    for c in constraints:
+        for match, heads in _body_matches(c, relations):
+            if c.kind != "tgd":
+                violations.append(Violation(c, match))
+                continue
+            witnesses = tuple({frozenset(w) for w in heads})
+            if not witnesses:
+                violations.append(Violation(c, match))
+            matches.append((frozenset(match), witnesses))
+    violations.sort(key=lambda v: (str(v.constraint), tuple(a.sort_key() for a in v.witness)))
+    return SatisfactionReport(not violations, tuple(violations)), matches
+
+
+def _unwitnessed(matches: Iterable[_TgdMatch], removed: frozenset[GroundAtom]) -> frozenset[GroundAtom] | None:
+    """The first kept tgd body match that deleting ``removed`` leaves in
+    place with every head witness gone, or None.  Deletions break only
+    tgds, so the instance minus ``removed`` satisfies the constraints the
+    instance satisfies iff there is none."""
+    for match, witnesses in matches:
+        if match.isdisjoint(removed) and all(not w.isdisjoint(removed) for w in witnesses):
+            return match
+    return None
 
 
 def satisfies(instance: Instance, sigma: Sigma) -> SatisfactionReport:
     """Evaluate every constraint over the finite instance; tgd
     existentials range over existing facts only."""
-    constraints = _normalize(sigma, instance)
-    _check_arities(constraints, instance)
-    relations = _relations(instance.atoms)
-    return _report([v for c in constraints for v in _constraint_violations(c, relations)])
+    return _scan(instance, _normalize(sigma, instance))[0]
 
 
-def _report(violations: list[Violation]) -> SatisfactionReport:
-    violations.sort(key=lambda v: (str(v.constraint), tuple(a.sort_key() for a in v.witness)))
-    return SatisfactionReport(not violations, tuple(violations))
+def _checked_scan(instance: Instance, sigma: Sigma) -> list[_TgdMatch]:
+    check, matches = _scan(instance, _normalize(sigma, instance))
+    if not check:
+        raise InstanceViolatesSigmaError(str(check.violations[0]))
+    return matches
 
 
 # ---------------------------------------------------------------------------
@@ -243,69 +271,32 @@ def _report(violations: list[Violation]) -> SatisfactionReport:
 
 
 @dataclass(frozen=True)
-class ConstrainedCauseReport:
-    cause: GroundAtom
-    minimal_contingency_sets: tuple[frozenset[GroundAtom], ...]
-    responsibility_under_ics: Fraction
+class ConstrainedCauseReport(CauseReport):
+    """A cause under the constraints; ``responsibility_under_ics`` reads
+    its responsibility."""
 
     @property
-    def responsibility(self) -> Fraction:
-        return self.responsibility_under_ics
+    def responsibility_under_ics(self) -> Fraction:
+        return self.responsibility
 
 
-class _SigmaAnalysis:
-    """Shared search state for one (instance, query, answer, sigma).
+def _analysis(instance: Instance, program: Program, answer: GroundAtom, sigma: Sigma) -> CauseAnalysis:
+    """The answer's diagnoses with the constraints as the side condition:
+    deleting Gamma, and Gamma with tau, must leave no tgd body match
+    without a head witness.  Only deleting a tuple of such a match cures
+    it, so its endogenous tuples other than tau are the conflict."""
+    matches = _checked_scan(instance, sigma)
+    plain = CauseAnalysis.for_query(instance, program, answer)
+    kept = [(instance.endogenous & match, witnesses) for match, witnesses in matches]
 
-    Deletions break only tgds, so each tgd body match M over D is kept
-    with the fact sets W_1..W_k that witness its head: D minus R violates
-    Sigma iff some M misses R while every W_i meets R, and only deleting
-    a tuple of M cures that."""
+    def side(gamma: frozenset[GroundAtom], tau: GroundAtom) -> frozenset[GroundAtom] | None:
+        for removed in (gamma, gamma | {tau}):
+            match = _unwitnessed(kept, removed)
+            if match is not None:
+                return match - {tau}
+        return None
 
-    def __init__(self, instance: Instance, program: Program, answer: GroundAtom, constraints: tuple[Constraint, ...]):
-        # one join pass both checks that the instance satisfies Sigma and
-        # keeps the tgd body matches: a match with no witness violates it
-        _check_arities(constraints, instance)
-        endogenous, relations = instance.endogenous, _relations(instance.atoms)
-        violations: list[Violation] = []
-        self._matches = []
-        for c in constraints:
-            if c.kind != "tgd":
-                violations += _constraint_violations(c, relations)
-                continue
-            for match, heads in _body_matches(c, relations):
-                witnesses = tuple({frozenset(w) for w in heads})
-                if not witnesses:
-                    violations.append(Violation(c, match))
-                self._matches.append((endogenous.intersection(match), witnesses))
-        check = _report(violations)
-        if not check:
-            raise InstanceViolatesSigmaError(str(check.violations[0]))
-        self.plain = CauseAnalysis.for_query(instance, program, answer)
-
-    def _family_for(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
-        """The minimal contingency sets Gamma of tau such that D - Gamma and
-        D - Gamma - {tau} satisfy Sigma; a match either leaves unwitnessed is a conflict."""
-        plain = contingency_conflict(self.plain.solutions, tau)
-
-        def conflict(gamma: frozenset[GroundAtom]) -> Iterable[GroundAtom] | None:
-            unmet = plain(gamma)
-            if unmet is not None:
-                return unmet
-            for removed in (gamma, gamma | {tau}):
-                for match, witnesses in self._matches:
-                    if match.isdisjoint(removed) and all(not w.isdisjoint(removed) for w in witnesses):
-                        return match - {tau}
-            return None
-
-        return canonical_family(minimal_sets(conflict))
-
-    def reports(self) -> tuple[ConstrainedCauseReport, ...]:
-        out = []
-        for tau in sorted(self.plain.causes(), key=GroundAtom.sort_key):
-            family = self._family_for(tau)
-            if family:
-                out.append(ConstrainedCauseReport(tau, family, Fraction(1, 1 + min(len(g) for g in family))))
-        return tuple(out)
+    return CauseAnalysis(answer, plain.solutions, plain.hypotheses, side)
 
 
 def causes_under_ics(
@@ -313,7 +304,8 @@ def causes_under_ics(
 ) -> tuple[ConstrainedCauseReport, ...]:
     """Actual causes whose contingency sets keep the constraints satisfied
     both before and after the cause itself is removed."""
-    return _SigmaAnalysis(instance, program, answer, _normalize(sigma, instance)).reports()
+    reports = _analysis(instance, program, answer, sigma).reports()
+    return tuple(ConstrainedCauseReport(r.cause, r.minimal_contingency_sets, r.responsibility) for r in reports)
 
 
 def responsibility_under_ics(
@@ -321,10 +313,7 @@ def responsibility_under_ics(
 ) -> Fraction:
     if tau not in instance.endogenous:
         raise NotEndogenousError(f"{tau} is not an endogenous tuple")
-    for report in causes_under_ics(instance, program, answer, sigma):
-        if report.cause == tau:
-            return report.responsibility_under_ics
-    return Fraction(0)
+    return _analysis(instance, program, answer, sigma).responsibility(tau)
 
 
 def maximal_admissible_subinstances(
@@ -332,18 +321,16 @@ def maximal_admissible_subinstances(
 ) -> tuple[Instance, ...]:
     """Maximal subinstances that drop the answer, filtered to those that
     still satisfy the constraints (the abductive route to causes under
-    constraints)."""
+    constraints).  A candidate is tested against the tgd body matches
+    kept from one scan of the instance, with no join of its own."""
     from .viewupdate import minimal_source_solutions
 
-    constraints = _normalize(sigma, instance)
-    check = satisfies(instance, constraints)
-    if not check:
-        raise InstanceViolatesSigmaError(str(check.violations[0]))
-    admissible = []
-    for solution in minimal_source_solutions(instance, program, answer):
-        remaining = instance.without(solution.removed)
-        if satisfies(remaining, constraints):
-            admissible.append(remaining)
+    matches = _checked_scan(instance, sigma)
+    admissible = [
+        instance.without(solution.removed)
+        for solution in minimal_source_solutions(instance, program, answer)
+        if _unwitnessed(matches, solution.removed) is None
+    ]
     admissible.sort(key=lambda inst: tuple(sorted(a.sort_key() for a in inst.atoms)))
     return tuple(admissible)
 

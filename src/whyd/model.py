@@ -239,9 +239,6 @@ class Comparison:
     def variables(self) -> set[Variable]:
         return {t for t in (self.left, self.right) if isinstance(t, Variable)}
 
-    def holds(self, left: Constant, right: Constant) -> bool:
-        return (left == right) if self.op == "=" else (left != right)
-
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 

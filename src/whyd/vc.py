@@ -4,10 +4,10 @@ other answer of the query exactly.
 A contingency set here must (i) keep the target answer before the cause
 is removed, (ii) lose it afterwards, and (iii) leave the rest of the
 view untouched afterwards.  (i) and (ii) are the plain contingency
-conditions over the support sets of the answer, so the search runs the
-plain contingency conflict (``causality.contingency_conflict``) and adds
-(iii), which only gets harder to meet as the set grows, as a prune.  The
-support sets of every answer of the view come from one provenance pass
+conditions over the support sets of the answer, and (iii), which only
+gets harder to meet as the set grows, is the side condition of a
+``causality.CauseAnalysis`` that prunes.  The support sets of every
+answer of the view come from one provenance pass
 (``abduction.support_families``); the view is the set of its answers.
 """
 
@@ -15,65 +15,54 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .abduction import support_families
-from .causality import contingency_conflict
+from .causality import CauseAnalysis, CauseReport
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from .evaluator import answers as evaluate_answers
 from .evaluator import fresh_predicate
-from .hitting import minimal_sets
-from .model import Atom, GroundAtom, Instance, Program, canonical_family
-
-VcContingencyFamily = tuple[frozenset[GroundAtom], ...]
+from .model import Atom, GroundAtom, Instance, Program
 
 
 @dataclass(frozen=True)
-class VcCauseReport:
-    cause: GroundAtom
-    minimal_contingency_sets: VcContingencyFamily
-    vc_responsibility: Fraction
+class VcCauseReport(CauseReport):
+    """A view-conditioned cause; ``vc_responsibility`` reads its
+    responsibility."""
+
+    @property
+    def vc_responsibility(self) -> Fraction:
+        return self.responsibility
 
     def is_vcc_cause(self) -> bool:
         """A view-conditioned counterfactual cause has the empty set among
         its contingency sets."""
-        return frozenset() in self.minimal_contingency_sets
+        return self.is_counterfactual()
 
 
-class _VcAnalysis:
-    def __init__(self, instance: Instance, program: Program, answer: GroundAtom, protected: frozenset[GroundAtom] | None):
-        families = support_families(program, instance.exogenous, instance.endogenous)
-        view = families.keys()
-        if answer not in view:
-            raise NotAnAnswerError(f"{answer} is not an answer on this instance")
-        if protected is not None and not protected <= view:
-            stray = sorted(protected - view, key=GroundAtom.sort_key)[0]
-            raise NotAnAnswerError(f"protected atom {stray} is not an answer on this instance")
-        self.protected = (view - {answer}) if protected is None else protected
-        self.target_family = families[answer]
-        self.protected_families = [families[a] for a in sorted(self.protected, key=GroundAtom.sort_key)]
+def _analysis(
+    instance: Instance, program: Program, answer: GroundAtom, protected: frozenset[GroundAtom] | None
+) -> CauseAnalysis:
+    """The answer's diagnoses with (iii) as the side condition: a set
+    whose deletion, with the cause, loses a protected answer is pruned."""
+    families = support_families(program, instance.exogenous, instance.endogenous)
+    view = families.keys()
+    if answer not in view:
+        raise NotAnAnswerError(f"{answer} is not an answer on this instance")
+    if protected is not None and not protected <= view:
+        stray = sorted(protected - view, key=GroundAtom.sort_key)[0]
+        raise NotAnAnswerError(f"protected atom {stray} is not an answer on this instance")
+    kept = (view - {answer}) if protected is None else protected
+    protected_families = [families[a] for a in sorted(kept, key=GroundAtom.sort_key)]
 
-    def contingency_family(self, tau: GroundAtom) -> VcContingencyFamily:
-        plain = contingency_conflict(self.target_family, tau)
+    def side(gamma: frozenset[GroundAtom], tau: GroundAtom) -> tuple[()] | None:
+        removed = gamma | {tau}
+        for family in protected_families:
+            if all(not delta.isdisjoint(removed) for delta in family):
+                return ()  # (iii): a protected answer would be lost
+        return None
 
-        def conflict(gamma: frozenset[GroundAtom]) -> Iterable[GroundAtom] | None:
-            removed = gamma | {tau}
-            for family in self.protected_families:
-                if all(not delta.isdisjoint(removed) for delta in family):
-                    return ()  # (iii): a protected answer would be lost
-            return plain(gamma)
-
-        return canonical_family(minimal_sets(conflict))
-
-    def reports(self) -> tuple[VcCauseReport, ...]:
-        out = []
-        for tau in sorted(frozenset().union(*self.target_family), key=GroundAtom.sort_key):
-            family = self.contingency_family(tau)
-            if family:
-                rho = Fraction(1, 1 + min(len(g) for g in family))
-                out.append(VcCauseReport(tau, family, rho))
-        return tuple(out)
+    return CauseAnalysis(answer, families[answer], instance.endogenous, side)
 
 
 def vc_causes(
@@ -85,7 +74,8 @@ def vc_causes(
     """All view-conditioned causes with their minimal contingency families
     and responsibilities.  ``protected`` defaults to every other answer;
     passing a smaller set relaxes the condition accordingly."""
-    return _VcAnalysis(instance, program, answer, protected).reports()
+    reports = _analysis(instance, program, answer, protected).reports()
+    return tuple(VcCauseReport(r.cause, r.minimal_contingency_sets, r.responsibility) for r in reports)
 
 
 def vc_cause_exists(instance: Instance, program: Program, answer: GroundAtom) -> bool:
@@ -99,10 +89,7 @@ def vc_responsibility(
 ) -> Fraction:
     if tau not in instance.endogenous:
         raise NotEndogenousError(f"{tau} is not an endogenous tuple")
-    for report in vc_causes(instance, program, answer):
-        if report.cause == tau:
-            return report.vc_responsibility
-    return Fraction(0)
+    return _analysis(instance, program, answer, None).responsibility(tau)
 
 
 def encode_vc_as_tgd(

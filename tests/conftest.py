@@ -112,3 +112,16 @@ def count_facts_read(monkeypatch, count) -> None:
 
     monkeypatch.setattr(Relation, "index", index)
     monkeypatch.setattr(Relation, "__iter__", scan)
+
+
+def count_searches(monkeypatch) -> list:
+    """From now on, record the conflict of each minimal-set search that a
+    cause analysis runs (``causality.minimal_sets``: plain causes,
+    view-conditioned causes and causes under constraints all search
+    there)."""
+    from whyd import causality
+
+    searches: list = []
+    real = causality.minimal_sets
+    monkeypatch.setattr(causality, "minimal_sets", lambda conflict: searches.append(conflict) or real(conflict))
+    return searches

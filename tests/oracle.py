@@ -24,6 +24,11 @@ def _value(term, assignment: dict[Variable, Constant]) -> Constant:
     return term if isinstance(term, Constant) else assignment[term]
 
 
+def _holds(comparison: Comparison, assignment: dict[Variable, Constant]) -> bool:
+    equal = _value(comparison.left, assignment) == _value(comparison.right, assignment)
+    return equal if comparison.op == "=" else not equal
+
+
 def _extend(pattern: Atom, fact: GroundAtom, assignment: dict[Variable, Constant]):
     """A copy of ``assignment`` under which pattern matches fact, or None."""
     if len(pattern.args) != len(fact.args):
@@ -52,7 +57,7 @@ def _derive(rule: Rule, by_pred: dict[str, list[GroundAtom]]) -> Iterable[Ground
             ]
     comparisons = [c for c in rule.body if isinstance(c, Comparison)]
     for assignment in assignments:
-        if all(c.holds(_value(c.left, assignment), _value(c.right, assignment)) for c in comparisons):
+        if all(_holds(c, assignment) for c in comparisons):
             yield GroundAtom(rule.head.predicate, tuple(_value(t, assignment) for t in rule.head.args))
 
 
@@ -83,7 +88,7 @@ def join_matches(atoms, sources, comparisons=(), binding=None) -> list[tuple[dic
             if assignment is None:
                 break
         else:
-            if all(c.holds(_value(c.left, assignment), _value(c.right, assignment)) for c in comparisons):
+            if all(_holds(c, assignment) for c in comparisons):
                 out.append((assignment, tuple(facts)))
     return out
 

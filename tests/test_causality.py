@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,20 @@ def test_ladder_searches_stay_within_their_tree(monkeypatch):
     assert searches == 8
     assert evaluations <= 8 * 2**8
     assert {r.responsibility for r in reports} == {Fraction(1, 8)}
+
+
+def test_the_analysis_cache_keeps_no_caller_instance():
+    class Tracked(Instance):
+        """An instance that takes weak references (``Instance`` has slots)."""
+
+    program = load_program("graph.dl")
+    parsed = parse_instance("t1: e(wk0, wk1).\nt2: e(wk0, wk2).\nt3: e(wk1, wk2).\n")
+    instance = Tracked(parsed.endogenous, parsed.exogenous, {a: parsed.label_of(a) for a in parsed.endogenous})
+    tracked = weakref.ref(instance)
+    reports = cause_reports(instance, program, atom("ans(wk0, wk2)"))
+    assert [instance.label_of(r.cause) for r in reports] == ["t1", "t2", "t3"]
+    del instance
+    assert tracked() is None
 
 
 def test_a_second_request_over_a_program_builds_no_program_and_compiles_no_plan(monkeypatch):

@@ -25,7 +25,7 @@ from whyd.parsing import parse_constraints, parse_program
 
 import corpus
 import oracle
-from conftest import atom, load_constraints, load_instance, load_program
+from conftest import atom, count_searches, load_constraints, load_instance, load_program
 
 
 def _labels(atoms, instance):
@@ -168,6 +168,15 @@ def test_dept_responsibility_drops_under_psi():
     t4 = instance.by_label("t4")
     assert responsibility(instance, program, atom("ans(john)"), t4) == Fraction(1, 2)
     assert responsibility_under_ics(instance, program, atom("ans(john)"), t4, sigma) == Fraction(1, 3)
+
+
+def test_responsibility_under_ics_searches_only_the_asked_tuples_family(monkeypatch):
+    program, instance = load_program("dept_q1.dl"), load_instance("dept.facts")
+    sigma = load_constraints("dept.ics")
+    searches = count_searches(monkeypatch)
+    t4 = instance.by_label("t4")
+    assert responsibility_under_ics(instance, program, atom("ans(john)"), t4, sigma) == Fraction(1, 3)
+    assert len(searches) == 1
 
 
 def test_equivalent_queries_share_causes_under_psi():
@@ -354,6 +363,22 @@ def test_dept_admissible_subinstances():
     sigma = load_constraints("dept.ics")
     subinstances = maximal_admissible_subinstances(instance, program, atom("ans(john)"), sigma)
     assert [sorted(map(instance.label_of, instance.atoms - s.atoms)) for s in subinstances] == [["t1"]]
+
+
+@pytest.mark.parametrize("query", ["dept_q.dl", "dept_q1.dl"])
+def test_admissible_filter_joins_each_tgd_body_once(query, monkeypatch):
+    import whyd.constraints as module
+
+    program, instance = load_program(query), load_instance("dept.facts")
+    sigma = load_constraints("dept.ics")
+    matches = [len(satisfies(instance, [Constraint.denial(c.body)]).violations) for c in sigma if c.kind == "tgd"]
+    calls = []
+    real = module._matches
+    monkeypatch.setattr(module, "_matches", lambda *args: calls.append(args) or real(*args))
+    maximal_admissible_subinstances(instance, program, atom("ans(john)"), sigma)
+    # one scan of the instance: each tgd body joined once and its head
+    # once per match, none per candidate
+    assert len(calls) == sum(1 + m for m in matches), len(calls)
 
 
 def test_admissible_subinstances_with_empty_sigma_complement_minimal_deletions():

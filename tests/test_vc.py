@@ -19,7 +19,7 @@ from whyd.viewupdate import vsef_solutions
 
 import corpus
 import oracle
-from conftest import FIXTURES, atom, load_instance, load_program
+from conftest import FIXTURES, atom, count_searches, load_instance, load_program
 
 
 def _report_map(reports):
@@ -61,6 +61,16 @@ def test_access_g0_vc_responsibility_drops_to_one_half():
     }
     assert not report.is_vcc_cause()
     assert vc_responsibility(instance, program, atom("access(joe, f1)"), ground("group_user", "joe", "g1")) == Fraction(1, 2)
+
+
+def test_vc_responsibility_searches_only_the_asked_tuples_family(monkeypatch):
+    # access_g0 has four candidate causes; the answer for one takes one
+    # search, not one per cause
+    program, instance = load_program("access.dl"), load_instance("access_g0.facts")
+    searches = count_searches(monkeypatch)
+    tau = ground("group_user", "joe", "g1")
+    assert vc_responsibility(instance, program, atom("access(joe, f1)"), tau) == Fraction(1, 2)
+    assert len(searches) == 1
 
 
 def test_vc_responsibility_zero_for_non_vc_cause():
