@@ -13,15 +13,21 @@ built: the diagnosis family of a conjunction is the product of its
 atoms' antichains, the minimal unions of one set from each.  The pass
 sweeps the part of the graph the goals reach in derivation order, so
 that off cycles each head is annotated once, and holds the sets as
-bitmasks.  The same pass over every answer of a program at once gives
-each answer's minimal support sets (``support_families``), behind
-view-conditioned causes and side-effect-free deletions.  Each family is
-checked by direct evaluation before it is returned: every set, and
-every set with one element dropped, is a world, and all of them are
-propagated over a ground program that the check derives again by joins.
-Hypotheses are plain tuples, so a problem is a value: equal problems
-share one cached family and one necessary-set search, whatever labels
-their callers give the tuples.
+bitmasks.  The graph is over integers (``evaluator.Graph``): the
+fixpoint numbers the extensional facts first, then the other
+hypotheses, then the derived atoms, so a fact's kind is an id range and
+the pass indexes lists by id instead of hashing atoms; a problem keeps
+the graph compacted, without the id map.  The same pass over every
+answer of a program at once gives each answer's minimal support sets
+(``support_families``), behind view-conditioned causes and
+side-effect-free deletions.  Each family is checked by direct
+evaluation before it is returned: every set, and every set with one
+element dropped, is a world, and all of them are propagated over a
+ground program that the check derives again by joins, into a numbering
+of its own that the recorded graph's atoms seed.  Hypotheses are plain
+tuples, so a problem is a value: equal problems share one cached family
+and one necessary-set search, whatever labels their callers give the
+tuples.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress
+from typing import Iterable, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -39,22 +45,26 @@ from .errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from .evaluator import Firings, evaluate_fixpoint, fresh_predicate, ground, propagate, reached, reads_ahead
+from .evaluator import Graph, evaluate_fixpoint, fresh_predicate, ground, propagate, reached, reads_ahead
 from .hitting import minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
 Diagnosis = frozenset[GroundAtom]
-# a conjunction of atoms whose minimal why-provenance is asked for
-Goal = tuple[GroundAtom, ...]
+# a conjunction of atoms whose minimal why-provenance is asked for, as
+# their ids in a derivation graph
+Goal = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class AbductionProblem:
     """``(program, extensional facts, hypotheses, observation)`` with the
     standing assumption that program + facts + all hypotheses entail the
-    observation (checked at construction).  ``firings`` is the recorded
-    derivation graph (``MinimalModel.firings``) of that model under the
-    caller's program itself; the observation atoms are its goals."""
+    observation (checked at construction).  ``graph`` is the recorded
+    derivation graph (``evaluator.Graph``) of that model under the
+    caller's program itself, its atoms numbered extensional facts first,
+    then the other hypotheses, then the derived atoms, and compacted once
+    the diagnoses are solved; the observation atoms are its goals,
+    ``goal`` their ids."""
 
     program: Program
     extensional: frozenset[GroundAtom]
@@ -68,29 +78,25 @@ class AbductionProblem:
         # head-freeness.
         if not self.observation:
             raise ObservationNotEntailableError("empty observation")
-        facts = self.extensional | self.hypotheses
-        # every model atom is a fact or a recorded head
-        firings = evaluate_fixpoint(self.program, facts).firings
-        for atom in self.observation:
-            if atom not in firings and atom not in facts:
-                raise ObservationNotEntailableError(
-                    "the observation is not entailed even with every hypothesis added"
-                )
-        object.__setattr__(self, "firings", firings)
+        model = evaluate_fixpoint(self.program, chain(self.extensional, self.hypotheses - self.extensional))
+        goal = tuple(model.ids.get(atom, -1) for atom in self.observation)
+        if -1 in goal:
+            raise ObservationNotEntailableError("the observation is not entailed even with every hypothesis added")
+        # the graph is kept, not the model's id map
+        object.__setattr__(self, "graph", model.graph)
+        object.__setattr__(self, "goal", goal)
         # the necessary-hypothesis sets, once searched for
         object.__setattr__(self, "_necessary", None)
 
 
-def _minimal_why(
-    firings: Firings,
-    extensional: frozenset[GroundAtom],
-    hypotheses: frozenset[GroundAtom],
-    goals: Sequence[Goal],
-) -> dict[Goal, list[Diagnosis]]:
+def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple[list[int], list[list[int]]]:
     """Each goal's minimal why-provenance over the hypotheses: the
     subset-minimal hypothesis sets that derive all its atoms, given the
-    derivation graph (``MinimalModel.firings``) of the model over the
-    extensional facts and every hypothesis.
+    derivation graph of the model over the extensional facts and every
+    hypothesis, numbered so that ids below ``extensional`` are the
+    extensional facts and the other seeds the hypotheses.  Returns the
+    ids of the reached hypotheses and each goal's family as bitmasks over
+    them (bit i: the i-th).
 
     Every derivation from the background plus some hypotheses only uses
     ground rule instances that fire in that model, so the graph holds
@@ -108,32 +114,37 @@ def _minimal_why(
     until no antichain changes; antichains only move down a finite lattice, so
     the sweeps stop.  A goal's family is the product of its atoms'
     antichains; a one-atom goal's is its atom's."""
-    targets = list(chain.from_iterable(goals))
-    graph = reached(firings, targets)
-    atoms: list[GroundAtom] = []  # bit i: the i-th reached hypothesis
-    why: dict[GroundAtom, list[int]] = {}
-    for atom in {a for bodies in graph.values() for body in bodies for a in body}.union(graph, targets):
-        if atom in extensional or () in graph.get(atom, ()):
-            why[atom] = [0]
-        elif atom in hypotheses:
-            why[atom] = [1 << len(atoms)]
-            atoms.append(atom)
-        else:
-            why[atom] = []
+    program = reached(graph, chain.from_iterable(goals))
+    size, seeds = len(graph.atoms), graph.seeds
+    hypotheses: list[int] = []  # bit i: the i-th reached hypothesis
+    why: list[list[int] | None] = [None] * size
+    for head, bodies in program:
+        if () in bodies:
+            why[head] = [0]
+    # every reached head is a goal atom or in a reached body
+    for atom in chain(chain.from_iterable(goals), (a for _, bodies in program for body in bodies for a in body)):
+        if why[atom] is None:
+            if atom < extensional:
+                why[atom] = [0]
+            elif atom < seeds:
+                why[atom] = [1 << len(hypotheses)]
+                hypotheses.append(atom)
+            else:
+                why[atom] = []
     # {∅} absorbs every set: heads annotated with it are final
-    order = [(head, set(bodies)) for head, bodies in graph.items() if why[head] != [0]]
-    cyclic = reads_ahead(graph)
+    order = [(head, set(bodies)) for head, bodies in program if why[head] != [0]]
+    cyclic = reads_ahead(program)
     # a head is annotated again only if a body atom changed since it was
     # last annotated: at a later clock than its own
-    changed_at = dict.fromkeys(why, 0)
-    read_at: dict[GroundAtom, int] = {}
+    changed_at = [0] * size
+    read_at = [-1] * size
     clock = 0
     sweep = True
     while sweep:
         sweep = False
         for head, bodies in order:
-            last = read_at.get(head)
-            if last is not None and all(changed_at[a] <= last for body in bodies for a in body):
+            last = read_at[head]
+            if last >= 0 and all(changed_at[a] <= last for body in bodies for a in body):
                 continue
             known = why[head]
             why[head] = _prune(known + [d for body in bodies for d in _product([why[a] for a in body])])
@@ -142,11 +153,8 @@ def _minimal_why(
                 clock += 1
                 changed_at[head] = clock
                 sweep = True
-    out: dict[Goal, list[Diagnosis]] = {}
-    for goal in goals:
-        masks = why[goal[0]] if len(goal) == 1 else _product([why[a] for a in goal])
-        out[goal] = [_decode(mask, atoms) for mask in masks]
-    return out
+    families = [why[goal[0]] if len(goal) == 1 else _product([why[a] for a in goal]) for goal in goals]
+    return hypotheses, families  # type: ignore[return-value]
 
 
 def _prune(candidates: list[int]) -> list[int]:
@@ -169,63 +177,119 @@ def _product(families: list[list[int]]) -> list[int]:
     return out
 
 
-def _decode(mask: int, atoms: list[GroundAtom]) -> Diagnosis:
-    """The atoms whose bits the mask sets (bit i: ``atoms[i]``)."""
+def _bits(mask: int) -> list[int]:
+    """The positions of the bits the mask sets, lowest first."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(atoms[low.bit_length() - 1])
+        out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def _decode(mask: int, atoms: Sequence[GroundAtom]) -> Diagnosis:
+    """The atoms whose bits the mask sets (bit i: ``atoms[i]``)."""
+    return frozenset([atoms[bit] for bit in _bits(mask)])
+
+
+def _families(graph: Graph, hypotheses: Sequence[int], families: Sequence[Sequence[int]]) -> list[tuple[Diagnosis, ...]]:
+    """Each family of bitmasks over the hypotheses (ids in the graph) as
+    sets of atoms, in canonical order."""
+    atoms = [graph.atoms[h] for h in hypotheses]
+    return [canonical_family(_decode(mask, atoms) for mask in family) for family in families]
 
 
 def _render(delta: Diagnosis) -> str:
     return "{" + ", ".join(str(a) for a in sorted(delta, key=GroundAtom.sort_key)) + "}"
 
 
-def _render_goal(goal: Goal) -> str:
-    return ", ".join(str(a) for a in goal)
+def _render_goal(graph: Graph, goal: Goal) -> str:
+    return ", ".join(str(graph.atoms[a]) for a in goal)
 
 
 def _check(
-    program: Program, firings: Firings, extensional: frozenset[GroundAtom], families: Mapping[Goal, Sequence[Diagnosis]]
+    program: Program,
+    graph: Graph,
+    extensional: int,
+    goals: Sequence[Goal],
+    hypotheses: Sequence[int],
+    families: Sequence[Sequence[int]],
 ) -> None:
-    """Check each goal's family directly, by evaluation: the family is not
-    empty, each set entails every atom of the goal with the extensional
-    facts, and no set with one element dropped does; raises
-    ``InternalInvariantError``.
+    """Check each goal's family (bitmasks over the hypotheses, as
+    ``_minimal_why`` gives them) directly, by evaluation: the family is
+    not empty, each set entails every atom of the goal with the
+    extensional facts (the graph's first ids), and no set with one
+    element dropped does; raises ``InternalInvariantError``.
 
-    Each set is a world, and the recorded graph ``firings`` is not
-    trusted: the worlds' facts and the recorded heads are grounded again
-    by joins, and no head derived there may lie outside them.  Then every
-    derivation inside a world is one of those firings (a first one that
-    is not would have its body, so its head, among them), and the worlds
-    are propagated over the ground program the goals reach."""
-    worlds: dict[Diagnosis, int] = {}
-    for family in families.values():
+    Each set is a world, and the recorded ``graph`` is not trusted: its
+    extensional facts, the worlds' facts and its other heads, each once
+    and in that order, seed a numbering of the check's own, and every
+    rule is joined over them again; a head numbered past those seeds is
+    derived outside them.  Then every derivation inside a
+    world is one of those firings (a first one that is not would have its
+    body, so its head, among them), and the worlds are propagated over
+    the ground program the goals reach.  A seed's place in the new
+    numbering is known, so no atom is looked up in it."""
+    used = 0  # the hypotheses of some world
+    for family in families:
         for delta in family:
-            worlds.setdefault(delta, len(worlds))
-            for d in delta:
-                worlds.setdefault(delta - {d}, len(worlds))
-    atoms = extensional.union(*worlds, firings.keys())
-    grounded = ground(program, atoms)
-    for head in grounded:
-        if head not in atoms:
-            raise InternalInvariantError(f"the recorded graph is not closed: it misses {head}")
-    masks = propagate(reached(grounded, chain.from_iterable(families)), extensional, worlds)
-    for goal, family in families.items():
+            used |= delta
+    bits = _bits(used)
+    members = [hypotheses[bit] for bit in bits]
+    heads = graph.heads_mask()  # the heads not yet among the seeds
+    if extensional:
+        heads[:extensional] = bytes(extensional)
+    for atom in members:
+        heads[atom] = 0
+    seeds = [*range(extensional), *members, *compress(range(len(heads)), heads)]  # in the graph's ids
+    check = ground(program, map(graph.atoms.__getitem__, seeds))
+    if check.seeds < len(seeds):
+        raise InternalInvariantError("a hypothesis is given twice")
+    if len(check.atoms) > check.seeds:
+        raise InternalInvariantError(f"the recorded graph is not closed: it misses {check.atoms[check.seeds]}")
+    # the worlds' facts follow the extensional ones
+    where = dict(zip(bits, range(extensional, extensional + len(bits))))  # a bit -> its fact's new id
+    worlds: dict[int, int] = {}  # a set's mask -> its world
+    facts: list[list[int]] = []  # each world's facts, by new id
+    dropped: dict[int, list[tuple[int, int]]] = {}  # a set's mask -> each bit with the world without it
+    for family in families:
+        for delta in family:
+            if delta in dropped:
+                continue
+            bits = _bits(delta)
+            held = [where[bit] for bit in bits]
+            if delta not in worlds:
+                worlds[delta] = len(facts)
+                facts.append(held)
+            dropped[delta] = []
+            for k, bit in enumerate(bits):
+                world = worlds.setdefault(delta ^ 1 << bit, len(facts))
+                if world == len(facts):
+                    facts.append(held[:k] + held[k + 1 :])
+                dropped[delta].append((bit, world))
+    # a goal atom that is no seed is a hypothesis in no world
+    placed = dict(zip(seeds, range(len(seeds))))  # an id in the graph -> its new id
+    numbered = [[placed.get(atom, -1) for atom in goal] for goal in goals]
+    part = reached(check, [atom for atoms in numbered for atom in atoms if atom >= 0])
+    masks = propagate(part, len(check.atoms), range(extensional), facts)
+    for goal, atoms, family in zip(goals, numbered, families):
         if not family:
-            raise InternalInvariantError(f"no diagnosis found for {_render_goal(goal)}, which is entailable")
+            raise InternalInvariantError(f"no diagnosis found for {_render_goal(graph, goal)}, which is entailable")
         held = -1  # the worlds holding every atom of the goal
-        for atom in goal:
-            held &= masks.get(atom, 0)
+        for atom in atoms:
+            held &= masks[atom] if atom >= 0 else 0
         for delta in family:
             if not held >> worlds[delta] & 1:
-                raise InternalInvariantError(f"diagnosis {_render(delta)} does not entail {_render_goal(goal)}")
-            for d in delta:
-                if held >> worlds[delta - {d}] & 1:
+                named = [graph.atoms[h] for h in hypotheses]
+                raise InternalInvariantError(
+                    f"diagnosis {_render(_decode(delta, named))} does not entail {_render_goal(graph, goal)}"
+                )
+            for bit, world in dropped[delta]:
+                if held >> world & 1:
+                    named = [graph.atoms[h] for h in hypotheses]
                     raise InternalInvariantError(
-                        f"diagnosis {_render(delta)} of {_render_goal(goal)} is not minimal: {d} is redundant"
+                        f"diagnosis {_render(_decode(delta, named))} of {_render_goal(graph, goal)} is not minimal:"
+                        f" {named[bit]} is redundant"
                     )
 
 
@@ -239,10 +303,12 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     before they are returned; a failed check raises
     ``InternalInvariantError``.  Results are cached by problem value
     (``cache_info``, ``cache_clear``), so equal problems share them."""
-    goal = problem.observation
-    found = _minimal_why(problem.firings, problem.extensional, problem.hypotheses, (goal,))
-    _check(problem.program, problem.firings, problem.extensional, found)
-    return canonical_family(found[goal])
+    graph, extensional = problem.graph, len(problem.extensional)
+    hypotheses, families = _minimal_why(graph, extensional, (problem.goal,))
+    _check(problem.program, graph, extensional, (problem.goal,), hypotheses, families)
+    # the problem is cached from now on: it keeps its graph compacted
+    object.__setattr__(problem, "graph", graph.compact())
+    return _families(graph, hypotheses, families)[0]
 
 
 def support_families(
@@ -254,11 +320,12 @@ def support_families(
     together with the fixed ones.  One fixpoint, which records the
     derivation graph, and one provenance pass over it serve every answer,
     and ``_check`` verifies every family."""
-    model = evaluate_fixpoint(program, fixed | deletable)
-    goals = [(answer,) for answer in sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)]
-    found = _minimal_why(model.firings, fixed, deletable, goals)
-    _check(program, model.firings, fixed, found)
-    return {goal[0]: canonical_family(family) for goal, family in found.items()}
+    model = evaluate_fixpoint(program, chain(fixed, deletable - fixed))
+    found = sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)
+    goals = [(model.ids[answer],) for answer in found]
+    hypotheses, families = _minimal_why(model.graph, len(fixed), goals)
+    _check(program, model.graph, len(fixed), goals, hypotheses, families)
+    return dict(zip(found, _families(model.graph, hypotheses, families)))
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:

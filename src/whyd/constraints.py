@@ -27,7 +27,7 @@ from .errors import (
     WhydError,
 )
 from .causality import CauseAnalysis, CauseReport
-from .evaluator import Relation, _matches, _plan, _Plan, _relations
+from .evaluator import Relation, _matches, _plan, _Plan, _seed
 from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable
 
 
@@ -204,16 +204,17 @@ def _check_arities(constraints: Sequence[Constraint], instance: Instance) -> Non
 
 
 def _body_matches(
-    constraint: Constraint, relations: Mapping[str, Relation]
+    constraint: Constraint, atoms: Sequence[GroundAtom], relations: Mapping[str, Relation]
 ) -> Iterator[tuple[tuple[GroundAtom, ...], Iterator[tuple[GroundAtom, ...]]]]:
-    """Each match of the body (for an egd, one whose two sides differ),
-    with a lazy iterator over the matches of the head that extend it."""
+    """Each match of the body (for an egd, one whose two sides differ)
+    against the relations over the numbered ``atoms``, with a lazy
+    iterator over the matches of the head that extend it."""
     body_plan, head_plan = constraint._plans
-    empty = Relation(())
+    empty = Relation(atoms, ())
     body_sources = [relations.get(a.predicate, empty) for a in constraint.body]
     head_sources = [relations.get(a.predicate, empty) for a in constraint.head_atoms]
-    for match in _matches(body_plan, body_sources):
-        yield match, _matches(head_plan, head_sources, match)
+    for match in _matches(body_plan, atoms, body_sources):
+        yield match, _matches(head_plan, atoms, head_sources, match)
 
 
 _TgdMatch = tuple[frozenset[GroundAtom], tuple[frozenset[GroundAtom], ...]]
@@ -226,11 +227,12 @@ def _scan(instance: Instance, constraints: Sequence[Constraint]) -> tuple[Satisf
     by every body match whose two sides differ, a tgd by every body
     match with no witness."""
     _check_arities(constraints, instance)
-    relations = _relations(instance.atoms)
+    ids, relations = _seed(instance.atoms)
+    atoms = ids.atoms
     violations: list[Violation] = []
     matches: list[_TgdMatch] = []
     for c in constraints:
-        for match, heads in _body_matches(c, relations):
+        for match, heads in _body_matches(c, atoms, relations):
             if c.kind != "tgd":
                 violations.append(Violation(c, match))
                 continue

@@ -2,14 +2,22 @@
 
 The evaluation is semi-naive, one model at a time: a round's delta is
 the atoms new to the model (per predicate; in the first round every fact
-is new, so each rule is joined once over the full relations).
-``evaluate_fixpoint`` also records the model's derivation graph
-(``MinimalModel.firings``), behind abduction's diagnoses.  The models of
-many worlds (fact sets) inside one model need no join of their own:
-``propagate`` reads them off that model's ground program, ``reached``
-keeps the part of it some goals need, and ``ground`` derives the ground
-program again by one join of each rule, for callers that must not trust
-a recorded graph.
+is new, so each rule is joined once over the full relations).  A join
+pass numbers the atoms it holds where it deduplicates them: the seed
+facts first, each once in the order given (a caller that gives its
+extensional facts before its hypotheses can tell a fact's kind by its
+id), then each head the first time a kernel derives it.  Relations,
+index buckets and firing bodies hold ids.  ``evaluate_fixpoint`` also
+records the model's derivation graph (``Graph``), behind abduction's
+diagnoses: each firing's body is appended to its head's list as the
+kernel fires it, and a graph kept long is compacted into two integer
+arrays.  The models of many worlds (fact sets) inside one model need no
+join of their own: ``propagate`` reads them off that model's ground
+program, ``reached`` keeps the part of it some goals need, and
+``ground`` derives the ground program again by one join of each rule,
+into a numbering of its own, for callers that must not trust a
+recorded graph.  Only a join pass hashes atoms; everything after it
+indexes lists by id.
 
 One join engine matches a conjunction of atoms against facts: the
 semi-naive rounds and every integrity constraint check go through it.
@@ -24,12 +32,13 @@ the first step of a plan with nothing bound scans.  What a fact must
 still satisfy is inlined: a scan's arity, and as ``is`` tests on
 interned symbols the constants a scan has not filtered, the positions a
 repeated variable must agree on and the comparisons.  Each variable is
-read where the fact that binds it holds it: no binding is ever built.  A rule kernel builds
-each head and records its firing inline; a constraint kernel yields
-each match.  No symbol enters the source: plans of one shape share one
-kernel and pass their constants as an argument.  The naive reference
-evaluator that the agreement tests and brute-force oracles use lives in
-``tests/oracle.py`` and shares no code with this module.
+read where the fact that binds it holds it: no binding is ever built.  A
+rule kernel builds each head, numbers it if it is new and records its
+firing inline; a constraint kernel yields each match as atoms.  No
+symbol enters the source: plans of one shape share one kernel and pass
+their constants as an argument.  The naive reference evaluator that the
+agreement tests and brute-force oracles use lives in ``tests/oracle.py``
+and shares no code with this module.
 
 Termination is guaranteed: the active domain is finite and rules are
 positive, so the model only grows and is bounded by the set of all
@@ -38,10 +47,10 @@ ground atoms over known predicates and constants.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
 from functools import lru_cache
-from itertools import chain
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, ne
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownPredicateError, UnsafeRuleError
@@ -58,42 +67,96 @@ from .model import (
 )
 
 
-Firings = dict[GroundAtom, list[tuple[GroundAtom, ...]]]
+class Graph:
+    """A ground derivation graph over numbered atoms: ``atoms[i]`` is atom
+    i, and the first ``seeds`` atoms are the seed facts of the pass that
+    recorded it.  Atom i's firings are the bodies of the rule instances
+    with it as their head, each a tuple of ids of its atoms in textual
+    order (``()`` for a rule without atoms; a body may be listed twice).
+    Every atom past the seeds has a firing.
+
+    A join pass leaves the firings in one list per atom (``rows[i]``,
+    empty for an atom with no firing).  ``compact`` gives the same graph
+    in compressed sparse rows, for a graph kept long: ``rows`` is then
+    one ``array('i')``, four bytes an entry, that lists atom i's firings
+    at ``offsets[i]:offsets[i + 1]``, each body as its length and then
+    its ids."""
+
+    __slots__ = ("atoms", "seeds", "rows", "offsets")
+
+    def __init__(self, atoms: list[GroundAtom], seeds: int, rows: Sequence, offsets: Sequence[int] | None = None):
+        self.atoms = atoms
+        self.seeds = seeds
+        self.rows = rows
+        self.offsets = offsets
+
+    def compact(self) -> Graph:
+        """The same graph in compressed sparse rows."""
+        if self.offsets is not None:
+            return self
+        flat: list[int] = []
+        offsets = [0]
+        for row in self.rows:
+            for body in row:
+                flat.append(len(body))
+                flat += body
+            offsets.append(len(flat))
+        return Graph(self.atoms, self.seeds, array("i", flat), array("i", offsets))
+
+    def firings(self, head: int) -> Sequence[tuple[int, ...]]:
+        """The bodies of the atom's firings."""
+        if self.offsets is None:
+            return self.rows[head]
+        rows, out = self.rows, []
+        at, end = self.offsets[head], self.offsets[head + 1]
+        while at < end:
+            stop = at + 1 + rows[at]
+            out.append(tuple(rows[at + 1 : stop]))
+            at = stop
+        return out
+
+    def heads_mask(self) -> bytearray:
+        """Byte i is 1 if atom i has a firing, else 0."""
+        offsets = self.offsets
+        if offsets is None:
+            return bytearray(map(bool, self.rows))
+        return bytearray(map(ne, offsets, islice(offsets, 1, None)))
 
 
 class MinimalModel:
-    """The least set of ground atoms closed under the program's rules.
+    """The least set of ground atoms closed under the program's rules:
+    ``graph.atoms``, numbered by the pass that found them (``ids`` maps
+    each atom to its id), with ``graph`` its ground derivation graph:
+    each head, seeded or not, with the bodies of the rule instances that
+    fire in the model.  ``relations`` maps each predicate to its atoms."""
 
-    ``firings`` is its ground derivation graph: each head, seeded or not,
-    maps to the bodies (facts in textual atom order, ``()`` for a rule
-    without atoms) of the rule instances that fire in the model; a body
-    may be listed twice.
-    """
+    __slots__ = ("graph", "ids", "_extensions")
 
-    __slots__ = ("relations", "firings")
+    def __init__(self, graph: Graph, ids: dict[GroundAtom, int], extensions: Mapping[str, Collection[int]]):
+        self.graph = graph
+        self.ids = ids
+        self._extensions = extensions
 
-    def __init__(self, relations: Mapping[str, frozenset[GroundAtom]], firings: Firings):
-        self.relations = dict(relations)
-        self.firings = firings
+    @property
+    def relations(self) -> dict[str, frozenset[GroundAtom]]:
+        return {p: self.extension(p) for p, facts in self._extensions.items() if facts}
 
     def atoms(self) -> frozenset[GroundAtom]:
-        out: set[GroundAtom] = set()
-        for rel in self.relations.values():
-            out |= rel
-        return frozenset(out)
+        return frozenset(self.graph.atoms)
 
     def __contains__(self, atom: GroundAtom) -> bool:
-        return atom in self.relations.get(atom.predicate, frozenset())
+        return atom in self.ids
 
     def extension(self, predicate: str) -> frozenset[GroundAtom]:
-        return self.relations.get(predicate, frozenset())
+        return frozenset(map(self.graph.atoms.__getitem__, self._extensions.get(predicate, ())))
 
 
 Key = str | tuple[str, ...]  # one position: its symbol; several: a tuple
 
 
 class Relation:
-    """The facts of one relation and the hash indexes built on them so far.
+    """The facts of one relation, as ids of the numbered ``atoms`` of a
+    join pass, and the hash indexes built on them so far.
 
     Iterating a relation reads all its facts.  ``index(arity, positions)``
     maps the symbols at ``positions`` (the symbol itself for one position,
@@ -105,36 +168,46 @@ class Relation:
     join pass (a fixpoint or a constraint check): keep none longer.
     """
 
-    __slots__ = ("facts", "_indexes")
+    __slots__ = ("atoms", "facts", "_indexes")
 
-    def __init__(self, facts: Collection[GroundAtom]):
+    def __init__(self, atoms: Sequence[GroundAtom], facts: Sequence[int]):
+        self.atoms = atoms
         self.facts = facts
-        self._indexes: dict[tuple[int, tuple[int, ...]], dict[Key, list[GroundAtom]]] = {}
+        self._indexes: dict[tuple[int, tuple[int, ...]], dict[Key, list[int]]] = {}
 
-    def __iter__(self) -> Iterator[GroundAtom]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.facts)
 
-    def index(self, arity: int, positions: tuple[int, ...]) -> dict[Key, list[GroundAtom]]:
+    def index(self, arity: int, positions: tuple[int, ...]) -> dict[Key, list[int]]:
         index = self._indexes.get((arity, positions))
         if index is None:
             index = self._indexes[arity, positions] = {}
-            _add(index, arity, positions, self.facts)
+            _add(index, arity, positions, self.atoms, self.facts)
         return index
 
-    def update(self, fresh: Collection[GroundAtom]) -> None:
-        """Add facts not yet held to the facts, which must be a set, and
-        to every index built so far."""
-        self.facts.update(fresh)  # type: ignore[attr-defined]
+    def update(self, fresh: Sequence[int]) -> None:
+        """Add facts new to the pass to the facts, which must be a list,
+        and to every index built so far."""
+        self.facts += fresh  # type: ignore[operator]
         for (arity, positions), index in self._indexes.items():
-            _add(index, arity, positions, fresh)
+            _add(index, arity, positions, self.atoms, fresh)
 
 
-def _add(index: dict[Key, list[GroundAtom]], arity: int, positions: tuple[int, ...], facts: Iterable[GroundAtom]):
+def _add(
+    index: dict[Key, list[int]], arity: int, positions: tuple[int, ...], atoms: Sequence[GroundAtom], facts: Iterable[int]
+):
     one = positions[0] if len(positions) == 1 else None
+    # a two-position key, the commonest tuple key, is built without a loop
+    first, second = positions if len(positions) == 2 else (None, None)
     for fact in facts:
-        args = fact.args
+        args = atoms[fact].args
         if len(args) == arity:
-            key = args[one].symbol if one is not None else tuple([args[p].symbol for p in positions])
+            if one is not None:
+                key = args[one].symbol
+            elif first is not None:
+                key = (args[first].symbol, args[second].symbol)
+            else:
+                key = tuple([args[p].symbol for p in positions])
             bucket = index.get(key)
             if bucket is None:
                 index[key] = [fact]
@@ -235,14 +308,17 @@ def _kernel(shape: tuple):
     nested ``for`` per step, each index fetched before the loops, every
     check inlined (a scan's arity by ``len``; constants, repeated
     variables and comparisons, as soon as their variables are bound, as
-    ``is`` tests on symbols).  A
-    fact is named by its slot, the outer facts first and then the atoms'
-    in textual order, and each variable is read at the (slot, position)
-    of the fact that binds it.  The source holds only such indices and
-    generated names; the constants come in the tuple ``c``.  A rule
-    kernel ``k0(src, c, outer, produced, firings)`` adds each head to
-    ``produced`` and appends its body to ``firings[head]``; a match kernel
-    ``k0(src, c, outer)`` yields each match."""
+    ``is`` tests on symbols).  A fact is named by its slot, the outer
+    facts first and then the atoms' in textual order, and each variable
+    is read at the (slot, position) of the fact that binds it.  The outer
+    facts are atoms; an atom's fact is an id, whose atom the kernel reads
+    in the pass's numbered atoms ``A``.  The source holds only such
+    indices and generated names; the constants come in the tuple ``c``.
+    A rule kernel ``k0(src, c, outer, A, ids, F)`` looks each head up
+    once in the pass's ``_Numbering`` ``ids``, which numbers a new one,
+    and appends the firing's body, the tuple of its facts, to the head's
+    list ``F[id]``.  A match kernel
+    ``k0(src, c, outer, A)`` yields each match as its facts' atoms."""
     outer, atoms, comparisons, first, head, consts = shape
     where: dict[int, tuple[int, int]] = {}  # variable -> (slot, position) that binds it
     for slot, terms in enumerate(outer):
@@ -274,7 +350,7 @@ def _kernel(shape: tuple):
         checks[max((ready[n] for n in cmp_[1:] if n >= 0), default=-1) + 1].append(cmp_)
 
     chunks = [order[s : s + _DEPTH] for s in range(0, len(order), _DEPTH)] or [[]]
-    tail = ", produced, firings" if head is not None else ""
+    tail = ", ids, F" if head is not None else ""
     unpack = [f"{''.join(f'c{k}, ' for k in range(consts))}= c"] if consts else []
     lines = []
     before = list(range(base))  # the slots bound before a function's loops
@@ -320,20 +396,19 @@ def _kernel(shape: tuple):
             loops.append((loop, slot, conds))
         after = sorted(before + [base + i for i, _ in chunk])
         if j + 1 < len(chunks):
-            call = f"k{j + 1}(src, c, {_tuple(f'f{s}' for s in after)}{tail})"
+            call = f"k{j + 1}(src, c, {_tuple(f'f{s}' for s in after)}, A{tail})"
             innermost = [call if head is not None else "yield from " + call]
+        elif head is None:
+            innermost = [f"yield {_tuple(f'A[f{base + i}]' for i in range(len(atoms)))}"]
         else:
-            matched = _tuple(f"f{base + i}" for i in range(len(atoms)))
-            if head is None:
-                innermost = [f"yield {matched}"]
-            else:
-                args = _tuple(f"c{-n - 1}" if n < 0 else arg(n) for n in head[0])
-                innermost = [f"h = _atom(c{head[1]}, {args})", "add(h)", f"firings[h].append({matched})"]
+            args = _tuple(f"c{-n - 1}" if n < 0 else arg(n) for n in head[0])
+            fired = _tuple(f"f{base + i}" for i in range(len(atoms)))
+            innermost = [f"h = _atom(c{head[1]}, {args})", f"F[ids[h]].append({fired})"]
 
+        # the outer facts are atoms, the facts of earlier chunks' loops ids
         body = [f"{''.join(f'f{s}, ' for s in before)}= outer"] if before else []
-        body += [f"a{s} = f{s}.args" for s in before if s in used]
+        body += [f"a{s} = {f'f{s}' if s < base else f'A[f{s}]'}.args" for s in before if s in used]
         body += unpack
-        body += ["add = produced.add"] if head is not None and j + 1 == len(chunks) else []
         body += [f"if {' or '.join(prechecks)}:", "    return"] if prechecks else []
         body += fetches
         indent = ""
@@ -341,11 +416,11 @@ def _kernel(shape: tuple):
             body.append(indent + loop)
             indent += "    "
             if slot in used:
-                body.append(f"{indent}a{slot} = f{slot}.args")
+                body.append(f"{indent}a{slot} = A[f{slot}].args")
             if conds:
                 body += [f"{indent}if {' or '.join(conds)}:", f"{indent}    continue"]
         body += [indent + line for line in innermost]
-        lines.append(f"def k{j}(src, c, outer{tail}):")
+        lines.append(f"def k{j}(src, c, outer, A{tail}):")
         lines += ["    " + line for line in body]
         before = after
     namespace = {"_atom": derived_atom}
@@ -354,12 +429,13 @@ def _kernel(shape: tuple):
 
 
 def _matches(
-    plan: _Plan, sources: Sequence[Relation], outer: Sequence[GroundAtom] = ()
+    plan: _Plan, atoms: Sequence[GroundAtom], sources: Sequence[Relation], outer: Sequence[GroundAtom] = ()
 ) -> Iterator[tuple[GroundAtom, ...]]:
     """Each match of a plan compiled without a rule: the facts its atoms
-    matched (the i-th from ``sources[i]``) in textual order, agreeing with
-    the ``outer`` facts of its outer atoms."""
-    return plan.kernel(sources, plan.consts, outer)
+    matched (the i-th from ``sources[i]``, relations over the numbered
+    ``atoms``), as atoms in textual order, agreeing with the ``outer``
+    facts of its outer atoms."""
+    return plan.kernel(sources, plan.consts, outer, atoms)
 
 
 def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
@@ -385,11 +461,43 @@ def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
     return plans[slot]  # type: ignore[return-value]
 
 
-def _relations(facts: Iterable[GroundAtom]) -> dict[str, Relation]:
-    by_predicate: dict[str, set[GroundAtom]] = {}
+class _Numbering(dict):
+    """The atoms of a join pass mapped to their ids, their places in
+    ``atoms``; ``rows[i]`` lists the firings of atom i.  While the pass is
+    ``open``, looking up an atom not yet numbered numbers it: a rule
+    kernel looks up each head it derives, once."""
+
+    __slots__ = ("atoms", "rows", "open")
+
+    def __missing__(self, atom: GroundAtom) -> int:
+        if not self.open:
+            raise KeyError(atom)
+        n = self[atom] = len(self.atoms)
+        self.atoms.append(atom)
+        self.rows.append([])
+        return n
+
+
+def _seed(facts: Iterable[GroundAtom]) -> tuple[_Numbering, dict[str, Relation]]:
+    """The facts of a join pass numbered in the order given, each once,
+    and the relations they make."""
+    ids = _Numbering()
+    atoms = ids.atoms = []
+    by_predicate: dict[str, list[int]] = {}
+    number, group = ids.setdefault, by_predicate.get
+    n = 0
     for fact in facts:
-        by_predicate.setdefault(fact.predicate, set()).add(fact)
-    return {p: Relation(facts) for p, facts in by_predicate.items()}
+        if number(fact, n) == n:
+            atoms.append(fact)
+            held = group(fact.predicate)
+            if held is None:
+                by_predicate[fact.predicate] = [n]
+            else:
+                held.append(n)
+            n += 1
+    ids.rows = [[] for _ in range(n)]
+    ids.open = True
+    return ids, {p: Relation(atoms, held) for p, held in by_predicate.items()}
 
 
 def _compile(program: Program) -> list[tuple[Rule, tuple[str, ...], str]]:
@@ -397,14 +505,17 @@ def _compile(program: Program) -> list[tuple[Rule, tuple[str, ...], str]]:
 
 
 def _round(
-    rules: list, relations: dict[str, Relation], deltas: dict[str, Relation] | None, firings: Firings
-) -> dict[str, set[GroundAtom]]:
+    rules: list, relations: dict[str, Relation], deltas: dict[str, Relation] | None, ids: _Numbering
+) -> dict[str, list[int]]:
     """One round of joins of the ``_compile``d rules: with no ``deltas``
     each rule once over the full relations, else once per body atom with
-    a delta, that atom reading it.  Appends each firing's body to
-    ``firings[head]``; returns the heads by predicate."""
-    heads: dict[str, set[GroundAtom]] = {}
-    empty = Relation(frozenset())
+    a delta, that atom reading it.  Numbers each head new to ``ids`` and
+    appends each firing's body to its head's row; returns the ids of the
+    new heads by predicate (a rule's kernels number only heads of its
+    own)."""
+    atoms, rows = ids.atoms, ids.rows
+    new: dict[str, list[int]] = {}
+    empty = Relation(atoms, ())
     for rule, predicates, head in rules:
         if deltas is None:
             joins = [(_rule_plan(rule), -1)]
@@ -413,117 +524,136 @@ def _round(
             if not joins:
                 continue
         full = [relations.get(p, empty) for p in predicates]
-        produced = heads.setdefault(head, set())
+        start = len(atoms)
         for plan, i in joins:
             sources = full if i < 0 else [*full[:i], deltas[predicates[i]], *full[i + 1 :]]  # type: ignore[index]
-            plan.kernel(sources, plan.consts, (), produced, firings)
-    return heads
+            plan.kernel(sources, plan.consts, (), atoms, ids, rows)
+        if len(atoms) > start:
+            new.setdefault(head, []).extend(range(start, len(atoms)))
+    return new
 
 
-def _semi_naive(program: Program, facts: Iterable[GroundAtom]) -> tuple[dict[str, Relation], Firings]:
-    """The one semi-naive loop: the minimal model over the seed facts, as
-    relations, and its derivation graph (``MinimalModel.firings``),
-    each firing recorded when joined.  Round 0 joins every rule over the
-    seeds; a later round joins what reads the last one's new heads."""
+def _semi_naive(program: Program, facts: Iterable[GroundAtom]) -> MinimalModel:
+    """The one semi-naive loop: the minimal model over the seed facts,
+    numbered, with its derivation graph, each firing recorded when
+    joined.  Round 0 joins every rule over the seeds; a later round joins
+    what reads the last one's new heads."""
     rules = _compile(program)
-    firings: Firings = defaultdict(list)
+    ids, relations = _seed(facts)
+    atoms, seeds = ids.atoms, len(ids.atoms)
     # a rule without atoms has no atom to carry a delta: it fires once,
     # before round 0, and its heads seed the model
-    seeded = _round([r for r in rules if not r[1]], {}, None, firings)
+    for p, fresh in _round([r for r in rules if not r[1]], {}, None, ids).items():
+        if p in relations:
+            relations[p].update(fresh)
+        else:
+            relations[p] = Relation(atoms, fresh)
     rules = [r for r in rules if r[1]]
-    relations = _relations(chain(facts, *seeded.values()))
     for _, _, head in rules:
-        relations.setdefault(head, Relation(set()))
+        relations.setdefault(head, Relation(atoms, []))
     deltas: dict[str, Relation] | None = None
     while deltas is None or deltas:
-        heads = _round(rules, relations, deltas, firings)
+        new = _round(rules, relations, deltas, ids)
         deltas = {}
-        for p, produced in heads.items():
-            held = relations[p]
-            fresh = produced - held.facts  # type: ignore[operator]
-            if fresh:
-                held.update(fresh)
-                deltas[p] = Relation(fresh)
-    return relations, firings
+        for p, fresh in new.items():
+            relations[p].update(fresh)
+            deltas[p] = Relation(atoms, fresh)
+    ids.open = False
+    return MinimalModel(Graph(atoms, seeds, ids.rows), ids, {p: rel.facts for p, rel in relations.items()})
 
 
 def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom]) -> MinimalModel:
     """Least fixpoint of ``program`` over the given facts, with its
-    derivation graph.
+    derivation graph; the facts are numbered first, in the order given.
 
     Facts may mention intensional predicates; they simply seed the model,
     which is what the abduction-to-causality constructions rely on.
     """
-    base = instance.atoms if isinstance(instance, Instance) else instance
-    relations, firings = _semi_naive(program, base)
-    return MinimalModel({p: frozenset(rel.facts) for p, rel in relations.items() if rel.facts}, firings)
+    return _semi_naive(program, instance.atoms if isinstance(instance, Instance) else instance)
 
 
-def ground(program: Program, atoms: Iterable[GroundAtom]) -> Firings:
-    """The ground program of ``program`` over ``atoms``, shaped as
-    ``MinimalModel.firings``: every rule joined once over them, one naive
-    round.  Over a closed model it is the model's derivation graph."""
-    firings: Firings = defaultdict(list)
-    _round(_compile(program), _relations(atoms), None, firings)
-    return firings
+def ground(program: Program, facts: Iterable[GroundAtom]) -> Graph:
+    """The ground program of ``program`` over the facts: every rule joined
+    once over them, one naive round, into a numbering of its own whose
+    seeds are the facts, each once in the order given.  Over a closed
+    model it is the model's derivation graph, and it numbers no head past
+    the seeds."""
+    ids, relations = _seed(facts)
+    seeds = len(ids.atoms)
+    _round(_compile(program), relations, None, ids)
+    return Graph(ids.atoms, seeds, ids.rows)
 
 
-def reached(firings: Firings, goals: Iterable[GroundAtom]) -> Firings:
-    """The part of a derivation graph the goals reach backward, which every
-    derivation of a goal uses: each head with its bodies, in depth-first
-    post-order (off cycles, after the heads in its bodies)."""
-    out: Firings = {}
-    seen: set[GroundAtom] = set()
-    stack = [goal for goal in goals if goal in firings]
+# a derivation graph's part that some goals reach: each head's id with
+# its bodies, as tuples of ids, in ``reached``'s order
+Reached = list[tuple[int, Sequence[tuple[int, ...]]]]
+
+
+def reached(graph: Graph, goals: Iterable[int]) -> Reached:
+    """The part of a derivation graph the goals (ids) reach backward,
+    which every derivation of a goal uses: each head with its bodies, in
+    depth-first post-order (off cycles, after the heads in its bodies)."""
+    # 1: a head not yet seen; 2: its bodies are pushed; 0: it is out, or
+    # not a head
+    state = graph.heads_mask()
+    firings = graph.rows.__getitem__ if graph.offsets is None else graph.firings
+    pending: dict[int, Sequence[tuple[int, ...]]] = {}
+    out: Reached = []
+    stack = [goal for goal in goals if state[goal]]
     while stack:
         head = stack[-1]
-        if head not in seen:
+        if state[head] == 1:
             # its unseen heads go above it and are done before it
-            seen.add(head)
-            stack += [a for body in firings[head] for a in body if a not in seen and a in firings]
+            state[head] = 2
+            bodies = pending[head] = firings(head)
+            stack += [a for body in bodies for a in body if state[a] == 1]
         else:
             stack.pop()
-            out.setdefault(head, firings[head])
+            if state[head]:
+                state[head] = 0
+                out.append((head, pending.pop(head)))
     return out
 
 
-def reads_ahead(firings: Firings) -> bool:
+def reads_ahead(program: Reached) -> bool:
     """True if some body holds a head at its own head's position or a
-    later one, so that one sweep in the map's order may read a head
+    later one, so that one sweep in the list's order may read a head
     before its last change; in ``reached``'s order, only on a cycle."""
-    later = set(firings)
-    for head, bodies in firings.items():
-        if not all(later.isdisjoint(body) for body in bodies):
-            return True
+    later = {head for head, _ in program}
+    for head, bodies in program:
+        for body in bodies:
+            if not later.isdisjoint(body):
+                return True
         later.discard(head)
     return False
 
 
-def propagate(
-    firings: Firings, shared: Iterable[GroundAtom], worlds: Iterable[Iterable[GroundAtom]]
-) -> dict[GroundAtom, int]:
+def propagate(program: Reached, size: int, shared: Iterable[int], worlds: Iterable[Iterable[int]]) -> list[int]:
     """The minimal models of worlds (fact sets, each with the shared
-    facts) inside one model, read off its ground program ``firings`` with
-    no join (Dowling & Gallier, JLP 1984): each atom of some world's model
-    mapped to the bitmask of the worlds holding it (bit i: the i-th world;
-    -1: all).  A firing's mask, the AND of its body's, is ORed into its
-    head's, in one sweep in the map's order, and in further sweeps until
-    none grows only if a body reads ahead (``reads_ahead``)."""
-    masks = dict.fromkeys(shared, -1)
+    facts) inside one model, read off its ground program with no join
+    (Dowling & Gallier, JLP 1984): the bitmask of the worlds holding each
+    of the model's ``size`` atoms, by id (bit i: the i-th world; -1:
+    all).  A firing's mask, the AND of its body's, is ORed into its
+    head's, in one sweep in the program's order, and in further sweeps
+    until none grows only if a body reads ahead (``reads_ahead``)."""
+    masks = [0] * size
+    for fact in shared:
+        masks[fact] = -1
     for i, world in enumerate(worlds):
+        bit = 1 << i
         for fact in world:
-            masks[fact] = masks.get(fact, 0) | 1 << i
-    again = reads_ahead(firings)
+            masks[fact] |= bit
+    again = reads_ahead(program)
     grown = True
     while grown:
         grown = False
-        for head, bodies in firings.items():
-            old = masks.get(head, 0)
+        for head, bodies in program:
+            old = masks[head]
             mask = old
             for body in bodies:
                 both = -1
                 for atom in body:
-                    both &= masks.get(atom, 0)
+                    both &= masks[atom]
                 mask |= both
             if mask != old:
                 masks[head] = mask

@@ -128,11 +128,15 @@ def encode_phca(problem: PropositionalHornAbduction) -> AbductionProblem:
     """The Datalog abduction problem whose relevant marker atoms are
     exactly the relevant hypotheses of the propositional problem."""
     rules, true_marker = three_bounded(problem)
-    program = Program((Rule(Atom("t", (Constant(true_marker),)), ()), _T_RULE), "t")
-    extensional = frozenset(
-        GroundAtom("r", (Constant(head), Constant(b1), Constant(b2), Constant(b3)))
-        for head, (b1, b2, b3) in rules
-    )
-    hypotheses = frozenset(GroundAtom("t", (Constant(h),)) for h in sorted(problem.hypotheses))
-    observation = tuple(GroundAtom("t", (Constant(o),)) for o in problem.observations)
+    # one constant per variable, so that the r facts and the t atoms
+    # share their arguments and compare them by identity
+    names = {true_marker, *problem.hypotheses, *problem.observations}
+    for head, body in rules:
+        names.add(head)
+        names.update(body)
+    c = {name: Constant(name) for name in names}
+    program = Program((Rule(Atom("t", (c[true_marker],)), ()), _T_RULE), "t")
+    extensional = frozenset(GroundAtom("r", (c[head], c[b1], c[b2], c[b3])) for head, (b1, b2, b3) in rules)
+    hypotheses = frozenset(GroundAtom("t", (c[h],)) for h in sorted(problem.hypotheses))
+    observation = tuple(GroundAtom("t", (c[o],)) for o in problem.observations)
     return AbductionProblem(program, extensional, hypotheses, observation)

@@ -19,6 +19,10 @@ target, by definition.  Every other world tested here (the instance
 without a solution, a candidate subinstance, that subinstance with one
 tuple put back) lies inside the model of the whole instance, so all of
 them come from one propagation over its derivation graph, with no join.
+That graph is over integers (``evaluator.Graph``): a world is a list of
+ids, and the propagation indexes lists by id.  The graph the cause
+analysis kept numbers the instance's tuples first, so they are looked
+up among its seeds; the membership test's own fixpoint has the id map.
 """
 
 from __future__ import annotations
@@ -62,9 +66,17 @@ def minimal_source_solutions(
     # whose graph the analysis recorded
     solutions = necessary_hypothesis_sets(analysis.problem)
     touched = frozenset().union(*solutions)
-    firings = analysis.problem.firings
-    masks = propagate(reached(firings, firings), instance.atoms - touched, [touched - r for r in solutions])
-    views = [(a, m) for a, m in masks.items() if a.predicate == program.answer_predicate]
+    graph = analysis.problem.graph
+    # the graph's seeds are the instance's tuples
+    ids = dict(zip(graph.atoms, range(graph.seeds)))
+    kept = [i for atom, i in ids.items() if atom not in touched]
+    masks = propagate(
+        reached(graph, range(len(graph.atoms))),
+        len(graph.atoms),
+        kept,
+        [[ids[a] for a in touched - removed] for removed in solutions],
+    )
+    views = [(a, m) for a, m in zip(graph.atoms, masks) if m and a.predicate == program.answer_predicate]
     return tuple(
         DeletionSolution(removed, "minimal_source", frozenset(a for a, mask in views if mask >> i & 1))
         for i, removed in enumerate(solutions)
@@ -112,8 +124,10 @@ def check_source_solution(
     # back, for maximality: each must restore the answer (monotonicity
     # lifts this to all supersets)
     removed = instance.atoms - subinstance.atoms
-    worlds = [(), *([atom] for atom in removed)]
-    held = propagate(reached(model.firings, [answer]), subinstance.atoms, worlds).get(answer, 0)
+    ids = model.ids
+    worlds = [(), *([ids[atom]] for atom in removed)]
+    goal = ids[answer]
+    held = propagate(reached(model.graph, [goal]), len(ids), [ids[a] for a in subinstance.atoms], worlds)[goal]
     if held & 1:
         return False
     if mode == "s":

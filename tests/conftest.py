@@ -82,11 +82,36 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buffer.getvalue()
 
 
+def firing_pairs(graph) -> list[tuple[GroundAtom, tuple[GroundAtom, ...]]]:
+    """Every firing of a numbered derivation graph (``evaluator.Graph``)
+    as its head and body atoms, in id order."""
+    atoms = graph.atoms
+    return [(atoms[h], tuple(atoms[a] for a in body)) for h in range(len(atoms)) for body in graph.firings(h)]
+
+
+def tamper(problem, edit) -> None:
+    """Replace the recorded graph of an abduction problem with the one
+    whose firings ``edit`` leaves: it gets the list of ``firing_pairs``
+    and changes it in place.  Every atom keeps its id, and the graph is
+    compacted, as the problem keeps it."""
+    from whyd.evaluator import Graph
+
+    graph = problem.graph
+    ids = {a: i for i, a in enumerate(graph.atoms)}
+    pairs = firing_pairs(graph)
+    edit(pairs)
+    rows: list = [[] for _ in graph.atoms]
+    for head, body in pairs:
+        rows[ids[head]].append(tuple(ids[a] for a in body))
+    object.__setattr__(problem, "graph", Graph(graph.atoms, graph.seeds, rows).compact())
+
+
 def count_facts_read(monkeypatch, count) -> None:
     """From now on, call ``count(n)`` each time a join kernel reads n
-    facts through ``evaluator.Relation``: a relation it scans, or the
-    bucket of an index it probes (a bucket the kernel fetched before its
-    loops counts once).  The kernels themselves count nothing."""
+    facts (ids of its pass's atoms) through ``evaluator.Relation``: a
+    relation it scans, or the bucket of an index it probes (a bucket the
+    kernel fetched before its loops counts once).  The kernels themselves
+    count nothing."""
     from whyd.evaluator import Relation
 
     kernel = "<whyd kernel>"  # the file name kernels are compiled under

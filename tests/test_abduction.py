@@ -30,11 +30,20 @@ from whyd.errors import (
 )
 from whyd.model import GroundAtom, Instance, Program, Rule, ground
 from whyd.parsing import parse_ground_atom, parse_instance, parse_program
+from whyd.phca import encode_phca
 from whyd.viewupdate import minimal_source_solutions
 
 import corpus
 import oracle
-from conftest import atom, count_facts_read, load_document, load_instance, load_program, specialize_to_answer
+from conftest import (
+    atom,
+    count_facts_read,
+    load_document,
+    load_instance,
+    load_program,
+    specialize_to_answer,
+    tamper,
+)
 
 
 def _family(diagnoses):
@@ -393,8 +402,15 @@ def _fresh_problem(tag: str) -> AbductionProblem:
 
 
 def _fake_why(family):
-    """A provenance pass that gives every goal ``family``."""
-    return lambda firings, extensional, hypotheses, goals: {goal: list(family) for goal in goals}
+    """A provenance pass that gives every goal ``family``, as bitmasks
+    over the hypotheses its sets hold."""
+
+    def why(graph, extensional, goals):
+        members = sorted(set().union(*family), key=GroundAtom.sort_key)
+        masks = [sum(1 << members.index(a) for a in delta) for delta in family]
+        return [graph.atoms.index(a) for a in members], [masks for _ in goals]
+
+    return why
 
 
 def test_invariant_check_rejects_non_minimal_family(monkeypatch):
@@ -430,7 +446,7 @@ def test_invariant_check_rederives_a_dropped_firing():
     problem = _shortcut_problem("dropped")
     p, q = ground("dropped_p"), ground("dropped_q")
     assert solve_diagnoses(problem) == (frozenset({ground("dropped_x")}),)
-    problem.firings[p].remove((q,))
+    tamper(problem, lambda firings: firings.remove((p, (q,))))
     solve_diagnoses.cache_clear()
     with pytest.raises(InternalInvariantError, match="not minimal: dropped_y is redundant"):
         solve_diagnoses(problem)
@@ -439,7 +455,7 @@ def test_invariant_check_rederives_a_dropped_firing():
 def test_invariant_check_rejects_a_bogus_firing():
     # a recorded p <- y gives the diagnosis {y}, which entails nothing
     problem = _shortcut_problem("bogus")
-    problem.firings[ground("bogus_p")].append((ground("bogus_y"),))
+    tamper(problem, lambda firings: firings.append((ground("bogus_p"), (ground("bogus_y"),))))
     solve_diagnoses.cache_clear()
     with pytest.raises(InternalInvariantError, match="does not entail"):
         solve_diagnoses(problem)
@@ -449,7 +465,12 @@ def test_invariant_check_rejects_a_model_that_is_not_closed():
     # a recorded graph without q's firing leaves q out of the atoms the
     # check grounds again, and q <- x derives it
     problem = _shortcut_problem("open")
-    del problem.firings[ground("open_q")]
+    q = ground("open_q")
+
+    def drop_q(firings):
+        firings[:] = [f for f in firings if f[0] != q]
+
+    tamper(problem, drop_q)
     solve_diagnoses.cache_clear()
     with pytest.raises(InternalInvariantError, match="not closed: it misses open_q"):
         solve_diagnoses(problem)
@@ -462,9 +483,10 @@ def test_invariant_check_passes_the_true_family():
 
 _OPTIMIZED_CHECK = """
 import sys
-from whyd import abduction, evaluator
+from whyd import abduction
 from whyd.abduction import AbductionProblem, solve_diagnoses
 from whyd.errors import InternalInvariantError
+from whyd.evaluator import Graph
 from whyd.model import ground
 from whyd.parsing import parse_program
 
@@ -476,10 +498,12 @@ except AssertionError:
 program = parse_program("q(X) :- e(X, Y), f(Y).")
 hypotheses = frozenset({ground("e", "a", "b"), ground("f", "b"), ground("f", "c")})
 real_why = abduction._minimal_why
-for fake in ([frozenset(hypotheses)], [frozenset({ground("e", "a", "b")})]):
+for fake in ([sorted(hypotheses, key=str)], [[ground("e", "a", "b")]]):
     problem = AbductionProblem(program, frozenset(), hypotheses, (ground("q", "a"),))
     solve_diagnoses.cache_clear()
-    abduction._minimal_why = lambda firings, ext, hyps, goals, fake=fake: {g: fake for g in goals}
+    abduction._minimal_why = lambda graph, ext, goals, fake=fake: (
+        [graph.atoms.index(a) for a in fake[0]], [[(1 << len(fake[0])) - 1] for _ in goals]
+    )
     try:
         solve_diagnoses(problem)
     except InternalInvariantError as exc:
@@ -490,9 +514,13 @@ abduction._minimal_why = real_why
 # p :- x, y.  p :- q.  q :- x.  with p <- q dropped from, or a bogus
 # p <- y added to, the recorded graph
 shortcut = parse_program("p :- x, y.\\np :- q.\\nq :- x.\\n")
-for tamper in (lambda f: f[ground("p")].remove((ground("q"),)), lambda f: f[ground("p")].append((ground("y"),))):
+for tamper in (lambda p, q, y: [b for b in p if b != (q,)], lambda p, q, y: [*p, (y,)]):
     problem = AbductionProblem(shortcut, frozenset(), frozenset({ground("x"), ground("y")}), (ground("p"),))
-    tamper(problem.firings)
+    graph = problem.graph
+    p, q, y = (graph.atoms.index(ground(name)) for name in "pqy")
+    rows = [graph.firings(h) for h in range(len(graph.atoms))]
+    rows[p] = tamper(rows[p], q, y)
+    object.__setattr__(problem, "graph", Graph(graph.atoms, graph.seeds, rows).compact())
     solve_diagnoses.cache_clear()
     try:
         solve_diagnoses(problem)
@@ -649,6 +677,57 @@ def test_solves_and_view_supports_join_only_inside_the_fixpoint_loop(monkeypatch
     assert 0 < counts["outside"] <= counts["inside"], counts
 
 
+def _count_atom_hashes(monkeypatch) -> Counter:
+    """Counts from now on the calls to ``GroundAtom.__hash__`` in the
+    provenance pass ("why"), in the check outside its ``ground`` round
+    ("check") and in that round ("ground")."""
+    counts: Counter = Counter()
+    phase: list[str] = []
+
+    def hashed(atom):
+        if phase:
+            counts[phase[-1]] += 1
+        return atom._hash
+
+    def in_phase(name, real):
+        def run(*args):
+            phase.append(name)
+            try:
+                return real(*args)
+            finally:
+                phase.pop()
+
+        return run
+
+    monkeypatch.setattr(GroundAtom, "__hash__", hashed)
+    for name, attr in (("why", "_minimal_why"), ("check", "_check"), ("ground", "ground")):
+        monkeypatch.setattr(abduction, attr, in_phase(name, getattr(abduction, attr)))
+    return counts
+
+
+@pytest.mark.parametrize("case", ["ladder-8", "phca-6"])
+def test_provenance_and_check_hash_no_atom_per_firing(monkeypatch, case):
+    # the provenance pass and the check read the numbered graph: the pass
+    # may look up each goal atom once, the check each goal atom and each
+    # fact of each world, and neither an atom per body atom of a firing
+    if case == "ladder-8":
+        problem = _tc_problem(_LADDER, "ans(wl, wlt)")
+    else:
+        problem = encode_phca(corpus.random_phca(6))
+    part = evaluator.reached(problem.graph, problem.goal)
+    body_atoms = sum(len(body) for _, bodies in part for body in bodies)
+    solve_diagnoses.cache_clear()
+    counts = _count_atom_hashes(monkeypatch)
+    family = solve_diagnoses(problem)
+    monkeypatch.undo()
+    worlds = {w for delta in family for w in (delta, *(delta - {d} for d in delta))}
+    assert len(family) > 1 and max(map(len, family)) > 1, family
+    assert counts["ground"] > 0, counts
+    assert counts["why"] <= len(problem.observation), counts
+    assert counts["check"] <= len(problem.observation) + sum(map(len, worlds)), counts
+    assert max(counts["why"], counts["check"]) < body_atoms, (counts, body_atoms)
+
+
 def test_acyclic_provenance_forms_one_product_per_reached_firing(monkeypatch):
     # on an acyclic reached graph one sweep annotates each head once, from
     # the final antichains of its distinct bodies
@@ -657,12 +736,12 @@ def test_acyclic_provenance_forms_one_product_per_reached_firing(monkeypatch):
     monkeypatch.setattr(abduction, "_product", lambda families: products.append(families) or real(families))
     for facts, target, count in ((_CHAIN, "ans(wc0, wc16)", 1), (_LADDER, "ans(wl, wlt)", 8)):
         problem = _tc_problem(facts, target)
-        graph = evaluator.reached(problem.firings, problem.observation)
+        graph = evaluator.reached(problem.graph, problem.goal)
         assert not evaluator.reads_ahead(graph)
         products.clear()
         solve_diagnoses.cache_clear()
         assert len(solve_diagnoses(problem)) == count
-        assert len(products) == sum(len(set(bodies)) for bodies in graph.values()), target
+        assert len(products) == sum(len(set(bodies)) for _, bodies in graph), target
 
 
 def test_necessity_degrees_of_a_ladder_take_one_search(monkeypatch):

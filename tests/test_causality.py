@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -333,6 +335,36 @@ def test_the_analysis_cache_keeps_no_caller_instance():
     assert [instance.label_of(r.cause) for r in reports] == ["t1", "t2", "t3"]
     del instance
     assert tracked() is None
+
+
+def test_a_cached_chain_request_keeps_a_compact_graph():
+    # 500 distinct chain-8 requests, after 50 that compile and warm up
+    # everything shared: what the caches keep for each, by tracemalloc
+    # (not RSS), is at most 22 KiB; a cached problem holds its graph as
+    # its atom list and two integer arrays
+    program = load_program("graph.dl")
+
+    def request(tag: str) -> None:
+        instance = parse_instance("".join(f"e({tag}n{i}, {tag}n{i + 1}).\n" for i in range(8)))
+        cause_reports(instance, program, atom(f"ans({tag}n0, {tag}n8)"))
+
+    try:
+        for i in range(50):
+            request(f"mw{i}")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(500):
+                request(f"mk{i}")
+            gc.collect()
+            kept = (tracemalloc.get_traced_memory()[0] - before) / 500
+        finally:
+            tracemalloc.stop()
+    finally:
+        solve_diagnoses.cache_clear()
+        causality.CauseAnalysis.for_query.cache_clear()
+    assert kept <= 22 * 1024, f"{kept / 1024:.1f} KiB a request"
 
 
 def test_a_second_request_over_a_program_builds_no_program_and_compiles_no_plan(monkeypatch):

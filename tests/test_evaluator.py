@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 
 import pytest
 
@@ -27,7 +27,16 @@ from whyd.phca import encode_phca
 import corpus
 import oracle
 from oracle import naive_fixpoint
-from conftest import atom, count_facts_read, load_document, load_instance, load_program, run_cli, specialize_to_answer
+from conftest import (
+    atom,
+    count_facts_read,
+    firing_pairs,
+    load_document,
+    load_instance,
+    load_program,
+    run_cli,
+    specialize_to_answer,
+)
 
 
 def test_graph_fixpoint_contains_closure():
@@ -201,25 +210,33 @@ def test_planned_join_matches_brute_force():
                 facts.setdefault(predicate, []).append(ground(predicate, *(rng.choice("abc") for _ in range(width))))
         variables = sorted({v for a in atoms for v in a.variables()}, key=str)
         rule = Rule(Atom("h", (*variables, Constant("k"))), (*atoms, *comparisons))
+        # the facts numbered as a join pass numbers its seeds
+        numbered = list(dict.fromkeys(f for held in facts.values() for f in held))
+        ids = {f: i for i, f in enumerate(numbered)}
         for first in (None, *range(len(atoms))):
-            sources = [Relation(set(facts.get(a.predicate, ()))) for a in atoms]
+            held = [{ids[f] for f in facts.get(a.predicate, ())} for a in atoms]
             if first is not None:
                 pool = facts.get(atoms[first].predicate, [])
-                sources[first] = Relation(set(rng.sample(pool, min(len(pool), rng.randint(1, 5)))))
+                held[first] = {ids[f] for f in rng.sample(pool, min(len(pool), rng.randint(1, 5)))}
+            sources = [Relation(numbered, list(h)) for h in held]
             plan = _plan(atoms, comparisons, first, outer)
-            engine = Counter(_matches(plan, sources, outer_facts))
-            brute = oracle.join_matches(atoms, [s.facts for s in sources], comparisons, binding)
+            engine = Counter(_matches(plan, numbered, sources, outer_facts))
+            brute = oracle.join_matches(atoms, [[numbered[i] for i in h] for h in held], comparisons, binding)
             assert engine == Counter(facts for _, facts in brute), (seed, first, atoms, comparisons, outer)
             shapes["matched" if brute else "empty"] += 1
             shapes["probed"] += any(s._indexes for s in sources)
             if all(v in variables for c in comparisons for v in c.variables()):
-                firings, produced = defaultdict(list), set()
+                numbering, _ = evaluator._seed(numbered)
+                pass_atoms, rows = numbering.atoms, numbering.rows
                 plan = _plan(atoms, comparisons, first, rule=rule)
-                plan.kernel(sources, plan.consts, (), produced, firings)
-                brute = oracle.join_matches(atoms, [s.facts for s in sources], comparisons)
+                plan.kernel([Relation(pass_atoms, list(h)) for h in held], plan.consts, (), pass_atoms, numbering, rows)
+                brute = oracle.join_matches(atoms, [[numbered[i] for i in h] for h in held], comparisons)
                 fired = [(GroundAtom("h", (*(b[v] for v in variables), Constant("k"))), body) for b, body in brute]
-                assert produced == {head for head, _ in fired}, (seed, first, rule)
-                assert Counter((h, body) for h, bodies in firings.items() for body in bodies) == Counter(fired)
+                # each head numbered once, past the seeds
+                derived = pass_atoms[len(numbered) :]
+                assert len(set(derived)) == len(derived) and set(derived) == {head for head, _ in fired}, (seed, first)
+                graph = evaluator.Graph(pass_atoms, len(numbered), rows)
+                assert Counter(firing_pairs(graph)) == Counter(fired)
                 shapes["fired"] += bool(brute)
     assert shapes["matched"] >= 200 and shapes["empty"] >= 200 and shapes["probed"] >= 500, shapes
     assert shapes["fired"] >= 200, shapes
@@ -412,16 +429,17 @@ def _assert_worlds_match_naive(program: Program, worlds, shared, context) -> boo
     order and in ``reached``'s, gives each world the naive fixpoint over
     it and the shared facts.  True if that program is cyclic."""
     model = evaluate_fixpoint(program, set(shared).union(*worlds))
-    firings = evaluator.ground(program, model.atoms())
-    assert {(h, b) for h, bodies in firings.items() for b in bodies} == {
-        (h, b) for h, bodies in model.firings.items() for b in bodies
-    }, context
-    ordered = evaluator.reached(firings, firings)
+    graph = evaluator.ground(program, model.atoms())
+    assert graph.seeds == len(graph.atoms), context
+    assert set(firing_pairs(graph)) == set(firing_pairs(model.graph)), context
+    ids = {a: i for i, a in enumerate(graph.atoms)}
+    own = [(h, graph.firings(h)) for h in range(len(graph.atoms)) if graph.firings(h)]
+    ordered = evaluator.reached(graph, range(len(graph.atoms)))
     expected = [naive_fixpoint(program, set(shared) | set(world)) for world in worlds]
-    for graph in (firings, ordered):
-        masks = propagate(graph, shared, worlds)
+    for part in (own, ordered):
+        masks = propagate(part, len(graph.atoms), [ids[a] for a in shared], [[ids[a] for a in w] for w in worlds])
         for i in range(len(worlds)):
-            assert {a for a, mask in masks.items() if mask >> i & 1} == expected[i], (context, i)
+            assert {graph.atoms[a] for a, mask in enumerate(masks) if mask >> i & 1} == expected[i], (context, i)
     return evaluator.reads_ahead(ordered)
 
 
@@ -510,8 +528,7 @@ def _assert_firings_match_oracle(program: Program, facts, context) -> Counter:
         for binding, body in oracle.join_matches(atoms, sources, list(rule.comparisons())):
             head = GroundAtom(rule.head.predicate, tuple(binding.get(t, t) for t in rule.head.args))
             expected.add((head, body))
-    firings = evaluate_fixpoint(program, facts).firings
-    assert {(head, body) for head, bodies in firings.items() for body in bodies} == expected, context
+    assert set(firing_pairs(evaluate_fixpoint(program, facts).graph)) == expected, context
     seeded = {GroundAtom(a.predicate, a.args) for a in facts}
     return Counter(
         "bodiless" if not body else "seeded head" if head in seeded else "derived" for head, body in expected

@@ -115,5 +115,5 @@ def test_random_diagnoses_match_propositional_brute_force():
         engine = {frozenset(a.args[0].symbol for a in d) for d in solve_diagnoses(encoded)}
         brute = oracle.phca_diagnoses(problem.rules, problem.hypotheses, problem.observations)
         assert engine == set(brute), problem
-        cyclic += reads_ahead(reached(encoded.firings, encoded.observation))
+        cyclic += reads_ahead(reached(encoded.graph, encoded.goal))
     assert cyclic >= 150, cyclic

@@ -259,10 +259,12 @@ def test_view_support_families_are_checked(monkeypatch, capsys):
     # caller of the one view pass must reject it, the CLI with exit 3
     real = abduction._minimal_why
 
-    def padded(firings, extensional, hypotheses, goals):
-        found = real(firings, extensional, hypotheses, goals)
-        found[goals[0]] = [delta | hypotheses for delta in found[goals[0]]]
-        return found
+    def padded(graph, extensional, goals):
+        hypotheses, families = real(graph, extensional, goals)
+        # the deletable tuples are the graph's seeds past the extensional ones
+        hypotheses += [h for h in range(extensional, graph.seeds) if h not in hypotheses]
+        families[0] = [delta | (1 << len(hypotheses)) - 1 for delta in families[0]]
+        return hypotheses, families
 
     monkeypatch.setattr(abduction, "_minimal_why", padded)
     program, instance = load_program("access.dl"), load_instance("access.facts")
