@@ -16,18 +16,18 @@ that off cycles each head is annotated once, and holds the sets as
 bitmasks.  The graph is over integers (``evaluator.Graph``): the
 fixpoint numbers the extensional facts first, then the other
 hypotheses, then the derived atoms, so a fact's kind is an id range and
-the pass indexes lists by id instead of hashing atoms; a problem keeps
-the graph compacted, without the id map.  The same pass over every
-answer of a program at once gives each answer's minimal support sets
-(``support_families``), behind view-conditioned causes and
-side-effect-free deletions.  Each family is checked by direct
+the pass indexes lists by id instead of hashing atoms.  The graph lives
+only as long as its solve: what is kept is the family.  The same pass
+over every answer of a program at once gives each answer's minimal
+support sets (``support_families``), behind view-conditioned causes
+and side-effect-free deletions.  Each family is checked by direct
 evaluation before it is returned: every set, and every set with one
 element dropped, is a world, and all of them are propagated over a
 ground program that the check derives again by joins, into a numbering
 of its own that the recorded graph's atoms seed.  Hypotheses are plain
-tuples, so a problem is a value: equal problems share one cached family
-and one necessary-set search, whatever labels their callers give the
-tuples.
+tuples, so a problem is a plain value, solved when it is built: equal
+problems share one cached family and one necessary-set search, whatever
+labels their callers give the tuples.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
-from .evaluator import Graph, evaluate_fixpoint, fresh_predicate, ground, propagate, reached, reads_ahead
+from .evaluator import Graph, evaluate_fixpoint, fresh_predicate, ground, propagate, reached
 from .hitting import minimal_hitting_sets
 from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
 
@@ -59,12 +59,9 @@ Goal = tuple[int, ...]
 class AbductionProblem:
     """``(program, extensional facts, hypotheses, observation)`` with the
     standing assumption that program + facts + all hypotheses entail the
-    observation (checked at construction).  ``graph`` is the recorded
-    derivation graph (``evaluator.Graph``) of that model under the
-    caller's program itself, its atoms numbered extensional facts first,
-    then the other hypotheses, then the derived atoms, and compacted once
-    the diagnoses are solved; the observation atoms are its goals,
-    ``goal`` their ids."""
+    observation.  Construction solves the problem (``solve_diagnoses``),
+    which checks that assumption: a problem that exists has its
+    diagnoses cached."""
 
     program: Program
     extensional: frozenset[GroundAtom]
@@ -78,15 +75,7 @@ class AbductionProblem:
         # head-freeness.
         if not self.observation:
             raise ObservationNotEntailableError("empty observation")
-        model = evaluate_fixpoint(self.program, chain(self.extensional, self.hypotheses - self.extensional))
-        goal = tuple(model.ids.get(atom, -1) for atom in self.observation)
-        if -1 in goal:
-            raise ObservationNotEntailableError("the observation is not entailed even with every hypothesis added")
-        # the graph is kept, not the model's id map
-        object.__setattr__(self, "graph", model.graph)
-        object.__setattr__(self, "goal", goal)
-        # the necessary-hypothesis sets, once searched for
-        object.__setattr__(self, "_necessary", None)
+        solve_diagnoses(self)
 
 
 def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple[list[int], list[list[int]]]:
@@ -114,7 +103,7 @@ def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple
     until no antichain changes; antichains only move down a finite lattice, so
     the sweeps stop.  A goal's family is the product of its atoms'
     antichains; a one-atom goal's is its atom's."""
-    program = reached(graph, chain.from_iterable(goals))
+    program, cyclic = reached(graph, chain.from_iterable(goals))
     size, seeds = len(graph.atoms), graph.seeds
     hypotheses: list[int] = []  # bit i: the i-th reached hypothesis
     why: list[list[int] | None] = [None] * size
@@ -133,7 +122,6 @@ def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple
                 why[atom] = []
     # {∅} absorbs every set: heads annotated with it are final
     order = [(head, set(bodies)) for head, bodies in program if why[head] != [0]]
-    cyclic = reads_ahead(program)
     # a head is annotated again only if a body atom changed since it was
     # last annotated: at a later clock than its own
     changed_at = [0] * size
@@ -236,11 +224,10 @@ def _check(
             used |= delta
     bits = _bits(used)
     members = [hypotheses[bit] for bit in bits]
-    heads = graph.heads_mask()  # the heads not yet among the seeds
-    if extensional:
-        heads[:extensional] = bytes(extensional)
+    heads = list(map(bool, graph.rows))  # the heads not yet among the seeds
+    heads[:extensional] = [False] * extensional
     for atom in members:
-        heads[atom] = 0
+        heads[atom] = False
     seeds = [*range(extensional), *members, *compress(range(len(heads)), heads)]  # in the graph's ids
     check = ground(program, map(graph.atoms.__getitem__, seeds))
     if check.seeds < len(seeds):
@@ -270,8 +257,8 @@ def _check(
     # a goal atom that is no seed is a hypothesis in no world
     placed = dict(zip(seeds, range(len(seeds))))  # an id in the graph -> its new id
     numbered = [[placed.get(atom, -1) for atom in goal] for goal in goals]
-    part = reached(check, [atom for atoms in numbered for atom in atoms if atom >= 0])
-    masks = propagate(part, len(check.atoms), range(extensional), facts)
+    part, cyclic = reached(check, [atom for atoms in numbered for atom in atoms if atom >= 0])
+    masks = propagate(part, cyclic, len(check.atoms), range(extensional), facts)
     for goal, atoms, family in zip(goals, numbered, families):
         if not family:
             raise InternalInvariantError(f"no diagnosis found for {_render_goal(graph, goal)}, which is entailable")
@@ -293,6 +280,31 @@ def _check(
                     )
 
 
+def _solve(
+    program: Program,
+    fixed: frozenset[GroundAtom],
+    deletable: frozenset[GroundAtom],
+    goals: Sequence[tuple[GroundAtom, ...]] | None,
+) -> tuple[Sequence[tuple[GroundAtom, ...]], list[tuple[Diagnosis, ...]]]:
+    """Each goal (a conjunction of atoms) with its minimal why-provenance
+    over the deletable facts given the fixed ones, in canonical order; no
+    ``goals``: every answer of the program, each a goal of its own, in
+    atom order.  One fixpoint over the fixed facts and then the deletable
+    ones records the derivation graph, one provenance pass over it gives
+    every family and ``_check`` verifies them; the graph is then dropped.
+    A goal atom outside the model raises
+    ``ObservationNotEntailableError``."""
+    model = evaluate_fixpoint(program, chain(fixed, deletable - fixed))
+    if goals is None:
+        goals = [(answer,) for answer in sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)]
+    ids = [tuple(model.ids.get(atom, -1) for atom in goal) for goal in goals]
+    if any(-1 in goal for goal in ids):
+        raise ObservationNotEntailableError("the observation is not entailed even with every hypothesis added")
+    hypotheses, families = _minimal_why(model.graph, len(fixed), ids)
+    _check(program, model.graph, len(fixed), ids, hypotheses, families)
+    return goals, _families(model.graph, hypotheses, families)
+
+
 @lru_cache(maxsize=None)
 def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     """All abductive diagnoses, in canonical order.  Never empty; equals
@@ -302,13 +314,9 @@ def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     The diagnoses come from one why-provenance pass and pass ``_check``
     before they are returned; a failed check raises
     ``InternalInvariantError``.  Results are cached by problem value
-    (``cache_info``, ``cache_clear``), so equal problems share them."""
-    graph, extensional = problem.graph, len(problem.extensional)
-    hypotheses, families = _minimal_why(graph, extensional, (problem.goal,))
-    _check(problem.program, graph, extensional, (problem.goal,), hypotheses, families)
-    # the problem is cached from now on: it keeps its graph compacted
-    object.__setattr__(problem, "graph", graph.compact())
-    return _families(graph, hypotheses, families)[0]
+    (``cache_info``, ``cache_clear``), so equal problems share them; each
+    problem's construction looks its own up."""
+    return _solve(problem.program, problem.extensional, problem.hypotheses, (problem.observation,))[1][0]
 
 
 def support_families(
@@ -320,12 +328,8 @@ def support_families(
     together with the fixed ones.  One fixpoint, which records the
     derivation graph, and one provenance pass over it serve every answer,
     and ``_check`` verifies every family."""
-    model = evaluate_fixpoint(program, chain(fixed, deletable - fixed))
-    found = sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)
-    goals = [(model.ids[answer],) for answer in found]
-    hypotheses, families = _minimal_why(model.graph, len(fixed), goals)
-    _check(program, model.graph, len(fixed), goals, hypotheses, families)
-    return dict(zip(found, _families(model.graph, hypotheses, families)))
+    goals, families = _solve(program, fixed, deletable, None)
+    return {answer: family for (answer,), family in zip(goals, families)}
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:
@@ -345,16 +349,14 @@ def necessary_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:
     return frozenset(common)
 
 
+@lru_cache(maxsize=None)
 def necessary_hypothesis_sets(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
     """Subset-minimal sets of hypotheses whose removal leaves the
     observation unexplainable.  Removing N kills every diagnosis exactly
     when N hits every diagnosis, so these are the minimal hitting sets of
-    the diagnosis family.  The search runs once per problem; the family
-    is kept on it."""
-    if problem._necessary is None:  # type: ignore[attr-defined]
-        family = canonical_family(minimal_hitting_sets(solve_diagnoses(problem)))
-        object.__setattr__(problem, "_necessary", family)
-    return problem._necessary  # type: ignore[attr-defined]
+    the diagnosis family.  The search runs once per problem value: the
+    family is cached (``cache_info``, ``cache_clear``)."""
+    return canonical_family(minimal_hitting_sets(solve_diagnoses(problem)))
 
 
 def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fraction:

@@ -10,10 +10,11 @@ id), then each head the first time a kernel derives it.  Relations,
 index buckets and firing bodies hold ids.  ``evaluate_fixpoint`` also
 records the model's derivation graph (``Graph``), behind abduction's
 diagnoses: each firing's body is appended to its head's list as the
-kernel fires it, and a graph kept long is compacted into two integer
-arrays.  The models of many worlds (fact sets) inside one model need no
-join of their own: ``propagate`` reads them off that model's ground
-program, ``reached`` keeps the part of it some goals need, and
+kernel fires it.  A graph is scratch data of the solve that recorded
+it; no caller keeps one.  The models of many worlds (fact sets) inside
+one model need no join of their own: ``propagate`` reads them off that
+model's ground program, ``reached`` keeps the part of it some goals
+need and says whether that part is cyclic, and
 ``ground`` derives the ground program again by one join of each rule,
 into a numbering of its own, for callers that must not trust a
 recorded graph.  Only a join pass hashes atoms; everything after it
@@ -47,10 +48,8 @@ ground atoms over known predicates and constants.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
-from itertools import islice
-from operator import attrgetter, ne
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownPredicateError, UnsafeRuleError
@@ -70,57 +69,18 @@ from .model import (
 class Graph:
     """A ground derivation graph over numbered atoms: ``atoms[i]`` is atom
     i, and the first ``seeds`` atoms are the seed facts of the pass that
-    recorded it.  Atom i's firings are the bodies of the rule instances
-    with it as their head, each a tuple of ids of its atoms in textual
-    order (``()`` for a rule without atoms; a body may be listed twice).
-    Every atom past the seeds has a firing.
+    recorded it.  ``rows[i]`` lists atom i's firings, the bodies of the
+    rule instances with it as their head, each a tuple of ids of its
+    atoms in textual order (``()`` for a rule without atoms; a body may
+    be listed twice); it is empty for an atom with no firing.  Every atom
+    past the seeds has a firing."""
 
-    A join pass leaves the firings in one list per atom (``rows[i]``,
-    empty for an atom with no firing).  ``compact`` gives the same graph
-    in compressed sparse rows, for a graph kept long: ``rows`` is then
-    one ``array('i')``, four bytes an entry, that lists atom i's firings
-    at ``offsets[i]:offsets[i + 1]``, each body as its length and then
-    its ids."""
+    __slots__ = ("atoms", "seeds", "rows")
 
-    __slots__ = ("atoms", "seeds", "rows", "offsets")
-
-    def __init__(self, atoms: list[GroundAtom], seeds: int, rows: Sequence, offsets: Sequence[int] | None = None):
+    def __init__(self, atoms: list[GroundAtom], seeds: int, rows: list[list[tuple[int, ...]]]):
         self.atoms = atoms
         self.seeds = seeds
         self.rows = rows
-        self.offsets = offsets
-
-    def compact(self) -> Graph:
-        """The same graph in compressed sparse rows."""
-        if self.offsets is not None:
-            return self
-        flat: list[int] = []
-        offsets = [0]
-        for row in self.rows:
-            for body in row:
-                flat.append(len(body))
-                flat += body
-            offsets.append(len(flat))
-        return Graph(self.atoms, self.seeds, array("i", flat), array("i", offsets))
-
-    def firings(self, head: int) -> Sequence[tuple[int, ...]]:
-        """The bodies of the atom's firings."""
-        if self.offsets is None:
-            return self.rows[head]
-        rows, out = self.rows, []
-        at, end = self.offsets[head], self.offsets[head + 1]
-        while at < end:
-            stop = at + 1 + rows[at]
-            out.append(tuple(rows[at + 1 : stop]))
-            at = stop
-        return out
-
-    def heads_mask(self) -> bytearray:
-        """Byte i is 1 if atom i has a firing, else 0."""
-        offsets = self.offsets
-        if offsets is None:
-            return bytearray(map(bool, self.rows))
-        return bytearray(map(ne, offsets, islice(offsets, 1, None)))
 
 
 class MinimalModel:
@@ -589,53 +549,55 @@ def ground(program: Program, facts: Iterable[GroundAtom]) -> Graph:
 Reached = list[tuple[int, Sequence[tuple[int, ...]]]]
 
 
-def reached(graph: Graph, goals: Iterable[int]) -> Reached:
+def reached(graph: Graph, goals: Iterable[int]) -> tuple[Reached, bool]:
     """The part of a derivation graph the goals (ids) reach backward,
     which every derivation of a goal uses: each head with its bodies, in
-    depth-first post-order (off cycles, after the heads in its bodies)."""
-    # 1: a head not yet seen; 2: its bodies are pushed; 0: it is out, or
-    # not a head
-    state = graph.heads_mask()
-    firings = graph.rows.__getitem__ if graph.offsets is None else graph.firings
+    depth-first post-order (off cycles, after the heads in its bodies),
+    and whether that part is cyclic.  It is exactly when the walk meets
+    a head it is still expanding (a back edge): then, and only then, a
+    body holds a head at its own head's position or a later one, so that
+    one sweep in this order may read a head before its last change."""
+    # 1 (True): a head not yet seen; 2: its bodies are pushed; 0
+    # (False): it is out, or not a head
+    rows = graph.rows
+    state: list[int] = list(map(bool, rows))
     pending: dict[int, Sequence[tuple[int, ...]]] = {}
     out: Reached = []
+    cyclic = False
     stack = [goal for goal in goals if state[goal]]
     while stack:
         head = stack[-1]
         if state[head] == 1:
-            # its unseen heads go above it and are done before it
+            # its unseen heads go above it and are done before it; the
+            # heads still being expanded are below it on the stack
             state[head] = 2
-            bodies = pending[head] = firings(head)
-            stack += [a for body in bodies for a in body if state[a] == 1]
+            bodies = pending[head] = rows[head]
+            for body in bodies:
+                for atom in body:
+                    seen = state[atom]
+                    if seen == 1:
+                        stack.append(atom)
+                    elif seen == 2:
+                        cyclic = True
         else:
             stack.pop()
             if state[head]:
                 state[head] = 0
                 out.append((head, pending.pop(head)))
-    return out
+    return out, cyclic
 
 
-def reads_ahead(program: Reached) -> bool:
-    """True if some body holds a head at its own head's position or a
-    later one, so that one sweep in the list's order may read a head
-    before its last change; in ``reached``'s order, only on a cycle."""
-    later = {head for head, _ in program}
-    for head, bodies in program:
-        for body in bodies:
-            if not later.isdisjoint(body):
-                return True
-        later.discard(head)
-    return False
-
-
-def propagate(program: Reached, size: int, shared: Iterable[int], worlds: Iterable[Iterable[int]]) -> list[int]:
+def propagate(
+    program: Reached, cyclic: bool, size: int, shared: Iterable[int], worlds: Iterable[Iterable[int]]
+) -> list[int]:
     """The minimal models of worlds (fact sets, each with the shared
     facts) inside one model, read off its ground program with no join
     (Dowling & Gallier, JLP 1984): the bitmask of the worlds holding each
     of the model's ``size`` atoms, by id (bit i: the i-th world; -1:
     all).  A firing's mask, the AND of its body's, is ORed into its
     head's, in one sweep in the program's order, and in further sweeps
-    until none grows only if a body reads ahead (``reads_ahead``)."""
+    until none grows only if the program is ``cyclic`` (as ``reached``
+    reports): in any other order, pass True."""
     masks = [0] * size
     for fact in shared:
         masks[fact] = -1
@@ -643,7 +605,6 @@ def propagate(program: Reached, size: int, shared: Iterable[int], worlds: Iterab
         bit = 1 << i
         for fact in world:
             masks[fact] |= bit
-    again = reads_ahead(program)
     grown = True
     while grown:
         grown = False
@@ -657,7 +618,7 @@ def propagate(program: Reached, size: int, shared: Iterable[int], worlds: Iterab
                 mask |= both
             if mask != old:
                 masks[head] = mask
-                grown = again
+                grown = cyclic
     return masks
 
 

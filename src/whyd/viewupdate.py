@@ -18,17 +18,19 @@ answers; the residual view of such a solution is the view without the
 target, by definition.  Every other world tested here (the instance
 without a solution, a candidate subinstance, that subinstance with one
 tuple put back) lies inside the model of the whole instance, so all of
-them come from one propagation over its derivation graph, with no join.
-That graph is over integers (``evaluator.Graph``): a world is a list of
-ids, and the propagation indexes lists by id.  The graph the cause
-analysis kept numbers the instance's tuples first, so they are looked
-up among its seeds; the membership test's own fixpoint has the id map.
+them come from one fixpoint of the instance and one propagation over
+the part of its derivation graph that the answers reach, with no
+further join (``_answer_worlds``).  That graph is over integers
+(``evaluator.Graph``): a world is a list of ids, and the propagation
+indexes lists by id.  The cause analysis keeps no graph: the minimal
+deletions take their necessary sets from its cached problem and their
+residual views from that fixpoint of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal
 
 from .abduction import necessary_hypothesis_sets, support_families
 from .causality import CauseAnalysis
@@ -51,6 +53,23 @@ def _working_instance(instance: Instance, endogenous_only: bool) -> Instance:
     return instance if endogenous_only else instance.all_endogenous()
 
 
+def _answer_worlds(
+    program: Program, instance: Instance, shared: Iterable[GroundAtom], worlds: Iterable[Iterable[GroundAtom]]
+) -> dict[GroundAtom, int]:
+    """Every answer of the program on the instance, mapped to the bitmask
+    of the worlds (sets of the instance's facts, each with the shared
+    ones) whose models hold it (bit i: the i-th world): one fixpoint of
+    the instance, then one propagation of the worlds over the part of its
+    derivation graph that the answers reach."""
+    model = evaluate_fixpoint(program, instance)
+    ids = model.ids
+    goals = [ids[a] for a in model.extension(program.answer_predicate)]
+    masks = propagate(
+        *reached(model.graph, goals), len(ids), [ids[a] for a in shared], [[ids[a] for a in w] for w in worlds]
+    )
+    return {model.graph.atoms[a]: masks[a] for a in goals}
+
+
 def minimal_source_solutions(
     instance: Instance,
     program: Program,
@@ -61,24 +80,12 @@ def minimal_source_solutions(
     """All subset-minimal deletion sets that drop the answer: the minimal
     hitting sets of its diagnoses, in canonical order."""
     working = _working_instance(instance, endogenous_only)
-    analysis = CauseAnalysis.for_query(working, program, answer)
-    # world i is the instance without the i-th solution, inside the model
-    # whose graph the analysis recorded
-    solutions = necessary_hypothesis_sets(analysis.problem)
+    solutions = necessary_hypothesis_sets(CauseAnalysis.for_query(working, program, answer).problem)
+    # world i is the instance without the i-th solution
     touched = frozenset().union(*solutions)
-    graph = analysis.problem.graph
-    # the graph's seeds are the instance's tuples
-    ids = dict(zip(graph.atoms, range(graph.seeds)))
-    kept = [i for atom, i in ids.items() if atom not in touched]
-    masks = propagate(
-        reached(graph, range(len(graph.atoms))),
-        len(graph.atoms),
-        kept,
-        [[ids[a] for a in touched - removed] for removed in solutions],
-    )
-    views = [(a, m) for a, m in zip(graph.atoms, masks) if m and a.predicate == program.answer_predicate]
+    views = _answer_worlds(program, working, working.atoms - touched, [touched - removed for removed in solutions])
     return tuple(
-        DeletionSolution(removed, "minimal_source", frozenset(a for a, mask in views if mask >> i & 1))
+        DeletionSolution(removed, "minimal_source", frozenset(a for a, mask in views.items() if mask >> i & 1))
         for i, removed in enumerate(solutions)
     )
 
@@ -117,17 +124,13 @@ def check_source_solution(
         raise NotSubinstanceError("the candidate is not a subinstance")
     if mode not in ("s", "c"):
         raise WhydError(f"unknown mode {mode!r}")
-    model = evaluate_fixpoint(program, instance)
-    if answer.predicate != program.answer_predicate or answer not in model:
-        raise NotAnAnswerError(f"{answer} is not an answer on this instance")
     # world 0 is the subinstance; world i + 1 puts the i-th deleted tuple
     # back, for maximality: each must restore the answer (monotonicity
     # lifts this to all supersets)
     removed = instance.atoms - subinstance.atoms
-    ids = model.ids
-    worlds = [(), *([ids[atom]] for atom in removed)]
-    goal = ids[answer]
-    held = propagate(reached(model.graph, [goal]), len(ids), [ids[a] for a in subinstance.atoms], worlds)[goal]
+    held = _answer_worlds(program, instance, subinstance.atoms, [(), *([atom] for atom in removed)]).get(answer)
+    if held is None:
+        raise NotAnAnswerError(f"{answer} is not an answer on this instance")
     if held & 1:
         return False
     if mode == "s":

@@ -86,24 +86,41 @@ def firing_pairs(graph) -> list[tuple[GroundAtom, tuple[GroundAtom, ...]]]:
     """Every firing of a numbered derivation graph (``evaluator.Graph``)
     as its head and body atoms, in id order."""
     atoms = graph.atoms
-    return [(atoms[h], tuple(atoms[a] for a in body)) for h in range(len(atoms)) for body in graph.firings(h)]
+    return [(atoms[h], tuple(atoms[a] for a in body)) for h, row in enumerate(graph.rows) for body in row]
 
 
-def tamper(problem, edit) -> None:
-    """Replace the recorded graph of an abduction problem with the one
-    whose firings ``edit`` leaves: it gets the list of ``firing_pairs``
-    and changes it in place.  Every atom keeps its id, and the graph is
-    compacted, as the problem keeps it."""
+def problem_graph(problem):
+    """The derivation graph a solve of the abduction problem records, and
+    its goal (the observation atoms' ids): the fixpoint of its program
+    over its extensional facts and then its other hypotheses."""
+    from whyd.evaluator import evaluate_fixpoint
+
+    model = evaluate_fixpoint(problem.program, [*problem.extensional, *problem.hypotheses - problem.extensional])
+    return model.graph, [model.ids[a] for a in problem.observation]
+
+
+def tamper(monkeypatch, edit) -> None:
+    """From now on, every fixpoint of the abduction layer records, in
+    place of its derivation graph, the one whose firings ``edit`` leaves:
+    it gets the list of ``firing_pairs`` and changes it in place.  Every
+    atom keeps its id."""
+    from whyd import abduction
     from whyd.evaluator import Graph
 
-    graph = problem.graph
-    ids = {a: i for i, a in enumerate(graph.atoms)}
-    pairs = firing_pairs(graph)
-    edit(pairs)
-    rows: list = [[] for _ in graph.atoms]
-    for head, body in pairs:
-        rows[ids[head]].append(tuple(ids[a] for a in body))
-    object.__setattr__(problem, "graph", Graph(graph.atoms, graph.seeds, rows).compact())
+    real = abduction.evaluate_fixpoint
+
+    def tampered(program, facts):
+        model = real(program, facts)
+        graph, ids = model.graph, model.ids
+        pairs = firing_pairs(graph)
+        edit(pairs)
+        rows: list = [[] for _ in graph.atoms]
+        for head, body in pairs:
+            rows[ids[head]].append(tuple(ids[a] for a in body))
+        model.graph = Graph(graph.atoms, graph.seeds, rows)
+        return model
+
+    monkeypatch.setattr(abduction, "evaluate_fixpoint", tampered)
 
 
 def count_facts_read(monkeypatch, count) -> None:

@@ -41,6 +41,7 @@ from conftest import (
     load_document,
     load_instance,
     load_program,
+    problem_graph,
     specialize_to_answer,
     tamper,
 )
@@ -377,7 +378,8 @@ def test_equal_requests_with_other_labels_get_their_own_labels_back():
         assert CauseAnalysis.for_query(instance, program, target) is analysis
         assert solve_diagnoses(to_causal_abduction(instance, boolean)) is solutions
     assert CauseAnalysis.for_query.cache_info().hits == analyses.hits + 3
-    assert solve_diagnoses.cache_info().hits == diagnoses.hits + 3
+    # each construction of the causal abduction problem looks it up too
+    assert solve_diagnoses.cache_info().hits == diagnoses.hits + 6
     assert CauseAnalysis.for_query.cache_info().misses == analyses.misses
     assert solve_diagnoses.cache_info().misses == diagnoses.misses
     for instance, prefix in ((first, "first"), (second, "second")):
@@ -394,8 +396,9 @@ def test_equal_requests_with_other_labels_get_their_own_labels_back():
 
 
 def _fresh_problem(tag: str) -> AbductionProblem:
-    """A problem no other test builds, so the diagnosis cache cannot answer
-    for it; its one diagnosis is {tag_e(a, b), tag_f(b)}."""
+    """A problem no other test builds, so only its own construction has
+    filled the diagnosis cache for it; its one diagnosis is
+    {tag_e(a, b), tag_f(b)}."""
     program = parse_program(f"{tag}(X) :- {tag}_e(X, Y), {tag}_f(Y).")
     hypotheses = frozenset({ground(f"{tag}_e", "a", "b"), ground(f"{tag}_f", "b"), ground(f"{tag}_f", "c")})
     return AbductionProblem(program, frozenset(), hypotheses, (ground(tag, "a"),))
@@ -417,6 +420,7 @@ def test_invariant_check_rejects_non_minimal_family(monkeypatch):
     problem = _fresh_problem("nonmin")
     padded = [frozenset(problem.hypotheses)]
     monkeypatch.setattr(abduction, "_minimal_why", _fake_why(padded))
+    solve_diagnoses.cache_clear()
     with pytest.raises(InternalInvariantError, match="not minimal") as err:
         solve_diagnoses(problem)
     assert err.value.code == "InternalInvariant"
@@ -426,6 +430,7 @@ def test_invariant_check_rejects_non_entailing_family(monkeypatch):
     problem = _fresh_problem("nonent")
     short = [frozenset({ground("nonent_e", "a", "b")})]
     monkeypatch.setattr(abduction, "_minimal_why", _fake_why(short))
+    solve_diagnoses.cache_clear()
     with pytest.raises(InternalInvariantError, match="does not entail"):
         solve_diagnoses(problem)
 
@@ -439,29 +444,29 @@ def _shortcut_problem(tag: str) -> AbductionProblem:
     return AbductionProblem(program, frozenset(), hypotheses, (ground(f"{tag}_p"),))
 
 
-def test_invariant_check_rederives_a_dropped_firing():
+def test_invariant_check_rederives_a_dropped_firing(monkeypatch):
     # without p <- q in the recorded graph the provenance pass finds
     # {x, y}; the check joins the rules again, finds p <- q, and sees
     # that {x} alone entails p
     problem = _shortcut_problem("dropped")
     p, q = ground("dropped_p"), ground("dropped_q")
     assert solve_diagnoses(problem) == (frozenset({ground("dropped_x")}),)
-    tamper(problem, lambda firings: firings.remove((p, (q,))))
+    tamper(monkeypatch, lambda firings: firings.remove((p, (q,))))
     solve_diagnoses.cache_clear()
     with pytest.raises(InternalInvariantError, match="not minimal: dropped_y is redundant"):
         solve_diagnoses(problem)
 
 
-def test_invariant_check_rejects_a_bogus_firing():
+def test_invariant_check_rejects_a_bogus_firing(monkeypatch):
     # a recorded p <- y gives the diagnosis {y}, which entails nothing
     problem = _shortcut_problem("bogus")
-    tamper(problem, lambda firings: firings.append((ground("bogus_p"), (ground("bogus_y"),))))
+    tamper(monkeypatch, lambda firings: firings.append((ground("bogus_p"), (ground("bogus_y"),))))
     solve_diagnoses.cache_clear()
     with pytest.raises(InternalInvariantError, match="does not entail"):
         solve_diagnoses(problem)
 
 
-def test_invariant_check_rejects_a_model_that_is_not_closed():
+def test_invariant_check_rejects_a_model_that_is_not_closed(monkeypatch):
     # a recorded graph without q's firing leaves q out of the atoms the
     # check grounds again, and q <- x derives it
     problem = _shortcut_problem("open")
@@ -470,7 +475,7 @@ def test_invariant_check_rejects_a_model_that_is_not_closed():
     def drop_q(firings):
         firings[:] = [f for f in firings if f[0] != q]
 
-    tamper(problem, drop_q)
+    tamper(monkeypatch, drop_q)
     solve_diagnoses.cache_clear()
     with pytest.raises(InternalInvariantError, match="not closed: it misses open_q"):
         solve_diagnoses(problem)
@@ -499,31 +504,35 @@ program = parse_program("q(X) :- e(X, Y), f(Y).")
 hypotheses = frozenset({ground("e", "a", "b"), ground("f", "b"), ground("f", "c")})
 real_why = abduction._minimal_why
 for fake in ([sorted(hypotheses, key=str)], [[ground("e", "a", "b")]]):
-    problem = AbductionProblem(program, frozenset(), hypotheses, (ground("q", "a"),))
-    solve_diagnoses.cache_clear()
     abduction._minimal_why = lambda graph, ext, goals, fake=fake: (
         [graph.atoms.index(a) for a in fake[0]], [[(1 << len(fake[0])) - 1] for _ in goals]
     )
+    solve_diagnoses.cache_clear()
     try:
-        solve_diagnoses(problem)
+        AbductionProblem(program, frozenset(), hypotheses, (ground("q", "a"),))
     except InternalInvariantError as exc:
         print(exc.code)
     else:
         sys.exit("no InternalInvariantError")
 abduction._minimal_why = real_why
 # p :- x, y.  p :- q.  q :- x.  with p <- q dropped from, or a bogus
-# p <- y added to, the recorded graph
+# p <- y added to, the graph the solve's fixpoint records
 shortcut = parse_program("p :- x, y.\\np :- q.\\nq :- x.\\n")
+real_fixpoint = abduction.evaluate_fixpoint
 for tamper in (lambda p, q, y: [b for b in p if b != (q,)], lambda p, q, y: [*p, (y,)]):
-    problem = AbductionProblem(shortcut, frozenset(), frozenset({ground("x"), ground("y")}), (ground("p"),))
-    graph = problem.graph
-    p, q, y = (graph.atoms.index(ground(name)) for name in "pqy")
-    rows = [graph.firings(h) for h in range(len(graph.atoms))]
-    rows[p] = tamper(rows[p], q, y)
-    object.__setattr__(problem, "graph", Graph(graph.atoms, graph.seeds, rows).compact())
+    def tampered(program, facts, tamper=tamper):
+        model = real_fixpoint(program, facts)
+        graph = model.graph
+        p, q, y = (model.ids[ground(name)] for name in "pqy")
+        rows = list(graph.rows)
+        rows[p] = tamper(rows[p], q, y)
+        model.graph = Graph(graph.atoms, graph.seeds, rows)
+        return model
+
+    abduction.evaluate_fixpoint = tampered
     solve_diagnoses.cache_clear()
     try:
-        solve_diagnoses(problem)
+        AbductionProblem(shortcut, frozenset(), frozenset({ground("x"), ground("y")}), (ground("p"),))
     except InternalInvariantError as exc:
         print(exc.code)
     else:
@@ -639,10 +648,9 @@ def _tc_problem(facts: list[str], target: str) -> AbductionProblem:
 
 def _fresh_solve(facts: list[str], target: str):
     """The diagnoses of a solve on the transitive closure that no cache
-    answers."""
-    problem = _tc_problem(facts, target)
+    answers: the one that constructing the problem runs."""
     solve_diagnoses.cache_clear()
-    return solve_diagnoses(problem)
+    return solve_diagnoses(_tc_problem(facts, target))
 
 
 _CHAIN = [f"e(wc{i}, wc{i + 1})" for i in range(16)]
@@ -714,7 +722,7 @@ def test_provenance_and_check_hash_no_atom_per_firing(monkeypatch, case):
         problem = _tc_problem(_LADDER, "ans(wl, wlt)")
     else:
         problem = encode_phca(corpus.random_phca(6))
-    part = evaluator.reached(problem.graph, problem.goal)
+    part, _ = evaluator.reached(*problem_graph(problem))
     body_atoms = sum(len(body) for _, bodies in part for body in bodies)
     solve_diagnoses.cache_clear()
     counts = _count_atom_hashes(monkeypatch)
@@ -736,8 +744,8 @@ def test_acyclic_provenance_forms_one_product_per_reached_firing(monkeypatch):
     monkeypatch.setattr(abduction, "_product", lambda families: products.append(families) or real(families))
     for facts, target, count in ((_CHAIN, "ans(wc0, wc16)", 1), (_LADDER, "ans(wl, wlt)", 8)):
         problem = _tc_problem(facts, target)
-        graph = evaluator.reached(problem.graph, problem.goal)
-        assert not evaluator.reads_ahead(graph)
+        graph, cyclic = evaluator.reached(*problem_graph(problem))
+        assert not cyclic
         products.clear()
         solve_diagnoses.cache_clear()
         assert len(solve_diagnoses(problem)) == count

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from whyd import causality, evaluator
-from whyd.abduction import solve_diagnoses
+from whyd.abduction import AbductionProblem, solve_diagnoses
 from whyd.causality import (
     CauseAnalysis,
     cause_reports,
@@ -18,8 +18,9 @@ from whyd.causality import (
 )
 from whyd.errors import NotACauseError, NotAnAnswerError, NotEndogenousError
 from whyd.evaluator import holds
-from whyd.model import Instance, Program, ground
+from whyd.model import GroundAtom, Instance, Program, ground
 from whyd.parsing import parse_instance, parse_program
+from whyd.viewupdate import minimal_source_solutions, vsef_solutions
 
 import corpus
 import oracle
@@ -340,8 +341,8 @@ def test_the_analysis_cache_keeps_no_caller_instance():
 def test_a_cached_chain_request_keeps_a_compact_graph():
     # 500 distinct chain-8 requests, after 50 that compile and warm up
     # everything shared: what the caches keep for each, by tracemalloc
-    # (not RSS), is at most 22 KiB; a cached problem holds its graph as
-    # its atom list and two integer arrays
+    # (not RSS), is at most 10 KiB; a cached problem holds no derivation
+    # graph, only its diagnoses and its analysis
     program = load_program("graph.dl")
 
     def request(tag: str) -> None:
@@ -364,7 +365,45 @@ def test_a_cached_chain_request_keeps_a_compact_graph():
     finally:
         solve_diagnoses.cache_clear()
         causality.CauseAnalysis.for_query.cache_clear()
-    assert kept <= 22 * 1024, f"{kept / 1024:.1f} KiB a request"
+    assert kept <= 10 * 1024, f"{kept / 1024:.1f} KiB a request"
+
+
+def test_no_request_keeps_a_derivation_graph(monkeypatch):
+    # a derivation graph lives only as long as its solve: after distinct
+    # cause reports, a direct solve and minimal and view-safe deletions,
+    # all of them cached, the collector finds none of their graphs alive
+    made = []
+
+    class Tracked(evaluator.Graph):
+        """A graph that takes weak references (``Graph`` has slots)."""
+
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(evaluator, "Graph", Tracked)
+    program = load_program("graph.dl")
+
+    def chain(tag: str) -> tuple[Instance, GroundAtom]:
+        instance = parse_instance("".join(f"e({tag}{i}, {tag}{i + 1}).\n" for i in range(4)))
+        return instance, atom(f"ans({tag}0, {tag}4)")
+
+    try:
+        instance, answer = chain("kga")
+        assert len(cause_reports(instance, program, answer)) == 4
+        instance, answer = chain("kgb")
+        assert len(solve_diagnoses(AbductionProblem(program, instance.exogenous, instance.endogenous, (answer,)))) == 1
+        instance, answer = chain("kgc")
+        assert len(minimal_source_solutions(instance, program, answer)) == 4
+        instance, answer = chain("kgd")
+        assert len(vsef_solutions(instance, program, answer)) == 0
+        gc.collect()
+        assert made and [ref() for ref in made] == [None] * len(made)
+    finally:
+        solve_diagnoses.cache_clear()
+        causality.CauseAnalysis.for_query.cache_clear()
 
 
 def test_a_second_request_over_a_program_builds_no_program_and_compiles_no_plan(monkeypatch):

@@ -433,14 +433,17 @@ def _assert_worlds_match_naive(program: Program, worlds, shared, context) -> boo
     assert graph.seeds == len(graph.atoms), context
     assert set(firing_pairs(graph)) == set(firing_pairs(model.graph)), context
     ids = {a: i for i, a in enumerate(graph.atoms)}
-    own = [(h, graph.firings(h)) for h in range(len(graph.atoms)) if graph.firings(h)]
-    ordered = evaluator.reached(graph, range(len(graph.atoms)))
+    # in id order a body may read ahead off cycles too
+    own = [(h, row) for h, row in enumerate(graph.rows) if row]
+    ordered, cyclic = evaluator.reached(graph, range(len(graph.atoms)))
     expected = [naive_fixpoint(program, set(shared) | set(world)) for world in worlds]
-    for part in (own, ordered):
-        masks = propagate(part, len(graph.atoms), [ids[a] for a in shared], [[ids[a] for a in w] for w in worlds])
+    for part, again in ((own, True), (ordered, cyclic)):
+        masks = propagate(
+            part, again, len(graph.atoms), [ids[a] for a in shared], [[ids[a] for a in w] for w in worlds]
+        )
         for i in range(len(worlds)):
             assert {graph.atoms[a] for a, mask in enumerate(masks) if mask >> i & 1} == expected[i], (context, i)
-    return evaluator.reads_ahead(ordered)
+    return cyclic
 
 
 def _seeded_corpus_case(seed: int):
@@ -511,6 +514,66 @@ def test_world_pass_matches_naive_per_world():
         shapes["cyclic"] += _assert_worlds_match_naive(program, _random_worlds(rng, pool, rng.randint(1, 8)), (), seed)
     assert shapes["recursive"] >= 20 and shapes["union"] >= 20 and shapes["wide"] >= 30, shapes
     assert shapes["cyclic"] >= 35, shapes
+
+
+def _random_graph(rng: random.Random) -> tuple[evaluator.Graph, list[int]]:
+    """A random derivation graph of up to 12 atoms, the first few seeds
+    (some with firings of their own), every other atom with at least one
+    firing, bodies of zero to three ids (self-loops and repeats
+    included), and some goals among its atoms.  A body atom has a lower
+    id than its head but for a share of them, which varies by graph."""
+    size = rng.randint(1, 12)
+    seeds = rng.randint(0, size)
+    loose = rng.random() * 0.4
+    rows: list = []
+    for atom in range(size):
+        count = rng.randint(1, 3) if atom >= seeds or rng.random() < 0.3 else 0
+        bodies = [[size if rng.random() < loose else max(atom, 1) for _ in range(rng.randint(0, 3))] for _ in range(count)]
+        rows.append([tuple(map(rng.randrange, body)) for body in bodies])
+    goals = [rng.randrange(size) for _ in range(rng.randint(1, 3))]
+    return evaluator.Graph([ground("g", str(i)) for i in range(size)], seeds, rows), goals
+
+
+def _brute_reached(rows, goals) -> tuple[set[int], bool]:
+    """The heads the goals reach backward and whether a cycle runs through
+    them, by a search from each head for a way back to itself."""
+    heads, todo = set(), [g for g in goals if rows[g]]
+    while todo:
+        head = todo.pop()
+        if head not in heads:
+            heads.add(head)
+            todo += [a for body in rows[head] for a in body if rows[a]]
+    successors = {h: {a for body in rows[h] for a in body if rows[a]} for h in heads}
+    cyclic = False
+    for head in heads:
+        seen, todo = set(), list(successors[head])
+        while todo and head not in seen:
+            atom = todo.pop()
+            if atom not in seen:
+                seen.add(atom)
+                todo += successors[atom]
+        cyclic |= head in seen
+    return heads, cyclic
+
+
+def test_reached_reports_a_cycle_exactly_when_one_is_reached():
+    # the flag says whether the reached part has a cycle, which is when
+    # some body holds a head at its own head's position or a later one of
+    # the walk's order; off cycles a head follows the heads in its bodies
+    kinds = Counter()
+    for seed in range(3000):
+        rng = random.Random(seed + 60_000)
+        graph, goals = _random_graph(rng)
+        part, cyclic = evaluator.reached(graph, goals)
+        heads, brute = _brute_reached(graph.rows, goals)
+        assert sorted(h for h, _ in part) == sorted(heads), seed
+        assert all(bodies is graph.rows[h] for h, bodies in part), seed
+        assert cyclic == brute, seed
+        position = {h: i for i, (h, _) in enumerate(part)}
+        ahead = any(position.get(a, -1) >= position[h] for h, bodies in part for body in bodies for a in body)
+        assert ahead == cyclic, seed
+        kinds["cyclic" if cyclic else "acyclic" if heads else "empty"] += 1
+    assert min(kinds["cyclic"], kinds["acyclic"]) >= 500 and kinds["empty"] >= 50, kinds
 
 
 def _assert_firings_match_oracle(program: Program, facts, context) -> Counter:

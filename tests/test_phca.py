@@ -2,7 +2,7 @@ import pytest
 
 from whyd.abduction import relevant_hypotheses, solve_diagnoses
 from whyd.errors import NonHornClauseError, WhydError
-from whyd.evaluator import reached, reads_ahead
+from whyd.evaluator import reached
 from whyd.model import ground
 from whyd.phca import (
     PropositionalHornAbduction,
@@ -13,7 +13,7 @@ from whyd.phca import (
 
 import corpus
 import oracle
-from conftest import fixture_text
+from conftest import fixture_text, problem_graph
 
 
 def test_parse_worked_example():
@@ -115,5 +115,5 @@ def test_random_diagnoses_match_propositional_brute_force():
         engine = {frozenset(a.args[0].symbol for a in d) for d in solve_diagnoses(encoded)}
         brute = oracle.phca_diagnoses(problem.rules, problem.hypotheses, problem.observations)
         assert engine == set(brute), problem
-        cyclic += reads_ahead(reached(encoded.graph, encoded.goal))
+        cyclic += reached(*problem_graph(encoded))[1]
     assert cyclic >= 150, cyclic
