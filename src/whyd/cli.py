@@ -4,18 +4,15 @@ One binary, subcommand style; outputs are deterministic JSON reports on
 stdout (human-readable summaries behind ``--pretty``), diagnostics on
 stderr.  Exit codes: 0 success, 2 usage or input-format errors, 3
 semantic errors.  Both failing codes also write a machine-readable error
-object to stdout, except for the command-line rejections of argparse
-itself, which exit 2 with its usage message only.
+object to stdout, command lines that argparse rejects included.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Sequence
 
 from . import abduction, causality, constraints, phca, vc, viewupdate
@@ -32,6 +29,7 @@ from .parsing import (
 )
 from .reports import (
     Report,
+    emit_error,
     emit_report,
     fraction_text,
     provenance_for,
@@ -57,9 +55,25 @@ def _count(text: str) -> int:
     return value
 
 
-@functools.cache  # parsing keeps no state on it; rejections write to the sys.stderr of their call
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _UsageError(WhydError):
+    code = "UsageError"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise ``_UsageError``, so they
+    end in the JSON error object as every other usage error does; its
+    subcommand parsers are of the same class.  ``commands`` maps each
+    subcommand to its parser."""
+
+    commands: dict[str, argparse.ArgumentParser]
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+@functools.cache  # parsing keeps no state on it; --help writes to the sys.stdout of its call
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="whyd",
         description="Causal explanations for Datalog query answers: causes, "
         "responsibility, abduction, delete propagation, and constraints.",
@@ -97,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode-phca", help="encode a propositional Horn abduction problem and solve it")
     p.add_argument("-i", "--input", required=True, help="PHCA file ('a <- b c' lines, #hyp / #obs sections)")
     p.add_argument("--pretty", action="store_true")
+    parser.commands = sub.choices
     return parser
 
 
@@ -104,7 +119,8 @@ def _read(sources: dict[str, bytes], name: str, path: str) -> str:
     """The text of an input file; its raw bytes go into ``sources`` for
     the provenance digests."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
     sources[name] = data
@@ -112,10 +128,6 @@ def _read(sources: dict[str, bytes], name: str, path: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _UsageError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
-
-
-class _UsageError(WhydError):
-    code = "UsageError"
 
 
 def _family_payload(
@@ -349,9 +361,21 @@ def _summary(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace ``_build_parser().parse_args(argv)`` gives, parsed by
+    the subcommand's own parser when ``argv`` starts with one."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         report = _run(args)
     except WhydError as exc:
         print(f"whyd: {exc}", file=sys.stderr)
@@ -362,14 +386,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         sys.stdout.write(emit_report(report))
     return 0
-
-
-def emit_error(exc: WhydError) -> str:
-    document = {
-        "schema": "whyd/1",
-        "error": {"code": exc.code, "message": str(exc)},
-    }
-    return json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 if __name__ == "__main__":

@@ -347,17 +347,13 @@ def validate_program(program: Program) -> None:
     returns None when the program is well formed.
     """
     for rule in program.rules:
-        bound = {v for atom in rule.body_atoms() for v in atom.variables()}
-        for v in sorted(rule.head.variables(), key=lambda v: v.name):
-            if v not in bound:
-                raise UnsafeRuleError(rule, v)
-        for cmp_ in rule.comparisons():
-            for v in sorted(cmp_.variables(), key=lambda v: v.name):
-                if v not in bound:
-                    raise UnsafeRuleError(rule, v)
-        if rule.is_fact() and not rule.head.is_ground():
-            v = sorted(rule.head.variables(), key=lambda v: v.name)[0]
-            raise UnsafeRuleError(rule, v)
+        # variable names, hashed in C (Variable.__hash__ is a Python
+        # call); only an unsafe rule sorts, to name its first variable
+        bound = {t.name for atom in rule.body_atoms() for t in atom.args if isinstance(t, Variable)}
+        for terms in (rule.head.args, *((c.left, c.right) for c in rule.comparisons())):
+            unbound = [t for t in terms if isinstance(t, Variable) and t.name not in bound]
+            if unbound:
+                raise UnsafeRuleError(rule, min(unbound, key=lambda v: v.name))
     # Arity consistency is enforced incrementally by Program._register;
     # here we only have to reject head uses of the answer predicate with
     # a different arity than its body occurrences, which _register did.

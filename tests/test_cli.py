@@ -173,24 +173,29 @@ def test_exit_code_2_on_non_utf8_input(argv, tmp_path, capsys):
 
 
 def test_exit_code_2_on_usage_error(capsys):
-    # argparse's own rejections keep its usage message and print no JSON
-    with pytest.raises(SystemExit) as err:
-        cli.main(["delprop", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"])
-    assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+    # argparse's own rejections end in the error object like any other
+    code = cli.main(["delprop", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"])
+    assert code == 2
+    assert "--mode" in _error_object(capsys.readouterr(), "UsageError")["message"]
 
 
-def test_repeated_calls_keep_no_parser_state():
-    import io
-    from contextlib import redirect_stderr
-
+def test_repeated_calls_keep_no_parser_state(capsys):
     assert _run(GOLDEN_CASES["causes_aj"] + ["--pretty"])[0] == 0
     assert _run(GOLDEN_CASES["causes_aj"]) == (0, (GOLDEN / "causes_aj.json").read_text())
-    stderr = io.StringIO()
-    with redirect_stderr(stderr), pytest.raises(SystemExit) as err:
-        cli.main(["delprop", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"])
-    assert err.value.code == 2
-    assert stderr.getvalue().startswith("usage: whyd delprop") and "--mode" in stderr.getvalue()
+    capsys.readouterr()
+    code = cli.main(["delprop", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"])
+    assert code == 2
+    assert "--mode" in _error_object(capsys.readouterr(), "UsageError")["message"]
+    assert _run(GOLDEN_CASES["causes_aj"]) == (0, (GOLDEN / "causes_aj.json").read_text())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["causes", "--help"], ["delprop", "-h"]])
+def test_help_exits_0_with_its_text(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: whyd") and captured.err == ""
 
 
 def test_exit_code_3_with_error_object_on_non_answer(capsys):
@@ -257,12 +262,8 @@ def test_obs_bound_enforced(capsys):
     ids=["causes", "vc-causes", "abduce", "not-a-number"],
 )
 def test_exit_code_2_on_bad_count(argv, capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv)
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert "non-negative integer" in captured.err
-    assert captured.out == ""
+    assert cli.main(argv) == 2
+    assert "non-negative integer" in _error_object(capsys.readouterr(), "UsageError")["message"]
 
 
 def test_pretty_summary():
@@ -414,12 +415,55 @@ def _contract_inputs(draw):
     tuple_ = draw(st.one_of(st.just(own_tuple), st.sampled_from(tuples), st.text(max_size=40)))
     mode = draw(st.sampled_from(sorted(cli._DELPROP_MODES)))
     phca_bytes = _mangled(draw, (FIXTURES / "phca_example.txt").read_bytes())
-    return command, program_bytes, data_bytes, ics_bytes, phca_bytes, target, tuple_, mode
+    edit = draw(st.sampled_from(["keep"] * 8 + list(_ARGV_EDITS)))
+    pick = draw(st.integers(0, 20))
+    return command, program_bytes, data_bytes, ics_bytes, phca_bytes, target, tuple_, mode, edit, pick
+
+
+# malformed command lines: a required option dropped, an unknown option,
+# an unknown subcommand, a --mode outside its choices (or on a subcommand
+# that has no --mode)
+_ARGV_EDITS = ("drop", "option", "command", "choice")
+_UNKNOWN_COMMANDS = ["explain", "", "-x", "EVAL", "causes2"]
+
+
+def _contract_argv(command, paths, target, tuple_, mode, edit="keep", pick=0) -> list[str]:
+    """The argv of a ``_CONTRACT_COMMANDS`` entry on the input files
+    ``paths`` (program, data, constraints, PHCA), well formed or made
+    malformed by ``edit``; ``pick`` chooses where an edit applies."""
+    program, data, ics, phca = map(str, paths)
+    name, _, constrained = command.partition(" ")
+    if name == "encode-phca":
+        argv = [name, "-i", phca]
+    elif name == "check-ics":
+        argv = [name, "-d", data]
+    else:
+        argv = [name, "-p", program, "-d", data]
+    if name not in ("eval", "abduce", "check-ics", "encode-phca"):
+        argv.append(f"--target={target}")  # one argument, even when it starts with "-"
+    if name == "responsibility":
+        argv.append(f"--tuple={tuple_}")
+    if constrained:
+        argv += ["-c", ics]
+    if name == "delprop":
+        argv += ["--mode", "most-source" if edit == "choice" else mode]
+    elif edit == "choice":
+        argv += ["--mode", "view-safe"]  # an option the subcommand does not have
+    if edit == "drop":
+        required = [i for i, arg in enumerate(argv) if arg in ("-p", "-d", "-i", "--mode")]
+        i = required[pick % len(required)]
+        del argv[i : i + 2]
+    elif edit == "option":
+        argv.insert(1 + pick % len(argv), "--no-such-option")
+    elif edit == "command":
+        argv[0] = _UNKNOWN_COMMANDS[pick % len(_UNKNOWN_COMMANDS)]
+    return argv
 
 
 def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
     # any call exits 0, 2 or 3 without raising, and a failing one writes
-    # the JSON error object; no result fails its own check
+    # the JSON error object; no result fails its own check, and a
+    # malformed command line is a usage error
     import io
     from contextlib import redirect_stderr, redirect_stdout
 
@@ -430,30 +474,18 @@ def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
     @settings(max_examples=500, deadline=None)
     @given(_contract_inputs())
     def run(case):
-        command, program_bytes, data_bytes, ics_bytes, phca_bytes, target, tuple_, mode = case
+        command, program_bytes, data_bytes, ics_bytes, phca_bytes, target, tuple_, mode, edit, pick = case
         program.write_bytes(program_bytes)
         data.write_bytes(data_bytes)
+        ics.write_bytes(ics_bytes)
         phca.write_bytes(phca_bytes)
-        name, _, constrained = command.partition(" ")
-        if name == "encode-phca":
-            argv = [name, "-i", str(phca)]
-        elif name == "check-ics":
-            argv = [name, "-d", str(data)]
-        else:
-            argv = [name, "-p", str(program), "-d", str(data)]
-        if name not in ("eval", "abduce", "check-ics", "encode-phca"):
-            argv.append(f"--target={target}")  # one argument, even when it starts with "-"
-        if name == "responsibility":
-            argv.append(f"--tuple={tuple_}")
-        if constrained:
-            ics.write_bytes(ics_bytes)
-            argv += ["-c", str(ics)]
-        if name == "delprop":
-            argv += ["--mode", mode]
+        argv = _contract_argv(command, (program, data, ics, phca), target, tuple_, mode, edit, pick)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 2, 3), (argv, code)
+        if edit != "keep":
+            assert code == 2 and json.loads(out.getvalue())["error"]["code"] == "UsageError", argv
         if code:
             document = json.loads(out.getvalue())
             assert document["schema"] == "whyd/1"
@@ -462,3 +494,40 @@ def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
             assert err.getvalue() == f"whyd: {document['error']['message']}\n"
 
     run()
+
+
+def _parsed(parse, argv):
+    """``parse(argv)``'s namespace, or the message it rejects ``argv`` with."""
+    try:
+        return parse(argv)
+    except cli._UsageError as exc:
+        return str(exc)
+
+
+def test_one_level_parse_gives_the_full_parse():
+    # main parses with the subcommand's parser alone; the namespace, or
+    # the rejection, is the one the two-level parse gives
+    full = cli._build_parser().parse_args
+    paths = [_fx(name) for name in ("aj.dl", "aj.facts", "dept.ics", "phca_example.txt")]
+    shapes = [
+        _contract_argv(command, paths, target, "-e(a)", mode, edit, pick)
+        for command in _CONTRACT_COMMANDS
+        for target in ("ans(john, xml)", "-x")
+        for mode in sorted(cli._DELPROP_MODES)
+        for edit in ("keep", *_ARGV_EDITS)
+        for pick in range(4)
+    ]
+    extras = [
+        ["--pretty", "--max-contingency-sets", "2"],
+        ["--max-contingency-sets", "-1"],
+        ["--pretty", "--pretty"],
+        ["-t", "ans(a)"],
+    ]
+    for argv in GOLDEN_CASES.values():
+        assert cli._parse(argv) == full(argv), argv
+    rejected = 0
+    for argv in [*(argv + extra for argv in GOLDEN_CASES.values() for extra in extras), *shapes]:
+        one_level = _parsed(cli._parse, argv)
+        assert one_level == _parsed(full, argv), argv
+        rejected += isinstance(one_level, str)
+    assert 0 < rejected < len(shapes)
