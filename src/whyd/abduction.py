@@ -16,15 +16,20 @@ that off cycles each head is annotated once, and holds the sets as
 bitmasks.  The graph is over integers (``evaluator.Graph``): the
 fixpoint numbers the extensional facts first, then the other
 hypotheses, then the derived atoms, so a fact's kind is an id range and
-the pass indexes lists by id instead of hashing atoms.  The graph lives
-only as long as its solve: what is kept is the family.  The same pass
-over every answer of a program at once gives each answer's minimal
-support sets (``support_families``), behind view-conditioned causes
-and side-effect-free deletions.  Each family is checked by direct
-evaluation before it is returned: every set, and every set with one
-element dropped, is a world, and all of them are propagated over a
-ground program that the check derives again by joins, into a numbering
-of its own that the recorded graph's atoms seed.  Hypotheses are plain
+the pass indexes lists by id instead of hashing atoms.  The reached
+hypotheses are numbered in descending canonical atom order, bit i for
+the i-th (``model.bit_order``), so a family of masks sorted by
+(popcount, -mask) is in canonical family order.  The graph lives only
+as long as its solve: what is kept is the family, as masks next to the
+hypothesis atoms (``Family``), decoded once into the frozensets callers
+get; every later search (``hitting``) and side condition reads the
+masks.  The same pass over every answer of a program at once gives
+each answer's minimal support sets (``support_masks``), behind
+view-conditioned causes and side-effect-free deletions.  Each family
+is checked by direct evaluation before it is returned: every set, and
+every set with one element dropped, is a world, and all of them are
+propagated over a ground program that the check derives again by joins,
+into a numbering of its own that the recorded graph's atoms seed.  Hypotheses are plain
 tuples, so a problem is a plain value, solved when it is built: equal
 problems share one cached family and one necessary-set search, whatever
 labels their callers give the tuples.
@@ -47,7 +52,7 @@ from .errors import (
 )
 from .evaluator import Graph, evaluate_fixpoint, fresh_predicate, ground, propagate, reached
 from .hitting import minimal_hitting_sets
-from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_family
+from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_masks, decode, positions
 
 Diagnosis = frozenset[GroundAtom]
 # a conjunction of atoms whose minimal why-provenance is asked for, as
@@ -85,7 +90,8 @@ def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple
     hypothesis, numbered so that ids below ``extensional`` are the
     extensional facts and the other seeds the hypotheses.  Returns the
     ids of the reached hypotheses and each goal's family as bitmasks over
-    them (bit i: the i-th).
+    them (bit i: the i-th); the ids come in descending canonical order of
+    their atoms, the numbering of ``model.bit_order``.
 
     Every derivation from the background plus some hypotheses only uses
     ground rule instances that fire in that model, so the graph holds
@@ -104,9 +110,9 @@ def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple
     the sweeps stop.  A goal's family is the product of its atoms'
     antichains; a one-atom goal's is its atom's."""
     program, cyclic = reached(graph, chain.from_iterable(goals))
-    size, seeds = len(graph.atoms), graph.seeds
-    hypotheses: list[int] = []  # bit i: the i-th reached hypothesis
-    why: list[list[int] | None] = [None] * size
+    atoms, seeds = graph.atoms, graph.seeds
+    hypotheses: list[int] = []
+    why: list[list[int] | None] = [None] * len(atoms)
     for head, bodies in program:
         if () in bodies:
             why[head] = [0]
@@ -115,17 +121,20 @@ def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple
         if why[atom] is None:
             if atom < extensional:
                 why[atom] = [0]
-            elif atom < seeds:
-                why[atom] = [1 << len(hypotheses)]
-                hypotheses.append(atom)
             else:
                 why[atom] = []
+                if atom < seeds:
+                    hypotheses.append(atom)
+    # bit i: the i-th in descending canonical order (``model.bit_order``)
+    hypotheses.sort(key=lambda h: atoms[h].sort_key(), reverse=True)
+    for bit, atom in enumerate(hypotheses):
+        why[atom] = [1 << bit]
     # {∅} absorbs every set: heads annotated with it are final
     order = [(head, set(bodies)) for head, bodies in program if why[head] != [0]]
     # a head is annotated again only if a body atom changed since it was
     # last annotated: at a later clock than its own
-    changed_at = [0] * size
-    read_at = [-1] * size
+    changed_at = [0] * len(atoms)
+    read_at = [-1] * len(atoms)
     clock = 0
     sweep = True
     while sweep:
@@ -165,26 +174,23 @@ def _product(families: list[list[int]]) -> list[int]:
     return out
 
 
-def _bits(mask: int) -> list[int]:
-    """The positions of the bits the mask sets, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+class Family(tuple):
+    """A family of hypothesis sets in canonical order, as a tuple of
+    frozensets, with the bitmasks it was decoded from: ``masks[i]`` is
+    the i-th set over ``atoms``, the hypotheses numbered as
+    ``model.bit_order`` does (bit j: ``atoms[j]``).  Equal to the plain
+    tuple of its sets."""
+
+    masks: tuple[int, ...]
+    atoms: tuple[GroundAtom, ...]
 
 
-def _decode(mask: int, atoms: Sequence[GroundAtom]) -> Diagnosis:
-    """The atoms whose bits the mask sets (bit i: ``atoms[i]``)."""
-    return frozenset([atoms[bit] for bit in _bits(mask)])
-
-
-def _families(graph: Graph, hypotheses: Sequence[int], families: Sequence[Sequence[int]]) -> list[tuple[Diagnosis, ...]]:
-    """Each family of bitmasks over the hypotheses (ids in the graph) as
-    sets of atoms, in canonical order."""
-    atoms = [graph.atoms[h] for h in hypotheses]
-    return [canonical_family(_decode(mask, atoms) for mask in family) for family in families]
+def _family(masks: Iterable[int], atoms: tuple[GroundAtom, ...]) -> Family:
+    """The family of the masks over ``atoms``, decoded in the order given."""
+    masks = tuple(masks)
+    family = Family([decode(mask, atoms) for mask in masks])
+    family.masks, family.atoms = masks, atoms
+    return family
 
 
 def _render(delta: Diagnosis) -> str:
@@ -222,7 +228,7 @@ def _check(
     for family in families:
         for delta in family:
             used |= delta
-    bits = _bits(used)
+    bits = positions(used)
     members = [hypotheses[bit] for bit in bits]
     heads = list(map(bool, graph.rows))  # the heads not yet among the seeds
     heads[:extensional] = [False] * extensional
@@ -243,7 +249,7 @@ def _check(
         for delta in family:
             if delta in dropped:
                 continue
-            bits = _bits(delta)
+            bits = positions(delta)
             held = [where[bit] for bit in bits]
             if delta not in worlds:
                 worlds[delta] = len(facts)
@@ -269,13 +275,13 @@ def _check(
             if not held >> worlds[delta] & 1:
                 named = [graph.atoms[h] for h in hypotheses]
                 raise InternalInvariantError(
-                    f"diagnosis {_render(_decode(delta, named))} does not entail {_render_goal(graph, goal)}"
+                    f"diagnosis {_render(decode(delta, named))} does not entail {_render_goal(graph, goal)}"
                 )
             for bit, world in dropped[delta]:
                 if held >> world & 1:
                     named = [graph.atoms[h] for h in hypotheses]
                     raise InternalInvariantError(
-                        f"diagnosis {_render(_decode(delta, named))} of {_render_goal(graph, goal)} is not minimal:"
+                        f"diagnosis {_render(decode(delta, named))} of {_render_goal(graph, goal)} is not minimal:"
                         f" {named[bit]} is redundant"
                     )
 
@@ -285,15 +291,16 @@ def _solve(
     fixed: frozenset[GroundAtom],
     deletable: frozenset[GroundAtom],
     goals: Sequence[tuple[GroundAtom, ...]] | None,
-) -> tuple[Sequence[tuple[GroundAtom, ...]], list[tuple[Diagnosis, ...]]]:
+) -> tuple[Sequence[tuple[GroundAtom, ...]], tuple[GroundAtom, ...], list[list[int]]]:
     """Each goal (a conjunction of atoms) with its minimal why-provenance
-    over the deletable facts given the fixed ones, in canonical order; no
-    ``goals``: every answer of the program, each a goal of its own, in
-    atom order.  One fixpoint over the fixed facts and then the deletable
-    ones records the derivation graph, one provenance pass over it gives
-    every family and ``_check`` verifies them; the graph is then dropped.
-    A goal atom outside the model raises
-    ``ObservationNotEntailableError``."""
+    over the deletable facts given the fixed ones; no ``goals``: every
+    answer of the program, each a goal of its own, in atom order.  The
+    families are bitmasks in canonical order over the reached deletable
+    facts, which come second, numbered as ``model.bit_order`` does.  One fixpoint over the
+    fixed facts and then the deletable ones records the derivation graph,
+    one provenance pass over it gives every family and ``_check``
+    verifies them; the graph is then dropped.  A goal atom outside the
+    model raises ``ObservationNotEntailableError``."""
     model = evaluate_fixpoint(program, chain(fixed, deletable - fixed))
     if goals is None:
         goals = [(answer,) for answer in sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)]
@@ -302,61 +309,75 @@ def _solve(
         raise ObservationNotEntailableError("the observation is not entailed even with every hypothesis added")
     hypotheses, families = _minimal_why(model.graph, len(fixed), ids)
     _check(program, model.graph, len(fixed), ids, hypotheses, families)
-    return goals, _families(model.graph, hypotheses, families)
+    atoms = tuple([model.graph.atoms[h] for h in hypotheses])
+    return goals, atoms, [canonical_masks(family) for family in families]
 
 
 @lru_cache(maxsize=None)
-def solve_diagnoses(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
-    """All abductive diagnoses, in canonical order.  Never empty; equals
-    ``(frozenset(),)`` when the background theory already entails the
-    observation.
+def solve_diagnoses(problem: AbductionProblem) -> Family:
+    """All abductive diagnoses, in canonical order, with their bitmasks
+    (``Family``).  Never empty; equals ``(frozenset(),)`` when the
+    background theory already entails the observation.
 
     The diagnoses come from one why-provenance pass and pass ``_check``
     before they are returned; a failed check raises
     ``InternalInvariantError``.  Results are cached by problem value
     (``cache_info``, ``cache_clear``), so equal problems share them; each
     problem's construction looks its own up."""
-    return _solve(problem.program, problem.extensional, problem.hypotheses, (problem.observation,))[1][0]
+    _, atoms, families = _solve(problem.program, problem.extensional, problem.hypotheses, (problem.observation,))
+    return _family(families[0], atoms)
+
+
+def support_masks(
+    program: Program, fixed: frozenset[GroundAtom], deletable: frozenset[GroundAtom]
+) -> tuple[tuple[GroundAtom, ...], dict[GroundAtom, list[int]]]:
+    """The reached deletable facts, numbered as ``model.bit_order`` does,
+    and every answer of the program over the fixed and deletable facts
+    mapped to its minimal support sets, as bitmasks over them in
+    canonical order: the subset-minimal sets of deletable facts that
+    derive the answer together with the fixed ones.  One fixpoint, which records the
+    derivation graph, and one provenance pass over it serve every answer,
+    and ``_check`` verifies every family."""
+    goals, atoms, families = _solve(program, fixed, deletable, None)
+    return atoms, {answer: family for (answer,), family in zip(goals, families)}
 
 
 def support_families(
     program: Program, fixed: frozenset[GroundAtom], deletable: frozenset[GroundAtom]
 ) -> dict[GroundAtom, tuple[Diagnosis, ...]]:
-    """Every answer of the program over the fixed and deletable facts,
-    mapped to its minimal support sets in canonical order: the
-    subset-minimal sets of deletable facts that derive the answer
-    together with the fixed ones.  One fixpoint, which records the
-    derivation graph, and one provenance pass over it serve every answer,
-    and ``_check`` verifies every family."""
-    goals, families = _solve(program, fixed, deletable, None)
-    return {answer: family for (answer,), family in zip(goals, families)}
+    """``support_masks`` with every family as sets of atoms."""
+    atoms, families = support_masks(program, fixed, deletable)
+    return {answer: tuple([decode(mask, atoms) for mask in family]) for answer, family in families.items()}
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:
     """Hypotheses contained in at least one diagnosis."""
-    out: set[GroundAtom] = set()
-    for delta in solve_diagnoses(problem):
-        out |= delta
-    return frozenset(out)
+    solutions = solve_diagnoses(problem)
+    union = 0
+    for delta in solutions.masks:
+        union |= delta
+    return decode(union, solutions.atoms)
 
 
 def necessary_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:
     """Hypotheses contained in every diagnosis."""
     solutions = solve_diagnoses(problem)
-    common = set(solutions[0])
-    for delta in solutions[1:]:
+    common = -1
+    for delta in solutions.masks:
         common &= delta
-    return frozenset(common)
+    return decode(common, solutions.atoms)
 
 
 @lru_cache(maxsize=None)
-def necessary_hypothesis_sets(problem: AbductionProblem) -> tuple[Diagnosis, ...]:
+def necessary_hypothesis_sets(problem: AbductionProblem) -> Family:
     """Subset-minimal sets of hypotheses whose removal leaves the
-    observation unexplainable.  Removing N kills every diagnosis exactly
-    when N hits every diagnosis, so these are the minimal hitting sets of
-    the diagnosis family.  The search runs once per problem value: the
-    family is cached (``cache_info``, ``cache_clear``)."""
-    return canonical_family(minimal_hitting_sets(solve_diagnoses(problem)))
+    observation unexplainable, in canonical order, with their bitmasks.
+    Removing N kills every diagnosis exactly when N hits every diagnosis,
+    so these are the minimal hitting sets of the diagnosis family.  The
+    search runs once per problem value: the family is cached
+    (``cache_info``, ``cache_clear``)."""
+    solutions = solve_diagnoses(problem)
+    return _family(minimal_hitting_sets(solutions.masks), solutions.atoms)
 
 
 def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fraction:

@@ -8,14 +8,19 @@ answer atom itself as the observation: no goal rule and no Boolean
 program are built per request.  ``abduction.solve_diagnoses`` computes
 the diagnoses in one why-provenance pass over the answer's ground
 derivation graph, not by evaluating subsets of the instance.
-Everything else is read off the diagnosis family:
+Everything else is read off the diagnosis family, held as the bitmasks
+the solve keeps over the hypotheses in canonical order
+(``abduction.Family``), and atoms are decoded only for what is
+returned:
 
   * the causes are the relevant hypotheses (union of the diagnoses);
   * a contingency set for a cause t must hit every diagnosis avoiding t
     while leaving some diagnosis through t intact.  These conditions are
-    stated once, in ``CauseAnalysis.contingency_family``, as the conflict
-    of a search for minimal sets (``hitting.minimal_sets``);
-  * the responsibility of a cause is 1/(1 + size of its smallest set).
+    stated once, in ``CauseAnalysis._contingency_masks``, as the conflict
+    of a search for minimal sets (``hitting.minimal_sets``), whose
+    output order is the canonical order of the sets;
+  * the responsibility of a cause is 1/(1 + size of its smallest set),
+    the popcount of the family's first mask.
 
 View-conditioned causes (``vc``) and causes under constraints
 (``constraints``) are the same analysis with a side condition, one more
@@ -29,7 +34,7 @@ cause is a tuple; tuple labels live in the caller's ``Instance`` only,
 so equal requests under other labels share one analysis and its result
 objects, and each caller reads the labels through its own instance.
 Notions that need the support sets of every answer of the view, not of
-one, read them from ``abduction.support_families`` instead.
+one, read them from ``abduction.support_masks`` instead.
 
 The brute-force subset enumeration lives in the test suite as an
 independent oracle; keep it out of this module.
@@ -40,9 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .abduction import AbductionProblem, Diagnosis, solve_diagnoses
+from .abduction import AbductionProblem, solve_diagnoses
 from .errors import (
     NotACauseError,
     NotAnAnswerError,
@@ -51,7 +56,7 @@ from .errors import (
 )
 from .evaluator import holds as model_holds
 from .hitting import minimal_sets
-from .model import GroundAtom, Instance, Program, canonical_family
+from .model import GroundAtom, Instance, Program, decode, positions
 
 
 @dataclass(frozen=True)
@@ -67,28 +72,34 @@ class CauseReport:
         return self.responsibility == 1
 
 
-SideCondition = Callable[[frozenset[GroundAtom], GroundAtom], Optional[Iterable[GroundAtom]]]
+SideCondition = Callable[[int, int], Optional[int]]
 
 
 class CauseAnalysis:
     """The causes of one answer, read off its diagnoses, with an optional
     side condition ``side(gamma, tau)`` on the contingency sets: one more
     conflict for the search (``hitting.minimal_sets``), checked after
-    the plain ones.  A candidate cause whose family comes out empty is no
-    cause under it.  ``for_query`` gives the plain analysis of a request,
-    with ``problem``, its causal abduction problem."""
+    the plain ones.  The diagnoses, the contingency sets and the side
+    condition's arguments and conflicts are bitmasks over ``atoms``,
+    numbered as ``model.bit_order`` does; a set is decoded only to be
+    returned.  A candidate cause whose family comes
+    out empty is no cause under it.  ``for_query`` gives the plain
+    analysis of a request, with ``problem``, its causal abduction
+    problem."""
 
     problem: AbductionProblem
 
     def __init__(
         self,
         answer: GroundAtom,
-        solutions: tuple[Diagnosis, ...],
+        masks: Sequence[int],
+        atoms: tuple[GroundAtom, ...],
         hypotheses: frozenset[GroundAtom],
         side: SideCondition | None = None,
     ):
         self.answer = answer
-        self.solutions = solutions
+        self.masks = masks
+        self.atoms = atoms
         self.hypotheses = hypotheses
         self.side = side
 
@@ -99,41 +110,62 @@ class CauseAnalysis:
         arity than the answer predicate's raises ``NotAnAnswerError``."""
         return _analysis(instance.endogenous, instance.exogenous, program, answer)
 
-    def causes(self) -> frozenset[GroundAtom]:
-        return frozenset().union(*self.solutions)
+    def _bit(self, tau: GroundAtom) -> int:
+        """The tuple's bit, 0 for one outside the numbering."""
+        try:
+            return 1 << self.atoms.index(tau)
+        except ValueError:
+            return 0
 
-    def contingency_family(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
-        """The minimal sets Gamma such that some diagnosis through tau
-        misses Gamma (the answer survives deleting Gamma), every diagnosis
-        avoiding tau meets it (deleting tau as well drops the answer), and
-        the side condition holds."""
-        through = [delta for delta in self.solutions if tau in delta]
-        if not through:
-            raise NotACauseError(f"{tau} is not an actual cause for {self.answer}")
-        avoiding = sorted((delta for delta in self.solutions if tau not in delta), key=len)
+    def _union(self) -> int:
+        union = 0
+        for delta in self.masks:
+            union |= delta
+        return union
+
+    def causes(self) -> frozenset[GroundAtom]:
+        return decode(self._union(), self.atoms)
+
+    def _contingency_masks(self, tau: int) -> list[int]:
+        """The minimal sets Gamma, as masks, such that some diagnosis
+        through tau (a bit) misses Gamma (the answer survives deleting
+        Gamma), every diagnosis avoiding tau meets it (deleting tau as
+        well drops the answer), and the side condition holds; in
+        canonical order."""
+        through = [delta for delta in self.masks if delta & tau]
+        avoiding = sorted((delta for delta in self.masks if not delta & tau), key=int.bit_count)
         side = self.side
 
-        def conflict(gamma: frozenset[GroundAtom]) -> Iterable[GroundAtom] | None:
+        def conflict(gamma: int) -> int | None:
             for delta in through:
-                if delta.isdisjoint(gamma):
+                if not delta & gamma:
                     break
             else:
-                return ()  # every diagnosis through tau is hit
+                return 0  # every diagnosis through tau is hit
             for delta in avoiding:
-                if delta.isdisjoint(gamma):
+                if not delta & gamma:
                     return delta
             return None if side is None else side(gamma, tau)
 
-        return canonical_family(minimal_sets(conflict))
+        return minimal_sets(conflict)
+
+    def contingency_family(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
+        """The cause's minimal contingency sets, in canonical order."""
+        bit = self._bit(tau)
+        if not bit & self._union():
+            raise NotACauseError(f"{tau} is not an actual cause for {self.answer}")
+        return tuple([decode(gamma, self.atoms) for gamma in self._contingency_masks(bit)])
 
     def responsibility(self, tau: GroundAtom) -> Fraction:
         """1/(1 + size of the smallest contingency set) for a cause, 0 for
         any other endogenous tuple."""
         if tau not in self.hypotheses:
             raise NotEndogenousError(f"{tau} is not an endogenous tuple")
-        if tau not in self.causes():
+        bit = self._bit(tau)
+        if not bit & self._union():
             return Fraction(0)
-        return _rho(self.contingency_family(tau))
+        family = self._contingency_masks(bit)
+        return Fraction(1, 1 + family[0].bit_count()) if family else Fraction(0)
 
     def reports(self) -> tuple[CauseReport, ...]:
         """Every cause with its family and responsibility, in canonical
@@ -141,25 +173,22 @@ class CauseAnalysis:
         which diagnoses hold it, so each distinct set of diagnoses has its
         family computed once and shared by every cause in exactly those
         diagnoses."""
-        through: dict[GroundAtom, list[int]] = {}
-        for i, delta in enumerate(self.solutions):
-            for tau in delta:
-                through.setdefault(tau, []).append(i)
-        shared: dict[object, tuple[tuple[frozenset[GroundAtom], ...], Fraction]] = {}
+        through: dict[int, int] = {}  # a cause's bit -> the diagnoses holding it, bit i: the i-th
+        for i, delta in enumerate(self.masks):
+            for bit in positions(delta):
+                through[bit] = through.get(bit, 0) | 1 << i
+        shared: dict[int, tuple[tuple[frozenset[GroundAtom], ...], Fraction]] = {}
         out = []
-        for tau in sorted(through, key=GroundAtom.sort_key):
-            key = tuple(through[tau]) if self.side is None else tau
+        for bit in sorted(through, reverse=True):  # the higher bit, the earlier atom
+            tau = self.atoms[bit]
+            key = through[bit] if self.side is None else bit
             if key not in shared:
                 family = self.contingency_family(tau)
-                shared[key] = family, _rho(family)
+                shared[key] = family, Fraction(1, 1 + len(family[0])) if family else Fraction(0)
             family, rho = shared[key]
             if family:
                 out.append(CauseReport(tau, family, rho))
         return tuple(out)
-
-
-def _rho(family: Sequence[frozenset[GroundAtom]]) -> Fraction:
-    return Fraction(1, 1 + min(len(g) for g in family)) if family else Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +206,8 @@ def _analysis(
         problem = AbductionProblem(program, exogenous, endogenous, (answer,))
     except ObservationNotEntailableError:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance") from None
-    analysis = CauseAnalysis(answer, solve_diagnoses(problem), problem.hypotheses)
+    solutions = solve_diagnoses(problem)
+    analysis = CauseAnalysis(answer, solutions.masks, solutions.atoms, problem.hypotheses)
     analysis.problem = problem
     return analysis
 

@@ -123,6 +123,8 @@ def _read(sources: dict[str, bytes], name: str, path: str) -> str:
             data = file.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # a path with an embedded NUL byte
+        raise _UsageError(f"cannot read {path!r}: {exc}") from exc
     sources[name] = data
     try:
         return data.decode("utf-8")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
     InstanceViolatesSigmaError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .causality import CauseAnalysis, CauseReport
 from .evaluator import Relation, _matches, _plan, _Plan, _seed
-from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable
+from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, atom_bits, bit_order, decode
 
 
 @dataclass(frozen=True)
@@ -244,13 +244,17 @@ def _scan(instance: Instance, constraints: Sequence[Constraint]) -> tuple[Satisf
     return SatisfactionReport(not violations, tuple(violations)), matches
 
 
-def _unwitnessed(matches: Iterable[_TgdMatch], removed: frozenset[GroundAtom]) -> frozenset[GroundAtom] | None:
+# a set of tuples: a frozenset of atoms, or a bitmask over one numbering
+_Set = TypeVar("_Set", frozenset, int)
+
+
+def _unwitnessed(matches: Iterable[tuple[_Set, Sequence[_Set]]], removed: _Set) -> _Set | None:
     """The first kept tgd body match that deleting ``removed`` leaves in
     place with every head witness gone, or None.  Deletions break only
     tgds, so the instance minus ``removed`` satisfies the constraints the
     instance satisfies iff there is none."""
     for match, witnesses in matches:
-        if match.isdisjoint(removed) and all(not w.isdisjoint(removed) for w in witnesses):
+        if not match & removed and all(w & removed for w in witnesses):
             return match
     return None
 
@@ -286,19 +290,35 @@ def _analysis(instance: Instance, program: Program, answer: GroundAtom, sigma: S
     """The answer's diagnoses with the constraints as the side condition:
     deleting Gamma, and Gamma with tau, must leave no tgd body match
     without a head witness.  Only deleting a tuple of such a match cures
-    it, so its endogenous tuples other than tau are the conflict."""
+    it, so its endogenous tuples other than tau are the conflict.
+
+    A deleted set holds diagnosis tuples and endogenous match tuples
+    only, so those are numbered (``model.bit_order``); a match with a
+    witness that holds none of them never loses that witness, so it is
+    dropped."""
     matches = _checked_scan(instance, sigma)
     plain = CauseAnalysis.for_query(instance, program, answer)
-    kept = [(instance.endogenous & match, witnesses) for match, witnesses in matches]
+    atoms, masks = plain.atoms, plain.masks
+    extra = {a for match, _ in matches for a in match} & instance.endogenous
+    if not extra.issubset(atoms):
+        atoms = bit_order(extra.union(atoms))
+    bits = atom_bits(atoms)
+    if atoms is not plain.atoms:
+        masks = [sum(bits[a] for a in decode(delta, plain.atoms)) for delta in masks]
+    kept = []
+    for match, witnesses in matches:
+        held = [sum(bits.get(a, 0) for a in w) for w in witnesses]
+        if all(held):
+            kept.append((sum(bits.get(a, 0) for a in match), held))
 
-    def side(gamma: frozenset[GroundAtom], tau: GroundAtom) -> frozenset[GroundAtom] | None:
-        for removed in (gamma, gamma | {tau}):
+    def side(gamma: int, tau: int) -> int | None:
+        for removed in (gamma, gamma | tau):
             match = _unwitnessed(kept, removed)
             if match is not None:
-                return match - {tau}
+                return match & ~tau
         return None
 
-    return CauseAnalysis(answer, plain.solutions, plain.hypotheses, side)
+    return CauseAnalysis(answer, masks, atoms, plain.hypotheses, side)
 
 
 def causes_under_ics(

@@ -461,7 +461,7 @@ def _seed(facts: Iterable[GroundAtom]) -> tuple[_Numbering, dict[str, Relation]]
 
 
 def _compile(program: Program) -> list[tuple[Rule, tuple[str, ...], str]]:
-    return [(rule, tuple(a.predicate for a in rule.body_atoms()), rule.head.predicate) for rule in program.rules]
+    return [(rule, rule._predicates, rule.head.predicate) for rule in program.rules]
 
 
 def _round(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArityMismatchError, HeadExtensionalError, UnsafeRuleError, WhydError
 
@@ -213,15 +213,53 @@ def ground(predicate: str, *symbols: str) -> GroundAtom:
     return GroundAtom(predicate, tuple(Constant(s) for s in symbols))
 
 
-def family_key(atoms: frozenset[GroundAtom]) -> tuple:
-    """The canonical order of atom sets: smaller first, then by the sorted
-    atom keys."""
-    return (len(atoms), tuple(sorted(a.sort_key() for a in atoms)))
+# -- sets of atoms as bitmasks ---------------------------------------------
+#
+# A family of atom sets is held as bitmasks over a numbering of its atoms,
+# bit i for ``atoms[i]``, with the atoms in descending canonical order
+# (``bit_order``): of n atoms, the canonical i-th has bit n-1-i.  Two
+# sets of equal size then compare as their masks do, the larger mask
+# holding the smaller atom where they first differ, so masks sorted by
+# (popcount, -mask) (``canonical_masks``) are the sets in canonical family
+# order: smaller sets first, then by their sorted atoms.
 
 
-def canonical_family(family: Iterable[frozenset[GroundAtom]]) -> tuple[frozenset[GroundAtom], ...]:
-    """The distinct sets of a family in canonical order."""
-    return tuple(sorted(set(family), key=family_key))
+def bit_order(atoms: Iterable[GroundAtom]) -> tuple[GroundAtom, ...]:
+    """The atoms in descending canonical order, the numbering of a
+    family's masks: bit i stands for the i-th."""
+    return tuple(sorted(atoms, key=GroundAtom.sort_key, reverse=True))
+
+
+def atom_bits(atoms: Sequence[GroundAtom]) -> dict[GroundAtom, int]:
+    """Each atom of a numbering mapped to its bit."""
+    return {atom: 1 << i for i, atom in enumerate(atoms)}
+
+
+def positions(mask: int) -> list[int]:
+    """The positions of the bits the mask sets, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def decode(mask: int, atoms: Sequence[GroundAtom]) -> frozenset[GroundAtom]:
+    """The atoms whose bits the mask sets."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(atoms[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+def canonical_masks(masks: Iterable[int]) -> list[int]:
+    """The masks in canonical family order: fewer bits first, then larger masks."""
+    out = sorted(masks, reverse=True)
+    out.sort(key=int.bit_count)
+    return out
 
 
 @dataclass(frozen=True)
@@ -253,6 +291,12 @@ class Rule:
     # the join plans the evaluator compiles for this rule on first use;
     # they live as long as the rule and take no part in equality
     _plans: list | None = field(default=None, init=False, repr=False, compare=False)
+    # the predicates of the body atoms in body order, which the evaluator
+    # reads on every join pass
+    _predicates: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_predicates", tuple(a.predicate for a in self.body_atoms()))
 
     def body_atoms(self) -> Iterator[Atom]:
         return (b for b in self.body if isinstance(b, Atom))

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring as _string
 from typing import Any, Iterable, Mapping
 
 from .errors import WhydError
-from .model import GroundAtom, family_key
+from .model import GroundAtom
 
 SCHEMA = "whyd/1"
 
@@ -51,7 +51,9 @@ def sorted_atoms(atoms: Iterable[GroundAtom]) -> list[str]:
 
 
 def sorted_families(families: Iterable[frozenset[GroundAtom]]) -> list[list[str]]:
-    return [sorted_atoms(s) for s in sorted(families, key=family_key)]
+    """Each set's atoms in canonical order, the sets in the order given:
+    the engine returns every family in canonical order."""
+    return [sorted_atoms(s) for s in families]
 
 
 def file_digest(data: bytes) -> str:

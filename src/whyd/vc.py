@@ -8,7 +8,9 @@ conditions over the support sets of the answer, and (iii), which only
 gets harder to meet as the set grows, is the side condition of a
 ``causality.CauseAnalysis`` that prunes.  The support sets of every
 answer of the view come from one provenance pass
-(``abduction.support_families``); the view is the set of its answers.
+(``abduction.support_masks``), as bitmasks over one numbering of the
+deletable tuples, so the side condition tests masks; the view is the set
+of its answers.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abduction import support_families
+from .abduction import support_masks
 from .causality import CauseAnalysis, CauseReport
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
@@ -45,24 +47,24 @@ def _analysis(
 ) -> CauseAnalysis:
     """The answer's diagnoses with (iii) as the side condition: a set
     whose deletion, with the cause, loses a protected answer is pruned."""
-    families = support_families(program, instance.exogenous, instance.endogenous)
+    atoms, families = support_masks(program, instance.exogenous, instance.endogenous)
     view = families.keys()
     if answer not in view:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance")
     if protected is not None and not protected <= view:
-        stray = sorted(protected - view, key=GroundAtom.sort_key)[0]
+        stray = min(protected - view, key=GroundAtom.sort_key)
         raise NotAnAnswerError(f"protected atom {stray} is not an answer on this instance")
     kept = (view - {answer}) if protected is None else protected
-    protected_families = [families[a] for a in sorted(kept, key=GroundAtom.sort_key)]
+    protected_families = [families[a] for a in kept]
 
-    def side(gamma: frozenset[GroundAtom], tau: GroundAtom) -> tuple[()] | None:
-        removed = gamma | {tau}
+    def side(gamma: int, tau: int) -> int | None:
+        removed = gamma | tau
         for family in protected_families:
-            if all(not delta.isdisjoint(removed) for delta in family):
-                return ()  # (iii): a protected answer would be lost
+            if all(delta & removed for delta in family):
+                return 0  # (iii): a protected answer would be lost
         return None
 
-    return CauseAnalysis(answer, families[answer], instance.endogenous, side)
+    return CauseAnalysis(answer, families[answer], atoms, instance.endogenous, side)
 
 
 def vc_causes(

@@ -13,7 +13,7 @@ solution must hit every support set of the target answer and must not hit
 every support set of any other answer, so the solutions are the minimal
 hitting sets of the target's support family that pass the second test.
 The support sets of every answer come from one provenance pass
-(``abduction.support_families``), and the view is the set of its
+(``abduction.support_masks``), and the view is the set of its
 answers; the residual view of such a solution is the view without the
 target, by definition.  Every other world tested here (the instance
 without a solution, a candidate subinstance, that subinstance with one
@@ -30,14 +30,14 @@ residual views from that fixpoint of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
-from .abduction import necessary_hypothesis_sets, support_families
+from .abduction import necessary_hypothesis_sets, support_masks
 from .causality import CauseAnalysis
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
 from .evaluator import evaluate_fixpoint, propagate, reached
 from .hitting import minimal_hitting_sets
-from .model import GroundAtom, Instance, Program, canonical_family
+from .model import GroundAtom, Instance, Program, decode, positions
 
 SolutionKind = Literal["minimal_source", "minimum_source", "view_safe"]
 
@@ -54,19 +54,24 @@ def _working_instance(instance: Instance, endogenous_only: bool) -> Instance:
 
 
 def _answer_worlds(
-    program: Program, instance: Instance, shared: Iterable[GroundAtom], worlds: Iterable[Iterable[GroundAtom]]
+    program: Program,
+    instance: Instance,
+    shared: Iterable[GroundAtom],
+    atoms: Sequence[GroundAtom],
+    worlds: Iterable[int],
 ) -> dict[GroundAtom, int]:
     """Every answer of the program on the instance, mapped to the bitmask
-    of the worlds (sets of the instance's facts, each with the shared
-    ones) whose models hold it (bit i: the i-th world): one fixpoint of
-    the instance, then one propagation of the worlds over the part of its
+    of the worlds whose models hold it (bit i: the i-th world).  A world
+    is a bitmask over ``atoms``, facts of the instance (bit i:
+    ``atoms[i]``), with the shared facts added.  One fixpoint of the
+    instance, then one propagation of the worlds over the part of its
     derivation graph that the answers reach."""
     model = evaluate_fixpoint(program, instance)
     ids = model.ids
     goals = [ids[a] for a in model.extension(program.answer_predicate)]
-    masks = propagate(
-        *reached(model.graph, goals), len(ids), [ids[a] for a in shared], [[ids[a] for a in w] for w in worlds]
-    )
+    numbered = [ids[a] for a in atoms]
+    facts = [[numbered[bit] for bit in positions(world)] for world in worlds]
+    masks = propagate(*reached(model.graph, goals), len(ids), [ids[a] for a in shared], facts)
     return {model.graph.atoms[a]: masks[a] for a in goals}
 
 
@@ -82,8 +87,16 @@ def minimal_source_solutions(
     working = _working_instance(instance, endogenous_only)
     solutions = necessary_hypothesis_sets(CauseAnalysis.for_query(working, program, answer).problem)
     # world i is the instance without the i-th solution
-    touched = frozenset().union(*solutions)
-    views = _answer_worlds(program, working, working.atoms - touched, [touched - removed for removed in solutions])
+    touched = 0
+    for removed in solutions.masks:
+        touched |= removed
+    views = _answer_worlds(
+        program,
+        working,
+        working.atoms - decode(touched, solutions.atoms),
+        solutions.atoms,
+        [touched & ~removed for removed in solutions.masks],
+    )
     return tuple(
         DeletionSolution(removed, "minimal_source", frozenset(a for a, mask in views.items() if mask >> i & 1))
         for i, removed in enumerate(solutions)
@@ -127,8 +140,9 @@ def check_source_solution(
     # world 0 is the subinstance; world i + 1 puts the i-th deleted tuple
     # back, for maximality: each must restore the answer (monotonicity
     # lifts this to all supersets)
-    removed = instance.atoms - subinstance.atoms
-    held = _answer_worlds(program, instance, subinstance.atoms, [(), *([atom] for atom in removed)]).get(answer)
+    removed = tuple(instance.atoms - subinstance.atoms)
+    worlds = [0, *(1 << i for i in range(len(removed)))]
+    held = _answer_worlds(program, instance, subinstance.atoms, removed, worlds).get(answer)
     if held is None:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance")
     if held & 1:
@@ -150,7 +164,7 @@ def vsef_solutions(
     answer from the view; empty iff the side-effect-free problem has no
     solution."""
     working = _working_instance(instance, endogenous_only)
-    families = support_families(program, working.exogenous, working.endogenous)
+    atoms, families = support_masks(program, working.exogenous, working.endogenous)
     if answer not in families:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance")
     protected_families = [family for a, family in families.items() if a != answer]
@@ -163,4 +177,4 @@ def vsef_solutions(
         if not any(all(delta & removed for delta in family) for family in protected_families)
     ]
     residual = frozenset(families.keys() - {answer})
-    return tuple(DeletionSolution(removed, "view_safe", residual) for removed in canonical_family(found))
+    return tuple(DeletionSolution(decode(removed, atoms), "view_safe", residual) for removed in found)

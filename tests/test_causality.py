@@ -294,6 +294,29 @@ def test_one_hitting_set_search_per_diagnosis_pattern(monkeypatch, facts, target
         assert report.responsibility == responsibility(instance, program, answer, report.cause)
 
 
+def test_cause_reports_order_each_hypothesis_once(monkeypatch):
+    """The hypotheses are put in canonical order once, when the solve
+    numbers them; the search, the families and the reports keep that
+    order as bitmasks, so no output set is sorted by atom again."""
+    program, instance, answer = load_program("graph.dl"), parse_instance(_LADDER_6), atom("ans(l, lt)")
+    calls = 0
+    real = GroundAtom.sort_key
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    CauseAnalysis.for_query.cache_clear()
+    solve_diagnoses.cache_clear()
+    monkeypatch.setattr(GroundAtom, "sort_key", counted)
+    reports = cause_reports(instance, program, answer)
+    monkeypatch.undo()
+    assert len(reports) == len(instance.endogenous) == 12
+    assert sum(len(g) for r in reports for g in r.minimal_contingency_sets) > len(instance.endogenous)
+    assert 0 < calls <= len(instance.endogenous), calls
+
+
 def test_ladder_searches_stay_within_their_tree(monkeypatch):
     """On ladder-8 each of the 8 diagnosis patterns gets one search.  It
     branches on the other 7 rungs in turn, so its level k holds the 2^k

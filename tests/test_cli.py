@@ -125,6 +125,15 @@ def test_exit_code_2_on_missing_file(capsys):
     assert "missing.facts" in error["message"]
 
 
+def test_exit_code_2_on_a_path_with_a_nul_byte(capsys):
+    # open raises ValueError, not OSError, for such a path; a shell cannot
+    # pass one, a caller of main can
+    code = cli.main(["eval", "-p", "a\x00b", "-d", "x"])
+    assert code == 2
+    error = _error_object(capsys.readouterr(), "UsageError")
+    assert error["message"] == "cannot read 'a\\x00b': embedded null byte"
+
+
 def test_exit_code_2_on_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.dl"
     bad.write_text("ans :- .")

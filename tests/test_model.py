@@ -2,6 +2,7 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whyd.errors import (
     ArityMismatchError,
@@ -18,7 +19,11 @@ from whyd.model import (
     Rule,
     Variable,
     active_domain,
+    atom_bits,
+    bit_order,
+    canonical_masks,
     check_instance_against,
+    decode,
     derived_atom,
     ground,
     validate_program,
@@ -108,6 +113,39 @@ def test_sort_key_is_the_predicate_and_the_symbols():
     assert ground("p").sort_key() == ("p", ())
     facts = [ground("e", "b"), ground("e", "a", "c"), ground("d", "z")]
     assert sorted(facts, key=GroundAtom.sort_key) == [ground("d", "z"), ground("e", "a", "c"), ground("e", "b")]
+
+
+# atoms whose canonical order differs from their symbols' and their
+# creation order: prefixes, arities, digits and a quoted predicate
+_POOL = [
+    ground(p, *args)
+    for p in ("e", "ea", "E", "e e")
+    for args in ((), ("b",), ("a", "c"), ("a",), ("10",), ("9",), ("a", "b"))
+]
+
+
+def _family_order(atoms):
+    """The canonical family order, from its definition: smaller sets first,
+    then by their atoms' sort keys in order."""
+    return (len(atoms), sorted(a.sort_key() for a in atoms))
+
+
+@given(
+    st.lists(st.sampled_from(_POOL), max_size=12),
+    st.lists(st.frozensets(st.sampled_from(_POOL), max_size=6), max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_masks_in_canonical_numbering_sort_and_decode_as_the_sets(numbered, family):
+    # the atoms numbered in descending canonical order, bit i for the
+    # i-th: (popcount, -mask) order is the family order of the sets
+    atoms = bit_order(set(numbered).union(*family))
+    bits = atom_bits(atoms)
+    assert [bits[a] for a in atoms] == [1 << i for i in range(len(atoms))]
+    masks = [sum(bits[a] for a in delta) for delta in family]
+    assert [decode(mask, atoms) for mask in masks] == family
+    ordered = canonical_masks(masks)
+    assert ordered == sorted(masks, key=lambda m: (m.bit_count(), -m))
+    assert [decode(mask, atoms) for mask in ordered] == sorted(family, key=_family_order)
 
 
 @pytest.mark.parametrize("args", [(), ("a",), ("a", "b b", "a")])

@@ -30,12 +30,13 @@ def test_sorted_atoms_canonical_order():
     assert sorted_atoms(atoms) == ["a(q, r)", "b(a)", "b(z)"]
 
 
-def test_sorted_families_by_size_then_contents():
+def test_sorted_families_sort_each_set_and_keep_the_given_order():
+    # the engine returns families in canonical order; rendering keeps it
     families = [
         frozenset({ground("p", "b"), ground("p", "a")}),
         frozenset({ground("p", "c")}),
     ]
-    assert sorted_families(families) == [["p(c)"], ["p(a)", "p(b)"]]
+    assert sorted_families(families) == [["p(a)", "p(b)"], ["p(c)"]]
 
 
 def test_emit_report_is_deterministic_and_newline_terminated():
