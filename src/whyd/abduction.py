@@ -304,7 +304,7 @@ def _solve(
     model = evaluate_fixpoint(program, chain(fixed, deletable - fixed))
     if goals is None:
         goals = [(answer,) for answer in sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)]
-    ids = [tuple(model.ids.get(atom, -1) for atom in goal) for goal in goals]
+    ids = [tuple(map(model.id_of, goal)) for goal in goals]
     if any(-1 in goal for goal in ids):
         raise ObservationNotEntailableError("the observation is not entailed even with every hypothesis added")
     hypotheses, families = _minimal_why(model.graph, len(fixed), ids)

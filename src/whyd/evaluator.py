@@ -6,18 +6,22 @@ is new, so each rule is joined once over the full relations).  A join
 pass numbers the atoms it holds where it deduplicates them: the seed
 facts first, each once in the order given (a caller that gives its
 extensional facts before its hypotheses can tell a fact's kind by its
-id), then each head the first time a kernel derives it.  Relations,
-index buckets and firing bodies hold ids.  ``evaluate_fixpoint`` also
-records the model's derivation graph (``Graph``), behind abduction's
-diagnoses: each firing's body is appended to its head's list as the
-kernel fires it.  A graph is scratch data of the solve that recorded
-it; no caller keeps one.  The models of many worlds (fact sets) inside
-one model need no join of their own: ``propagate`` reads them off that
-model's ground program, ``reached`` keeps the part of it some goals
-need and says whether that part is cyclic, and
-``ground`` derives the ground program again by one join of each rule,
-into a numbering of its own, for callers that must not trust a
-recorded graph.  Only a join pass hashes atoms; everything after it
+id), then each head the first time a kernel derives it.  It numbers
+them by key (``GroundAtom.key``: the predicate and the arguments'
+interned symbols), a tuple that hashes and compares in C; a kernel
+builds a head's key from the symbols it has read and builds the atom
+only when the key is new.  Relations, index buckets and firing bodies
+hold ids.  ``evaluate_fixpoint`` also records the model's derivation
+graph (``Graph``), behind abduction's diagnoses: each firing's body is
+appended to its head's list as the kernel fires it.  A graph is
+scratch data of the solve that recorded it; no caller keeps one.  The
+models of many worlds (fact sets) inside one model need no join of
+their own: ``propagate`` reads them off that model's ground program,
+``reached`` keeps the part of it some goals need and says whether that
+part is cyclic, and ``ground`` derives the ground program again by one
+join of each rule, into a numbering of its own, for callers that must
+not trust a recorded graph; over a closed model that round builds no
+atom.  Only a join pass looks atoms up, by key; everything after it
 indexes lists by id.
 
 One join engine matches a conjunction of atoms against facts: the
@@ -34,12 +38,13 @@ still satisfy is inlined: a scan's arity, and as ``is`` tests on
 interned symbols the constants a scan has not filtered, the positions a
 repeated variable must agree on and the comparisons.  Each variable is
 read where the fact that binds it holds it: no binding is ever built.  A
-rule kernel builds each head, numbers it if it is new and records its
-firing inline; a constraint kernel yields each match as atoms.  No
-symbol enters the source: plans of one shape share one kernel and pass
-their constants as an argument.  The naive reference evaluator that the
-agreement tests and brute-force oracles use lives in ``tests/oracle.py``
-and shares no code with this module.
+rule kernel builds each head's key, builds and numbers the head only if
+the key is new, and records its firing inline; a constraint kernel
+yields each match as atoms.  No symbol enters the source: plans of one
+shape share one kernel and pass their constants as an argument.  The
+naive reference evaluator that the agreement tests and brute-force
+oracles use lives in ``tests/oracle.py`` and shares no code with this
+module.
 
 Termination is guaranteed: the active domain is finite and rules are
 positive, so the model only grows and is bounded by the set of all
@@ -85,17 +90,22 @@ class Graph:
 
 class MinimalModel:
     """The least set of ground atoms closed under the program's rules:
-    ``graph.atoms``, numbered by the pass that found them (``ids`` maps
-    each atom to its id), with ``graph`` its ground derivation graph:
-    each head, seeded or not, with the bodies of the rule instances that
-    fire in the model.  ``relations`` maps each predicate to its atoms."""
+    ``graph.atoms``, numbered by the pass that found them (``id_of``),
+    with ``graph`` its ground derivation graph: each head, seeded or not,
+    with the bodies of the rule instances that fire in the model.
+    ``relations`` maps each predicate to its atoms."""
 
-    __slots__ = ("graph", "ids", "_extensions")
+    __slots__ = ("graph", "_ids", "_extensions")
 
-    def __init__(self, graph: Graph, ids: dict[GroundAtom, int], extensions: Mapping[str, Collection[int]]):
+    def __init__(self, graph: Graph, ids: dict[tuple[str, ...], int], extensions: Mapping[str, Collection[int]]):
         self.graph = graph
-        self.ids = ids
+        self._ids = ids  # each atom's key -> its id
         self._extensions = extensions
+
+    def id_of(self, atom: GroundAtom) -> int:
+        """The atom's id, its place in ``graph.atoms``; -1 for an atom the
+        model does not hold."""
+        return self._ids.get(atom.key, -1)
 
     @property
     def relations(self) -> dict[str, frozenset[GroundAtom]]:
@@ -105,7 +115,7 @@ class MinimalModel:
         return frozenset(self.graph.atoms)
 
     def __contains__(self, atom: GroundAtom) -> bool:
-        return atom in self.ids
+        return atom.key in self._ids
 
     def extension(self, predicate: str) -> frozenset[GroundAtom]:
         return frozenset(map(self.graph.atoms.__getitem__, self._extensions.get(predicate, ())))
@@ -274,11 +284,13 @@ def _kernel(shape: tuple):
     facts are atoms; an atom's fact is an id, whose atom the kernel reads
     in the pass's numbered atoms ``A``.  The source holds only such
     indices and generated names; the constants come in the tuple ``c``.
-    A rule kernel ``k0(src, c, outer, A, ids, F)`` looks each head up
-    once in the pass's ``_Numbering`` ``ids``, which numbers a new one,
-    and appends the firing's body, the tuple of its facts, to the head's
-    list ``F[id]``.  A match kernel
-    ``k0(src, c, outer, A)`` yields each match as its facts' atoms."""
+    A rule kernel ``k0(src, c, outer, A, ids, F)`` builds each head's
+    key from the head predicate and the symbols it read and looks it up
+    in the pass's ``_Numbering`` ``ids``; ``ids.new`` builds and numbers
+    a head whose key is not numbered yet.  It appends the firing's
+    body, the tuple of its facts, to the head's list ``F[id]``.  A match
+    kernel ``k0(src, c, outer, A)`` yields each match as its facts'
+    atoms."""
     outer, atoms, comparisons, first, head, consts = shape
     where: dict[int, tuple[int, int]] = {}  # variable -> (slot, position) that binds it
     for slot, terms in enumerate(outer):
@@ -361,9 +373,12 @@ def _kernel(shape: tuple):
         elif head is None:
             innermost = [f"yield {_tuple(f'A[f{base + i}]' for i in range(len(atoms)))}"]
         else:
-            args = _tuple(f"c{-n - 1}" if n < 0 else arg(n) for n in head[0])
+            terms = [f"c{-n - 1}" if n < 0 else arg(n) for n in head[0]]  # the head's constants are Constants
+            key = _tuple([f"c{head[1]}", *(t + ".symbol" for t in terms)])
             fired = _tuple(f"f{base + i}" for i in range(len(atoms)))
-            innermost = [f"h = _atom(c{head[1]}, {args})", f"F[ids[h]].append({fired})"]
+            # one statement, the key bound in its test: a program compiles a
+            # kernel per shape, at a cost that grows with the source
+            innermost = [f"F[ids[k] if (k := {key}) in ids else ids.new(k, {_tuple(terms)})].append({fired})"]
 
         # the outer facts are atoms, the facts of earlier chunks' loops ids
         body = [f"{''.join(f'f{s}, ' for s in before)}= outer"] if before else []
@@ -383,7 +398,7 @@ def _kernel(shape: tuple):
         lines.append(f"def k{j}(src, c, outer, A{tail}):")
         lines += ["    " + line for line in body]
         before = after
-    namespace = {"_atom": derived_atom}
+    namespace: dict = {}
     exec(compile("\n".join(lines) + "\n", "<whyd kernel>", "exec"), namespace)
     return namespace["k0"]
 
@@ -422,18 +437,19 @@ def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
 
 
 class _Numbering(dict):
-    """The atoms of a join pass mapped to their ids, their places in
-    ``atoms``; ``rows[i]`` lists the firings of atom i.  While the pass is
-    ``open``, looking up an atom not yet numbered numbers it: a rule
-    kernel looks up each head it derives, once."""
+    """The keys (``GroundAtom.key``) of the atoms of a join pass mapped to
+    their ids, their places in ``atoms``; ``rows[i]`` lists the firings
+    of atom i.  A rule kernel looks each head it derives up by its key,
+    built from interned symbols, so a known head costs no atom; ``new``
+    builds and numbers one that is not known yet."""
 
-    __slots__ = ("atoms", "rows", "open")
+    __slots__ = ("atoms", "rows")
 
-    def __missing__(self, atom: GroundAtom) -> int:
-        if not self.open:
-            raise KeyError(atom)
-        n = self[atom] = len(self.atoms)
-        self.atoms.append(atom)
+    def new(self, key: tuple[str, ...], args: tuple[Constant, ...]) -> int:
+        """The id of a new atom, built from its key (the predicate
+        first) and its arguments."""
+        n = self[key] = len(self.atoms)
+        self.atoms.append(derived_atom(key[0], args, key))
         self.rows.append([])
         return n
 
@@ -447,7 +463,7 @@ def _seed(facts: Iterable[GroundAtom]) -> tuple[_Numbering, dict[str, Relation]]
     number, group = ids.setdefault, by_predicate.get
     n = 0
     for fact in facts:
-        if number(fact, n) == n:
+        if number(fact.key, n) == n:
             atoms.append(fact)
             held = group(fact.predicate)
             if held is None:
@@ -456,7 +472,6 @@ def _seed(facts: Iterable[GroundAtom]) -> tuple[_Numbering, dict[str, Relation]]
                 held.append(n)
             n += 1
     ids.rows = [[] for _ in range(n)]
-    ids.open = True
     return ids, {p: Relation(atoms, held) for p, held in by_predicate.items()}
 
 
@@ -518,7 +533,6 @@ def _semi_naive(program: Program, facts: Iterable[GroundAtom]) -> MinimalModel:
         for p, fresh in new.items():
             relations[p].update(fresh)
             deltas[p] = Relation(atoms, fresh)
-    ids.open = False
     return MinimalModel(Graph(atoms, seeds, ids.rows), ids, {p: rel.facts for p, rel in relations.items()})
 
 
@@ -536,8 +550,8 @@ def ground(program: Program, facts: Iterable[GroundAtom]) -> Graph:
     """The ground program of ``program`` over the facts: every rule joined
     once over them, one naive round, into a numbering of its own whose
     seeds are the facts, each once in the order given.  Over a closed
-    model it is the model's derivation graph, and it numbers no head past
-    the seeds."""
+    model it is the model's derivation graph: it numbers no head past the
+    seeds, so it builds no atom."""
     ids, relations = _seed(facts)
     seeds = len(ids.atoms)
     _round(_compile(program), relations, None, ids)

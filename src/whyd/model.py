@@ -141,23 +141,29 @@ class Atom:
 
 
 class GroundAtom(_Frozen):
-    """An all-constant atom, i.e. a database tuple.  The hash is computed
-    once and the sort key on first use."""
+    """An all-constant atom, i.e. a database tuple.  Its ``key``, the
+    predicate followed by the arguments' symbols, is built once: the atom
+    hashes as its key, equals exactly the atoms with the same key (a
+    tuple compare of interned strings) and sorts by it (``sort_key``)."""
 
-    __slots__ = ("predicate", "args", "_hash", "_sort_key")
+    __slots__ = ("predicate", "args", "key", "_hash")
 
     def __init__(self, predicate: str, args: tuple[Constant, ...]):
+        predicate = sys.intern(predicate)
+        key = [predicate]
         for t in args:
             if t.__class__ is not Constant:
                 raise WhydError(f"non-constant argument in ground atom {predicate}")
-        predicate = sys.intern(predicate)
+            key.append(t.symbol)
+        key = tuple(key)
         _set(self, "predicate", predicate)
         _set(self, "args", args)
-        _set(self, "_hash", hash((predicate, args)))
+        _set(self, "key", key)
+        _set(self, "_hash", hash(key))
 
     def __eq__(self, other):
         if other.__class__ is GroundAtom:
-            return self._hash == other._hash and self.predicate is other.predicate and self.args == other.args
+            return self.key == other.key
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -173,13 +179,10 @@ class GroundAtom(_Frozen):
     def arity(self) -> int:
         return len(self.args)
 
-    def sort_key(self) -> tuple:
-        try:
-            return self._sort_key
-        except AttributeError:
-            key = (self.predicate, tuple([c.symbol for c in self.args]))
-            _set(self, "_sort_key", key)
-            return key
+    def sort_key(self) -> tuple[str, ...]:
+        """The canonical order of atoms: by predicate, then by the
+        arguments' symbols in order, a prefix first."""
+        return self.key
 
     def to_atom(self) -> Atom:
         return Atom(self.predicate, self.args)
@@ -194,17 +197,22 @@ _new = object.__new__
 # the slots' own setters, which skip _Frozen.__setattr__
 _set_predicate = GroundAtom.predicate.__set__  # type: ignore[attr-defined]
 _set_args = GroundAtom.args.__set__  # type: ignore[attr-defined]
+_set_key = GroundAtom.key.__set__  # type: ignore[attr-defined]
 _set_hash = GroundAtom._hash.__set__  # type: ignore[attr-defined]
 
 
-def derived_atom(predicate: str, args: tuple[Constant, ...]) -> GroundAtom:
-    """``GroundAtom(predicate, args)`` without its checks,
-    for heads the engine derives: ``predicate`` must already be interned
-    and every argument a ``Constant``.  The hash is the constructor's."""
+def derived_atom(predicate: str, args: tuple[Constant, ...], key: tuple[str, ...] | None = None) -> GroundAtom:
+    """``GroundAtom(predicate, args)`` without its checks, for heads the
+    engine derives: ``predicate`` must already be interned and every
+    argument a ``Constant``; a join pass, which has looked the head up by
+    its ``key`` already, passes that too."""
+    if key is None:
+        key = (predicate, *[c.symbol for c in args])
     atom = _new(GroundAtom)
     _set_predicate(atom, predicate)
     _set_args(atom, args)
-    _set_hash(atom, hash((predicate, args)))
+    _set_key(atom, key)
+    _set_hash(atom, hash(key))
     return atom
 
 

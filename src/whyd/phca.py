@@ -15,6 +15,7 @@ observation sections, which list variable names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .abduction import AbductionProblem
 from .errors import NonHornClauseError, ParseError, SourceSpan, WhydError
@@ -124,6 +125,13 @@ _T_RULE = Rule(
 )
 
 
+@lru_cache(maxsize=8)
+def _marker_rule(marker: str) -> Rule:
+    """The fact rule t(marker), shared by every encoding with that marker
+    (almost always ``true``) so that its plan is compiled once too."""
+    return Rule(Atom("t", (Constant(marker),)), ())
+
+
 def encode_phca(problem: PropositionalHornAbduction) -> AbductionProblem:
     """The Datalog abduction problem whose relevant marker atoms are
     exactly the relevant hypotheses of the propositional problem."""
@@ -135,7 +143,7 @@ def encode_phca(problem: PropositionalHornAbduction) -> AbductionProblem:
         names.add(head)
         names.update(body)
     c = {name: Constant(name) for name in names}
-    program = Program((Rule(Atom("t", (c[true_marker],)), ()), _T_RULE), "t")
+    program = Program((_marker_rule(true_marker), _T_RULE), "t")
     extensional = frozenset(GroundAtom("r", (c[head], c[b1], c[b2], c[b3])) for head, (b1, b2, b3) in rules)
     hypotheses = frozenset(GroundAtom("t", (c[h],)) for h in sorted(problem.hypotheses))
     observation = tuple(GroundAtom("t", (c[o],)) for o in problem.observations)

@@ -67,11 +67,11 @@ def _answer_worlds(
     instance, then one propagation of the worlds over the part of its
     derivation graph that the answers reach."""
     model = evaluate_fixpoint(program, instance)
-    ids = model.ids
-    goals = [ids[a] for a in model.extension(program.answer_predicate)]
-    numbered = [ids[a] for a in atoms]
+    id_of = model.id_of
+    goals = [id_of(a) for a in model.extension(program.answer_predicate)]
+    numbered = [id_of(a) for a in atoms]
     facts = [[numbered[bit] for bit in positions(world)] for world in worlds]
-    masks = propagate(*reached(model.graph, goals), len(ids), [ids[a] for a in shared], facts)
+    masks = propagate(*reached(model.graph, goals), len(model.graph.atoms), map(id_of, shared), facts)
     return {model.graph.atoms[a]: masks[a] for a in goals}
 
 

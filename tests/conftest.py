@@ -96,7 +96,7 @@ def problem_graph(problem):
     from whyd.evaluator import evaluate_fixpoint
 
     model = evaluate_fixpoint(problem.program, [*problem.extensional, *problem.hypotheses - problem.extensional])
-    return model.graph, [model.ids[a] for a in problem.observation]
+    return model.graph, [model.id_of(a) for a in problem.observation]
 
 
 def tamper(monkeypatch, edit) -> None:
@@ -111,12 +111,15 @@ def tamper(monkeypatch, edit) -> None:
 
     def tampered(program, facts):
         model = real(program, facts)
-        graph, ids = model.graph, model.ids
+        graph, id_of = model.graph, model.id_of
         pairs = firing_pairs(graph)
         edit(pairs)
+        missing = [a for head, body in pairs for a in (head, *body) if id_of(a) < 0]
+        if missing:
+            raise KeyError(f"{missing[0]} is not an atom of the model")
         rows: list = [[] for _ in graph.atoms]
         for head, body in pairs:
-            rows[ids[head]].append(tuple(ids[a] for a in body))
+            rows[id_of(head)].append(tuple(map(id_of, body)))
         model.graph = Graph(graph.atoms, graph.seeds, rows)
         return model
 

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from whyd import evaluator
+from whyd import model as model_module
 from whyd.abduction import AbductionProblem, relevant_hypotheses, solve_diagnoses
 from whyd.constraints import satisfies
 from whyd.errors import UnknownPredicateError
@@ -612,3 +613,48 @@ def test_fixpoint_records_every_ground_firing():
         problem = encode_phca(corpus.random_phca(seed))
         kinds += _assert_firings_match_oracle(problem.program, problem.extensional | problem.hypotheses, seed)
     assert kinds["bodiless"] >= 300 and kinds["seeded head"] >= 500 and kinds["derived"] >= 1000, kinds
+
+
+_TC = parse_program("ans(X, Y) :- p(X, Y).\np(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), e(Z, Y).\n")
+
+
+def _count_atoms_built(monkeypatch) -> list:
+    """From now on, each atom ``model.derived_atom`` builds, the only way a
+    join pass builds atoms, is appended to the list returned."""
+    built: list = []
+
+    def new(cls):
+        atom = object.__new__(cls)
+        built.append(atom)
+        return atom
+
+    monkeypatch.setattr(model_module, "_new", new)
+    return built
+
+
+@pytest.mark.parametrize("case", ["chain-8", "ladder-6", "phca-6"])
+def test_a_join_pass_builds_only_the_atoms_it_numbers(monkeypatch, case):
+    # a kernel looks each head up by its key: the fixpoint builds one atom
+    # per model atom past the seeds, not one per firing, and the naive
+    # round over the closed model (the check's) builds none, though it
+    # still joins every rule over every seed
+    if case == "phca-6":
+        problem = encode_phca(corpus.random_phca(6))
+        program, facts = problem.program, [*problem.extensional, *problem.hypotheses - problem.extensional]
+    else:
+        size = int(case[-1])
+        edges = [(f"c{i}", f"c{i + 1}") for i in range(size)]
+        if case.startswith("ladder"):
+            edges = [e for j in range(size) for e in (("l", f"l{j}"), (f"l{j}", "lt"))]
+        program, facts = _TC, [ground("e", *edge) for edge in edges]
+    built = _count_atoms_built(monkeypatch)
+    model = evaluate_fixpoint(program, facts)
+    graph = model.graph
+    firings = sum(map(len, graph.rows))
+    assert len(built) == len(graph.atoms) - graph.seeds <= firings, (len(built), firings)
+    assert case == "chain-8" or len(built) < firings  # on a chain each atom has one firing
+    assert [graph.atoms.index(a) for a in built] == list(range(graph.seeds, len(graph.atoms)))
+    built.clear()
+    check = evaluator.ground(program, graph.atoms)
+    assert built == [] and check.seeds == len(check.atoms) == len(graph.atoms)
+    assert [set(row) for row in check.rows] == [set(row) for row in graph.rows]

@@ -49,7 +49,7 @@ def test_ground_atom_identity_ignores_label():
     # a tuple is its predicate and arguments; a label names it in one
     # instance and leaves both the atom and the instance's value alone
     atom = ground("e", "a", "b")
-    assert GroundAtom.__slots__ == ("predicate", "args", "_hash", "_sort_key")
+    assert GroundAtom.__slots__ == ("predicate", "args", "key", "_hash")
     first, second = Instance([atom], labels={atom: "t1"}), Instance([atom], labels={atom: "t2"})
     assert first == second and hash(first) == hash(second) and first == Instance([atom])
     assert first.label_of(atom) == "t1" and second.label_of(atom) == "t2" and Instance([atom]).label_of(atom) is None
@@ -108,9 +108,9 @@ def test_variable_and_constant_with_the_same_text_are_unequal():
 
 def test_sort_key_is_the_predicate_and_the_symbols():
     fact = ground("e", "b", "a")
-    assert fact.sort_key() == ("e", ("b", "a"))
-    assert fact.sort_key() is fact.sort_key()
-    assert ground("p").sort_key() == ("p", ())
+    assert fact.sort_key() == ("e", "b", "a")
+    assert fact.sort_key() is fact.sort_key() is fact.key
+    assert ground("p").sort_key() == ("p",)
     facts = [ground("e", "b"), ground("e", "a", "c"), ground("d", "z")]
     assert sorted(facts, key=GroundAtom.sort_key) == [ground("d", "z"), ground("e", "a", "c"), ground("e", "b")]
 
@@ -146,6 +146,37 @@ def test_masks_in_canonical_numbering_sort_and_decode_as_the_sets(numbered, fami
     ordered = canonical_masks(masks)
     assert ordered == sorted(masks, key=lambda m: (m.bit_count(), -m))
     assert [decode(mask, atoms) for mask in ordered] == sorted(family, key=_family_order)
+
+
+def _old_sort_key(atom):
+    """The canonical order as it was first defined: the predicate, then
+    the tuple of the arguments' symbols."""
+    return (atom.predicate, tuple(c.symbol for c in atom.args))
+
+
+# the _POOL atoms and more of the same kinds
+_ATOMS = st.one_of(
+    st.sampled_from(_POOL),
+    st.builds(
+        lambda predicate, symbols: GroundAtom(predicate, tuple(map(Constant, symbols))),
+        st.sampled_from(["e", "ea", "E", "e e", "p"]),
+        st.lists(st.sampled_from(["a", "b", "ab", "a b", "9", "10", "B"]), max_size=3),
+    ),
+)
+
+
+@given(st.lists(_ATOMS, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_the_key_is_the_atoms_equality_hash_and_order(atoms):
+    for a in atoms:
+        assert a.key == (a.predicate, *(c.symbol for c in a.args)) and a.sort_key() is a.key
+        for derived in (derived_atom(a.predicate, a.args), derived_atom(a.predicate, a.args, a.key)):
+            assert derived == a and derived.key == a.key and hash(derived) == hash(a)
+        for b in atoms:
+            same = a.predicate == b.predicate and a.args == b.args
+            assert (a == b) is same and (a.key == b.key) is same
+            assert not same or hash(a) == hash(b)
+    assert sorted(atoms, key=GroundAtom.sort_key) == sorted(atoms, key=_old_sort_key)
 
 
 @pytest.mark.parametrize("args", [(), ("a",), ("a", "b b", "a")])

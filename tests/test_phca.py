@@ -1,5 +1,6 @@
 import pytest
 
+from whyd import evaluator
 from whyd.abduction import relevant_hypotheses, solve_diagnoses
 from whyd.errors import NonHornClauseError, WhydError
 from whyd.evaluator import reached
@@ -117,3 +118,18 @@ def test_random_diagnoses_match_propositional_brute_force():
         assert engine == set(brute), problem
         cyclic += reached(*problem_graph(encoded))[1]
     assert cyclic >= 150, cyclic
+
+
+def test_encodings_share_their_rules_and_compile_no_plan_per_problem(monkeypatch):
+    # both rules of an encoding with the usual marker are shared values,
+    # so their join plans are compiled at most once, whatever the number
+    # of problems encoded
+    compiled = []
+    real = evaluator._plan
+    monkeypatch.setattr(evaluator, "_plan", lambda *args, **kwargs: compiled.append(1) or real(*args, **kwargs))
+    first = [encode_phca(corpus.random_phca(seed)) for seed in range(100)]
+    warm = len(compiled)
+    second = [encode_phca(corpus.random_phca(seed)) for seed in range(100, 200)]
+    assert warm <= 5 and len(compiled) == warm, (warm, len(compiled))
+    rules = first[0].program.rules
+    assert all(p.program.rules[i] is rules[i] for p in first + second for i in range(2))
