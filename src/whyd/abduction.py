@@ -52,7 +52,7 @@ from .errors import (
 )
 from .evaluator import Graph, evaluate_fixpoint, fresh_predicate, ground, propagate, reached
 from .hitting import minimal_hitting_sets
-from .model import Atom, GroundAtom, Instance, Program, Rule, canonical_masks, decode, positions
+from .model import CACHE_SIZE, Atom, GroundAtom, Instance, Program, Rule, canonical_masks, decode, positions
 
 Diagnosis = frozenset[GroundAtom]
 # a conjunction of atoms whose minimal why-provenance is asked for, as
@@ -65,8 +65,9 @@ class AbductionProblem:
     """``(program, extensional facts, hypotheses, observation)`` with the
     standing assumption that program + facts + all hypotheses entail the
     observation.  Construction solves the problem (``solve_diagnoses``),
-    which checks that assumption: a problem that exists has its
-    diagnoses cached."""
+    which checks that assumption: a problem that exists has been solved,
+    and its diagnoses stay cached until ``model.CACHE_SIZE`` problems
+    solved since have pushed them out."""
 
     program: Program
     extensional: frozenset[GroundAtom]
@@ -313,7 +314,7 @@ def _solve(
     return goals, atoms, [canonical_masks(family) for family in families]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def solve_diagnoses(problem: AbductionProblem) -> Family:
     """All abductive diagnoses, in canonical order, with their bitmasks
     (``Family``).  Never empty; equals ``(frozenset(),)`` when the
@@ -323,7 +324,9 @@ def solve_diagnoses(problem: AbductionProblem) -> Family:
     before they are returned; a failed check raises
     ``InternalInvariantError``.  Results are cached by problem value
     (``cache_info``, ``cache_clear``), so equal problems share them; each
-    problem's construction looks its own up."""
+    problem's construction looks its own up.  The cache keeps the
+    ``model.CACHE_SIZE`` problems used last: a problem pushed out is
+    solved again when it is asked for again."""
     _, atoms, families = _solve(problem.program, problem.extensional, problem.hypotheses, (problem.observation,))
     return _family(families[0], atoms)
 
@@ -368,14 +371,15 @@ def necessary_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:
     return decode(common, solutions.atoms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def necessary_hypothesis_sets(problem: AbductionProblem) -> Family:
     """Subset-minimal sets of hypotheses whose removal leaves the
     observation unexplainable, in canonical order, with their bitmasks.
     Removing N kills every diagnosis exactly when N hits every diagnosis,
     so these are the minimal hitting sets of the diagnosis family.  The
-    search runs once per problem value: the family is cached
-    (``cache_info``, ``cache_clear``)."""
+    search runs once per problem value while the family is cached
+    (``cache_info``, ``cache_clear``; the ``model.CACHE_SIZE`` problems
+    used last)."""
     solutions = solve_diagnoses(problem)
     return _family(minimal_hitting_sets(solutions.masks), solutions.atoms)
 

@@ -29,7 +29,8 @@ its responsibility.
 
 The plain analysis of one request is cached by value
 (``CauseAnalysis.for_query``), keyed by the instance's endogenous and
-exogenous tuple sets, so the cache keeps no caller's ``Instance``.  A
+exogenous tuple sets, so the cache keeps no caller's ``Instance``; it
+keeps the ``model.CACHE_SIZE`` analyses used last.  A
 cause is a tuple; tuple labels live in the caller's ``Instance`` only,
 so equal requests under other labels share one analysis and its result
 objects, and each caller reads the labels through its own instance.
@@ -56,7 +57,7 @@ from .errors import (
 )
 from .evaluator import holds as model_holds
 from .hitting import minimal_sets
-from .model import GroundAtom, Instance, Program, decode, positions
+from .model import CACHE_SIZE, GroundAtom, Instance, Program, decode, positions
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ class CauseAnalysis:
         return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _analysis(
     endogenous: frozenset[GroundAtom], exogenous: frozenset[GroundAtom], program: Program, answer: GroundAtom
 ) -> CauseAnalysis:

@@ -5,6 +5,16 @@ stdout (human-readable summaries behind ``--pretty``), diagnostics on
 stderr.  Exit codes: 0 success, 2 usage or input-format errors, 3
 semantic errors.  Both failing codes also write a machine-readable error
 object to stdout, command lines that argparse rejects included.
+
+Every call reads its input files afresh, so an edited file is seen at
+once and its bytes feed the provenance digests, but a long-lived caller
+of ``main`` parses each distinct input text once: the parsed program,
+instance document, constraint set or PHCA problem is kept in a bounded
+cache keyed by the input's kind and text, not its path
+(``model.CACHE_SIZE`` entries, the least recently used dropped first).
+A text that fails to parse is not kept, so its error is raised again,
+positioned in the file of the current call.  The arity check of the
+data against the program runs on every call.
 """
 
 from __future__ import annotations
@@ -12,13 +22,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
 from . import abduction, causality, constraints, phca, vc, viewupdate
 from .errors import ParseError, WhydError
 from .evaluator import answers as evaluate_answers
-from .model import GroundAtom, Program, check_instance_against
+from .model import CACHE_SIZE, GroundAtom, Program, check_instance_against
 from .parsing import (
     InstanceDocument,
     parse_constraints,
@@ -115,8 +126,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read(sources: dict[str, bytes], name: str, path: str) -> str:
-    """The text of an input file; its raw bytes go into ``sources`` for
+@dataclass(frozen=True)
+class _Input:
+    """An input file as read: its kind (the name of its option and of its
+    provenance digest), its text and its path.  The path only positions
+    a parse error and takes no part in equality, so ``_parsed`` shares
+    one parse among equal texts."""
+
+    kind: str
+    text: str
+    path: str = field(compare=False)
+
+
+def _read(sources: dict[str, bytes], kind: str, path: str) -> _Input:
+    """An input file, read afresh; its raw bytes go into ``sources`` for
     the provenance digests."""
     try:
         with open(path, "rb") as file:
@@ -125,11 +148,25 @@ def _read(sources: dict[str, bytes], name: str, path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # a path with an embedded NUL byte
         raise _UsageError(f"cannot read {path!r}: {exc}") from exc
-    sources[name] = data
+    sources[kind] = data
     try:
-        return data.decode("utf-8")
+        return _Input(kind, data.decode("utf-8"), path)
     except UnicodeDecodeError as exc:
         raise _UsageError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _parsed(source: _Input) -> Any:
+    """The parse of an input, shared by every call on an equal text; a
+    failed parse is not kept."""
+    kind, text, path = source.kind, source.text, source.path
+    if kind == "program":
+        return parse_program(text, path)
+    if kind == "data":
+        return parse_instance_document(text, path)
+    if kind == "constraints":
+        return parse_constraints(text, path)
+    return phca.parse_phca(text, path)
 
 
 def _family_payload(
@@ -158,10 +195,10 @@ def _cause_payload(reports, cap: int | None, responsibility_key: str) -> list[di
 
 def _load_common(args) -> tuple[Program, InstanceDocument, dict[str, bytes]]:
     sources: dict[str, bytes] = {}
-    program_text = _read(sources, "program", args.program)
-    data_text = _read(sources, "data", args.data)
-    program = parse_program(program_text, args.program)
-    document = parse_instance_document(data_text, args.data)
+    program_input = _read(sources, "program", args.program)
+    data_input = _read(sources, "data", args.data)
+    program = _parsed(program_input)
+    document = _parsed(data_input)
     check_instance_against(program, document.instance)
     return program, document, sources
 
@@ -178,7 +215,7 @@ def _run(args) -> Report:
         instance = document.instance
         target = parse_ground_atom(args.target)
         if args.constraints:
-            sigma = parse_constraints(_read(sources, "constraints", args.constraints), args.constraints)
+            sigma = _parsed(_read(sources, "constraints", args.constraints))
             reports, key = constraints.causes_under_ics(instance, program, target, sigma), "responsibility_under_ics"
         else:
             reports, key = causality.cause_reports(instance, program, target), "responsibility"
@@ -191,7 +228,7 @@ def _run(args) -> Report:
         target = parse_ground_atom(args.target)
         tau = parse_ground_atom(args.tuple)
         if args.constraints:
-            sigma = parse_constraints(_read(sources, "constraints", args.constraints), args.constraints)
+            sigma = _parsed(_read(sources, "constraints", args.constraints))
             rho = constraints.responsibility_under_ics(instance, program, target, tau, sigma)
         else:
             rho = causality.responsibility(instance, program, target, tau)
@@ -293,10 +330,10 @@ def _run(args) -> Report:
         if not args.constraints:
             raise _UsageError("check-ics needs -c/--constraints")
         sources = {}
-        data_text = _read(sources, "data", args.data)
-        constraints_text = _read(sources, "constraints", args.constraints)
-        document = parse_instance_document(data_text, args.data)
-        sigma = parse_constraints(constraints_text, args.constraints)
+        data_input = _read(sources, "data", args.data)
+        constraints_input = _read(sources, "constraints", args.constraints)
+        document = _parsed(data_input)
+        sigma = _parsed(constraints_input)
         result = constraints.satisfies(document.instance, sigma)
         payload = {
             "satisfied": result.ok,
@@ -309,7 +346,7 @@ def _run(args) -> Report:
 
     if args.command == "encode-phca":
         sources = {}
-        problem = phca.parse_phca(_read(sources, "input", args.input), args.input)
+        problem = _parsed(_read(sources, "input", args.input))
         encoded = phca.encode_phca(problem)
         solutions = abduction.solve_diagnoses(encoded)
         payload = {

@@ -29,6 +29,12 @@ def _printed_predicate(predicate: str) -> str:
     return predicate if _BARE_PREDICATE.fullmatch(predicate) else _quoted(predicate)
 
 
+# the entries each value-keyed cache of whyd keeps: the CLI's parsed
+# inputs, the diagnoses and necessary-hypothesis sets of abduction
+# problems, and the analyses of cause requests; the least recently used
+# entry goes first
+CACHE_SIZE = 1024
+
 _set = object.__setattr__
 
 

@@ -282,10 +282,12 @@ def _program(source: _Source) -> Program:
     return program
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstanceDocument:
     """An instance file: the partitioned instance plus any observations
-    declared in a ``#observe`` section (used by the abduce task)."""
+    declared in a ``#observe`` section (used by the abduce task).
+    Frozen: the CLI hands one parsed document to every request on the
+    same text."""
 
     instance: Instance
     observations: tuple[GroundAtom, ...] = ()

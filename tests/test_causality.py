@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from whyd import causality, evaluator
-from whyd.abduction import AbductionProblem, solve_diagnoses
+from whyd.abduction import AbductionProblem, necessary_hypothesis_sets, solve_diagnoses
 from whyd.causality import (
     CauseAnalysis,
     cause_reports,
@@ -18,7 +18,7 @@ from whyd.causality import (
 )
 from whyd.errors import NotACauseError, NotAnAnswerError, NotEndogenousError
 from whyd.evaluator import holds
-from whyd.model import GroundAtom, Instance, Program, ground
+from whyd.model import CACHE_SIZE, GroundAtom, Instance, Program, ground
 from whyd.parsing import parse_instance, parse_program
 from whyd.viewupdate import minimal_source_solutions, vsef_solutions
 
@@ -389,6 +389,33 @@ def test_a_cached_chain_request_keeps_a_compact_graph():
         solve_diagnoses.cache_clear()
         causality.CauseAnalysis.for_query.cache_clear()
     assert kept <= 10 * 1024, f"{kept / 1024:.1f} KiB a request"
+
+
+def test_the_value_caches_stay_within_their_bound():
+    # more distinct two-edge requests than the bound: no cache keeps more
+    # than CACHE_SIZE entries, and the first request, pushed out of every
+    # cache, gives its report again
+    program = load_program("graph.dl")
+    caches = (solve_diagnoses, necessary_hypothesis_sets, causality.CauseAnalysis.for_query)
+
+    def request(tag: str) -> tuple:
+        instance = parse_instance(f"e({tag}a, {tag}b).\ne({tag}b, {tag}c).\n")
+        target = atom(f"ans({tag}a, {tag}c)")
+        necessary_hypothesis_sets(causality.CauseAnalysis.for_query(instance, program, target).problem)
+        return cause_reports(instance, program, target)
+
+    try:
+        first = request("cb0x")
+        assert len(first) == 2
+        for i in range(CACHE_SIZE + 8):
+            request(f"cb{i}y")
+        assert [cache.cache_info().currsize for cache in caches] == [CACHE_SIZE] * 3
+        misses = solve_diagnoses.cache_info().misses
+        assert request("cb0x") == first
+        assert solve_diagnoses.cache_info().misses == misses + 1
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_no_request_keeps_a_derivation_graph(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -135,12 +136,17 @@ def test_exit_code_2_on_a_path_with_a_nul_byte(capsys):
 
 
 def test_exit_code_2_on_parse_error(tmp_path, capsys):
-    bad = tmp_path / "bad.dl"
-    bad.write_text("ans :- .")
-    code = cli.main(["eval", "-p", str(bad), "-d", _fx("aj.facts")])
-    assert code == 2
-    error = _error_object(capsys.readouterr(), "SyntaxError")
-    assert error["message"].startswith(f"{bad}:1:")
+    # a failed parse is not kept: the error comes again on every call,
+    # positioned in that call's file, and the file parses once fixed
+    for name in ("bad.dl", "worse.dl"):
+        bad = tmp_path / name
+        bad.write_text("ans :- .")
+        code = cli.main(["eval", "-p", str(bad), "-d", _fx("aj.facts")])
+        assert code == 2
+        error = _error_object(capsys.readouterr(), "SyntaxError")
+        assert error["message"].startswith(f"{bad}:1:")
+    bad.write_text("ans :- author(A, J).")
+    assert _run(["eval", "-p", str(bad), "-d", _fx("aj.facts")])[0] == 0
 
 
 def test_exit_code_2_reports_the_parse_error_subclass_code(tmp_path, capsys):
@@ -198,6 +204,50 @@ def test_repeated_calls_keep_no_parser_state(capsys):
     assert _run(GOLDEN_CASES["causes_aj"]) == (0, (GOLDEN / "causes_aj.json").read_text())
 
 
+def test_one_file_pair_is_parsed_once_across_commands(monkeypatch):
+    # four questions of one (program, data) pair: each text is read every
+    # time and parsed once
+    from whyd import parsing
+
+    parses = []
+    for name in ("_program", "_instance_document"):
+        real = getattr(parsing, name)
+        monkeypatch.setattr(parsing, name, lambda source, real=real, name=name: parses.append(name) or real(source))
+    cli._parsed.cache_clear()
+    pair = ["-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"]
+    for command in (
+        ["causes"],
+        ["mrc"],
+        ["responsibility", "--tuple", "author(john, tkde)"],
+        ["delprop", "--mode", "minimal-source"],
+    ):
+        code, output = _run([*command, *pair])
+        assert code == 0, output
+    assert sorted(parses) == ["_instance_document", "_program"]
+
+
+def test_a_rewritten_input_file_is_read_again(tmp_path):
+    program, data = tmp_path / "q.dl", tmp_path / "q.facts"
+    program.write_text("ans(X) :- e(X, Y).\n")
+    data.write_text("e(a, b).\n")
+    argv = ["eval", "-p", str(program), "-d", str(data)]
+    first = json.loads(_run(argv)[1])
+    data.write_text("e(a, b).\ne(c, d).\n")
+    second = json.loads(_run(argv)[1])
+    assert (first["payload"]["answers"], second["payload"]["answers"]) == (["ans(a)"], ["ans(a)", "ans(c)"])
+    assert first["provenance"]["program"] == second["provenance"]["program"]
+    assert first["provenance"]["data"] != second["provenance"]["data"]
+
+
+def test_golden_commands_repeated_in_one_process_keep_their_bytes():
+    # every golden command twice, in a shuffled order, so that most calls
+    # find their inputs already parsed by an earlier one
+    names = sorted(GOLDEN_CASES) * 2
+    random.Random(7).shuffle(names)
+    for name in names:
+        assert _run(GOLDEN_CASES[name]) == (0, (GOLDEN / f"{name}.json").read_text()), name
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["causes", "--help"], ["delprop", "-h"]])
 def test_help_exits_0_with_its_text(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -221,9 +271,10 @@ def test_exit_code_3_on_fact_arity_mismatch(command, tmp_path, capsys):
     program, data = tmp_path / "q.dl", tmp_path / "q.facts"
     program.write_text("ans(X) :- e(X).\n")
     data.write_text("e(c).\ne(a, b).\nf(a, b, c).\n#observe\nans(c).\n")
-    code = cli.main([command, "-p", str(program), "-d", str(data)])
-    assert code == 3
-    assert _error_object(capsys.readouterr(), "ArityMismatch")["message"] == "e(a, b) has arity 2, expected 1"
+    for _ in range(2):  # the check runs on every call, parsed inputs shared or not
+        code = cli.main([command, "-p", str(program), "-d", str(data)])
+        assert code == 3
+        assert _error_object(capsys.readouterr(), "ArityMismatch")["message"] == "e(a, b) has arity 2, expected 1"
 
 
 @pytest.mark.parametrize("command", [["vc-causes"], ["delprop", "--mode", "view-safe"]])

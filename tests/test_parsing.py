@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,6 +84,13 @@ def test_parse_instance_sections_and_labels():
     assert len(document.instance.exogenous) == 5
     assert len(document.instance.endogenous) == 2
     assert document.observations == (ground("zero", "d"),)
+
+
+def test_an_instance_document_is_frozen():
+    # the CLI hands one parsed document to every request on the same text
+    document = parse_instance_document(fixture_text("circuit.facts"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        document.observations = ()  # type: ignore[misc]
 
 
 def test_duplicate_fact_across_partitions_rejected():
