@@ -22,7 +22,7 @@ the i-th (``model.bit_order``), so a family of masks sorted by
 (popcount, -mask) is in canonical family order.  The graph lives only
 as long as its solve: what is kept is the family, as masks next to the
 hypothesis atoms (``Family``), decoded once into the frozensets callers
-get; every later search (``hitting``) and side condition reads the
+get; every later search (``hitting``) and constraint check reads the
 masks.  The same pass over every answer of a program at once gives
 each answer's minimal support sets (``support_masks``), behind
 view-conditioned causes and side-effect-free deletions.  Each family
@@ -31,8 +31,9 @@ every set with one element dropped, is a world, and all of them are
 propagated over a ground program that the check derives again by joins,
 into a numbering of its own that the recorded graph's atoms seed.  Hypotheses are plain
 tuples, so a problem is a plain value, solved when it is built: equal
-problems share one cached family and one necessary-set search, whatever
-labels their callers give the tuples.
+problems share one cached family and one cached hitting-set search of
+it (``_necessary_masks``), whatever labels their callers give the
+tuples.
 """
 
 from __future__ import annotations
@@ -372,16 +373,19 @@ def necessary_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _necessary_masks(problem: AbductionProblem) -> tuple[int, ...]:
+    """``necessary_hypothesis_sets`` as masks over the problem's
+    ``solve_diagnoses`` atoms: its one hitting-set search, cached by
+    problem value (the ``model.CACHE_SIZE`` problems used last)."""
+    return tuple(minimal_hitting_sets(solve_diagnoses(problem).masks))
+
+
 def necessary_hypothesis_sets(problem: AbductionProblem) -> Family:
     """Subset-minimal sets of hypotheses whose removal leaves the
     observation unexplainable, in canonical order, with their bitmasks.
     Removing N kills every diagnosis exactly when N hits every diagnosis,
-    so these are the minimal hitting sets of the diagnosis family.  The
-    search runs once per problem value while the family is cached
-    (``cache_info``, ``cache_clear``; the ``model.CACHE_SIZE`` problems
-    used last)."""
-    solutions = solve_diagnoses(problem)
-    return _family(minimal_hitting_sets(solutions.masks), solutions.atoms)
+    so these are the minimal hitting sets of the diagnosis family."""
+    return _family(_necessary_masks(problem), solve_diagnoses(problem).atoms)
 
 
 def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fraction:

@@ -8,24 +8,20 @@ answer atom itself as the observation: no goal rule and no Boolean
 program are built per request.  ``abduction.solve_diagnoses`` computes
 the diagnoses in one why-provenance pass over the answer's ground
 derivation graph, not by evaluating subsets of the instance.
-Everything else is read off the diagnosis family, held as the bitmasks
-the solve keeps over the hypotheses in canonical order
-(``abduction.Family``), and atoms are decoded only for what is
-returned:
+Everything else is read off the diagnosis family, held as bitmasks
+over the hypotheses in canonical order (``abduction.Family``), and
+atoms are decoded only for what is returned:
 
   * the causes are the relevant hypotheses (union of the diagnoses);
-  * a contingency set for a cause t must hit every diagnosis avoiding t
-    while leaving some diagnosis through t intact.  These conditions are
-    stated once, in ``CauseAnalysis._contingency_masks``, as the conflict
-    of a search for minimal sets (``hitting.minimal_sets``), whose
-    output order is the canonical order of the sets;
-  * the responsibility of a cause is 1/(1 + size of its smallest set),
-    the popcount of the family's first mask.
+  * Gamma is a minimal contingency set for a cause t exactly when Gamma
+    with t is a minimal deletion that drops the answer, a minimal
+    hitting set of the diagnoses, so t's family is read off the
+    answer's one cached search (``abduction._necessary_masks``);
+  * the responsibility of a cause is 1/(1 + size of its smallest set).
 
-View-conditioned causes (``vc``) and causes under constraints
-(``constraints``) are the same analysis with a side condition, one more
-check on each contingency set, and share its search, its report loop and
-its responsibility.
+View-conditioned causes (``vc``) read their families off the
+view-side-effect-free deletions alike; causes under constraints
+(``constraints``) run a search per cause.  All share ``CauseAnalysis``.
 
 The plain analysis of one request is cached by value
 (``CauseAnalysis.for_query``), keyed by the instance's endogenous and
@@ -46,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .abduction import AbductionProblem, solve_diagnoses
+from .abduction import AbductionProblem, _necessary_masks, solve_diagnoses
 from .errors import (
     NotACauseError,
     NotAnAnswerError,
@@ -56,7 +52,6 @@ from .errors import (
     ObservationNotEntailableError,
 )
 from .evaluator import holds as model_holds
-from .hitting import minimal_sets
 from .model import CACHE_SIZE, GroundAtom, Instance, Program, decode, positions
 
 
@@ -73,20 +68,22 @@ class CauseReport:
         return self.responsibility == 1
 
 
-SideCondition = Callable[[int, int], Optional[int]]
+def _read_off(deletions: Iterable[int], tau: int) -> list[int]:
+    """The minimal contingency sets of the cause with bit tau, as masks:
+    the minimal deletions that hold tau, each without tau.  Taking one
+    bit out of each keeps their order, so deletions in canonical order
+    give the family in canonical order."""
+    return [n ^ tau for n in deletions if n & tau]
 
 
 class CauseAnalysis:
-    """The causes of one answer, read off its diagnoses, with an optional
-    side condition ``side(gamma, tau)`` on the contingency sets: one more
-    conflict for the search (``hitting.minimal_sets``), checked after
-    the plain ones.  The diagnoses, the contingency sets and the side
-    condition's arguments and conflicts are bitmasks over ``atoms``,
+    """The causes of one answer: its support sets (``masks``) and
+    ``family(tau)``, the minimal contingency sets of the candidate cause
+    with bit tau in canonical order.  Both are bitmasks over ``atoms``,
     numbered as ``model.bit_order`` does; a set is decoded only to be
-    returned.  A candidate cause whose family comes
-    out empty is no cause under it.  ``for_query`` gives the plain
-    analysis of a request, with ``problem``, its causal abduction
-    problem."""
+    returned.  A candidate cause whose family comes out empty is no
+    cause.  ``for_query`` gives the plain analysis of a request, with
+    ``problem``, its causal abduction problem."""
 
     problem: AbductionProblem
 
@@ -96,13 +93,13 @@ class CauseAnalysis:
         masks: Sequence[int],
         atoms: tuple[GroundAtom, ...],
         hypotheses: frozenset[GroundAtom],
-        side: SideCondition | None = None,
+        family: Callable[[int], Sequence[int]],
     ):
         self.answer = answer
         self.masks = masks
         self.atoms = atoms
         self.hypotheses = hypotheses
-        self.side = side
+        self.family = family
 
     @staticmethod
     def for_query(instance: Instance, program: Program, answer: GroundAtom) -> "CauseAnalysis":
@@ -127,35 +124,20 @@ class CauseAnalysis:
     def causes(self) -> frozenset[GroundAtom]:
         return decode(self._union(), self.atoms)
 
-    def _contingency_masks(self, tau: int) -> list[int]:
-        """The minimal sets Gamma, as masks, such that some diagnosis
-        through tau (a bit) misses Gamma (the answer survives deleting
-        Gamma), every diagnosis avoiding tau meets it (deleting tau as
-        well drops the answer), and the side condition holds; in
-        canonical order."""
-        through = [delta for delta in self.masks if delta & tau]
-        avoiding = sorted((delta for delta in self.masks if not delta & tau), key=int.bit_count)
-        side = self.side
-
-        def conflict(gamma: int) -> int | None:
-            for delta in through:
-                if not delta & gamma:
-                    break
-            else:
-                return 0  # every diagnosis through tau is hit
-            for delta in avoiding:
-                if not delta & gamma:
-                    return delta
-            return None if side is None else side(gamma, tau)
-
-        return minimal_sets(conflict)
-
-    def contingency_family(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
-        """The cause's minimal contingency sets, in canonical order."""
+    def contingency_family(
+        self, tau: GroundAtom, decoded: dict[tuple[int, ...], tuple[frozenset[GroundAtom], ...]] | None = None
+    ) -> tuple[frozenset[GroundAtom], ...]:
+        """The cause's minimal contingency sets, in canonical order.
+        ``decoded`` maps the families already decoded, by their masks, to
+        their sets; a family found there is not decoded again."""
         bit = self._bit(tau)
         if not bit & self._union():
             raise NotACauseError(f"{tau} is not an actual cause for {self.answer}")
-        return tuple([decode(gamma, self.atoms) for gamma in self._contingency_masks(bit)])
+        masks = tuple(self.family(bit))
+        decoded = {} if decoded is None else decoded
+        if masks not in decoded:
+            decoded[masks] = tuple([decode(gamma, self.atoms) for gamma in masks])
+        return decoded[masks]
 
     def responsibility(self, tau: GroundAtom) -> Fraction:
         """1/(1 + size of the smallest contingency set) for a cause, 0 for
@@ -165,30 +147,23 @@ class CauseAnalysis:
         bit = self._bit(tau)
         if not bit & self._union():
             return Fraction(0)
-        family = self._contingency_masks(bit)
+        family = self.family(bit)
         return Fraction(1, 1 + family[0].bit_count()) if family else Fraction(0)
 
     def reports(self) -> tuple[CauseReport, ...]:
         """Every cause with its family and responsibility, in canonical
-        order.  Without a side condition a cause's family depends only on
-        which diagnoses hold it, so each distinct set of diagnoses has its
-        family computed once and shared by every cause in exactly those
-        diagnoses."""
-        through: dict[int, int] = {}  # a cause's bit -> the diagnoses holding it, bit i: the i-th
-        for i, delta in enumerate(self.masks):
-            for bit in positions(delta):
-                through[bit] = through.get(bit, 0) | 1 << i
-        shared: dict[int, tuple[tuple[frozenset[GroundAtom], ...], Fraction]] = {}
+        order.  Causes with equal families share one decoded family."""
+        decoded: dict[tuple[int, ...], tuple[frozenset[GroundAtom], ...]] = {}
+        rho: dict[int, Fraction] = {}  # the smallest set's size -> the responsibility
         out = []
-        for bit in sorted(through, reverse=True):  # the higher bit, the earlier atom
+        for bit in reversed(positions(self._union())):  # the higher bit, the earlier atom
             tau = self.atoms[bit]
-            key = through[bit] if self.side is None else bit
-            if key not in shared:
-                family = self.contingency_family(tau)
-                shared[key] = family, Fraction(1, 1 + len(family[0])) if family else Fraction(0)
-            family, rho = shared[key]
+            family = self.contingency_family(tau, decoded)
             if family:
-                out.append(CauseReport(tau, family, rho))
+                size = len(family[0])
+                if size not in rho:
+                    rho[size] = Fraction(1, 1 + size)
+                out.append(CauseReport(tau, family, rho[size]))
         return tuple(out)
 
 
@@ -208,7 +183,12 @@ def _analysis(
     except ObservationNotEntailableError:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance") from None
     solutions = solve_diagnoses(problem)
-    analysis = CauseAnalysis(answer, solutions.masks, solutions.atoms, problem.hypotheses)
+
+    def family(tau: int) -> list[int]:
+        # the deletions are searched for on the first family asked for
+        return _read_off(_necessary_masks(problem), tau)
+
+    analysis = CauseAnalysis(answer, solutions.masks, solutions.atoms, problem.hypotheses, family)
     analysis.problem = problem
     return analysis
 
@@ -255,15 +235,9 @@ def most_responsible_causes(instance: Instance, program: Program, answer: Ground
     """Causes attaining the maximal positive responsibility; empty iff
     there are no causes."""
     analysis = CauseAnalysis.for_query(instance, program, answer)
-    best: Fraction = Fraction(0)
-    winners: list[GroundAtom] = []
-    for report in analysis.reports():
-        if report.responsibility > best:
-            best = report.responsibility
-            winners = [report.cause]
-        elif report.responsibility == best and best > 0:
-            winners.append(report.cause)
-    return frozenset(winners)
+    rho = {tau: analysis.responsibility(tau) for tau in analysis.causes()}
+    best = max(rho.values(), default=None)
+    return frozenset(tau for tau, value in rho.items() if value == best)
 
 
 def cause_reports(instance: Instance, program: Program, answer: GroundAtom) -> tuple[CauseReport, ...]:

@@ -9,8 +9,8 @@ object to stdout, command lines that argparse rejects included.
 Every call reads its input files afresh, so an edited file is seen at
 once and its bytes feed the provenance digests, but a long-lived caller
 of ``main`` parses each distinct input text once: the parsed program,
-instance document, constraint set or PHCA problem is kept in a bounded
-cache keyed by the input's kind and text, not its path
+instance document, constraint set, PHCA problem or command-line atom is
+kept in a bounded cache keyed by the input's kind and text, not its path
 (``model.CACHE_SIZE`` entries, the least recently used dropped first).
 A text that fails to parse is not kept, so its error is raised again,
 positioned in the file of the current call.  The arity check of the
@@ -128,10 +128,10 @@ def _build_parser() -> _Parser:
 
 @dataclass(frozen=True)
 class _Input:
-    """An input file as read: its kind (the name of its option and of its
-    provenance digest), its text and its path.  The path only positions
-    a parse error and takes no part in equality, so ``_parsed`` shares
-    one parse among equal texts."""
+    """An input file as read, or a command-line atom (kind ``atom``, path
+    ``<atom>``): its kind, its text and its path.  The path only
+    positions a parse error and takes no part in equality, so
+    ``_parsed`` shares one parse among equal texts."""
 
     kind: str
     text: str
@@ -166,7 +166,14 @@ def _parsed(source: _Input) -> Any:
         return parse_instance_document(text, path)
     if kind == "constraints":
         return parse_constraints(text, path)
+    if kind == "atom":
+        return parse_ground_atom(text, path)
     return phca.parse_phca(text, path)
+
+
+def _atom(text: str) -> GroundAtom:
+    """A ground atom given on the command line (``-t``, ``--tuple``)."""
+    return _parsed(_Input("atom", text, "<atom>"))
 
 
 def _family_payload(
@@ -213,7 +220,7 @@ def _run(args) -> Report:
     if args.command == "causes":
         program, document, sources = _load_common(args)
         instance = document.instance
-        target = parse_ground_atom(args.target)
+        target = _atom(args.target)
         if args.constraints:
             sigma = _parsed(_read(sources, "constraints", args.constraints))
             reports, key = constraints.causes_under_ics(instance, program, target, sigma), "responsibility_under_ics"
@@ -225,8 +232,8 @@ def _run(args) -> Report:
     if args.command == "responsibility":
         program, document, sources = _load_common(args)
         instance = document.instance
-        target = parse_ground_atom(args.target)
-        tau = parse_ground_atom(args.tuple)
+        target = _atom(args.target)
+        tau = _atom(args.tuple)
         if args.constraints:
             sigma = _parsed(_read(sources, "constraints", args.constraints))
             rho = constraints.responsibility_under_ics(instance, program, target, tau, sigma)
@@ -238,7 +245,7 @@ def _run(args) -> Report:
     if args.command == "mrc":
         program, document, sources = _load_common(args)
         instance = document.instance
-        target = parse_ground_atom(args.target)
+        target = _atom(args.target)
         winners = causality.most_responsible_causes(instance, program, target)
         rho = (
             causality.responsibility(instance, program, target, next(iter(winners)))
@@ -255,7 +262,7 @@ def _run(args) -> Report:
     if args.command == "vc-causes":
         program, document, sources = _load_common(args)
         instance = document.instance
-        target = parse_ground_atom(args.target)
+        target = _atom(args.target)
         reports = vc.vc_causes(instance, program, target)
         payload = {
             "target": str(target),
@@ -298,7 +305,7 @@ def _run(args) -> Report:
     if args.command == "delprop":
         program, document, sources = _load_common(args)
         instance = document.instance
-        target = parse_ground_atom(args.target)
+        target = _atom(args.target)
         kind = _DELPROP_MODES[args.mode]
         if kind == "minimal_source":
             solutions = viewupdate.minimal_source_solutions(

@@ -7,9 +7,10 @@ that are already there.  No chase, no invented values; every
 intervention in this package is a deletion, and a deletion breaks only
 tgds.  One scan of the instance both checks the constraints and keeps
 each tgd body match with the fact sets that witness its head.  Causes
-under constraints are a ``causality.CauseAnalysis`` whose side
-condition is that the deletion leaves no kept match without a witness;
-the admissible subinstances are filtered by the same test.
+under constraints are a ``causality.CauseAnalysis`` with a minimal-set
+search per cause whose conflict also asks that the deletion leave no
+kept match without a witness; the admissible subinstances are filtered
+by the same test.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .causality import CauseAnalysis, CauseReport
 from .evaluator import Relation, _matches, _plan, _Plan, _seed
+from .hitting import minimal_sets
 from .model import Atom, Comparison, GroundAtom, Instance, Program, Term, Variable, atom_bits, bit_order, decode
 
 
@@ -287,10 +289,12 @@ class ConstrainedCauseReport(CauseReport):
 
 
 def _analysis(instance: Instance, program: Program, answer: GroundAtom, sigma: Sigma) -> CauseAnalysis:
-    """The answer's diagnoses with the constraints as the side condition:
-    deleting Gamma, and Gamma with tau, must leave no tgd body match
-    without a head witness.  Only deleting a tuple of such a match cures
-    it, so its endogenous tuples other than tau are the conflict.
+    """The answer's diagnoses, each cause's family from a search of its
+    own: deleting Gamma keeps the answer, deleting the cause too drops
+    it, and neither deletion leaves a tgd body match without a head
+    witness, which only deleting a tuple of the match cures, so its
+    endogenous tuples other than the cause are the conflict.  The
+    minimal deletions cannot express a test of Gamma alone.
 
     A deleted set holds diagnosis tuples and endogenous match tuples
     only, so those are numbered (``model.bit_order``); a match with a
@@ -311,14 +315,28 @@ def _analysis(instance: Instance, program: Program, answer: GroundAtom, sigma: S
         if all(held):
             kept.append((sum(bits.get(a, 0) for a in match), held))
 
-    def side(gamma: int, tau: int) -> int | None:
-        for removed in (gamma, gamma | tau):
-            match = _unwitnessed(kept, removed)
-            if match is not None:
-                return match & ~tau
-        return None
+    def family(tau: int) -> list[int]:
+        through = [delta for delta in masks if delta & tau]
+        avoiding = sorted((delta for delta in masks if not delta & tau), key=int.bit_count)
 
-    return CauseAnalysis(answer, masks, atoms, plain.hypotheses, side)
+        def conflict(gamma: int) -> int | None:
+            for delta in through:
+                if not delta & gamma:
+                    break
+            else:
+                return 0  # every diagnosis through tau is hit
+            for delta in avoiding:
+                if not delta & gamma:
+                    return delta
+            for removed in (gamma, gamma | tau):
+                match = _unwitnessed(kept, removed)
+                if match is not None:
+                    return match & ~tau
+            return None
+
+        return minimal_sets(conflict)
+
+    return CauseAnalysis(answer, masks, atoms, plain.hypotheses, family)
 
 
 def causes_under_ics(

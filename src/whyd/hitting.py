@@ -1,7 +1,8 @@
 """The one minimal-set search, a breadth-first hitting-set tree with lazily
-found conflicts (Reiter, AIJ 1987), over sets held as bitmasks.  Hitting
-sets and the three kinds of contingency sets differ only in their
-conflict function.  Callers number their elements in descending
+found conflicts (Reiter, AIJ 1987), over sets held as bitmasks.  It finds
+the minimal hitting sets (an answer's minimal deletions, which plain and
+view-conditioned contingency sets are read off) and the contingency
+sets under constraints.  Callers number their elements in descending
 canonical atom order (``model.bit_order``), so the search's own output
 order, fewer elements first and then larger masks first, is the
 canonical order of the sets it stands for.  Exact and exponential in

@@ -3,28 +3,30 @@ other answer of the query exactly.
 
 A contingency set here must (i) keep the target answer before the cause
 is removed, (ii) lose it afterwards, and (iii) leave the rest of the
-view untouched afterwards.  (i) and (ii) are the plain contingency
-conditions over the support sets of the answer, and (iii), which only
-gets harder to meet as the set grows, is the side condition of a
-``causality.CauseAnalysis`` that prunes.  The support sets of every
-answer of the view come from one provenance pass
+view untouched afterwards.  (iii) tests only the set with the cause and
+only gets harder to meet as it grows, so Gamma is a minimal contingency
+set for t exactly when Gamma with t is a minimal view-side-effect-free
+deletion over the endogenous tuples (``viewupdate``), and the families
+are read off those deletions (``causality._read_off``).  The support
+sets of every answer of the view come from one provenance pass
 (``abduction.support_masks``), as bitmasks over one numbering of the
-deletable tuples, so the side condition tests masks; the view is the set
-of its answers.
+deletable tuples; the view is the set of its answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .abduction import support_masks
-from .causality import CauseAnalysis, CauseReport
+from .causality import CauseAnalysis, CauseReport, _read_off
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from .evaluator import answers as evaluate_answers
 from .evaluator import fresh_predicate
 from .model import Atom, GroundAtom, Instance, Program
+from .viewupdate import _view_safe_masks
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,9 @@ class VcCauseReport(CauseReport):
 def _analysis(
     instance: Instance, program: Program, answer: GroundAtom, protected: frozenset[GroundAtom] | None
 ) -> CauseAnalysis:
-    """The answer's diagnoses with (iii) as the side condition: a set
-    whose deletion, with the cause, loses a protected answer is pruned."""
+    """The answer's support sets, with the families read off its
+    view-side-effect-free deletions over the endogenous tuples, those
+    that keep every protected answer."""
     atoms, families = support_masks(program, instance.exogenous, instance.endogenous)
     view = families.keys()
     if answer not in view:
@@ -55,16 +58,8 @@ def _analysis(
         stray = min(protected - view, key=GroundAtom.sort_key)
         raise NotAnAnswerError(f"protected atom {stray} is not an answer on this instance")
     kept = (view - {answer}) if protected is None else protected
-    protected_families = [families[a] for a in kept]
-
-    def side(gamma: int, tau: int) -> int | None:
-        removed = gamma | tau
-        for family in protected_families:
-            if all(delta & removed for delta in family):
-                return 0  # (iii): a protected answer would be lost
-        return None
-
-    return CauseAnalysis(answer, families[answer], atoms, instance.endogenous, side)
+    deletions = _view_safe_masks(families[answer], [families[a] for a in kept])
+    return CauseAnalysis(answer, families[answer], atoms, instance.endogenous, partial(_read_off, deletions))
 
 
 def vc_causes(

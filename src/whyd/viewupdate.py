@@ -5,26 +5,22 @@ reading; ``endogenous_only=True`` restricts deletions to the endogenous
 partition.  A deletion drops the answer exactly when it hits every
 diagnosis of the answer's causal abduction problem, so the minimal
 source-side-effect solutions are the minimal hitting sets of the
-diagnoses: the problem's necessary-hypothesis sets, from one search
-(``abduction.necessary_hypothesis_sets``).  Each is a cause together
-with one of its subset-minimal contingency sets, and each such union is
-one of them.  A view-side-effect-free
-solution must hit every support set of the target answer and must not hit
-every support set of any other answer, so the solutions are the minimal
-hitting sets of the target's support family that pass the second test.
-The support sets of every answer come from one provenance pass
-(``abduction.support_masks``), and the view is the set of its
-answers; the residual view of such a solution is the view without the
-target, by definition.  Every other world tested here (the instance
-without a solution, a candidate subinstance, that subinstance with one
-tuple put back) lies inside the model of the whole instance, so all of
-them come from one fixpoint of the instance and one propagation over
-the part of its derivation graph that the answers reach, with no
-further join (``_answer_worlds``).  That graph is over integers
-(``evaluator.Graph``): a world is a list of ids, and the propagation
-indexes lists by id.  The cause analysis keeps no graph: the minimal
-deletions take their necessary sets from its cached problem and their
-residual views from that fixpoint of their own.
+diagnoses, the problem's one cached search
+(``abduction.necessary_hypothesis_sets``), the same one the answer's
+causes and contingency sets are read off.  A view-side-effect-free
+solution must hit every support set of the target answer and must not
+hit every support set of any other answer (``_view_safe_masks``), and
+view-conditioned causes are read off these solutions.  The support sets
+of every answer come from one provenance pass
+(``abduction.support_masks``), and the view is the set of its answers;
+the residual view of such a solution is the view without the target,
+by definition.  Every other world tested here (the instance without a
+solution, a candidate subinstance, that subinstance with one tuple put
+back) lies inside the model of the whole instance, so all of them come
+from one fixpoint of the instance and one propagation over the part of
+its derivation graph that the answers reach, with no further join
+(``_answer_worlds``).  That graph is over integers (``evaluator.Graph``):
+a world is a list of ids, and the propagation indexes lists by id.
 """
 
 from __future__ import annotations
@@ -167,14 +163,18 @@ def vsef_solutions(
     atoms, families = support_masks(program, working.exogenous, working.endogenous)
     if answer not in families:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance")
-    protected_families = [family for a, family in families.items() if a != answer]
-
-    # losing the target is upward-closed in the removed set and keeping the
-    # protected answers downward-closed: filtering minimal hitting sets is exact
-    found = [
-        removed
-        for removed in minimal_hitting_sets(families[answer])
-        if not any(all(delta & removed for delta in family) for family in protected_families)
-    ]
+    found = _view_safe_masks(families[answer], [family for a, family in families.items() if a != answer])
     residual = frozenset(families.keys() - {answer})
     return tuple(DeletionSolution(decode(removed, atoms), "view_safe", residual) for removed in found)
+
+
+def _view_safe_masks(target: Sequence[int], protected: Sequence[Sequence[int]]) -> list[int]:
+    """The minimal deletions that lose the target answer and keep every
+    protected one, given their support families, in canonical order:
+    losing the target is upward-closed and keeping the protected answers
+    downward-closed, so filtering minimal hitting sets is exact."""
+    return [
+        removed
+        for removed in minimal_hitting_sets(target)
+        if not any(all(delta & removed for delta in family) for family in protected)
+    ]

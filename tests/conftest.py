@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import io
 import sys
 from contextlib import redirect_stdout
@@ -159,14 +160,26 @@ def count_facts_read(monkeypatch, count) -> None:
     monkeypatch.setattr(Relation, "__iter__", scan)
 
 
-def count_searches(monkeypatch) -> list:
-    """From now on, record the conflict of each minimal-set search that a
-    cause analysis runs (``causality.minimal_sets``: plain causes,
-    view-conditioned causes and causes under constraints all search
-    there)."""
-    from whyd import causality
+def count_searches(monkeypatch, module: str = "constraints") -> list[int]:
+    """From now on, count the minimal-set searches run through the
+    module's binding of ``hitting.minimal_sets``: one entry per search,
+    the number of conflicts it has evaluated.  ``constraints`` runs one
+    search per cause under constraints; ``hitting``, where
+    ``minimal_hitting_sets`` calls it, sees every search, the one behind
+    an answer's minimal deletions included."""
+    target = importlib.import_module(f"whyd.{module}")
+    real = target.minimal_sets
+    searches: list[int] = []
 
-    searches: list = []
-    real = causality.minimal_sets
-    monkeypatch.setattr(causality, "minimal_sets", lambda conflict: searches.append(conflict) or real(conflict))
+    def counted(conflict):
+        index = len(searches)
+        searches.append(0)
+
+        def tallied(gamma):
+            searches[index] += 1
+            return conflict(gamma)
+
+        return real(tallied)
+
+    monkeypatch.setattr(target, "minimal_sets", counted)
     return searches

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from whyd import causality, evaluator
+from whyd import abduction, causality, evaluator
 from whyd.abduction import AbductionProblem, necessary_hypothesis_sets, solve_diagnoses
 from whyd.causality import (
     CauseAnalysis,
@@ -24,7 +24,7 @@ from whyd.viewupdate import minimal_source_solutions, vsef_solutions
 
 import corpus
 import oracle
-from conftest import atom, load_instance, load_program
+from conftest import atom, count_searches, load_instance, load_program
 
 
 def _strs(atoms):
@@ -264,34 +264,71 @@ _CHAIN_8 = "".join(f"e(c{i}, c{i + 1}).\n" for i in range(8))
 _LADDER_6 = "".join(f"e(l, l{j}).\ne(l{j}, lt).\n" for j in range(6))
 
 
-@pytest.mark.parametrize("facts, target, searches", [(_CHAIN_8, "ans(c0, c8)", 1), (_LADDER_6, "ans(l, lt)", 6)])
-def test_one_hitting_set_search_per_diagnosis_pattern(monkeypatch, facts, target, searches):
-    """A cause's family depends only on which diagnoses hold it, so
-    ``reports`` runs one minimal-set search per distinct set of
-    diagnoses: chain-8 has one such set (8 searches when each cause had
-    its own), ladder-6 has six (12 before).  The shared families are the
-    ones each cause gets on its own."""
+def _clear_caches() -> None:
+    for cache in (solve_diagnoses, abduction._necessary_masks, CauseAnalysis.for_query):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("facts, target", [(_CHAIN_8, "ans(c0, c8)"), (_LADDER_6, "ans(l, lt)")], ids=["chain-8", "ladder-6"])
+def test_one_hitting_set_search_per_answer(monkeypatch, facts, target):
+    """Every causal notion of one answer and its minimal deletions are
+    read off one search, the minimal hitting sets of its diagnoses: a
+    cause with one of its minimal contingency sets is a minimal deletion.
+    The families ``reports`` gives are the ones each cause gets on its
+    own."""
     program, instance, answer = load_program("graph.dl"), parse_instance(facts), atom(target)
-    calls = 0
-    real = causality.minimal_sets
-
-    def counted(conflict):
-        nonlocal calls
-        calls += 1
-        return real(conflict)
-
-    CauseAnalysis.for_query.cache_clear()
-    solve_diagnoses.cache_clear()
-    monkeypatch.setattr(causality, "minimal_sets", counted)
+    _clear_caches()
+    searches = count_searches(monkeypatch, "hitting")
     reports = cause_reports(instance, program, answer)
-    assert calls == searches
     assert most_responsible_causes(instance, program, answer) == {r.cause for r in reports}
-    assert calls == 2 * searches
-    monkeypatch.setattr(causality, "minimal_sets", real)
     assert len(reports) == len(instance.endogenous)
     for report in reports:
         assert report.minimal_contingency_sets == minimal_contingency_sets(instance, program, answer, report.cause)
         assert report.responsibility == responsibility(instance, program, answer, report.cause)
+    solutions = minimal_source_solutions(instance, program, answer)
+    assert {s.removed for s in solutions} == {g | {r.cause} for r in reports for g in r.minimal_contingency_sets}
+    assert len(searches) == 1
+
+
+def _diamonds(k: int) -> tuple[Instance, GroundAtom]:
+    """k two-path diamonds in series from v0 to vk, with no shortcut: 2^k
+    diagnoses, and each of the 4k edges a cause."""
+    facts = "".join(f"e(v{i}, a{i}).\ne(a{i}, v{i + 1}).\ne(v{i}, b{i}).\ne(b{i}, v{i + 1}).\n" for i in range(k))
+    return parse_instance(facts), atom(f"ans(v0, v{k})")
+
+
+def _ladder(k: int) -> tuple[Instance, GroundAtom]:
+    return parse_instance("".join(f"e(l, l{j}).\ne(l{j}, lt).\n" for j in range(k))), atom("ans(l, lt)")
+
+
+@pytest.mark.parametrize(
+    "shape, k, bound, rho",
+    # the one search on ladder-8 branches on the 8 rungs in turn, 2^j
+    # sets at level j: 2^9 - 1 conflicts; diamonds-7 evaluates 2,215,
+    # where a search per diagnosis pattern evaluated 91,882
+    [(_ladder, 8, 2**9 - 1, Fraction(1, 8)), (_diamonds, 7, 3000, Fraction(1, 2))],
+    ids=["ladder-8", "diamonds-7"],
+)
+def test_cause_reports_evaluate_few_conflicts(monkeypatch, shape, k, bound, rho):
+    program = load_program("graph.dl")
+    instance, answer = shape(k)
+    _clear_caches()
+    searches = count_searches(monkeypatch, "hitting")
+    reports = cause_reports(instance, program, answer)
+    assert len(reports) == len(instance.endogenous)
+    assert {r.responsibility for r in reports} == {rho}
+    assert len(searches) == 1 and searches[0] <= bound, searches
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_diamonds_match_the_oracle(k):
+    program = load_program("graph.dl")
+    instance, answer = _diamonds(k)
+    sweep = oracle.instance_sweep(program, instance)
+    expected = {tau: oracle.contingency_family(sweep, answer, tau) for tau in oracle.causes(sweep, answer)}
+    reports = cause_reports(instance, program, answer)
+    assert {r.cause: set(r.minimal_contingency_sets) for r in reports} == {t: set(f) for t, f in expected.items()}
+    assert [r.responsibility for r in reports] == [Fraction(1, 1 + min(map(len, expected[r.cause]))) for r in reports]
 
 
 def test_cause_reports_order_each_hypothesis_once(monkeypatch):
@@ -315,36 +352,6 @@ def test_cause_reports_order_each_hypothesis_once(monkeypatch):
     assert len(reports) == len(instance.endogenous) == 12
     assert sum(len(g) for r in reports for g in r.minimal_contingency_sets) > len(instance.endogenous)
     assert 0 < calls <= len(instance.endogenous), calls
-
-
-def test_ladder_searches_stay_within_their_tree(monkeypatch):
-    """On ladder-8 each of the 8 diagnosis patterns gets one search.  It
-    branches on the other 7 rungs in turn, so its level k holds the 2^k
-    sets of one tuple from each of the first k: 2^8 - 1 conflicts to
-    evaluate, not one per subset of the 14 other tuples."""
-    facts = "".join(f"e(l, l{j}).\ne(l{j}, lt).\n" for j in range(8))
-    program, instance, answer = load_program("graph.dl"), parse_instance(facts), atom("ans(l, lt)")
-    searches = evaluations = 0
-    real = causality.minimal_sets
-
-    def counted(conflict):
-        nonlocal searches
-        searches += 1
-
-        def tallied(gamma):
-            nonlocal evaluations
-            evaluations += 1
-            return conflict(gamma)
-
-        return real(tallied)
-
-    CauseAnalysis.for_query.cache_clear()
-    solve_diagnoses.cache_clear()
-    monkeypatch.setattr(causality, "minimal_sets", counted)
-    reports = cause_reports(instance, program, answer)
-    assert searches == 8
-    assert evaluations <= 8 * 2**8
-    assert {r.responsibility for r in reports} == {Fraction(1, 8)}
 
 
 def test_the_analysis_cache_keeps_no_caller_instance():
@@ -396,7 +403,7 @@ def test_the_value_caches_stay_within_their_bound():
     # than CACHE_SIZE entries, and the first request, pushed out of every
     # cache, gives its report again
     program = load_program("graph.dl")
-    caches = (solve_diagnoses, necessary_hypothesis_sets, causality.CauseAnalysis.for_query)
+    caches = (solve_diagnoses, abduction._necessary_masks, causality.CauseAnalysis.for_query)
 
     def request(tag: str) -> tuple:
         instance = parse_instance(f"e({tag}a, {tag}b).\ne({tag}b, {tag}c).\n")

@@ -206,11 +206,11 @@ def test_repeated_calls_keep_no_parser_state(capsys):
 
 def test_one_file_pair_is_parsed_once_across_commands(monkeypatch):
     # four questions of one (program, data) pair: each text is read every
-    # time and parsed once
+    # time and parsed once, and so is each atom given on the command line
     from whyd import parsing
 
     parses = []
-    for name in ("_program", "_instance_document"):
+    for name in ("_program", "_instance_document", "_ground_atom"):
         real = getattr(parsing, name)
         monkeypatch.setattr(parsing, name, lambda source, real=real, name=name: parses.append(name) or real(source))
     cli._parsed.cache_clear()
@@ -223,7 +223,11 @@ def test_one_file_pair_is_parsed_once_across_commands(monkeypatch):
     ):
         code, output = _run([*command, *pair])
         assert code == 0, output
-    assert sorted(parses) == ["_instance_document", "_program"]
+    assert sorted(parses) == ["_ground_atom", "_ground_atom", "_instance_document", "_program"]
+    # a malformed atom is not kept: each call raises its error again
+    bad = ["causes", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john,"]
+    first, second = _run(bad), _run(bad)
+    assert first == second and first[0] == 2 and "<atom>:1:" in first[1], first
 
 
 def test_a_rewritten_input_file_is_read_again(tmp_path):

@@ -63,14 +63,18 @@ def test_access_g0_vc_responsibility_drops_to_one_half():
     assert vc_responsibility(instance, program, atom("access(joe, f1)"), ground("group_user", "joe", "g1")) == Fraction(1, 2)
 
 
-def test_vc_responsibility_searches_only_the_asked_tuples_family(monkeypatch):
-    # access_g0 has four candidate causes; the answer for one takes one
-    # search, not one per cause
+def test_vc_causes_take_one_search(monkeypatch):
+    # access_g0 has four candidate causes: their families and
+    # responsibilities are read off the view-side-effect-free deletions,
+    # from one hitting-set search for each request
     program, instance = load_program("access.dl"), load_instance("access_g0.facts")
-    searches = count_searches(monkeypatch)
-    tau = ground("group_user", "joe", "g1")
-    assert vc_responsibility(instance, program, atom("access(joe, f1)"), tau) == Fraction(1, 2)
+    answer = atom("access(joe, f1)")
+    searches = count_searches(monkeypatch, "hitting")
+    reports = vc_causes(instance, program, answer)
     assert len(searches) == 1
+    tau = ground("group_user", "joe", "g1")
+    assert vc_responsibility(instance, program, answer, tau) == _report_map(reports)[str(tau)].vc_responsibility
+    assert len(searches) == 2
 
 
 def test_vc_responsibility_zero_for_non_vc_cause():
