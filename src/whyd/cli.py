@@ -14,7 +14,9 @@ kept in a bounded cache keyed by the input's kind and text, not its path
 (``model.CACHE_SIZE`` entries, the least recently used dropped first).
 A text that fails to parse is not kept, so its error is raised again,
 positioned in the file of the current call.  The arity check of the
-data against the program runs on every call.
+data against the program runs once per distinct pair of their texts,
+kept in a cache of the same bound; a pair that fails it is not kept, so
+it fails again on every call.
 """
 
 from __future__ import annotations
@@ -200,14 +202,21 @@ def _cause_payload(reports, cap: int | None, responsibility_key: str) -> list[di
     return out
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _checked(program_input: _Input, data_input: _Input) -> tuple[Program, InstanceDocument]:
+    """The parsed program and instance document, the data's arities
+    checked against the program once per pair of texts; a failing pair
+    is not kept."""
+    program, document = _parsed(program_input), _parsed(data_input)
+    check_instance_against(program, document.instance)
+    return program, document
+
+
 def _load_common(args) -> tuple[Program, InstanceDocument, dict[str, bytes]]:
     sources: dict[str, bytes] = {}
     program_input = _read(sources, "program", args.program)
     data_input = _read(sources, "data", args.data)
-    program = _parsed(program_input)
-    document = _parsed(data_input)
-    check_instance_against(program, document.instance)
-    return program, document, sources
+    return (*_checked(program_input, data_input), sources)
 
 
 def _run(args) -> Report:

@@ -28,23 +28,32 @@ One join engine matches a conjunction of atoms against facts: the
 semi-naive rounds and every integrity constraint check go through it.
 Each rule body (per delta position) and each constraint body and head is
 compiled once, on first use, into a plan (``_plan``): the conjunction's
-shape and its constants.  Each shape is compiled into a kernel
-(``_kernel``), Python source generated for it: the delta atom first,
-then greedily the atom with the most bound positions, one nested ``for``
-per atom.  A step whose positions are partly bound probes a hash index
+shape and its constants.  One planner (``_order``) fixes a shape's
+steps: the delta atom first, then greedily the atom with the most bound
+positions.  A step whose positions are partly bound probes a hash index
 of its relation on them (``Relation``), fetched once before the loops;
 the first step of a plan with nothing bound scans.  What a fact must
-still satisfy is inlined: a scan's arity, and as ``is`` tests on
-interned symbols the constants a scan has not filtered, the positions a
-repeated variable must agree on and the comparisons.  Each variable is
-read where the fact that binds it holds it: no binding is ever built.  A
-rule kernel builds each head's key, builds and numbers the head only if
-the key is new, and records its firing inline; a constraint kernel
-yields each match as atoms.  No symbol enters the source: plans of one
-shape share one kernel and pass their constants as an argument.  The
-naive reference evaluator that the agreement tests and brute-force
-oracles use lives in ``tests/oracle.py`` and shares no code with this
-module.
+still satisfy is checked as soon as it can be: a scan's arity, and as
+``is`` tests on interned symbols the constants a scan has not filtered,
+the positions a repeated variable must agree on and the comparisons.
+Each variable is read where the fact that binds it holds it: no binding
+is ever built.  A rule join builds each head's key, builds and numbers
+the head only if the key is new, and records its firing; a constraint
+join yields each match as atoms.
+
+Two executors run a plan, and record the same firings in the same
+order.  The compiled tier (``_compiled``) generates Python source for a
+shape, one nested ``for`` per step with every check inlined; no symbol
+enters the source, so plans of one shape share one kernel and pass
+their constants as an argument.  The interpreted tier (``_interpret``)
+walks the same steps with a stack of iterators.  A rule shape is
+interpreted for its first ``COLD_RUNS`` runs and compiled at the next
+one, or at once when a run's first step reads more than ``COLD_FACTS``
+facts (``_Cold``): most shapes of a session run a few times, over few
+facts, and never pay for a compile.  Constraint kernels are compiled at
+once.  The naive reference evaluator that the agreement tests and
+brute-force oracles use lives in ``tests/oracle.py`` and shares no code
+with this module.
 
 Termination is guaranteed: the active domain is finite and rules are
 positive, so the model only grows and is bounded by the set of all
@@ -258,6 +267,16 @@ def _plan(
 # is split into functions that call one another
 _DEPTH = 16
 
+# The interpreted tier's bounds (``_kernel``), measured with Python 3.11
+# on a 2-core x86 host.  Of the 229 rule shapes of a seed-1 bench session
+# pass, 162 run at most 4 times, so 4 cold runs leave 71 to compile.  A
+# compile costs 0.2-0.3 ms (``compile`` alone 0.13 ms), and an
+# interpreted run about 1.4-1.8 times a compiled one: a fixpoint of the
+# access join ran level either way at 50-100 group_user facts, compile
+# included, and 20-40% slower interpreted from 200 on.
+COLD_RUNS = 4  # runs interpreted before the shape is compiled
+COLD_FACTS = 100  # a run whose first step reads more facts compiles at once
+
 
 def _tuple(items: Iterable[str]) -> str:
     items = list(items)
@@ -266,32 +285,44 @@ def _tuple(items: Iterable[str]) -> str:
 
 @lru_cache(maxsize=256)
 def _kernel(shape: tuple):
-    """The kernel of a plan shape (see ``_plan``), compiled once for every
+    """The kernel of a plan shape (see ``_plan``), made once for every
     plan of that shape; the cache keeps the 256 shapes used last, and each
-    plan keeps its own kernel.
+    plan keeps its own kernel.  A match kernel is compiled at once
+    (``_compiled``).  A rule kernel starts cold (``_Cold``): the shape's
+    first ``COLD_RUNS`` runs are interpreted (``_interpret``), and it is
+    compiled at the next run, or at once for a run whose first step reads
+    more than ``COLD_FACTS`` facts; from then on its plans call the
+    compiled function (``_rule_plan``).  A rule without atoms, which fires
+    once per fixpoint, is compiled at once.  Both executors follow one plan
+    (``_order``) and record the same firings in the same order.
+
+    A match kernel ``k0(src, c, outer, A)`` yields each match as its
+    facts' atoms.  A rule kernel ``k0(src, c, outer, A, ids, F)`` builds
+    each head's key from the head predicate and the symbols it read and
+    looks it up in the pass's ``_Numbering`` ``ids``; ``ids.new`` builds
+    and numbers a head whose key is not numbered yet.  It appends the
+    firing's body, the tuple of its facts, to the head's list ``F[id]``."""
+    outer, atoms, _, _, head, _ = shape
+    if head is None or outer or not atoms:
+        return _compiled(shape, _order(shape))
+    return _Cold(shape)
+
+
+def _order(shape: tuple) -> tuple[dict[int, tuple[int, int]], list[tuple[int, tuple[int, ...] | None]], list[list]]:
+    """The plan of a shape: the order of its steps, where each variable
+    is read and where each comparison is checked.
 
     The atom ``first`` (the delta of a semi-naive round) is matched first,
     then each time the atom with the most bound positions, textual order
     breaking ties.  A step probes an index on its bound positions; it
     scans when it has none, and when it is the first step and the outer
-    atoms bind none of its variables.  The kernel is Python source: one
-    nested ``for`` per step, each index fetched before the loops, every
-    check inlined (a scan's arity by ``len``; constants, repeated
-    variables and comparisons, as soon as their variables are bound, as
-    ``is`` tests on symbols).  A fact is named by its slot, the outer
-    facts first and then the atoms' in textual order, and each variable
-    is read at the (slot, position) of the fact that binds it.  The outer
-    facts are atoms; an atom's fact is an id, whose atom the kernel reads
-    in the pass's numbered atoms ``A``.  The source holds only such
-    indices and generated names; the constants come in the tuple ``c``.
-    A rule kernel ``k0(src, c, outer, A, ids, F)`` builds each head's
-    key from the head predicate and the symbols it read and looks it up
-    in the pass's ``_Numbering`` ``ids``; ``ids.new`` builds and numbers
-    a head whose key is not numbered yet.  It appends the firing's
-    body, the tuple of its facts, to the head's list ``F[id]``.  A match
-    kernel ``k0(src, c, outer, A)`` yields each match as its facts'
-    atoms."""
-    outer, atoms, comparisons, first, head, consts = shape
+    atoms bind none of its variables.  A fact is named by its slot, the
+    outer facts first and then the atoms' in textual order, and each
+    variable is read at the (slot, position) of the fact that binds it
+    (``where``).  ``order`` lists each step's atom and probed positions
+    (None: a scan), and ``checks[d]`` the comparisons whose variables are
+    bound before step d (``checks[0]``: before any step)."""
+    outer, atoms, comparisons, first, _, _ = shape
     where: dict[int, tuple[int, int]] = {}  # variable -> (slot, position) that binds it
     for slot, terms in enumerate(outer):
         for p, n in enumerate(terms):
@@ -320,7 +351,21 @@ def _kernel(shape: tuple):
     checks: list[list[tuple]] = [[] for _ in range(len(order) + 1)]
     for cmp_ in comparisons:
         checks[max((ready[n] for n in cmp_[1:] if n >= 0), default=-1) + 1].append(cmp_)
+    return where, order, checks
 
+
+def _compiled(shape: tuple, planned: tuple):
+    """The kernel of a shape compiled from its plan (``_order``): Python
+    source with one nested ``for`` per step, each index fetched before the
+    loops, every check inlined (a scan's arity by ``len``; constants,
+    repeated variables and comparisons, as soon as their variables are
+    bound, as ``is`` tests on symbols).  The outer facts are atoms; an
+    atom's fact is an id, whose atom the kernel reads in the pass's
+    numbered atoms ``A``.  The source holds only slots, positions and
+    generated names; the constants come in the tuple ``c``."""
+    outer, atoms, _, _, head, consts = shape
+    where, order, checks = planned
+    base = len(outer)
     chunks = [order[s : s + _DEPTH] for s in range(0, len(order), _DEPTH)] or [[]]
     tail = ", ids, F" if head is not None else ""
     unpack = [f"{''.join(f'c{k}, ' for k in range(consts))}= c"] if consts else []
@@ -403,6 +448,142 @@ def _kernel(shape: tuple):
     return namespace["k0"]
 
 
+class _Cold:
+    """The kernel of a rule shape until it is compiled: a run is
+    interpreted while the shape has run at most ``COLD_RUNS`` times and
+    the run's first step reads at most ``COLD_FACTS`` facts; the run past
+    either compiles the shape (``compiled``), and every later run calls
+    that.  The shape is planned on its first run; only the interpreter's
+    steps are kept, and the shape is planned again to compile it."""
+
+    __slots__ = ("shape", "runs", "steps", "compiled")
+
+    def __init__(self, shape: tuple):
+        self.shape = shape
+        self.runs = 0
+        self.steps = self.compiled = None
+
+    def __call__(self, src, c, outer, A, ids, F) -> None:
+        kernel = self.compiled
+        if kernel is None:
+            self.runs += 1
+            steps = self.steps
+            planned = _order(self.shape) if steps is None else None
+            first = (planned or steps)[1][0][0]  # the first step's atom
+            if self.runs <= COLD_RUNS and len(src[first].facts) <= COLD_FACTS:
+                if steps is None:
+                    steps = self.steps = _steps(self.shape, planned)
+                return _interpret(steps, src, c, A, ids, F)
+            kernel = self.compiled = _compiled(self.shape, planned or _order(self.shape))
+            self.steps = None
+        kernel(src, c, outer, A, ids, F)
+
+
+def _steps(shape: tuple, planned: tuple) -> tuple:
+    """The plan of a rule shape (at least one atom and no outer ones, so
+    an atom's slot is its place in the body) as ``_interpret`` reads it:
+    the checks before any step; per step its atom, arity, probed
+    positions (None: a scan), the probe's key (``one``, the place of the
+    one variable it reads, else ``probe``, the places of its symbols),
+    whether that key is known before the loops, and its checks; the
+    head's terms; the head predicate's place in ``c``; and the number of
+    atoms.  A term is read at (slot, position), or at (-1, k) for the
+    constant ``c[k]``; a check ``(slot, position, slot, position,
+    equal)`` fails when its two symbols are identical and ``equal`` is
+    False, or are not and it is True."""
+    _, atoms, _, _, head, _ = shape
+    where, order, checks = planned
+
+    def ref(n: int) -> tuple[int, int]:
+        return (-1, -n - 1) if n < 0 else where[n]
+
+    def test(cmp_: tuple) -> tuple:
+        equal, left, right = cmp_
+        return (*ref(left), *ref(right), equal)
+
+    plan = []
+    for d, (i, positions) in enumerate(order):
+        terms = atoms[i]
+        if positions is None:
+            probe: tuple = ()
+            tests = [(i, p, -1, -t - 1, True) for p, t in enumerate(terms) if t < 0]
+        else:
+            probe = tuple(ref(terms[p]) for p in positions)
+            tests = []
+        tests += [(i, p, *where[t], True) for p, t in enumerate(terms) if t >= 0 and where[t][0] == i and where[t][1] != p]
+        tests += [test(cmp_) for cmp_ in checks[d + 1]]
+        fixed = all(s < 0 for s, _ in probe)
+        one = probe[0] if len(probe) == 1 and not fixed else None
+        plan.append((i, len(terms), positions, one, probe, fixed, tuple(tests)))
+    return tuple(map(test, checks[0])), tuple(plan), tuple(map(ref, head[0])), head[1], len(atoms)
+
+
+def _probed(probe: tuple, c: tuple, args: list) -> Key:
+    """The key a step probes its index with: the symbols at ``probe``."""
+    symbols = [c[p] if s < 0 else args[s][p].symbol for s, p in probe]
+    return symbols[0] if len(symbols) == 1 else tuple(symbols)
+
+
+_symbol = attrgetter("symbol")
+
+
+def _interpret(steps: tuple, src: Sequence[Relation], c: tuple, A: list, ids: _Numbering, F: list) -> None:
+    """One run of a rule shape's join from its ``_steps``, as its compiled
+    kernel runs it: the same indexes fetched and the same facts read
+    through the same relations, and the same firings recorded in the same
+    order into the numbering ``ids`` and the rows ``F``.  The nested loops
+    are a stack of iterators, one per step entered, so a run makes no
+    closure and no reference cycle."""
+    prechecks, plan, head, predicate, width = steps
+    for ls, lp, rs, rp, equal in prechecks:  # nothing is bound: constants only
+        if (c[lp] is c[rp]) is not equal:
+            return
+    args: list = [None] * width  # each atom's fact's arguments
+    body: list = [0] * width  # each atom's fact
+    # per step its relation (a scan), its index, or the bucket a probe
+    # with a key known before the loops reads
+    fetched: list = []
+    for i, arity, positions, _, probe, fixed, _ in plan:
+        if positions is None:
+            fetched.append(src[i])
+        else:
+            index = src[i].index(arity, positions)
+            fetched.append(index.get(_probed(probe, c, args), ()) if fixed else index)
+    last = len(plan) - 1
+    loops = [iter(fetched[0])]
+    while loops:
+        d = len(loops) - 1
+        i, arity, positions, _, _, _, tests = plan[d]
+        for f in loops[d]:
+            a = args[i] = A[f].args
+            if positions is None and len(a) != arity:
+                continue
+            for ls, lp, rs, rp, equal in tests:
+                if ((c[lp] if ls < 0 else args[ls][lp].symbol) is (c[rp] if rs < 0 else args[rs][rp].symbol)) is not equal:
+                    break
+            else:
+                body[i] = f
+                if d < last:
+                    break  # leaves the facts' loop: enter step d + 1
+                terms = []
+                for s, p in head:
+                    terms.append(c[p] if s < 0 else args[s][p])
+                key = (c[predicate], *map(_symbol, terms))
+                n = ids.get(key)
+                F[ids.new(key, tuple(terms)) if n is None else n].append(tuple(body))
+        else:
+            loops.pop()
+            continue
+        _, _, _, one, probe, fixed, _ = plan[d + 1]
+        source = fetched[d + 1]
+        if fixed:
+            loops.append(iter(source))
+        elif one is not None:
+            loops.append(iter(source.get(args[one[0]][one[1]].symbol, ())))
+        else:
+            loops.append(iter(source.get(_probed(probe, c, args), ())))
+
+
 def _matches(
     plan: _Plan, atoms: Sequence[GroundAtom], sources: Sequence[Relation], outer: Sequence[GroundAtom] = ()
 ) -> Iterator[tuple[GroundAtom, ...]]:
@@ -415,13 +596,19 @@ def _matches(
 
 def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
     """The plan of the rule with its delta at body atom ``first`` (None:
-    every atom reads the full relation), compiled on first use and kept
-    on the rule for as long as it lives: ``rule._plans[i]`` with the
-    delta at i, the last one with none."""
+    every atom reads the full relation), made on first use and kept on
+    the rule for as long as it lives: ``rule._plans[i]`` with the delta
+    at i, the last one with none.  A plan whose cold kernel has been
+    compiled since is handed out with the compiled one in its place."""
     plans = rule._plans
     slot = -1 if first is None else first
-    if plans is not None and plans[slot] is not None:
-        return plans[slot]
+    if plans is not None:
+        plan = plans[slot]
+        if plan is not None:
+            kernel = plan.kernel
+            if kernel.__class__ is _Cold and kernel.compiled is not None:
+                plan.kernel = kernel.compiled  # its shape is hot: call it directly
+            return plan
     atoms, comparisons = tuple(rule.body_atoms()), tuple(rule.comparisons())
     if plans is None:
         plans = [None] * (len(atoms) + 1)

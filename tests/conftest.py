@@ -6,6 +6,9 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from whyd import evaluator
 from whyd.errors import NotAnAnswerError
 from whyd.evaluator import fresh_predicate
 from whyd.model import Atom, GroundAtom, Program, Rule
@@ -18,6 +21,30 @@ from whyd.parsing import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+# the thresholds of the join engine's interpreted tier as shipped
+SHIPPED_TIERS = (evaluator.COLD_RUNS, evaluator.COLD_FACTS)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--interpreted",
+        action="store_true",
+        help="run every rule join interpreted, never compiled (match kernels stay compiled)",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--interpreted"):
+        evaluator.COLD_RUNS = evaluator.COLD_FACTS = sys.maxsize
+
+
+@pytest.fixture
+def shipped_tiers(monkeypatch):
+    """The join engine's tiers as shipped, whether or not the run forces
+    every rule join interpreted."""
+    monkeypatch.setattr(evaluator, "COLD_RUNS", SHIPPED_TIERS[0])
+    monkeypatch.setattr(evaluator, "COLD_FACTS", SHIPPED_TIERS[1])
 
 
 def fixture_path(name: str) -> Path:
@@ -128,20 +155,23 @@ def tamper(monkeypatch, edit) -> None:
 
 
 def count_facts_read(monkeypatch, count) -> None:
-    """From now on, call ``count(n)`` each time a join kernel reads n
-    facts (ids of its pass's atoms) through ``evaluator.Relation``: a
-    relation it scans, or the bucket of an index it probes (a bucket the
-    kernel fetched before its loops counts once).  The kernels themselves
-    count nothing."""
+    """From now on, call ``count(n)`` each time a join reads n facts (ids
+    of its pass's atoms) through ``evaluator.Relation``, in a compiled
+    kernel or in the interpreter: a relation it scans, or the bucket of
+    an index it probes (a bucket fetched before the loops counts once).
+    The executors themselves count nothing."""
     from whyd.evaluator import Relation
 
     kernel = "<whyd kernel>"  # the file name kernels are compiled under
+    interpreter = evaluator._interpret.__code__
 
     class Index(dict):
         def get(self, key, default=None):
             bucket = dict.get(self, key, default)
-            if bucket and sys._getframe(1).f_code.co_filename == kernel:
-                count(len(bucket))
+            if bucket:
+                code = sys._getframe(1).f_code
+                if code.co_filename == kernel or code is interpreter:
+                    count(len(bucket))
             return bucket
 
     real_index, real_iter = Relation.index, Relation.__iter__

@@ -214,6 +214,7 @@ def test_one_file_pair_is_parsed_once_across_commands(monkeypatch):
         real = getattr(parsing, name)
         monkeypatch.setattr(parsing, name, lambda source, real=real, name=name: parses.append(name) or real(source))
     cli._parsed.cache_clear()
+    cli._checked.cache_clear()
     pair = ["-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"]
     for command in (
         ["causes"],
@@ -275,10 +276,25 @@ def test_exit_code_3_on_fact_arity_mismatch(command, tmp_path, capsys):
     program, data = tmp_path / "q.dl", tmp_path / "q.facts"
     program.write_text("ans(X) :- e(X).\n")
     data.write_text("e(c).\ne(a, b).\nf(a, b, c).\n#observe\nans(c).\n")
-    for _ in range(2):  # the check runs on every call, parsed inputs shared or not
+    for _ in range(2):  # a failing pair is not kept: every call fails the check again
         code = cli.main([command, "-p", str(program), "-d", str(data)])
         assert code == 3
         assert _error_object(capsys.readouterr(), "ArityMismatch")["message"] == "e(a, b) has arity 2, expected 1"
+
+
+def test_data_is_checked_against_the_program_once_per_pair(monkeypatch, tmp_path):
+    checks = []
+    real = cli.check_instance_against
+    monkeypatch.setattr(cli, "check_instance_against", lambda *args: checks.append(args) or real(*args))
+    cli._checked.cache_clear()
+    program, other, data = tmp_path / "q.dl", tmp_path / "q2.dl", tmp_path / "q.facts"
+    program.write_text("ans(X) :- e(X, Y).\n")
+    other.write_text("ans(Y) :- e(X, Y).\n")
+    data.write_text("e(a, b).\n")
+    for path in (program, other, program, other, program):
+        code, output = _run(["eval", "-p", str(path), "-d", str(data)])
+        assert code == 0, output
+    assert len(checks) == 2
 
 
 @pytest.mark.parametrize("command", [["vc-causes"], ["delprop", "--mode", "view-safe"]])

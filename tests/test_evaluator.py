@@ -1,15 +1,19 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
 from whyd import evaluator
 from whyd import model as model_module
 from whyd.abduction import AbductionProblem, relevant_hypotheses, solve_diagnoses
+from whyd.causality import cause_reports
 from whyd.constraints import satisfies
 from whyd.errors import UnknownPredicateError
 from whyd.evaluator import (
@@ -194,12 +198,26 @@ def _random_conjunction(rng: random.Random):
     return atoms, comparisons, outer, outer_facts, binding
 
 
-def test_planned_join_matches_brute_force():
+def _run_rule_plan(monkeypatch, plan, numbered, held, interpreted: bool):
+    """The graph one run of a rule plan records over the numbered facts,
+    the i-th atom reading the facts ``held[i]``, by a fresh kernel of its
+    shape that interprets the run or compiles it."""
+    monkeypatch.setattr(evaluator, "COLD_RUNS", sys.maxsize if interpreted else 0)
+    monkeypatch.setattr(evaluator, "COLD_FACTS", sys.maxsize)
+    numbering, _ = evaluator._seed(numbered)
+    pass_atoms, rows = numbering.atoms, numbering.rows
+    kernel = evaluator._Cold(plan.kernel.shape)
+    kernel([Relation(pass_atoms, list(h)) for h in held], plan.consts, (), pass_atoms, numbering, rows)
+    assert (kernel.compiled is None) is interpreted
+    return evaluator.Graph(pass_atoms, len(numbered), rows)
+
+
+def test_planned_join_matches_brute_force(monkeypatch):
     """A plan's matches against every combination of one fact per atom,
     on the same sources: relations shared by the atoms of one predicate,
     each holding facts of other arities too, with a delta source at each
     position in turn; and, with nothing outer, the firings of the rule
-    whose body the conjunction is."""
+    whose body the conjunction is, interpreted and compiled."""
     shapes = Counter()
     for seed in range(400):
         rng = random.Random(seed)
@@ -227,17 +245,18 @@ def test_planned_join_matches_brute_force():
             shapes["matched" if brute else "empty"] += 1
             shapes["probed"] += any(s._indexes for s in sources)
             if all(v in variables for c in comparisons for v in c.variables()):
-                numbering, _ = evaluator._seed(numbered)
-                pass_atoms, rows = numbering.atoms, numbering.rows
                 plan = _plan(atoms, comparisons, first, rule=rule)
-                plan.kernel([Relation(pass_atoms, list(h)) for h in held], plan.consts, (), pass_atoms, numbering, rows)
                 brute = oracle.join_matches(atoms, [[numbered[i] for i in h] for h in held], comparisons)
                 fired = [(GroundAtom("h", (*(b[v] for v in variables), Constant("k"))), body) for b, body in brute]
-                # each head numbered once, past the seeds
-                derived = pass_atoms[len(numbered) :]
-                assert len(set(derived)) == len(derived) and set(derived) == {head for head, _ in fired}, (seed, first)
-                graph = evaluator.Graph(pass_atoms, len(numbered), rows)
-                assert Counter(firing_pairs(graph)) == Counter(fired)
+                # interpreted, then compiled: each agrees with the oracle,
+                # and both record the same atoms and rows
+                graphs = [_run_rule_plan(monkeypatch, plan, numbered, held, interpreted) for interpreted in (True, False)]
+                for graph in graphs:
+                    # each head numbered once, past the seeds
+                    derived = graph.atoms[len(numbered) :]
+                    assert len(set(derived)) == len(derived) and set(derived) == {head for head, _ in fired}, (seed, first)
+                    assert Counter(firing_pairs(graph)) == Counter(fired)
+                assert graphs[0].atoms == graphs[1].atoms and graphs[0].rows == graphs[1].rows, (seed, first)
                 shapes["fired"] += bool(brute)
     assert shapes["matched"] >= 200 and shapes["empty"] >= 200 and shapes["probed"] >= 500, shapes
     assert shapes["fired"] >= 200, shapes
@@ -315,6 +334,126 @@ def test_kernel_cache_stays_at_its_bound():
         atoms = [Atom("e", (Variable(f"X{i}"), Variable(f"X{i + 1}"))) for i in range(n % 24 + 1)]
         _plan(atoms, [Comparison("!=", Variable("X0"), Constant(str(k))) for k in range(n // 24)])
     assert evaluator._kernel.cache_info().currsize == bound
+
+
+def _fresh_kernels(monkeypatch) -> list:
+    """From now on, plans get their kernels from a cache of their own,
+    empty at first, so every rule shape starts cold; returns the list
+    of shapes compiled since."""
+    monkeypatch.setattr(evaluator, "_kernel", lru_cache(maxsize=256)(evaluator._kernel.__wrapped__))
+    compiled = []
+    real = evaluator._compiled
+
+    def counted(shape, planned):
+        compiled.append(shape)
+        return real(shape, planned)
+
+    monkeypatch.setattr(evaluator, "_compiled", counted)
+    return compiled
+
+
+def test_executors_record_identical_graphs_on_corpus(monkeypatch):
+    # corpus cases 0-199: the fixpoint and the ground program, every rule
+    # join interpreted and then every one compiled, give the same graphs
+    for seed in range(200):
+        graphs = []
+        for interpreted in (True, False):
+            monkeypatch.setattr(evaluator, "COLD_RUNS", sys.maxsize if interpreted else 0)
+            monkeypatch.setattr(evaluator, "COLD_FACTS", sys.maxsize)
+            compiled = _fresh_kernels(monkeypatch)
+            case = corpus.generate_case(seed)  # new rules, with no plan yet
+            model = evaluate_fixpoint(case.program, case.instance)
+            grounded = evaluator.ground(case.program, model.graph.atoms)
+            assert bool(compiled) is not interpreted, seed
+            graphs.append([(g.atoms, g.seeds, g.rows) for g in (model.graph, grounded)])
+        assert graphs[0] == graphs[1], seed
+
+
+# corpus cases 0-39, each asked eval, causes, mrc and delprop through
+# cli.main in a fresh process; prints the kernels it compiled
+_KERNEL_COUNT = """
+import contextlib, io, pathlib, sys
+import corpus, whyd
+from whyd import cli, evaluator
+
+compiled, real = [], evaluator._compiled
+evaluator._compiled = lambda shape, planned: compiled.append(shape) or real(shape, planned)
+directory = pathlib.Path(sys.argv[1])
+for seed in range(40):
+    case = corpus.generate_case(seed)
+    program, data = directory / f"{seed}.dl", directory / f"{seed}.facts"
+    program.write_text(whyd.serialize_program(case.program))
+    data.write_text(whyd.serialize_instance(case.instance))
+    target = ["-t", str(case.answer)]
+    for command in (["eval"], ["causes", *target], ["mrc", *target], ["delprop", "--mode", "minimal-source", "--endogenous-only", *target]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command[0], "-p", str(program), "-d", str(data), *command[1:]])
+        assert code == 0, (seed, command)
+print(len(compiled))
+"""
+
+
+def test_a_session_compiles_only_its_repeated_shapes(tmp_path):
+    # compiling every shape at its first run, this session compiled 31
+    # kernels; most of its shapes run at most COLD_RUNS times
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", _KERNEL_COUNT, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) == 12
+
+
+def test_hot_plans_call_their_compiled_kernels(shipped_tiers, monkeypatch):
+    # one fixpoint, whose plans are cold, and ten cause_reports on chain-8,
+    # each over constants of its own, so no request is answered from a
+    # cache: every plan ends with its compiled kernel in place of the cold
+    # one
+    _fresh_kernels(monkeypatch)
+    program = load_program("graph.dl")
+    evaluate_fixpoint(program, parse_instance("e(a, b).\n"))
+    kernels = [plan.kernel for rule in program.rules for plan in rule._plans or () if plan is not None]
+    cold = [sum(kernel.__class__ is evaluator._Cold for kernel in kernels)]
+    for k in range(10):
+        facts = parse_instance("".join(f"e(k{k}n{i}, k{k}n{i + 1}).\n" for i in range(8)))
+        assert len(cause_reports(facts, program, ground("ans", f"k{k}n0", f"k{k}n8"))) == 8
+        kernels = [plan.kernel for rule in program.rules for plan in rule._plans or () if plan is not None]
+        cold.append(sum(kernel.__class__ is evaluator._Cold for kernel in kernels))
+    assert cold[0] > 0 and cold[-1] == 0, cold
+    assert all(kernel.__class__ is types.FunctionType for kernel in kernels)
+
+
+@pytest.mark.parametrize("extra, compiles", [(0, False), (1, True)])
+def test_a_join_over_many_facts_compiles_at_its_first_run(shipped_tiers, monkeypatch, extra, compiles):
+    # one run of the access join, whose first step scans group_user: at
+    # COLD_FACTS facts it is interpreted, past them compiled at once
+    compiled = _fresh_kernels(monkeypatch)
+    interpreted = []
+    real = evaluator._interpret
+    monkeypatch.setattr(evaluator, "_interpret", lambda *args: interpreted.append(args) or real(*args))
+    program = load_program("access.dl")
+    users = evaluator.COLD_FACTS + extra
+    facts = [ground("group_user", f"u{i}", f"g{i % 7}") for i in range(users)]
+    facts += [ground("group_file", f"f{g}", f"g{g}") for g in range(7)]
+    assert len(answers(program, facts)) == users
+    assert (len(compiled), len(interpreted)) == ((1, 0) if compiles else (0, 1))
+
+
+def test_interpreted_fixpoints_leave_no_cycles(monkeypatch):
+    # every rule join interpreted: with the collector off, fixpoints and
+    # ground programs over corpus cases leave nothing for it to collect
+    monkeypatch.setattr(evaluator, "COLD_RUNS", sys.maxsize)
+    monkeypatch.setattr(evaluator, "COLD_FACTS", sys.maxsize)
+    compiled = _fresh_kernels(monkeypatch)
+    cases = [corpus.generate_case(seed) for seed in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        for case in cases:
+            model = evaluate_fixpoint(case.program, case.instance)
+            evaluator.ground(case.program, model.graph.atoms)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0 and not compiled
 
 
 def test_phca_relevance_reads_a_tenth_of_a_textual_join(monkeypatch):
