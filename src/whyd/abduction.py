@@ -390,10 +390,19 @@ def necessary_hypothesis_sets(problem: AbductionProblem) -> Family:
 
 def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fraction:
     """1/|N| for the smallest necessary-hypothesis set containing the
-    hypothesis, 0 when it is in none."""
+    hypothesis, 0 when it is in none: read off the masks, the first that
+    holds its bit being the smallest (canonical order), with no set
+    decoded."""
     if hypothesis not in problem.hypotheses:
         raise UnknownHypothesisError(f"{hypothesis} is not a hypothesis of this problem")
-    return necessity_degrees(problem.hypotheses, necessary_hypothesis_sets(problem))[hypothesis]
+    try:
+        bit = 1 << solve_diagnoses(problem).atoms.index(hypothesis)
+    except ValueError:  # in no diagnosis, so in no minimal hitting set
+        return Fraction(0)
+    for n in _necessary_masks(problem):
+        if n & bit:
+            return Fraction(1, n.bit_count())
+    return Fraction(0)
 
 
 def necessity_degrees(hypotheses: Iterable[GroundAtom], necessary_sets: Iterable[Diagnosis]) -> dict[GroundAtom, Fraction]:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .abduction import AbductionProblem, _necessary_masks, solve_diagnoses
@@ -115,29 +115,35 @@ class CauseAnalysis:
         except ValueError:
             return 0
 
+    @cached_property
     def _union(self) -> int:
+        """The bits of the causes."""
         union = 0
         for delta in self.masks:
             union |= delta
         return union
 
     def causes(self) -> frozenset[GroundAtom]:
-        return decode(self._union(), self.atoms)
+        return decode(self._union, self.atoms)
 
-    def contingency_family(
-        self, tau: GroundAtom, decoded: dict[tuple[int, ...], tuple[frozenset[GroundAtom], ...]] | None = None
+    def _decoded(
+        self, bit: int, decoded: dict[tuple[int, ...], tuple[frozenset[GroundAtom], ...]]
     ) -> tuple[frozenset[GroundAtom], ...]:
-        """The cause's minimal contingency sets, in canonical order.
-        ``decoded`` maps the families already decoded, by their masks, to
-        their sets; a family found there is not decoded again."""
-        bit = self._bit(tau)
-        if not bit & self._union():
-            raise NotACauseError(f"{tau} is not an actual cause for {self.answer}")
+        """The family of the cause with the bit, decoded once per distinct
+        family: ``decoded`` maps the families already decoded, by their
+        masks, to their sets."""
         masks = tuple(self.family(bit))
-        decoded = {} if decoded is None else decoded
-        if masks not in decoded:
-            decoded[masks] = tuple([decode(gamma, self.atoms) for gamma in masks])
-        return decoded[masks]
+        family = decoded.get(masks)
+        if family is None:
+            family = decoded[masks] = tuple([decode(gamma, self.atoms) for gamma in masks])
+        return family
+
+    def contingency_family(self, tau: GroundAtom) -> tuple[frozenset[GroundAtom], ...]:
+        """The cause's minimal contingency sets, in canonical order."""
+        bit = self._bit(tau)
+        if not bit & self._union:
+            raise NotACauseError(f"{tau} is not an actual cause for {self.answer}")
+        return self._decoded(bit, {})
 
     def responsibility(self, tau: GroundAtom) -> Fraction:
         """1/(1 + size of the smallest contingency set) for a cause, 0 for
@@ -145,25 +151,25 @@ class CauseAnalysis:
         if tau not in self.hypotheses:
             raise NotEndogenousError(f"{tau} is not an endogenous tuple")
         bit = self._bit(tau)
-        if not bit & self._union():
+        if not bit & self._union:
             return Fraction(0)
         family = self.family(bit)
         return Fraction(1, 1 + family[0].bit_count()) if family else Fraction(0)
 
     def reports(self) -> tuple[CauseReport, ...]:
         """Every cause with its family and responsibility, in canonical
-        order.  Causes with equal families share one decoded family."""
+        order, each cause's family fetched by its bit.  Causes with equal
+        families share one decoded family."""
         decoded: dict[tuple[int, ...], tuple[frozenset[GroundAtom], ...]] = {}
         rho: dict[int, Fraction] = {}  # the smallest set's size -> the responsibility
         out = []
-        for bit in reversed(positions(self._union())):  # the higher bit, the earlier atom
-            tau = self.atoms[bit]
-            family = self.contingency_family(tau, decoded)
+        for i in reversed(positions(self._union)):  # the higher bit, the earlier atom
+            family = self._decoded(1 << i, decoded)
             if family:
                 size = len(family[0])
                 if size not in rho:
                     rho[size] = Fraction(1, 1 + size)
-                out.append(CauseReport(tau, family, rho[size]))
+                out.append(CauseReport(self.atoms[i], family, rho[size]))
         return tuple(out)
 
 
@@ -184,9 +190,15 @@ def _analysis(
         raise NotAnAnswerError(f"{answer} is not an answer on this instance") from None
     solutions = solve_diagnoses(problem)
 
+    deletions: tuple[int, ...] | None = None
+
     def family(tau: int) -> list[int]:
-        # the deletions are searched for on the first family asked for
-        return _read_off(_necessary_masks(problem), tau)
+        # the deletions are searched for on the first family asked for,
+        # and looked up once per analysis
+        nonlocal deletions
+        if deletions is None:
+            deletions = _necessary_masks(problem)
+        return _read_off(deletions, tau)
 
     analysis = CauseAnalysis(answer, solutions.masks, solutions.atoms, problem.hypotheses, family)
     analysis.problem = problem

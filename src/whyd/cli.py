@@ -6,6 +6,15 @@ stderr.  Exit codes: 0 success, 2 usage or input-format errors, 3
 semantic errors.  Both failing codes also write a machine-readable error
 object to stdout, command lines that argparse rejects included.
 
+A command line is parsed in one of two ways, to the same namespace.  A
+plain one (a known subcommand, then each option spelled in full and
+given once, its value valid and every required option present) is read
+off the subcommand's option table, which ``_table`` derives once per
+process from the argparse parser, so the grammar is declared once.
+argparse parses every other command line: it alone writes ``--help``
+and rejects, and it takes abbreviations, ``-pFILE``, repeated options,
+``--`` and values that start with ``-``.
+
 Every call reads its input files afresh, so an edited file is seen at
 once and its bytes feed the provenance digests, but a long-lived caller
 of ``main`` parses each distinct input text once: the parsed program,
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -140,16 +150,25 @@ class _Input:
     path: str = field(compare=False)
 
 
+_CHUNK = 1 << 16  # bytes per read: a larger buffer costs more to allocate than most inputs to read
+
+
 def _read(sources: dict[str, bytes], kind: str, path: str) -> _Input:
     """An input file, read afresh; its raw bytes go into ``sources`` for
     the provenance digests."""
     try:
-        with open(path, "rb") as file:
-            data = file.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _CHUNK):  # a directory opens, and fails here
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # a path with an embedded NUL byte
         raise _UsageError(f"cannot read {path!r}: {exc}") from exc
+    data = b"".join(chunks)
     sources[kind] = data
     try:
         return _Input(kind, data.decode("utf-8"), path)
@@ -416,9 +435,80 @@ def _summary(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _table(command: str) -> tuple[dict[str, argparse.Action], dict[str, Any], frozenset[str]]:
+    """The subcommand's options as its argparse parser declares them: the
+    option strings of each option that stores a value or a constant,
+    mapped to its action; the namespace of no options, ``command``
+    first, as the full parse orders it; and the required dests.  An
+    option of any other kind, ``--help`` among them, stays out of the
+    map, so argparse parses a command line that uses it."""
+    options: dict[str, argparse.Action] = {}
+    defaults: dict[str, Any] = {"command": command}
+    required = set()
+    for action in _build_parser().commands[command]._actions:
+        if action.default is argparse.SUPPRESS:
+            continue
+        defaults[action.dest] = action.default
+        if action.required:
+            required.add(action.dest)
+        if isinstance(action, (argparse._StoreAction, argparse._StoreConstAction)):
+            options.update(dict.fromkeys(action.option_strings, action))
+    return options, defaults, frozenset(required)
+
+
+def _plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace of a command line in the plain grammar, read off its
+    subcommand's ``_table``, or None for any other: a known subcommand,
+    then options each spelled in full and given once, as ``-x V``,
+    ``--long V`` or ``--long=V``, a separate value not starting with
+    ``-``, each value of its type and among its choices, and every
+    required option present."""
+    if not argv or argv[0] not in _build_parser().commands:
+        return None
+    options, defaults, required = _table(argv[0])
+    values = defaults.copy()
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            name, eq, value = token.partition("=")
+            action = options.get(name) if eq and name[:2] == "--" else None
+            # a flag takes no value; a lone "--" is argparse's own separator
+            if action is None or action.nargs == 0 or value == "--":
+                return None
+        elif action.nargs == 0:
+            value = action.const
+        else:
+            value = next(tokens, "-")  # a missing value declines as one starting with "-"
+            if value[:1] == "-":
+                return None
+        if action.dest in seen:
+            return None
+        seen.add(action.dest)
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The namespace ``_build_parser().parse_args(argv)`` gives, parsed by
-    the subcommand's own parser when ``argv`` starts with one."""
+    """The namespace ``_build_parser().parse_args(argv)`` gives.  A plain
+    command line is read off its subcommand's option table (``_plain``);
+    argparse parses every other one, with the subcommand's own parser
+    when ``argv`` starts with one, and so writes every ``--help`` and
+    every rejection."""
+    args = _plain(argv)
+    if args is not None:
+        return args
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:

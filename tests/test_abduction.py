@@ -15,6 +15,7 @@ from whyd.abduction import (
     necessary_hypotheses,
     necessary_hypothesis_sets,
     necessity_degree,
+    necessity_degrees,
     relevant_hypotheses,
     solve_diagnoses,
     support_families,
@@ -778,6 +779,24 @@ def test_necessity_degrees_of_a_ladder_take_one_search(monkeypatch):
         assert all(instance.label_of(a).startswith(prefix) for s in solutions for a in s.removed)
         deletions.append(solutions)
     assert deletions[0] == deletions[1] and len(searches) == 1
+
+
+def test_one_necessity_degree_equals_the_degrees_of_the_necessary_sets():
+    # a degree read off the masks is the one every necessary set gives,
+    # also for a hypothesis in no diagnosis: ladder-k's back edge, which
+    # the derivations reach, and its stray edge, which they do not
+    problems = []
+    for seed in range(60):
+        case = corpus.generate_case(seed, max_endogenous=6)
+        boolean, goal = specialize_to_answer(case.program, case.answer)
+        problems.append(AbductionProblem(boolean, case.instance.exogenous, case.instance.endogenous, (goal,)))
+    for k in (1, 2, 5, 8):
+        ladder = [e for j in range(k) for e in (f"e(wl, wl{j})", f"e(wl{j}, wlt)")]
+        problems.append(_tc_problem([*ladder, "e(wlt, wl)", "e(wx, wy)"], "ans(wl, wlt)"))
+    for problem in problems:
+        degrees = necessity_degrees(problem.hypotheses, necessary_hypothesis_sets(problem))
+        assert {h: necessity_degree(problem, h) for h in problem.hypotheses} == degrees, problem
+    assert any(0 < d < 1 for d in degrees.values()) and Fraction(0) in degrees.values()
 
 
 def _wide_problem(tag: str, width: int) -> AbductionProblem:

@@ -123,7 +123,17 @@ def test_exit_code_2_on_missing_file(capsys):
     code = cli.main(["eval", "-p", _fx("aj.dl"), "-d", _fx("missing.facts")])
     assert code == 2
     error = _error_object(capsys.readouterr(), "UsageError")
-    assert "missing.facts" in error["message"]
+    assert error["message"] == f"cannot read {_fx('missing.facts')}: No such file or directory"
+
+
+@pytest.mark.parametrize("option", ["-p", "-d"])
+def test_exit_code_2_on_a_directory(option, tmp_path, capsys):
+    # a directory opens for reading; the read fails
+    argv = ["eval", "-p", _fx("aj.dl"), "-d", _fx("aj.facts")]
+    argv[argv.index(option) + 1] = str(tmp_path)
+    assert cli.main(argv) == 2
+    error = _error_object(capsys.readouterr(), "UsageError")
+    assert error["message"] == f"cannot read {tmp_path}: Is a directory"
 
 
 def test_exit_code_2_on_a_path_with_a_nul_byte(capsys):
@@ -184,7 +194,7 @@ def test_exit_code_2_on_non_utf8_input(argv, tmp_path, capsys):
     code = cli.main([str(bad) if arg == "BAD" else arg for arg in argv])
     assert code == 2
     error = _error_object(capsys.readouterr(), "UsageError")
-    assert str(bad) in error["message"] and "not UTF-8" in error["message"]
+    assert error["message"] == f"cannot read {bad}: not UTF-8 (byte 9)"
 
 
 def test_exit_code_2_on_usage_error(capsys):
@@ -577,16 +587,78 @@ def test_every_input_ends_in_exit_0_2_or_3(tmp_path_factory):
 
 
 def _parsed(parse, argv):
-    """``parse(argv)``'s namespace, or the message it rejects ``argv`` with."""
+    """``parse(argv)``'s namespace, the message it rejects ``argv`` with,
+    or the exit code and text of its help."""
+    import io
+    from contextlib import redirect_stdout
+
+    out = io.StringIO()
     try:
-        return parse(argv)
+        with redirect_stdout(out):
+            return parse(argv)
     except cli._UsageError as exc:
         return str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+def _plain_shapes() -> list[tuple[list[str], bool]]:
+    """Command lines around the plain grammar, each with whether the
+    subcommand's option table reads it (else argparse parses it)."""
+    program, data, ics = _fx("aj.dl"), _fx("aj.facts"), _fx("dept.ics")
+    causes = ["causes", "-p", program, "-d", data, "-t", "ans(john, xml)"]
+    delprop = ["delprop", "-p", program, "-d", data, "-t", "ans(john, xml)"]
+    return [
+        # --long=value, the value starting with "-" or empty included
+        (["causes", f"--program={program}", f"--data={data}", "--target=ans(john, xml)"], True),
+        (["causes", "-p", program, "-d", data, "--target=-x"], True),
+        (["causes", "-p", program, "-d", data, "--target="], True),
+        (["causes", "-p", program, "-d", data, "--target=a=b"], True),
+        ([*causes, "--max-contingency-sets=2"], True),
+        ([*causes, f"--constraints={ics}"], True),
+        ([*delprop, "--mode=view-safe"], True),
+        ([*delprop, "--mode=most-source"], False),
+        ([*causes, "--max-contingency-sets=-1"], False),
+        ([*causes, "--pretty=yes"], False),
+        (["causes", "-p", program, "-d", data, "--target=--"], False),
+        (["causes", f"-p={program}", "-d", data, "-t", "ans(john, xml)"], False),
+        # abbreviations and an attached short value
+        (["causes", "--prog", program, "-d", data, "-t", "ans(john, xml)"], False),
+        ([*causes, "--max-c", "2"], False),
+        ([*causes, "--max-c=2"], False),
+        (["causes", f"-p{program}", "-d", data, "-t", "ans(john, xml)"], False),
+        # repeats
+        ([*causes, "-t", "ans(john, xml)"], False),
+        ([*causes, "--program", program], False),
+        ([*causes, "--pretty", "--pretty"], False),
+        ([*delprop, "--mode", "view-safe", "--endogenous-only", "--endogenous-only"], False),
+        # "--" and help
+        (["causes", "--", "-p", program], False),
+        ([*causes, "--"], False),
+        (["causes", "-h"], False),
+        ([*causes, "--help"], False),
+        (["-h"], False),
+        # a separate value that starts with "-"
+        ([*causes, "--max-contingency-sets", "-1"], False),
+        (["causes", "-p", program, "-d", data, "-t", "-x"], False),
+        (["causes", "-p", program, "-d", data, "-t", "-"], False),
+        (["causes", "-p", program, "-d", data, "-t"], False),
+        # a separate empty value
+        (["causes", "-p", program, "-d", data, "-t", ""], True),
+        # no subcommand, a subcommand alone, a stray argument
+        ([], False),
+        (["causes"], False),
+        (["encode-phca"], False),
+        ([*causes, "stray"], False),
+        (["--pretty", *causes], False),
+    ]
 
 
 def test_one_level_parse_gives_the_full_parse():
-    # main parses with the subcommand's parser alone; the namespace, or
-    # the rejection, is the one the two-level parse gives
+    # main reads a plain command line off the subcommand's option table
+    # and parses any other with the subcommand's parser alone; the
+    # namespace, the rejection or the help is the one the two-level
+    # parse gives
     full = cli._build_parser().parse_args
     paths = [_fx(name) for name in ("aj.dl", "aj.facts", "dept.ics", "phca_example.txt")]
     shapes = [
@@ -611,3 +683,38 @@ def test_one_level_parse_gives_the_full_parse():
         assert one_level == _parsed(full, argv), argv
         rejected += isinstance(one_level, str)
     assert 0 < rejected < len(shapes)
+    for argv, plain in _plain_shapes():
+        assert _parsed(cli._parse, argv) == _parsed(full, argv), argv
+        assert (cli._plain(argv) is not None) == plain, argv
+
+
+def test_plain_command_lines_never_reach_argparse(monkeypatch):
+    # with argparse's parse disabled every golden command still runs, so
+    # the option table read it; every malformed contract command line
+    # reaches argparse, and every well-formed one does not
+    import argparse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain command line")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        for name, argv in sorted(GOLDEN_CASES.items()):
+            assert _run(argv) == (0, (GOLDEN / f"{name}.json").read_text()), name
+            assert _run([*argv, "--pretty"])[0] == 0, name
+
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_known_args", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+    )
+    paths = [_fx(name) for name in ("aj.dl", "aj.facts", "dept.ics", "phca_example.txt")]
+    for command in _CONTRACT_COMMANDS:
+        for target in ("ans(john, xml)", "-x"):
+            for edit in ("keep", *_ARGV_EDITS):
+                for pick in range(4):
+                    argv = _contract_argv(command, paths, target, "-e(a)", "view-safe", edit, pick)
+                    calls.clear()
+                    parsed = _parsed(cli._parse, argv)
+                    assert bool(calls) == (edit != "keep"), argv
+                    assert isinstance(parsed, str) == (edit != "keep"), argv
