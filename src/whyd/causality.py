@@ -52,7 +52,7 @@ from .errors import (
     ObservationNotEntailableError,
 )
 from .evaluator import holds as model_holds
-from .model import CACHE_SIZE, GroundAtom, Instance, Program, decode, positions
+from .model import CACHE_SIZE, GroundAtom, Instance, Program, decode, least_masks, positions
 
 
 @dataclass(frozen=True)
@@ -245,11 +245,14 @@ def responsibility(instance: Instance, program: Program, answer: GroundAtom, tau
 
 def most_responsible_causes(instance: Instance, program: Program, answer: GroundAtom) -> frozenset[GroundAtom]:
     """Causes attaining the maximal positive responsibility; empty iff
-    there are no causes."""
+    there are no causes.  A cause's responsibility is 1/|N| for the least
+    minimal deletion N holding it, so these are the members of the
+    least-size minimal deletions, which come first in the answer's search."""
     analysis = CauseAnalysis.for_query(instance, program, answer)
-    rho = {tau: analysis.responsibility(tau) for tau in analysis.causes()}
-    best = max(rho.values(), default=None)
-    return frozenset(tau for tau, value in rho.items() if value == best)
+    union = 0
+    for removed in least_masks(_necessary_masks(analysis.problem)):
+        union |= removed
+    return decode(union, analysis.atoms)
 
 
 def cause_reports(instance: Instance, program: Program, answer: GroundAtom) -> tuple[CauseReport, ...]:

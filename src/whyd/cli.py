@@ -15,6 +15,11 @@ argparse parses every other command line: it alone writes ``--help``
 and rejects, and it takes abbreviations, ``-pFILE``, repeated options,
 ``--`` and values that start with ``-``.
 
+Each subcommand has one handler (``_HANDLERS``): it reads its inputs in
+the order that decides which error a faulty command line reports, calls
+the layers through their modules (so a patched module function is the
+one called) and returns its payload, which ``_run`` puts in a ``Report``.
+
 Every call reads its input files afresh, so an edited file is seen at
 once and its bytes feed the provenance digests, but a long-lived caller
 of ``main`` parses each distinct input text once: the parsed program,
@@ -41,7 +46,7 @@ from typing import Any, Sequence
 from . import abduction, causality, constraints, phca, vc, viewupdate
 from .errors import ParseError, WhydError
 from .evaluator import answers as evaluate_answers
-from .model import CACHE_SIZE, GroundAtom, Program, check_instance_against
+from .model import CACHE_SIZE, GroundAtom, Instance, Program, check_instance_against
 from .parsing import (
     InstanceDocument,
     parse_constraints,
@@ -60,10 +65,11 @@ from .reports import (
     sorted_families,
 )
 
+# each --mode and the viewupdate function that answers it
 _DELPROP_MODES = {
-    "minimal-source": "minimal_source",
-    "minimum-source": "minimum_source",
-    "view-safe": "view_safe",
+    "minimal-source": "minimal_source_solutions",
+    "minimum-source": "minimum_source_solutions",
+    "view-safe": "vsef_solutions",
 }
 
 
@@ -197,25 +203,16 @@ def _atom(text: str) -> GroundAtom:
     return _parsed(_Input("atom", text, "<atom>"))
 
 
-def _family_payload(
-    families: Sequence[frozenset[GroundAtom]], cap: int | None
-) -> tuple[list[list[str]], bool]:
-    rendered = sorted_families(families)
-    if cap is not None and len(rendered) > cap:
-        return rendered[:cap], True
-    return rendered, False
-
-
 def _cause_payload(reports, cap: int | None, responsibility_key: str) -> list[dict[str, Any]]:
     out = []
     for report in reports:
-        family, truncated = _family_payload(report.minimal_contingency_sets, cap)
+        family = sorted_families(report.minimal_contingency_sets)
         out.append(
             {
                 "tuple": str(report.cause),
                 responsibility_key: fraction_text(report.responsibility),
-                "contingency_sets": family,
-                "truncated": truncated,
+                "contingency_sets": family[:cap],
+                "truncated": cap is not None and len(family) > cap,
             }
         )
     return out
@@ -231,170 +228,137 @@ def _checked(program_input: _Input, data_input: _Input) -> tuple[Program, Instan
     return program, document
 
 
-def _load_common(args) -> tuple[Program, InstanceDocument, dict[str, bytes]]:
-    sources: dict[str, bytes] = {}
+def _load(args, sources: dict[str, bytes]) -> tuple[Program, InstanceDocument]:
     program_input = _read(sources, "program", args.program)
     data_input = _read(sources, "data", args.data)
-    return (*_checked(program_input, data_input), sources)
+    return _checked(program_input, data_input)
+
+
+def _query(args, sources: dict[str, bytes]) -> tuple[Program, Instance, GroundAtom]:
+    """The program, the instance and the ``-t`` answer atom, in that order."""
+    program, document = _load(args, sources)
+    return program, document.instance, _atom(args.target)
+
+
+def _eval(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    program, document = _load(args, sources)
+    return {"answers": sorted_atoms(evaluate_answers(program, document.instance))}
+
+
+def _causes(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    program, instance, target = _query(args, sources)
+    if args.constraints:
+        sigma = _parsed(_read(sources, "constraints", args.constraints))
+        reports, key = constraints.causes_under_ics(instance, program, target, sigma), "responsibility_under_ics"
+    else:
+        reports, key = causality.cause_reports(instance, program, target), "responsibility"
+    return {"target": str(target), "causes": _cause_payload(reports, args.max_contingency_sets, key)}
+
+
+def _responsibility(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    program, instance, target = _query(args, sources)
+    tau = _atom(args.tuple)
+    if args.constraints:
+        sigma = _parsed(_read(sources, "constraints", args.constraints))
+        rho = constraints.responsibility_under_ics(instance, program, target, tau, sigma)
+    else:
+        rho = causality.responsibility(instance, program, target, tau)
+    return {"target": str(target), "tuple": str(tau), "responsibility": fraction_text(rho)}
+
+
+def _mrc(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    program, instance, target = _query(args, sources)
+    winners = causality.most_responsible_causes(instance, program, target)
+    rho = causality.responsibility(instance, program, target, next(iter(winners))) if winners else Fraction(0)
+    return {"target": str(target), "causes": sorted_atoms(winners), "responsibility": fraction_text(rho)}
+
+
+def _vc_causes(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    program, instance, target = _query(args, sources)
+    reports = vc.vc_causes(instance, program, target)
+    entries = _cause_payload(reports, args.max_contingency_sets, "vc_responsibility")
+    causes = [entry | {"vcc": frozenset() in r.minimal_contingency_sets} for r, entry in zip(reports, entries)]
+    return {"target": str(target), "causes": causes}
+
+
+def _abduce(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    program, document = _load(args, sources)
+    if not document.observations:
+        raise _UsageError("the instance file has no #observe section")
+    if args.obs_bound is not None and len(document.observations) > args.obs_bound:
+        raise _UsageError(f"observation has {len(document.observations)} atoms, bound is {args.obs_bound}")
+    instance = document.instance
+    problem = abduction.AbductionProblem(program, instance.exogenous, instance.endogenous, document.observations)
+    necessary_sets = abduction.necessary_hypothesis_sets(problem)
+    degrees = abduction.necessity_degrees(problem.hypotheses, necessary_sets)
+    return {
+        "observation": sorted_atoms(document.observations),
+        "diagnoses": sorted_families(abduction.solve_diagnoses(problem)),
+        "relevant": sorted_atoms(abduction.relevant_hypotheses(problem)),
+        "necessary": sorted_atoms(abduction.necessary_hypotheses(problem)),
+        "necessary_sets": sorted_families(necessary_sets),
+        "necessity_degrees": {str(h): fraction_text(degrees[h]) for h in sorted(degrees, key=GroundAtom.sort_key)},
+    }
+
+
+def _delprop(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    program, instance, target = _query(args, sources)
+    solve = getattr(viewupdate, _DELPROP_MODES[args.mode])
+    solutions = solve(instance, program, target, endogenous_only=args.endogenous_only)
+    return {
+        "target": str(target),
+        "mode": args.mode,
+        "exists": bool(solutions),
+        "solutions": [
+            {"removed": sorted_atoms(s.removed), "residual_view": sorted_atoms(s.residual_view)}
+            for s in solutions
+        ],
+    }
+
+
+def _check_ics(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    if not args.constraints:
+        raise _UsageError("check-ics needs -c/--constraints")
+    data_input = _read(sources, "data", args.data)
+    constraints_input = _read(sources, "constraints", args.constraints)
+    result = constraints.satisfies(_parsed(data_input).instance, _parsed(constraints_input))
+    return {
+        "satisfied": result.ok,
+        "violations": [
+            {"constraint": str(v.constraint), "witness": sorted_atoms(v.witness)} for v in result.violations
+        ],
+    }
+
+
+def _encode_phca(args, sources: dict[str, bytes]) -> dict[str, Any]:
+    encoded = phca.encode_phca(_parsed(_read(sources, "input", args.input)))
+    return {
+        "program": serialize_program(encoded.program).splitlines(),
+        "extensional": sorted_atoms(encoded.extensional),
+        "hypotheses": sorted_atoms(encoded.hypotheses),
+        "observation": sorted_atoms(encoded.observation),
+        "diagnoses": sorted_families(abduction.solve_diagnoses(encoded)),
+        "relevant": sorted_atoms(abduction.relevant_hypotheses(encoded)),
+    }
+
+
+_HANDLERS = {
+    "eval": _eval,
+    "causes": _causes,
+    "responsibility": _responsibility,
+    "mrc": _mrc,
+    "vc-causes": _vc_causes,
+    "abduce": _abduce,
+    "delprop": _delprop,
+    "check-ics": _check_ics,
+    "encode-phca": _encode_phca,
+}
 
 
 def _run(args) -> Report:
-    if args.command == "eval":
-        program, document, sources = _load_common(args)
-        instance = document.instance
-        view = evaluate_answers(program, instance)
-        return Report("eval", {"answers": sorted_atoms(view)}, provenance_for(sources))
-
-    if args.command == "causes":
-        program, document, sources = _load_common(args)
-        instance = document.instance
-        target = _atom(args.target)
-        if args.constraints:
-            sigma = _parsed(_read(sources, "constraints", args.constraints))
-            reports, key = constraints.causes_under_ics(instance, program, target, sigma), "responsibility_under_ics"
-        else:
-            reports, key = causality.cause_reports(instance, program, target), "responsibility"
-        payload = {"target": str(target), "causes": _cause_payload(reports, args.max_contingency_sets, key)}
-        return Report("causes", payload, provenance_for(sources))
-
-    if args.command == "responsibility":
-        program, document, sources = _load_common(args)
-        instance = document.instance
-        target = _atom(args.target)
-        tau = _atom(args.tuple)
-        if args.constraints:
-            sigma = _parsed(_read(sources, "constraints", args.constraints))
-            rho = constraints.responsibility_under_ics(instance, program, target, tau, sigma)
-        else:
-            rho = causality.responsibility(instance, program, target, tau)
-        payload = {"target": str(target), "tuple": str(tau), "responsibility": fraction_text(rho)}
-        return Report("responsibility", payload, provenance_for(sources))
-
-    if args.command == "mrc":
-        program, document, sources = _load_common(args)
-        instance = document.instance
-        target = _atom(args.target)
-        winners = causality.most_responsible_causes(instance, program, target)
-        rho = (
-            causality.responsibility(instance, program, target, next(iter(winners)))
-            if winners
-            else Fraction(0)
-        )
-        payload = {
-            "target": str(target),
-            "causes": sorted_atoms(winners),
-            "responsibility": fraction_text(rho),
-        }
-        return Report("mrc", payload, provenance_for(sources))
-
-    if args.command == "vc-causes":
-        program, document, sources = _load_common(args)
-        instance = document.instance
-        target = _atom(args.target)
-        reports = vc.vc_causes(instance, program, target)
-        payload = {
-            "target": str(target),
-            "causes": [
-                entry | {"vcc": frozenset() in report.minimal_contingency_sets}
-                for report, entry in zip(
-                    reports, _cause_payload(reports, args.max_contingency_sets, "vc_responsibility")
-                )
-            ],
-        }
-        return Report("vc-causes", payload, provenance_for(sources))
-
-    if args.command == "abduce":
-        program, document, sources = _load_common(args)
-        if not document.observations:
-            raise _UsageError("the instance file has no #observe section")
-        if args.obs_bound is not None and len(document.observations) > args.obs_bound:
-            raise _UsageError(
-                f"observation has {len(document.observations)} atoms, bound is {args.obs_bound}"
-            )
-        problem = abduction.AbductionProblem(
-            program,
-            document.instance.exogenous,
-            document.instance.endogenous,
-            document.observations,
-        )
-        solutions = abduction.solve_diagnoses(problem)
-        necessary_sets = abduction.necessary_hypothesis_sets(problem)
-        degrees = abduction.necessity_degrees(problem.hypotheses, necessary_sets)
-        payload = {
-            "observation": sorted_atoms(document.observations),
-            "diagnoses": sorted_families(solutions),
-            "relevant": sorted_atoms(abduction.relevant_hypotheses(problem)),
-            "necessary": sorted_atoms(abduction.necessary_hypotheses(problem)),
-            "necessary_sets": sorted_families(necessary_sets),
-            "necessity_degrees": {str(h): fraction_text(degrees[h]) for h in sorted(degrees, key=GroundAtom.sort_key)},
-        }
-        return Report("abduce", payload, provenance_for(sources))
-
-    if args.command == "delprop":
-        program, document, sources = _load_common(args)
-        instance = document.instance
-        target = _atom(args.target)
-        kind = _DELPROP_MODES[args.mode]
-        if kind == "minimal_source":
-            solutions = viewupdate.minimal_source_solutions(
-                instance, program, target, endogenous_only=args.endogenous_only
-            )
-        elif kind == "minimum_source":
-            solutions = viewupdate.minimum_source_solutions(
-                instance, program, target, endogenous_only=args.endogenous_only
-            )
-        else:
-            solutions = viewupdate.vsef_solutions(
-                instance, program, target, endogenous_only=args.endogenous_only
-            )
-        payload = {
-            "target": str(target),
-            "mode": args.mode,
-            "exists": bool(solutions),
-            "solutions": [
-                {
-                    "removed": sorted_atoms(s.removed),
-                    "residual_view": sorted_atoms(s.residual_view),
-                }
-                for s in solutions
-            ],
-        }
-        return Report("delprop", payload, provenance_for(sources))
-
-    if args.command == "check-ics":
-        if not args.constraints:
-            raise _UsageError("check-ics needs -c/--constraints")
-        sources = {}
-        data_input = _read(sources, "data", args.data)
-        constraints_input = _read(sources, "constraints", args.constraints)
-        document = _parsed(data_input)
-        sigma = _parsed(constraints_input)
-        result = constraints.satisfies(document.instance, sigma)
-        payload = {
-            "satisfied": result.ok,
-            "violations": [
-                {"constraint": str(v.constraint), "witness": sorted_atoms(v.witness)}
-                for v in result.violations
-            ],
-        }
-        return Report("check-ics", payload, provenance_for(sources))
-
-    if args.command == "encode-phca":
-        sources = {}
-        problem = _parsed(_read(sources, "input", args.input))
-        encoded = phca.encode_phca(problem)
-        solutions = abduction.solve_diagnoses(encoded)
-        payload = {
-            "program": serialize_program(encoded.program).splitlines(),
-            "extensional": sorted_atoms(encoded.extensional),
-            "hypotheses": sorted_atoms(encoded.hypotheses),
-            "observation": sorted_atoms(encoded.observation),
-            "diagnoses": sorted_families(solutions),
-            "relevant": sorted_atoms(abduction.relevant_hypotheses(encoded)),
-        }
-        return Report("encode-phca", payload, provenance_for(sources))
-
-    raise _UsageError(f"unknown command {args.command!r}")
+    sources: dict[str, bytes] = {}
+    payload = _HANDLERS[args.command](args, sources)
+    return Report(args.command, payload, provenance_for(sources))
 
 
 def _summary(report: Report) -> str:

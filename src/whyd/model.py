@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArityMismatchError, HeadExtensionalError, UnsafeRuleError, WhydError
@@ -274,6 +275,12 @@ def canonical_masks(masks: Iterable[int]) -> list[int]:
     out = sorted(masks, reverse=True)
     out.sort(key=int.bit_count)
     return out
+
+
+def least_masks(masks: Sequence[int]) -> list[int]:
+    """The masks with the fewest bits of a family in canonical order: its
+    prefix of masks as small as the first."""
+    return list(takewhile(lambda mask: mask.bit_count() == masks[0].bit_count(), masks))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ partition.  A deletion drops the answer exactly when it hits every
 diagnosis of the answer's causal abduction problem, so the minimal
 source-side-effect solutions are the minimal hitting sets of the
 diagnoses, the problem's one cached search
-(``abduction.necessary_hypothesis_sets``), the same one the answer's
+(``abduction._necessary_masks``), the same one the answer's
 causes and contingency sets are read off.  A view-side-effect-free
 solution must hit every support set of the target answer and must not
 hit every support set of any other answer (``_view_safe_masks``), and
@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .abduction import necessary_hypothesis_sets, support_masks
+from .abduction import _necessary_masks, support_masks
 from .causality import CauseAnalysis
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
 from .evaluator import evaluate_fixpoint, propagate, reached
 from .hitting import minimal_hitting_sets
-from .model import GroundAtom, Instance, Program, decode, positions
+from .model import GroundAtom, Instance, Program, decode, least_masks, positions
 
 SolutionKind = Literal["minimal_source", "minimum_source", "view_safe"]
 
@@ -71,6 +71,28 @@ def _answer_worlds(
     return {model.graph.atoms[a]: masks[a] for a in goals}
 
 
+def _solutions(
+    program: Program, working: Instance, atoms: tuple[GroundAtom, ...], deletions: Sequence[int], kind: SolutionKind
+) -> tuple[DeletionSolution, ...]:
+    """Each deletion, a bitmask over ``atoms``, as a solution of the kind
+    with its residual view, in the order given."""
+    # world i is the instance without the i-th deletion
+    touched = 0
+    for removed in deletions:
+        touched |= removed
+    views = _answer_worlds(
+        program,
+        working,
+        working.atoms - decode(touched, atoms),
+        atoms,
+        [touched & ~removed for removed in deletions],
+    )
+    return tuple(
+        DeletionSolution(decode(removed, atoms), kind, frozenset(a for a, mask in views.items() if mask >> i & 1))
+        for i, removed in enumerate(deletions)
+    )
+
+
 def minimal_source_solutions(
     instance: Instance,
     program: Program,
@@ -81,22 +103,8 @@ def minimal_source_solutions(
     """All subset-minimal deletion sets that drop the answer: the minimal
     hitting sets of its diagnoses, in canonical order."""
     working = _working_instance(instance, endogenous_only)
-    solutions = necessary_hypothesis_sets(CauseAnalysis.for_query(working, program, answer).problem)
-    # world i is the instance without the i-th solution
-    touched = 0
-    for removed in solutions.masks:
-        touched |= removed
-    views = _answer_worlds(
-        program,
-        working,
-        working.atoms - decode(touched, solutions.atoms),
-        solutions.atoms,
-        [touched & ~removed for removed in solutions.masks],
-    )
-    return tuple(
-        DeletionSolution(removed, "minimal_source", frozenset(a for a, mask in views.items() if mask >> i & 1))
-        for i, removed in enumerate(solutions)
-    )
+    analysis = CauseAnalysis.for_query(working, program, answer)
+    return _solutions(program, working, analysis.atoms, _necessary_masks(analysis.problem), "minimal_source")
 
 
 def minimum_source_solutions(
@@ -106,17 +114,13 @@ def minimum_source_solutions(
     *,
     endogenous_only: bool = False,
 ) -> tuple[DeletionSolution, ...]:
-    """The minimum-cardinality members of the minimal family; their size is
-    1 over the best responsibility among the causes."""
-    minimal = minimal_source_solutions(instance, program, answer, endogenous_only=endogenous_only)
-    if not minimal:
-        return ()
-    best = min(len(s.removed) for s in minimal)
-    return tuple(
-        DeletionSolution(s.removed, "minimum_source", s.residual_view)
-        for s in minimal
-        if len(s.removed) == best
-    )
+    """The minimum-cardinality members of the minimal family, its first
+    in canonical order, and only they are propagated for their residual
+    views; their size is 1 over the best responsibility among the causes."""
+    working = _working_instance(instance, endogenous_only)
+    analysis = CauseAnalysis.for_query(working, program, answer)
+    least = least_masks(_necessary_masks(analysis.problem))
+    return _solutions(program, working, analysis.atoms, least, "minimum_source")
 
 
 def check_source_solution(
@@ -128,7 +132,9 @@ def check_source_solution(
 ) -> bool:
     """Membership test for the two source-side-effect decision problems:
     mode "s" asks whether the kept subinstance is subset-maximal among
-    those dropping the answer, mode "c" whether it has maximum size."""
+    those dropping the answer (one propagation, polynomial), mode "c"
+    whether it has maximum size: it drops the answer and deletes as many
+    tuples as the first of the answer's minimal deletions."""
     if not subinstance.is_subinstance_of(instance):
         raise NotSubinstanceError("the candidate is not a subinstance")
     if mode not in ("s", "c"):
@@ -145,8 +151,9 @@ def check_source_solution(
         return False
     if mode == "s":
         return held >> 1 == (1 << len(removed)) - 1
-    minimum = minimum_source_solutions(instance, program, answer)
-    return bool(minimum) and len(removed) == len(minimum[0].removed)
+    analysis = CauseAnalysis.for_query(instance.all_endogenous(), program, answer)
+    least = least_masks(_necessary_masks(analysis.problem))
+    return bool(least) and len(removed) == least[0].bit_count()
 
 
 def vsef_solutions(

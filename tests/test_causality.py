@@ -235,9 +235,13 @@ def test_cause_monotonicity_under_endogenous_insertion():
 
 
 def test_oracle_equivalence_on_random_corpus():
+    # mrc is read off the least-size minimal deletions, so the corpus must
+    # hold answers whose minimal deletions have more than one size
+    two_sizes = 0
     for seed in range(80):
         case = corpus.generate_case(seed, max_endogenous=6)
         sweep = oracle.instance_sweep(case.program, case.instance)
+        two_sizes += len({len(d) for d in oracle.minimal_deletions(sweep, case.answer)}) > 1
         assert causes(case.instance, case.program, case.answer) == oracle.causes(sweep, case.answer), case
         for tau in sorted(case.instance.endogenous, key=lambda a: a.sort_key()):
             assert responsibility(case.instance, case.program, case.answer, tau) == oracle.responsibility(
@@ -249,6 +253,7 @@ def test_oracle_equivalence_on_random_corpus():
         assert most_responsible_causes(case.instance, case.program, case.answer) == oracle.most_responsible_causes(
             sweep, case.answer
         ), case
+    assert two_sizes >= 2, two_sizes
 
 
 def test_goal_fact_in_the_instance_is_not_a_cause():
@@ -329,6 +334,28 @@ def test_diamonds_match_the_oracle(k):
     reports = cause_reports(instance, program, answer)
     assert {r.cause: set(r.minimal_contingency_sets) for r in reports} == {t: set(f) for t, f in expected.items()}
     assert [r.responsibility for r in reports] == [Fraction(1, 1 + min(map(len, expected[r.cause]))) for r in reports]
+
+
+def test_most_responsible_causes_look_no_cause_up(monkeypatch):
+    """The most responsible causes are the members of the least-size
+    minimal deletions, read off as bits: no cause is looked up among the
+    analysis's atoms, which took n(n - 1)/2 comparisons on chain-n."""
+    program, answer = load_program("graph.dl"), atom("ans(c0, c12)")
+    instance = parse_instance("".join(f"e(c{i}, c{i + 1}).\n" for i in range(12)))
+    assert len(causes(instance, program, answer)) == 12  # the analysis, cached
+    calls = 0
+    real = GroundAtom.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return real(self, other)
+
+    monkeypatch.setattr(GroundAtom, "__eq__", counted)
+    winners = most_responsible_causes(instance, program, answer)
+    monkeypatch.undo()
+    assert calls == 0
+    assert winners == instance.endogenous
 
 
 def test_cause_reports_order_each_hypothesis_once(monkeypatch):

@@ -204,6 +204,41 @@ def test_exit_code_2_on_usage_error(capsys):
     assert "--mode" in _error_object(capsys.readouterr(), "UsageError")["message"]
 
 
+def test_each_subcommand_has_one_handler_and_one_report_task():
+    from whyd import reports
+
+    assert set(cli._HANDLERS) == set(cli._build_parser().commands) == set(reports.TASKS)
+    assert len(cli._HANDLERS) == 9
+
+
+def _precedence_cases(tmp_path):
+    """Command lines with two faults each, and the error each reports:
+    inputs are read and parsed in a fixed order per subcommand."""
+    bad_facts, bad_program = tmp_path / "bad.facts", tmp_path / "bad.dl"
+    bad_facts.write_text("e(a, b\n")
+    bad_program.write_text("ans(X) :- e(X\n")
+    missing = str(tmp_path / "missing.file")
+    graph = ["-p", _fx("graph.dl"), "-d", _fx("graph.facts")]
+    read_error = ("UsageError", f"cannot read {missing}: No such file or directory")
+    return {
+        "check-ics": (["check-ics", "-d", str(bad_facts), "-c", missing], *read_error),
+        "causes": (["causes", *graph, "-t", "ans(", "-c", missing], "SyntaxError", "<atom>:1:5: expected a term, found ''"),
+        "responsibility": (
+            ["responsibility", *graph, "-t", "ans(c, e)", "--tuple", "e(", "-c", missing],
+            "SyntaxError",
+            "<atom>:1:3: expected a term, found ''",
+        ),
+        "eval": (["eval", "-p", str(bad_program), "-d", missing], *read_error),
+    }
+
+
+@pytest.mark.parametrize("command", ["check-ics", "causes", "responsibility", "eval"])
+def test_the_first_fault_read_is_the_one_reported(command, tmp_path, capsys):
+    argv, code, message = _precedence_cases(tmp_path)[command]
+    assert cli.main(argv) == 2
+    assert _error_object(capsys.readouterr(), code)["message"] == message
+
+
 def test_repeated_calls_keep_no_parser_state(capsys):
     assert _run(GOLDEN_CASES["causes_aj"] + ["--pretty"])[0] == 0
     assert _run(GOLDEN_CASES["causes_aj"]) == (0, (GOLDEN / "causes_aj.json").read_text())

@@ -79,6 +79,23 @@ def test_graph_minimum_source_is_t2():
     assert _removed(solutions) == {frozenset({"e(b, e)"})}
 
 
+def test_graph_minimum_source_propagates_only_its_own_worlds(monkeypatch):
+    # one world per minimum deletion, not one per minimal deletion (5)
+    from whyd import viewupdate
+
+    program, instance = load_program("graph.dl"), load_instance("graph.facts")
+    counts = []
+    real = viewupdate._answer_worlds
+
+    def counted(program, instance, shared, atoms, worlds):
+        counts.append(len(worlds))
+        return real(program, instance, shared, atoms, worlds)
+
+    monkeypatch.setattr(viewupdate, "_answer_worlds", counted)
+    assert len(minimum_source_solutions(instance, program, atom("ans(c, e)"))) == 1
+    assert counts == [1]
+
+
 def test_aj_minimum_source_keeps_all_four():
     program, instance = load_program("aj.dl"), load_instance("aj.facts")
     solutions = minimum_source_solutions(instance, program, atom("ans(john, xml)"))
@@ -169,17 +186,24 @@ def _residual_view_cases():
 
 def test_residual_views_match_the_oracle():
     # each minimal source-side-effect solution's residual view is the
-    # view of the instance without it, evaluated naively
-    seeded = 0
+    # view of the instance without it, evaluated naively; so is each
+    # minimum one's, though only those are propagated
+    seeded = two_sizes = 0
     for program, instance, answer in _residual_view_cases():
         seeded += any(a.predicate == "ans" for a in instance.atoms)
         for endogenous_only in (False, True):
             sweep = oracle.instance_sweep(program, instance, everything_deletable=not endogenous_only)
+            deletions = oracle.minimal_deletions(sweep, answer)
+            least = min(map(len, deletions))
+            two_sizes += least < max(map(len, deletions))
             solutions = minimal_source_solutions(instance, program, answer, endogenous_only=endogenous_only)
-            assert {s.removed for s in solutions} == set(oracle.minimal_deletions(sweep, answer))
-            for s in solutions:
+            minimum = minimum_source_solutions(instance, program, answer, endogenous_only=endogenous_only)
+            assert {s.removed for s in solutions} == set(deletions)
+            assert {s.removed for s in minimum} == {d for d in deletions if len(d) == least}
+            for s in solutions + minimum:
                 assert s.residual_view == sweep.answers(s.removed), (program, instance, s.removed)
     assert seeded >= 10, seeded
+    assert two_sizes >= 5, two_sizes
 
 
 def test_minimal_deletions_are_causes_with_their_contingency_sets():
