@@ -8,10 +8,10 @@ why-provenance: the fixpoint runs the caller's program over the facts
 and every hypothesis and records the ground derivation graph of that
 full model; one pass annotates the graph with antichains of hypothesis
 sets in the absorptive PosBool semiring (Green, Karvounarakis & Tannen,
-PODS 2007).  The observation atoms are the goals, and no goal rule is
+PODS 2007).  The observation atoms are the goal, and no goal rule is
 built: the diagnosis family of a conjunction is the product of its
 atoms' antichains, the minimal unions of one set from each.  The pass
-sweeps the part of the graph the goals reach in derivation order, so
+sweeps the part of the graph the goal reaches in derivation order, so
 that off cycles each head is annotated once, and holds the sets as
 bitmasks.  The graph is over integers (``evaluator.Graph``): the
 fixpoint numbers the extensional facts first, then the other
@@ -23,17 +23,16 @@ the i-th (``model.bit_order``), so a family of masks sorted by
 as long as its solve: what is kept is the family, as masks next to the
 hypothesis atoms (``Family``), decoded once into the frozensets callers
 get; every later search (``hitting``) and constraint check reads the
-masks.  The same pass over every answer of a program at once gives
-each answer's minimal support sets (``support_masks``), behind
-view-conditioned causes and side-effect-free deletions.  Each family
-is checked by direct evaluation before it is returned: every set, and
-every set with one element dropped, is a world, and all of them are
-propagated over a ground program that the check derives again by joins,
-into a numbering of its own that the recorded graph's atoms seed.  Hypotheses are plain
-tuples, so a problem is a plain value, solved when it is built: equal
-problems share one cached family and one cached hitting-set search of
-it (``_necessary_masks``), whatever labels their callers give the
-tuples.
+masks.  Each family is checked by direct evaluation before it is
+returned: every set, and every set with one element dropped, is a
+world, and all of them are propagated over a ground program that the
+check derives again by joins, into a numbering of its own that the
+recorded graph's atoms seed.  Hypotheses are plain tuples, so a problem
+is a plain value, solved when it is built: equal problems share one
+cached family and one cached hitting-set search of it
+(``_necessary_masks``), whatever labels their callers give the tuples.
+Every deletion notion of ``viewupdate`` and ``vc`` reads that search of
+its answer's problem.
 """
 
 from __future__ import annotations
@@ -85,19 +84,19 @@ class AbductionProblem:
         solve_diagnoses(self)
 
 
-def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple[list[int], list[list[int]]]:
-    """Each goal's minimal why-provenance over the hypotheses: the
+def _minimal_why(graph: Graph, extensional: int, goal: Goal) -> tuple[list[int], list[int]]:
+    """The goal's minimal why-provenance over the hypotheses: the
     subset-minimal hypothesis sets that derive all its atoms, given the
     derivation graph of the model over the extensional facts and every
     hypothesis, numbered so that ids below ``extensional`` are the
     extensional facts and the other seeds the hypotheses.  Returns the
-    ids of the reached hypotheses and each goal's family as bitmasks over
-    them (bit i: the i-th); the ids come in descending canonical order of
+    ids of the reached hypotheses and the family as bitmasks over them
+    (bit i: the i-th); the ids come in descending canonical order of
     their atoms, the numbering of ``model.bit_order``.
 
     Every derivation from the background plus some hypotheses only uses
     ground rule instances that fire in that model, so the graph holds
-    them all; only the part the goals reach (``reached``) matters, and a
+    them all; only the part the goal reaches (``reached``) matters, and a
     head's bodies count as a set.  Each atom is annotated with an
     antichain in the absorptive PosBool semiring, its sets held as
     bitmasks over the reached hypotheses: background facts and heads of
@@ -109,9 +108,9 @@ def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple
     reads a head at the same or a later position (a cycle) do further
     sweeps run, each annotating again the heads whose inputs changed,
     until no antichain changes; antichains only move down a finite lattice, so
-    the sweeps stop.  A goal's family is the product of its atoms'
+    the sweeps stop.  The goal's family is the product of its atoms'
     antichains; a one-atom goal's is its atom's."""
-    program, cyclic = reached(graph, chain.from_iterable(goals))
+    program, cyclic = reached(graph, goal)
     atoms, seeds = graph.atoms, graph.seeds
     hypotheses: list[int] = []
     why: list[list[int] | None] = [None] * len(atoms)
@@ -119,7 +118,7 @@ def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple
         if () in bodies:
             why[head] = [0]
     # every reached head is a goal atom or in a reached body
-    for atom in chain(chain.from_iterable(goals), (a for _, bodies in program for body in bodies for a in body)):
+    for atom in chain(goal, (a for _, bodies in program for body in bodies for a in body)):
         if why[atom] is None:
             if atom < extensional:
                 why[atom] = [0]
@@ -152,8 +151,8 @@ def _minimal_why(graph: Graph, extensional: int, goals: Sequence[Goal]) -> tuple
                 clock += 1
                 changed_at[head] = clock
                 sweep = True
-    families = [why[goal[0]] if len(goal) == 1 else _product([why[a] for a in goal]) for goal in goals]
-    return hypotheses, families  # type: ignore[return-value]
+    family = why[goal[0]] if len(goal) == 1 else _product([why[a] for a in goal])
+    return hypotheses, family  # type: ignore[return-value]
 
 
 def _prune(candidates: list[int]) -> list[int]:
@@ -207,12 +206,12 @@ def _check(
     program: Program,
     graph: Graph,
     extensional: int,
-    goals: Sequence[Goal],
+    goal: Goal,
     hypotheses: Sequence[int],
-    families: Sequence[Sequence[int]],
+    family: Sequence[int],
 ) -> None:
-    """Check each goal's family (bitmasks over the hypotheses, as
-    ``_minimal_why`` gives them) directly, by evaluation: the family is
+    """Check the goal's family (bitmasks over the hypotheses, as
+    ``_minimal_why`` gives it) directly, by evaluation: the family is
     not empty, each set entails every atom of the goal with the
     extensional facts (the graph's first ids), and no set with one
     element dropped does; raises ``InternalInvariantError``.
@@ -224,12 +223,13 @@ def _check(
     derived outside them.  Then every derivation inside a
     world is one of those firings (a first one that is not would have its
     body, so its head, among them), and the worlds are propagated over
-    the ground program the goals reach.  A seed's place in the new
+    the ground program the goal reaches.  A seed's place in the new
     numbering is known, so no atom is looked up in it."""
+    if not family:
+        raise InternalInvariantError(f"no diagnosis found for {_render_goal(graph, goal)}, which is entailable")
     used = 0  # the hypotheses of some world
-    for family in families:
-        for delta in family:
-            used |= delta
+    for delta in family:
+        used |= delta
     bits = positions(used)
     members = [hypotheses[bit] for bit in bits]
     heads = list(map(bool, graph.rows))  # the heads not yet among the seeds
@@ -247,111 +247,66 @@ def _check(
     worlds: dict[int, int] = {}  # a set's mask -> its world
     facts: list[list[int]] = []  # each world's facts, by new id
     dropped: dict[int, list[tuple[int, int]]] = {}  # a set's mask -> each bit with the world without it
-    for family in families:
-        for delta in family:
-            if delta in dropped:
-                continue
-            bits = positions(delta)
-            held = [where[bit] for bit in bits]
-            if delta not in worlds:
-                worlds[delta] = len(facts)
-                facts.append(held)
-            dropped[delta] = []
-            for k, bit in enumerate(bits):
-                world = worlds.setdefault(delta ^ 1 << bit, len(facts))
-                if world == len(facts):
-                    facts.append(held[:k] + held[k + 1 :])
-                dropped[delta].append((bit, world))
+    for delta in family:
+        bits = positions(delta)
+        held = [where[bit] for bit in bits]
+        if delta not in worlds:
+            worlds[delta] = len(facts)
+            facts.append(held)
+        dropped[delta] = []
+        for k, bit in enumerate(bits):
+            world = worlds.setdefault(delta ^ 1 << bit, len(facts))
+            if world == len(facts):
+                facts.append(held[:k] + held[k + 1 :])
+            dropped[delta].append((bit, world))
     # a goal atom that is no seed is a hypothesis in no world
     placed = dict(zip(seeds, range(len(seeds))))  # an id in the graph -> its new id
-    numbered = [[placed.get(atom, -1) for atom in goal] for goal in goals]
-    part, cyclic = reached(check, [atom for atoms in numbered for atom in atoms if atom >= 0])
+    numbered = [placed.get(atom, -1) for atom in goal]
+    part, cyclic = reached(check, [atom for atom in numbered if atom >= 0])
     masks = propagate(part, cyclic, len(check.atoms), range(extensional), facts)
-    for goal, atoms, family in zip(goals, numbered, families):
-        if not family:
-            raise InternalInvariantError(f"no diagnosis found for {_render_goal(graph, goal)}, which is entailable")
-        held = -1  # the worlds holding every atom of the goal
-        for atom in atoms:
-            held &= masks[atom] if atom >= 0 else 0
-        for delta in family:
-            if not held >> worlds[delta] & 1:
+    held = -1  # the worlds holding every atom of the goal
+    for atom in numbered:
+        held &= masks[atom] if atom >= 0 else 0
+    for delta in family:
+        if not held >> worlds[delta] & 1:
+            named = [graph.atoms[h] for h in hypotheses]
+            raise InternalInvariantError(
+                f"diagnosis {_render(decode(delta, named))} does not entail {_render_goal(graph, goal)}"
+            )
+        for bit, world in dropped[delta]:
+            if held >> world & 1:
                 named = [graph.atoms[h] for h in hypotheses]
                 raise InternalInvariantError(
-                    f"diagnosis {_render(decode(delta, named))} does not entail {_render_goal(graph, goal)}"
+                    f"diagnosis {_render(decode(delta, named))} of {_render_goal(graph, goal)} is not minimal:"
+                    f" {named[bit]} is redundant"
                 )
-            for bit, world in dropped[delta]:
-                if held >> world & 1:
-                    named = [graph.atoms[h] for h in hypotheses]
-                    raise InternalInvariantError(
-                        f"diagnosis {_render(decode(delta, named))} of {_render_goal(graph, goal)} is not minimal:"
-                        f" {named[bit]} is redundant"
-                    )
-
-
-def _solve(
-    program: Program,
-    fixed: frozenset[GroundAtom],
-    deletable: frozenset[GroundAtom],
-    goals: Sequence[tuple[GroundAtom, ...]] | None,
-) -> tuple[Sequence[tuple[GroundAtom, ...]], tuple[GroundAtom, ...], list[list[int]]]:
-    """Each goal (a conjunction of atoms) with its minimal why-provenance
-    over the deletable facts given the fixed ones; no ``goals``: every
-    answer of the program, each a goal of its own, in atom order.  The
-    families are bitmasks in canonical order over the reached deletable
-    facts, which come second, numbered as ``model.bit_order`` does.  One fixpoint over the
-    fixed facts and then the deletable ones records the derivation graph,
-    one provenance pass over it gives every family and ``_check``
-    verifies them; the graph is then dropped.  A goal atom outside the
-    model raises ``ObservationNotEntailableError``."""
-    model = evaluate_fixpoint(program, chain(fixed, deletable - fixed))
-    if goals is None:
-        goals = [(answer,) for answer in sorted(model.extension(program.answer_predicate), key=GroundAtom.sort_key)]
-    ids = [tuple(map(model.id_of, goal)) for goal in goals]
-    if any(-1 in goal for goal in ids):
-        raise ObservationNotEntailableError("the observation is not entailed even with every hypothesis added")
-    hypotheses, families = _minimal_why(model.graph, len(fixed), ids)
-    _check(program, model.graph, len(fixed), ids, hypotheses, families)
-    atoms = tuple([model.graph.atoms[h] for h in hypotheses])
-    return goals, atoms, [canonical_masks(family) for family in families]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def solve_diagnoses(problem: AbductionProblem) -> Family:
     """All abductive diagnoses, in canonical order, with their bitmasks
-    (``Family``).  Never empty; equals ``(frozenset(),)`` when the
-    background theory already entails the observation.
+    (``Family``) over the reached hypotheses, numbered as
+    ``model.bit_order`` does.  Never empty; equals ``(frozenset(),)``
+    when the background theory already entails the observation.
 
-    The diagnoses come from one why-provenance pass and pass ``_check``
-    before they are returned; a failed check raises
-    ``InternalInvariantError``.  Results are cached by problem value
-    (``cache_info``, ``cache_clear``), so equal problems share them; each
-    problem's construction looks its own up.  The cache keeps the
-    ``model.CACHE_SIZE`` problems used last: a problem pushed out is
+    One fixpoint over the extensional facts and then the other
+    hypotheses records the derivation graph, one provenance pass over it
+    gives the family (``_minimal_why``) and ``_check`` verifies it before
+    it is returned, raising ``InternalInvariantError`` if it fails; the
+    graph is then dropped.  An observation atom outside the model raises
+    ``ObservationNotEntailableError``.  Results are cached by problem
+    value (``cache_info``, ``cache_clear``), so equal problems share
+    them; each problem's construction looks its own up.  The cache keeps
+    the ``model.CACHE_SIZE`` problems used last: a problem pushed out is
     solved again when it is asked for again."""
-    _, atoms, families = _solve(problem.program, problem.extensional, problem.hypotheses, (problem.observation,))
-    return _family(families[0], atoms)
-
-
-def support_masks(
-    program: Program, fixed: frozenset[GroundAtom], deletable: frozenset[GroundAtom]
-) -> tuple[tuple[GroundAtom, ...], dict[GroundAtom, list[int]]]:
-    """The reached deletable facts, numbered as ``model.bit_order`` does,
-    and every answer of the program over the fixed and deletable facts
-    mapped to its minimal support sets, as bitmasks over them in
-    canonical order: the subset-minimal sets of deletable facts that
-    derive the answer together with the fixed ones.  One fixpoint, which records the
-    derivation graph, and one provenance pass over it serve every answer,
-    and ``_check`` verifies every family."""
-    goals, atoms, families = _solve(program, fixed, deletable, None)
-    return atoms, {answer: family for (answer,), family in zip(goals, families)}
-
-
-def support_families(
-    program: Program, fixed: frozenset[GroundAtom], deletable: frozenset[GroundAtom]
-) -> dict[GroundAtom, tuple[Diagnosis, ...]]:
-    """``support_masks`` with every family as sets of atoms."""
-    atoms, families = support_masks(program, fixed, deletable)
-    return {answer: tuple([decode(mask, atoms) for mask in family]) for answer, family in families.items()}
+    program, fixed = problem.program, problem.extensional
+    model = evaluate_fixpoint(program, chain(fixed, problem.hypotheses - fixed))
+    goal = tuple(map(model.id_of, problem.observation))
+    if -1 in goal:
+        raise ObservationNotEntailableError("the observation is not entailed even with every hypothesis added")
+    hypotheses, family = _minimal_why(model.graph, len(fixed), goal)
+    _check(program, model.graph, len(fixed), goal, hypotheses, family)
+    return _family(canonical_masks(family), tuple([model.graph.atoms[h] for h in hypotheses]))
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:

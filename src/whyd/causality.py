@@ -19,9 +19,10 @@ atoms are decoded only for what is returned:
     answer's one cached search (``abduction._necessary_masks``);
   * the responsibility of a cause is 1/(1 + size of its smallest set).
 
-View-conditioned causes (``vc``) read their families off the
-view-side-effect-free deletions alike; causes under constraints
-(``constraints``) run a search per cause.  All share ``CauseAnalysis``.
+View-conditioned causes (``vc``) read their families alike off the
+answer's minimal deletions that keep the rest of the view, from the
+same cached search; causes under constraints (``constraints``) run a
+search per cause.  All share ``CauseAnalysis``.
 
 The plain analysis of one request is cached by value
 (``CauseAnalysis.for_query``), keyed by the instance's endogenous and
@@ -30,8 +31,6 @@ keeps the ``model.CACHE_SIZE`` analyses used last.  A
 cause is a tuple; tuple labels live in the caller's ``Instance`` only,
 so equal requests under other labels share one analysis and its result
 objects, and each caller reads the labels through its own instance.
-Notions that need the support sets of every answer of the view, not of
-one, read them from ``abduction.support_masks`` instead.
 
 The brute-force subset enumeration lives in the test suite as an
 independent oracle; keep it out of this module.

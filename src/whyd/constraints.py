@@ -5,17 +5,17 @@ constraints.  Satisfaction is first-order evaluation over the finite
 instance: a tgd's existential head variables must be witnessed by facts
 that are already there.  No chase, no invented values; every
 intervention in this package is a deletion, and a deletion breaks only
-tgds.  One scan of the instance both checks the constraints and keeps
-each tgd body match with the fact sets that witness its head.  Causes
-under constraints are a ``causality.CauseAnalysis`` with a minimal-set
-search per cause whose conflict also asks that the deletion leave no
-kept match without a witness; the admissible subinstances are filtered
-by the same test.
+tgds.  One scan of the instance (``satisfies``) both checks the
+constraints and keeps each tgd body match with the fact sets that
+witness its head.  Causes under constraints are a
+``causality.CauseAnalysis`` with a minimal-set search per cause whose
+conflict also asks that the deletion leave no kept match without a
+witness; the admissible subinstances are filtered by the same test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
@@ -27,6 +27,7 @@ from .errors import (
     SchemaMismatchError,
     WhydError,
 )
+from .abduction import _necessary_masks
 from .causality import CauseAnalysis, CauseReport
 from .evaluator import Relation, _matches, _plan, _Plan, _seed
 from .hitting import minimal_sets
@@ -183,10 +184,19 @@ class Violation:
         return f"{self.constraint} violated by {{{facts}}}"
 
 
+_TgdMatch = tuple[frozenset[GroundAtom], tuple[frozenset[GroundAtom], ...]]
+
+
 @dataclass(frozen=True)
 class SatisfactionReport:
+    """Whether the instance satisfies the constraints, with the violations
+    in canonical order.  ``matches`` keeps each tgd body match with the
+    fact sets that witness its head, for the deletion tests; it takes no
+    part in the report's value."""
+
     ok: bool
     violations: tuple[Violation, ...] = ()
+    matches: tuple[_TgdMatch, ...] = field(default=(), compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -219,33 +229,6 @@ def _body_matches(
         yield match, _matches(head_plan, atoms, head_sources, match)
 
 
-_TgdMatch = tuple[frozenset[GroundAtom], tuple[frozenset[GroundAtom], ...]]
-
-
-def _scan(instance: Instance, constraints: Sequence[Constraint]) -> tuple[SatisfactionReport, list[_TgdMatch]]:
-    """One join pass over the instance: check the arities, find the
-    violations and keep each tgd body match with the fact sets that
-    witness its head.  A denial is violated by every body match, an egd
-    by every body match whose two sides differ, a tgd by every body
-    match with no witness."""
-    _check_arities(constraints, instance)
-    ids, relations = _seed(instance.atoms)
-    atoms = ids.atoms
-    violations: list[Violation] = []
-    matches: list[_TgdMatch] = []
-    for c in constraints:
-        for match, heads in _body_matches(c, atoms, relations):
-            if c.kind != "tgd":
-                violations.append(Violation(c, match))
-                continue
-            witnesses = tuple({frozenset(w) for w in heads})
-            if not witnesses:
-                violations.append(Violation(c, match))
-            matches.append((frozenset(match), witnesses))
-    violations.sort(key=lambda v: (str(v.constraint), tuple(a.sort_key() for a in v.witness)))
-    return SatisfactionReport(not violations, tuple(violations)), matches
-
-
 # a set of tuples: a frozenset of atoms, or a bitmask over one numbering
 _Set = TypeVar("_Set", frozenset, int)
 
@@ -263,15 +246,37 @@ def _unwitnessed(matches: Iterable[tuple[_Set, Sequence[_Set]]], removed: _Set) 
 
 def satisfies(instance: Instance, sigma: Sigma) -> SatisfactionReport:
     """Evaluate every constraint over the finite instance; tgd
-    existentials range over existing facts only."""
-    return _scan(instance, _normalize(sigma, instance))[0]
+    existentials range over existing facts only.  One join pass checks
+    the arities, finds the violations and keeps each tgd body match with
+    the fact sets that witness its head.  A denial is violated by every
+    body match, an egd by every body match whose two sides differ, a tgd
+    by every body match with no witness."""
+    constraints = _normalize(sigma, instance)
+    _check_arities(constraints, instance)
+    ids, relations = _seed(instance.atoms)
+    atoms = ids.atoms
+    violations: list[Violation] = []
+    matches: list[_TgdMatch] = []
+    for c in constraints:
+        for match, heads in _body_matches(c, atoms, relations):
+            if c.kind != "tgd":
+                violations.append(Violation(c, match))
+                continue
+            witnesses = tuple({frozenset(w) for w in heads})
+            if not witnesses:
+                violations.append(Violation(c, match))
+            matches.append((frozenset(match), witnesses))
+    violations.sort(key=lambda v: (str(v.constraint), tuple(a.sort_key() for a in v.witness)))
+    return SatisfactionReport(not violations, tuple(violations), tuple(matches))
 
 
-def _checked_scan(instance: Instance, sigma: Sigma) -> list[_TgdMatch]:
-    check, matches = _scan(instance, _normalize(sigma, instance))
+def _checked_scan(instance: Instance, sigma: Sigma) -> tuple[_TgdMatch, ...]:
+    """The tgd body matches of ``satisfies``; an instance that violates
+    the constraints raises ``InstanceViolatesSigmaError``."""
+    check = satisfies(instance, sigma)
     if not check:
         raise InstanceViolatesSigmaError(str(check.violations[0]))
-    return matches
+    return check.matches
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +366,14 @@ def maximal_admissible_subinstances(
 ) -> tuple[Instance, ...]:
     """Maximal subinstances that drop the answer, filtered to those that
     still satisfy the constraints (the abductive route to causes under
-    constraints).  A candidate is tested against the tgd body matches
-    kept from one scan of the instance, with no join of its own."""
-    from .viewupdate import minimal_source_solutions
-
+    constraints).  The candidates are the answer's minimal deletions over
+    every tuple, its one cached search; each is tested against the tgd
+    body matches kept from one scan of the instance, with no join of its
+    own."""
     matches = _checked_scan(instance, sigma)
-    admissible = [
-        instance.without(solution.removed)
-        for solution in minimal_source_solutions(instance, program, answer)
-        if _unwitnessed(matches, solution.removed) is None
-    ]
+    analysis = CauseAnalysis.for_query(instance.all_endogenous(), program, answer)
+    deletions = [decode(removed, analysis.atoms) for removed in _necessary_masks(analysis.problem)]
+    admissible = [instance.without(removed) for removed in deletions if _unwitnessed(matches, removed) is None]
     admissible.sort(key=lambda inst: tuple(sorted(a.sort_key() for a in inst.atoms)))
     return tuple(admissible)
 

@@ -53,14 +53,6 @@ class UnsafeRuleError(ValidationError):
         super().__init__(f"unsafe rule: variable {variable} not bound by a positive body atom in {rule}")
 
 
-class HeadExtensionalError(ValidationError):
-    code = "HeadExtensional"
-
-    def __init__(self, predicate: str, detail: str = ""):
-        self.predicate = predicate
-        super().__init__(f"predicate {predicate} used both extensionally and in a rule head{': ' + detail if detail else ''}")
-
-
 class ArityMismatchError(ValidationError):
     code = "ArityMismatch"
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import takewhile
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import ArityMismatchError, HeadExtensionalError, UnsafeRuleError, WhydError
+from .errors import ArityMismatchError, UnsafeRuleError, WhydError
 
 # the texts that print bare: a constant, and a predicate that reads back
 # as the same name (a name token that is not a variable's)
@@ -134,9 +134,6 @@ class Atom:
     @property
     def arity(self) -> int:
         return len(self.args)
-
-    def is_ground(self) -> bool:
-        return all(isinstance(t, Constant) for t in self.args)
 
     def variables(self) -> set[Variable]:
         return {t for t in self.args if isinstance(t, Variable)}
@@ -406,11 +403,10 @@ class Program:
 
 
 def validate_program(program: Program) -> None:
-    """Check rule safety and the intensional/extensional split.
-
-    Raises UnsafeRuleError, HeadExtensionalError, or ArityMismatchError;
-    returns None when the program is well formed.
-    """
+    """Check rule safety: every variable of a rule's head and comparisons
+    occurs in a body atom.  Raises UnsafeRuleError, naming the first
+    unbound variable by name; returns None when the program is well
+    formed.  Arity clashes are rejected when the ``Program`` is built."""
     for rule in program.rules:
         # variable names, hashed in C (Variable.__hash__ is a Python
         # call); only an unsafe rule sorts, to name its first variable
@@ -419,9 +415,6 @@ def validate_program(program: Program) -> None:
             unbound = [t for t in terms if isinstance(t, Variable) and t.name not in bound]
             if unbound:
                 raise UnsafeRuleError(rule, min(unbound, key=lambda v: v.name))
-    # Arity consistency is enforced incrementally by Program._register;
-    # here we only have to reject head uses of the answer predicate with
-    # a different arity than its body occurrences, which _register did.
 
 
 # the label maps of an instance that has none; never written to
@@ -520,24 +513,12 @@ def active_domain(instance: Instance) -> frozenset[Constant]:
     return frozenset(c for atom in instance.atoms for c in atom.args)
 
 
-def check_instance_against(program: Program, instance: Instance, *, strict: bool = False) -> None:
-    """Arity check of instance tuples against the program's predicates.
-
-    Facts over intensional predicates are normally allowed (they seed the
-    model, which the abduction-to-causality constructions rely on);
-    ``strict=True`` rejects them.
-    """
-    intensional = program.intensional_predicates() if strict else frozenset()
-
-    def wrong_arity(atom: GroundAtom) -> bool:
-        known = program.arity_of(atom.predicate)
-        return known is not None and known != atom.arity
-
-    bad = [a for a in instance.atoms if wrong_arity(a) or a.predicate in intensional]
-    if not bad:
-        return
-    # report the first offending tuple in canonical order
-    atom = min(bad, key=GroundAtom.sort_key)
-    if wrong_arity(atom):
+def check_instance_against(program: Program, instance: Instance) -> None:
+    """Arity check of instance tuples against the program's predicates,
+    naming the first offending tuple in canonical order.  Facts over
+    intensional predicates are allowed: they seed the model, which the
+    abduction-to-causality constructions rely on."""
+    bad = [a for a in instance.atoms if program.arity_of(a.predicate) not in (None, a.arity)]
+    if bad:
+        atom = min(bad, key=GroundAtom.sort_key)
         raise ArityMismatchError(atom, program.arity_of(atom.predicate))  # type: ignore[arg-type]
-    raise HeadExtensionalError(atom.predicate, "stored facts must use extensional predicates")

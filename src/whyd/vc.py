@@ -7,10 +7,10 @@ view untouched afterwards.  (iii) tests only the set with the cause and
 only gets harder to meet as it grows, so Gamma is a minimal contingency
 set for t exactly when Gamma with t is a minimal view-side-effect-free
 deletion over the endogenous tuples (``viewupdate``), and the families
-are read off those deletions (``causality._read_off``).  The support
-sets of every answer of the view come from one provenance pass
-(``abduction.support_masks``), as bitmasks over one numbering of the
-deletable tuples; the view is the set of its answers.
+are read off those deletions (``causality._read_off``).  Those are the
+answer's minimal deletions, from the plain analysis's one cached search,
+whose residual views keep every protected answer, so a view-conditioned
+request after a plain one of the same answer searches nothing again.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .abduction import support_masks
 from .causality import CauseAnalysis, CauseReport, _read_off
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from .evaluator import answers as evaluate_answers
 from .evaluator import fresh_predicate
 from .model import Atom, GroundAtom, Instance, Program
-from .viewupdate import _view_safe_masks
+from .viewupdate import _view_safe
 
 
 @dataclass(frozen=True)
@@ -47,19 +46,11 @@ class VcCauseReport(CauseReport):
 def _analysis(
     instance: Instance, program: Program, answer: GroundAtom, protected: frozenset[GroundAtom] | None
 ) -> CauseAnalysis:
-    """The answer's support sets, with the families read off its
+    """The answer's diagnoses, with the families read off its
     view-side-effect-free deletions over the endogenous tuples, those
     that keep every protected answer."""
-    atoms, families = support_masks(program, instance.exogenous, instance.endogenous)
-    view = families.keys()
-    if answer not in view:
-        raise NotAnAnswerError(f"{answer} is not an answer on this instance")
-    if protected is not None and not protected <= view:
-        stray = min(protected - view, key=GroundAtom.sort_key)
-        raise NotAnAnswerError(f"protected atom {stray} is not an answer on this instance")
-    kept = (view - {answer}) if protected is None else protected
-    deletions = _view_safe_masks(families[answer], [families[a] for a in kept])
-    return CauseAnalysis(answer, families[answer], atoms, instance.endogenous, partial(_read_off, deletions))
+    plain, deletions, _ = _view_safe(instance, program, answer, protected)
+    return CauseAnalysis(answer, plain.masks, plain.atoms, plain.hypotheses, partial(_read_off, deletions))
 
 
 def vc_causes(

@@ -7,15 +7,13 @@ diagnosis of the answer's causal abduction problem, so the minimal
 source-side-effect solutions are the minimal hitting sets of the
 diagnoses, the problem's one cached search
 (``abduction._necessary_masks``), the same one the answer's
-causes and contingency sets are read off.  A view-side-effect-free
-solution must hit every support set of the target answer and must not
-hit every support set of any other answer (``_view_safe_masks``), and
-view-conditioned causes are read off these solutions.  The support sets
-of every answer come from one provenance pass
-(``abduction.support_masks``), and the view is the set of its answers;
-the residual view of such a solution is the view without the target,
-by definition.  Every other world tested here (the instance without a
-solution, a candidate subinstance, that subinstance with one tuple put
+causes and contingency sets are read off.  The view-side-effect-free
+solutions, and the view-conditioned causes read off them (``vc``), are
+those of the answer's minimal deletions whose residual view still holds
+every protected answer (``_view_safe``): losing the target is
+upward-closed and keeping the other answers downward-closed, so the
+filter is exact.  Every world tested here (the instance without a
+deletion, a candidate subinstance, that subinstance with one tuple put
 back) lies inside the model of the whole instance, so all of them come
 from one fixpoint of the instance and one propagation over the part of
 its derivation graph that the answers reach, with no further join
@@ -28,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .abduction import _necessary_masks, support_masks
+from .abduction import _necessary_masks
 from .causality import CauseAnalysis
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
 from .evaluator import evaluate_fixpoint, propagate, reached
-from .hitting import minimal_hitting_sets
 from .model import GroundAtom, Instance, Program, decode, least_masks, positions
 
 SolutionKind = Literal["minimal_source", "minimum_source", "view_safe"]
@@ -71,22 +68,30 @@ def _answer_worlds(
     return {model.graph.atoms[a]: masks[a] for a in goals}
 
 
-def _solutions(
-    program: Program, working: Instance, atoms: tuple[GroundAtom, ...], deletions: Sequence[int], kind: SolutionKind
-) -> tuple[DeletionSolution, ...]:
-    """Each deletion, a bitmask over ``atoms``, as a solution of the kind
-    with its residual view, in the order given."""
-    # world i is the instance without the i-th deletion
+def _residual_views(
+    program: Program, working: Instance, atoms: tuple[GroundAtom, ...], deletions: Sequence[int]
+) -> dict[GroundAtom, int]:
+    """Every answer of the program on the working instance, mapped to the
+    bitmask of the deletions, masks over ``atoms``, whose residual
+    instance still derives it (bit i: the i-th deletion)."""
     touched = 0
     for removed in deletions:
         touched |= removed
-    views = _answer_worlds(
+    return _answer_worlds(
         program,
         working,
         working.atoms - decode(touched, atoms),
         atoms,
         [touched & ~removed for removed in deletions],
     )
+
+
+def _solutions(
+    program: Program, working: Instance, atoms: tuple[GroundAtom, ...], deletions: Sequence[int], kind: SolutionKind
+) -> tuple[DeletionSolution, ...]:
+    """Each deletion, a bitmask over ``atoms``, as a solution of the kind
+    with its residual view, in the order given."""
+    views = _residual_views(program, working, atoms, deletions)
     return tuple(
         DeletionSolution(decode(removed, atoms), kind, frozenset(a for a, mask in views.items() if mask >> i & 1))
         for i, removed in enumerate(deletions)
@@ -156,6 +161,31 @@ def check_source_solution(
     return bool(least) and len(removed) == least[0].bit_count()
 
 
+def _view_safe(
+    working: Instance, program: Program, answer: GroundAtom, protected: frozenset[GroundAtom] | None = None
+) -> tuple[CauseAnalysis, list[int], frozenset[GroundAtom]]:
+    """The answer's plain analysis over the working instance, those of its
+    minimal deletions (masks over the analysis's atoms, in canonical
+    order) whose residual view keeps every protected answer, by default
+    every other answer, and the view.  Losing the answer is upward-closed
+    and keeping the protected answers downward-closed, so a deletion
+    that does both holds one of these: they are the minimal such
+    deletions."""
+    analysis = CauseAnalysis.for_query(working, program, answer)
+    deletions = _necessary_masks(analysis.problem)
+    views = _residual_views(program, working, analysis.atoms, deletions)
+    view = frozenset(views)
+    if protected is None:
+        protected = view - {answer}
+    elif not protected <= view:
+        stray = min(protected - view, key=GroundAtom.sort_key)
+        raise NotAnAnswerError(f"protected atom {stray} is not an answer on this instance")
+    kept = -1
+    for a in protected:
+        kept &= views[a]
+    return analysis, [removed for i, removed in enumerate(deletions) if kept >> i & 1], view
+
+
 def vsef_solutions(
     instance: Instance,
     program: Program,
@@ -164,24 +194,9 @@ def vsef_solutions(
     endogenous_only: bool = False,
 ) -> tuple[DeletionSolution, ...]:
     """All subset-minimal deletion sets that remove exactly the given
-    answer from the view; empty iff the side-effect-free problem has no
-    solution."""
-    working = _working_instance(instance, endogenous_only)
-    atoms, families = support_masks(program, working.exogenous, working.endogenous)
-    if answer not in families:
-        raise NotAnAnswerError(f"{answer} is not an answer on this instance")
-    found = _view_safe_masks(families[answer], [family for a, family in families.items() if a != answer])
-    residual = frozenset(families.keys() - {answer})
-    return tuple(DeletionSolution(decode(removed, atoms), "view_safe", residual) for removed in found)
-
-
-def _view_safe_masks(target: Sequence[int], protected: Sequence[Sequence[int]]) -> list[int]:
-    """The minimal deletions that lose the target answer and keep every
-    protected one, given their support families, in canonical order:
-    losing the target is upward-closed and keeping the protected answers
-    downward-closed, so filtering minimal hitting sets is exact."""
-    return [
-        removed
-        for removed in minimal_hitting_sets(target)
-        if not any(all(delta & removed for delta in family) for family in protected)
-    ]
+    answer from the view, in canonical order; empty iff the
+    side-effect-free problem has no solution.  Their residual view is the
+    view without the answer."""
+    analysis, found, view = _view_safe(_working_instance(instance, endogenous_only), program, answer)
+    residual = view - {answer}
+    return tuple(DeletionSolution(decode(removed, analysis.atoms), "view_safe", residual) for removed in found)

@@ -18,7 +18,6 @@ from whyd.abduction import (
     necessity_degrees,
     relevant_hypotheses,
     solve_diagnoses,
-    support_families,
     to_causal_abduction,
 )
 from whyd.causality import CauseAnalysis, cause_reports, causes, responsibility
@@ -32,6 +31,7 @@ from whyd.errors import (
 from whyd.model import GroundAtom, Instance, Program, Rule, ground
 from whyd.parsing import parse_ground_atom, parse_instance, parse_program
 from whyd.phca import encode_phca
+from whyd.vc import vc_causes
 from whyd.viewupdate import minimal_source_solutions
 
 import corpus
@@ -298,47 +298,21 @@ def test_diagnoses_match_oracle_on_recursive_shapes():
     assert all(count >= 15 for count in checked.values()), checked
 
 
-def _corpus_shape(program: Program) -> str:
-    heads = {r.head.predicate for r in program.rules}
-    if "path" in heads:
-        return "recursive"
-    if "mid" in heads:
-        return "mid-level"
-    return "union" if len(program.rules) > 1 else "cq"
-
-
-def test_support_families_match_per_answer_oracle():
-    # one pass over every answer of the view gives each answer the
-    # diagnoses of its own abduction problem
-    checked = {"cq": 0, "union": 0, "mid-level": 0, "recursive": 0}
-    for seed in range(120):
-        case = corpus.generate_case(seed, max_endogenous=6)
-        exo, endo = case.instance.exogenous, case.instance.endogenous
-        view = {a for a in oracle.naive_fixpoint(case.program, case.instance.atoms) if a.predicate == "ans"}
-        expected = {a: set(oracle.diagnoses(case.program, exo, endo, (a,))) for a in view}
-        families = abduction.support_families(case.program, exo, endo)
-        assert {a: set(family) for a, family in families.items()} == expected, case
-        checked[_corpus_shape(case.program)] += 1
-    assert all(count >= 10 for count in checked.values()), checked
-
-
-def test_support_families_keep_answers_held_as_facts():
+def test_diagnoses_of_answers_held_as_facts():
     # ans(c) is a stored fact that no rule derives: fixed, it needs
     # nothing; deletable, it supports itself
     program = parse_program("ans(X) :- e(X, Y).")
     e, a, c = ground("e", "a", "b"), ground("ans", "a"), ground("ans", "c")
-    assert abduction.support_families(program, frozenset({c}), frozenset({e})) == {
-        a: (frozenset({e}),),
-        c: (frozenset(),),
-    }
-    assert abduction.support_families(program, frozenset(), frozenset({e, c})) == {
-        a: (frozenset({e}),),
-        c: (frozenset({c}),),
-    }
-    assert abduction.support_families(program, frozenset({e, c}), frozenset()) == {
-        a: (frozenset(),),
-        c: (frozenset(),),
-    }
+
+    def diagnoses(fixed, deletable, answer):
+        return solve_diagnoses(AbductionProblem(program, frozenset(fixed), frozenset(deletable), (answer,)))
+
+    assert diagnoses({c}, {e}, a) == (frozenset({e}),)
+    assert diagnoses({c}, {e}, c) == (frozenset(),)
+    assert diagnoses((), {e, c}, a) == (frozenset({e}),)
+    assert diagnoses((), {e, c}, c) == (frozenset({c}),)
+    assert diagnoses({e, c}, (), a) == (frozenset(),)
+    assert diagnoses({e, c}, (), c) == (frozenset(),)
 
 
 def _labelled(instance: Instance, prefix: str = "t") -> Instance:
@@ -406,13 +380,13 @@ def _fresh_problem(tag: str) -> AbductionProblem:
 
 
 def _fake_why(family):
-    """A provenance pass that gives every goal ``family``, as bitmasks
-    over the hypotheses its sets hold."""
+    """A provenance pass that gives the goal ``family``, as bitmasks over
+    the hypotheses its sets hold."""
 
-    def why(graph, extensional, goals):
+    def why(graph, extensional, goal):
         members = sorted(set().union(*family), key=GroundAtom.sort_key)
         masks = [sum(1 << members.index(a) for a in delta) for delta in family]
-        return [graph.atoms.index(a) for a in members], [masks for _ in goals]
+        return [graph.atoms.index(a) for a in members], masks
 
     return why
 
@@ -505,8 +479,8 @@ program = parse_program("q(X) :- e(X, Y), f(Y).")
 hypotheses = frozenset({ground("e", "a", "b"), ground("f", "b"), ground("f", "c")})
 real_why = abduction._minimal_why
 for fake in ([sorted(hypotheses, key=str)], [[ground("e", "a", "b")]]):
-    abduction._minimal_why = lambda graph, ext, goals, fake=fake: (
-        [graph.atoms.index(a) for a in fake[0]], [[(1 << len(fake[0])) - 1] for _ in goals]
+    abduction._minimal_why = lambda graph, ext, goal, fake=fake: (
+        [graph.atoms.index(a) for a in fake[0]], [(1 << len(fake[0])) - 1]
     )
     solve_diagnoses.cache_clear()
     try:
@@ -674,16 +648,20 @@ def test_solves_and_view_supports_join_only_inside_the_fixpoint_loop(monkeypatch
     # fixpoint recorded; outside the loop only the check joins, once per
     # rule over the worlds' facts and the recorded heads
     # (``evaluator.ground``), never reading more facts than the loop's
-    # own joins: 408 and 408 on chain-16, 58 and 58 on ladder-8
+    # own joins: 408 and 408 on chain-16, 58 and 58 on ladder-8.  The
+    # residual views of view-conditioned causes are propagated over the
+    # graph of a second fixpoint, with no join of their own.
     counts = _count_loop_work(monkeypatch)
     for facts, target in ((_CHAIN, "ans(wc0, wc16)"), (_LADDER, "ans(wl, wlt)")):
         counts.clear()
         _fresh_solve(facts, target)
         assert 0 < counts["outside"] <= counts["inside"], (target, counts)
-    counts.clear()
     program, instance = load_program("access.dl"), load_instance("access.facts")
-    assert len(support_families(program, instance.exogenous, instance.endogenous)) == 7
-    assert 0 < counts["outside"] <= counts["inside"], counts
+    solve_diagnoses.cache_clear()
+    CauseAnalysis.for_query.cache_clear()
+    counts.clear()
+    assert len(vc_causes(instance, program, atom("access(joe, f1)"))) == 1
+    assert counts["passes"] == 2 and 0 < counts["outside"] <= counts["inside"], counts
 
 
 def _count_atom_hashes(monkeypatch) -> Counter:

@@ -431,8 +431,8 @@ def test_exit_code_3_when_a_result_fails_its_check(tmp_path, monkeypatch, capsys
     program, data = tmp_path / "inv.dl", tmp_path / "inv.facts"
     program.write_text("inv_q :- inv_h(X).\n")
     data.write_text("inv_h(a).\n#observe\ninv_q.\n")
-    def fake(graph, extensional, goals):
-        return [], [[0] for _ in goals]
+    def fake(graph, extensional, goal):
+        return [], [0]
 
     monkeypatch.setattr(abduction, "_minimal_why", fake)
     code = cli.main(["abduce", "-p", str(program), "-d", str(data)])

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from whyd.errors import (
     ArityMismatchError,
-    HeadExtensionalError,
     UnsafeRuleError,
     WhydError,
 )
@@ -375,12 +374,9 @@ def test_all_endogenous_erases_partition():
     assert not flattened.exogenous
 
 
-def test_strict_instance_check_rejects_intensional_facts():
-    program = load_program("graph.dl")
-    instance = Instance([ground("p", "a", "b")])
-    check_instance_against(program, instance)  # lenient mode: facts may seed the model
-    with pytest.raises(HeadExtensionalError):
-        check_instance_against(program, instance, strict=True)
+def test_instance_check_accepts_intensional_facts():
+    # facts over a rule head's predicate may seed the model
+    check_instance_against(load_program("graph.dl"), Instance([ground("p", "a", "b")]))
 
 
 def test_instance_check_flags_arity_clashes():

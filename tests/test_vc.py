@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from whyd import abduction, cli, evaluator
-from whyd.causality import causes, responsibility
+from whyd import abduction, cli, evaluator, viewupdate
+from whyd.causality import CauseAnalysis, cause_reports, causes, responsibility
 from whyd.constraints import causes_under_ics
 from whyd.errors import InternalInvariantError, NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from whyd.model import GroundAtom, Instance, ground
@@ -65,16 +65,19 @@ def test_access_g0_vc_responsibility_drops_to_one_half():
 
 def test_vc_causes_take_one_search(monkeypatch):
     # access_g0 has four candidate causes: their families and
-    # responsibilities are read off the view-side-effect-free deletions,
-    # from one hitting-set search for each request
+    # responsibilities are read off the answer's minimal deletions, the
+    # search plain causes run, so after cause_reports of the same answer
+    # neither vc_causes nor vc_responsibility searches again
     program, instance = load_program("access.dl"), load_instance("access_g0.facts")
     answer = atom("access(joe, f1)")
+    _clear_caches()
     searches = count_searches(monkeypatch, "hitting")
-    reports = vc_causes(instance, program, answer)
+    cause_reports(instance, program, answer)
     assert len(searches) == 1
+    reports = vc_causes(instance, program, answer)
     tau = ground("group_user", "joe", "g1")
     assert vc_responsibility(instance, program, answer, tau) == _report_map(reports)[str(tau)].vc_responsibility
-    assert len(searches) == 2
+    assert len(searches) == 1
 
 
 def test_vc_responsibility_zero_for_non_vc_cause():
@@ -234,13 +237,20 @@ def test_vc_causes_with_an_answer_held_as_a_fact():
             assert solution.residual_view == {c}
 
 
-# -- one provenance pass for the whole view ------------------------------------
+# -- the answer's own analysis and one pass for the residual views ------------
+
+
+def _clear_caches():
+    """Forget every solve, analysis and search, so the next request runs
+    them all."""
+    abduction.solve_diagnoses.cache_clear()
+    abduction._necessary_masks.cache_clear()
+    CauseAnalysis.for_query.cache_clear()
 
 
 def test_vc_causes_costs_one_pass_for_the_whole_view(monkeypatch):
-    # one fixpoint for the view, then the check's one per distinct support
-    # set and one-smaller set: 8 on access.facts, where a provenance pass
-    # of its own for each answer took 24
+    # a cold request runs two fixpoints: the answer's solve, and one for
+    # the residual views of all its minimal deletions at once
     program, instance = load_program("access.dl"), load_instance("access.facts")
     view = sorted(evaluator.answers(program, instance), key=GroundAtom.sort_key)
     calls = []
@@ -250,27 +260,29 @@ def test_vc_causes_costs_one_pass_for_the_whole_view(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(evaluator, "evaluate_fixpoint", counted)
-    monkeypatch.setattr(abduction, "evaluate_fixpoint", counted)
+    for module in (evaluator, abduction, viewupdate):
+        monkeypatch.setattr(module, "evaluate_fixpoint", counted)
     for answer in view:
+        _clear_caches()
         calls.clear()
         vc_causes(instance, program, answer)
-        assert 0 < len(calls) <= 12, (answer, len(calls))
+        assert 0 < len(calls) <= 2, (answer, len(calls))
 
 
 def test_view_support_families_are_checked(monkeypatch, capsys):
-    # pad the first answer's family with every deletable tuple: each
-    # caller of the one view pass must reject it, the CLI with exit 3
+    # pad the answer's family with every deletable tuple: with nothing
+    # cached, each caller of the answer's solve must reject it, the CLI
+    # with exit 3
     real = abduction._minimal_why
 
-    def padded(graph, extensional, goals):
-        hypotheses, families = real(graph, extensional, goals)
+    def padded(graph, extensional, goal):
+        hypotheses, family = real(graph, extensional, goal)
         # the deletable tuples are the graph's seeds past the extensional ones
         hypotheses += [h for h in range(extensional, graph.seeds) if h not in hypotheses]
-        families[0] = [delta | (1 << len(hypotheses)) - 1 for delta in families[0]]
-        return hypotheses, families
+        return hypotheses, [delta | (1 << len(hypotheses)) - 1 for delta in family]
 
     monkeypatch.setattr(abduction, "_minimal_why", padded)
+    _clear_caches()
     program, instance = load_program("access.dl"), load_instance("access.facts")
     answer = atom("access(tom, f3)")
     with pytest.raises(InternalInvariantError, match="not minimal"):
