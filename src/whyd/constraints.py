@@ -7,7 +7,8 @@ that are already there.  No chase, no invented values; every
 intervention in this package is a deletion, and a deletion breaks only
 tgds.  One scan of the instance (``satisfies``) both checks the
 constraints and keeps each tgd body match with the fact sets that
-witness its head.  Causes under constraints are a
+witness its head, read off a join of the tgd's body and head atoms
+together.  Causes under constraints are a
 ``causality.CauseAnalysis`` with a minimal-set search per cause whose
 conflict also asks that the deletion leave no kept match without a
 witness; the admissible subinstances are filtered by the same test.
@@ -83,11 +84,14 @@ class Constraint:
         return tuple(out)
 
     @cached_property
-    def _plans(self) -> tuple[_Plan, _Plan]:
+    def _plans(self) -> tuple[_Plan, _Plan | None]:
         """The join plans of the body (an egd's ``left != right`` pushed
-        down) and of the head with the body's match as its outer facts."""
+        down) and, for a tgd, of its body and head atoms together, whose
+        matches are the body's matches that have a witness, each followed
+        by the facts of one witness."""
         comparisons = (Comparison("!=", *self.equality),) if self.kind == "egd" else ()  # type: ignore[misc]
-        return _plan(self.body, comparisons), _plan(self.head_atoms, outer=self.body)
+        joint = _plan((*self.body, *self.head_atoms)) if self.kind == "tgd" else None
+        return _plan(self.body, comparisons), joint
 
     def existential_variables(self) -> frozenset[Variable]:
         if self.kind != "tgd":
@@ -165,13 +169,21 @@ class ConstraintSet:
 Sigma = Union[ConstraintSet, Iterable[Constraint]]
 
 
-def _normalize(sigma: Sigma, instance: Instance) -> tuple[Constraint, ...]:
-    if isinstance(sigma, ConstraintSet):
-        arities: dict[str, int] = {}
-        for atom in instance.atoms:
-            arities.setdefault(atom.predicate, atom.arity)
-        return sigma.expanded(arities)
-    return tuple(sigma)
+def _constraints(sigma: Sigma, instance: Instance) -> tuple[Constraint, ...]:
+    """The constraints, keys and FDs expanded to egds by the instance's
+    arities, each constraint atom checked against those met before it."""
+    arities: dict[str, int] = {}
+    for atom in instance.atoms:
+        arities.setdefault(atom.predicate, len(atom.args))
+    constraints = sigma.expanded(arities) if isinstance(sigma, ConstraintSet) else tuple(sigma)
+    for c in constraints:
+        for atom in (*c.body, *c.head_atoms):
+            known = arities.setdefault(atom.predicate, atom.arity)
+            if known != atom.arity:
+                raise SchemaMismatchError(
+                    f"{atom.predicate} used with arity {atom.arity} in {c} but {known} elsewhere"
+                )
+    return constraints
 
 
 @dataclass(frozen=True)
@@ -202,33 +214,6 @@ class SatisfactionReport:
         return self.ok
 
 
-def _check_arities(constraints: Sequence[Constraint], instance: Instance) -> None:
-    arities: dict[str, int] = {}
-    for atom in instance.atoms:
-        arities.setdefault(atom.predicate, atom.arity)
-    for c in constraints:
-        for atom in (*c.body, *c.head_atoms):
-            known = arities.setdefault(atom.predicate, atom.arity)
-            if known != atom.arity:
-                raise SchemaMismatchError(
-                    f"{atom.predicate} used with arity {atom.arity} in {c} but {known} elsewhere"
-                )
-
-
-def _body_matches(
-    constraint: Constraint, atoms: Sequence[GroundAtom], relations: Mapping[str, Relation]
-) -> Iterator[tuple[tuple[GroundAtom, ...], Iterator[tuple[GroundAtom, ...]]]]:
-    """Each match of the body (for an egd, one whose two sides differ)
-    against the relations over the numbered ``atoms``, with a lazy
-    iterator over the matches of the head that extend it."""
-    body_plan, head_plan = constraint._plans
-    empty = Relation(atoms, ())
-    body_sources = [relations.get(a.predicate, empty) for a in constraint.body]
-    head_sources = [relations.get(a.predicate, empty) for a in constraint.head_atoms]
-    for match in _matches(body_plan, atoms, body_sources):
-        yield match, _matches(head_plan, atoms, head_sources, match)
-
-
 # a set of tuples: a frozenset of atoms, or a bitmask over one numbering
 _Set = TypeVar("_Set", frozenset, int)
 
@@ -246,23 +231,31 @@ def _unwitnessed(matches: Iterable[tuple[_Set, Sequence[_Set]]], removed: _Set) 
 
 def satisfies(instance: Instance, sigma: Sigma) -> SatisfactionReport:
     """Evaluate every constraint over the finite instance; tgd
-    existentials range over existing facts only.  One join pass checks
-    the arities, finds the violations and keeps each tgd body match with
-    the fact sets that witness its head.  A denial is violated by every
-    body match, an egd by every body match whose two sides differ, a tgd
-    by every body match with no witness."""
-    constraints = _normalize(sigma, instance)
-    _check_arities(constraints, instance)
+    existentials range over existing facts only.  One pass over the
+    instance checks the arities, finds the violations and keeps each tgd
+    body match with the fact sets that witness its head, read off the
+    matches of the tgd's body and head joined together.  A denial is
+    violated by every body match, an egd by every body match whose two
+    sides differ, a tgd by every body match with no witness."""
+    constraints = _constraints(sigma, instance)
     ids, relations = _seed(instance.atoms)
     atoms = ids.atoms
+    empty = Relation(atoms, ())
     violations: list[Violation] = []
     matches: list[_TgdMatch] = []
     for c in constraints:
-        for match, heads in _body_matches(c, atoms, relations):
-            if c.kind != "tgd":
-                violations.append(Violation(c, match))
-                continue
-            witnesses = tuple({frozenset(w) for w in heads})
+        body_plan, joint_plan = c._plans
+        sources = [relations.get(a.predicate, empty) for a in (*c.body, *c.head_atoms)]
+        if joint_plan is None:
+            violations += [Violation(c, match) for match in _matches(body_plan, atoms, sources)]
+            continue
+        # each body match with a witness -> its witnesses, each once
+        witnessed: dict[tuple[GroundAtom, ...], dict[frozenset[GroundAtom], None]] = {}
+        width = len(c.body)
+        for joint in _matches(joint_plan, atoms, sources):
+            witnessed.setdefault(joint[:width], {})[frozenset(joint[width:])] = None
+        for match in _matches(body_plan, atoms, sources):
+            witnesses = tuple(witnessed.get(match, ()))
             if not witnesses:
                 violations.append(Violation(c, match))
             matches.append((frozenset(match), witnesses))

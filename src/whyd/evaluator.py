@@ -26,20 +26,22 @@ indexes lists by id.
 
 One join engine matches a conjunction of atoms against facts: the
 semi-naive rounds and every integrity constraint check go through it.
-Each rule body (per delta position) and each constraint body and head is
-compiled once, on first use, into a plan (``_plan``): the conjunction's
-shape and its constants.  One planner (``_order``) fixes a shape's
-steps: the delta atom first, then greedily the atom with the most bound
-positions.  A step whose positions are partly bound probes a hash index
-of its relation on them (``Relation``), fetched once before the loops;
-the first step of a plan with nothing bound scans.  What a fact must
-still satisfy is checked as soon as it can be: a scan's arity, and as
-``is`` tests on interned symbols the constants a scan has not filtered,
-the positions a repeated variable must agree on and the comparisons.
-Each variable is read where the fact that binds it holds it: no binding
-is ever built.  A rule join builds each head's key, builds and numbers
-the head only if the key is new, and records its firing; a constraint
-join yields each match as atoms.
+Each rule body (per delta position), each constraint body and each
+tgd's body joined with its head is compiled once, on first use, into a
+plan (``_plan``): the conjunction's shape and its constants.  Every
+variable of a plan is bound by one of its atoms (``Program`` rejects an
+unsafe rule, and a constraint's comparison is an egd's, over its body).
+One planner (``_order``) fixes a shape's steps: the delta atom first,
+then greedily the atom with the most bound positions.  The first step
+scans; every later one probes a hash index of its relation on its
+bound positions (``Relation``), fetched once before the loops.  What a
+fact must still satisfy is checked as soon as it can be: a scan's
+arity, and as ``is`` tests on interned symbols the constants a scan
+has not filtered, the positions a repeated variable must agree on and
+the comparisons.  Each variable is read where the fact that binds it
+holds it: no binding is ever built.  A rule join builds each head's
+key, builds and numbers the head only if the key is new, and records
+its firing; a constraint join yields each match as atoms.
 
 Two executors run a plan, and record the same firings in the same
 order.  The compiled tier (``_compiled``) generates Python source for a
@@ -66,7 +68,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import UnknownPredicateError, UnsafeRuleError
+from .errors import UnknownPredicateError
 from .model import (
     Atom,
     Comparison,
@@ -205,25 +207,18 @@ class _Plan:
         self.consts = consts
 
 
-def _never(*args) -> tuple:
-    """The kernel of a body with a comparison on a variable no atom binds
-    (an unsafe body): it matches nothing."""
-    return ()
-
-
 def _plan(
     atoms: Sequence[Atom],
     comparisons: Sequence[Comparison] = (),
     first: int | None = None,
-    outer: Sequence[Atom] = (),
     rule: Rule | None = None,
 ) -> _Plan:
-    """Compile the conjunction of ``atoms`` and ``comparisons`` for
-    matching the i-th atom against the facts of ``sources[i]``.  The
-    ``outer`` atoms are matched already: the kernel receives their facts
-    and reads the variables they bind off them.  With a ``rule``, whose
-    body the atoms and comparisons are, the kernel fires it (``_round``);
-    without, it yields each match (``_matches``).
+    """Compile the conjunction of ``atoms`` and ``comparisons``, every
+    variable of the comparisons bound by an atom, for matching the i-th
+    atom against the facts of ``sources[i]``.  With a ``rule``, whose body
+    the atoms and comparisons are and whose head's variables they bind
+    (a ``Program`` holds safe rules only), the kernel fires it
+    (``_round``); without, it yields each match (``_matches``).
 
     The plan's shape is the conjunction with its variables numbered in
     order of first occurrence and each constant replaced by its place in
@@ -237,29 +232,20 @@ def _plan(
         for t in terms:
             if t.__class__ is Variable:
                 out.append(numbers.setdefault(t.name, len(numbers)))
-            elif constant is None:
-                out.append(None)  # an outer fact's constant is never read
             else:
                 consts.append(constant(t))
                 out.append(-len(consts))
         return tuple(out)
 
     symbol = attrgetter("symbol")
-    outer_shape = tuple(shape_of(a.args, None) for a in outer)
     atom_shape = tuple(shape_of(a.args, symbol) for a in atoms)
-    bound = len(numbers)
     comparison_shape = tuple((c.op == "=", *shape_of((c.left, c.right), symbol)) for c in comparisons)
-    if any(n >= bound for _, *sides in comparison_shape for n in sides):
-        return _Plan(_never, ())
     head = None
     if rule is not None:
         terms = shape_of(rule.head.args, lambda t: t)
-        for t, n in zip(rule.head.args, terms):
-            if n >= bound:
-                raise UnsafeRuleError(rule, t)
         consts.append(rule.head.predicate)
         head = (terms, len(consts) - 1)
-    return _Plan(_kernel((outer_shape, atom_shape, comparison_shape, first, head, len(consts))), tuple(consts))
+    return _Plan(_kernel((atom_shape, comparison_shape, first, head, len(consts))), tuple(consts))
 
 
 # the nested loops of one generated function: CPython compiles no
@@ -296,14 +282,16 @@ def _kernel(shape: tuple):
     once per fixpoint, is compiled at once.  Both executors follow one plan
     (``_order``) and record the same firings in the same order.
 
-    A match kernel ``k0(src, c, outer, A)`` yields each match as its
-    facts' atoms.  A rule kernel ``k0(src, c, outer, A, ids, F)`` builds
+    A match kernel ``k0(src, c, chain, A)`` yields each match as its
+    facts' atoms.  A rule kernel ``k0(src, c, chain, A, ids, F)`` builds
     each head's key from the head predicate and the symbols it read and
     looks it up in the pass's ``_Numbering`` ``ids``; ``ids.new`` builds
     and numbers a head whose key is not numbered yet.  It appends the
-    firing's body, the tuple of its facts, to the head's list ``F[id]``."""
-    outer, atoms, _, _, head, _ = shape
-    if head is None or outer or not atoms:
+    firing's body, the tuple of its facts, to the head's list ``F[id]``.
+    ``chain`` is ``()``; a split plan's function passes the next the facts
+    its loops bound."""
+    atoms, _, _, head, _ = shape
+    if head is None or not atoms:
         return _compiled(shape, _order(shape))
     return _Cold(shape)
 
@@ -314,22 +302,16 @@ def _order(shape: tuple) -> tuple[dict[int, tuple[int, int]], list[tuple[int, tu
 
     The atom ``first`` (the delta of a semi-naive round) is matched first,
     then each time the atom with the most bound positions, textual order
-    breaking ties.  A step probes an index on its bound positions; it
-    scans when it has none, and when it is the first step and the outer
-    atoms bind none of its variables.  A fact is named by its slot, the
-    outer facts first and then the atoms' in textual order, and each
-    variable is read at the (slot, position) of the fact that binds it
-    (``where``).  ``order`` lists each step's atom and probed positions
-    (None: a scan), and ``checks[d]`` the comparisons whose variables are
-    bound before step d (``checks[0]``: before any step)."""
-    outer, atoms, comparisons, first, _, _ = shape
+    breaking ties.  The first step scans; every later one probes an index
+    on its bound positions.  A fact is named by its slot, its atom's place
+    in textual order, and each variable is read at the (slot, position)
+    of the fact that binds it (``where``).  ``order`` lists each step's
+    atom and probed positions (None: a scan), and ``checks[d]`` the
+    comparisons whose variables are bound before step d (``checks[0]``:
+    before any step)."""
+    atoms, comparisons, first, _, _ = shape
     where: dict[int, tuple[int, int]] = {}  # variable -> (slot, position) that binds it
-    for slot, terms in enumerate(outer):
-        for p, n in enumerate(terms):
-            if n is not None:
-                where.setdefault(n, (slot, p))
-    base = len(outer)
-    ready = dict.fromkeys(where, -1)  # variable -> the step that binds it
+    ready: dict[int, int] = {}  # variable -> the step that binds it
     todo = list(range(len(atoms)))
     order: list[tuple[int, tuple[int, ...] | None]] = []  # (atom, probed positions; None: a scan)
     while todo:
@@ -342,11 +324,10 @@ def _order(shape: tuple) -> tuple[dict[int, tuple[int, int]], list[tuple[int, tu
                 if count > most:
                     most, i = count, j
         todo.remove(i)
-        probe = bool(order) or any(n in where for n in atoms[i])
-        order.append((i, tuple(p for p, n in enumerate(atoms[i]) if n < 0 or n in where) if probe else None))
+        order.append((i, tuple(p for p, n in enumerate(atoms[i]) if n < 0 or n in where) if order else None))
         for p, n in enumerate(atoms[i]):
             if n >= 0 and n not in where:
-                where[n] = (base + i, p)
+                where[n] = (i, p)
                 ready[n] = len(order) - 1
     checks: list[list[tuple]] = [[] for _ in range(len(order) + 1)]
     for cmp_ in comparisons:
@@ -359,18 +340,17 @@ def _compiled(shape: tuple, planned: tuple):
     source with one nested ``for`` per step, each index fetched before the
     loops, every check inlined (a scan's arity by ``len``; constants,
     repeated variables and comparisons, as soon as their variables are
-    bound, as ``is`` tests on symbols).  The outer facts are atoms; an
-    atom's fact is an id, whose atom the kernel reads in the pass's
-    numbered atoms ``A``.  The source holds only slots, positions and
-    generated names; the constants come in the tuple ``c``."""
-    outer, atoms, _, _, head, consts = shape
+    bound, as ``is`` tests on symbols).  A fact is an id, whose atom the
+    kernel reads in the pass's numbered atoms ``A``.  The source holds
+    only slots, positions and generated names; the constants come in the
+    tuple ``c``."""
+    atoms, _, _, head, consts = shape
     where, order, checks = planned
-    base = len(outer)
     chunks = [order[s : s + _DEPTH] for s in range(0, len(order), _DEPTH)] or [[]]
     tail = ", ids, F" if head is not None else ""
     unpack = [f"{''.join(f'c{k}, ' for k in range(consts))}= c"] if consts else []
     lines = []
-    before = list(range(base))  # the slots bound before a function's loops
+    before: list[int] = []  # the slots bound before a function's loops
     for j, chunk in enumerate(chunks):
         used: set[int] = set()  # the slots whose arguments the function reads
 
@@ -388,46 +368,45 @@ def _compiled(shape: tuple, planned: tuple):
         prechecks = [fails(cmp_) for cmp_ in checks[0]] if j == 0 else []
         fetches, loops = [], []
         for n, (i, key) in enumerate(chunk, start=j * _DEPTH):
-            slot, terms = base + i, atoms[i]
+            terms = atoms[i]
             if key is None:
-                used.add(slot)
-                loop = f"for f{slot} in src[{i}]:"
-                conds = [f"len(a{slot}) != {len(terms)}"]
-                conds += [f"a{slot}[{p}].symbol is not {symbol(t)}" for p, t in enumerate(terms) if t < 0]
+                used.add(i)
+                loop = f"for f{i} in src[{i}]:"
+                conds = [f"len(a{i}) != {len(terms)}"]
+                conds += [f"a{i}[{p}].symbol is not {symbol(t)}" for p, t in enumerate(terms) if t < 0]
             else:
                 probed = [symbol(terms[p]) for p in key]
                 probe = probed[0] if len(probed) == 1 else _tuple(probed)
                 fetch = f"src[{i}].index({len(terms)}, {key!r})"
                 if all(terms[p] < 0 or where[terms[p]][0] in before for p in key):
-                    fetches.append(f"x{slot} = {fetch}.get({probe}, ())")
-                    loop = f"for f{slot} in x{slot}:"
+                    fetches.append(f"x{i} = {fetch}.get({probe}, ())")
+                    loop = f"for f{i} in x{i}:"
                 else:
-                    fetches.append(f"x{slot} = {fetch}")
-                    loop = f"for f{slot} in x{slot}.get({probe}, ()):"
+                    fetches.append(f"x{i} = {fetch}")
+                    loop = f"for f{i} in x{i}.get({probe}, ()):"
                 conds = []
             for p, t in enumerate(terms):
-                if t >= 0 and where[t][0] == slot and where[t][1] != p:
-                    used.add(slot)
-                    conds.append(f"a{slot}[{p}].symbol is not {symbol(t)}")
+                if t >= 0 and where[t][0] == i and where[t][1] != p:
+                    used.add(i)
+                    conds.append(f"a{i}[{p}].symbol is not {symbol(t)}")
             conds += [fails(cmp_) for cmp_ in checks[n + 1]]
-            loops.append((loop, slot, conds))
-        after = sorted(before + [base + i for i, _ in chunk])
+            loops.append((loop, i, conds))
+        after = sorted(before + [i for i, _ in chunk])
         if j + 1 < len(chunks):
             call = f"k{j + 1}(src, c, {_tuple(f'f{s}' for s in after)}, A{tail})"
             innermost = [call if head is not None else "yield from " + call]
         elif head is None:
-            innermost = [f"yield {_tuple(f'A[f{base + i}]' for i in range(len(atoms)))}"]
+            innermost = [f"yield {_tuple(f'A[f{i}]' for i in range(len(atoms)))}"]
         else:
             terms = [f"c{-n - 1}" if n < 0 else arg(n) for n in head[0]]  # the head's constants are Constants
             key = _tuple([f"c{head[1]}", *(t + ".symbol" for t in terms)])
-            fired = _tuple(f"f{base + i}" for i in range(len(atoms)))
+            fired = _tuple(f"f{i}" for i in range(len(atoms)))
             # one statement, the key bound in its test: a program compiles a
             # kernel per shape, at a cost that grows with the source
             innermost = [f"F[ids[k] if (k := {key}) in ids else ids.new(k, {_tuple(terms)})].append({fired})"]
 
-        # the outer facts are atoms, the facts of earlier chunks' loops ids
-        body = [f"{''.join(f'f{s}, ' for s in before)}= outer"] if before else []
-        body += [f"a{s} = {f'f{s}' if s < base else f'A[f{s}]'}.args" for s in before if s in used]
+        body = [f"{''.join(f'f{s}, ' for s in before)}= chain"] if before else []
+        body += [f"a{s} = A[f{s}].args" for s in before if s in used]
         body += unpack
         body += [f"if {' or '.join(prechecks)}:", "    return"] if prechecks else []
         body += fetches
@@ -440,7 +419,7 @@ def _compiled(shape: tuple, planned: tuple):
             if conds:
                 body += [f"{indent}if {' or '.join(conds)}:", f"{indent}    continue"]
         body += [indent + line for line in innermost]
-        lines.append(f"def k{j}(src, c, outer, A{tail}):")
+        lines.append(f"def k{j}(src, c, chain, A{tail}):")
         lines += ["    " + line for line in body]
         before = after
     namespace: dict = {}
@@ -463,7 +442,7 @@ class _Cold:
         self.runs = 0
         self.steps = self.compiled = None
 
-    def __call__(self, src, c, outer, A, ids, F) -> None:
+    def __call__(self, src, c, chain, A, ids, F) -> None:
         kernel = self.compiled
         if kernel is None:
             self.runs += 1
@@ -476,13 +455,12 @@ class _Cold:
                 return _interpret(steps, src, c, A, ids, F)
             kernel = self.compiled = _compiled(self.shape, planned or _order(self.shape))
             self.steps = None
-        kernel(src, c, outer, A, ids, F)
+        kernel(src, c, chain, A, ids, F)
 
 
 def _steps(shape: tuple, planned: tuple) -> tuple:
-    """The plan of a rule shape (at least one atom and no outer ones, so
-    an atom's slot is its place in the body) as ``_interpret`` reads it:
-    the checks before any step; per step its atom, arity, probed
+    """The plan of a rule shape with at least one atom as ``_interpret``
+    reads it: the checks before any step; per step its atom, arity, probed
     positions (None: a scan), the probe's key (``one``, the place of the
     one variable it reads, else ``probe``, the places of its symbols),
     whether that key is known before the loops, and its checks; the
@@ -491,7 +469,7 @@ def _steps(shape: tuple, planned: tuple) -> tuple:
     constant ``c[k]``; a check ``(slot, position, slot, position,
     equal)`` fails when its two symbols are identical and ``equal`` is
     False, or are not and it is True."""
-    _, atoms, _, _, head, _ = shape
+    atoms, _, _, head, _ = shape
     where, order, checks = planned
 
     def ref(n: int) -> tuple[int, int]:
@@ -584,14 +562,11 @@ def _interpret(steps: tuple, src: Sequence[Relation], c: tuple, A: list, ids: _N
             loops.append(iter(source.get(_probed(probe, c, args), ())))
 
 
-def _matches(
-    plan: _Plan, atoms: Sequence[GroundAtom], sources: Sequence[Relation], outer: Sequence[GroundAtom] = ()
-) -> Iterator[tuple[GroundAtom, ...]]:
+def _matches(plan: _Plan, atoms: Sequence[GroundAtom], sources: Sequence[Relation]) -> Iterator[tuple[GroundAtom, ...]]:
     """Each match of a plan compiled without a rule: the facts its atoms
     matched (the i-th from ``sources[i]``, relations over the numbered
-    ``atoms``), as atoms in textual order, agreeing with the ``outer``
-    facts of its outer atoms."""
-    return plan.kernel(sources, plan.consts, outer, atoms)
+    ``atoms``), as atoms in textual order."""
+    return plan.kernel(sources, plan.consts, (), atoms)
 
 
 def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:

@@ -312,9 +312,20 @@ class Rule:
     # the predicates of the body atoms in body order, which the evaluator
     # reads on every join pass
     _predicates: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # the variable an unsafe rule is rejected for, None for a safe rule;
+    # found once per rule, as the programs built per request share rules
+    _unbound: Variable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_predicates", tuple(a.predicate for a in self.body_atoms()))
+        # variable names, hashed in C (Variable.__hash__ is a Python
+        # call); only an unsafe rule sorts, to name its first variable
+        bound = {t.name for atom in self.body_atoms() for t in atom.args if isinstance(t, Variable)}
+        for terms in (self.head.args, *((c.left, c.right) for c in self.comparisons())):
+            free = [t for t in terms if isinstance(t, Variable) and t.name not in bound]
+            if free:
+                object.__setattr__(self, "_unbound", min(free, key=lambda v: v.name))
+                break
 
     def body_atoms(self) -> Iterator[Atom]:
         return (b for b in self.body if isinstance(b, Atom))
@@ -336,7 +347,9 @@ class Program:
 
     Predicates occurring in rule heads are intensional; the answer
     predicate counts as intensional even when no rule defines it (the
-    empty program is a legal Boolean query that is never true).
+    empty program is a legal Boolean query that is never true).  Building
+    one rejects a predicate used with two arities (``ArityMismatchError``)
+    and then an unsafe rule (``UnsafeRuleError``, ``validate_program``).
     """
 
     __slots__ = ("rules", "answer_predicate", "_arities", "_hash")
@@ -348,6 +361,7 @@ class Program:
         for rule in self.rules:
             for atom in (rule.head, *rule.body_atoms()):
                 self._register(atom)
+        validate_program(self)
         # the rule order takes no part in equality; programs are cache
         # keys, so the hash is computed once
         self._hash = hash((frozenset(self.rules), self.answer_predicate))
@@ -404,17 +418,14 @@ class Program:
 
 def validate_program(program: Program) -> None:
     """Check rule safety: every variable of a rule's head and comparisons
-    occurs in a body atom.  Raises UnsafeRuleError, naming the first
-    unbound variable by name; returns None when the program is well
-    formed.  Arity clashes are rejected when the ``Program`` is built."""
+    occurs in a body atom.  Raises UnsafeRuleError for the first unsafe
+    rule, naming, in its head or else its first comparison with one, the
+    unbound variable first by name; returns None when the program is
+    well formed.  Building a ``Program`` runs this check, after it has
+    rejected any arity clash."""
     for rule in program.rules:
-        # variable names, hashed in C (Variable.__hash__ is a Python
-        # call); only an unsafe rule sorts, to name its first variable
-        bound = {t.name for atom in rule.body_atoms() for t in atom.args if isinstance(t, Variable)}
-        for terms in (rule.head.args, *((c.left, c.right) for c in rule.comparisons())):
-            unbound = [t for t in terms if isinstance(t, Variable) and t.name not in bound]
-            if unbound:
-                raise UnsafeRuleError(rule, min(unbound, key=lambda v: v.name))
+        if rule._unbound is not None:
+            raise UnsafeRuleError(rule, rule._unbound)
 
 
 # the label maps of an instance that has none; never written to

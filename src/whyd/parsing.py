@@ -66,7 +66,6 @@ from .model import (
     Rule,
     Term,
     Variable,
-    validate_program,
 )
 
 _T = TypeVar("_T")
@@ -248,8 +247,9 @@ def _fact(source: _Source, i: int, error_after: bool = False) -> tuple[GroundAto
 
 
 def parse_program(text: str, filename: str = "<program>") -> Program:
-    """Parse and validate a program; its answer predicate is the head
-    predicate of the first rule."""
+    """Parse a program, which ``Program`` validates (arities, then rule
+    safety); its answer predicate is the head predicate of the first
+    rule."""
     return _parsed(_program, text, filename)
 
 
@@ -277,9 +277,7 @@ def _program(source: _Source) -> Program:
         rules.append(Rule(atom, tuple(body)))
     if not rules:
         raise ParseError("empty program", SourceSpan(source.filename, 1, 1))
-    program = Program(rules, rules[0].head.predicate)
-    validate_program(program)
-    return program
+    return Program(rules, rules[0].head.predicate)
 
 
 @dataclass(frozen=True)

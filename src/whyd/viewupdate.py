@@ -91,6 +91,8 @@ def _solutions(
 ) -> tuple[DeletionSolution, ...]:
     """Each deletion, a bitmask over ``atoms``, as a solution of the kind
     with its residual view, in the order given."""
+    if not deletions:
+        return ()
     views = _residual_views(program, working, atoms, deletions)
     return tuple(
         DeletionSolution(decode(removed, atoms), kind, frozenset(a for a, mask in views.items() if mask >> i & 1))
@@ -170,9 +172,12 @@ def _view_safe(
     every other answer, and the view.  Losing the answer is upward-closed
     and keeping the protected answers downward-closed, so a deletion
     that does both holds one of these: they are the minimal such
-    deletions."""
+    deletions.  With none, the view is needed only to check an explicit
+    protected set; left uncomputed, it is empty."""
     analysis = CauseAnalysis.for_query(working, program, answer)
     deletions = _necessary_masks(analysis.problem)
+    if not deletions and protected is None:
+        return analysis, [], frozenset()
     views = _residual_views(program, working, analysis.atoms, deletions)
     view = frozenset(views)
     if protected is None:

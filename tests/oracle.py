@@ -75,14 +75,14 @@ def naive_fixpoint(program: Program, facts: Iterable[GroundAtom]) -> frozenset[G
         model |= fresh
 
 
-def join_matches(atoms, sources, comparisons=(), binding=None) -> list[tuple[dict, tuple[GroundAtom, ...]]]:
+def join_matches(atoms, sources, comparisons=()) -> list[tuple[dict, tuple[GroundAtom, ...]]]:
     """Every (binding, matched facts) of the conjunction: each choice of
     one fact from ``sources[i]`` for every ``atoms[i]``, kept when the
-    atoms match their facts under one binding extending ``binding`` and
-    every comparison holds under it."""
+    atoms match their facts under one binding and every comparison holds
+    under it."""
     out = []
     for facts in product(*sources):
-        assignment = dict(binding or {})
+        assignment: dict = {}
         for pattern, fact in zip(atoms, facts):
             assignment = _extend(pattern, fact, assignment)
             if assignment is None:

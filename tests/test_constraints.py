@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from whyd.errors import (
     SchemaMismatchError,
 )
 from whyd.evaluator import holds
-from whyd.model import Atom, Constant, Instance, Variable, ground
+from whyd.model import Atom, Constant, GroundAtom, Instance, Variable, ground
 from whyd.parsing import parse_constraints, parse_program
 
 import corpus
@@ -108,8 +109,29 @@ def _random_constraint(rng: random.Random) -> Constraint:
     return Constraint.tgd(body, [_random_atom(rng, head_pool) for _ in range(rng.randint(1, 2))])
 
 
+def _grounded(atoms, assignment):
+    return tuple(GroundAtom(a.predicate, tuple(assignment.get(t, t) for t in a.args)) for a in atoms)
+
+
+def _tgd_matches(tgd, facts):
+    """Each body match of the tgd over the facts, with the set of the fact
+    sets that witness its head, by brute force."""
+    out = []
+    for assignment in oracle._bindings(tgd.body, facts):
+        witnesses = frozenset(
+            frozenset(_grounded(tgd.head_atoms, extension))
+            for extension in oracle._bindings(tgd.head_atoms, facts)
+            if all(extension[v] == assignment[v] for v in extension if v in assignment)
+        )
+        out.append((frozenset(_grounded(tgd.body, assignment)), witnesses))
+    return out
+
+
 def test_satisfies_matches_oracle_on_random_constraints():
+    # the verdict of each constraint, and each tgd's kept body matches
+    # with their witness sets, each witness once
     outcomes = {(kind, ok): 0 for kind in ("tgd", "egd", "denial") for ok in (True, False)}
+    witnessed = 0
     for seed in range(400):
         rng = random.Random(seed)
         facts = {
@@ -124,8 +146,16 @@ def test_satisfies_matches_oracle_on_random_constraints():
             assert report.ok == expected, (seed, str(constraint))
             assert all(v.constraint == constraint and set(v.witness) <= facts for v in report.violations)
             outcomes[constraint.kind, expected] += 1
+            if constraint.kind == "tgd":
+                assert all(len(set(w)) == len(w) for _, w in report.matches), seed
+                kept = Counter((match, frozenset(w)) for match, w in report.matches)
+                brute = _tgd_matches(constraint, instance.atoms)
+                assert kept == Counter(brute), (seed, str(constraint))
+                witnessed += any(w for _, w in brute)
+            else:
+                assert report.matches == (), seed
         assert satisfies(instance, sigma).ok == oracle.sigma_holds(sigma, instance.atoms), seed
-    assert min(outcomes.values()) >= 20, outcomes
+    assert min(outcomes.values()) >= 20 and witnessed >= 20, (outcomes, witnessed)
 
 
 def test_schema_mismatch_detected():
@@ -330,14 +360,14 @@ def test_constraint_joins_per_call_are_linear_in_tgd_body_matches(query, monkeyp
 
     program, instance = load_program(query), load_instance("dept.facts")
     sigma = load_constraints("dept.ics")
-    # a denial of a tgd's body is violated once per body match
-    matches = [len(satisfies(instance, [Constraint.denial(c.body)]).violations) for c in sigma if c.kind == "tgd"]
+    tgds = sum(c.kind == "tgd" for c in sigma)
     calls = []
     real = module._matches
     monkeypatch.setattr(module, "_matches", lambda *args: calls.append(args) or real(*args))
     causes_under_ics(instance, program, atom("ans(john)"), sigma)
-    # one pass: each tgd body joined once, and its head once per match
-    assert 0 < len(calls) <= sum(1 + m for m in matches), len(calls)
+    # one pass: each tgd's body joined once, and its body and head
+    # together once, whatever the number of matches
+    assert tgds and len(calls) == 2 * tgds, len(calls)
 
 
 def test_equal_instances_labelled_otherwise_get_their_own_labels():
@@ -371,14 +401,14 @@ def test_admissible_filter_joins_each_tgd_body_once(query, monkeypatch):
 
     program, instance = load_program(query), load_instance("dept.facts")
     sigma = load_constraints("dept.ics")
-    matches = [len(satisfies(instance, [Constraint.denial(c.body)]).violations) for c in sigma if c.kind == "tgd"]
+    tgds = sum(c.kind == "tgd" for c in sigma)
     calls = []
     real = module._matches
     monkeypatch.setattr(module, "_matches", lambda *args: calls.append(args) or real(*args))
     maximal_admissible_subinstances(instance, program, atom("ans(john)"), sigma)
-    # one scan of the instance: each tgd body joined once and its head
-    # once per match, none per candidate
-    assert len(calls) == sum(1 + m for m in matches), len(calls)
+    # one scan of the instance: each tgd's body joined once and its body
+    # and head together once, none per candidate
+    assert tgds and len(calls) == 2 * tgds, len(calls)
 
 
 def test_admissible_subinstances_with_empty_sigma_complement_minimal_deletions():

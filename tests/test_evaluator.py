@@ -169,10 +169,7 @@ def test_seminaive_matches_naive_with_comparisons():
 
 def _random_conjunction(rng: random.Random):
     """Atoms over e/2, f/1 and g/3 with constants and repeated variables,
-    comparisons between any of their terms and extra constants, and
-    outer atoms with their facts, binding some of the variables (and one
-    the atoms do not mention), sometimes twice or beside a constant; and
-    the binding they make."""
+    and comparisons between any of their terms and extra constants."""
     constants = [Constant(c) for c in "abc"]
     schema = [("e", 2), ("f", 1), ("g", 3)]
     atoms = []
@@ -180,22 +177,11 @@ def _random_conjunction(rng: random.Random):
         predicate, arity = rng.choice(schema)
         args = [rng.choice(constants) if rng.random() < 0.2 else Variable(rng.choice("XYZW")) for _ in range(arity)]
         atoms.append(Atom(predicate, tuple(args)))
-    variables = sorted({v for a in atoms for v in a.variables()}, key=str)
-    bound = [v for v in variables if rng.random() < 0.3]
-    if rng.random() < 0.2:
-        bound.append(Variable("V"))
-    binding = {v: rng.choice(constants) for v in bound}
-    cut = rng.randint(0, len(bound))
-    outer = []
-    for k, group in enumerate(g for g in (bound[:cut], bound[cut:]) if g):
-        terms = group + group[:1] * (rng.random() < 0.3) + [rng.choice(constants)] * (rng.random() < 0.3)
-        outer.append(Atom(f"o{k}", tuple(terms)))
-    outer_facts = [GroundAtom(a.predicate, tuple(binding.get(t, t) for t in a.args)) for a in outer]
-    terms = sorted(set(variables) | set(binding), key=str) + constants
+    terms = sorted({v for a in atoms for v in a.variables()}, key=str) + constants
     comparisons = [
         Comparison(rng.choice(("=", "!=")), rng.choice(terms), rng.choice(terms)) for _ in range(rng.randint(0, 2))
     ]
-    return atoms, comparisons, outer, outer_facts, binding
+    return atoms, comparisons
 
 
 def _run_rule_plan(monkeypatch, plan, numbered, held, interpreted: bool):
@@ -216,12 +202,12 @@ def test_planned_join_matches_brute_force(monkeypatch):
     """A plan's matches against every combination of one fact per atom,
     on the same sources: relations shared by the atoms of one predicate,
     each holding facts of other arities too, with a delta source at each
-    position in turn; and, with nothing outer, the firings of the rule
-    whose body the conjunction is, interpreted and compiled."""
+    position in turn; and the firings of the rule whose body the
+    conjunction is, interpreted and compiled."""
     shapes = Counter()
     for seed in range(400):
         rng = random.Random(seed)
-        atoms, comparisons, outer, outer_facts, binding = _random_conjunction(rng)
+        atoms, comparisons = _random_conjunction(rng)
         facts: dict[str, list] = {}
         for predicate, arity in (("e", 2), ("f", 1), ("g", 3)):
             for _ in range(rng.randint(0, 12)):
@@ -238,26 +224,23 @@ def test_planned_join_matches_brute_force(monkeypatch):
                 pool = facts.get(atoms[first].predicate, [])
                 held[first] = {ids[f] for f in rng.sample(pool, min(len(pool), rng.randint(1, 5)))}
             sources = [Relation(numbered, list(h)) for h in held]
-            plan = _plan(atoms, comparisons, first, outer)
-            engine = Counter(_matches(plan, numbered, sources, outer_facts))
-            brute = oracle.join_matches(atoms, [[numbered[i] for i in h] for h in held], comparisons, binding)
-            assert engine == Counter(facts for _, facts in brute), (seed, first, atoms, comparisons, outer)
+            engine = Counter(_matches(_plan(atoms, comparisons, first), numbered, sources))
+            brute = oracle.join_matches(atoms, [[numbered[i] for i in h] for h in held], comparisons)
+            assert engine == Counter(facts for _, facts in brute), (seed, first, atoms, comparisons)
             shapes["matched" if brute else "empty"] += 1
             shapes["probed"] += any(s._indexes for s in sources)
-            if all(v in variables for c in comparisons for v in c.variables()):
-                plan = _plan(atoms, comparisons, first, rule=rule)
-                brute = oracle.join_matches(atoms, [[numbered[i] for i in h] for h in held], comparisons)
-                fired = [(GroundAtom("h", (*(b[v] for v in variables), Constant("k"))), body) for b, body in brute]
-                # interpreted, then compiled: each agrees with the oracle,
-                # and both record the same atoms and rows
-                graphs = [_run_rule_plan(monkeypatch, plan, numbered, held, interpreted) for interpreted in (True, False)]
-                for graph in graphs:
-                    # each head numbered once, past the seeds
-                    derived = graph.atoms[len(numbered) :]
-                    assert len(set(derived)) == len(derived) and set(derived) == {head for head, _ in fired}, (seed, first)
-                    assert Counter(firing_pairs(graph)) == Counter(fired)
-                assert graphs[0].atoms == graphs[1].atoms and graphs[0].rows == graphs[1].rows, (seed, first)
-                shapes["fired"] += bool(brute)
+            plan = _plan(atoms, comparisons, first, rule=rule)
+            fired = [(GroundAtom("h", (*(b[v] for v in variables), Constant("k"))), body) for b, body in brute]
+            # interpreted, then compiled: each agrees with the oracle, and
+            # both record the same atoms and rows
+            graphs = [_run_rule_plan(monkeypatch, plan, numbered, held, interpreted) for interpreted in (True, False)]
+            for graph in graphs:
+                # each head numbered once, past the seeds
+                derived = graph.atoms[len(numbered) :]
+                assert len(set(derived)) == len(derived) and set(derived) == {head for head, _ in fired}, (seed, first)
+                assert Counter(firing_pairs(graph)) == Counter(fired)
+            assert graphs[0].atoms == graphs[1].atoms and graphs[0].rows == graphs[1].rows, (seed, first)
+            shapes["fired"] += bool(brute)
     assert shapes["matched"] >= 200 and shapes["empty"] >= 200 and shapes["probed"] >= 500, shapes
     assert shapes["fired"] >= 200, shapes
 
@@ -305,7 +288,7 @@ def test_forty_atom_bodies_run_as_chained_kernels(tmp_path):
     code, output = run_cli(["eval", "-p", str(tmp_path / "long.dl"), "-d", str(tmp_path / "long.facts")])
     assert code == 0 and len(json.loads(output)["payload"]["answers"]) == 41, output
     # constraint kernels: one body match per start on the 41-cycle, and a
-    # tgd head joined with the 40 body facts as its outer facts
+    # tgd's 40 body atoms joined with its head, 41 atoms in chained kernels
     sigma = parse_constraints(f"{body} => false.\n{body} => e(X40, Y).\n{body} => e(X0, X40).\n")
     violations = satisfies(Instance(facts), sigma).violations
     assert Counter(str(v.constraint).split(" => ")[1] for v in violations) == {"false.": 41, "e(X0, X40).": 41}

@@ -11,6 +11,7 @@ from whyd.errors import (
 )
 from whyd.model import (
     Atom,
+    Comparison,
     Constant,
     GroundAtom,
     Instance,
@@ -258,17 +259,25 @@ def test_unbound_head_variable_is_unsafe():
     with pytest.raises(UnsafeRuleError) as err:
         validate_program(Program((rule,), "ans"))
     assert err.value.variable == Variable("X")
-    # the engine refuses it too when handed the program unvalidated
-    from whyd.evaluator import evaluate_fixpoint
 
-    with pytest.raises(UnsafeRuleError) as err:
-        evaluate_fixpoint(Program((rule,), "ans"), [ground("e", "a", "b")])
-    assert err.value.variable == Variable("X")
+
+def test_programs_built_through_the_api_reject_unsafe_rules():
+    # an unsafe comparison or head is refused when the Program is built,
+    # before any fixpoint runs
+    X, Y = Variable("X"), Variable("Y")
+    compared = Rule(Atom("ans", (X,)), (Atom("e", (X,)), Comparison("!=", X, Y)))
+    headed = Rule(Atom("ans", (X, Y)), (Atom("e", (X,)),))
+    for rule in (compared, headed):
+        with pytest.raises(UnsafeRuleError) as err:
+            Program((rule,), "ans")
+        assert err.value.variable == Y and err.value.rule is rule
+    # an arity clash is reported first, as the parser reports it
+    clash = Rule(Atom("ans", (X,)), (Atom("e", (X, X)),))
+    with pytest.raises(ArityMismatchError):
+        Program((compared, clash), "ans")
 
 
 def test_unbound_builtin_variable_is_unsafe():
-    from whyd.model import Comparison
-
     rule = Rule(
         Atom("ans", (Variable("X"),)),
         (Atom("e", (Variable("X"),)), Comparison("!=", Variable("X"), Variable("Y"))),

@@ -269,6 +269,35 @@ def test_vc_causes_costs_one_pass_for_the_whole_view(monkeypatch):
         assert 0 < len(calls) <= 2, (answer, len(calls))
 
 
+def test_an_answer_with_no_minimal_deletion_runs_no_residual_view(monkeypatch):
+    # ans(a) holds on the exogenous e(a, b) alone: nothing endogenous
+    # drops it, so the residual views are never needed; a cold vc_causes
+    # runs only the answer's solve, and the warm requests after it none
+    program = parse_program("ans(X) :- e(X, Y).")
+    instance = Instance([ground("e", "b", "c")], [ground("e", "a", "b")])
+    answer = atom("ans(a)")
+    calls = []
+    real = evaluator.evaluate_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (evaluator, abduction, viewupdate):
+        monkeypatch.setattr(module, "evaluate_fixpoint", counted)
+    _clear_caches()
+    counts = []
+    for request in (vc_causes, viewupdate.minimal_source_solutions, vsef_solutions):
+        calls.clear()
+        kwargs = {} if request is vc_causes else {"endogenous_only": True}
+        assert request(instance, program, answer, **kwargs) == ()
+        counts.append(len(calls))
+    assert counts == [1, 0, 0], counts
+    # an explicit protected atom is still checked against the view
+    with pytest.raises(NotAnAnswerError, match="protected atom ans\\(z\\)"):
+        vc_causes(instance, program, answer, frozenset({atom("ans(z)")}))
+
+
 def test_view_support_families_are_checked(monkeypatch, capsys):
     # pad the answer's family with every deletable tuple: with nothing
     # cached, each caller of the answer's solve must reject it, the CLI
