@@ -5,7 +5,9 @@ A diagnosis is a subset-minimal set of hypothesis atoms that, added to
 the background theory (program plus extensional facts), entails the
 observation.  The diagnoses are the observation's minimal
 why-provenance: the fixpoint runs the caller's program over the facts
-and every hypothesis and records the ground derivation graph of that
+and every hypothesis under the observation's demand (``demand``: the
+heads some derivation of it can use) and records the ground derivation
+graph of that model, each demanded head with every firing it has in the
 full model; one pass annotates the graph with antichains of hypothesis
 sets in the absorptive PosBool semiring (Green, Karvounarakis & Tannen,
 PODS 2007).  The observation atoms are the goal, and no goal rule is
@@ -26,11 +28,11 @@ get; every later search (``hitting``) and constraint check reads the
 masks.  Each family is checked by direct evaluation before it is
 returned: every set, and every set with one element dropped, is a
 world, and all of them are propagated over a ground program that the
-check derives again by joins, into a numbering of its own that the
-recorded graph's atoms seed.  Hypotheses are plain tuples, so a problem
-is a plain value, solved when it is built: equal problems share one
-cached family and one cached hitting-set search of it
-(``_necessary_masks``), whatever labels their callers give the tuples.
+check derives again by joins under the same demand, into a numbering
+of its own that the recorded graph's atoms seed.  Hypotheses are plain
+tuples, so a problem is a plain value, solved when it is built: equal
+problems share one cached family and one cached hitting-set search of
+it (``_necessary_masks``), whatever labels their callers give the tuples.
 Every deletion notion of ``viewupdate`` and ``vc`` reads that search of
 its answer's problem.
 """
@@ -43,6 +45,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
+from .demand import Demand, demand_of
 from .errors import (
     InternalInvariantError,
     NotBooleanError,
@@ -209,6 +212,7 @@ def _check(
     goal: Goal,
     hypotheses: Sequence[int],
     family: Sequence[int],
+    demand: Demand | None,
 ) -> None:
     """Check the goal's family (bitmasks over the hypotheses, as
     ``_minimal_why`` gives it) directly, by evaluation: the family is
@@ -219,8 +223,9 @@ def _check(
     Each set is a world, and the recorded ``graph`` is not trusted: its
     extensional facts, the worlds' facts and its other heads, each once
     and in that order, seed a numbering of the check's own, and every
-    rule is joined over them again; a head numbered past those seeds is
-    derived outside them.  Then every derivation inside a
+    rule is joined over them again under the ``demand`` the graph was
+    recorded under; a demanded head numbered past those seeds is derived
+    outside them.  Then every derivation inside a
     world is one of those firings (a first one that is not would have its
     body, so its head, among them), and the worlds are propagated over
     the ground program the goal reaches.  A seed's place in the new
@@ -237,7 +242,7 @@ def _check(
     for atom in members:
         heads[atom] = False
     seeds = [*range(extensional), *members, *compress(range(len(heads)), heads)]  # in the graph's ids
-    check = ground(program, map(graph.atoms.__getitem__, seeds))
+    check = ground(program, map(graph.atoms.__getitem__, seeds), demand)
     if check.seeds < len(seeds):
         raise InternalInvariantError("a hypothesis is given twice")
     if len(check.atoms) > check.seeds:
@@ -290,7 +295,8 @@ def solve_diagnoses(problem: AbductionProblem) -> Family:
     when the background theory already entails the observation.
 
     One fixpoint over the extensional facts and then the other
-    hypotheses records the derivation graph, one provenance pass over it
+    hypotheses, under the observation's demand, records the derivation
+    graph, one provenance pass over it
     gives the family (``_minimal_why``) and ``_check`` verifies it before
     it is returned, raising ``InternalInvariantError`` if it fails; the
     graph is then dropped.  An observation atom outside the model raises
@@ -300,12 +306,13 @@ def solve_diagnoses(problem: AbductionProblem) -> Family:
     the ``model.CACHE_SIZE`` problems used last: a problem pushed out is
     solved again when it is asked for again."""
     program, fixed = problem.program, problem.extensional
-    model = evaluate_fixpoint(program, chain(fixed, problem.hypotheses - fixed))
+    demand = demand_of(program, problem.observation)
+    model = evaluate_fixpoint(program, chain(fixed, problem.hypotheses - fixed), demand)
     goal = tuple(map(model.id_of, problem.observation))
     if -1 in goal:
         raise ObservationNotEntailableError("the observation is not entailed even with every hypothesis added")
     hypotheses, family = _minimal_why(model.graph, len(fixed), goal)
-    _check(program, model.graph, len(fixed), goal, hypotheses, family)
+    _check(program, model.graph, len(fixed), goal, hypotheses, family, demand)
     return _family(canonical_masks(family), tuple([model.graph.atoms[h] for h in hypotheses]))
 
 

@@ -24,6 +24,14 @@ not trust a recorded graph; over a closed model that round builds no
 atom.  Only a join pass looks atoms up, by key; everything after it
 indexes lists by id.
 
+A pass may run under a goal's demand (``demand.demand_of``), the heads
+some derivation of the goal can use, fixed before the pass runs.  Under
+a demand a pass numbers the seeds as ever and a new head only if the
+demand holds it; it maps any other head's key to the discard row -1, so
+each later firing of it costs one lookup, and the kernels are the same.
+No firing of a demanded head reads a head the demand drops, so the
+model keeps every derivation of the goal.
+
 One join engine matches a conjunction of atoms against facts: the
 semi-naive rounds and every integrity constraint check go through it.
 Each rule body (per delta position), each constraint body and each
@@ -64,10 +72,12 @@ ground atoms over known predicates and constants.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
+from .demand import Demand, demand_of, demanded
 from .errors import UnknownPredicateError
 from .model import (
     Atom,
@@ -126,7 +136,7 @@ class MinimalModel:
         return frozenset(self.graph.atoms)
 
     def __contains__(self, atom: GroundAtom) -> bool:
-        return atom.key in self._ids
+        return self._ids.get(atom.key, -1) >= 0
 
     def extension(self, predicate: str) -> frozenset[GroundAtom]:
         return frozenset(map(self.graph.atoms.__getitem__, self._extensions.get(predicate, ())))
@@ -286,8 +296,10 @@ def _kernel(shape: tuple):
     facts' atoms.  A rule kernel ``k0(src, c, chain, A, ids, F)`` builds
     each head's key from the head predicate and the symbols it read and
     looks it up in the pass's ``_Numbering`` ``ids``; ``ids.new`` builds
-    and numbers a head whose key is not numbered yet.  It appends the
-    firing's body, the tuple of its facts, to the head's list ``F[id]``.
+    and numbers a head whose key is not numbered yet (or, under a demand
+    that drops it, maps it to -1, whose row discards what it gets).  It
+    appends the firing's body, the tuple of its facts, to the head's list
+    ``F[id]``.
     ``chain`` is ``()``; a split plan's function passes the next the facts
     its loops bound."""
     atoms, _, _, head, _ = shape
@@ -598,28 +610,47 @@ def _rule_plan(rule: Rule, first: int | None = None) -> _Plan:
     return plans[slot]  # type: ignore[return-value]
 
 
+# the rows' last entry in a pass under a demand: the firings of every
+# head it does not demand go there, and are dropped
+_DISCARD: deque = deque(maxlen=0)
+
+
 class _Numbering(dict):
     """The keys (``GroundAtom.key``) of the atoms of a join pass mapped to
     their ids, their places in ``atoms``; ``rows[i]`` lists the firings
     of atom i.  A rule kernel looks each head it derives up by its key,
     built from interned symbols, so a known head costs no atom; ``new``
-    builds and numbers one that is not known yet."""
+    builds and numbers one that is not known yet.  Under a ``demand``
+    (None: every head), ``new`` maps a head it does not demand to -1,
+    the discard row that ends ``rows``, so that each later firing of it
+    costs one lookup and is dropped."""
 
-    __slots__ = ("atoms", "rows")
+    __slots__ = ("atoms", "rows", "demand")
 
     def new(self, key: tuple[str, ...], args: tuple[Constant, ...]) -> int:
         """The id of a new atom, built from its key (the predicate
-        first) and its arguments."""
+        first) and its arguments, or -1 for a head the demand rejects."""
+        if self.demand is not None and not demanded(self.demand, key):
+            self[key] = -1
+            return -1
         n = self[key] = len(self.atoms)
         self.atoms.append(derived_atom(key[0], args, key))
-        self.rows.append([])
+        self.rows.insert(n, [])  # before the discard row, if any
         return n
 
+    def graph(self, seeds: int) -> Graph:
+        """The pass's derivation graph, its first ``seeds`` atoms its
+        seeds; ends the pass."""
+        if self.demand is not None:
+            self.rows.pop()  # the discard row
+        return Graph(self.atoms, seeds, self.rows)
 
-def _seed(facts: Iterable[GroundAtom]) -> tuple[_Numbering, dict[str, Relation]]:
+
+def _seed(facts: Iterable[GroundAtom], demand: Demand | None = None) -> tuple[_Numbering, dict[str, Relation]]:
     """The facts of a join pass numbered in the order given, each once,
-    and the relations they make."""
+    whatever the demand, and the relations they make."""
     ids = _Numbering()
+    ids.demand = demand
     atoms = ids.atoms = []
     by_predicate: dict[str, list[int]] = {}
     number, group = ids.setdefault, by_predicate.get
@@ -634,6 +665,8 @@ def _seed(facts: Iterable[GroundAtom]) -> tuple[_Numbering, dict[str, Relation]]
                 held.append(n)
             n += 1
     ids.rows = [[] for _ in range(n)]
+    if demand is not None:
+        ids.rows.append(_DISCARD)
     return ids, {p: Relation(atoms, held) for p, held in by_predicate.items()}
 
 
@@ -670,13 +703,14 @@ def _round(
     return new
 
 
-def _semi_naive(program: Program, facts: Iterable[GroundAtom]) -> MinimalModel:
+def _semi_naive(program: Program, facts: Iterable[GroundAtom], demand: Demand | None) -> MinimalModel:
     """The one semi-naive loop: the minimal model over the seed facts,
     numbered, with its derivation graph, each firing recorded when
-    joined.  Round 0 joins every rule over the seeds; a later round joins
-    what reads the last one's new heads."""
+    joined; under a demand, the part of it the demand holds.  Round 0
+    joins every rule over the seeds; a later round joins what reads the
+    last one's new heads."""
     rules = _compile(program)
-    ids, relations = _seed(facts)
+    ids, relations = _seed(facts, demand)
     atoms, seeds = ids.atoms, len(ids.atoms)
     # a rule without atoms has no atom to carry a delta: it fires once,
     # before round 0, and its heads seed the model
@@ -695,29 +729,37 @@ def _semi_naive(program: Program, facts: Iterable[GroundAtom]) -> MinimalModel:
         for p, fresh in new.items():
             relations[p].update(fresh)
             deltas[p] = Relation(atoms, fresh)
-    return MinimalModel(Graph(atoms, seeds, ids.rows), ids, {p: rel.facts for p, rel in relations.items()})
+    return MinimalModel(ids.graph(seeds), ids, {p: rel.facts for p, rel in relations.items()})
 
 
-def evaluate_fixpoint(program: Program, instance: Instance | Iterable[GroundAtom]) -> MinimalModel:
+def evaluate_fixpoint(
+    program: Program, instance: Instance | Iterable[GroundAtom], demand: Demand | None = None
+) -> MinimalModel:
     """Least fixpoint of ``program`` over the given facts, with its
     derivation graph; the facts are numbered first, in the order given.
+    Under a ``demand`` (``demand.demand_of``; None: every head) the
+    model keeps the seeds and the heads the demand holds, each with every
+    firing it has in the whole model: no firing of a demanded head reads
+    a head the demand drops.  A dropped atom is not in the model
+    (``id_of`` gives -1).
 
     Facts may mention intensional predicates; they simply seed the model,
     which is what the abduction-to-causality constructions rely on.
     """
-    return _semi_naive(program, instance.atoms if isinstance(instance, Instance) else instance)
+    return _semi_naive(program, instance.atoms if isinstance(instance, Instance) else instance, demand)
 
 
-def ground(program: Program, facts: Iterable[GroundAtom]) -> Graph:
+def ground(program: Program, facts: Iterable[GroundAtom], demand: Demand | None = None) -> Graph:
     """The ground program of ``program`` over the facts: every rule joined
     once over them, one naive round, into a numbering of its own whose
-    seeds are the facts, each once in the order given.  Over a closed
-    model it is the model's derivation graph: it numbers no head past the
-    seeds, so it builds no atom."""
-    ids, relations = _seed(facts)
+    seeds are the facts, each once in the order given; under a
+    ``demand``, only the firings of the seeds and of the heads it holds.
+    Over a closed model it is the model's derivation graph: it numbers no
+    head past the seeds, so it builds no atom."""
+    ids, relations = _seed(facts, demand)
     seeds = len(ids.atoms)
     _round(_compile(program), relations, None, ids)
-    return Graph(ids.atoms, seeds, ids.rows)
+    return ids.graph(seeds)
 
 
 # a derivation graph's part that some goals reach: each head's id with
@@ -799,12 +841,13 @@ def propagate(
 
 
 def holds(program: Program, instance: Instance | Iterable[GroundAtom], atom: GroundAtom) -> bool:
-    """True iff ``atom`` belongs to the minimal model."""
+    """True iff ``atom`` belongs to the minimal model: its part that the
+    atom's demand holds."""
     known = program.arity_of(atom.predicate)
     base = instance.atoms if isinstance(instance, Instance) else frozenset(instance)
     if known is None and all(a.predicate != atom.predicate for a in base):
         raise UnknownPredicateError(f"predicate {atom.predicate} unknown to the program and instance")
-    model = evaluate_fixpoint(program, base)
+    model = evaluate_fixpoint(program, base, demand_of(program, (atom,)))
     return atom in model
 
 

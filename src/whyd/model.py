@@ -352,7 +352,7 @@ class Program:
     and then an unsafe rule (``UnsafeRuleError``, ``validate_program``).
     """
 
-    __slots__ = ("rules", "answer_predicate", "_arities", "_hash")
+    __slots__ = ("rules", "answer_predicate", "_arities", "_hash", "_demands")
 
     def __init__(self, rules: Iterable[Rule], answer_predicate: str):
         self.rules: tuple[Rule, ...] = tuple(rules)
@@ -365,6 +365,9 @@ class Program:
         # the rule order takes no part in equality; programs are cache
         # keys, so the hash is computed once
         self._hash = hash((frozenset(self.rules), self.answer_predicate))
+        # the demand templates (``demand._template``), by goal predicate
+        # and arity, made on first use; they live as long as the program
+        self._demands: dict = {}
 
     def _register(self, atom: Atom) -> None:
         known = self._arities.setdefault(atom.predicate, atom.arity)

@@ -126,10 +126,11 @@ _T_RULE = Rule(
 
 
 @lru_cache(maxsize=8)
-def _marker_rule(marker: str) -> Rule:
-    """The fact rule t(marker), shared by every encoding with that marker
-    (almost always ``true``) so that its plan is compiled once too."""
-    return Rule(Atom("t", (Constant(marker),)), ())
+def _program(marker: str) -> Program:
+    """The program of the fact rule t(marker) and the recursive rule,
+    shared by every encoding with that marker (almost always ``true``),
+    so that its plans are compiled and its demand template made once."""
+    return Program((Rule(Atom("t", (Constant(marker),)), ()), _T_RULE), "t")
 
 
 def encode_phca(problem: PropositionalHornAbduction) -> AbductionProblem:
@@ -143,7 +144,7 @@ def encode_phca(problem: PropositionalHornAbduction) -> AbductionProblem:
         names.add(head)
         names.update(body)
     c = {name: Constant(name) for name in names}
-    program = Program((_marker_rule(true_marker), _T_RULE), "t")
+    program = _program(true_marker)
     extensional = frozenset(GroundAtom("r", (c[head], c[b1], c[b2], c[b3])) for head, (b1, b2, b3) in rules)
     hypotheses = frozenset(GroundAtom("t", (c[h],)) for h in sorted(problem.hypotheses))
     observation = tuple(GroundAtom("t", (c[o],)) for o in problem.observations)

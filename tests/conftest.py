@@ -137,8 +137,8 @@ def tamper(monkeypatch, edit) -> None:
 
     real = abduction.evaluate_fixpoint
 
-    def tampered(program, facts):
-        model = real(program, facts)
+    def tampered(program, facts, demand=None):
+        model = real(program, facts, demand)
         graph, id_of = model.graph, model.id_of
         pairs = firing_pairs(graph)
         edit(pairs)

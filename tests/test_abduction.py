@@ -495,8 +495,8 @@ abduction._minimal_why = real_why
 shortcut = parse_program("p :- x, y.\\np :- q.\\nq :- x.\\n")
 real_fixpoint = abduction.evaluate_fixpoint
 for tamper in (lambda p, q, y: [b for b in p if b != (q,)], lambda p, q, y: [*p, (y,)]):
-    def tampered(program, facts, tamper=tamper):
-        model = real_fixpoint(program, facts)
+    def tampered(program, facts, demand=None, tamper=tamper):
+        model = real_fixpoint(program, facts, demand)
         graph = model.graph
         p, q, y = (model.id_of(ground(name)) for name in "pqy")
         rows = list(graph.rows)
