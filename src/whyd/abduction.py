@@ -160,6 +160,8 @@ def _minimal_why(graph: Graph, extensional: int, goal: Goal) -> tuple[list[int],
 
 def _prune(candidates: list[int]) -> list[int]:
     """The subset-minimal sets among the candidates, smallest first."""
+    if len(candidates) == 1:
+        return candidates
     out: list[int] = []
     for cand in sorted(set(candidates), key=int.bit_count):
         if not any(prev & cand == prev for prev in out):
@@ -173,6 +175,8 @@ def _product(families: list[list[int]]) -> list[int]:
     for family in families:
         if out == [0]:
             out = family
+        elif len(out) == len(family) == 1:
+            out = [out[0] | family[0]]
         elif family != [0]:
             out = _prune([left | right for left in out for right in family])
     return out

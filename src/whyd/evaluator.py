@@ -1,8 +1,9 @@
 """Bottom-up evaluation of positive Datalog to the minimal model.
 
-The evaluation is semi-naive, one model at a time: a round's delta is
-the atoms new to the model (per predicate; in the first round every fact
-is new, so each rule is joined once over the full relations).  A join
+The evaluation is semi-naive, one model at a time.  Round 0 joins each
+rule once over the full relations; a later round runs only the joins
+its deltas, the atoms new in the last one, trigger: a rule with a body
+atom over a delta's predicate, that atom reading the delta.  A join
 pass numbers the atoms it holds where it deduplicates them: the seed
 facts first, each once in the order given (a caller that gives its
 extensional facts before its hypotheses can tell a fact's kind by its
@@ -228,7 +229,7 @@ def _plan(
     atom against the facts of ``sources[i]``.  With a ``rule``, whose body
     the atoms and comparisons are and whose head's variables they bind
     (a ``Program`` holds safe rules only), the kernel fires it
-    (``_round``); without, it yields each match (``_matches``).
+    (``_semi_naive``); without, it yields each match (``_matches``).
 
     The plan's shape is the conjunction with its variables numbered in
     order of first occurrence and each constant replaced by its place in
@@ -670,65 +671,64 @@ def _seed(facts: Iterable[GroundAtom], demand: Demand | None = None) -> tuple[_N
     return ids, {p: Relation(atoms, held) for p, held in by_predicate.items()}
 
 
-def _compile(program: Program) -> list[tuple[Rule, tuple[str, ...], str]]:
-    return [(rule, rule._predicates, rule.head.predicate) for rule in program.rules]
+def _first_round(rules: Sequence[Rule], relations: dict[str, Relation], ids: _Numbering) -> list[list[Relation]]:
+    """Round 0: each rule joined once over the full relations, into
+    ``ids``; returns the relations each rule's body atoms read."""
+    empty = Relation(ids.atoms, ())
+    fulls = [[relations.get(p, empty) for p in rule._predicates] for rule in rules]
+    for rule, full in zip(rules, fulls):
+        plan = _rule_plan(rule)
+        plan.kernel(full, plan.consts, (), ids.atoms, ids, ids.rows)
+    return fulls
 
 
-def _round(
-    rules: list, relations: dict[str, Relation], deltas: dict[str, Relation] | None, ids: _Numbering
-) -> dict[str, list[int]]:
-    """One round of joins of the ``_compile``d rules: with no ``deltas``
-    each rule once over the full relations, else once per body atom with
-    a delta, that atom reading it.  Numbers each head new to ``ids`` and
-    appends each firing's body to its head's row; returns the ids of the
-    new heads by predicate (a rule's kernels number only heads of its
-    own)."""
-    atoms, rows = ids.atoms, ids.rows
-    new: dict[str, list[int]] = {}
-    empty = Relation(atoms, ())
-    for rule, predicates, head in rules:
-        if deltas is None:
-            joins = [(_rule_plan(rule), -1)]
-        else:
-            joins = [(_rule_plan(rule, i), i) for i, p in enumerate(predicates) if p in deltas]
-            if not joins:
-                continue
-        full = [relations.get(p, empty) for p in predicates]
-        start = len(atoms)
-        for plan, i in joins:
-            sources = full if i < 0 else [*full[:i], deltas[predicates[i]], *full[i + 1 :]]  # type: ignore[index]
-            plan.kernel(sources, plan.consts, (), atoms, ids, rows)
-        if len(atoms) > start:
-            new.setdefault(head, []).extend(range(start, len(atoms)))
-    return new
+def _grow(relations: dict[str, Relation], atoms: list[GroundAtom], start: int) -> dict[str, Relation]:
+    """Add the atoms numbered from ``start`` on to their relations, and
+    return them as the next round's deltas, by predicate."""
+    fresh: dict[str, list[int]] = {}
+    for n in range(start, len(atoms)):
+        fresh.setdefault(atoms[n].predicate, []).append(n)
+    for p, new in fresh.items():
+        relations[p].update(new)
+    return {p: Relation(atoms, new) for p, new in fresh.items()}
 
 
 def _semi_naive(program: Program, facts: Iterable[GroundAtom], demand: Demand | None) -> MinimalModel:
     """The one semi-naive loop: the minimal model over the seed facts,
-    numbered, with its derivation graph, each firing recorded when
-    joined; under a demand, the part of it the demand holds.  Round 0
-    joins every rule over the seeds; a later round joins what reads the
-    last one's new heads."""
-    rules = _compile(program)
+    numbered, with its derivation graph; under a demand, the part of it
+    the demand holds.  Round 0 joins every rule over the full relations;
+    a later round runs the joins its deltas trigger, in rule and then
+    atom order, found in a map built once per pass (``triggers``)."""
     ids, relations = _seed(facts, demand)
-    atoms, seeds = ids.atoms, len(ids.atoms)
+    atoms, rows, seeds = ids.atoms, ids.rows, len(ids.atoms)
+    for rule in program.rules:
+        relations.setdefault(rule.head.predicate, Relation(atoms, []))
     # a rule without atoms has no atom to carry a delta: it fires once,
     # before round 0, and its heads seed the model
-    for p, fresh in _round([r for r in rules if not r[1]], {}, None, ids).items():
-        if p in relations:
-            relations[p].update(fresh)
+    bodiless = [rule for rule in program.rules if not rule._predicates]
+    if bodiless:
+        _first_round(bodiless, relations, ids)
+        _grow(relations, atoms, seeds)
+    rules = [rule for rule in program.rules if rule._predicates]
+    start = len(atoms)
+    # (rule's place, atom's place, rule, its full sources): the places
+    # are unique, so sorting the joins of several deltas compares no rule
+    triggers: dict[str, list[tuple[int, int, Rule, list[Relation]]]] = {}
+    for r, (rule, full) in enumerate(zip(rules, _first_round(rules, relations, ids))):
+        for i, p in enumerate(rule._predicates):
+            triggers.setdefault(p, []).append((r, i, rule, full))
+    while len(atoms) > start:
+        deltas = _grow(relations, atoms, start)
+        start = len(atoms)
+        if len(deltas) == 1:
+            joins = triggers.get(next(iter(deltas)), ())
         else:
-            relations[p] = Relation(atoms, fresh)
-    rules = [r for r in rules if r[1]]
-    for _, _, head in rules:
-        relations.setdefault(head, Relation(atoms, []))
-    deltas: dict[str, Relation] | None = None
-    while deltas is None or deltas:
-        new = _round(rules, relations, deltas, ids)
-        deltas = {}
-        for p, fresh in new.items():
-            relations[p].update(fresh)
-            deltas[p] = Relation(atoms, fresh)
+            joins = sorted(join for p in deltas for join in triggers.get(p, ()))
+        for _, i, rule, full in joins:
+            sources = full.copy()
+            sources[i] = deltas[rule._predicates[i]]
+            plan = _rule_plan(rule, i)
+            plan.kernel(sources, plan.consts, (), atoms, ids, rows)
     return MinimalModel(ids.graph(seeds), ids, {p: rel.facts for p, rel in relations.items()})
 
 
@@ -750,15 +750,15 @@ def evaluate_fixpoint(
 
 
 def ground(program: Program, facts: Iterable[GroundAtom], demand: Demand | None = None) -> Graph:
-    """The ground program of ``program`` over the facts: every rule joined
-    once over them, one naive round, into a numbering of its own whose
+    """The ground program of ``program`` over the facts: the fixpoint's
+    round 0 alone (``_first_round``), into a numbering of its own whose
     seeds are the facts, each once in the order given; under a
     ``demand``, only the firings of the seeds and of the heads it holds.
     Over a closed model it is the model's derivation graph: it numbers no
     head past the seeds, so it builds no atom."""
     ids, relations = _seed(facts, demand)
     seeds = len(ids.atoms)
-    _round(_compile(program), relations, None, ids)
+    _first_round(program.rules, relations, ids)
     return ids.graph(seeds)
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import os
@@ -780,3 +781,86 @@ def test_a_join_pass_builds_only_the_atoms_it_numbers(monkeypatch, case):
     check = evaluator.ground(program, graph.atoms)
     assert built == [] and check.seeds == len(check.atoms) == len(graph.atoms)
     assert [set(row) for row in check.rows] == [set(row) for row in graph.rows]
+
+
+def _count_joins(monkeypatch, program: Program) -> list[list[tuple[int, int | None]]]:
+    """From now on, the joins each round of a pass of ``program`` runs, in
+    the order they run, as the kernels of the rules' plans see them:
+    ``rounds[-1]`` takes each join, as its rule's place in the program and
+    the place of the body atom that reads a delta (None in round 0), and
+    each later round of a semi-naive pass starts a new list.  A pass with
+    rules without atoms fires them in a list of their own, before round 0."""
+    rounds: list[list] = [[]]
+    deltas: list[Relation] = []  # the current round's
+
+    def count(r, kernel, src, *args):
+        rounds[-1].append((r, next((i for i, s in enumerate(src) if any(s is d for d in deltas)), None)))
+        kernel(src, *args)
+
+    wrapped = set()
+    for r, rule in enumerate(program.rules):
+        for first in (None, *range(len(rule._predicates))):
+            plan = evaluator._rule_plan(rule, first)  # one plan may serve two places
+            if id(plan) not in wrapped:
+                wrapped.add(id(plan))
+                monkeypatch.setattr(plan, "kernel", functools.partial(count, r, plan.kernel))
+    real = evaluator._grow
+
+    def grow(*args):
+        fresh = real(*args)
+        deltas[:] = fresh.values()
+        rounds.append([])
+        return fresh
+
+    monkeypatch.setattr(evaluator, "_grow", grow)
+    return rounds
+
+
+@pytest.mark.parametrize("n", [1, 6, 20])
+def test_a_round_runs_only_the_joins_its_deltas_trigger(monkeypatch, n):
+    # chain-n under graph.dl (ans :- p, p :- e, p :- p, e): round 0 joins
+    # the 3 rules; each of the n later rounds with new p atoms joins the 2
+    # rules that read p, p the delta; p :- e, whose body holds no derived
+    # predicate, never runs again, and the last round, whose delta is ans
+    # alone, runs none
+    program = load_program("graph.dl")
+    rounds = _count_joins(monkeypatch, program)
+    model = evaluate_fixpoint(program, [ground("e", f"c{i}", f"c{i + 1}") for i in range(n)])
+    assert len(model.extension("ans")) == n * (n + 1) // 2
+    assert rounds == [[(0, None), (1, None), (2, None)], *[[(0, 0), (2, 0)]] * n, []]
+
+
+_TWO_DELTAS = """\
+ans(X) :- q(X).
+q(X) :- p(X), r(X).
+p(X) :- a(X).
+p(Y) :- p(X), e(X, Y).
+r(X) :- b(X).
+r(Y) :- r(X), e(X, Y).
+"""
+
+
+@pytest.mark.parametrize("tier", ["compiled", "interpreted"])
+def test_joins_of_several_deltas_run_in_rule_and_atom_order(monkeypatch, tier):
+    # p and r both get new atoms in one round, and q reads both: the
+    # round joins q once per delta, in atom order, among the other rules'
+    # joins in rule order, and the graph holds every ground firing, on
+    # either executor
+    monkeypatch.setattr(evaluator, "COLD_RUNS", 0 if tier == "compiled" else sys.maxsize)
+    monkeypatch.setattr(evaluator, "COLD_FACTS", sys.maxsize)
+    compiled = _fresh_kernels(monkeypatch)
+    program = parse_program(_TWO_DELTAS)
+    rounds = _count_joins(monkeypatch, program)
+    both = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(rng.randint(2, 6))]
+        facts = {ground("e", rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(1, 8))}
+        facts |= {ground(rng.choice("ab"), node) for node in nodes if rng.random() < 0.7}
+        rounds[:] = [[]]
+        _assert_firings_match_oracle(program, facts, seed)
+        for joins in rounds[1:]:
+            assert joins == sorted(joins), seed
+            both += (1, 0) in joins and (1, 1) in joins
+    assert both >= 10, both
+    assert bool(compiled) is (tier == "compiled")
