@@ -29,7 +29,10 @@ masks.  Each family is checked by direct evaluation before it is
 returned: every set, and every set with one element dropped, is a
 world, and all of them are propagated over a ground program that the
 check derives again by joins under the same demand, into a numbering
-of its own that the recorded graph's atoms seed.  Hypotheses are plain
+of its own that the recorded graph's atoms seed in the graph's order.
+The worlds are bits, each set's own and its drops' in one span, so a
+fact starts with the spans it lies in and a set is read off its span.
+Hypotheses are plain
 tuples, so a problem is a plain value, solved when it is built: equal
 problems share one cached family and one cached hitting-set search of
 it (``_necessary_masks``), whatever labels their callers give the tuples.
@@ -224,71 +227,78 @@ def _check(
     extensional facts (the graph's first ids), and no set with one
     element dropped does; raises ``InternalInvariantError``.
 
-    Each set is a world, and the recorded ``graph`` is not trusted: its
-    extensional facts, the worlds' facts and its other heads, each once
-    and in that order, seed a numbering of the check's own, and every
-    rule is joined over them again under the ``demand`` the graph was
+    Each set is a world, and so is each set with its i-th atom dropped:
+    set j, of k atoms, owns the k + 1 bits of worlds from ``o_j`` on,
+    the set itself first.  The recorded ``graph`` is not trusted: its
+    extensional facts, the worlds' facts and its other heads seed a
+    numbering of the check's own, in the graph's order, and every rule
+    is joined over them again under the ``demand`` the graph was
     recorded under; a demanded head numbered past those seeds is derived
-    outside them.  Then every derivation inside a
-    world is one of those firings (a first one that is not would have its
-    body, so its head, among them), and the worlds are propagated over
-    the ground program the goal reaches.  A seed's place in the new
-    numbering is known, so no atom is looked up in it."""
+    outside them.  Then every derivation inside a world is one of those
+    firings (a first one that is not would have its body, so its head,
+    among them), and the worlds are propagated over the ground program
+    the goal reaches: an extensional fact starts in every world, a
+    hypothesis in each span it lies in, but for the world that drops it.
+    A check id is the graph id unless some hypothesis in no world and
+    with no firing is left out, and then a list maps one to the other,
+    so no atom is looked up in the check's numbering.  Set j passes iff
+    the only world of its span whose model holds the goal is its first;
+    otherwise the lowest other such world names the redundant atom."""
     if not family:
         raise InternalInvariantError(f"no diagnosis found for {_render_goal(graph, goal)}, which is entailable")
     used = 0  # the hypotheses of some world
     for delta in family:
         used |= delta
-    bits = positions(used)
-    members = [hypotheses[bit] for bit in bits]
-    heads = list(map(bool, graph.rows))  # the heads not yet among the seeds
-    heads[:extensional] = [False] * extensional
-    for atom in members:
-        heads[atom] = False
-    seeds = [*range(extensional), *members, *compress(range(len(heads)), heads)]  # in the graph's ids
-    check = ground(program, map(graph.atoms.__getitem__, seeds), demand)
+    keep = list(map(bool, graph.rows))  # the seeds: the heads, ...
+    keep[:extensional] = [True] * extensional  # ... the extensional facts ...
+    for bit in positions(used):  # ... and the worlds' facts
+        keep[hypotheses[bit]] = True
+    if False in keep:
+        seeds: Sequence[int] = list(compress(range(len(keep)), keep))  # in the graph's ids
+        new_id: Sequence[int] = [-1] * len(keep)  # a graph id -> its check id; -1: no seed
+        for n, atom in enumerate(seeds):
+            new_id[atom] = n  # type: ignore[index]
+        check = ground(program, map(graph.atoms.__getitem__, seeds), demand)
+    else:
+        seeds = new_id = range(len(keep))
+        check = ground(program, graph.atoms, demand)
     if check.seeds < len(seeds):
         raise InternalInvariantError("a hypothesis is given twice")
     if len(check.atoms) > check.seeds:
         raise InternalInvariantError(f"the recorded graph is not closed: it misses {check.atoms[check.seeds]}")
-    # the worlds' facts follow the extensional ones
-    where = dict(zip(bits, range(extensional, extensional + len(bits))))  # a bit -> its fact's new id
-    worlds: dict[int, int] = {}  # a set's mask -> its world
-    facts: list[list[int]] = []  # each world's facts, by new id
-    dropped: dict[int, list[tuple[int, int]]] = {}  # a set's mask -> each bit with the world without it
+    masks = [-1] * extensional + [0] * (len(check.atoms) - extensional)  # each atom's worlds, by check id
+    offset = 0
     for delta in family:
         bits = positions(delta)
-        held = [where[bit] for bit in bits]
-        if delta not in worlds:
-            worlds[delta] = len(facts)
-            facts.append(held)
-        dropped[delta] = []
-        for k, bit in enumerate(bits):
-            world = worlds.setdefault(delta ^ 1 << bit, len(facts))
-            if world == len(facts):
-                facts.append(held[:k] + held[k + 1 :])
-            dropped[delta].append((bit, world))
+        span = ((2 << len(bits)) - 1) << offset  # the set, then the set without its i-th atom
+        for i, bit in enumerate(bits):
+            masks[new_id[hypotheses[bit]]] |= span ^ 2 << offset + i
+        offset += len(bits) + 1
     # a goal atom that is no seed is a hypothesis in no world
-    placed = dict(zip(seeds, range(len(seeds))))  # an id in the graph -> its new id
-    numbered = [placed.get(atom, -1) for atom in goal]
+    numbered = [new_id[atom] for atom in goal]
     part, cyclic = reached(check, [atom for atom in numbered if atom >= 0])
-    masks = propagate(part, cyclic, len(check.atoms), range(extensional), facts)
+    propagate(part, cyclic, masks)
     held = -1  # the worlds holding every atom of the goal
     for atom in numbered:
         held &= masks[atom] if atom >= 0 else 0
+    offset = 0
     for delta in family:
-        if not held >> worlds[delta] & 1:
-            named = [graph.atoms[h] for h in hypotheses]
+        size = delta.bit_count()
+        span = held >> offset & (2 << size) - 1
+        offset += size + 1
+        if span == 1:
+            continue
+        named = [graph.atoms[h] for h in hypotheses]
+        if not span & 1:
             raise InternalInvariantError(
                 f"diagnosis {_render(decode(delta, named))} does not entail {_render_goal(graph, goal)}"
             )
-        for bit, world in dropped[delta]:
-            if held >> world & 1:
-                named = [graph.atoms[h] for h in hypotheses]
-                raise InternalInvariantError(
-                    f"diagnosis {_render(decode(delta, named))} of {_render_goal(graph, goal)} is not minimal:"
-                    f" {named[bit]} is redundant"
-                )
+        rest = span ^ 1  # the worlds without one atom that hold the goal
+        redundant = positions(delta)[(rest & -rest).bit_length() - 2]
+        raise InternalInvariantError(
+            f"diagnosis {_render(decode(delta, named))} of {_render_goal(graph, goal)} is not minimal:"
+            f" {named[redundant]} is redundant"
+        )
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -18,11 +18,12 @@ appended to its head's list as the kernel fires it.  A graph is
 scratch data of the solve that recorded it; no caller keeps one.  The
 models of many worlds (fact sets) inside one model need no join of
 their own: ``propagate`` reads them off that model's ground program,
-``reached`` keeps the part of it some goals need and says whether that
-part is cyclic, and ``ground`` derives the ground program again by one
-join of each rule, into a numbering of its own, for callers that must
-not trust a recorded graph; over a closed model that round builds no
-atom.  Only a join pass looks atoms up, by key; everything after it
+in place, from the bitmasks of the worlds its caller starts each fact
+in; ``reached`` keeps the part of it some goals need and says whether
+that part is cyclic, and ``ground`` derives the ground program again by
+one join of each rule, into a numbering of its own, for callers that
+must not trust a recorded graph; over a closed model that round builds
+no atom.  Only a join pass looks atoms up, by key; everything after it
 indexes lists by id.
 
 A pass may run under a goal's demand (``demand.demand_of``), the heads
@@ -805,24 +806,16 @@ def reached(graph: Graph, goals: Iterable[int]) -> tuple[Reached, bool]:
     return out, cyclic
 
 
-def propagate(
-    program: Reached, cyclic: bool, size: int, shared: Iterable[int], worlds: Iterable[Iterable[int]]
-) -> list[int]:
-    """The minimal models of worlds (fact sets, each with the shared
-    facts) inside one model, read off its ground program with no join
-    (Dowling & Gallier, JLP 1984): the bitmask of the worlds holding each
-    of the model's ``size`` atoms, by id (bit i: the i-th world; -1:
-    all).  A firing's mask, the AND of its body's, is ORed into its
-    head's, in one sweep in the program's order, and in further sweeps
-    until none grows only if the program is ``cyclic`` (as ``reached``
-    reports): in any other order, pass True."""
-    masks = [0] * size
-    for fact in shared:
-        masks[fact] = -1
-    for i, world in enumerate(worlds):
-        bit = 1 << i
-        for fact in world:
-            masks[fact] |= bit
+def propagate(program: Reached, cyclic: bool, masks: list[int]) -> None:
+    """The minimal models of worlds (fact sets) inside one model, read off
+    its ground program with no join (Dowling & Gallier, JLP 1984).
+    ``masks`` holds, by id, the bitmask of the worlds that hold each of
+    the model's atoms as a fact (bit i: the i-th world; -1: all), and
+    ends holding the worlds whose models hold it.  A firing's mask, the
+    AND of its body's, is ORed into its head's, in one sweep in the
+    program's order, and in further sweeps until none grows only if the
+    program is ``cyclic`` (as ``reached`` reports): in any other order,
+    pass True."""
     grown = True
     while grown:
         grown = False
@@ -837,7 +830,6 @@ def propagate(
             if mask != old:
                 masks[head] = mask
                 grown = cyclic
-    return masks
 
 
 def holds(program: Program, instance: Instance | Iterable[GroundAtom], atom: GroundAtom) -> bool:

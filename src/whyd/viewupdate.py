@@ -62,9 +62,14 @@ def _answer_worlds(
     model = evaluate_fixpoint(program, instance)
     id_of = model.id_of
     goals = [id_of(a) for a in model.extension(program.answer_predicate)]
+    masks = [0] * len(model.graph.atoms)  # each atom's worlds, by id
+    for fact in shared:
+        masks[id_of(fact)] = -1
     numbered = [id_of(a) for a in atoms]
-    facts = [[numbered[bit] for bit in positions(world)] for world in worlds]
-    masks = propagate(*reached(model.graph, goals), len(model.graph.atoms), map(id_of, shared), facts)
+    for i, world in enumerate(worlds):
+        for bit in positions(world):
+            masks[numbered[bit]] |= 1 << i
+    propagate(*reached(model.graph, goals), masks)
     return {model.graph.atoms[a]: masks[a] for a in goals}
 
 

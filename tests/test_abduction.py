@@ -30,7 +30,7 @@ from whyd.errors import (
 )
 from whyd.model import GroundAtom, Instance, Program, Rule, ground
 from whyd.parsing import parse_ground_atom, parse_instance, parse_program
-from whyd.phca import encode_phca
+from whyd.phca import encode_phca, parse_phca
 from whyd.vc import vc_causes
 from whyd.viewupdate import minimal_source_solutions
 
@@ -696,9 +696,10 @@ def _count_atom_hashes(monkeypatch) -> Counter:
 @pytest.mark.parametrize("case", ["ladder-8", "phca-6"])
 def test_provenance_and_check_hash_no_atom_per_firing(monkeypatch, case):
     # the provenance pass and the check read the numbered graph: the pass
-    # may look up each goal atom once, the check each goal atom and each
-    # fact of each world, and neither an atom per body atom of a firing;
-    # the check's join round numbers atoms by their keys and hashes none
+    # may look up each goal atom once, and not an atom per body atom of a
+    # firing; the check seeds its join round in the graph's own order and
+    # starts each world's facts by id, and that round numbers atoms by
+    # their keys, so neither hashes an atom
     if case == "ladder-8":
         problem = _tc_problem(_LADDER, "ans(wl, wlt)")
     else:
@@ -709,14 +710,84 @@ def test_provenance_and_check_hash_no_atom_per_firing(monkeypatch, case):
     counts = _count_atom_hashes(monkeypatch)
     family = solve_diagnoses(problem)
     monkeypatch.undo()
-    worlds = {w for delta in family for w in (delta, *(delta - {d} for d in delta))}
     assert len(family) > 1 and max(map(len, family)) > 1, family
     # the counter is live: the family's sets are frozensets of atoms
     assert counts["decode"] >= sum(map(len, family)), counts
     assert counts["ground"] == 0, counts
     assert counts["why"] <= len(problem.observation), counts
-    assert counts["check"] <= len(problem.observation) + sum(map(len, worlds)), counts
-    assert max(counts["why"], counts["check"]) < body_atoms, (counts, body_atoms)
+    assert counts["check"] == 0, counts
+    assert counts["why"] < body_atoms, (counts, body_atoms)
+
+
+def _capture_check_seeds(monkeypatch) -> tuple[list, list]:
+    """From now on, record the graph each solve's fixpoint records and
+    the facts its check seeds ``ground`` with, as a list."""
+    graphs: list = []
+    seeded: list = []
+    real_fixpoint, real_ground = abduction.evaluate_fixpoint, abduction.ground
+
+    def fixpoint(program, facts, demand=None):
+        model = real_fixpoint(program, facts, demand)
+        graphs.append(model.graph)
+        return model
+
+    def ground_seeded(program, facts, demand):
+        seeded.append(list(facts))
+        return real_ground(program, seeded[-1], demand)
+
+    monkeypatch.setattr(abduction, "evaluate_fixpoint", fixpoint)
+    monkeypatch.setattr(abduction, "ground", ground_seeded)
+    return graphs, seeded
+
+
+# ``a <- b c.  b <- c.`` observing a, with hypotheses b, c and d: the one
+# diagnosis is {c}; t(b) is a head in no world and t(d) has no firing
+_PHCA_WITH_A_STRAY = "a <- b c\nb <- c\n#hyp\nb c d\n#obs\na\n"
+
+
+@pytest.mark.parametrize("case", ["ladder-8", "phca-stray"])
+def test_the_check_seeds_its_round_in_the_graphs_own_order(monkeypatch, case):
+    # the check's seeds are the extensional facts, the worlds' facts and
+    # the recorded heads, in the graph's order: on ladder-8 every atom of
+    # the graph, in order; on the PHCA encoding all but the hypothesis in
+    # no world with no firing, t(d), while the head t(b) stays a seed
+    if case == "ladder-8":
+        problem = _tc_problem(_LADDER, "ans(wl, wlt)")
+    else:
+        problem = encode_phca(parse_phca(_PHCA_WITH_A_STRAY))
+    graphs, seeded = _capture_check_seeds(monkeypatch)
+    solve_diagnoses.cache_clear()
+    family = solve_diagnoses(problem)
+    monkeypatch.undo()
+    [graph] = graphs
+    if case == "ladder-8":
+        assert seeded == [graph.atoms], seeded
+        return
+    assert family == (frozenset({ground("t", "c")}),)
+    fixed = len(problem.extensional)
+    kept = [a for i, a in enumerate(graph.atoms) if i < fixed or graph.rows[i] or a == ground("t", "c")]
+    assert seeded == [kept], seeded
+    assert ground("t", "b") in kept and ground("t", "d") not in kept and ground("t", "d") in graph.atoms
+
+
+def test_hypotheses_in_no_world_keep_the_family_the_oracle_gives(monkeypatch):
+    # sw_h(1) is a hypothesis in no diagnosis that the graph records as
+    # a head (sw_h(1) <- sw_b(1)), and the sw_z atoms are hypotheses in no
+    # diagnosis with no firing: the check leaves only them out of its
+    # seeds, maps the other ids past them, and passes the true family
+    program = parse_program("sw_p(X) :- sw_a(X), sw_c(X).\nsw_p(X) :- sw_d(X).\nsw_h(X) :- sw_b(X).\n")
+    extensional = frozenset({ground("sw_b", "1")})
+    strays = {ground("sw_z", str(i)) for i in range(4)}
+    hypotheses = frozenset({ground(f"sw_{p}", "1") for p in "acdh"} | strays)
+    observation = (ground("sw_p", "1"),)
+    graphs, seeded = _capture_check_seeds(monkeypatch)
+    solve_diagnoses.cache_clear()
+    problem = AbductionProblem(program, extensional, hypotheses, observation)
+    monkeypatch.undo()
+    assert _family(solve_diagnoses(problem)) == _family(oracle.diagnoses(program, extensional, hypotheses, observation))
+    [graph], [seeds] = graphs, seeded
+    assert graph.rows[graph.atoms.index(ground("sw_h", "1"))]
+    assert set(graph.atoms) - set(seeds) == strays
 
 
 def test_acyclic_provenance_forms_one_product_per_reached_firing(monkeypatch):

@@ -399,30 +399,37 @@ def test_a_cached_chain_request_keeps_a_compact_graph():
     # 500 distinct chain-8 requests, after 50 that compile and warm up
     # everything shared: what the caches keep for each, by tracemalloc
     # (not RSS), is at most 10 KiB; a cached problem holds no derivation
-    # graph, only its diagnoses and its analysis
+    # graph, only its diagnoses and its analysis.  The requests run in
+    # two windows of 250, and the lesser is read: the interpreter's table
+    # of interned strings, which every symbol enters, doubles when it
+    # fills, about 1.9 MiB at once after a long test session, and where
+    # that lands depends on what ran before; it lands in one window at
+    # most, while what the caches keep grows in both
     program = load_program("graph.dl")
 
     def request(tag: str) -> None:
         instance = parse_instance("".join(f"e({tag}n{i}, {tag}n{i + 1}).\n" for i in range(8)))
         cause_reports(instance, program, atom(f"ans({tag}n0, {tag}n8)"))
 
+    windows = []
     try:
         for i in range(50):
             request(f"mw{i}")
-        gc.collect()
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            for i in range(500):
-                request(f"mk{i}")
-            gc.collect()
-            kept = (tracemalloc.get_traced_memory()[0] - before) / 500
+            for w in range(2):
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                for i in range(250):
+                    request(f"mk{w}x{i}")
+                gc.collect()
+                windows.append((tracemalloc.get_traced_memory()[0] - before) / 250)
         finally:
             tracemalloc.stop()
     finally:
         solve_diagnoses.cache_clear()
         causality.CauseAnalysis.for_query.cache_clear()
-    assert kept <= 10 * 1024, f"{kept / 1024:.1f} KiB a request"
+    assert min(windows) <= 10 * 1024, [f"{kept / 1024:.1f} KiB a request" for kept in windows]
 
 
 def test_the_value_caches_stay_within_their_bound():

@@ -562,9 +562,13 @@ def _assert_worlds_match_naive(program: Program, worlds, shared, context) -> boo
     ordered, cyclic = evaluator.reached(graph, range(len(graph.atoms)))
     expected = [naive_fixpoint(program, set(shared) | set(world)) for world in worlds]
     for part, again in ((own, True), (ordered, cyclic)):
-        masks = propagate(
-            part, again, len(graph.atoms), [ids[a] for a in shared], [[ids[a] for a in w] for w in worlds]
-        )
+        masks = [0] * len(graph.atoms)
+        for a in shared:
+            masks[ids[a]] = -1
+        for i, world in enumerate(worlds):
+            for a in world:
+                masks[ids[a]] |= 1 << i
+        propagate(part, again, masks)
         for i in range(len(worlds)):
             assert {graph.atoms[a] for a, mask in enumerate(masks) if mask >> i & 1} == expected[i], (context, i)
     return cyclic
