@@ -239,9 +239,9 @@ def _check(
     among them), and the worlds are propagated over the ground program
     the goal reaches: an extensional fact starts in every world, a
     hypothesis in each span it lies in, but for the world that drops it.
-    A check id is the graph id unless some hypothesis in no world and
-    with no firing is left out, and then a list maps one to the other,
-    so no atom is looked up in the check's numbering.  Set j passes iff
+    One list maps graph ids to check ids, so no atom is looked up in the
+    check's numbering; a check id is the graph id unless some hypothesis
+    in no world and with no firing is left out.  Set j passes iff
     the only world of its span whose model holds the goal is its first;
     otherwise the lowest other such world names the redundant atom."""
     if not family:
@@ -253,15 +253,11 @@ def _check(
     keep[:extensional] = [True] * extensional  # ... the extensional facts ...
     for bit in positions(used):  # ... and the worlds' facts
         keep[hypotheses[bit]] = True
-    if False in keep:
-        seeds: Sequence[int] = list(compress(range(len(keep)), keep))  # in the graph's ids
-        new_id: Sequence[int] = [-1] * len(keep)  # a graph id -> its check id; -1: no seed
-        for n, atom in enumerate(seeds):
-            new_id[atom] = n  # type: ignore[index]
-        check = ground(program, map(graph.atoms.__getitem__, seeds), demand)
-    else:
-        seeds = new_id = range(len(keep))
-        check = ground(program, graph.atoms, demand)
+    seeds = list(compress(range(len(keep)), keep))  # in the graph's ids
+    new_id = [-1] * len(keep)  # a graph id -> its check id; -1: no seed
+    for n, atom in enumerate(seeds):
+        new_id[atom] = n
+    check = ground(program, map(graph.atoms.__getitem__, seeds), demand)
     if check.seeds < len(seeds):
         raise InternalInvariantError("a hypothesis is given twice")
     if len(check.atoms) > check.seeds:

@@ -1,11 +1,12 @@
 import gc
+import inspect
 import tracemalloc
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from whyd import abduction, causality, evaluator
+from whyd import abduction, causality, evaluator, model
 from whyd.abduction import AbductionProblem, necessary_hypothesis_sets, solve_diagnoses
 from whyd.causality import (
     CauseAnalysis,
@@ -399,37 +400,39 @@ def test_a_cached_chain_request_keeps_a_compact_graph():
     # 500 distinct chain-8 requests, after 50 that compile and warm up
     # everything shared: what the caches keep for each, by tracemalloc
     # (not RSS), is at most 10 KiB; a cached problem holds no derivation
-    # graph, only its diagnoses and its analysis.  The requests run in
-    # two windows of 250, and the lesser is read: the interpreter's table
-    # of interned strings, which every symbol enters, doubles when it
-    # fills, about 1.9 MiB at once after a long test session, and where
-    # that lands depends on what ran before; it lands in one window at
-    # most, while what the caches keep grows in both
+    # graph, only its diagnoses and its analysis.  Blocks allocated at
+    # the line of ``Constant`` that interns its symbol are not counted:
+    # that call only grows the interpreter's table of interned strings,
+    # which doubles when it fills (about 1.9 MiB at once after a long
+    # test session, in a window or not depending on what ran before),
+    # while the strings themselves are allocated where they are parsed
     program = load_program("graph.dl")
+    source, first = inspect.getsourcelines(model.Constant.__init__)
+    [line] = [first + i for i, text in enumerate(source) if "sys.intern(" in text]
+    interning = (tracemalloc.Filter(False, model.__file__, line),)
 
     def request(tag: str) -> None:
         instance = parse_instance("".join(f"e({tag}n{i}, {tag}n{i + 1}).\n" for i in range(8)))
         cause_reports(instance, program, atom(f"ans({tag}n0, {tag}n8)"))
 
-    windows = []
     try:
         for i in range(50):
             request(f"mw{i}")
         tracemalloc.start()
         try:
-            for w in range(2):
-                gc.collect()
-                before = tracemalloc.get_traced_memory()[0]
-                for i in range(250):
-                    request(f"mk{w}x{i}")
-                gc.collect()
-                windows.append((tracemalloc.get_traced_memory()[0] - before) / 250)
+            gc.collect()
+            before = tracemalloc.take_snapshot().filter_traces(interning)
+            for i in range(500):
+                request(f"mk{i}")
+            gc.collect()
+            after = tracemalloc.take_snapshot().filter_traces(interning)
         finally:
             tracemalloc.stop()
     finally:
         solve_diagnoses.cache_clear()
         causality.CauseAnalysis.for_query.cache_clear()
-    assert min(windows) <= 10 * 1024, [f"{kept / 1024:.1f} KiB a request" for kept in windows]
+    kept = sum(stat.size_diff for stat in after.compare_to(before, "filename")) / 500
+    assert kept <= 10 * 1024, f"{kept / 1024:.1f} KiB a request"
 
 
 def test_the_value_caches_stay_within_their_bound():
