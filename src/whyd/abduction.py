@@ -34,17 +34,17 @@ The worlds are bits, each set's own and its drops' in one span, so a
 fact starts with the spans it lies in and a set is read off its span.
 Hypotheses are plain
 tuples, so a problem is a plain value, solved when it is built: equal
-problems share one cached family and one cached hitting-set search of
-it (``_necessary_masks``), whatever labels their callers give the tuples.
-Every deletion notion of ``viewupdate`` and ``vc`` reads that search of
-its answer's problem.
+problems share one cached family, whatever labels their callers give
+the tuples, and the one hitting-set search the family keeps
+(``Family.deletions``), which every deletion notion of ``causality``,
+``viewupdate`` and ``vc`` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
@@ -195,6 +195,13 @@ class Family(tuple):
     masks: tuple[int, ...]
     atoms: tuple[GroundAtom, ...]
 
+    @cached_property
+    def deletions(self) -> tuple[int, ...]:
+        """The minimal hitting sets of the masks, in canonical order: the
+        minimal sets whose removal kills every set of the family.  One
+        search, run on the first read and kept with the family."""
+        return tuple(minimal_hitting_sets(self.masks))
+
 
 def _family(masks: Iterable[int], atoms: tuple[GroundAtom, ...]) -> Family:
     """The family of the masks over ``atoms``, decoded in the order given."""
@@ -344,20 +351,13 @@ def necessary_hypotheses(problem: AbductionProblem) -> frozenset[GroundAtom]:
     return decode(common, solutions.atoms)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _necessary_masks(problem: AbductionProblem) -> tuple[int, ...]:
-    """``necessary_hypothesis_sets`` as masks over the problem's
-    ``solve_diagnoses`` atoms: its one hitting-set search, cached by
-    problem value (the ``model.CACHE_SIZE`` problems used last)."""
-    return tuple(minimal_hitting_sets(solve_diagnoses(problem).masks))
-
-
 def necessary_hypothesis_sets(problem: AbductionProblem) -> Family:
     """Subset-minimal sets of hypotheses whose removal leaves the
     observation unexplainable, in canonical order, with their bitmasks.
     Removing N kills every diagnosis exactly when N hits every diagnosis,
     so these are the minimal hitting sets of the diagnosis family."""
-    return _family(_necessary_masks(problem), solve_diagnoses(problem).atoms)
+    solutions = solve_diagnoses(problem)
+    return _family(solutions.deletions, solutions.atoms)
 
 
 def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fraction:
@@ -367,11 +367,12 @@ def necessity_degree(problem: AbductionProblem, hypothesis: GroundAtom) -> Fract
     decoded."""
     if hypothesis not in problem.hypotheses:
         raise UnknownHypothesisError(f"{hypothesis} is not a hypothesis of this problem")
+    solutions = solve_diagnoses(problem)
     try:
-        bit = 1 << solve_diagnoses(problem).atoms.index(hypothesis)
+        bit = 1 << solutions.atoms.index(hypothesis)
     except ValueError:  # in no diagnosis, so in no minimal hitting set
         return Fraction(0)
-    for n in _necessary_masks(problem):
+    for n in solutions.deletions:
         if n & bit:
             return Fraction(1, n.bit_count())
     return Fraction(0)

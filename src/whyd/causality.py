@@ -16,13 +16,14 @@ atoms are decoded only for what is returned:
   * Gamma is a minimal contingency set for a cause t exactly when Gamma
     with t is a minimal deletion that drops the answer, a minimal
     hitting set of the diagnoses, so t's family is read off the
-    answer's one cached search (``abduction._necessary_masks``);
+    answer's minimal deletions, one search kept with its diagnosis
+    family (``abduction.Family.deletions``);
   * the responsibility of a cause is 1/(1 + size of its smallest set).
 
-View-conditioned causes (``vc``) read their families alike off the
-answer's minimal deletions that keep the rest of the view, from the
-same cached search; causes under constraints (``constraints``) run a
-search per cause.  All share ``CauseAnalysis``.
+View-conditioned causes (``vc``) are a ``CauseAnalysis`` whose families
+are read alike off those of the answer's minimal deletions that keep
+the rest of the view; causes under constraints (``constraints``) are
+one whose families come from a search per cause.
 
 The plain analysis of one request is cached by value
 (``CauseAnalysis.for_query``), keyed by the instance's endogenous and
@@ -41,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from .abduction import AbductionProblem, _necessary_masks, solve_diagnoses
+from .abduction import AbductionProblem, Family, solve_diagnoses
 from .errors import (
     NotACauseError,
     NotAnAnswerError,
@@ -67,38 +68,39 @@ class CauseReport:
         return self.responsibility == 1
 
 
-def _read_off(deletions: Iterable[int], tau: int) -> list[int]:
-    """The minimal contingency sets of the cause with bit tau, as masks:
-    the minimal deletions that hold tau, each without tau.  Taking one
-    bit out of each keeps their order, so deletions in canonical order
-    give the family in canonical order."""
-    return [n ^ tau for n in deletions if n & tau]
-
-
 class CauseAnalysis:
-    """The causes of one answer: its support sets (``masks``) and
-    ``family(tau)``, the minimal contingency sets of the candidate cause
-    with bit tau in canonical order.  Both are bitmasks over ``atoms``,
-    numbered as ``model.bit_order`` does; a set is decoded only to be
-    returned.  A candidate cause whose family comes out empty is no
-    cause.  ``for_query`` gives the plain analysis of a request, with
-    ``problem``, its causal abduction problem."""
+    """The causes of one answer, read off its diagnosis family
+    (``solutions``): its support sets (``masks``) and the minimal
+    contingency sets of the candidate cause with bit tau in canonical
+    order (``_family``).  Both are bitmasks over ``atoms``, numbered as
+    ``model.bit_order`` does; a set is decoded only to be returned.  A
+    candidate cause whose family comes out empty is no cause.
+    ``for_query`` gives the plain analysis of a request; a subclass reads
+    the families off other deletions or searches for them, and builds
+    its own ``report`` type."""
 
-    problem: AbductionProblem
+    report = CauseReport
 
-    def __init__(
-        self,
-        answer: GroundAtom,
-        masks: Sequence[int],
-        atoms: tuple[GroundAtom, ...],
-        hypotheses: frozenset[GroundAtom],
-        family: Callable[[int], Sequence[int]],
-    ):
+    def __init__(self, answer: GroundAtom, solutions: Family, hypotheses: frozenset[GroundAtom]):
         self.answer = answer
-        self.masks = masks
-        self.atoms = atoms
+        self.solutions = solutions
+        self.masks = solutions.masks
+        self.atoms = solutions.atoms
         self.hypotheses = hypotheses
-        self.family = family
+
+    @cached_property
+    def deletions(self) -> Sequence[int]:
+        """The minimal deletions the families are read off, masks in
+        canonical order: by default the answer's, its family's one
+        search."""
+        return self.solutions.deletions
+
+    def _family(self, tau: int) -> list[int]:
+        """The minimal contingency sets of the cause with bit tau, as masks:
+        the minimal deletions that hold tau, each without tau.  Taking one
+        bit out of each keeps their order, so deletions in canonical order
+        give the family in canonical order."""
+        return [n ^ tau for n in self.deletions if n & tau]
 
     @staticmethod
     def for_query(instance: Instance, program: Program, answer: GroundAtom) -> "CauseAnalysis":
@@ -131,7 +133,7 @@ class CauseAnalysis:
         """The family of the cause with the bit, decoded once per distinct
         family: ``decoded`` maps the families already decoded, by their
         masks, to their sets."""
-        masks = tuple(self.family(bit))
+        masks = tuple(self._family(bit))
         family = decoded.get(masks)
         if family is None:
             family = decoded[masks] = tuple([decode(gamma, self.atoms) for gamma in masks])
@@ -152,7 +154,7 @@ class CauseAnalysis:
         bit = self._bit(tau)
         if not bit & self._union:
             return Fraction(0)
-        family = self.family(bit)
+        family = self._family(bit)
         return Fraction(1, 1 + family[0].bit_count()) if family else Fraction(0)
 
     def reports(self) -> tuple[CauseReport, ...]:
@@ -168,7 +170,7 @@ class CauseAnalysis:
                 size = len(family[0])
                 if size not in rho:
                     rho[size] = Fraction(1, 1 + size)
-                out.append(CauseReport(self.atoms[i], family, rho[size]))
+                out.append(self.report(self.atoms[i], family, rho[size]))
         return tuple(out)
 
 
@@ -187,21 +189,7 @@ def _analysis(
         problem = AbductionProblem(program, exogenous, endogenous, (answer,))
     except ObservationNotEntailableError:
         raise NotAnAnswerError(f"{answer} is not an answer on this instance") from None
-    solutions = solve_diagnoses(problem)
-
-    deletions: tuple[int, ...] | None = None
-
-    def family(tau: int) -> list[int]:
-        # the deletions are searched for on the first family asked for,
-        # and looked up once per analysis
-        nonlocal deletions
-        if deletions is None:
-            deletions = _necessary_masks(problem)
-        return _read_off(deletions, tau)
-
-    analysis = CauseAnalysis(answer, solutions.masks, solutions.atoms, problem.hypotheses, family)
-    analysis.problem = problem
-    return analysis
+    return CauseAnalysis(answer, solve_diagnoses(problem), endogenous)
 
 
 CauseAnalysis.for_query.cache_info = _analysis.cache_info  # type: ignore[attr-defined]
@@ -249,7 +237,7 @@ def most_responsible_causes(instance: Instance, program: Program, answer: Ground
     least-size minimal deletions, which come first in the answer's search."""
     analysis = CauseAnalysis.for_query(instance, program, answer)
     union = 0
-    for removed in least_masks(_necessary_masks(analysis.problem)):
+    for removed in least_masks(analysis.deletions):
         union |= removed
     return decode(union, analysis.atoms)
 

@@ -28,7 +28,7 @@ from .errors import (
     SchemaMismatchError,
     WhydError,
 )
-from .abduction import _necessary_masks
+from .abduction import Family
 from .causality import CauseAnalysis, CauseReport
 from .evaluator import Relation, _matches, _plan, _Plan, _seed
 from .hitting import minimal_sets
@@ -286,36 +286,44 @@ class ConstrainedCauseReport(CauseReport):
         return self.responsibility
 
 
-def _analysis(instance: Instance, program: Program, answer: GroundAtom, sigma: Sigma) -> CauseAnalysis:
+class _ConstrainedAnalysis(CauseAnalysis):
     """The answer's diagnoses, each cause's family from a search of its
     own: deleting Gamma keeps the answer, deleting the cause too drops
     it, and neither deletion leaves a tgd body match without a head
     witness, which only deleting a tuple of the match cures, so its
     endogenous tuples other than the cause are the conflict.  The
-    minimal deletions cannot express a test of Gamma alone.
+    minimal deletions cannot express a test of Gamma alone, so no family
+    is read off them.
 
     A deleted set holds diagnosis tuples and endogenous match tuples
-    only, so those are numbered (``model.bit_order``); a match with a
-    witness that holds none of them never loses that witness, so it is
-    dropped."""
-    matches = _checked_scan(instance, sigma)
-    plain = CauseAnalysis.for_query(instance, program, answer)
-    atoms, masks = plain.atoms, plain.masks
-    extra = {a for match, _ in matches for a in match} & instance.endogenous
-    if not extra.issubset(atoms):
-        atoms = bit_order(extra.union(atoms))
-    bits = atom_bits(atoms)
-    if atoms is not plain.atoms:
-        masks = [sum(bits[a] for a in decode(delta, plain.atoms)) for delta in masks]
-    kept = []
-    for match, witnesses in matches:
-        held = [sum(bits.get(a, 0) for a in w) for w in witnesses]
-        if all(held):
-            kept.append((sum(bits.get(a, 0) for a in match), held))
+    only, so those are numbered (``model.bit_order``), the diagnoses
+    renumbered over them if there are more; a match with a witness that
+    holds none of them never loses that witness, so it is dropped."""
 
-    def family(tau: int) -> list[int]:
-        through = [delta for delta in masks if delta & tau]
-        avoiding = sorted((delta for delta in masks if not delta & tau), key=int.bit_count)
+    report = ConstrainedCauseReport
+
+    def __init__(self, instance: Instance, program: Program, answer: GroundAtom, sigma: Sigma):
+        matches = _checked_scan(instance, sigma)
+        plain = CauseAnalysis.for_query(instance, program, answer)
+        solutions = plain.solutions
+        extra = {a for match, _ in matches for a in match} & instance.endogenous
+        if not extra.issubset(solutions.atoms):
+            atoms = bit_order(extra.union(solutions.atoms))
+            bits = atom_bits(atoms)
+            solutions = Family(solutions)  # the same sets, over the new numbering
+            solutions.masks = tuple([sum(bits[a] for a in delta) for delta in solutions])
+            solutions.atoms = atoms
+        super().__init__(answer, solutions, plain.hypotheses)
+        bits = atom_bits(self.atoms)
+        self.kept = []  # the kept matches, with their witnesses, as masks
+        for match, witnesses in matches:
+            held = [sum(bits.get(a, 0) for a in w) for w in witnesses]
+            if all(held):
+                self.kept.append((sum(bits.get(a, 0) for a in match), held))
+
+    def _family(self, tau: int) -> list[int]:
+        through = [delta for delta in self.masks if delta & tau]
+        avoiding = sorted((delta for delta in self.masks if not delta & tau), key=int.bit_count)
 
         def conflict(gamma: int) -> int | None:
             for delta in through:
@@ -327,14 +335,12 @@ def _analysis(instance: Instance, program: Program, answer: GroundAtom, sigma: S
                 if not delta & gamma:
                     return delta
             for removed in (gamma, gamma | tau):
-                match = _unwitnessed(kept, removed)
+                match = _unwitnessed(self.kept, removed)
                 if match is not None:
                     return match & ~tau
             return None
 
         return minimal_sets(conflict)
-
-    return CauseAnalysis(answer, masks, atoms, plain.hypotheses, family)
 
 
 def causes_under_ics(
@@ -342,8 +348,7 @@ def causes_under_ics(
 ) -> tuple[ConstrainedCauseReport, ...]:
     """Actual causes whose contingency sets keep the constraints satisfied
     both before and after the cause itself is removed."""
-    reports = _analysis(instance, program, answer, sigma).reports()
-    return tuple(ConstrainedCauseReport(r.cause, r.minimal_contingency_sets, r.responsibility) for r in reports)
+    return _ConstrainedAnalysis(instance, program, answer, sigma).reports()  # type: ignore[return-value]
 
 
 def responsibility_under_ics(
@@ -351,7 +356,7 @@ def responsibility_under_ics(
 ) -> Fraction:
     if tau not in instance.endogenous:
         raise NotEndogenousError(f"{tau} is not an endogenous tuple")
-    return _analysis(instance, program, answer, sigma).responsibility(tau)
+    return _ConstrainedAnalysis(instance, program, answer, sigma).responsibility(tau)
 
 
 def maximal_admissible_subinstances(
@@ -365,7 +370,7 @@ def maximal_admissible_subinstances(
     own."""
     matches = _checked_scan(instance, sigma)
     analysis = CauseAnalysis.for_query(instance.all_endogenous(), program, answer)
-    deletions = [decode(removed, analysis.atoms) for removed in _necessary_masks(analysis.problem)]
+    deletions = [decode(removed, analysis.atoms) for removed in analysis.deletions]
     admissible = [instance.without(removed) for removed in deletions if _unwitnessed(matches, removed) is None]
     admissible.sort(key=lambda inst: tuple(sorted(a.sort_key() for a in inst.atoms)))
     return tuple(admissible)

@@ -31,9 +31,9 @@ def _printed_predicate(predicate: str) -> str:
 
 
 # the entries each value-keyed cache of whyd keeps: the CLI's parsed
-# inputs, the diagnoses and necessary-hypothesis sets of abduction
-# problems, and the analyses of cause requests; the least recently used
-# entry goes first
+# inputs, the diagnoses of abduction problems (each family with its
+# minimal deletions), and the analyses of cause requests; the least
+# recently used entry goes first
 CACHE_SIZE = 1024
 
 _set = object.__setattr__

@@ -6,20 +6,20 @@ is removed, (ii) lose it afterwards, and (iii) leave the rest of the
 view untouched afterwards.  (iii) tests only the set with the cause and
 only gets harder to meet as it grows, so Gamma is a minimal contingency
 set for t exactly when Gamma with t is a minimal view-side-effect-free
-deletion over the endogenous tuples (``viewupdate``), and the families
-are read off those deletions (``causality._read_off``).  Those are the
-answer's minimal deletions, from the plain analysis's one cached search,
-whose residual views keep every protected answer, so a view-conditioned
-request after a plain one of the same answer searches nothing again.
+deletion over the endogenous tuples (``viewupdate``): the analysis is a
+``causality.CauseAnalysis`` whose families are read off those deletions.
+They are the answer's minimal deletions, the one search kept with its
+diagnosis family, whose residual views keep every protected answer, so
+a view-conditioned request after a plain one of the same answer
+searches nothing again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
-from .causality import CauseAnalysis, CauseReport, _read_off
+from .causality import CauseAnalysis, CauseReport
 from .constraints import Constraint
 from .errors import NotAnAnswerError, NotConjunctiveError, NotEndogenousError
 from .evaluator import answers as evaluate_answers
@@ -43,14 +43,18 @@ class VcCauseReport(CauseReport):
         return self.is_counterfactual()
 
 
-def _analysis(
-    instance: Instance, program: Program, answer: GroundAtom, protected: frozenset[GroundAtom] | None
-) -> CauseAnalysis:
+class _VcAnalysis(CauseAnalysis):
     """The answer's diagnoses, with the families read off its
     view-side-effect-free deletions over the endogenous tuples, those
     that keep every protected answer."""
-    plain, deletions, _ = _view_safe(instance, program, answer, protected)
-    return CauseAnalysis(answer, plain.masks, plain.atoms, plain.hypotheses, partial(_read_off, deletions))
+
+    report = VcCauseReport
+
+    def __init__(
+        self, instance: Instance, program: Program, answer: GroundAtom, protected: frozenset[GroundAtom] | None
+    ):
+        plain, self.deletions, _ = _view_safe(instance, program, answer, protected)
+        super().__init__(answer, plain.solutions, plain.hypotheses)
 
 
 def vc_causes(
@@ -62,14 +66,14 @@ def vc_causes(
     """All view-conditioned causes with their minimal contingency families
     and responsibilities.  ``protected`` defaults to every other answer;
     passing a smaller set relaxes the condition accordingly."""
-    reports = _analysis(instance, program, answer, protected).reports()
-    return tuple(VcCauseReport(r.cause, r.minimal_contingency_sets, r.responsibility) for r in reports)
+    return _VcAnalysis(instance, program, answer, protected).reports()  # type: ignore[return-value]
 
 
 def vc_cause_exists(instance: Instance, program: Program, answer: GroundAtom) -> bool:
     """Equivalent to the view-side-effect-free deletion problem having a
-    solution over the endogenous tuples."""
-    return bool(vc_causes(instance, program, answer))
+    solution over the endogenous tuples, so decided by those solutions
+    with no report built."""
+    return bool(_view_safe(instance, program, answer)[1])
 
 
 def vc_responsibility(
@@ -77,7 +81,7 @@ def vc_responsibility(
 ) -> Fraction:
     if tau not in instance.endogenous:
         raise NotEndogenousError(f"{tau} is not an endogenous tuple")
-    return _analysis(instance, program, answer, None).responsibility(tau)
+    return _VcAnalysis(instance, program, answer, None).responsibility(tau)
 
 
 def encode_vc_as_tgd(

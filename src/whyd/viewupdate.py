@@ -5,14 +5,14 @@ reading; ``endogenous_only=True`` restricts deletions to the endogenous
 partition.  A deletion drops the answer exactly when it hits every
 diagnosis of the answer's causal abduction problem, so the minimal
 source-side-effect solutions are the minimal hitting sets of the
-diagnoses, the problem's one cached search
-(``abduction._necessary_masks``), the same one the answer's
-causes and contingency sets are read off.  The view-side-effect-free
-solutions, and the view-conditioned causes read off them (``vc``), are
-those of the answer's minimal deletions whose residual view still holds
-every protected answer (``_view_safe``): losing the target is
-upward-closed and keeping the other answers downward-closed, so the
-filter is exact.  Every world tested here (the instance without a
+diagnoses, the answer's minimal deletions: one search, kept with its
+diagnosis family (``CauseAnalysis.deletions``), the same one the
+answer's causes and contingency sets are read off.  The
+view-side-effect-free solutions, and the view-conditioned causes read
+off them (``vc``), are those of the answer's minimal deletions whose
+residual view still holds every protected answer (``_view_safe``):
+losing the target is upward-closed and keeping the other answers
+downward-closed, so the filter is exact.  Every world tested here (the instance without a
 deletion, a candidate subinstance, that subinstance with one tuple put
 back) lies inside the model of the whole instance, so all of them come
 from one fixpoint of the instance and one propagation over the part of
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .abduction import _necessary_masks
 from .causality import CauseAnalysis
 from .errors import NotAnAnswerError, NotSubinstanceError, WhydError
 from .evaluator import evaluate_fixpoint, propagate, reached
@@ -116,7 +115,7 @@ def minimal_source_solutions(
     hitting sets of its diagnoses, in canonical order."""
     working = _working_instance(instance, endogenous_only)
     analysis = CauseAnalysis.for_query(working, program, answer)
-    return _solutions(program, working, analysis.atoms, _necessary_masks(analysis.problem), "minimal_source")
+    return _solutions(program, working, analysis.atoms, analysis.deletions, "minimal_source")
 
 
 def minimum_source_solutions(
@@ -131,7 +130,7 @@ def minimum_source_solutions(
     views; their size is 1 over the best responsibility among the causes."""
     working = _working_instance(instance, endogenous_only)
     analysis = CauseAnalysis.for_query(working, program, answer)
-    least = least_masks(_necessary_masks(analysis.problem))
+    least = least_masks(analysis.deletions)
     return _solutions(program, working, analysis.atoms, least, "minimum_source")
 
 
@@ -164,7 +163,7 @@ def check_source_solution(
     if mode == "s":
         return held >> 1 == (1 << len(removed)) - 1
     analysis = CauseAnalysis.for_query(instance.all_endogenous(), program, answer)
-    least = least_masks(_necessary_masks(analysis.problem))
+    least = least_masks(analysis.deletions)
     return bool(least) and len(removed) == least[0].bit_count()
 
 
@@ -180,7 +179,7 @@ def _view_safe(
     deletions.  With none, the view is needed only to check an explicit
     protected set; left uncomputed, it is empty."""
     analysis = CauseAnalysis.for_query(working, program, answer)
-    deletions = _necessary_masks(analysis.problem)
+    deletions = analysis.deletions
     if not deletions and protected is None:
         return analysis, [], frozenset()
     views = _residual_views(program, working, analysis.atoms, deletions)

@@ -28,6 +28,7 @@ from whyd.errors import (
     ObservationNotEntailableError,
     UnknownHypothesisError,
 )
+from whyd.hitting import minimal_hitting_sets
 from whyd.model import GroundAtom, Instance, Program, Rule, ground
 from whyd.parsing import parse_ground_atom, parse_instance, parse_program
 from whyd.phca import encode_phca, parse_phca
@@ -219,6 +220,23 @@ def test_necessary_sets_match_oracle_on_random_problems():
             assert necessity_degree(problem, h) == oracle.necessity_degree(
                 boolean, case.instance.exogenous, case.instance.endogenous, [goal], h
             ), case
+
+
+def test_a_family_keeps_its_minimal_deletions():
+    # the minimal deletions are one search kept with the diagnosis family:
+    # every read gives the same object, the minimal hitting sets of the
+    # masks; a plain cause analysis reads its answer's family's
+    for seed in range(40):
+        case = corpus.generate_case(seed, max_endogenous=6)
+        boolean, goal = specialize_to_answer(case.program, case.answer)
+        problem = AbductionProblem(boolean, case.instance.exogenous, case.instance.endogenous, (goal,))
+        family = solve_diagnoses(problem)
+        deletions = family.deletions
+        assert deletions == tuple(minimal_hitting_sets(family.masks)), case
+        assert family.deletions is deletions and solve_diagnoses(problem).deletions is deletions, case
+        analysis = CauseAnalysis.for_query(case.instance, case.program, case.answer)
+        assert analysis.deletions is analysis.solutions.deletions, case
+        assert analysis.deletions == tuple(minimal_hitting_sets(analysis.masks)), case
 
 
 def test_diagnosis_minimality_membership_proof():
@@ -817,10 +835,11 @@ def test_necessity_degrees_of_a_ladder_take_one_search(monkeypatch):
     second = parse_instance("".join(f"b{i}: {e}.\n" for i, e in enumerate(reversed(_LADDER))))
     assert first == second
     target = parse_ground_atom("ans(wl, wlt)")
+    solve_diagnoses.cache_clear()
     CauseAnalysis.for_query.cache_clear()
     deletions = []
     for instance, prefix in ((first, "a"), (second, "b")):
-        problem = CauseAnalysis.for_query(instance, _TC, target).problem
+        problem = AbductionProblem(_TC, instance.exogenous, instance.endogenous, (target,))
         degrees = {h: necessity_degree(problem, h) for h in instance.endogenous}
         assert len(degrees) == 16 and set(degrees.values()) == {Fraction(1, 8)}
         solutions = minimal_source_solutions(instance, _TC, target)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from whyd import abduction, causality, evaluator, model
+from whyd import causality, evaluator, model
 from whyd.abduction import AbductionProblem, necessary_hypothesis_sets, solve_diagnoses
 from whyd.causality import (
     CauseAnalysis,
@@ -271,7 +271,7 @@ _LADDER_6 = "".join(f"e(l, l{j}).\ne(l{j}, lt).\n" for j in range(6))
 
 
 def _clear_caches() -> None:
-    for cache in (solve_diagnoses, abduction._necessary_masks, CauseAnalysis.for_query):
+    for cache in (solve_diagnoses, CauseAnalysis.for_query):
         cache.cache_clear()
 
 
@@ -435,17 +435,18 @@ def test_a_cached_chain_request_keeps_a_compact_graph():
     assert kept <= 10 * 1024, f"{kept / 1024:.1f} KiB a request"
 
 
-def test_the_value_caches_stay_within_their_bound():
+def test_the_value_caches_stay_within_their_bound(monkeypatch):
     # more distinct two-edge requests than the bound: no cache keeps more
     # than CACHE_SIZE entries, and the first request, pushed out of every
-    # cache, gives its report again
+    # cache, gives its report again; its minimal deletions left the cache
+    # with its diagnosis family, so they are searched for once more
     program = load_program("graph.dl")
-    caches = (solve_diagnoses, abduction._necessary_masks, causality.CauseAnalysis.for_query)
+    caches = (solve_diagnoses, causality.CauseAnalysis.for_query)
 
     def request(tag: str) -> tuple:
         instance = parse_instance(f"e({tag}a, {tag}b).\ne({tag}b, {tag}c).\n")
         target = atom(f"ans({tag}a, {tag}c)")
-        necessary_hypothesis_sets(causality.CauseAnalysis.for_query(instance, program, target).problem)
+        necessary_hypothesis_sets(AbductionProblem(program, instance.exogenous, instance.endogenous, (target,)))
         return cause_reports(instance, program, target)
 
     try:
@@ -453,10 +454,12 @@ def test_the_value_caches_stay_within_their_bound():
         assert len(first) == 2
         for i in range(CACHE_SIZE + 8):
             request(f"cb{i}y")
-        assert [cache.cache_info().currsize for cache in caches] == [CACHE_SIZE] * 3
+        assert [cache.cache_info().currsize for cache in caches] == [CACHE_SIZE] * 2
         misses = solve_diagnoses.cache_info().misses
+        searches = count_searches(monkeypatch, "hitting")
         assert request("cb0x") == first
         assert solve_diagnoses.cache_info().misses == misses + 1
+        assert len(searches) == 1
     finally:
         for cache in caches:
             cache.cache_clear()

@@ -6,6 +6,7 @@ import pytest
 
 from whyd.causality import cause_reports, causes, responsibility
 from whyd.constraints import (
+    ConstrainedCauseReport,
     Constraint,
     KeyConstraint,
     causes_under_ics,
@@ -184,6 +185,20 @@ def test_dept_q1_causes_under_psi():
     assert reports["t8"].responsibility_under_ics == Fraction(1, 3)
     assert set(reports["t4"].minimal_contingency_sets) == {frozenset({t8, t1})}
     assert set(reports["t8"].minimal_contingency_sets) == {frozenset({t4, t1})}
+
+
+def test_causes_under_ics_are_constrained_reports():
+    # the analysis under the constraints builds its own report type
+    program, instance = load_program("dept_q1.dl"), load_instance("dept.facts")
+    reports = causes_under_ics(instance, program, atom("ans(john)"), load_constraints("dept.ics"))
+    assert len(reports) == 2 and all(type(r) is ConstrainedCauseReport for r in reports)
+    found = 0
+    for seed in range(20):
+        case, sigma = corpus.generate_sigma_case(seed)
+        reports = causes_under_ics(case.instance, case.program, case.answer, sigma)
+        assert all(type(r) is ConstrainedCauseReport for r in reports), case
+        found += len(reports)
+    assert found
 
 
 def test_dept_q1_t1_is_not_a_cause_under_psi():

@@ -365,7 +365,7 @@ def test_retained_memory_stays_flat_past_the_cache_bound():
         instance = parse_instance(f"e(m{i}a, m{i}b).\ne(m{i}a, m{i}c).\n")
         cause_reports(instance, program, atom(f"ans(m{i}a, m{i}b)"))
 
-    caches = (solve_diagnoses, abduction._necessary_masks, causality.CauseAnalysis.for_query)
+    caches = (solve_diagnoses, causality.CauseAnalysis.for_query)
     held = []
     try:
         for i in range(CACHE_SIZE):
@@ -379,7 +379,7 @@ def test_retained_memory_stays_flat_past_the_cache_bound():
                     held.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        assert [cache.cache_info().currsize for cache in caches] == [CACHE_SIZE] * 3
+        assert [cache.cache_info().currsize for cache in caches] == [CACHE_SIZE] * 2
     finally:
         for cache in caches:
             cache.cache_clear()

@@ -10,6 +10,7 @@ from whyd.errors import InternalInvariantError, NotAnAnswerError, NotConjunctive
 from whyd.model import GroundAtom, Instance, ground
 from whyd.parsing import parse_program
 from whyd.vc import (
+    VcCauseReport,
     encode_vc_as_tgd,
     vc_cause_exists,
     vc_causes,
@@ -61,6 +62,38 @@ def test_access_g0_vc_responsibility_drops_to_one_half():
     }
     assert not report.is_vcc_cause()
     assert vc_responsibility(instance, program, atom("access(joe, f1)"), ground("group_user", "joe", "g1")) == Fraction(1, 2)
+
+
+def test_vc_causes_are_vc_reports():
+    # the view-conditioned analysis builds its own report type
+    program, instance = load_program("access.dl"), load_instance("access.facts")
+    found = 0
+    for answer in sorted(evaluator.answers(program, instance), key=GroundAtom.sort_key):
+        reports = vc_causes(instance, program, answer)
+        assert all(type(r) is VcCauseReport for r in reports), answer
+        found += len(reports)
+    assert found
+
+
+def test_vc_cause_exists_builds_no_report(monkeypatch):
+    # existence is decided by the view-safe deletions, and agrees with
+    # vc_causes and with the endogenous side-effect-free solutions, on
+    # answers with and without a cause
+    program = load_program("access.dl")
+    cases = []
+    for fixture in ("access.facts", "access_g0.facts"):
+        instance = load_instance(fixture)
+        for answer in sorted(evaluator.answers(program, instance), key=GroundAtom.sort_key):
+            cases.append((instance, answer, bool(vc_causes(instance, program, answer))))
+    assert {exists for *_, exists in cases} == {True, False}
+
+    def refuse(self):
+        raise AssertionError("a report was built")
+
+    monkeypatch.setattr(CauseAnalysis, "reports", refuse)
+    for instance, answer, exists in cases:
+        assert vc_cause_exists(instance, program, answer) == exists, answer
+        assert bool(vsef_solutions(instance, program, answer, endogenous_only=True)) == exists, answer
 
 
 def test_vc_causes_take_one_search(monkeypatch):
@@ -244,7 +277,6 @@ def _clear_caches():
     """Forget every solve, analysis and search, so the next request runs
     them all."""
     abduction.solve_diagnoses.cache_clear()
-    abduction._necessary_masks.cache_clear()
     CauseAnalysis.for_query.cache_clear()
 
 
