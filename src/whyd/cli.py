@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, *, program=True, data=True, target=False, tuple_=False, ics=False, help=""):
+    def add(name: str, *, program=True, data=True, target=False, tuple_=False, ics=None, help=""):
         p = sub.add_parser(name, help=help)
         if program:
             p.add_argument("-p", "--program", required=True, help="program file")
@@ -119,15 +119,15 @@ def _build_parser() -> _Parser:
             p.add_argument("-t", "--target", required=True, help="ground answer atom, e.g. 'ans(john, xml)'")
         if tuple_:
             p.add_argument("--tuple", required=True, help="ground database tuple under scrutiny")
-        if ics:
-            p.add_argument("-c", "--constraints", help="constraint file")
+        if ics is not None:  # "optional" or "required"
+            p.add_argument("-c", "--constraints", required=ics == "required", help="constraint file")
         p.add_argument("--pretty", action="store_true", help="human-readable summary instead of JSON")
         return p
 
     add("eval", help="answers of the query on the instance")
-    p = add("causes", target=True, ics=True, help="actual causes with contingency sets and responsibilities")
+    p = add("causes", target=True, ics="optional", help="actual causes with contingency sets and responsibilities")
     p.add_argument("--max-contingency-sets", type=_count, default=None, help="cap reported families (sets a truncation flag)")
-    p = add("responsibility", target=True, tuple_=True, ics=True, help="exact responsibility of one tuple")
+    p = add("responsibility", target=True, tuple_=True, ics="optional", help="exact responsibility of one tuple")
     p = add("mrc", target=True, help="most responsible causes")
     p = add("vc-causes", target=True, help="view-conditioned causes")
     p.add_argument("--max-contingency-sets", type=_count, default=None, help="cap reported families (sets a truncation flag)")
@@ -136,7 +136,7 @@ def _build_parser() -> _Parser:
     p = add("delprop", target=True, help="delete-propagation solutions")
     p.add_argument("--mode", choices=sorted(_DELPROP_MODES), required=True)
     p.add_argument("--endogenous-only", action="store_true", help="only delete endogenous tuples")
-    p = add("check-ics", program=False, ics=True, help="check the instance against the constraints")
+    p = add("check-ics", program=False, ics="required", help="check the instance against the constraints")
     p = sub.add_parser("encode-phca", help="encode a propositional Horn abduction problem and solve it")
     p.add_argument("-i", "--input", required=True, help="PHCA file ('a <- b c' lines, #hyp / #obs sections)")
     p.add_argument("--pretty", action="store_true")
@@ -317,8 +317,6 @@ def _delprop(args, sources: dict[str, bytes]) -> dict[str, Any]:
 
 
 def _check_ics(args, sources: dict[str, bytes]) -> dict[str, Any]:
-    if not args.constraints:
-        raise _UsageError("check-ics needs -c/--constraints")
     data_input = _read(sources, "data", args.data)
     constraints_input = _read(sources, "constraints", args.constraints)
     result = constraints.satisfies(_parsed(data_input).instance, _parsed(constraints_input))

@@ -41,21 +41,22 @@ tgd's body joined with its head is compiled once, on first use, into a
 plan (``_plan``): the conjunction's shape and its constants.  Every
 variable of a plan is bound by one of its atoms (``Program`` rejects an
 unsafe rule, and a constraint's comparison is an egd's, over its body).
-One planner (``_order``) fixes a shape's steps: the delta atom first,
-then greedily the atom with the most bound positions.  The first step
-scans; every later one probes a hash index of its relation on its
-bound positions (``Relation``), fetched once before the loops.  What a
-fact must still satisfy is checked as soon as it can be: a scan's
-arity, and as ``is`` tests on interned symbols the constants a scan
-has not filtered, the positions a repeated variable must agree on and
-the comparisons.  Each variable is read where the fact that binds it
-holds it: no binding is ever built.  A rule join builds each head's
-key, builds and numbers the head only if the key is new, and records
-its firing; a constraint join yields each match as atoms.
+A shape is planned once, into the one plan form both executors read
+(``_steps``): the delta atom first, then greedily the atom with the
+most bound positions.  The first step scans; every later one probes a
+hash index of its relation on its bound positions (``Relation``),
+fetched once before the loops.  What a fact must still satisfy is
+checked as soon as it can be: a scan's arity, and as ``is`` tests on
+interned symbols the constants a scan has not filtered, the positions
+a repeated variable must agree on and the comparisons.  Each variable
+is read where the fact that binds it holds it: no binding is ever
+built.  A rule join builds each head's key, builds and numbers the
+head only if the key is new, and records its firing; a constraint join
+yields each match as atoms.
 
-Two executors run a plan, and record the same firings in the same
-order.  The compiled tier (``_compiled``) generates Python source for a
-shape, one nested ``for`` per step with every check inlined; no symbol
+Two executors run a shape's steps, and record the same firings in the
+same order.  The compiled tier (``_compiled``) renders them as Python
+source, one nested ``for`` per step with every check inlined; no symbol
 enters the source, so plans of one shape share one kernel and pass
 their constants as an argument.  The interpreted tier (``_interpret``)
 walks the same steps with a stack of iterators.  A rule shape is
@@ -285,14 +286,15 @@ def _tuple(items: Iterable[str]) -> str:
 def _kernel(shape: tuple):
     """The kernel of a plan shape (see ``_plan``), made once for every
     plan of that shape; the cache keeps the 256 shapes used last, and each
-    plan keeps its own kernel.  A match kernel is compiled at once
+    plan keeps its own kernel.  The shape is planned once (``_steps``), and
+    both executors read those steps.  A match kernel is compiled at once
     (``_compiled``).  A rule kernel starts cold (``_Cold``): the shape's
     first ``COLD_RUNS`` runs are interpreted (``_interpret``), and it is
     compiled at the next run, or at once for a run whose first step reads
     more than ``COLD_FACTS`` facts; from then on its plans call the
     compiled function (``_rule_plan``).  A rule without atoms, which fires
-    once per fixpoint, is compiled at once.  Both executors follow one plan
-    (``_order``) and record the same firings in the same order.
+    once per fixpoint, is compiled at once.  Both executors record the
+    same firings in the same order.
 
     A match kernel ``k0(src, c, chain, A)`` yields each match as its
     facts' atoms.  A rule kernel ``k0(src, c, chain, A, ids, F)`` builds
@@ -304,32 +306,51 @@ def _kernel(shape: tuple):
     ``F[id]``.
     ``chain`` is ``()``; a split plan's function passes the next the facts
     its loops bound."""
-    atoms, _, _, head, _ = shape
+    atoms, _, _, head, consts = shape
+    steps = _steps(shape)
     if head is None or not atoms:
-        return _compiled(shape, _order(shape))
-    return _Cold(shape)
+        return _compiled(steps, consts)
+    return _Cold(steps, consts)
 
 
-def _order(shape: tuple) -> tuple[dict[int, tuple[int, int]], list[tuple[int, tuple[int, ...] | None]], list[list]]:
-    """The plan of a shape: the order of its steps, where each variable
-    is read and where each comparison is checked.
+def _steps(shape: tuple) -> tuple:
+    """The one plan of a shape, as both executors read it: the checks
+    before any step; per step its atom, arity, probed positions (None: a
+    scan), the probe's key (``one``, the place of the one variable it
+    reads, else ``probe``, the places of its symbols), whether that key
+    is all constants, and its checks; the head's terms (None: a match
+    kernel); the head predicate's place in ``c``; and the number of atoms.
 
     The atom ``first`` (the delta of a semi-naive round) is matched first,
     then each time the atom with the most bound positions, textual order
     breaking ties.  The first step scans; every later one probes an index
     on its bound positions.  A fact is named by its slot, its atom's place
-    in textual order, and each variable is read at the (slot, position)
-    of the fact that binds it (``where``).  ``order`` lists each step's
-    atom and probed positions (None: a scan), and ``checks[d]`` the
-    comparisons whose variables are bound before step d (``checks[0]``:
-    before any step)."""
-    atoms, comparisons, first, _, _ = shape
+    in textual order.  A term is read at the (slot, position) of the fact
+    that binds its variable, or at (-1, k) for the constant ``c[k]``.  A
+    check ``(slot, position, slot, position, equal)`` fails when its two
+    symbols are identical and ``equal`` is False, or are not and it is
+    True; a step checks a scan's constants, then the positions a repeated
+    variable must agree on, then the comparisons whose variables it is
+    the last to bind."""
+    atoms, comparisons, first, head, _ = shape
     where: dict[int, tuple[int, int]] = {}  # variable -> (slot, position) that binds it
-    ready: dict[int, int] = {}  # variable -> the step that binds it
+    pending = list(comparisons)
+
+    def ref(n: int) -> tuple[int, int]:
+        return (-1, -n - 1) if n < 0 else where[n]
+
+    def bound() -> list[tuple]:
+        """The checks of the pending comparisons whose variables are all
+        bound, which leave ``pending`` (equal ones are due together)."""
+        due = [cmp_ for cmp_ in pending if all(n < 0 or n in where for n in cmp_[1:])]
+        pending[:] = [cmp_ for cmp_ in pending if cmp_ not in due]
+        return [(*ref(left), *ref(right), equal) for equal, left, right in due]
+
+    prechecks = tuple(bound())  # nothing is bound: constants only
     todo = list(range(len(atoms)))
-    order: list[tuple[int, tuple[int, ...] | None]] = []  # (atom, probed positions; None: a scan)
+    plan = []
     while todo:
-        if first is not None and not order:
+        if first is not None and not plan:
             i = first
         else:
             most = -1
@@ -338,29 +359,37 @@ def _order(shape: tuple) -> tuple[dict[int, tuple[int, int]], list[tuple[int, tu
                 if count > most:
                     most, i = count, j
         todo.remove(i)
-        order.append((i, tuple(p for p, n in enumerate(atoms[i]) if n < 0 or n in where) if order else None))
-        for p, n in enumerate(atoms[i]):
+        terms = atoms[i]
+        if plan:
+            positions = tuple(p for p, n in enumerate(terms) if n < 0 or n in where)
+            probe, checks = tuple(ref(terms[p]) for p in positions), []
+        else:
+            positions, probe = None, ()
+            checks = [(i, p, -1, -n - 1, True) for p, n in enumerate(terms) if n < 0]
+        for p, n in enumerate(terms):
             if n >= 0 and n not in where:
                 where[n] = (i, p)
-                ready[n] = len(order) - 1
-    checks: list[list[tuple]] = [[] for _ in range(len(order) + 1)]
-    for cmp_ in comparisons:
-        checks[max((ready[n] for n in cmp_[1:] if n >= 0), default=-1) + 1].append(cmp_)
-    return where, order, checks
+        checks += [(i, p, *where[n], True) for p, n in enumerate(terms) if n >= 0 and where[n][0] == i and where[n][1] != p]
+        checks += bound()
+        fixed = all(s < 0 for s, _ in probe)
+        one = probe[0] if len(probe) == 1 and not fixed else None
+        plan.append((i, len(terms), positions, one, probe, fixed, tuple(checks)))
+    if head is None:
+        return prechecks, tuple(plan), None, None, len(atoms)
+    return prechecks, tuple(plan), tuple(map(ref, head[0])), head[1], len(atoms)
 
 
-def _compiled(shape: tuple, planned: tuple):
-    """The kernel of a shape compiled from its plan (``_order``): Python
-    source with one nested ``for`` per step, each index fetched before the
-    loops, every check inlined (a scan's arity by ``len``; constants,
-    repeated variables and comparisons, as soon as their variables are
-    bound, as ``is`` tests on symbols).  A fact is an id, whose atom the
+def _compiled(steps: tuple, consts: int):
+    """The kernel compiled from a shape's ``_steps``, with ``consts``
+    constants: Python source with one nested ``for`` per step, each index
+    fetched before the loops, and its bucket too when the probe's key is
+    known there, every check inlined (a scan's arity by ``len``, the
+    others as ``is`` tests on symbols).  A fact is an id, whose atom the
     kernel reads in the pass's numbered atoms ``A``.  The source holds
     only slots, positions and generated names; the constants come in the
     tuple ``c``."""
-    atoms, _, _, head, consts = shape
-    where, order, checks = planned
-    chunks = [order[s : s + _DEPTH] for s in range(0, len(order), _DEPTH)] or [[]]
+    prechecks, plan, head, predicate, width = steps
+    chunks = [plan[s : s + _DEPTH] for s in range(0, len(plan), _DEPTH)] or [()]
     tail = ", ids, F" if head is not None else ""
     unpack = [f"{''.join(f'c{k}, ' for k in range(consts))}= c"] if consts else []
     lines = []
@@ -368,53 +397,47 @@ def _compiled(shape: tuple, planned: tuple):
     for j, chunk in enumerate(chunks):
         used: set[int] = set()  # the slots whose arguments the function reads
 
-        def arg(n: int) -> str:
-            used.add(where[n][0])
-            return "a%d[%d]" % where[n]
+        def term(s: int, p: int) -> str:
+            if s < 0:
+                return f"c{p}"
+            used.add(s)
+            return f"a{s}[{p}]"
 
-        def symbol(n: int) -> str:
-            return f"c{-n - 1}" if n < 0 else arg(n) + ".symbol"
+        def symbol(s: int, p: int) -> str:
+            return f"c{p}" if s < 0 else term(s, p) + ".symbol"
 
-        def fails(cmp_: tuple) -> str:
-            equal, left, right = cmp_
-            return f"{symbol(left)} is {'not ' if equal else ''}{symbol(right)}"
+        def fails(check: tuple) -> str:
+            ls, lp, rs, rp, equal = check
+            return f"{symbol(ls, lp)} is {'not ' if equal else ''}{symbol(rs, rp)}"
 
-        prechecks = [fails(cmp_) for cmp_ in checks[0]] if j == 0 else []
         fetches, loops = [], []
-        for n, (i, key) in enumerate(chunk, start=j * _DEPTH):
-            terms = atoms[i]
-            if key is None:
+        for i, arity, positions, _, probe, _, checks in chunk:
+            if positions is None:
                 used.add(i)
                 loop = f"for f{i} in src[{i}]:"
-                conds = [f"len(a{i}) != {len(terms)}"]
-                conds += [f"a{i}[{p}].symbol is not {symbol(t)}" for p, t in enumerate(terms) if t < 0]
+                conds = [f"len(a{i}) != {arity}"]
             else:
-                probed = [symbol(terms[p]) for p in key]
-                probe = probed[0] if len(probed) == 1 else _tuple(probed)
-                fetch = f"src[{i}].index({len(terms)}, {key!r})"
-                if all(terms[p] < 0 or where[terms[p]][0] in before for p in key):
-                    fetches.append(f"x{i} = {fetch}.get({probe}, ())")
+                probed = [symbol(s, p) for s, p in probe]
+                key = probed[0] if len(probed) == 1 else _tuple(probed)
+                fetch = f"src[{i}].index({arity}, {positions!r})"
+                if all(s < 0 or s in before for s, _ in probe):
+                    fetches.append(f"x{i} = {fetch}.get({key}, ())")
                     loop = f"for f{i} in x{i}:"
                 else:
                     fetches.append(f"x{i} = {fetch}")
-                    loop = f"for f{i} in x{i}.get({probe}, ()):"
+                    loop = f"for f{i} in x{i}.get({key}, ()):"
                 conds = []
-            for p, t in enumerate(terms):
-                if t >= 0 and where[t][0] == i and where[t][1] != p:
-                    used.add(i)
-                    conds.append(f"a{i}[{p}].symbol is not {symbol(t)}")
-            conds += [fails(cmp_) for cmp_ in checks[n + 1]]
-            loops.append((loop, i, conds))
-        after = sorted(before + [i for i, _ in chunk])
+            loops.append((loop, i, conds + [fails(check) for check in checks]))
+        after = sorted(before + [step[0] for step in chunk])
         if j + 1 < len(chunks):
             call = f"k{j + 1}(src, c, {_tuple(f'f{s}' for s in after)}, A{tail})"
             innermost = [call if head is not None else "yield from " + call]
         elif head is None:
-            innermost = [f"yield {_tuple(f'A[f{i}]' for i in range(len(atoms)))}"]
+            innermost = [f"yield {_tuple(f'A[f{i}]' for i in range(width))}"]
         else:
-            terms = [f"c{-n - 1}" if n < 0 else arg(n) for n in head[0]]  # the head's constants are Constants
-            key = _tuple([f"c{head[1]}", *(t + ".symbol" for t in terms)])
-            fired = _tuple(f"f{i}" for i in range(len(atoms)))
+            terms = [term(s, p) for s, p in head]  # the head's constants are Constants
+            key = _tuple([f"c{predicate}", *(t + ".symbol" for t in terms)])
+            fired = _tuple(f"f{i}" for i in range(width))
             # one statement, the key bound in its test: a program compiles a
             # kernel per shape, at a cost that grows with the source
             innermost = [f"F[ids[k] if (k := {key}) in ids else ids.new(k, {_tuple(terms)})].append({fired})"]
@@ -422,7 +445,8 @@ def _compiled(shape: tuple, planned: tuple):
         body = [f"{''.join(f'f{s}, ' for s in before)}= chain"] if before else []
         body += [f"a{s} = A[f{s}].args" for s in before if s in used]
         body += unpack
-        body += [f"if {' or '.join(prechecks)}:", "    return"] if prechecks else []
+        if j == 0 and prechecks:
+            body += [f"if {' or '.join(map(fails, prechecks))}:", "    return"]
         body += fetches
         indent = ""
         for loop, slot, conds in loops:
@@ -443,71 +467,30 @@ def _compiled(shape: tuple, planned: tuple):
 
 class _Cold:
     """The kernel of a rule shape until it is compiled: a run is
-    interpreted while the shape has run at most ``COLD_RUNS`` times and
-    the run's first step reads at most ``COLD_FACTS`` facts; the run past
-    either compiles the shape (``compiled``), and every later run calls
-    that.  The shape is planned on its first run; only the interpreter's
-    steps are kept, and the shape is planned again to compile it."""
+    interpreted from the shape's ``steps`` while the shape has run at
+    most ``COLD_RUNS`` times and the run's first step reads at most
+    ``COLD_FACTS`` facts; the run past either compiles those steps, with
+    the shape's ``consts`` constants (``compiled``), and every later run
+    calls that.  The steps are dropped once compiled."""
 
-    __slots__ = ("shape", "runs", "steps", "compiled")
+    __slots__ = ("steps", "consts", "runs", "compiled")
 
-    def __init__(self, shape: tuple):
-        self.shape = shape
+    def __init__(self, steps: tuple, consts: int):
+        self.steps = steps
+        self.consts = consts
         self.runs = 0
-        self.steps = self.compiled = None
+        self.compiled = None
 
     def __call__(self, src, c, chain, A, ids, F) -> None:
         kernel = self.compiled
         if kernel is None:
             self.runs += 1
             steps = self.steps
-            planned = _order(self.shape) if steps is None else None
-            first = (planned or steps)[1][0][0]  # the first step's atom
-            if self.runs <= COLD_RUNS and len(src[first].facts) <= COLD_FACTS:
-                if steps is None:
-                    steps = self.steps = _steps(self.shape, planned)
+            if self.runs <= COLD_RUNS and len(src[steps[1][0][0]].facts) <= COLD_FACTS:
                 return _interpret(steps, src, c, A, ids, F)
-            kernel = self.compiled = _compiled(self.shape, planned or _order(self.shape))
+            kernel = self.compiled = _compiled(steps, self.consts)
             self.steps = None
         kernel(src, c, chain, A, ids, F)
-
-
-def _steps(shape: tuple, planned: tuple) -> tuple:
-    """The plan of a rule shape with at least one atom as ``_interpret``
-    reads it: the checks before any step; per step its atom, arity, probed
-    positions (None: a scan), the probe's key (``one``, the place of the
-    one variable it reads, else ``probe``, the places of its symbols),
-    whether that key is known before the loops, and its checks; the
-    head's terms; the head predicate's place in ``c``; and the number of
-    atoms.  A term is read at (slot, position), or at (-1, k) for the
-    constant ``c[k]``; a check ``(slot, position, slot, position,
-    equal)`` fails when its two symbols are identical and ``equal`` is
-    False, or are not and it is True."""
-    atoms, _, _, head, _ = shape
-    where, order, checks = planned
-
-    def ref(n: int) -> tuple[int, int]:
-        return (-1, -n - 1) if n < 0 else where[n]
-
-    def test(cmp_: tuple) -> tuple:
-        equal, left, right = cmp_
-        return (*ref(left), *ref(right), equal)
-
-    plan = []
-    for d, (i, positions) in enumerate(order):
-        terms = atoms[i]
-        if positions is None:
-            probe: tuple = ()
-            tests = [(i, p, -1, -t - 1, True) for p, t in enumerate(terms) if t < 0]
-        else:
-            probe = tuple(ref(terms[p]) for p in positions)
-            tests = []
-        tests += [(i, p, *where[t], True) for p, t in enumerate(terms) if t >= 0 and where[t][0] == i and where[t][1] != p]
-        tests += [test(cmp_) for cmp_ in checks[d + 1]]
-        fixed = all(s < 0 for s, _ in probe)
-        one = probe[0] if len(probe) == 1 and not fixed else None
-        plan.append((i, len(terms), positions, one, probe, fixed, tuple(tests)))
-    return tuple(map(test, checks[0])), tuple(plan), tuple(map(ref, head[0])), head[1], len(atoms)
 
 
 def _probed(probe: tuple, c: tuple, args: list) -> Key:

@@ -9,7 +9,8 @@ resulting Datalog abduction problem.
 
 Text format: one clause per line, ``head <- body1 body2``; a bare name
 is a fact.  ``#hyp`` and ``#obs`` lines start the hypothesis and
-observation sections, which list variable names.
+observation sections, which list variable names.  A ``<-`` past a
+clause's first, or in a section, is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def parse_phca(text: str, filename: str = "<phca>") -> PropositionalHornAbductio
     observations: list[str] = []
     section = "rules"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
+        code = raw.split("%", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line == "#hyp":
@@ -65,6 +67,12 @@ def parse_phca(text: str, filename: str = "<phca>") -> PropositionalHornAbductio
             continue
         if line.startswith("#"):
             raise ParseError(f"unknown directive {line}", SourceSpan(filename, lineno, 1))
+        # a clause has at most one arrow, and a section's names none
+        first = code.find("<-") if section == "rules" else -2
+        stray = code.find("<-", first + 2)
+        if stray >= 0:
+            where = "past the clause's first" if section == "rules" else f"in the #{section} section"
+            raise ParseError(f"unexpected '<-' {where}", SourceSpan(filename, lineno, stray + 1))
         if section == "hyp":
             hypotheses.extend(line.split())
             continue

@@ -197,6 +197,14 @@ def test_exit_code_2_on_non_utf8_input(argv, tmp_path, capsys):
     assert error["message"] == f"cannot read {bad}: not UTF-8 (byte 9)"
 
 
+def test_exit_code_2_on_a_stray_phca_arrow(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("a <- b <- c\n#hyp\nb c\n#obs\na\n")
+    assert cli.main(["encode-phca", "-i", str(bad)]) == 2
+    error = _error_object(capsys.readouterr(), "SyntaxError")
+    assert error["message"] == f"{bad}:1:8: unexpected '<-' past the clause's first"
+
+
 def test_exit_code_2_on_usage_error(capsys):
     # argparse's own rejections end in the error object like any other
     code = cli.main(["delprop", "-p", _fx("aj.dl"), "-d", _fx("aj.facts"), "-t", "ans(john, xml)"])
@@ -305,6 +313,17 @@ def test_help_exits_0_with_its_text(argv, capsys):
     assert err.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: whyd") and captured.err == ""
+
+
+def test_check_ics_requires_its_constraints(capsys):
+    # the help shows -c as required, and a command line without it is
+    # rejected by the parser, as a usage error
+    with pytest.raises(SystemExit):
+        cli.main(["check-ics", "--help"])
+    assert capsys.readouterr().out.startswith("usage: whyd check-ics [-h] -d DATA -c CONSTRAINTS [--pretty]\n")
+    assert cli.main(["check-ics", "-d", _fx("dept.facts")]) == 2
+    error = _error_object(capsys.readouterr(), "UsageError")
+    assert error["message"] == "the following arguments are required: -c/--constraints"
 
 
 def test_exit_code_3_with_error_object_on_non_answer(capsys):

@@ -185,15 +185,19 @@ def _random_conjunction(rng: random.Random):
     return atoms, comparisons
 
 
-def _run_rule_plan(monkeypatch, plan, numbered, held, interpreted: bool):
-    """The graph one run of a rule plan records over the numbered facts,
-    the i-th atom reading the facts ``held[i]``, by a fresh kernel of its
-    shape that interprets the run or compiles it."""
+def _run_rule_plan(monkeypatch, rule, first, numbered, held, interpreted: bool):
+    """The graph one run of the rule's plan with its delta at body atom
+    ``first`` records over the numbered facts, the i-th atom reading the
+    facts ``held[i]``, by a fresh kernel of its shape that interprets the
+    run or compiles it."""
     monkeypatch.setattr(evaluator, "COLD_RUNS", sys.maxsize if interpreted else 0)
     monkeypatch.setattr(evaluator, "COLD_FACTS", sys.maxsize)
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluator, "_kernel", evaluator._kernel.__wrapped__)  # uncached: a kernel of its own
+        plan = _plan(tuple(rule.body_atoms()), tuple(rule.comparisons()), first, rule=rule)
     numbering, _ = evaluator._seed(numbered)
     pass_atoms, rows = numbering.atoms, numbering.rows
-    kernel = evaluator._Cold(plan.kernel.shape)
+    kernel = plan.kernel
     kernel([Relation(pass_atoms, list(h)) for h in held], plan.consts, (), pass_atoms, numbering, rows)
     assert (kernel.compiled is None) is interpreted
     return evaluator.Graph(pass_atoms, len(numbered), rows)
@@ -230,11 +234,12 @@ def test_planned_join_matches_brute_force(monkeypatch):
             assert engine == Counter(facts for _, facts in brute), (seed, first, atoms, comparisons)
             shapes["matched" if brute else "empty"] += 1
             shapes["probed"] += any(s._indexes for s in sources)
-            plan = _plan(atoms, comparisons, first, rule=rule)
             fired = [(GroundAtom("h", (*(b[v] for v in variables), Constant("k"))), body) for b, body in brute]
             # interpreted, then compiled: each agrees with the oracle, and
             # both record the same atoms and rows
-            graphs = [_run_rule_plan(monkeypatch, plan, numbered, held, interpreted) for interpreted in (True, False)]
+            graphs = [
+                _run_rule_plan(monkeypatch, rule, first, numbered, held, interpreted) for interpreted in (True, False)
+            ]
             for graph in graphs:
                 # each head numbered once, past the seeds
                 derived = graph.atoms[len(numbered) :]
@@ -323,14 +328,14 @@ def test_kernel_cache_stays_at_its_bound():
 def _fresh_kernels(monkeypatch) -> list:
     """From now on, plans get their kernels from a cache of their own,
     empty at first, so every rule shape starts cold; returns the list
-    of shapes compiled since."""
+    of the steps compiled since."""
     monkeypatch.setattr(evaluator, "_kernel", lru_cache(maxsize=256)(evaluator._kernel.__wrapped__))
     compiled = []
     real = evaluator._compiled
 
-    def counted(shape, planned):
-        compiled.append(shape)
-        return real(shape, planned)
+    def counted(steps, consts):
+        compiled.append(steps)
+        return real(steps, consts)
 
     monkeypatch.setattr(evaluator, "_compiled", counted)
     return compiled
@@ -361,7 +366,7 @@ import corpus, whyd
 from whyd import cli, evaluator
 
 compiled, real = [], evaluator._compiled
-evaluator._compiled = lambda shape, planned: compiled.append(shape) or real(shape, planned)
+evaluator._compiled = lambda steps, consts: compiled.append(steps) or real(steps, consts)
 directory = pathlib.Path(sys.argv[1])
 for seed in range(40):
     case = corpus.generate_case(seed)
@@ -403,6 +408,23 @@ def test_hot_plans_call_their_compiled_kernels(shipped_tiers, monkeypatch):
         cold.append(sum(kernel.__class__ is evaluator._Cold for kernel in kernels))
     assert cold[0] > 0 and cold[-1] == 0, cold
     assert all(kernel.__class__ is types.FunctionType for kernel in kernels)
+
+
+def test_a_rule_shape_is_planned_once(shipped_tiers, monkeypatch):
+    # one join per fixpoint, of one shape: its COLD_RUNS interpreted runs
+    # and its compile all read the one steps object it was planned into
+    compiled = _fresh_kernels(monkeypatch)
+    planned, interpreted = [], []
+    real_steps, real_interpret = evaluator._steps, evaluator._interpret
+    monkeypatch.setattr(evaluator, "_steps", lambda shape: planned.append(real_steps(shape)) or planned[-1])
+    monkeypatch.setattr(evaluator, "_interpret", lambda steps, *args: interpreted.append(steps) or real_interpret(steps, *args))
+    program = parse_program("p(X) :- e(X, a), f(X).\n")
+    for k in range(evaluator.COLD_RUNS + 1):
+        facts = [ground("e", f"k{k}", "a"), ground("f", f"k{k}")]
+        assert evaluate_fixpoint(program, facts).extension("p") == {ground("p", f"k{k}")}
+    assert len(planned) == 1
+    assert len(interpreted) == evaluator.COLD_RUNS and all(steps is planned[0] for steps in interpreted)
+    assert len(compiled) == 1 and compiled[0] is planned[0]
 
 
 @pytest.mark.parametrize("extra, compiles", [(0, False), (1, True)])

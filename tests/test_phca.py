@@ -2,7 +2,7 @@ import pytest
 
 from whyd import evaluator
 from whyd.abduction import relevant_hypotheses, solve_diagnoses
-from whyd.errors import NonHornClauseError, WhydError
+from whyd.errors import NonHornClauseError, ParseError, WhydError
 from whyd.evaluator import reached
 from whyd.model import ground
 from whyd.phca import (
@@ -85,6 +85,28 @@ def test_true_marker_avoids_collisions():
 def test_multiple_heads_rejected():
     with pytest.raises(NonHornClauseError):
         parse_phca("a b <- c")
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("a <- b <- c\n#hyp\nb c\n#obs\na\n", 1, 8),
+        ("a <- b<-c\n#hyp\nb c\n#obs\na\n", 1, 7),
+        ("a <- b c\n#hyp\n  b <- c\n#obs\na\n", 3, 5),
+        ("a <- b\n#hyp\nb\n#obs\n<- a\n", 5, 1),
+    ],
+)
+def test_a_stray_arrow_is_a_parse_error(text, line, column):
+    # one arrow per clause, none among a section's names: another is not
+    # read as a name
+    with pytest.raises(ParseError) as raised:
+        parse_phca(text)
+    assert (raised.value.span.line, raised.value.span.column) == (line, column)
+
+
+def test_an_arrow_in_a_comment_is_ignored():
+    problem = parse_phca("a <- b % a <- b <- c\n#hyp\nb % b <- c\n#obs\na\n")
+    assert problem.rules == (("a", ("b",)),) and problem.hypotheses == {"b"}
 
 
 def test_overlapping_hypotheses_and_observations_rejected():
